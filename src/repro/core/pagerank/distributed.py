@@ -42,9 +42,9 @@ from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
 from repro.core.pagerank.result import IterationStats, PageRankResult
 from repro.core.pagerank.tokens import (
-    heavy_machine_counts,
+    move_heavy_tokens,
     move_light_tokens,
-    split_tokens_among_local_neighbors,
+    receive_heavy_tokens,
     terminate_tokens,
 )
 
@@ -213,6 +213,39 @@ def distributed_pagerank(
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
+def _move_live_tokens(
+    ctx, rng, vertices, counts, eps: float,
+    heavy_threshold: int, enable_heavy_path: bool,
+) -> tuple:
+    """One machine's token moves (Algorithm 1, lines 5-23).
+
+    ``vertices``/``counts`` are the machine's live vertices and their
+    token counts; every count is consumed (terminated, absorbed, or
+    emitted).  Returns the aggregated light α entries ``(dv, dc)`` and
+    the heavy β entries ``(hv, hdst, hc)`` in emission order, local and
+    remote destinations alike.  This is the only place the move kernels
+    draw, so both make the same draws: termination, light picks, then
+    one batched heavy multinomial.
+    """
+    indptr, indices = ctx.graph.indptr, ctx.graph.indices
+    # Lines 5-6: terminate each token with probability eps.
+    counts = terminate_tokens(counts, eps, rng)
+    # Out-degree-0 vertices absorb their tokens.
+    keep = (counts > 0) & (indptr[vertices + 1] > indptr[vertices])
+    vertices, counts = vertices[keep], counts[keep]
+    if enable_heavy_path:
+        is_heavy = counts >= heavy_threshold
+    else:
+        is_heavy = np.zeros(vertices.size, dtype=bool)
+    dv, dc = move_light_tokens(
+        vertices[~is_heavy], counts[~is_heavy], indptr, indices, rng
+    )
+    hv, hdst, hc = move_heavy_tokens(
+        vertices[is_heavy], counts[is_heavy], indptr, ctx.nbr_home, ctx.k, rng
+    )
+    return dv, dc, hv, hdst, hc
+
+
 def _move_tokens_task(
     ctx, machine: int, rng, tokens_local, eps: float,
     heavy_threshold: int, enable_heavy_path: bool,
@@ -234,74 +267,23 @@ def _move_tokens_task(
     RNG draw sequence is exactly the historical inline loop's, on either
     backend.
     """
-    out = {
-        "incoming_v": _EMPTY, "incoming_c": _EMPTY,
-        "light_v": _EMPTY, "light_c": _EMPTY,
-        "heavy_dst": _EMPTY, "heavy_v": _EMPTY, "heavy_c": _EMPTY,
-        "local_heavy_v": _EMPTY, "local_heavy_c": _EMPTY,
-    }
-    verts = ctx.parts[machine]
-    indptr, indices = ctx.graph.indptr, ctx.graph.indices
     tok = np.asarray(tokens_local, dtype=np.int64)
     act = np.flatnonzero(tok > 0)
-    if act.size == 0:
-        return out
-    # Lines 5-6: terminate each token with probability eps.
-    tok[act] = terminate_tokens(tok[act], eps, rng)
-    act = act[tok[act] > 0]
-    if act.size == 0:
-        return out
-    av = verts[act]
-    deg = indptr[av + 1] - indptr[av]
-    # Out-degree-0 vertices absorb their tokens.
-    keep = deg > 0
-    act, av = act[keep], av[keep]
-    if act.size == 0:
-        return out
-
-    counts = tok[act]
-    if enable_heavy_path:
-        is_heavy = counts >= heavy_threshold
-    else:
-        is_heavy = np.zeros(act.size, dtype=bool)
-
-    light_v = av[~is_heavy]
-    dv, dc = move_light_tokens(light_v, tok[act[~is_heavy]], indptr, indices, rng)
-    if dv.size:
-        # Local deliveries are free; remote ones form the α rows.
-        homes = ctx.home[dv]
-        local = homes == machine
-        out["incoming_v"], out["incoming_c"] = dv[local], dc[local]
-        out["light_v"], out["light_c"] = dv[~local], dc[~local]
-
-    heavy_act, heavy_av = act[is_heavy], av[is_heavy]
-    if heavy_av.size:
-        hd: list[int] = []
-        hv: list[int] = []
-        hc: list[int] = []
-        lhv: list[int] = []
-        lhc: list[int] = []
-        for p, u in zip(heavy_act, heavy_av):
-            cnt = int(tok[p])
-            beta = heavy_machine_counts(
-                int(u), cnt, indptr, indices, ctx.home, ctx.k, rng,
-                nbr_home=ctx.nbr_home,
-            )
-            for j in np.flatnonzero(beta):
-                j = int(j)
-                if j == machine:
-                    lhv.append(int(u))
-                    lhc.append(int(beta[j]))
-                    continue
-                hd.append(j)
-                hv.append(int(u))
-                hc.append(int(beta[j]))
-        out["heavy_dst"] = np.array(hd, dtype=np.int64)
-        out["heavy_v"] = np.array(hv, dtype=np.int64)
-        out["heavy_c"] = np.array(hc, dtype=np.int64)
-        out["local_heavy_v"] = np.array(lhv, dtype=np.int64)
-        out["local_heavy_c"] = np.array(lhc, dtype=np.int64)
-    return out
+    dv, dc, hv, hdst, hc = _move_live_tokens(
+        ctx, rng, ctx.parts[machine][act], tok[act],
+        eps, heavy_threshold, enable_heavy_path,
+    )
+    # Local deliveries are free; remote ones form the α / β rows.
+    homes = ctx.home[dv]
+    local = homes == machine
+    local_heavy = hdst == machine
+    return {
+        "incoming_v": dv[local], "incoming_c": dc[local],
+        "light_dst": homes[~local], "light_v": dv[~local], "light_c": dc[~local],
+        "heavy_dst": hdst[~local_heavy],
+        "heavy_v": hv[~local_heavy], "heavy_c": hc[~local_heavy],
+        "local_heavy_v": hv[local_heavy], "local_heavy_c": hc[local_heavy],
+    }
 
 
 def _receive_heavy_task(ctx, machine: int, rng, payload) -> tuple:
@@ -311,23 +293,14 @@ def _receive_heavy_task(ctx, machine: int, rng, payload) -> tuple:
     canonical order; ``payload["local_vertex"]/["local_count"]`` the
     same-machine heavy counts in emission order — together exactly the
     sequence the inline loop re-sampled with this machine's stream.
-    Returns aggregated ``(dest_vertices, dest_counts)`` contributions.
+    Returns ``(dest_vertices, dest_counts)`` contributions, one entry per
+    row and landing vertex.
     """
-    dvs: list[np.ndarray] = []
-    dcs: list[np.ndarray] = []
-    for u, cnt in zip(payload["vertex"], payload["count"]):
-        local = ctx.local_neighbors(int(u), machine)
-        dv, dc = split_tokens_among_local_neighbors(int(u), int(cnt), local, rng)
-        dvs.append(dv)
-        dcs.append(dc)
-    for u, cnt in zip(payload["local_vertex"], payload["local_count"]):
-        local = ctx.local_neighbors(int(u), machine)
-        dv, dc = split_tokens_among_local_neighbors(int(u), int(cnt), local, rng)
-        dvs.append(dv)
-        dcs.append(dc)
-    if not dvs:
-        return _EMPTY, _EMPTY
-    return np.concatenate(dvs), np.concatenate(dcs)
+    return receive_heavy_tokens(
+        np.concatenate([payload["vertex"], payload["local_vertex"]]),
+        np.concatenate([payload["count"], payload["local_count"]]),
+        machine, ctx.graph.indptr, ctx.graph.indices, ctx.nbr_home, rng,
+    )
 
 
 class _PageRankDriver:
@@ -362,7 +335,6 @@ class _PageRankDriver:
         self.cluster = cluster
         self.dg = distgraph
         self.parts = distgraph.parts
-        self.home = distgraph.home
         self.tokens = tokens
         self.psi = psi
         self.eps = eps
@@ -378,9 +350,8 @@ class _PageRankDriver:
     def step(self, cluster: Cluster, state=None) -> bool:
         it = self.iteration
         self.iteration += 1
-        tokens, home = self.tokens, self.home
-        n = home.size
-        incoming = np.zeros(n, dtype=np.int64)
+        tokens = self.tokens
+        incoming = np.zeros(tokens.size, dtype=np.int64)
 
         moved = cluster.map_machines(
             _move_tokens_task,
@@ -399,40 +370,10 @@ class _PageRankDriver:
 
         # Columnar outboxes: per-machine row fragments, concatenated in
         # machine (emission) order into one light and one heavy stream.
-        light_src: list[np.ndarray] = []
-        light_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        heavy_src: list[np.ndarray] = []
-        heavy_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        local_heavy: list[tuple[np.ndarray, np.ndarray]] = []
-        for i, res in enumerate(moved):
-            if res["incoming_v"].size:
-                np.add.at(incoming, res["incoming_v"], res["incoming_c"])
-            if res["light_v"].size:
-                light_src.append(np.full(res["light_v"].size, i, dtype=np.int64))
-                light_rows.append((res["light_v"], res["light_c"]))
-            if res["heavy_v"].size:
-                heavy_src.append(np.full(res["heavy_v"].size, i, dtype=np.int64))
-                heavy_parts.append((res["heavy_dst"], res["heavy_v"], res["heavy_c"]))
-            local_heavy.append((res["local_heavy_v"], res["local_heavy_c"]))
-
-        if light_rows:
-            lv = np.concatenate([v for v, _ in light_rows])
-            lc = np.concatenate([c for _, c in light_rows])
-            lsrc = np.concatenate(light_src)
-        else:
-            lv = lc = lsrc = _EMPTY
-        if heavy_parts:
-            hdst = np.concatenate([d for d, _, _ in heavy_parts])
-            hv = np.concatenate([v for _, v, _ in heavy_parts])
-            hc = np.concatenate([c for _, _, c in heavy_parts])
-            hsrc = np.concatenate(heavy_src)
-        else:
-            hdst = hv = hc = hsrc = _EMPTY
-        light = _count_batch("pr-light", lsrc, home[lv], lv, lc, self.vid_bits)
-        heavy = _count_batch("pr-heavy", hsrc, hdst, hv, hc, self.vid_bits)
-        light_in, heavy_in = cluster.exchange_batches(
-            [light, heavy], label=f"pagerank/tokens/{it}"
-        )
+        merged = _assemble_token_outbox(range(cluster.k), moved)
+        for res in moved:
+            np.add.at(incoming, res["incoming_v"], res["incoming_c"])
+        light_in, heavy_in = self._exchange_tokens(cluster, it, merged)
 
         # Light rows land on their destination vertex's home machine; the
         # aggregation is one global scatter-add.
@@ -441,16 +382,15 @@ class _PageRankDriver:
         # machine's RNG, in canonical delivery order (backend-independent).
         # Skipping the dispatch when no machine has rows is draw-neutral:
         # the kernel makes no draws on an empty payload.
-        if len(heavy_in) or any(v.size for v, _ in local_heavy):
+        if len(heavy_in) or any(res["local_heavy_v"].size for res in moved):
             payloads = []
-            for j in range(cluster.k):
+            for j, res in enumerate(moved):
                 rows = heavy_in.for_machine(j)
-                lhv, lhc = local_heavy[j]
                 payloads.append({
                     "vertex": rows["vertex"],
                     "count": rows["count"],
-                    "local_vertex": lhv,
-                    "local_count": lhc,
+                    "local_vertex": res["local_heavy_v"],
+                    "local_count": res["local_heavy_c"],
                 })
             received = cluster.map_machines(_receive_heavy_task, self.dg, payloads)
             for dv, dc in received:
@@ -459,8 +399,31 @@ class _PageRankDriver:
 
         tokens += incoming
         self.psi += incoming
+        return self._close_iteration(
+            cluster, it, [int(tokens[verts].sum()) for verts in self.parts]
+        )
+
+    def _exchange_tokens(self, cluster: Cluster, it: int, merged: dict) -> list:
+        """Exchange one iteration's merged α and β rows in a single phase."""
+        light = _count_batch(
+            "pr-light", merged["light_src"], merged["light_dst"],
+            merged["light_v"], merged["light_c"], self.vid_bits,
+        )
+        heavy = _count_batch(
+            "pr-heavy", merged["heavy_src"], merged["heavy_dst"],
+            merged["heavy_v"], merged["heavy_c"], self.vid_bits,
+        )
+        return cluster.exchange_batches([light, heavy], label=f"pagerank/tokens/{it}")
+
+    def _close_iteration(self, cluster: Cluster, it: int, lives: list[int]) -> bool:
+        """Record the iteration's stats, then detect termination (accounted).
+
+        ``lives`` is each machine's live-token count after the iteration.
+        Every machine reports a 1-bit liveness flag to machine 0, which
+        broadcasts the verdict.
+        """
         phase = cluster.metrics.phase_log[-1]
-        live = int(tokens.sum())
+        live = sum(lives)
         self.stats.append(
             IterationStats(
                 iteration=it,
@@ -471,13 +434,11 @@ class _PageRankDriver:
                 live_tokens=live,
             )
         )
-
-        # Termination detection (accounted): every machine reports a 1-bit
-        # liveness flag to machine 0, which broadcasts the verdict.
         flags = cluster.empty_outboxes()
         for i in range(1, cluster.k):
-            alive = bool(tokens[self.parts[i]].sum() > 0)
-            flags[i].append(Message(src=i, dst=0, kind="pr-alive", payload=alive, bits=1))
+            flags[i].append(
+                Message(src=i, dst=0, kind="pr-alive", payload=lives[i] > 0, bits=1)
+            )
         cluster.exchange(flags, label="pagerank/control/report")
         cluster.broadcast(
             0, kind="pr-continue", payload=live > 0, bits=1, label="pagerank/control/verdict"
@@ -526,76 +487,26 @@ def _move_tokens_resident_task(
     mirroring the legacy driver's global reset.  ``light_dst`` is
     resolved worker-side so the parent never touches per-row data.
     """
-    out = {
-        "light_dst": _EMPTY, "light_v": _EMPTY, "light_c": _EMPTY,
-        "heavy_dst": _EMPTY, "heavy_v": _EMPTY, "heavy_c": _EMPTY,
-    }
     verts = ctx.parts[machine]
-    indptr, indices = ctx.graph.indptr, ctx.graph.indices
     tok = state["tokens"]
-    act0 = state["active"]  # invariant: flatnonzero(tok > 0)
+    act = state["active"]  # invariant: flatnonzero(tok > 0)
+    dv, dc, hv, hdst, hc = _move_live_tokens(
+        ctx, rng, verts[act], tok[act], eps, heavy_threshold, enable_heavy_path,
+    )
+    tok[act] = 0  # every live count was consumed above
     state["active"] = _EMPTY
-    if act0.size == 0:
-        return out
-    act = act0
-    tok[act] = terminate_tokens(tok[act], eps, rng)
-    act = act[tok[act] > 0]
-    if act.size == 0:
-        tok[act0] = 0
-        return out
-    av = verts[act]
-    deg = indptr[av + 1] - indptr[av]
-    keep = deg > 0
-    act, av = act[keep], av[keep]
-    if act.size == 0:
-        tok[act0] = 0
-        return out
-
-    counts = tok[act]
-    if enable_heavy_path:
-        is_heavy = counts >= heavy_threshold
-    else:
-        is_heavy = np.zeros(act.size, dtype=bool)
-
-    light_v = av[~is_heavy]
-    dv, dc = move_light_tokens(light_v, tok[act[~is_heavy]], indptr, indices, rng)
-    if dv.size:
-        homes = ctx.home[dv]
-        local = homes == machine
-        state["pending_v"] = np.searchsorted(verts, dv[local])
-        state["pending_c"] = dc[local]
-        out["light_dst"] = homes[~local]
-        out["light_v"], out["light_c"] = dv[~local], dc[~local]
-
-    heavy_act, heavy_av = act[is_heavy], av[is_heavy]
-    if heavy_av.size:
-        hd: list[int] = []
-        hv: list[int] = []
-        hc: list[int] = []
-        lhv: list[int] = []
-        lhc: list[int] = []
-        for p, u in zip(heavy_act, heavy_av):
-            cnt = int(tok[p])
-            beta = heavy_machine_counts(
-                int(u), cnt, indptr, indices, ctx.home, ctx.k, rng,
-                nbr_home=ctx.nbr_home,
-            )
-            for j in np.flatnonzero(beta):
-                j = int(j)
-                if j == machine:
-                    lhv.append(int(u))
-                    lhc.append(int(beta[j]))
-                    continue
-                hd.append(j)
-                hv.append(int(u))
-                hc.append(int(beta[j]))
-        out["heavy_dst"] = np.array(hd, dtype=np.int64)
-        out["heavy_v"] = np.array(hv, dtype=np.int64)
-        out["heavy_c"] = np.array(hc, dtype=np.int64)
-        state["local_heavy_v"] = np.array(lhv, dtype=np.int64)
-        state["local_heavy_c"] = np.array(lhc, dtype=np.int64)
-    tok[act0] = 0  # every live count was consumed above
-    return out
+    homes = ctx.home[dv]
+    local = homes == machine
+    local_heavy = hdst == machine
+    state["pending_v"] = np.searchsorted(verts, dv[local])
+    state["pending_c"] = dc[local]
+    state["local_heavy_v"] = hv[local_heavy]
+    state["local_heavy_c"] = hc[local_heavy]
+    return {
+        "light_dst": homes[~local], "light_v": dv[~local], "light_c": dc[~local],
+        "heavy_dst": hdst[~local_heavy],
+        "heavy_v": hv[~local_heavy], "heavy_c": hc[~local_heavy],
+    }
 
 
 def _step_tokens_resident_task(
@@ -611,7 +522,7 @@ def _step_tokens_resident_task(
     draws on each machine's private stream.  ``local_live`` reports the
     tokens this move parked machine-locally (free light deliveries plus
     same-machine β rows); because the heavy re-sampling in
-    :func:`split_tokens_among_local_neighbors` conserves counts, the
+    :func:`~repro.core.pagerank.tokens.receive_heavy_tokens` conserves counts, the
     parent recovers each machine's post-apply live total as
     ``local_live + delivered light + delivered heavy`` without waiting
     for the apply.
@@ -631,7 +542,8 @@ def _assemble_token_outbox(machines, results) -> dict:
     """Pack one group's move-kernel fragments into a columnar outbox.
 
     Runs worker-side on the process engine (one aggregate per worker)
-    and inline otherwise (one aggregate covering all machines).  Rows
+    and inline otherwise (one aggregate covering all machines); the
+    legacy driver calls it parent-side over all ``k`` results.  Rows
     keep per-machine emission order within the group, which is all the
     canonical delivery order needs.  ``live_m``/``live_c`` carry each
     member machine's ``local_live`` count back alongside the outbox.
@@ -673,34 +585,23 @@ def _apply_tokens_resident_task(ctx, machine: int, rng, payload, state) -> int:
     """
     verts = ctx.parts[machine]
     tok, psi = state["tokens"], state["psi"]
-    idxs: list[np.ndarray] = [state["pending_v"]]
-    cnts: list[np.ndarray] = [state["pending_c"]]
+    dv, dc = receive_heavy_tokens(
+        np.concatenate([payload["hvertex"], state["local_heavy_v"]]),
+        np.concatenate([payload["hcount"], state["local_heavy_c"]]),
+        machine, ctx.graph.indptr, ctx.graph.indices, ctx.nbr_home, rng,
+    )
+    delivered = np.searchsorted(verts, np.concatenate([payload["vertex"], dv]))
+    idx = np.concatenate([state["pending_v"], delivered])
+    cnt = np.concatenate([state["pending_c"], payload["count"], dc])
     state["pending_v"] = state["pending_c"] = _EMPTY
-    if payload["vertex"].size:
-        idxs.append(np.searchsorted(verts, payload["vertex"]))
-        cnts.append(payload["count"])
-    dvs: list[np.ndarray] = []
-    dcs: list[np.ndarray] = []
-    for u, cnt in zip(payload["hvertex"], payload["hcount"]):
-        local = ctx.local_neighbors(int(u), machine)
-        dv, dc = split_tokens_among_local_neighbors(int(u), int(cnt), local, rng)
-        dvs.append(dv)
-        dcs.append(dc)
-    for u, cnt in zip(state["local_heavy_v"], state["local_heavy_c"]):
-        local = ctx.local_neighbors(int(u), machine)
-        dv, dc = split_tokens_among_local_neighbors(int(u), int(cnt), local, rng)
-        dvs.append(dv)
-        dcs.append(dc)
     state["local_heavy_v"] = state["local_heavy_c"] = _EMPTY
-    if dvs:
-        idxs.append(np.searchsorted(verts, np.concatenate(dvs)))
-        cnts.append(np.concatenate(dcs))
-    idx = np.concatenate(idxs)
-    cnt = np.concatenate(cnts)
-    if idx.size:
-        np.add.at(tok, idx, cnt)
-        np.add.at(psi, idx, cnt)
-    state["active"] = np.unique(idx)
+    # One integer segment-sum over the touched indices feeds both tables.
+    active, inverse = np.unique(idx, return_inverse=True)
+    added = np.zeros(active.size, dtype=np.int64)
+    np.add.at(added, inverse, cnt)
+    tok[active] += added
+    psi[active] += added
+    state["active"] = active
     return int(cnt.sum())
 
 
@@ -729,7 +630,6 @@ class _ResidentPageRankDriver(_PageRankDriver):
             _install_token_states(self.dg, self.tokens, self.psi),
             distgraph=self.dg,
         )
-        self._lives = [0] * self.cluster.k
         self._carry: list | None = None  # deliveries awaiting fold-in
 
     def finish(self, cluster: Cluster) -> None:
@@ -779,17 +679,7 @@ class _ResidentPageRankDriver(_PageRankDriver):
             for name in groups[0]
             if not name.startswith("live_")
         }
-        light = _count_batch(
-            "pr-light", merged["light_src"], merged["light_dst"],
-            merged["light_v"], merged["light_c"], self.vid_bits,
-        )
-        heavy = _count_batch(
-            "pr-heavy", merged["heavy_src"], merged["heavy_dst"],
-            merged["heavy_v"], merged["heavy_c"], self.vid_bits,
-        )
-        light_in, heavy_in = cluster.exchange_batches(
-            [light, heavy], label=f"pagerank/tokens/{it}"
-        )
+        light_in, heavy_in = self._exchange_tokens(cluster, it, merged)
 
         payloads = []
         lives = []
@@ -805,27 +695,4 @@ class _ResidentPageRankDriver(_PageRankDriver):
             lives.append(int(local_live[j] + rows["count"].sum()
                              + hrows["count"].sum()))
         self._carry = payloads
-        self._lives = lives
-
-        phase = cluster.metrics.phase_log[-1]
-        live = int(sum(self._lives))
-        self.stats.append(
-            IterationStats(
-                iteration=it,
-                rounds=phase.rounds,
-                messages=phase.messages,
-                max_machine_sent=phase.max_machine_sent,
-                max_machine_received=phase.max_machine_received,
-                live_tokens=live,
-            )
-        )
-
-        flags = cluster.empty_outboxes()
-        for i in range(1, k):
-            alive = bool(self._lives[i] > 0)
-            flags[i].append(Message(src=i, dst=0, kind="pr-alive", payload=alive, bits=1))
-        cluster.exchange(flags, label="pagerank/control/report")
-        cluster.broadcast(
-            0, kind="pr-continue", payload=live > 0, bits=1, label="pagerank/control/verdict"
-        )
-        return live > 0
+        return self._close_iteration(cluster, it, lives)

@@ -5,19 +5,50 @@ vectorized per machine per iteration (the HPC guides' "vectorize the hot
 loop"): termination is a batched binomial, light-vertex moves expand
 counts into per-token uniform neighbor picks, heavy-vertex moves sample a
 multinomial over destination *machines* weighted by the vertex's neighbor
-distribution (Algorithm 1, line 23).
+distribution (Algorithm 1, line 23) and the receiving machine re-samples
+concrete neighbors (lines 31-36).
+
+The heavy path comes in two forms.  :func:`heavy_machine_counts` and
+:func:`split_tokens_among_local_neighbors` handle one vertex / one β row
+and are the reference; :func:`move_heavy_tokens` and
+:func:`receive_heavy_tokens` handle a machine's whole batch and are what
+the superstep kernels call.  The batched forms consume the generator
+*draw for draw* like the scalar ones called in row order (tested on
+outputs and ``bit_generator.state``), under one batching rule:
+
+    a broadcast ``rng.multinomial(counts, pvals)`` is draw-identical to
+    sequential calls only when every row has the same ``len(pvals)``.
+
+NumPy runs the rows of a broadcast call sequentially through the same
+C routine as a scalar call, so the sending side (every row is a
+distribution over the ``k`` machines) is one call.  The receiving
+side's rows have one entry per locally-hosted neighbor, so their widths
+differ; zero-padding them to a common width costs extra draws (the last
+real entry stops being the draw-free remainder), so that side keeps one
+call per row and vectorizes everything around it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import AlgorithmError
+
 __all__ = [
     "terminate_tokens",
     "move_light_tokens",
     "heavy_machine_counts",
+    "move_heavy_tokens",
     "split_tokens_among_local_neighbors",
+    "receive_heavy_tokens",
 ]
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+# Uniform pvals for the common narrow receive rows, indexed by width (a
+# row has at least two entries when it draws), so the per-row loop does
+# not allocate them; wider rows build their own.
+_UNIFORM = (None, None, *(np.full(s, 1.0 / s) for s in range(2, 65)))
 
 
 def terminate_tokens(
@@ -97,25 +128,120 @@ def heavy_machine_counts(
     return rng.multinomial(tokens, per_machine / per_machine.sum()).astype(np.int64)
 
 
+def _expand_adjacency(
+    vertices: np.ndarray, indptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR positions of every adjacency entry of ``vertices``, row by row.
+
+    Returns ``(take, row, deg)``: ``take`` indexes the CSR columns,
+    ``row[i]`` is the position in ``vertices`` that ``take[i]`` belongs to.
+    """
+    lo = indptr[vertices]
+    deg = indptr[vertices + 1] - lo
+    ends = np.cumsum(deg)
+    row = np.repeat(np.arange(vertices.size), deg)
+    take = np.arange(int(ends[-1])) + (lo - (ends - deg))[row]
+    return take, row, deg
+
+
+def move_heavy_tokens(
+    vertices: np.ndarray,
+    counts: np.ndarray,
+    indptr: np.ndarray,
+    nbr_home: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched :func:`heavy_machine_counts` for one machine's heavy vertices.
+
+    Returns the non-zero β entries as ``(src_vertices, machines, counts)``
+    in emission order (vertex order, then ascending machine).  Draws
+    exactly what one :func:`heavy_machine_counts` call per vertex would:
+    one broadcast multinomial whose rows all have width ``k``.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    live = (indptr[vertices + 1] > indptr[vertices]) & (counts > 0)
+    vertices, counts = vertices[live], counts[live]
+    if vertices.size == 0:
+        return _EMPTY, _EMPTY, _EMPTY
+    take, row, deg = _expand_adjacency(vertices, indptr)
+    per_machine = np.bincount(row * k + nbr_home[take], minlength=vertices.size * k)
+    pvals = per_machine.reshape(vertices.size, k) / deg[:, None].astype(np.float64)
+    beta = rng.multinomial(counts, pvals)
+    src, machines = np.nonzero(beta)
+    return vertices[src], machines, beta[src, machines]
+
+
+def _no_local_neighbors(vertex: int, machine: int | None) -> AlgorithmError:
+    where = "a machine" if machine is None else f"machine {machine}"
+    return AlgorithmError(
+        f"{where} received tokens for vertex {vertex} but hosts none of its neighbors"
+    )
+
+
 def split_tokens_among_local_neighbors(
     vertex: int,
     tokens: int,
     local_neighbors: np.ndarray,
     rng: np.random.Generator,
+    machine: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receiving side of a heavy message (Algorithm 1, lines 31-36).
 
     The destination machine delivers each of the ``tokens`` tokens to a
     uniform vertex among the locally-hosted neighbors of the heavy source.
-    Returns ``(dest_vertices, dest_counts)``.
+    Returns ``(dest_vertices, dest_counts)``.  ``machine`` only names the
+    receiver in the error raised when ``local_neighbors`` is empty.
     """
     local_neighbors = np.asarray(local_neighbors, dtype=np.int64)
     if local_neighbors.size == 0:
-        raise ValueError(
-            f"machine received tokens for vertex {vertex} but hosts none of its neighbors"
-        )
+        raise _no_local_neighbors(vertex, machine)
     if tokens == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     picks = rng.multinomial(tokens, np.full(local_neighbors.size, 1.0 / local_neighbors.size))
     nz = picks > 0
     return local_neighbors[nz], picks[nz].astype(np.int64)
+
+
+def receive_heavy_tokens(
+    vertices: np.ndarray,
+    counts: np.ndarray,
+    machine: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    nbr_home: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`split_tokens_among_local_neighbors` for one machine.
+
+    ``vertices``/``counts`` are the β rows ``machine`` re-samples, in
+    order.  Returns the concatenated per-row ``(dest_vertices,
+    dest_counts)``; draws exactly what one scalar call per row would.
+    Only ``rng.multinomial`` itself runs per row (widths differ, see the
+    module docstring), and not at all for a row with a single local
+    neighbor: a one-entry multinomial draws nothing.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if vertices.size == 0:
+        return _EMPTY, _EMPTY
+    take, row, _ = _expand_adjacency(vertices, indptr)
+    hosted = nbr_home[take] == machine
+    local = indices[take[hosted]]
+    sizes = np.bincount(row[hosted], minlength=vertices.size)
+    if not sizes.all():
+        raise _no_local_neighbors(int(vertices[np.argmin(sizes)]), machine)
+    multi = sizes > 1
+    tabled = len(_UNIFORM)
+    drawn = [
+        rng.multinomial(c, _UNIFORM[s] if s < tabled else np.full(s, 1.0 / s))
+        for s, c in zip(sizes[multi].tolist(), counts[multi].tolist())
+    ]
+    picks = np.empty(local.size, dtype=np.int64)
+    in_multi = np.repeat(multi, sizes)
+    picks[~in_multi] = counts[~multi]
+    if drawn:
+        picks[in_multi] = np.concatenate(drawn)
+    landed = picks > 0
+    return local[landed], picks[landed]

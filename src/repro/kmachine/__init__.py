@@ -97,7 +97,19 @@ and must obey three contracts for the backends to stay bit-identical:
    cluster has dispatched one: on the process backend the streams then
    live in the workers, and the parent-side slots are replaced with
    sentinels that raise.  Shared randomness (``cluster.shared_rng``)
-   stays in the parent and is never delegated.
+   stays in the parent and is never delegated.  Batching draws across
+   vertices or rows is allowed exactly when it leaves the stream
+   untouched: array-parameter ``binomial`` / ``integers`` calls draw
+   element by element in order, and a broadcast
+   ``rng.multinomial(counts, pvals)`` is draw-identical to sequential
+   calls only when every row has the same ``len(pvals)`` (padding a
+   narrower row with zeros costs extra draws).  PageRank's heavy path
+   (:mod:`repro.core.pagerank.tokens`) is the worked example: one
+   broadcast call on the sending side, where every row spans the ``k``
+   machines; one call per row on the receiving side, where widths
+   differ, with everything around the call vectorized over the batch
+   (range-expand the rows' CSR slices, mask on ``ctx.nbr_home``) instead
+   of calling ``ctx.local_neighbors`` row by row.
 2. **Payload contract.**  ``payloads[i]`` must be machine ``i``'s
    complete per-superstep input: a picklable structure of plain NumPy
    arrays / scalars / ``None`` (large arrays ship through shared

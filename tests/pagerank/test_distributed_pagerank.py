@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.errors import AlgorithmError, PartitionError
 from repro.kmachine.partition import random_vertex_partition
+from repro.workloads.generators import rmat_graph
 
 
 class TestCorrectness:
@@ -157,3 +158,49 @@ class TestCommunicationBehaviour:
         res = repro.distributed_pagerank(g, k=4, seed=24, c=10)
         # psi >= t0 everywhere, so every estimate is >= eps * t0/(n t0).
         assert np.all(res.estimates >= res.eps / g.n - 1e-12)
+
+
+def _star_with_chords() -> repro.Graph:
+    """A hub adjacent to everyone plus a ring on the leaves (star-like)."""
+    n = 48
+    hub = [(0, v) for v in range(1, n)]
+    ring = [(v, v % (n - 1) + 1) for v in range(1, n)]
+    return repro.Graph(n=n, edges=np.array(hub + ring, dtype=np.int64))
+
+
+def _accounting(metrics):
+    return (
+        metrics.rounds, metrics.messages, metrics.bits,
+        [(p.label, p.rounds, p.bits, p.max_link_bits) for p in metrics.phase_log],
+    )
+
+
+class TestDefaultTokensEveryVertexHeavy:
+    """Default ``c = 16``: ``T0 >= k``, so every vertex starts on the heavy path.
+
+    The goldens run ``c = 2``; here the batched β sampling and re-sampling
+    carry the whole first iterations, and every engine × driver
+    combination must still agree bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "maker",
+        [_star_with_chords, lambda: rmat_graph(96, avg_deg=6, seed=3)],
+        ids=["star-like", "rmat"],
+    )
+    def test_engines_and_drivers_agree(self, maker):
+        g = maker()
+        k = 4
+        runs = {
+            (engine, resident): repro.distributed_pagerank(
+                g, k=k, seed=31, engine=engine, resident=resident
+            )
+            for engine in ("message", "vector", "process")
+            for resident in (True, False)
+        }
+        base = runs["message", True]
+        assert base.tokens_per_vertex >= k  # every vertex starts heavy
+        for key, res in runs.items():
+            assert np.array_equal(res.estimates, base.estimates), key
+            assert res.iteration_stats == base.iteration_stats, key
+            assert _accounting(res.metrics) == _accounting(base.metrics), key

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.pagerank import tokens as tk
+from repro.errors import AlgorithmError
+from repro.graphs.graph import Graph
 
 
 class TestTerminate:
@@ -110,5 +113,171 @@ class TestHeavyPath:
 
     def test_split_raises_without_local_neighbors(self):
         rng = np.random.default_rng(13)
-        with pytest.raises(ValueError):
-            tk.split_tokens_among_local_neighbors(0, 10, np.array([], dtype=np.int64), rng)
+        with pytest.raises(AlgorithmError, match="machine 3 .* vertex 0 "):
+            tk.split_tokens_among_local_neighbors(
+                0, 10, np.array([], dtype=np.int64), rng, machine=3
+            )
+
+    def test_receive_raises_without_local_neighbors(self):
+        g = repro.star_graph(5)
+        home = np.array([1, 0, 0, 0, 0])  # leaf 2's only neighbor lives on machine 1
+        rng = np.random.default_rng(13)
+        with pytest.raises(AlgorithmError, match="machine 0 .* vertex 2 "):
+            tk.receive_heavy_tokens(
+                np.array([0, 2]), np.array([10, 10]), 0,
+                g.indptr, g.indices, home[g.indices], rng,
+            )
+
+
+def _sequential_send(vertices, counts, g, home, k, rng):
+    """``heavy_machine_counts`` per vertex, rows emitted as the kernels used to."""
+    src, dst, cnt = [], [], []
+    for u, c in zip(vertices.tolist(), counts.tolist()):
+        beta = tk.heavy_machine_counts(
+            u, c, g.indptr, g.indices, home, k, rng, nbr_home=home[g.indices]
+        )
+        for j in np.flatnonzero(beta).tolist():
+            src.append(u)
+            dst.append(j)
+            cnt.append(int(beta[j]))
+    return src, dst, cnt
+
+
+def _sequential_receive(vertices, counts, machine, g, home, rng):
+    """``split_tokens_among_local_neighbors`` per β row, results concatenated."""
+    dvs, dcs = [], []
+    for u, c in zip(vertices.tolist(), counts.tolist()):
+        nbrs = g.indices[g.indptr[u] : g.indptr[u + 1]]
+        dv, dc = tk.split_tokens_among_local_neighbors(
+            u, c, nbrs[home[nbrs] == machine], rng, machine=machine
+        )
+        dvs += dv.tolist()
+        dcs += dc.tolist()
+    return dvs, dcs
+
+
+def _assert_draw_for_draw(batched, scalar, seed):
+    """Same outputs and same generator state from two equally seeded streams."""
+    rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = batched(rng_b), scalar(rng_s)
+    assert [a.tolist() for a in got] == list(want)
+    assert all(a.dtype == np.int64 for a in got)
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
+
+
+def _assert_send_matches(vertices, counts, g, home, k, seed):
+    _assert_draw_for_draw(
+        lambda rng: tk.move_heavy_tokens(vertices, counts, g.indptr, home[g.indices], k, rng),
+        lambda rng: _sequential_send(vertices, counts, g, home, k, rng),
+        seed,
+    )
+
+
+def _assert_receive_matches(vertices, counts, machine, g, home, seed):
+    _assert_draw_for_draw(
+        lambda rng: tk.receive_heavy_tokens(
+            vertices, counts, machine, g.indptr, g.indices, home[g.indices], rng
+        ),
+        lambda rng: _sequential_receive(vertices, counts, machine, g, home, rng),
+        seed,
+    )
+
+
+def _rows_for(machine, g, home, counts_rng, high):
+    """β rows ``machine`` could receive: vertices with a neighbor hosted there."""
+    hosted = home[g.indices] == machine
+    vertices = np.unique(np.repeat(np.arange(g.n), np.diff(g.indptr))[hosted])
+    return vertices, counts_rng.integers(1, high, vertices.size)
+
+
+class TestBatchedHeavyPathDrawForDraw:
+    """The batched helpers consume the generator exactly like the scalar ones.
+
+    Outputs *and* the generator state afterwards must match: a NumPy that
+    reordered the rows of a broadcast multinomial would fail here first.
+    """
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    @pytest.mark.parametrize("high", [20, 5000], ids=["inversion", "btpe"])
+    def test_send_matches_sequential_calls(self, k, high):
+        # high=5000 puts n*p well above 30, the BTPE branch of the binomial.
+        g = repro.gnp_random_graph(60, 0.04, seed=k)  # sparse: some isolated rows
+        setup = np.random.default_rng(100 + k)
+        home = setup.integers(0, k, g.n)
+        vertices = setup.permutation(g.n)[:40]
+        counts = setup.integers(0, high, vertices.size)  # includes 0-token rows
+        _assert_send_matches(vertices, counts, g, home, k, seed=high + k)
+
+    def test_send_skips_isolated_and_empty_rows_without_drawing(self):
+        g = Graph(n=4, edges=np.array([[0, 1]]))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = tk.move_heavy_tokens(
+            np.array([2, 3, 0]), np.array([50, 50, 0]), g.indptr,
+            np.zeros(2, dtype=np.int64), 2, rng,
+        )
+        assert [a.size for a in out] == [0, 0, 0]
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("high", [20, 5000], ids=["inversion", "btpe"])
+    def test_receive_matches_sequential_calls(self, k, high):
+        g = repro.gnp_random_graph(60, 0.15, seed=k)
+        setup = np.random.default_rng(200 + k)
+        home = setup.integers(0, k, g.n)
+        for machine in range(k):
+            vertices, counts = _rows_for(machine, g, home, setup, high)
+            counts[::5] = 0  # a 0-token row draws nothing either way
+            _assert_receive_matches(vertices, counts, machine, g, home, seed=high + machine)
+
+    def test_receive_single_neighbor_rows_draw_nothing(self):
+        # Every leaf of a star has one neighbor, so every row has width 1.
+        g = repro.star_graph(30)
+        home = np.zeros(g.n, dtype=np.int64)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        leaves = np.arange(1, 30)
+        dv, dc = tk.receive_heavy_tokens(
+            leaves, leaves * 3, 0, g.indptr, g.indices, home[g.indices], rng
+        )
+        assert dv.tolist() == [0] * 29 and dc.tolist() == (leaves * 3).tolist()
+        assert rng.bit_generator.state == before
+        _assert_receive_matches(leaves, leaves * 3, 0, g, home, seed=2)
+
+    def test_receive_mixes_narrow_and_wide_rows(self):
+        # The hub's row is wider than the uniform-pvals table; leaves are width 1.
+        g = repro.star_graph(200)
+        home = np.zeros(g.n, dtype=np.int64)
+        home[150:] = 1
+        vertices = np.array([5, 0, 7, 0, 160])
+        counts = np.array([9, 4000, 1, 3, 12])
+        _assert_receive_matches(vertices[:4], counts[:4], 0, g, home, seed=3)
+        _assert_receive_matches(vertices[[1, 3]], counts[[1, 3]], 1, g, home, seed=4)
+
+    def test_empty_batch(self):
+        g = repro.star_graph(5)
+        home = np.zeros(g.n, dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        _assert_send_matches(none, none, g, home, 2, seed=5)
+        _assert_receive_matches(none, none, 0, g, home, seed=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_and_placements(self, data):
+        n = data.draw(st.integers(2, 14))
+        k = data.draw(st.integers(2, 5))
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), max_size=30, unique=True))
+        g = Graph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+        home = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 400)), max_size=12)
+        sent = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
+        _assert_send_matches(sent[:, 0], sent[:, 1], g, home, k, seed)
+        machine = data.draw(st.integers(0, k - 1))
+        hosted = sorted({u for u, v in edges if home[v] == machine}
+                        | {v for u, v in edges if home[u] == machine})
+        if hosted:
+            rows = st.lists(st.tuples(st.sampled_from(hosted), st.integers(0, 400)), max_size=12)
+            got = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
+            _assert_receive_matches(got[:, 0], got[:, 1], machine, g, home, seed)
