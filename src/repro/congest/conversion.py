@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.kmachine.cluster import Cluster
-from repro.kmachine.metrics import Metrics
+from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
 from repro.congest.model import CongestExecution
 
@@ -76,17 +76,12 @@ def convert_execution(
     for rnd, traffic in enumerate(execution.rounds):
         src_m = home[traffic.src] if traffic.src.size else np.zeros(0, dtype=np.int64)
         dst_m = home[traffic.dst] if traffic.dst.size else np.zeros(0, dtype=np.int64)
-        remote = src_m != dst_m
-        bits = np.zeros((k, k), dtype=np.int64)
-        msgs = np.zeros((k, k), dtype=np.int64)
-        if np.any(remote):
-            np.add.at(msgs, (src_m[remote], dst_m[remote]), 1)
-            np.add.at(
-                bits,
-                (src_m[remote], dst_m[remote]),
-                traffic.bits[remote] + addressing_bits,
-            )
+        msgs, local = unit_load_matrix(src_m, dst_m, k)
+        # Payload bits differ per message; local ones land on the diagonal.
+        bits = msgs * addressing_bits
+        np.add.at(bits, (src_m, dst_m), traffic.bits)
+        np.fill_diagonal(bits, 0)
         cluster.account_phase(
-            bits, msgs, label=f"conversion/round-{rnd}", local_messages=int((~remote).sum())
+            bits, msgs, label=f"conversion/round-{rnd}", local_messages=local
         )
     return cluster.metrics

@@ -1,8 +1,9 @@
 """Connected components via proxy-Borůvka with unit weights.
 
-The family delegates entirely to :func:`distributed_mst`, so its
-per-machine superstep compute — the local Borůvka component scans —
-runs through the same :func:`~repro.core.mst.distributed._mwoe_scan_task`
+The family runs the same accounted driver as :func:`distributed_mst`
+(:func:`~repro.core.mst.distributed.boruvka_forest`), so its per-machine
+superstep compute — the local Borůvka component scans — runs through
+the same :func:`~repro.core.mst.distributed._mwoe_scan_task`
 ``map_machines`` kernel on every execution backend.
 """
 
@@ -16,7 +17,7 @@ from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.partition import VertexPartition
-from repro.core.mst.distributed import distributed_mst
+from repro.core.mst.distributed import boruvka_forest
 
 __all__ = ["connected_components_distributed", "ConnectivityResult"]
 
@@ -71,14 +72,13 @@ def connected_components_distributed(
     """Compute connected components of ``graph`` with ``k`` machines.
 
     Runs proxy-Borůvka with unit edge weights (ties broken by edge index),
-    then derives canonical component labels from the spanning forest —
-    label assignment is free local post-processing once every machine
-    knows the final component labels (which the Borůvka label-refresh flow
-    already delivers and accounts).
+    then renames the final Borůvka labels to canonical ones — free local
+    post-processing once every machine knows the final component labels
+    (which the Borůvka label-refresh flow already delivers and accounts).
     """
     if graph.directed:
         raise AlgorithmError("connectivity is defined on undirected graphs here")
-    res = distributed_mst(
+    forest, labels, _, metrics = boruvka_forest(
         graph,
         np.ones(graph.m, dtype=np.float64),
         k=k,
@@ -90,24 +90,11 @@ def connected_components_distributed(
         distgraph=distgraph,
         resident=resident,
     )
-    # Canonical labels from the forest (local computation).
-    from repro.core.mst.dsu import DisjointSetUnion
-
-    dsu = DisjointSetUnion(graph.n)
-    for u, v in res.edges:
-        dsu.union(int(u), int(v))
-    reps = dsu.component_labels()
-    # Canonicalize to the component's minimum vertex id.
-    canon: dict[int, int] = {}
-    labels = np.empty(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        r = int(reps[v])
-        if r not in canon:
-            canon[r] = v  # first (smallest) vertex seen with this rep
-        labels[v] = canon[r]
+    # Canonicalize each Borůvka root label to its first, i.e. smallest, vertex.
+    roots, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     return ConnectivityResult(
-        labels=labels,
-        num_components=res.num_components,
-        spanning_forest=res.edges,
-        metrics=res.metrics,
+        labels=first[inverse],
+        num_components=int(roots.size),
+        spanning_forest=graph.edges[forest],
+        metrics=metrics,
     )

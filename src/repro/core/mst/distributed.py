@@ -8,18 +8,26 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
    the other endpoint's current component label (volume ``<= 2m``).
 2. **Candidate MWOEs** — every machine reduces its vertices' outgoing
    edges to one minimum-weight candidate per (machine, component) pair
-   (the local Borůvka component scan, expressed as the
-   :func:`_mwoe_scan_task` superstep kernel and dispatched through
-   :meth:`Cluster.map_machines` — serial on the inline engines,
-   fanned out to shard workers on the process backend) and sends it to
-   the component's *proxy* (``hash(label) % k``), which takes the
-   global minimum: the paper's randomized-proxy primitive applied to
-   the classic MWOE aggregation.
+   and sends it to the component's *proxy* (``hash(label) % k``), which
+   takes the global minimum: the paper's randomized-proxy primitive
+   applied to the classic MWOE aggregation.  The reduction is the local
+   Borůvka component scan, the :func:`_mwoe_scan_task` superstep kernel
+   dispatched through :meth:`Cluster.map_machines` (serial on the inline
+   engines, fanned out to shard workers on the process backend).  Each
+   machine holds a *rank-ordered incidence table*
+   (:func:`_incidence_tables`): one row per (edge, hosted endpoint),
+   rows in the global (weight, index) order of their edges, built once
+   per run.  A component's candidate is then its first crossing row, so
+   a phase costs one pass over the table and no sort; the proxies'
+   global minimum is the same ``minimum`` scatter over edge ranks.
 3. **Pointer jumping** — the merge forest ``c -> parent(c)`` (the other
    endpoint's component) is star-contracted by proxies exchanging
    ``parent(parent(c))`` queries/replies; 2-cycles break toward the
    smaller label.  ``O(log n)`` jump rounds of ``<= #components``
-   messages each.
+   messages each.  The driver keeps the forest as one pointer array
+   over labels (self-pointers for components that did not propose), so
+   a jump round is a gather ``pointer[parent]`` and the label refresh
+   that follows is ``pointer[labels]``.
 4. **Label refresh** — every (machine, old-component) pair queries the
    proxy for the new root label.
 
@@ -46,89 +54,64 @@ from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
 from repro.kmachine.engine import resident_enabled
-from repro.kmachine.metrics import Metrics
+from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
+from repro.core.mst.reference import checked_weights
 
 __all__ = ["distributed_mst", "MSTResult"]
 
 _WEIGHT_BITS = 32
 
-_EMPTY = np.zeros(0, dtype=np.int64)
+
+def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarray) -> list[dict]:
+    """Per-machine incidence tables for the MWOE scans, in edge-rank order.
+
+    One row per (edge, endpoint hosted by the machine): the edge id and
+    the hosted endpoint (``own``).  ``by_rank`` lists the edge ids in the
+    global (weight, index) total order and every machine's rows follow
+    it, so a component's minimum-weight outgoing edge on a machine is
+    its *first* crossing row and no rank column is needed.  An edge with
+    both endpoints on one machine has two rows there, one per endpoint.
+    Constant across phases: built once per run, only labels change.
+    """
+    ends = edges[by_rank]  # flattened, rows 2r and 2r+1 are the endpoints of the rank-r edge
+    # The machine-major regrouping must keep rank order within a machine:
+    # a stable sort, which NumPy runs as an O(rows) radix pass when the
+    # key is at most 16 bits wide.
+    machine = dg.home.astype(np.min_scalar_type(dg.k))[ends].ravel()
+    order = np.argsort(machine, kind="stable")
+    bounds = np.cumsum(np.bincount(machine, minlength=dg.k))[:-1]
+    # This is the run's memory peak: drop each (2m,) temporary once used.
+    del machine
+    own = np.split(ends.ravel()[order], bounds)
+    del ends
+    order >>= 1  # flattened row -> rank
+    edge = np.split(by_rank[order], bounds)
+    return [{"edge": e, "own": o} for e, o in zip(edge, own)]
 
 
-def _mwoe_scan_task(ctx, machine: int, rng, payload) -> dict:
+def _mwoe_scan_task(ctx, machine: int, rng, payload, state=None, *,
+                    labels: np.ndarray, crossing: np.ndarray) -> dict:
     """Superstep kernel: one machine's local Borůvka component scan.
 
-    ``payload`` holds the machine's raw MWOE proposals — one row per
-    (incident crossing edge, endpoint hosted here): ``comp`` the
-    endpoint's component label, ``edge`` the edge index, ``rank`` the
-    edge's position in the global (weight, index) total order.  The scan
-    reduces them to the machine's minimum-weight outgoing edge per
-    component — rows sorted by component, exactly the per-(machine,
-    component) candidates the driver used to extract with one global
-    lexsort.  No RNG draws, so engines agree trivially; the process
-    backend fans the reductions out across shard workers.
+    The machine's incidence table (:func:`_incidence_tables`) arrives as
+    resident ``state`` or, with residency off, as the ``payload``; the
+    per-phase input either way is the broadcast ``labels`` and, per
+    edge, whether its endpoints' labels differ (``crossing`` — what flow
+    1 tells the endpoints' homes).  Rows are in edge-rank order, so the
+    minimum-weight outgoing edge of each component present here is its
+    first crossing row: a ``minimum`` scatter of row positions — well
+    defined however duplicates are visited, unlike a duplicate-index
+    assignment — and no sort.  Returns the ``(comp, edge)`` candidates,
+    components ascending.  No RNG draws, so engines agree trivially; the
+    process backend fans the scans out across shard workers.
     """
-    comp, edge, rank = payload["comp"], payload["edge"], payload["rank"]
-    if comp.size == 0:
-        return {"comp": _EMPTY, "edge": _EMPTY}
-    order = np.lexsort((rank, comp))
-    comp, edge = comp[order], edge[order]
-    first = np.ones(comp.size, dtype=bool)
-    first[1:] = np.diff(comp) != 0
-    return {"comp": comp[first], "edge": edge[first]}
-
-
-def _install_incident_states(dg: DistributedGraph, edges: np.ndarray,
-                             edge_order: np.ndarray) -> list[dict]:
-    """Per-machine resident incidence tables for the MWOE scans.
-
-    One row per (edge, endpoint hosted by the machine): the edge id, the
-    hosted endpoint (``own``), the opposite endpoint (``other``), and
-    the edge's global rank.  Rows are the endpoint-0 incidences in
-    ascending edge order followed by the endpoint-1 incidences — exactly
-    the order :func:`distributed_mst`'s legacy flow-2 payload
-    (``concat([ce, ce])`` grouped by machine) enumerates them, so the
-    crossing-filtered view each phase is row-for-row the legacy payload.
-    Constant across phases: installed once, only labels ship per phase.
-    """
-    eh0, eh1 = dg.edge_homes
-    g0 = dg.group_by_machine(eh0)
-    g1 = dg.group_by_machine(eh1)
-    states = []
-    for e0, e1 in zip(g0, g1):
-        edge_ids = np.concatenate([e0, e1])
-        states.append({
-            "edge": edge_ids,
-            "own": np.concatenate([edges[e0, 0], edges[e1, 1]]),
-            "other": np.concatenate([edges[e0, 1], edges[e1, 0]]),
-            "rank": edge_order[edge_ids],
-        })
-    return states
-
-
-def _mwoe_scan_resident_task(ctx, machine: int, rng, payload, state, *,
-                             labels: np.ndarray) -> dict:
-    """Resident twin of :func:`_mwoe_scan_task`.
-
-    Builds the machine's crossing-edge proposals from its resident
-    incidence table and the broadcast ``labels`` (the only per-phase
-    delta), then runs the same component scan.  The crossing filter is
-    order-preserving, so proposals match the legacy payload row for row;
-    no RNG draws either way.
-    """
-    own_labels = labels[state["own"]]
-    cross = own_labels != labels[state["other"]]
-    comp = own_labels[cross]
-    if comp.size == 0:
-        return {"comp": _EMPTY, "edge": _EMPTY}
-    edge = state["edge"][cross]
-    rank = state["rank"][cross]
-    order = np.lexsort((rank, comp))
-    comp, edge = comp[order], edge[order]
-    first = np.ones(comp.size, dtype=bool)
-    first[1:] = np.diff(comp) != 0
-    return {"comp": comp[first], "edge": edge[first]}
+    table = payload if state is None else state
+    rows = np.flatnonzero(crossing[table["edge"]])
+    first = np.full(labels.size, rows.size, dtype=np.int64)
+    np.minimum.at(first, labels[table["own"][rows]], np.arange(rows.size))
+    comp = np.flatnonzero(first < rows.size)
+    return {"comp": comp, "edge": table["edge"][rows[first[comp]]]}
 
 
 @dataclass
@@ -167,14 +150,145 @@ def _account(cluster: Cluster, src: np.ndarray, dst: np.ndarray, bits_per: int, 
     Routed through the cluster's execution engine, so the accounting
     backend matches whatever the rest of the run uses.
     """
-    k = cluster.k
-    bits = np.zeros((k, k), dtype=np.int64)
-    msgs = np.zeros((k, k), dtype=np.int64)
-    remote = src != dst
-    if np.any(remote):
-        np.add.at(msgs, (src[remote], dst[remote]), 1)
-        np.add.at(bits, (src[remote], dst[remote]), bits_per)
-    cluster.account_phase(bits, msgs, label=label, local_messages=int((~remote).sum()))
+    msgs, local = unit_load_matrix(src, dst, cluster.k)
+    cluster.account_phase(msgs * bits_per, msgs, label=label, local_messages=local)
+
+
+def _proxies(comp: np.ndarray, k: int) -> np.ndarray:
+    """The proxy machine ``hash(label) % k`` of each component label."""
+    return (stable_hash64_array(comp, salt=9) % np.uint64(k)).astype(np.int64)
+
+
+def boruvka_forest(
+    graph: Graph,
+    weights: np.ndarray,
+    k: int,
+    seed: int | None = None,
+    bandwidth: int | None = None,
+    partition: VertexPartition | None = None,
+    max_phases: int | None = None,
+    engine: str = "message",
+    cluster: Cluster | None = None,
+    distgraph: DistributedGraph | None = None,
+    resident: bool | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, Metrics]:
+    """Run the accounted Borůvka phases; the driver behind both families.
+
+    Returns ``(forest, labels, phases, metrics)``: the chosen edge ids
+    ascending, every vertex's final component label (the Borůvka root
+    label, not canonical), the number of phases run and the cluster's
+    metrics.  Arguments are those of :func:`distributed_mst`, which
+    validates ``weights``.
+    """
+    check_positive_int(k, "k")
+    n, m = graph.n, graph.m
+    if cluster is None:
+        cluster = Cluster(k=k, n=max(2, n), bandwidth=bandwidth, seed=seed, engine=engine)
+    elif cluster.k != k:
+        raise AlgorithmError(f"cluster has k={cluster.k}, expected {k}")
+    dg = resolve_distgraph(graph, k, cluster.shared_rng, partition, distgraph)
+    if max_phases is None:
+        max_phases = max(1, int(np.ceil(np.log2(max(2, n)))) + 1)
+
+    vid = encoding.vertex_id_bits(max(2, n))
+    edges = graph.edges
+    labels = np.arange(n, dtype=np.int64)
+    chosen = np.zeros(m, dtype=bool)
+    phases = 0
+    tables = handle = None
+    # Flow 1 is the same load every phase: the placement is constant.
+    eh0, eh1 = dg.edge_homes
+    one_way, local = unit_load_matrix(eh1, eh0, k)
+    flow1_msgs, flow1_local = one_way + one_way.T, 2 * local
+
+    try:
+        for _ in range(max_phases):
+            crossing = np.not_equal(*labels[edges].T)
+            if not crossing.any():
+                break
+            phases += 1
+
+            # ---- Flow 1: neighbor labels (both directions of every edge). ----
+            cluster.account_phase(
+                flow1_msgs * (2 * vid), flow1_msgs, label=f"mst/labels/{phases}",
+                local_messages=flow1_local,
+            )
+
+            # ---- Flow 2: candidate MWOE per (machine, component) -> proxy. ----
+            if tables is None:
+                # Per-run precomputation, after the first accounted flow so
+                # the time to first superstep activity does not pay for it.
+                # Total order on edges: (weight, index) — makes the MSF unique.
+                by_rank = np.argsort(weights, kind="stable")
+                rank_of = np.empty(m, dtype=np.int64)
+                rank_of[by_rank] = np.arange(m)
+                tables = _incidence_tables(dg, edges, by_rank)
+                if resident_enabled(resident):
+                    # Tables live with their machine; only the labels and
+                    # the crossing bitmap ship each phase.
+                    handle = cluster.install_resident(tables, distgraph=dg)
+            scans = cluster.map_machines(
+                _mwoe_scan_task,
+                dg,
+                [None] * k if handle is not None else tables,
+                common={"labels": labels, "crossing": crossing},
+                resident=handle,
+            )
+            cand_comp = np.concatenate([scan["comp"] for scan in scans])
+            cand_edge = np.concatenate([scan["edge"] for scan in scans])
+            cand_machine = np.repeat(np.arange(k), [scan["comp"].size for scan in scans])
+            _account(
+                cluster,
+                cand_machine,
+                _proxies(cand_comp, k),
+                2 * vid + vid + _WEIGHT_BITS,
+                f"mst/candidates/{phases}",
+            )
+
+            # Proxies take the global minimum candidate per component.
+            best = np.full(n, m, dtype=np.int64)
+            np.minimum.at(best, cand_comp, rank_of[cand_edge])
+            comps = np.flatnonzero(best < m)
+            mwoe_edge = by_rank[best[comps]]
+            chosen[mwoe_edge] = True
+
+            # ---- Flow 3: pointer jumping over component proxies. ----
+            # ``pointer`` is the merge forest over labels: a proposing
+            # component points at the other side of its MWOE, everything
+            # else (merge targets included) at itself.
+            a, b = labels[edges[mwoe_edge]].T
+            par = np.where(a == comps, b, a)
+            pointer = np.arange(n, dtype=np.int64)
+            pointer[comps] = par
+            # Break 2-cycles toward the smaller label.
+            par = np.where((pointer[par] == comps) & (comps < par), comps, par)
+            pointer[comps] = par
+            # Jump until fixpoint; each jump is a query+reply between the
+            # proxies of c and parent(c).
+            proxies = _proxies(comps, k)
+            while True:
+                parents_of_parents = pointer[par]
+                if np.array_equal(parents_of_parents, par):
+                    break
+                parent_proxies = _proxies(par, k)
+                _account(cluster, proxies, parent_proxies, vid, f"mst/jump-query/{phases}")
+                _account(cluster, parent_proxies, proxies, vid, f"mst/jump-reply/{phases}")
+                par = parents_of_parents
+                pointer[comps] = par
+
+            # ---- Flow 4: label refresh per (machine, component) pair. ----
+            span = labels.max() + 1
+            q_machine, q_comp = np.divmod(np.unique(dg.home * span + labels), span)
+            q_proxy = _proxies(q_comp, k)
+            _account(cluster, q_machine, q_proxy, vid, f"mst/label-query/{phases}")
+            _account(cluster, q_proxy, q_machine, 2 * vid, f"mst/label-reply/{phases}")
+
+            labels = pointer[labels]
+    finally:
+        if handle is not None:
+            cluster.drop_resident(handle)
+
+    return np.flatnonzero(chosen), labels, phases, cluster.metrics
 
 
 def distributed_mst(
@@ -199,178 +313,20 @@ def distributed_mst(
 
     ``resident`` (default: the ``REPRO_RESIDENT`` switch) installs each
     machine's edge-incidence table as worker-resident state once, so per
-    phase only the current label array ships to the MWOE scans instead
-    of the full proposal rows; results are bit-identical either way.
+    phase only the current labels and the per-edge crossing bitmap ship
+    to the MWOE scans instead of the tables; results are bit-identical
+    either way.
     """
-    if graph.directed:
-        raise AlgorithmError("MST is defined on undirected graphs")
-    check_positive_int(k, "k")
-    n, m = graph.n, graph.m
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (m,):
-        raise AlgorithmError(f"weights must have shape ({m},), got {weights.shape}")
-    if cluster is None:
-        cluster = Cluster(k=k, n=max(2, n), bandwidth=bandwidth, seed=seed, engine=engine)
-    elif cluster.k != k:
-        raise AlgorithmError(f"cluster has k={cluster.k}, expected {k}")
-    dg = resolve_distgraph(graph, k, cluster.shared_rng, partition, distgraph)
-    home = dg.home
-    if max_phases is None:
-        max_phases = max(1, int(np.ceil(np.log2(max(2, n)))) + 1)
-
-    vid = encoding.vertex_id_bits(max(2, n))
-    edges = graph.edges
-    # Total order on edges: (weight, index) — makes the MSF unique.
-    rank = np.lexsort((np.arange(m), weights)) if m else np.zeros(0, dtype=np.int64)
-    edge_order = np.empty(m, dtype=np.int64)
-    edge_order[rank] = np.arange(m)
-
-    labels = np.arange(n, dtype=np.int64)
-    chosen = np.zeros(m, dtype=bool)
-    phases = 0
-    use_resident = resident_enabled(resident) and m > 0
-    handle = None
-
-    try:
-        for _ in range(max_phases):
-            if m == 0:
-                break
-            lu, lv = labels[edges[:, 0]], labels[edges[:, 1]]
-            crossing = lu != lv
-            if not np.any(crossing):
-                break
-            phases += 1
-
-            # ---- Flow 1: neighbor labels (both directions of every edge). ----
-            eh0, eh1 = dg.edge_homes  # cached once; constant across phases
-            src = np.concatenate([eh1, eh0])
-            dst = np.concatenate([eh0, eh1])
-            _account(cluster, src, dst, 2 * vid, f"mst/labels/{phases}")
-
-            # ---- Flow 2: candidate MWOE per (machine, component) -> proxy. ----
-            # Each endpoint's machine proposes the edge for its own component;
-            # the per-machine reduction to one candidate per component is the
-            # local Borůvka scan, dispatched as a superstep kernel (each
-            # machine scans only its own proposals, so the reduced rows come
-            # back machine-major / component-ascending — the exact order the
-            # driver's historical global lexsort produced).
-            if use_resident:
-                # Incidence tables live with their machine; only labels ship.
-                if handle is None:
-                    handle = cluster.install_resident(
-                        _install_incident_states(dg, edges, edge_order), distgraph=dg
-                    )
-                scans = cluster.map_machines(
-                    _mwoe_scan_resident_task,
-                    dg,
-                    [None] * k,
-                    common={"labels": labels},
-                    resident=handle,
-                )
-            else:
-                ce = np.flatnonzero(crossing)
-                prop_edge = np.concatenate([ce, ce])
-                prop_comp = np.concatenate([lu[ce], lv[ce]])
-                prop_machine = np.concatenate([eh0[ce], eh1[ce]])
-                groups = dg.group_by_machine(prop_machine)
-                scans = cluster.map_machines(
-                    _mwoe_scan_task,
-                    dg,
-                    [
-                        {
-                            "comp": prop_comp[idx],
-                            "edge": prop_edge[idx],
-                            "rank": edge_order[prop_edge[idx]],
-                        }
-                        for idx in groups
-                    ],
-                )
-            cand_comp = np.concatenate([scan["comp"] for scan in scans])
-            cand_edge = np.concatenate([scan["edge"] for scan in scans])
-            cand_machine = np.concatenate(
-                [np.full(scan["comp"].size, i, dtype=np.int64) for i, scan in enumerate(scans)]
-            )
-            proxy_of_comp = (
-                stable_hash64_array(cand_comp, salt=9) % np.uint64(k)
-            ).astype(np.int64)
-            _account(
-                cluster,
-                cand_machine,
-                proxy_of_comp,
-                2 * vid + vid + _WEIGHT_BITS,
-                f"mst/candidates/{phases}",
-            )
-
-            # Proxies take the global minimum candidate per component.
-            order = np.lexsort((edge_order[cand_edge], cand_comp))
-            se, sc = cand_edge[order], cand_comp[order]
-            first = np.ones(se.size, dtype=bool)
-            first[1:] = np.diff(sc) != 0
-            mwoe_comp = sc[first]
-            mwoe_edge = se[first]
-            chosen[mwoe_edge] = True
-
-            # ---- Flow 3: pointer jumping over component proxies. ----
-            parent = {}
-            for comp, e in zip(mwoe_comp, mwoe_edge):
-                a, b = labels[edges[e, 0]], labels[edges[e, 1]]
-                parent[int(comp)] = int(b) if int(a) == int(comp) else int(a)
-            comps = np.fromiter(parent.keys(), dtype=np.int64)
-            par = np.fromiter((parent[int(c)] for c in comps), dtype=np.int64)
-            # Components without an own MWOE entry may still be merge targets;
-            # give them a self-parent so lookups resolve.
-            index = {int(c): i for i, c in enumerate(comps)}
-
-            def resolve(c: int) -> int:
-                return par[index[c]] if c in index else c
-
-            # Break 2-cycles toward the smaller label.
-            for i, c in enumerate(comps):
-                p = int(par[i])
-                if resolve(p) == int(c) and int(c) < p:
-                    par[i] = int(c)
-            # Jump until fixpoint; each jump is a query+reply between the
-            # proxies of c and parent(c).
-            proxies = (stable_hash64_array(comps, salt=9) % np.uint64(k)).astype(np.int64)
-            while True:
-                parents_of_parents = np.fromiter(
-                    (resolve(int(p)) for p in par), dtype=np.int64, count=par.size
-                )
-                if np.array_equal(parents_of_parents, par):
-                    break
-                parent_proxies = (
-                    stable_hash64_array(par, salt=9) % np.uint64(k)
-                ).astype(np.int64)
-                _account(cluster, proxies, parent_proxies, vid, f"mst/jump-query/{phases}")
-                _account(cluster, parent_proxies, proxies, vid, f"mst/jump-reply/{phases}")
-                par = parents_of_parents
-
-            root_of = {int(c): int(p) for c, p in zip(comps, par)}
-
-            # ---- Flow 4: label refresh per (machine, component) pair. ----
-            vert_machine = home
-            pair_key = vert_machine * (labels.max() + 1) + labels
-            uniq = np.unique(pair_key)
-            q_machine = uniq // (labels.max() + 1)
-            q_comp = uniq % (labels.max() + 1)
-            q_proxy = (stable_hash64_array(q_comp, salt=9) % np.uint64(k)).astype(np.int64)
-            _account(cluster, q_machine, q_proxy, vid, f"mst/label-query/{phases}")
-            _account(cluster, q_proxy, q_machine, 2 * vid, f"mst/label-reply/{phases}")
-
-            labels = np.fromiter(
-                (root_of.get(int(lab), int(lab)) for lab in labels), dtype=np.int64, count=n
-            )
-    finally:
-        if handle is not None:
-            cluster.drop_resident(handle)
-
-    forest_idx = np.flatnonzero(chosen)
-    out_edges = edges[forest_idx] if forest_idx.size else np.zeros((0, 2), dtype=np.int64)
-    total = float(weights[forest_idx].sum()) if forest_idx.size else 0.0
+    weights = checked_weights(graph, weights)
+    forest, labels, phases, metrics = boruvka_forest(
+        graph, weights, k, seed=seed, bandwidth=bandwidth, partition=partition,
+        max_phases=max_phases, engine=engine, cluster=cluster, distgraph=distgraph,
+        resident=resident,
+    )
     return MSTResult(
-        edges=out_edges,
-        total_weight=total,
-        metrics=cluster.metrics,
+        edges=graph.edges[forest],
+        total_weight=float(weights[forest].sum()),
+        metrics=metrics,
         phases=phases,
-        num_components=int(np.unique(labels).size) if n else 0,
+        num_components=int(np.unique(labels).size),
     )

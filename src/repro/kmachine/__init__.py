@@ -128,6 +128,17 @@ and must obey three contracts for the backends to stay bit-identical:
    Returning columnar outbox fragments and assembling one
    :class:`~repro.kmachine.engine.MessageBatch` per stream in the
    parent keeps the exchange accounting byte-equal to the serial loop.
+   The same holds inside a kernel: **never rely on duplicate-index
+   assignment order**.  ``out[idx] = values`` with repeated indices
+   keeps whichever duplicate NumPy happens to write last, which it
+   leaves unspecified — "last wins" is an accident of one code path.
+   Pick a winner with an order-free reduction instead
+   (``np.minimum.at`` / ``np.maximum.at`` over a key that totally
+   orders the duplicates, ``np.add.at`` / ``np.bincount`` for sums) or
+   with one *stable* sort.  MST's MWOE scan
+   (:func:`repro.core.mst.distributed._mwoe_scan_task`) is the worked
+   example: rows pre-ordered by edge rank once, then a ``minimum``
+   scatter of row positions finds each component's first crossing row.
 
 Two further contracts let hot drivers cut what crosses the
 driver/worker boundary each superstep (the *resident superstep* path,
@@ -197,7 +208,7 @@ it only observes them.
 """
 
 from repro.kmachine.message import Message
-from repro.kmachine.metrics import Metrics, PhaseStats
+from repro.kmachine.metrics import Metrics, PhaseStats, unit_load_matrix
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.engine import (
     DeliveredBatch,
@@ -242,6 +253,7 @@ __all__ = [
     "Message",
     "Metrics",
     "PhaseStats",
+    "unit_load_matrix",
     "LinkNetwork",
     "Cluster",
     "Engine",

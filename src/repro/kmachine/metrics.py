@@ -6,7 +6,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PhaseStats", "Metrics"]
+__all__ = ["PhaseStats", "Metrics", "unit_load_matrix"]
+
+
+def unit_load_matrix(src: np.ndarray, dst: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Load matrix of one flow of unit messages ``src[i] -> dst[i]``.
+
+    Returns ``(msgs, local_count)``: the ``(k, k)`` int64 count of remote
+    messages per directed link, diagonal zero as
+    :meth:`Metrics.record_phase` requires, and the number of messages
+    whose endpoints share a machine (free, reported as
+    ``local_messages``).  A flow of ``b``-bit messages has bits matrix
+    ``msgs * b``.  One ``bincount`` over ``src * k + dst``.
+    """
+    msgs = np.bincount(src * k + dst, minlength=k * k).reshape(k, k)
+    local = int(np.trace(msgs))
+    np.fill_diagonal(msgs, 0)
+    return msgs, local
 
 
 @dataclass(slots=True)

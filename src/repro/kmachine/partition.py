@@ -20,7 +20,7 @@ import numpy as np
 from repro._util import as_rng, check_positive_int, stable_hash64_array
 from repro.errors import PartitionError
 from repro.kmachine import encoding
-from repro.kmachine.metrics import Metrics
+from repro.kmachine.metrics import Metrics, unit_load_matrix
 
 __all__ = [
     "VertexPartition",
@@ -208,16 +208,11 @@ def rep_to_rvp(
     elif vertex_partition.k != k:
         raise PartitionError("vertex and edge partitions must use the same k")
 
-    ebits = encoding.edge_message_bits(n)
-    bits = np.zeros((k, k), dtype=np.int64)
-    msgs = np.zeros((k, k), dtype=np.int64)
-    src = edge_partition.home
-    local = 0
-    for endpoint in range(2):
-        dst = vertex_partition.home[edges[:, endpoint]] if edges.size else np.zeros(0, dtype=np.int64)
-        remote = src != dst
-        local += int((~remote).sum())
-        np.add.at(msgs, (src[remote], dst[remote]), 1)
-        np.add.at(bits, (src[remote], dst[remote]), ebits)
-    network.account_phase(bits, msgs, label="rep-to-rvp", local_messages=local)
+    # Every edge goes from its holder to the homes of both endpoints.
+    src = np.repeat(edge_partition.home, 2)
+    dst = vertex_partition.home[edges.ravel()]
+    msgs, local = unit_load_matrix(src, dst, k)
+    network.account_phase(
+        msgs * encoding.edge_message_bits(n), msgs, label="rep-to-rvp", local_messages=local
+    )
     return vertex_partition, network.metrics

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kmachine.metrics import Metrics
+from repro.kmachine.metrics import Metrics, unit_load_matrix
 
 
 def mats(k, entries):
@@ -165,3 +165,30 @@ class TestMergeAndConsistency:
             Metrics(k=1, bandwidth=8)
         with pytest.raises(ValueError):
             Metrics(k=2, bandwidth=0)
+
+
+class TestUnitLoadMatrix:
+    @staticmethod
+    def masked_add_at(src, dst, k):
+        """The idiom the helper replaced: remote mask + scatter-add."""
+        msgs = np.zeros((k, k), dtype=np.int64)
+        remote = src != dst
+        np.add.at(msgs, (src[remote], dst[remote]), 1)
+        return msgs, int((~remote).sum())
+
+    @pytest.mark.parametrize("k,count,seed", [(2, 0, 0), (3, 1, 1), (4, 50, 2), (16, 5000, 3)])
+    def test_matches_masked_scatter_add(self, k, count, seed):
+        rng = np.random.default_rng(seed)
+        src, dst = rng.integers(0, k, count), rng.integers(0, k, count)
+        msgs, local = unit_load_matrix(src, dst, k)
+        expected, expected_local = self.masked_add_at(src, dst, k)
+        assert msgs.dtype == np.int64 and msgs.shape == (k, k)
+        assert np.array_equal(msgs, expected)
+        assert local == expected_local
+
+    def test_result_is_accepted_by_record_phase(self):
+        src, dst = np.array([0, 1, 1, 2, 2]), np.array([1, 1, 0, 2, 0])
+        msgs, local = unit_load_matrix(src, dst, 3)
+        m = Metrics(k=3, bandwidth=8)
+        stats = m.record_phase(msgs * 5, msgs, local_messages=local)
+        assert (stats.messages, stats.bits, m.local_messages) == (3, 15, 2)

@@ -20,6 +20,22 @@ def nx_mst_weight(graph, weights):
     return sum(d["weight"] for _, _, d in forest)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [kruskal_mst, lambda g, w: distributed_mst(g, w, k=4, seed=0)],
+    ids=["kruskal", "distributed"],
+)
+def test_non_finite_weight_is_rejected_naming_the_first_edge(entry, bad):
+    # The (weight, index) order still sorts NaN and inf; the run used to
+    # return a "forest" with total_weight nan/inf.
+    g = repro.cycle_graph(6)
+    w = np.arange(6, dtype=float)
+    w[[2, 4]] = bad
+    with pytest.raises(AlgorithmError, match=r"finite.*edge index 2\b"):
+        entry(g, w)
+
+
 class TestKruskal:
     def test_path_graph_takes_all_edges(self):
         g = repro.path_graph(5)
