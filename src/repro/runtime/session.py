@@ -8,22 +8,28 @@ dictionaries).  Two threads calling ``runtime.run`` concurrently would
 fight over all of it.  A :class:`Session` is the object that makes
 concurrency safe:
 
-* **misses are serialized** over the substrate lock — at most one run
-  executes supersteps at a time, so pools/LRUs always have one owner;
-* **result-cache hits bypass the lock entirely** — a hit is a sqlite
-  read, answered concurrently with whatever is executing;
+* **misses are serialized** on one long-lived *substrate thread* the
+  session owns — every run, its dataset load included, executes there
+  one at a time, so pools/LRUs always have one owner (and every run's
+  big allocations live in that thread's one malloc arena instead of
+  growing an arena per request thread);
+* **result-cache hits never reach it** — a hit is answered on the
+  caller's thread, concurrently with whatever is executing, and reads
+  neither the dataset nor the payload: the probe is keyed from the
+  resident graph or the graph cache's metadata sidecar, and an
+  unchanged row comes from the result store's decoded copy;
 * **admission control** bounds the requests in flight: beyond
   ``queue_limit`` a submit raises
   :class:`~repro.errors.SessionSaturated`, and a run that waits longer
   than ``timeout`` for the substrate raises
-  :class:`~repro.errors.SessionTimeout` — callers fail fast instead of
-  piling onto an overloaded daemon;
-* **per-request isolation** — a failed run releases the lock, fixes the
-  counters, and re-raises to *its* caller only; the session keeps
+  :class:`~repro.errors.SessionTimeout` and never starts — callers
+  fail fast instead of piling onto an overloaded daemon;
+* **per-request isolation** — a failed run frees the substrate, fixes
+  the counters, and re-raises to *its* caller only; the session keeps
   serving (run-owned clusters are closed by ``runtime.run`` itself, and
   a crashed process-engine pool is discarded by the engine layer);
 * **dataset residency** — materialized dataset graphs are kept in a
-  small LRU keyed by content hash, so repeated requests skip the
+  small LRU keyed by content hash, so repeated misses skip the
   on-disk npz read as well as the build.
 
 The serve daemon (:mod:`repro.serve.daemon`) multiplexes every network
@@ -44,11 +50,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from types import SimpleNamespace
 
-from repro.errors import ServeError, SessionSaturated, SessionTimeout
+from repro.errors import AlgorithmError, ServeError, SessionSaturated, SessionTimeout
 from repro.obs.registry import obs_registry
 
 __all__ = ["Session"]
+
+#: Spec strings whose probe stand-in a session remembers.
+_SHAPES_KEPT = 1024
 
 
 class Session:
@@ -102,10 +112,18 @@ class Session:
             self._owns_store = True
         else:
             self.store = result_cache
-        self._substrate = threading.Lock()
+        # Deferred: `import repro` should not pay for concurrent.futures (~5 ms).
+        from concurrent.futures import ThreadPoolExecutor
+
+        # One worker: the queue in front of it is the serializer.
+        self._substrate = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-substrate"
+        )
         self._admit = threading.Lock()
         self._inflight = 0
+        self._queued = 0  # runs handed to the substrate and not finished
         self._datasets: "OrderedDict[str, object]" = OrderedDict()
+        self._shapes: dict[str, SimpleNamespace] = {}  # see _probe_input
         self._dataset_lock = threading.Lock()
         self._closed = False
         self.started = time.time()
@@ -128,14 +146,16 @@ class Session:
     def close(self, shutdown_pools: bool = False) -> None:
         """Stop admitting runs; optionally tear down the warm pools.
 
-        In-flight runs finish; subsequent submits raise
-        :class:`ServeError`.  ``shutdown_pools=True`` also destroys the
-        process-wide warm worker pools (the daemon does this on
-        shutdown so the host process exits clean).
+        Subsequent submits raise :class:`ServeError`; runs already
+        queued or executing finish first (the substrate thread is
+        joined).  ``shutdown_pools=True`` also destroys the process-wide
+        warm worker pools (the daemon does this on shutdown so the host
+        process exits clean).
         """
         with self._admit:
             self._closed = True
         obs_registry().unregister(self._obs_token)
+        self._substrate.shutdown(wait=True)
         with self._dataset_lock:
             self._datasets.clear()
         if self._owns_store and self.store is not None:
@@ -183,18 +203,83 @@ class Session:
         distgraph LRU via
         :func:`repro.kmachine.distgraph.warm_shard_snapshots`, so the
         first request at a warmed ``k`` pays neither the graph load nor
-        the shard construction.  Returns the number of snapshots loaded
-        (0 when none exist on disk).
+        the shard construction (on the substrate thread, like every
+        load).  Returns the number of snapshots loaded (0 when none
+        exist on disk).
         """
         from repro.kmachine.distgraph import warm_shard_snapshots
 
-        graph = self.materialize(dataset)
-        return warm_shard_snapshots(graph)
+        return self._substrate.submit(
+            lambda: warm_shard_snapshots(self.materialize(dataset))
+        ).result()
 
     def resident_datasets(self) -> tuple[str, ...]:
         """Content keys of the resident graphs, least recent first."""
         with self._dataset_lock:
             return tuple(self._datasets)
+
+    def _probe_input(self, dataset):
+        """What a result-cache probe needs of ``dataset``, without loading it.
+
+        A stand-in with the graph's ``content_key``, ``n``, ``m`` and
+        ``directed`` — from the resident graph, else the graph cache's
+        metadata sidecar — remembered per spec string (they are functions
+        of the spec).  ``None`` when there is neither (never built,
+        evicted from disk, file-backed): the miss path then materializes.
+        """
+        from repro import workloads
+
+        shape = self._shapes.get(dataset) if isinstance(dataset, str) else None
+        if shape is not None:
+            return shape
+        key = workloads.parse_spec(dataset).content_hash()
+        with self._dataset_lock:
+            graph = self._datasets.get(key)
+        try:
+            if graph is not None:
+                n, m, directed = graph.n, graph.m, graph.directed
+            else:
+                meta = workloads.default_cache().read_meta(key)
+                n, m, directed = int(meta["n"]), int(meta["m"]), bool(meta["directed"])
+        except (TypeError, KeyError, ValueError):
+            return None  # no sidecar, or not one of ours
+        shape = SimpleNamespace(content_key=key, n=n, m=m, directed=directed)
+        if isinstance(dataset, str):
+            if len(self._shapes) >= _SHAPES_KEPT:
+                self._shapes.clear()  # spellings are unbounded; the memo is not
+            self._shapes[dataset] = shape
+        return shape
+
+    def _execute(self, name, data, k, dataset, kwargs):
+        """A miss, on the substrate thread: load the dataset, then run."""
+        if dataset is not None:
+            data = self.materialize(dataset)
+        return _registry_run(name, data, k, result_cache=self.store, **kwargs)
+
+    def _on_substrate(self, wait, name, *args):
+        """Queue :meth:`_execute` and see it through; ``wait`` bounds the queueing only."""
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        with self._admit:
+            if self._queued == 0:
+                wait = None  # idle substrate: the run starts at once
+            self._queued += 1
+        try:
+            future = self._substrate.submit(self._execute, name, *args)
+            try:
+                return future.result(wait)
+            except FutureTimeout:
+                if not future.cancel():  # it started in time: see it through
+                    return future.result()
+                with self._admit:
+                    self.timeouts += 1
+                raise SessionTimeout(
+                    f"run {name!r} waited over {wait:.3g}s for the execution "
+                    f"substrate"
+                ) from None
+        finally:
+            with self._admit:
+                self._queued -= 1
 
     # -- the request path -----------------------------------------------
     def run(self, name, data=None, k=None, *, dataset=None,
@@ -202,8 +287,9 @@ class Session:
         """Run one request through the session; the concurrent entry point.
 
         Same surface as :func:`repro.runtime.run` (plus ``timeout``).
-        Hits on the result cache return without touching the substrate;
-        misses queue for the substrate lock and execute exclusively.
+        Hits on the result cache return without touching the substrate
+        or the dataset; misses queue for the substrate thread and
+        execute there exclusively.
         """
         wait = self.timeout if timeout is ... else timeout
         with self._admit:
@@ -218,37 +304,20 @@ class Session:
             self._inflight += 1
             self.requests += 1
         try:
-            if dataset is not None:
-                if data is not None:
-                    from repro.errors import AlgorithmError
-
-                    raise AlgorithmError("pass either data or dataset, not both")
-                data = self.materialize(dataset)
+            if dataset is not None and data is not None:
+                raise AlgorithmError("pass either data or dataset, not both")
             bypass = kwargs.get("cluster") is not None or kwargs.get("placement") is not None
             if self.store is not None and not bypass:
-                report = _registry_run(
-                    name, data, k, result_cache=self.store, cache_only=True,
+                probe = data if dataset is None else self._probe_input(dataset)
+                report = None if probe is None else _registry_run(
+                    name, probe, k, result_cache=self.store, cache_only=True,
                     **kwargs,
                 )
                 if report is not None:
                     with self._admit:
                         self.cache_hits += 1
                     return report
-            if not self._substrate.acquire(
-                timeout=-1 if wait is None else max(0.0, wait)
-            ):
-                with self._admit:
-                    self.timeouts += 1
-                raise SessionTimeout(
-                    f"run {name!r} waited over {wait:.3g}s for the execution "
-                    f"substrate"
-                )
-            try:
-                report = _registry_run(
-                    name, data, k, result_cache=self.store, **kwargs
-                )
-            finally:
-                self._substrate.release()
+            report = self._on_substrate(wait, name, data, k, dataset, kwargs)
             with self._admit:
                 self.executed += 1
             return report

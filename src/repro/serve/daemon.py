@@ -9,7 +9,14 @@ the :class:`~repro.runtime.Session` contract — misses serialize over
 the substrate, result-cache hits are answered concurrently — and a
 failed run poisons only its own request.
 
-Protocol (HTTP/1.1, JSON bodies, ``Connection: close``):
+Protocol (HTTP/1.1, JSON bodies, persistent connections): a client may
+send any number of requests down one connection, one at a time.  The
+daemon closes it after replying to a request that asked for that
+(``Connection: close``, or HTTP/1.0), after answering one it could not
+parse (``400``, or ``413`` for a body over :data:`MAX_BODY_BYTES` — the
+stream cannot be resynchronised), and at shutdown: idle connections at
+once, busy ones after their reply, so a stop never waits on a client
+that merely stays connected.
 
 ``GET /health``
     ``{"ok": true, "uptime_s": ...}`` — liveness.
@@ -65,9 +72,37 @@ __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ReproServer", "ServerHandle"]
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
+#: Largest request body read; a larger ``Content-Length`` is answered 413.
+MAX_BODY_BYTES = 1024**2
+#: Header lines read per request before it is answered 400.
+MAX_HEADER_LINES = 100
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 429: "Too Many Requests",
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+
+#: The one method each endpoint answers (anything else is a 405).
+_METHODS = {"/health": "GET", "/status": "GET", "/metrics": "GET",
+            "/alerts": "GET", "/shutdown": "POST", "/run": "POST"}
+
+#: How a failed ``/run`` is answered and counted: (exception types, HTTP
+#: status, telemetry kind), first match wins.
+_RUN_FAILURES = (
+    (SessionSaturated, 429, "rejected"),
+    (SessionTimeout, 503, "timeout"),
+    ((ReproError, json.JSONDecodeError, TypeError), 400, "error"),
+    (Exception, 500, "error"),
+)
+
+
+class _BadRequest(Exception):
+    """A request that cannot be parsed: answered, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _jsonable(value):
@@ -163,6 +198,9 @@ class ReproServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._shutdown_requested = False
+        #: Connections between requests (or mid-read): closed at shutdown.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()  # one per open connection
 
     # -- alert evaluation -----------------------------------------------
     def _alert_snapshot(self) -> dict:
@@ -236,6 +274,14 @@ class ReproServer:
         try:
             async with server:
                 await self._stop.wait()
+                server.close()  # stop accepting
+                # An idle keep-alive peer must not hold the stop (Python
+                # >= 3.12's Server.wait_closed() waits for every connection);
+                # a busy one gets its reply first, then its handler closes it.
+                for writer in self._idle:
+                    writer.close()
+                if self._handlers:
+                    await asyncio.wait(self._handlers)
         finally:
             if alert_task is not None:
                 alert_task.cancel()
@@ -243,49 +289,80 @@ class ReproServer:
             if self._own_session:
                 self.session.close(shutdown_pools=True)
 
+    @staticmethod
+    async def _read_request(reader) -> "tuple[str, str, bytes, bool] | None":
+        """``(method, path, body, keep_alive)``, or ``None`` at a clean EOF."""
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise _BadRequest(400, "malformed HTTP request line")
+        headers = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise _BadRequest(400, "connection closed inside the HTTP headers")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(400, f"over {MAX_HEADER_LINES} HTTP header lines")
+        length = int(headers.get("content-length") or 0)
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise _BadRequest(413, f"request body over {MAX_BODY_BYTES} bytes")
+        body = await reader.readexactly(length) if length else b""
+        keep_alive = (parts[2] != "HTTP/1.0"
+                      and headers.get("connection", "").lower() != "close")
+        return parts[0].upper(), parts[1], body, keep_alive
+
     async def _handle_conn(self, reader, writer) -> None:
-        status, payload = 400, {"ok": False, "error": "BadRequest",
-                                "message": "malformed HTTP request"}
+        """Serve one connection: request, reply, until either side is done."""
+        keep_alive = not self._stop.is_set()
+        self._handlers.add(asyncio.current_task())
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) >= 2:
-                method, path = parts[0].upper(), parts[1]
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
+            while keep_alive:
+                self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                    if request is None:
                         break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
-                body = await reader.readexactly(length) if length else b""
-                status, payload = await self._dispatch(method, path, body)
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError) as exc:
-            status, payload = 400, {"ok": False, "error": type(exc).__name__,
-                                    "message": str(exc)}
-        except Exception as exc:  # isolation: one bad request, not the daemon
-            status, payload = 500, {"ok": False, "error": type(exc).__name__,
-                                    "message": str(exc)}
-        try:
-            if isinstance(payload, str):  # /metrics: Prometheus text
-                data = payload.encode()
-                content_type = "text/plain; version=0.0.4"
-            else:
-                data = json.dumps(payload).encode()
-                content_type = "application/json"
-            writer.write((
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(data)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode() + data)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
+                    method, path, body, keep_alive = request
+                    self._idle.discard(writer)
+                    status, payload = await self._dispatch(method, path, body)
+                except (_BadRequest, asyncio.IncompleteReadError, ValueError) as exc:
+                    # Includes a line over the reader's limit (ValueError).
+                    keep_alive = False
+                    status, payload = getattr(exc, "status", 400), {
+                        "ok": False, "error": "BadRequest", "message": str(exc)}
+                except OSError:
+                    raise  # the peer is gone (reset mid-read): nobody to answer
+                except Exception as exc:  # isolation: one bad request, not the daemon
+                    status, payload = 500, {"ok": False, "error": type(exc).__name__,
+                                            "message": str(exc)}
+                keep_alive = (keep_alive and not self._stop.is_set()
+                              and not self._shutdown_requested)
+                if isinstance(payload, str):  # /metrics: Prometheus text
+                    data = payload.encode()
+                    content_type = "text/plain; version=0.0.4"
+                else:
+                    data = json.dumps(payload).encode()
+                    content_type = "application/json"
+                writer.write((
+                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                    f"Content-Type: {content_type}\r\n"
+                    f"Content-Length: {len(data)}\r\n"
+                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+                ).encode() + data)
+                await writer.drain()
         except (ConnectionError, OSError):
             pass  # client went away; nothing to salvage
-        if self._shutdown_requested and self._stop is not None:
+        finally:
+            self._idle.discard(writer)
+            self._handlers.discard(asyncio.current_task())
+            writer.close()
+        if self._shutdown_requested:
             self._stop.set()
 
     async def _dispatch(self, method: str, path: str, body: bytes):
@@ -295,15 +372,12 @@ class ReproServer:
             if pair:
                 name, _, value = pair.partition("=")
                 query[name] = value
+        if _METHODS.get(path, method) != method:
+            return 405, {"ok": False, "error": "MethodNotAllowed",
+                         "message": f"{method} {path}"}
         if path == "/health":
-            if method != "GET":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             return 200, {"ok": True, "uptime_s": time.time() - self.started}
         if path == "/status":
-            if method != "GET":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             out = {"ok": True, "served": self.served,
                    "uptime_s": time.time() - self.started,
                    "session": self.session.stats()}
@@ -311,9 +385,6 @@ class ReproServer:
                 out["history"] = self.ring.rows()
             return 200, out
         if path == "/metrics":
-            if method != "GET":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             stats = {
                 "server": {"served": self.served,
                            "uptime_s": time.time() - self.started},
@@ -325,23 +396,14 @@ class ReproServer:
                 text += self.alerts.prometheus_lines()
             return 200, text
         if path == "/alerts":
-            if method != "GET":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             if self.alerts is None:
                 return 200, {"ok": True, "enabled": False, "evaluations": 0,
                              "rules": [], "active": [], "resolved": []}
             return 200, {"ok": True, "enabled": True, **self.alerts.status()}
         if path == "/shutdown":
-            if method != "POST":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             self._shutdown_requested = True  # applied after the response
             return 200, {"ok": True, "stopping": True}
         if path == "/run":
-            if method != "POST":
-                return 405, {"ok": False, "error": "MethodNotAllowed",
-                             "message": f"{method} {path}"}
             arrived = time.perf_counter()
             algo = None  # best-effort attribution, set once parsed
             try:
@@ -360,26 +422,12 @@ class ReproServer:
                     algo=algo,
                 )
                 return 200, {"ok": True, "report": report}
-            except SessionSaturated as exc:
-                self.ring.observe(time.perf_counter() - arrived,
-                                  kind="rejected", algo=algo)
-                return 429, {"ok": False, "error": "SessionSaturated",
-                             "message": str(exc)}
-            except SessionTimeout as exc:
-                self.ring.observe(time.perf_counter() - arrived,
-                                  kind="timeout", algo=algo)
-                return 503, {"ok": False, "error": "SessionTimeout",
-                             "message": str(exc)}
-            except (ReproError, json.JSONDecodeError, TypeError) as exc:
-                self.ring.observe(time.perf_counter() - arrived,
-                                  kind="error", algo=algo)
-                return 400, {"ok": False, "error": type(exc).__name__,
-                             "message": str(exc)}
-            except Exception as exc:
-                self.ring.observe(time.perf_counter() - arrived,
-                                  kind="error", algo=algo)
-                return 500, {"ok": False, "error": type(exc).__name__,
-                             "message": str(exc)}
+            except Exception as exc:  # isolation: this request only
+                status, kind = next((status, kind) for types, status, kind in _RUN_FAILURES
+                                    if isinstance(exc, types))
+                self.ring.observe(time.perf_counter() - arrived, kind=kind, algo=algo)
+                return status, {"ok": False, "error": type(exc).__name__,
+                                "message": str(exc)}
         return 404, {"ok": False, "error": "NotFound", "message": path}
 
     # -- request execution (runs on executor threads) -------------------
@@ -408,15 +456,13 @@ class ReproServer:
         if payload.get("timeout") is not None:
             kwargs["timeout"] = float(payload["timeout"])
         start = time.perf_counter()
+        for name in ("k", "seed", "workers", "bandwidth"):
+            kwargs[name] = int(payload[name]) if payload.get(name) is not None else None
         report = self.session.run(
             algo,
             dataset=dataset,
-            k=int(payload["k"]) if payload.get("k") is not None else None,
-            seed=int(payload["seed"]) if payload.get("seed") is not None else None,
             # The service default is the fast in-process backend.
             engine=payload.get("engine") or "vector",
-            workers=int(payload["workers"]) if payload.get("workers") is not None else None,
-            bandwidth=int(payload["bandwidth"]) if payload.get("bandwidth") is not None else None,
             **kwargs,
             **params,
         )

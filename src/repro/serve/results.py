@@ -17,9 +17,30 @@ alongside for introspection.
 
 The store is safe for concurrent use from multiple threads (one
 connection guarded by a lock) and multiple processes (WAL journal +
-busy timeout); hits bump an ``hits`` column and an LRU ``last_used``
-stamp, and the table is bounded by ``max_entries`` with
+busy timeout), and the table is bounded by ``max_entries`` with
 least-recently-used eviction.
+
+**A hit is a pure read.**  ``get`` checks existence and TTL with one
+blob-free ``SELECT algo, created`` and opens no write transaction.  The
+row's ``last_used`` stamp and ``hits`` count are buffered and written
+inside the next write transaction (``put``, ``rows``, ``clear``,
+``close``, an expiry delete) or by the hit that makes
+:data:`FLUSH_PENDING_HITS` of them pending, so eviction always sees them
+and a killed process loses at most that many stamps, never a result.
+
+**Decoded rows.**  Up to :data:`DECODED_BYTES` of payloads stay
+unpickled (LRU).  sqlite remains the source of truth across processes: a
+decoded row is served only while the ``created`` just read from the file
+equals the one it was decoded under, so a row another process replaced
+is re-read and one it deleted (or that expired) is a miss.  Such a hit
+reads no payload byte and unpickles nothing.  Hits share the decoded
+objects, so every numpy array in them is handed out read-only.
+
+**Durability.**  ``journal_mode=WAL`` with ``synchronous=NORMAL``:
+commits are atomic and survive a crashed or killed process; a power
+loss may roll back the last ones, which for a cache of deterministic
+results means those rows are recomputed on their next miss.  The file
+is never corrupt and never serves a wrong result.
 
 Wiring: ``runtime.run(..., result_cache=True)`` consults
 :func:`default_result_store` (``$REPRO_RESULT_DB`` or
@@ -37,7 +58,11 @@ import pickle
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from repro.errors import ServeError
 from repro.obs.registry import obs_registry
@@ -62,6 +87,14 @@ SCHEMA_VERSION = 1
 #: Rows kept before least-recently-used eviction.
 DEFAULT_MAX_ENTRIES = 10_000
 
+#: Buffered hit stamps at which a hit writes them out itself.
+FLUSH_PENDING_HITS = 256
+
+#: Payload bytes whose decoded ``(result, metrics)`` stay in memory.
+DECODED_BYTES = 8 * 1024**2
+
+# The payload comes last: sqlite walks a row's overflow chain to reach a
+# column stored after a large blob (~50 us), and every hit reads ``created``.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
     key         TEXT PRIMARY KEY,
@@ -73,10 +106,10 @@ CREATE TABLE IF NOT EXISTS results (
     n           INTEGER NOT NULL,
     k           INTEGER NOT NULL,
     rounds      INTEGER NOT NULL,
-    payload     BLOB NOT NULL,
     created     REAL NOT NULL,
     last_used   REAL NOT NULL,
-    hits        INTEGER NOT NULL DEFAULT 0
+    hits        INTEGER NOT NULL DEFAULT 0,
+    payload     BLOB NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_last_used ON results (last_used);
 """
@@ -131,6 +164,26 @@ def result_key(
     return hashlib.blake2b(material.encode(), digest_size=16).hexdigest()
 
 
+def _freeze_arrays(payload) -> None:
+    """Make every numpy array reachable from a decoded payload read-only."""
+    stack, seen = [payload], set()
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (int, float, str, bytes, type(None))) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        else:
+            stack.extend(getattr(item, "__dict__", {}).values())
+            stack.extend(getattr(item, slot) for slot in getattr(type(item), "__slots__", ())
+                         if hasattr(item, slot))
+
+
 class ResultStore:
     """A persistent, bounded, concurrency-safe run-result cache.
 
@@ -155,7 +208,8 @@ class ResultStore:
     Counters (:attr:`hits`, :attr:`misses`, :attr:`stores`,
     :attr:`expired`, :attr:`swept`) are in-memory and per-instance: they
     answer "what did *this* session's traffic do", while the per-row
-    ``hits`` column persists popularity across daemon restarts.
+    ``hits`` column persists popularity across daemon restarts (written
+    with the next write transaction, see the module docstring).
     ``expired`` counts lookups that found only an expired row (each also
     counts as a miss); ``swept`` counts rows deleted by expiry.
     """
@@ -178,6 +232,12 @@ class ResultStore:
         #: goes through it.
         self._clock = time.time
         self._lock = threading.RLock()
+        #: key -> [last_used, hits] not yet written; hits since the last flush.
+        self._pending: dict[str, list] = {}
+        self._pending_hits = 0
+        #: key -> (created, payload bytes, result, metrics, meta), LRU.
+        self._decoded: "OrderedDict[str, tuple]" = OrderedDict()
+        self._decoded_bytes = 0
         if self.path != ":memory:":
             Path(self.path).expanduser().parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(
@@ -187,6 +247,8 @@ class ResultStore:
             # WAL lets concurrent processes read while one writes; the
             # pragma is a no-op (journal stays "memory") for :memory:.
             self._conn.execute("PRAGMA journal_mode=WAL")
+            # Atomic commits without an fsync each: see "Durability".
+            self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA busy_timeout=10000")
             self._conn.executescript(_SCHEMA)
         # Weak-referenced: registration never keeps the store alive.
@@ -248,9 +310,41 @@ class ResultStore:
         return removed
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _write(self):
+        """One write transaction; the buffered hit stamps go in first."""
+        with self._lock, self._conn:
+            if self._pending:
+                self._conn.executemany(
+                    "UPDATE results SET last_used = MAX(last_used, ?), "
+                    "hits = hits + ? WHERE key = ?",
+                    [(stamp, hits, key)
+                     for key, (stamp, hits) in self._pending.items()],
+                )
+                self._pending.clear()
+                self._pending_hits = 0
+            yield
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key``'s decoded copy and unwritten stamp (row gone/replaced)."""
+        self._pending.pop(key, None)
+        entry = self._decoded.pop(key, None)
+        if entry is not None:
+            self._decoded_bytes -= entry[1]
+
+    def _delete(self, key: str) -> None:
+        with self._write():
+            self._forget(key)
+            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
+
     def close(self) -> None:
         obs_registry().unregister(self._obs_token)
         with self._lock:
+            try:
+                with self._write():
+                    pass
+            except sqlite3.Error:
+                pass  # stamps are best-effort (closed twice, file locked)
             self._conn.close()
 
     def __enter__(self) -> "ResultStore":
@@ -263,49 +357,73 @@ class ResultStore:
     def get(self, key: str, count_miss: bool = True):
         """``(result, metrics, meta_dict)`` for ``key``, or ``None``.
 
-        A hit bumps the row's LRU stamp and hit column and the store's
-        in-memory :attr:`hits`; a miss bumps :attr:`misses` unless
+        A hit writes nothing (its stamp rides the next write
+        transaction) and an unchanged row already decoded is returned
+        without reading its payload; the arrays of ``result`` and
+        ``metrics`` are read-only, because hits share them.  A hit
+        bumps :attr:`hits`; a miss bumps :attr:`misses` unless
         ``count_miss`` is False (optimistic probes that are always
         followed by a counted lookup).  A row past its family's TTL is a
         miss (counted in :attr:`expired` too) and is deleted in place.
         """
         with self._lock:
-            row = self._conn.execute(
-                "SELECT payload, algo, engine, n, k, seed, params, "
-                "content_key, created FROM results WHERE key = ?",
-                (key,),
+            head = self._conn.execute(
+                "SELECT algo, created FROM results WHERE key = ?", (key,)
             ).fetchone()
-            if row is None:
-                if count_miss:
-                    self.misses += 1
-                return None
-            ttl = self._ttl_for(row[1])
-            if ttl is not None and self._clock() - float(row[8]) > ttl:
-                with self._conn:
-                    self._conn.execute(
-                        "DELETE FROM results WHERE key = ?", (key,)
-                    )
+            if head is None:
+                return self._miss(key, count_miss)
+            algo, created = head
+            now = self._clock()
+            ttl = self._ttl_for(algo)
+            if ttl is not None and now - float(created) > ttl:
+                self._delete(key)
                 self.expired += 1
                 self.swept += 1
-                if count_miss:
-                    self.misses += 1
-                return None
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE results SET last_used = ?, hits = hits + 1 "
-                    "WHERE key = ?",
-                    (self._clock(), key),
-                )
+                return self._miss(key, count_miss)
+            entry = self._decoded.get(key)
+            if entry is not None and entry[0] == created:
+                self._decoded.move_to_end(key)
+            else:
+                if entry is not None:
+                    self._forget(key)  # replaced by another writer
+                entry = self._decode(key)
+                if entry is None:
+                    return self._miss(key, count_miss)
+            stamp = self._pending.setdefault(key, [now, 0])
+            stamp[0] = now
+            stamp[1] += 1
+            self._pending_hits += 1
             self.hits += 1
+            if self._pending_hits >= FLUSH_PENDING_HITS:
+                with self._write():
+                    pass
+            _created, _nbytes, result, metrics, meta = entry
+            return result, metrics, dict(meta)
+
+    def _miss(self, key: str, count_miss: bool) -> None:
+        self._forget(key)
+        if count_miss:
+            self.misses += 1
+
+    def _decode(self, key: str):
+        """Read, unpickle and keep ``key``'s row (lock held); ``None`` if it
+        vanished meanwhile.  A corrupt payload drops the row and raises."""
+        row = self._conn.execute(
+            "SELECT payload, algo, engine, n, k, seed, params, "
+            "content_key, created FROM results WHERE key = ?",
+            (key,),
+        ).fetchone()
+        if row is None:
+            return None
         try:
             result, metrics = pickle.loads(row[0])
         except Exception as exc:  # corrupt payload: drop the row, miss
-            with self._lock, self._conn:
-                self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
+            self._delete(key)
             raise ServeError(
                 f"corrupt result payload for key {key} "
                 f"(dropped from {self.path}): {exc}"
             ) from exc
+        _freeze_arrays((result, metrics))
         meta = {
             "algo": row[1],
             "engine": row[2],
@@ -315,7 +433,14 @@ class ResultStore:
             "params": row[6],
             "content_key": row[7],
         }
-        return result, metrics, meta
+        entry = (row[8], len(row[0]), result, metrics, meta)
+        if entry[1] <= DECODED_BYTES:
+            self._decoded[key] = entry
+            self._decoded_bytes += entry[1]
+            while self._decoded_bytes > DECODED_BYTES:
+                _, dropped = self._decoded.popitem(last=False)
+                self._decoded_bytes -= dropped[1]
+        return entry
 
     def put(
         self,
@@ -334,7 +459,8 @@ class ResultStore:
         """Persist one completed run (idempotent: the key is the identity)."""
         payload = pickle.dumps((result, metrics), protocol=pickle.HIGHEST_PROTOCOL)
         now = self._clock()
-        with self._lock, self._conn:
+        with self._write():
+            self._forget(key)
             if self.ttl_seconds:
                 # Expired rows go first so LRU eviction below only ever
                 # competes among live entries.
@@ -367,9 +493,11 @@ class ResultStore:
 
     def clear(self) -> int:
         """Drop every row; returns how many were deleted."""
-        with self._lock, self._conn:
+        with self._write():
             count = self._count_locked()
             self._conn.execute("DELETE FROM results")
+            self._decoded.clear()
+            self._decoded_bytes = 0
         return count
 
     def stats(self) -> dict:
@@ -392,7 +520,7 @@ class ResultStore:
 
     def rows(self) -> list[dict]:
         """Row metadata (no payloads), most recently used first."""
-        with self._lock:
+        with self._write():
             cursor = self._conn.execute(
                 "SELECT key, content_key, algo, params, seed, engine, n, k, "
                 "rounds, created, last_used, hits FROM results "

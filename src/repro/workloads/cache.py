@@ -41,7 +41,14 @@ Guarantees:
   bit-identical contents either way);
 * **LRU size cap** — the cache is bounded by ``$REPRO_CACHE_BYTES``
   (default 4 GiB); when a store pushes past the cap, least-recently-used
-  entries are evicted (recency = snapshot mtime, bumped on every load);
+  entries are evicted (recency = snapshot mtime, bumped on every load).
+  A store charges the bytes it wrote to a per-root running total; the
+  full pass (:meth:`GraphCache.enforce_cap`: both sweeps and the
+  eviction scan) runs on a process's first store to a root, on the
+  store that takes the total past the cap, and once
+  :data:`RESCAN_SECONDS` have passed since the last one.  The directory
+  can therefore exceed the cap only by what *other* processes stored
+  since this process's last full pass, at most that many seconds ago;
 * **content keys** — every graph returned by :func:`materialize` carries
   the spec hash in ``Graph.content_key``, which the in-memory shard LRU
   (:func:`repro.kmachine.distgraph.cached_distgraph`) uses to share
@@ -118,6 +125,18 @@ DEFAULT_CACHE_BYTES = 4 * 1024**3
 #: ``<key>.shards-k<k>-<digest>.{npy,json}``.
 SHARD_SIDECAR_MARK = ".shards-"
 
+#: Seconds after which a store runs the full cap pass even though this
+#: process's total is under the cap (other processes write here too).
+RESCAN_SECONDS = 60.0
+
+#: root -> [bytes at the last full pass + bytes stored since, ``_clock()``
+#: of that pass]; process-wide because :func:`default_cache` builds a
+#: fresh :class:`GraphCache` per call.  Held across a full pass, so no
+#: store is charged to a total the pass is about to replace.
+_FOOTPRINTS: dict[str, list] = {}
+_FOOTPRINTS_LOCK = threading.RLock()
+_clock = time.monotonic
+
 
 def _default_root() -> Path:
     if os.environ.get(DATA_DIR_ENV):
@@ -183,16 +202,6 @@ class GraphCache:
         stem = f"{key}{SHARD_SIDECAR_MARK}k{k}-{digest}"
         return self.graphs_dir / f"{stem}.npy", self.graphs_dir / f"{stem}.json"
 
-    def _shard_bytes(self, key: str) -> int:
-        """Total on-disk footprint of ``key``'s shard sidecars."""
-        total = 0
-        for path in self.graphs_dir.glob(f"{key}{SHARD_SIDECAR_MARK}*"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue  # vanished mid-scan
-        return total
-
     # -- key resolution -------------------------------------------------
     def resolve_key(self, ref: "str | DatasetSpec") -> str:
         """Resolve a spec or an abbreviated hash to a full content hash."""
@@ -222,51 +231,81 @@ class GraphCache:
         npz, meta = self._paths(self.resolve_key(ref))
         return npz.exists() and meta.exists()
 
+    def read_meta(self, key: str) -> dict | None:
+        """The metadata sidecar of ``key`` (one small file read), or ``None``."""
+        try:
+            return json.loads(self._paths(key)[1].read_text())
+        except (OSError, ValueError):
+            return None  # absent, half-written, or evicted mid-read
+
+    def _entry(self, key: str, shard_bytes: int) -> CacheEntry | None:
+        """``key``'s committed entry from its own two files, or ``None``."""
+        npz, meta_path = self._paths(key)
+        meta = self.read_meta(key)
+        try:
+            stat = npz.stat()
+            return CacheEntry(
+                key=key,
+                spec=meta["spec"],
+                family=meta["family"],
+                n=int(meta["n"]),
+                m=int(meta["m"]),
+                directed=bool(meta["directed"]),
+                nbytes=stat.st_size + meta_path.stat().st_size + shard_bytes,
+                last_used=stat.st_mtime,
+                path=npz,
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            # Half-written, foreign, or concurrently-evicted entry
+            # (stat/read on a file that vanished mid-scan); skip it.
+            return None
+
+    def _scan(self) -> "list[os.DirEntry]":
+        """One pass over the cache directory (empty when it does not exist)."""
+        try:
+            with os.scandir(self.graphs_dir) as scan:
+                return list(scan)
+        except OSError:
+            return []
+
     def entries(self) -> list[CacheEntry]:
         """All committed entries, most recently used first.
 
         ``nbytes`` is the entry's full footprint — snapshot, metadata
         sidecar, *and* any shard-snapshot sidecars — so
         :meth:`enforce_cap` bounds what the cache actually occupies on
-        disk.  Entries a concurrent process removes mid-scan are
-        skipped, never raised.
+        disk.  One directory pass, whatever the number of sidecars.
+        Entries a concurrent process removes mid-scan are skipped,
+        never raised.
         """
-        out: list[CacheEntry] = []
-        if not self.graphs_dir.is_dir():
-            return out
-        for meta_path in self.graphs_dir.glob("*.json"):
-            if SHARD_SIDECAR_MARK in meta_path.name:
-                continue  # shard manifests ride their parent entry
-            npz_path = meta_path.with_suffix(".npz")
-            try:
-                meta = json.loads(meta_path.read_text())
-                stat = npz_path.stat()
-                meta_size = meta_path.stat().st_size
-                shard_size = self._shard_bytes(meta_path.stem)
-                out.append(CacheEntry(
-                    key=meta_path.stem,
-                    spec=meta["spec"],
-                    family=meta["family"],
-                    n=int(meta["n"]),
-                    m=int(meta["m"]),
-                    directed=bool(meta["directed"]),
-                    nbytes=stat.st_size + meta_size + shard_size,
-                    last_used=stat.st_mtime,
-                    path=npz_path,
-                ))
-            except (OSError, ValueError, KeyError):
-                # Half-written, foreign, or concurrently-evicted entry
-                # (stat/read on a file that vanished mid-scan); skip it.
-                continue
+        return self._entries(self._scan())
+
+    def _entries(self, scan: "list[os.DirEntry]", only: str = "") -> list[CacheEntry]:
+        """The entries a directory pass lists (just those named ``only...``)."""
+        keys: list[str] = []
+        shard_bytes: dict[str, int] = {}
+        for item in scan:
+            if item.name.startswith(".") or not item.name.startswith(only):
+                continue  # a writer's temp file, or not the entry asked for
+            key, mark, _ = item.name.partition(SHARD_SIDECAR_MARK)
+            if mark:  # shard sidecars ride their parent entry
+                try:
+                    size = item.stat().st_size
+                except OSError:
+                    continue  # vanished mid-scan
+                shard_bytes[key] = shard_bytes.get(key, 0) + size
+            elif item.name.endswith(".json"):
+                keys.append(item.name[:-len(".json")])
+        found = (self._entry(key, shard_bytes.get(key, 0)) for key in keys)
+        out = [entry for entry in found if entry is not None]
         out.sort(key=lambda e: e.last_used, reverse=True)
         return out
 
     def info(self, ref: "str | DatasetSpec") -> CacheEntry:
         """The committed entry for ``ref`` (raises if absent)."""
         key = self.resolve_key(ref)
-        for entry in self.entries():
-            if entry.key == key:
-                return entry
+        for entry in self._entries(self._scan(), only=f"{key}."):
+            return entry
         raise WorkloadError(f"no cached dataset for {ref!r} (hash {key})")
 
     # -- load/store -----------------------------------------------------
@@ -299,7 +338,7 @@ class GraphCache:
         return graph
 
     def store(self, spec: "str | DatasetSpec", graph: Graph) -> Path:
-        """Persist a built dataset atomically and enforce the size cap."""
+        """Persist a built dataset atomically and charge it to the size cap."""
         spec = parse_spec(spec)
         if not spec.cacheable:
             raise WorkloadError(
@@ -331,7 +370,7 @@ class GraphCache:
         finally:
             meta_tmp.unlink(missing_ok=True)
         _COUNTERS.stores += 1
-        self.enforce_cap(protect=key)
+        self._charge(key, npz, meta)
         return npz
 
     # -- shard snapshot sidecars ----------------------------------------
@@ -370,7 +409,7 @@ class GraphCache:
         finally:
             tmp_npy.unlink(missing_ok=True)
             tmp_json.unlink(missing_ok=True)
-        self.enforce_cap(protect=key)
+        self._charge(key, npy, manifest)
         return npy
 
     def load_shards(self, key: str, k: int, digest: str):
@@ -424,6 +463,25 @@ class GraphCache:
     #: unlink) their temp files in well under this.
     STALE_TMP_SECONDS = 3600.0
 
+    def _charge(self, key: str, *written: Path) -> None:
+        """Add a store's bytes to the root's total; full pass only when due:
+        no scan of this root by this process yet, the total would cross
+        :attr:`max_bytes`, or the last pass is :data:`RESCAN_SECONDS` old."""
+        nbytes = 0
+        for path in written:
+            try:
+                nbytes += path.stat().st_size
+            except OSError:
+                pass  # already evicted by another process: nothing to charge
+        with _FOOTPRINTS_LOCK:
+            footprint = _FOOTPRINTS.get(str(self.root))
+            if (footprint is not None
+                    and footprint[0] + nbytes <= self.max_bytes
+                    and _clock() - footprint[1] < RESCAN_SECONDS):
+                footprint[0] += nbytes
+            else:
+                self.enforce_cap(protect=key)
+
     def enforce_cap(self, protect: str | None = None) -> list[str]:
         """Evict least-recently-used entries until under the size cap.
 
@@ -433,63 +491,69 @@ class GraphCache:
         sidecar), and temp files abandoned by crashed writers are swept
         once they are older than :attr:`STALE_TMP_SECONDS` — so nothing
         the cache writes is invisible to the cap.  Entries a concurrent
-        process removes mid-pass are simply skipped.  Returns the
-        evicted keys.
+        process removes mid-pass are simply skipped.  Stores run this
+        full pass only when due (:meth:`_charge`); it restarts the root's
+        running total from what is on disk.  Returns the evicted keys.
         """
-        self._sweep_stale_tmp()
-        self._sweep_orphan_shards()
-        entries = self.entries()
-        total = sum(e.nbytes for e in entries)
-        evicted: list[str] = []
-        for entry in reversed(entries):  # least recently used first
-            if total <= self.max_bytes:
-                break
-            if entry.key == protect:
-                continue
-            self._remove(entry.key)
-            total -= entry.nbytes
-            evicted.append(entry.key)
-        _COUNTERS.evictions += len(evicted)
+        with _FOOTPRINTS_LOCK:
+            scan = self._scan()  # one directory pass feeds both sweeps and the entries
+            self._sweep_stale_tmp(scan)
+            self._sweep_orphan_shards(scan)
+            entries = self._entries(scan)
+            total = sum(e.nbytes for e in entries)
+            evicted: list[str] = []
+            for entry in reversed(entries):  # least recently used first
+                if total <= self.max_bytes:
+                    break
+                if entry.key == protect:
+                    continue
+                self._remove(entry.key)
+                total -= entry.nbytes
+                evicted.append(entry.key)
+            _COUNTERS.evictions += len(evicted)
+            _FOOTPRINTS[str(self.root)] = [total, _clock()]
         return evicted
 
-    def _sweep_stale_tmp(self) -> None:
+    def _sweep_stale_tmp(self, scan: "list[os.DirEntry]") -> None:
         """Delete temp files old enough that their writer must be dead."""
-        if not self.graphs_dir.is_dir():
-            return
         cutoff = time.time() - self.STALE_TMP_SECONDS
-        for tmp in self.graphs_dir.glob(".*.tmp"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-            except OSError:
-                continue  # vanished mid-sweep (another process's sweep)
+        for item in scan:
+            if item.name.startswith(".") and item.name.endswith(".tmp"):
+                try:
+                    if item.stat().st_mtime < cutoff:
+                        os.unlink(item.path)
+                except OSError:
+                    continue  # vanished mid-sweep (another process's sweep)
 
-    def _sweep_orphan_shards(self) -> None:
+    def _sweep_orphan_shards(self, scan: "list[os.DirEntry]") -> None:
         """Delete shard sidecars whose parent entry (or commit) is gone.
 
         Two flavors of orphan: a sidecar for an entry some other process
         already evicted (its bytes would otherwise be invisible to the
         cap), and a blob whose manifest never landed because its writer
         crashed between the two commit renames — the latter only once it
-        is old enough that the writer must be dead.
+        is old enough that the writer must be dead.  A file the scan did
+        not list is looked for once more: it may have landed meanwhile.
         """
-        if not self.graphs_dir.is_dir():
-            return
         cutoff = time.time() - self.STALE_TMP_SECONDS
-        for path in self.graphs_dir.glob(f"*{SHARD_SIDECAR_MARK}*"):
-            if path.name.startswith("."):
-                # A live writer's tmp file (its name embeds the sidecar
-                # name, so it matches this glob); _sweep_stale_tmp owns
-                # those — deleting one here would race the commit rename.
+        names = {item.name for item in scan}
+
+        def missing(name: str) -> bool:
+            return name not in names and not (self.graphs_dir / name).exists()
+
+        for item in scan:
+            key, mark, _ = item.name.partition(SHARD_SIDECAR_MARK)
+            if not mark or item.name.startswith("."):
+                # Not a sidecar, or a live writer's tmp file (its name
+                # embeds the sidecar name); _sweep_stale_tmp owns those —
+                # deleting one here would race the commit rename.
                 continue
-            key = path.name.split(SHARD_SIDECAR_MARK, 1)[0]
             try:
-                if not (self.graphs_dir / f"{key}.json").exists():
-                    path.unlink(missing_ok=True)
-                elif (path.suffix == ".npy"
-                        and not path.with_suffix(".json").exists()
-                        and path.stat().st_mtime < cutoff):
-                    path.unlink(missing_ok=True)
+                if missing(f"{key}.json") or (
+                        item.name.endswith(".npy")
+                        and missing(item.name[:-len(".npy")] + ".json")
+                        and item.stat().st_mtime < cutoff):
+                    os.unlink(item.path)
             except OSError:
                 continue  # vanished mid-sweep
 

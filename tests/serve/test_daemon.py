@@ -1,7 +1,9 @@
 """End-to-end daemon tests: HTTP surface, concurrency, fault isolation."""
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,8 +29,7 @@ def _isolated_caches(tmp_path, monkeypatch):
 def daemon():
     """A live daemon on an ephemeral port, with a bound client."""
     server = ReproServer(port=0)
-    with server.start_in_thread() as handle:
-        client = ServeClient(handle.host, handle.port)
+    with server.start_in_thread() as handle, ServeClient(handle.host, handle.port) as client:
         client.wait_until_ready()
         yield server, client
 
@@ -69,6 +70,169 @@ class TestHTTPSurface:
         assert err.value.code == 400
         body = json.loads(err.value.read())
         assert body["ok"] is False
+
+
+def _exchange(sock, request: bytes) -> tuple[int, dict, dict]:
+    """Send one raw request; ``(status, headers, json body)`` of the reply."""
+    sock.sendall(request)
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-reply after {buffer!r}"
+        buffer += chunk
+    head, _, body = buffer.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {name.strip().lower(): value.strip()
+               for name, _, value in (line.partition(":") for line in lines)}
+    while len(body) < int(headers["content-length"]):
+        body += sock.recv(65536)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def _run_request(version="HTTP/1.1", extra="", **fields) -> bytes:
+    body = json.dumps({"algo": "triangles", "dataset": DATASET, "k": 4, **fields}).encode()
+    return (f"POST /run {version}\r\nHost: test\r\n{extra}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def _closed_by_peer(sock) -> bool:
+    sock.settimeout(5.0)
+    return sock.recv(1) == b""
+
+
+class TestPersistentConnections:
+    def test_two_runs_on_one_socket(self, daemon):
+        _, client = daemon
+        with socket.create_connection((client.host, client.port)) as sock:
+            status, headers, first = _exchange(sock, _run_request(seed=9))
+            assert status == 200 and headers["connection"] == "keep-alive"
+            assert first["report"]["cached"] is False
+            # Both at once: the daemon answers them in order.
+            sock.sendall(_run_request(seed=9) + _run_request(seed=10))
+            _, _, second = _exchange(sock, b"")
+            _, _, third = _exchange(sock, b"")
+            assert second["report"]["cached"] is True
+            assert second["report"]["rounds"] == first["report"]["rounds"]
+            assert third["report"]["cached"] is False
+        assert client.status()["session"]["executed"] == 2
+
+    @pytest.mark.parametrize("version, extra", [
+        ("HTTP/1.1", "Connection: close\r\n"),
+        ("HTTP/1.0", ""),
+        ("HTTP/1.0", "Connection: keep-alive\r\n"),
+    ])
+    def test_close_and_http10_get_one_reply(self, daemon, version, extra):
+        _, client = daemon
+        with socket.create_connection((client.host, client.port)) as sock:
+            status, headers, reply = _exchange(sock, _run_request(version, extra, seed=9))
+            assert status == 200 and reply["ok"]
+            assert headers["connection"] == "close"
+            assert _closed_by_peer(sock)
+
+    @pytest.mark.parametrize("request_bytes, expected", [
+        (b"NONSENSE\r\n\r\n", 400),
+        (b"GET /health SPDY/9\r\n\r\n", 400),
+        (b"POST /run HTTP/1.1\r\nContent-Length: many\r\n\r\n", 400),
+        (b"POST /run HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", 413),
+        (b"POST /run HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 413),
+        (b"GET /health HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 400),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+    ], ids=["no-version", "not-http", "length-not-a-number", "length-over-1MiB",
+            "negative-length", "101-header-lines", "70kB-request-line"])
+    def test_unparseable_request_is_answered_then_closed(self, daemon, request_bytes,
+                                                         expected):
+        _, client = daemon
+        with socket.create_connection((client.host, client.port)) as sock:
+            status, headers, reply = _exchange(sock, request_bytes)
+            assert status == expected and reply["ok"] is False
+            assert headers["connection"] == "close"
+            assert _closed_by_peer(sock), "the stream cannot be resynchronised"
+        assert client.health()["ok"], "the daemon keeps serving"
+
+    def test_body_at_the_cap_is_read(self, daemon):
+        _, client = daemon
+        body = b" " * (1024**2 - 2) + b"{}"
+        with socket.create_connection((client.host, client.port)) as sock:
+            status, headers, reply = _exchange(
+                sock, b"POST /run HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n" + body)
+            assert status == 400 and "algo" in reply["message"]
+            assert headers["connection"] == "keep-alive", "parsed fine: stays open"
+
+    def test_client_reuses_its_connection(self, daemon):
+        _, client = daemon
+        client.health()
+        ((sock, _),) = client._conns.values()
+        client.run("triangles", dataset=DATASET, k=4, seed=9)
+        client.status()
+        assert list(client._conns.values())[0][0] is sock and len(client._conns) == 1
+
+    def test_one_client_shared_by_eight_threads(self, daemon):
+        _, client = daemon
+        client.run("pagerank", dataset=DATASET, k=4, seed=1)  # warm the key
+        errors, reports, socks = [], [], set()
+        barrier = threading.Barrier(8)
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(3):
+                    reports.append(client.run("pagerank", dataset=DATASET, k=4, seed=1))
+                socks.add(client._conns[threading.get_ident()][0])
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert errors == []
+        assert len(reports) == 24 and all(r["cached"] and r["n"] == 150 for r in reports)
+        assert len(socks) == 8, "one connection per calling thread"
+
+    def test_client_reconnects_after_a_daemon_restart(self):
+        with ReproServer(port=0).start_in_thread() as handle:
+            port = handle.port
+            client = ServeClient(handle.host, port)
+            first = client.run("triangles", dataset=DATASET, k=4, seed=9)
+        # The old daemon closed the idle connection; a new one owns the port.
+        with ReproServer(port=port).start_in_thread():
+            again = client.run("triangles", dataset=DATASET, k=4, seed=9)
+            assert again["cached"] is True and again["rounds"] == first["rounds"]
+        with pytest.raises(ServeError, match="no daemon"):
+            client.health()  # reused and dropped, then refused afresh
+        with pytest.raises(ServeError, match="no daemon"):
+            client.health()  # a fresh connection that is refused
+
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{\"ok\": tr",
+        b"HTTP/1.1 200 OK\r\nContent-Le",
+        b"garbage\r\n\r\n",
+    ], ids=["truncated-body", "truncated-headers", "not-http"])
+    def test_broken_reply_is_an_error_and_is_not_replayed(self, reply):
+        """Only a connection dropped *before any reply byte* earns a resend."""
+        requests = []
+        ok = b'{"ok": true}'
+        good = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(ok), ok)
+
+        def serve(listener):
+            conn, _ = listener.accept()
+            with conn:
+                for answer in (good, reply):  # the second reply is the broken one
+                    requests.append(conn.recv(65536))
+                    conn.sendall(answer)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=serve, args=(listener,))
+            server.start()
+            with ServeClient(port=listener.getsockname()[1], timeout=5.0) as client:
+                assert client.health() == {"ok": True}
+                with pytest.raises(ServeError, match="no daemon"):
+                    client.health()
+                assert client._conns == {}, "the broken connection is dropped"
+            server.join(timeout=5.0)
+        assert not server.is_alive() and len(requests) == 2
 
 
 class TestRunRequests:
@@ -129,10 +293,10 @@ class TestRunRequests:
         def worker():
             try:
                 barrier.wait()
-                own = ServeClient(client.host, client.port)
-                reports.append(
-                    own.run("pagerank", dataset=DATASET, k=4, seed=1)
-                )
+                with ServeClient(client.host, client.port) as own:
+                    reports.append(
+                        own.run("pagerank", dataset=DATASET, k=4, seed=1)
+                    )
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -161,6 +325,56 @@ class TestLifecycle:
         with pytest.raises(ServeError, match="no daemon"):
             client.health()
 
+    @pytest.mark.parametrize("how", ["endpoint", "handle"])
+    def test_shutdown_does_not_wait_for_idle_connections(self, how):
+        server = ReproServer(port=0)
+        handle = server.start_in_thread()
+        client = ServeClient(handle.host, handle.port)
+        client.wait_until_ready()
+        idle = [socket.create_connection((handle.host, handle.port)) for _ in range(3)]
+        assert _exchange(idle[0], b"GET /health HTTP/1.1\r\n\r\n")[0] == 200
+        idle[1].sendall(b"POST /run HTTP/1.1\r\nContent-Le")  # stalled mid-request
+        started = time.monotonic()
+        if how == "endpoint":
+            assert ServeClient(handle.host, handle.port).shutdown()["stopping"]
+            handle._thread.join(timeout=10.0)
+        else:
+            handle.stop()
+        assert not handle._thread.is_alive()
+        assert time.monotonic() - started < 5.0
+        assert _closed_by_peer(idle[0]) and _closed_by_peer(idle[2])
+        for sock in idle:
+            sock.close()
+        with pytest.raises(ServeError, match="no daemon"):
+            client.health()
+
+    def test_shutdown_lets_a_running_request_reply(self, monkeypatch):
+        import repro.runtime.session as session_mod
+
+        entered, release = threading.Event(), threading.Event()
+        real = session_mod._registry_run
+
+        def slow(name, data, k, **kwargs):
+            if not kwargs.get("cache_only"):
+                entered.set()
+                release.wait(10.0)
+            return real(name, data, k, **kwargs)
+
+        monkeypatch.setattr(session_mod, "_registry_run", slow)
+        handle = ReproServer(port=0).start_in_thread()
+        client = ServeClient(handle.host, handle.port)
+        replies = []
+        runner = threading.Thread(target=lambda: replies.append(
+            client.run("triangles", dataset=DATASET, k=4, seed=9)))
+        runner.start()
+        assert entered.wait(10.0)
+        assert ServeClient(handle.host, handle.port).shutdown()["stopping"]
+        release.set()
+        runner.join(timeout=10.0)
+        handle._thread.join(timeout=10.0)
+        assert not handle._thread.is_alive()
+        assert len(replies) == 1 and replies[0]["cached"] is False
+
     def test_client_error_when_no_daemon(self):
         client = ServeClient(port=1)  # nothing listens on port 1
         with pytest.raises(ServeError, match="no daemon"):
@@ -168,8 +382,8 @@ class TestLifecycle:
 
     def test_prewarm_materializes_before_traffic(self):
         server = ReproServer(port=0, prewarm=(DATASET,))
-        with server.start_in_thread() as handle:
-            client = ServeClient(handle.host, handle.port)
+        with server.start_in_thread() as handle, \
+                ServeClient(handle.host, handle.port) as client:
             client.wait_until_ready()
             assert client.status()["session"]["resident_datasets"] == 1
 
@@ -199,8 +413,8 @@ class TestAlerting:
             port=0, alert_rules=[AlertRule(**self.ERROR_RULE)],
             alert_interval=0.05, alert_sinks=(events.append,),
         )
-        with server.start_in_thread() as handle:
-            client = ServeClient(handle.host, handle.port)
+        with server.start_in_thread() as handle, \
+                ServeClient(handle.host, handle.port) as client:
             client.wait_until_ready()
             yield server, client, events
 

@@ -102,6 +102,134 @@ class TestRequestPath:
         assert session.stats()["cache_hits"] == 8
 
 
+class TestHitsNeverLoadTheDataset:
+    """A hit is keyed from the resident graph or the cache's sidecar."""
+
+    SPECS = [f"gnp:n={n},avg_deg=4,seed=5" for n in (90, 100, 110)]
+
+    def test_hit_on_an_evicted_dataset_does_not_materialize(self, store, monkeypatch):
+        from repro import workloads
+
+        with Session(result_cache=store, max_datasets=1) as session:
+            for spec in self.SPECS:  # each load evicts the one before
+                session.run("connectivity", dataset=spec, k=4, seed=1)
+            assert len(session.resident_datasets()) == 1
+
+            def no_loads(*args, **kwargs):
+                raise AssertionError("a hit must not load the dataset")
+
+            monkeypatch.setattr(workloads, "materialize", no_loads)
+            for spec, n in zip(self.SPECS, (90, 100, 110)):
+                report = session.run("connectivity", dataset=spec, k=4, seed=1)
+                assert report.cached and report.n == n
+            assert session.stats()["cache_hits"] == 3
+
+    def test_fresh_session_hits_from_the_sidecar_alone(self, store, monkeypatch):
+        from repro import workloads
+
+        spec = self.SPECS[0]
+        with Session(result_cache=store) as session:
+            first = session.run("mst", dataset=spec, k=4, seed=1)
+        monkeypatch.setattr(workloads, "materialize", None)  # would raise
+        with Session(result_cache=store) as session:
+            second = session.run("mst", dataset="gnp:seed=5,avg_deg=4.0,n=90", k=4, seed=1)
+            assert second.cached and second.n == first.n == 90
+            assert second.result.total_weight == first.result.total_weight
+            assert session.resident_datasets() == ()
+
+    def test_no_sidecar_falls_through_to_the_miss_path(self, store):
+        from repro import workloads
+
+        spec = self.SPECS[0]
+        with Session(result_cache=store) as session:
+            session.run("mst", dataset=spec, k=4, seed=1)
+        workloads.default_cache().evict(spec)
+        with Session(result_cache=store) as session:
+            report = session.run("mst", dataset=spec, k=4, seed=1)
+            # Rebuilt on the substrate thread; the run itself then finds
+            # the stored row.
+            assert report.cached
+            assert session.stats()["cache_hits"] == 0
+            assert len(session.resident_datasets()) == 1
+            assert session.run("mst", dataset=spec, k=4, seed=1).cached
+            assert session.stats()["cache_hits"] == 1
+
+
+class TestSubstrateThread:
+    def test_every_run_executes_on_one_thread(self, monkeypatch):
+        idents, callers = [], set()
+
+        def fake(name, data, k, **kwargs):
+            idents.append(threading.get_ident())
+            return "done"
+
+        monkeypatch.setattr(session_mod, "_registry_run", fake)
+        session = Session(result_cache=None, queue_limit=32)
+        barrier = threading.Barrier(8)
+
+        def worker():
+            callers.add(threading.get_ident())
+            barrier.wait()
+            for _ in range(2):
+                assert session.run("pagerank", k=4) == "done"
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert len(idents) == 16 and len(set(idents)) == 1
+        assert idents[0] not in callers
+        assert session.stats()["executed"] == 16
+        session.close()
+
+    def test_dataset_loads_happen_there_too(self, store, monkeypatch):
+        from repro import workloads
+
+        loaders = []
+        real = workloads.materialize
+
+        def recording(spec, *args, **kwargs):
+            loaders.append(threading.current_thread().name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(workloads, "materialize", recording)
+        with Session(result_cache=store) as session:
+            session.run("pagerank", dataset=DATASET, k=4, seed=1)
+            session.prewarm("gnp:n=100,avg_deg=4,seed=9")
+        assert len(loaders) == 2
+        assert all(name.startswith("repro-substrate") for name in loaders)
+
+    def test_zero_timeout_runs_on_an_idle_substrate(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "_registry_run",
+                            lambda name, data, k, **kwargs: "done")
+        with Session(result_cache=None, timeout=0.0) as session:
+            assert session.run("pagerank", k=4) == "done"
+            assert session.stats()["timeouts"] == 0
+
+    def test_timed_out_request_never_starts(self, monkeypatch):
+        release, entered, started = threading.Event(), threading.Event(), []
+
+        def fake(name, data, k, **kwargs):
+            started.append(name)
+            entered.set()
+            release.wait(10.0)
+            return name
+
+        monkeypatch.setattr(session_mod, "_registry_run", fake)
+        session = Session(result_cache=None)
+        thread = threading.Thread(target=session.run, args=("first",), kwargs={"k": 4})
+        thread.start()
+        assert entered.wait(5.0)
+        with pytest.raises(SessionTimeout):
+            session.run("second", k=4, timeout=0.05)
+        release.set()
+        thread.join(timeout=10.0)
+        assert session.run("third", k=4) == "third"
+        session.close()
+        assert started == ["first", "third"]
+
+
 class TestAdmissionControl:
     """Admission limits, tested against a controllable fake substrate."""
 

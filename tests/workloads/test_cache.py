@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.workloads.cache as cache_mod
 import repro.workloads.spec as spec_mod
 from repro.errors import WorkloadError
 from repro.workloads import DATA_DIR_ENV, GraphCache, materialize, parse_spec
@@ -162,6 +163,102 @@ class TestSizeCap:
         monkeypatch.setenv(CACHE_BYTES_ENV, "lots")
         with pytest.raises(WorkloadError, match="integer byte count"):
             GraphCache(root=tmp_path)
+
+
+class TestFullPassOnlyWhenDue:
+    """Stores charge a running total; the directory walk is occasional."""
+
+    SPECS = [f"gnp:n=200,avg_deg=4,seed={seed}" for seed in range(1, 6)]
+
+    @pytest.fixture
+    def full_passes(self, monkeypatch):
+        """Count enforce_cap calls; pin the rescan clock."""
+        calls, clock = [], {"now": 0.0}
+        real = GraphCache.enforce_cap
+
+        def counted(self, protect=None):
+            calls.append(protect)
+            return real(self, protect=protect)
+
+        monkeypatch.setattr(GraphCache, "enforce_cap", counted)
+        monkeypatch.setattr(cache_mod, "_clock", lambda: clock["now"])
+        return calls, clock
+
+    def test_first_store_scans_later_ones_only_charge(self, tmp_path, full_passes):
+        calls, _ = full_passes
+        cache = GraphCache(root=tmp_path)
+        graphs = [cache.materialize(spec) for spec in self.SPECS[:3]]
+        assert calls == [graphs[0].content_key], "only the root's first store"
+        for k in (2, 3, 4):
+            assert cache.store_shards(graphs[0].content_key, k, "feedfacef00d",
+                                      {"a": np.arange(8)}, {"k": k})
+        assert len(calls) == 1
+        on_disk = sum(p.stat().st_size for p in cache.graphs_dir.iterdir())
+        assert cache_mod._FOOTPRINTS[str(cache.root)][0] == on_disk
+        # Another instance on the same root (default_cache() builds one
+        # per call) shares the total.
+        GraphCache(root=tmp_path).materialize(self.SPECS[3])
+        assert len(calls) == 1
+
+    def test_cap_enforced_on_the_store_that_crosses_it(self, tmp_path, full_passes):
+        calls, _ = full_passes
+        probe = GraphCache(root=tmp_path / "probe")
+        probe.materialize(self.SPECS[0])
+        one = probe.entries()[0].nbytes
+        cache = GraphCache(root=tmp_path / "capped", max_bytes=int(2.5 * one))
+        for spec in self.SPECS[:2]:
+            cache.materialize(spec)
+        assert len(calls) == 2 and len(cache.entries()) == 2  # probe's + first store
+        cache.materialize(self.SPECS[2])  # would cross: full pass, oldest evicted
+        assert len(calls) == 3
+        kept = {entry.spec for entry in cache.entries()}
+        assert len(kept) == 2 and parse_spec(self.SPECS[2]).canonical() in kept
+        assert sum(e.nbytes for e in cache.entries()) <= cache.max_bytes
+        # The total restarts from what the scan found: the next store fits
+        # only if it says so.
+        cache.materialize(self.SPECS[3])
+        assert len(calls) == 4 and len(cache.entries()) == 2
+
+    def test_orphans_swept_on_first_store_and_after_the_interval(self, tmp_path, full_passes):
+        calls, clock = full_passes
+        cache = GraphCache(root=tmp_path)
+        cache.graphs_dir.mkdir(parents=True)
+
+        def plant_orphan():
+            orphan = cache.graphs_dir / ("0" * 32 + ".shards-k4-deadbeef0123.json")
+            orphan.write_text("{}")
+            return orphan
+
+        orphan = plant_orphan()
+        cache.materialize(self.SPECS[0])  # the process's first store to this root
+        assert not orphan.exists()
+        orphan = plant_orphan()
+        clock["now"] += cache_mod.RESCAN_SECONDS - 1
+        cache.materialize(self.SPECS[1])
+        assert orphan.exists() and len(calls) == 1, "inside the interval: no walk"
+        clock["now"] += 1
+        cache.materialize(self.SPECS[2])
+        assert not orphan.exists() and len(calls) == 2
+        orphan = plant_orphan()
+        cache.materialize(self.SPECS[3])
+        assert orphan.exists(), "the interval restarts at each full pass"
+
+    def test_info_reads_one_sidecar(self, cache, monkeypatch):
+        cache.materialize(SPEC)
+        cache.materialize("gnp:n=100,avg_deg=4,seed=1")
+        opened = []
+        real = cache_mod.Path.read_text
+
+        def recording(self, *args, **kwargs):
+            opened.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod.Path, "read_text", recording)
+        key = parse_spec(SPEC).content_hash()
+        assert cache.info(SPEC).key == key
+        assert cache.read_meta(key)["n"] == 500
+        assert opened == [f"{key}.json"] * 2
+        assert cache.read_meta("0" * 32) is None
 
 
 class TestAtomicity:
