@@ -19,11 +19,7 @@ versus the vectorized ``VectorEngine`` (identical round/message/bit
 counts, ``>= 3x`` wall-clock for the vector backend), and at
 ``n = 100_000`` the vectorized backend versus the multiprocessing
 ``ProcessEngine`` with 4 shard workers (identical counts; ``>= 1.5x``
-wall-clock asserted when the host has at least 4 CPUs), plus the
-resident-superstep comparison at ``n = 200_000``: the legacy
-ship-everything driver versus the worker-resident delta-shipping one on
-the same process engine (identical counts; full-scale floor tracked in
-``BENCH_shipping.json``).
+wall-clock asserted when the host has at least 4 CPUs).
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ N_GNP = 3000
 N_STAR = 2000
 N_ENGINE = 50_000
 N_PROCESS = 100_000
-N_RESIDENT = 200_000
 PROCESS_WORKERS = 4
 
 
@@ -140,43 +135,6 @@ def run_process_comparison(
     return timings, counts
 
 
-def run_resident_comparison(n=N_RESIDENT, k=8, workers=1, c=0.05):
-    """Identical counts, shipping cut: resident vs legacy supersteps.
-
-    Light-token regime run to termination on the process engine.  The
-    legacy driver rebuilds and ships O(n) token payloads every
-    iteration and merges outbox fragments parent-side; the resident
-    driver keeps the token/ψ tables worker-side and fuses delivery
-    application into the next dispatch, so each iteration is one
-    delta-only kernel round-trip.  Throughput is iterations per second
-    of *stream* time (first superstep excluded), so pool spawn and
-    graph publication do not dilute the ratio; one worker keeps the
-    measurement clean on small hosts.  The full-scale trajectory for
-    this comparison lives in ``BENCH_shipping.json``
-    (``benchmarks/bench_shipping.py``).
-    """
-    from repro.kmachine.parallel import shutdown_worker_pools
-
-    g = repro.random_regularish_graph(n, 8, seed=6)
-    B = log2ceil(n)
-    throughput: dict[str, float] = {}
-    counts: dict[str, tuple] = {}
-    try:
-        for label, resident in (("legacy", False), ("resident", True)):
-            rep = run_algorithm(
-                "pagerank", g, k, seed=7, c=c, bandwidth=B,
-                enable_heavy_path=False, engine="process", workers=workers,
-                resident=resident,
-            )
-            stream = rep.wall_seconds - (rep.first_superstep_seconds or 0.0)
-            throughput[label] = rep.result.iterations / max(stream, 1e-9)
-            counts[label] = (rep.rounds, rep.metrics.messages, rep.metrics.bits)
-    finally:
-        shutdown_worker_pools()
-    assert counts["legacy"] == counts["resident"], counts
-    return throughput, counts
-
-
 def run_star_sweep():
     g = repro.star_graph(N_STAR)
     B = log2ceil(N_STAR)
@@ -208,8 +166,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
     speedup = timings["message"] / timings["vector"]
     ptimings, pcounts = run_process_comparison()
     pspeedup = ptimings["vector"] / ptimings["process"]
-    rthroughput, rcounts = run_resident_comparison()
-    rspeedup = rthroughput["resident"] / rthroughput["legacy"]
 
     ks = gnp.column("k")
     fit_algo = fit_power_law(ks, gnp.column("algo1_first_iter"))
@@ -238,13 +194,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
         f"  vector: {ptimings['vector']:.3f}s   process: {ptimings['process']:.3f}s"
         f"   speedup: {pspeedup:.2f}x (target: >= 1.5x on >= 4 CPUs; "
         f"host has {os.cpu_count()})",
-        "",
-        f"resident supersteps (n={N_RESIDENT}, k=8, process/1 worker, "
-        f"identical counts {rcounts['legacy']}):",
-        f"  legacy: {rthroughput['legacy']:.1f} supersteps/s   "
-        f"resident: {rthroughput['resident']:.1f} supersteps/s"
-        f"   speedup: {rspeedup:.2f}x (full-scale floor: >= 1.5x, "
-        f"see BENCH_shipping.json)",
     ]
     emit("T4_pagerank_rounds", "\n".join(lines))
 
@@ -253,7 +202,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
     benchmark.extra_info["asymptotic_exponent"] = fit_asym.exponent
     benchmark.extra_info["engine_speedup"] = speedup
     benchmark.extra_info["process_speedup"] = pspeedup
-    benchmark.extra_info["resident_speedup"] = rspeedup
 
     # Shape assertions: Algorithm 1 scales clearly superlinearly, and the
     # large-n fit approaches the paper's -2; the baseline loses on the
@@ -286,5 +234,3 @@ def smoke():
         n=500, k=4, workers=2, max_iterations=2, c=0.5
     )
     assert pcounts["vector"] == pcounts["process"]
-    _, rcounts = run_resident_comparison(n=500, k=4, workers=2)
-    assert rcounts["legacy"] == rcounts["resident"]

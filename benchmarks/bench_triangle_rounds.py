@@ -18,10 +18,7 @@ superstep kernel since the universal-kernel refactor — dominates
 wall-clock at this scale and fans out across the worker pool, while the
 exchange and accounting layers stay byte-identical (counts asserted
 always; ``>= 1.5x`` wall-clock asserted when the host has at least 4
-CPUs).  A second comparison at the same scale pits the legacy
-ship-everything Phase-3 path against the worker-resident one (counts
-asserted identical; the shipping-cut floor is tracked at full scale in
-``BENCH_shipping.json``).
+CPUs).
 """
 
 from __future__ import annotations
@@ -160,43 +157,6 @@ def run_process_comparison(
     return timings, counts
 
 
-def run_resident_comparison(
-    n=N_PROCESS, k=K_PROCESS, workers=1, avg_degree=16.0, seed=6
-):
-    """Identical counts, shipping cut: resident vs legacy wall-clock.
-
-    The resident Phase-3 path keeps each machine's received-edge tables
-    worker-side and assembles the enumeration outbox in the workers, so
-    the parent never re-ships or re-merges per-machine edge payloads.
-    One worker keeps the comparison a pure shipping measurement on
-    small hosts (the parallel-compute story is
-    :func:`run_process_comparison`).
-    """
-    from repro.kmachine.parallel import shutdown_worker_pools
-
-    g = repro.gnp_random_graph(n, avg_degree / n, seed=seed)
-    B = log2ceil(n)
-    timings: dict[str, float] = {}
-    counts: dict[str, tuple] = {}
-    try:
-        for label, resident in (("legacy", False), ("resident", True)):
-            rep = run_algorithm(
-                "triangles", g, k, seed=7, bandwidth=B, engine="process",
-                workers=workers, resident=resident,
-            )
-            timings[label] = rep.wall_seconds - (rep.first_superstep_seconds or 0.0)
-            counts[label] = (
-                rep.rounds,
-                rep.metrics.messages,
-                rep.metrics.bits,
-                rep.result.count,
-            )
-    finally:
-        shutdown_worker_pools()
-    assert counts["legacy"] == counts["resident"], counts
-    return timings, counts
-
-
 def bench_t5_triangle_round_scaling(benchmark):
     dense, sparse, ablation, asym = benchmark.pedantic(
         lambda: (
@@ -210,8 +170,6 @@ def bench_t5_triangle_round_scaling(benchmark):
     )
     ptimings, pcounts = run_process_comparison()
     pspeedup = ptimings["vector"] / ptimings["process"]
-    rtimings, rcounts = run_resident_comparison()
-    rspeedup = rtimings["legacy"] / max(rtimings["resident"], 1e-9)
 
     ks = dense.column("k")
     fit_ours = fit_power_law(ks, dense.column("theorem5_rounds"))
@@ -241,19 +199,11 @@ def bench_t5_triangle_round_scaling(benchmark):
         f"  vector: {ptimings['vector']:.3f}s   process: {ptimings['process']:.3f}s"
         f"   speedup: {pspeedup:.2f}x (target: >= 1.5x on >= 4 CPUs; "
         f"host has {os.cpu_count()})",
-        "",
-        f"resident supersteps (n={N_PROCESS}, k={K_PROCESS}, "
-        f"process/1 worker, identical counts {rcounts['legacy']}):",
-        f"  legacy: {rtimings['legacy']:.3f}s stream   "
-        f"resident: {rtimings['resident']:.3f}s stream"
-        f"   speedup: {rspeedup:.2f}x (shipping cut; full-scale "
-        f"PageRank floor tracked in BENCH_shipping.json)",
     ]
     emit("T5_triangle_rounds", "\n".join(lines))
     benchmark.extra_info["theorem5_exponent"] = fit_ours.exponent
     benchmark.extra_info["asymptotic_exponent"] = fit_asym.exponent
     benchmark.extra_info["process_speedup"] = pspeedup
-    benchmark.extra_info["resident_speedup"] = rspeedup
 
     # Shape: Theorem 5 wins against both baselines at every k; the
     # large-n fit approaches the paper's -5/3; proxies cut the worst
@@ -282,5 +232,3 @@ def smoke():
     assert ours.count == conv.count
     _, pcounts = run_process_comparison(n=400, k=8, workers=2, avg_degree=10.0)
     assert pcounts["vector"] == pcounts["process"]
-    _, rcounts = run_resident_comparison(n=400, k=8, workers=2, avg_degree=10.0)
-    assert rcounts["legacy"] == rcounts["resident"]

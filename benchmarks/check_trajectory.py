@@ -36,10 +36,6 @@ CHECKS: dict[str, list[tuple]] = {
         ("warm_first_superstep_seconds", "<", 1.0),
         ("warm_speedup_vs_rebuild", ">=", 5.0),
     ],
-    "shipping": [
-        ("resident_speedup", ">=", 1.5),
-        ("resident_assemble_seconds", ">=", 0.0),  # i.e. measured, not null
-    ],
 }
 
 _OPS = {

@@ -126,71 +126,28 @@ def main() -> None:
     # releases its pool *warm* on completion, and the next process-engine
     # run with the same worker count reuses the same worker processes
     # (and any still-published shared-memory graph stores) — no respawn,
-    # no re-publication.  Explicit teardown: repro.shutdown_worker_pools();
-    # REPRO_WARM_POOL=0 restores run-scoped pools (skipping this demo).
+    # no re-publication.  Explicit teardown: repro.shutdown_worker_pools().
     from repro.kmachine import active_pools
-    from repro.kmachine.parallel import warm_pools_enabled
 
-    if warm_pools_enabled():
-        repro.shutdown_worker_pools()
-        start = time.perf_counter()
-        repro.runtime.run(
-            "triangles", g, k, seed=seed, engine="process", workers=workers
-        )
-        cold = time.perf_counter() - start
-        (pool,) = active_pools()
-        pids = pool.pids
-        start = time.perf_counter()
-        repro.runtime.run(
-            "triangles", g, k, seed=seed, engine="process", workers=workers
-        )
-        warm = time.perf_counter() - start
-        assert active_pools() == (pool,) and pool.pids == pids  # same processes
-        print(f"\nWarm worker pools ({workers} workers, pids {list(pids)})")
-        print(
-            f"  first run (spawns pool): {cold:.3f}s   "
-            f"second run (reuses pool): {warm:.3f}s"
-        )
-        repro.shutdown_worker_pools()
-
-    # --- Resident supersteps (engine="process") -------------------------
-    # By default the process engine runs drivers on the *resident* path
-    # (REPRO_RESIDENT=0 restores the legacy one): per-machine driver
-    # state is installed into the owning workers once
-    # (cluster.install_resident), each superstep ships only deltas, and
-    # kernels assemble their outbox fragments worker-side
-    # (map_machines(..., assemble=...)) so one aggregate per worker
-    # crosses the pipe instead of k per-machine results.  Results stay
-    # bit-identical; a traced run shows the shipping cost move out of
-    # ship_s into the new assemble_s sub-span.
-    from repro.obs import Tracer as _Tracer
-    from repro.obs import read_trace as _read_trace  # noqa: F401 (CLI parity)
-
-    def _map_segments(tracer):
-        maps = [e for e in tracer.events
-                if e.get("event") == "phase" and e.get("op") == "map_machines"]
-        totals: dict[str, float] = {}
-        for e in maps:
-            for name, s in (e.get("segments") or {}).items():
-                totals[name] = totals.get(name, 0.0) + s
-        return totals
-
-    runs = {}
-    for label, resident in (("legacy", False), ("resident", True)):
-        tracer = _Tracer()
-        runs[label] = repro.runtime.run(
-            "pagerank", big, 8, seed=seed, c=2, max_iterations=2,
-            engine="process", workers=workers, resident=resident,
-            trace=tracer,
-        )
-        runs[label + "_seg"] = _map_segments(tracer)
-    assert (runs["legacy"].result.estimates
-            == runs["resident"].result.estimates).all()
-    print("\nResident supersteps (worker-resident state + outbox assembly)")
-    for label in ("legacy", "resident"):
-        seg = runs[label + "_seg"]
-        spans = "  ".join(f"{k2}={v:.3f}s" for k2, v in sorted(seg.items()))
-        print(f"  {label:>8}: {spans}")
+    repro.shutdown_worker_pools()
+    start = time.perf_counter()
+    repro.runtime.run(
+        "triangles", g, k, seed=seed, engine="process", workers=workers
+    )
+    cold = time.perf_counter() - start
+    (pool,) = active_pools()
+    pids = pool.pids
+    start = time.perf_counter()
+    repro.runtime.run(
+        "triangles", g, k, seed=seed, engine="process", workers=workers
+    )
+    warm = time.perf_counter() - start
+    assert active_pools() == (pool,) and pool.pids == pids  # same processes
+    print(f"\nWarm worker pools ({workers} workers, pids {list(pids)})")
+    print(
+        f"  first run (spawns pool): {cold:.3f}s   "
+        f"second run (reuses pool): {warm:.3f}s"
+    )
     repro.shutdown_worker_pools()
 
     # --- The runtime registry -------------------------------------------

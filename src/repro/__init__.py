@@ -48,6 +48,40 @@ independent axes:
    cache; ``runtime.run(name, dataset=...)`` and ``python -m repro data``
    consume them, and reloaded datasets reuse materialized shards.
 
+Environment switches
+--------------------
+Every ``REPRO_*`` variable the package reads.  Each is read where it is
+used (there is no settings module), and ``tests/test_env_switches.py``
+fails when a name occurs in ``src/`` without a row here.  None of them
+selects between two implementations of one computation: every algorithm
+family has one driver on every engine.
+
+========================= =============== ===================== ====================================
+name                      default         reader                why it is configurable
+========================= =============== ===================== ====================================
+``REPRO_DATA_DIR``        ~/.cache/repro  workloads/cache.py    deployment path: the dataset cache
+                                                                root (CI and tests use a tmp dir)
+``REPRO_CACHE_BYTES``     4 GiB           workloads/cache.py    that cache's disk budget, which
+                                                                differs per host
+``REPRO_RESULT_DB``       results.sqlite  serve/results.py      deployment path: the sqlite result
+                          in cache root                         cache of the serve daemon
+``REPRO_BUILD_JOBS``      1 (serial)      workloads/spec.py     CPUs a dataset build may use; the
+                                                                graph is bit-identical at any value
+``REPRO_SHARD_SNAPSHOTS`` on              kmachine/distgraph.py ``0`` neither writes nor reads shard
+                                                                snapshots: the A/B lever of
+                                                                benchmarks/bench_coldstart.py
+``REPRO_TRACE``           unset (off)     obs/trace.py          output path: trace any run without
+                                                                editing its call site
+``REPRO_ALERT_RULES``     unset (none)    obs/alerts.py         deployment config: the daemon's
+                                                                rule file, ``default`` or ``none``
+``REPRO_ENGINE`` [*]      vector          benchmarks/_common.py CI runs one bench suite per backend
+``REPRO_WORKERS`` [*]     CPU count       benchmarks/_common.py worker-pool size when that is
+                                                                ``process``
+========================= =============== ===================== ====================================
+
+[*] Not read by the package: only the paper-table benches consult them.
+The library and the CLI take ``engine=`` / ``workers=`` arguments.
+
 Quickstart::
 
     from repro import gnp_random_graph, distributed_pagerank, runtime

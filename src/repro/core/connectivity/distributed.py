@@ -67,7 +67,6 @@ def connected_components_distributed(
     engine: str = "message",
     cluster=None,
     distgraph=None,
-    resident: bool | None = None,
 ) -> ConnectivityResult:
     """Compute connected components of ``graph`` with ``k`` machines.
 
@@ -88,7 +87,6 @@ def connected_components_distributed(
         engine=engine,
         cluster=cluster,
         distgraph=distgraph,
-        resident=resident,
     )
     # Canonicalize each Borůvka root label to its first, i.e. smallest, vertex.
     roots, first, inverse = np.unique(labels, return_index=True, return_inverse=True)

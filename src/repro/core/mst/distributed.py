@@ -53,7 +53,6 @@ from repro.graphs.graph import Graph
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import resident_enabled
 from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
 from repro.core.mst.reference import checked_weights
@@ -90,15 +89,15 @@ def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarr
     return [{"edge": e, "own": o} for e, o in zip(edge, own)]
 
 
-def _mwoe_scan_task(ctx, machine: int, rng, payload, state=None, *,
+def _mwoe_scan_task(ctx, machine: int, rng, payload, state, *,
                     labels: np.ndarray, crossing: np.ndarray) -> dict:
     """Superstep kernel: one machine's local Borůvka component scan.
 
-    The machine's incidence table (:func:`_incidence_tables`) arrives as
-    resident ``state`` or, with residency off, as the ``payload``; the
-    per-phase input either way is the broadcast ``labels`` and, per
-    edge, whether its endpoints' labels differ (``crossing`` — what flow
-    1 tells the endpoints' homes).  Rows are in edge-rank order, so the
+    ``state`` is the machine's resident incidence table
+    (:func:`_incidence_tables`); the per-phase input is the broadcast
+    ``labels`` and, per edge, whether its endpoints' labels differ
+    (``crossing`` — what flow 1 tells the endpoints' homes), so the
+    per-machine ``payload`` is empty.  Rows are in edge-rank order, so the
     minimum-weight outgoing edge of each component present here is its
     first crossing row: a ``minimum`` scatter of row positions — well
     defined however duplicates are visited, unlike a duplicate-index
@@ -106,12 +105,11 @@ def _mwoe_scan_task(ctx, machine: int, rng, payload, state=None, *,
     components ascending.  No RNG draws, so engines agree trivially; the
     process backend fans the scans out across shard workers.
     """
-    table = payload if state is None else state
-    rows = np.flatnonzero(crossing[table["edge"]])
+    rows = np.flatnonzero(crossing[state["edge"]])
     first = np.full(labels.size, rows.size, dtype=np.int64)
-    np.minimum.at(first, labels[table["own"][rows]], np.arange(rows.size))
+    np.minimum.at(first, labels[state["own"][rows]], np.arange(rows.size))
     comp = np.flatnonzero(first < rows.size)
-    return {"comp": comp, "edge": table["edge"][rows[first[comp]]]}
+    return {"comp": comp, "edge": state["edge"][rows[first[comp]]]}
 
 
 @dataclass
@@ -170,7 +168,6 @@ def boruvka_forest(
     engine: str = "message",
     cluster: Cluster | None = None,
     distgraph: DistributedGraph | None = None,
-    resident: bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, Metrics]:
     """Run the accounted Borůvka phases; the driver behind both families.
 
@@ -195,7 +192,7 @@ def boruvka_forest(
     labels = np.arange(n, dtype=np.int64)
     chosen = np.zeros(m, dtype=bool)
     phases = 0
-    tables = handle = None
+    handle = None
     # Flow 1 is the same load every phase: the placement is constant.
     eh0, eh1 = dg.edge_homes
     one_way, local = unit_load_matrix(eh1, eh0, k)
@@ -215,22 +212,22 @@ def boruvka_forest(
             )
 
             # ---- Flow 2: candidate MWOE per (machine, component) -> proxy. ----
-            if tables is None:
+            if handle is None:
                 # Per-run precomputation, after the first accounted flow so
                 # the time to first superstep activity does not pay for it.
                 # Total order on edges: (weight, index) — makes the MSF unique.
                 by_rank = np.argsort(weights, kind="stable")
                 rank_of = np.empty(m, dtype=np.int64)
                 rank_of[by_rank] = np.arange(m)
-                tables = _incidence_tables(dg, edges, by_rank)
-                if resident_enabled(resident):
-                    # Tables live with their machine; only the labels and
-                    # the crossing bitmap ship each phase.
-                    handle = cluster.install_resident(tables, distgraph=dg)
+                # Tables live with their machine; only the labels and
+                # the crossing bitmap ship each phase.
+                handle = cluster.install_resident(
+                    _incidence_tables(dg, edges, by_rank), distgraph=dg
+                )
             scans = cluster.map_machines(
                 _mwoe_scan_task,
                 dg,
-                [None] * k if handle is not None else tables,
+                [None] * k,
                 common={"labels": labels, "crossing": crossing},
                 resident=handle,
             )
@@ -302,7 +299,6 @@ def distributed_mst(
     engine: str = "message",
     cluster: Cluster | None = None,
     distgraph: DistributedGraph | None = None,
-    resident: bool | None = None,
 ) -> MSTResult:
     """Compute the minimum spanning forest of ``graph`` with ``k`` machines.
 
@@ -311,17 +307,14 @@ def distributed_mst(
     All four flows are accounted at aggregate level through the chosen
     execution ``engine`` backend.
 
-    ``resident`` (default: the ``REPRO_RESIDENT`` switch) installs each
-    machine's edge-incidence table as worker-resident state once, so per
-    phase only the current labels and the per-edge crossing bitmap ship
-    to the MWOE scans instead of the tables; results are bit-identical
-    either way.
+    Each machine's edge-incidence table is installed as worker-resident
+    state once, so per phase only the current labels and the per-edge
+    crossing bitmap ship to the MWOE scans, not the tables.
     """
     weights = checked_weights(graph, weights)
     forest, labels, phases, metrics = boruvka_forest(
         graph, weights, k, seed=seed, bandwidth=bandwidth, partition=partition,
         max_phases=max_phases, engine=engine, cluster=cluster, distgraph=distgraph,
-        resident=resident,
     )
     return MSTResult(
         edges=graph.edges[forest],

@@ -37,7 +37,7 @@ from repro.graphs.graph import Graph
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import MessageBatch, resident_enabled
+from repro.kmachine.engine import MessageBatch
 from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
 from repro.core.pagerank.result import IterationStats, PageRankResult
@@ -85,7 +85,6 @@ def distributed_pagerank(
     sources: np.ndarray | None = None,
     engine: str = "message",
     distgraph: DistributedGraph | None = None,
-    resident: bool | None = None,
 ) -> PageRankResult:
     """Run Algorithm 1 on ``graph`` with ``k`` machines.
 
@@ -128,12 +127,6 @@ def distributed_pagerank(
         A prebuilt :class:`~repro.kmachine.distgraph.DistributedGraph`
         whose shards are reused (e.g. across runs sharing a partition);
         built internally when omitted.
-    resident:
-        Use the resident-superstep driver (worker-held token/ψ tables,
-        worker-side outbox assembly); the default follows
-        ``REPRO_RESIDENT`` (on unless set falsy).  Both drivers are
-        bit-identical on every engine — the resident one just ships
-        per-iteration deltas instead of full token arrays.
 
     Returns
     -------
@@ -172,10 +165,7 @@ def distributed_pagerank(
         tokens[sources] = t0
         num_sources = int(sources.size)
     psi = tokens.copy()  # every token visits its birth vertex
-    driver_cls = (
-        _ResidentPageRankDriver if resident_enabled(resident) else _PageRankDriver
-    )
-    driver = driver_cls(
+    driver = _PageRankDriver(
         cluster=cluster,
         distgraph=dg,
         tokens=tokens,
@@ -189,10 +179,13 @@ def distributed_pagerank(
     # terminated by the default), so exhausting it returns partial state.
     try:
         cluster.run_driver(driver, max_steps=max_iterations, on_exhaust="return")
-        # The resident driver's ψ table lives worker-side; pull it back
-        # while the pool is still held (before any close below).
+        # The ψ table lives with the machines; pull it back while the
+        # pool is still held (before any close below).
         driver.finish(cluster)
     finally:
+        # A failed run pulls nothing, but on a caller's cluster its tables
+        # must not stay installed in the workers until that cluster closes.
+        cluster.drop_resident(driver.handle)
         # A cluster this call built is this call's to clean up: with the
         # process backend that shuts the worker pool down deterministically
         # instead of waiting for garbage collection.
@@ -213,23 +206,71 @@ def distributed_pagerank(
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _move_live_tokens(
-    ctx, rng, vertices, counts, eps: float,
-    heavy_threshold: int, enable_heavy_path: bool,
-) -> tuple:
-    """One machine's token moves (Algorithm 1, lines 5-23).
+def _install_token_states(dg: DistributedGraph, tokens: np.ndarray,
+                          psi: np.ndarray) -> list[dict]:
+    """Per-machine resident state for :class:`_PageRankDriver`.
 
-    ``vertices``/``counts`` are the machine's live vertices and their
-    token counts; every count is consumed (terminated, absorbed, or
-    emitted).  Returns the aggregated light α entries ``(dv, dc)`` and
-    the heavy β entries ``(hv, hdst, hc)`` in emission order, local and
-    remote destinations alike.  This is the only place the move kernels
-    draw, so both make the same draws: termination, light picks, then
-    one batched heavy multinomial.
+    ``tokens``/``psi`` hold the machine's hosted slice (local index =
+    position in the sorted ``parts[i]``); ``active`` is the invariant
+    ``flatnonzero(tokens > 0)`` maintained incrementally so a superstep
+    costs ``O(live)`` instead of ``O(n_i)``.  ``pending_*`` (free local
+    light deliveries, local indices) and ``local_heavy_*`` (same-machine
+    β rows, emission order) buffer intra-iteration carry-over between
+    a move and the apply that follows it.
     """
+    return [
+        {
+            "tokens": tokens[verts],
+            "psi": psi[verts],
+            "active": np.flatnonzero(tokens[verts] > 0),
+            "pending_v": _EMPTY, "pending_c": _EMPTY,
+            "local_heavy_v": _EMPTY, "local_heavy_c": _EMPTY,
+        }
+        for verts in dg.parts
+    ]
+
+
+def _step_tokens_task(
+    ctx, machine: int, rng, payload, state, *, eps: float,
+    heavy_threshold: int, enable_heavy_path: bool,
+) -> dict:
+    """Superstep kernel: fused apply+move, one dispatch per iteration.
+
+    ``ctx`` is the machine's graph context — the
+    :class:`~repro.kmachine.distgraph.DistributedGraph` on the inline
+    engines, a shared-memory
+    :class:`~repro.kmachine.parallel.store.SharedGraphView` in a process
+    worker — and ``state`` its tables from :func:`_install_token_states`.
+
+    ``payload`` is the *previous* iteration's deliveries (``None`` on the
+    first superstep): folding them in here instead of in a trailing
+    dispatch halves the per-iteration kernel round-trips, and apply(it)
+    draws still precede move(it+1) draws on each machine's private
+    stream.  The move (Algorithm 1, lines 5-23) then consumes every live
+    count — terminated, absorbed, or emitted — drawing termination,
+    light picks, then one batched heavy multinomial.  Only the *remote*
+    rows are returned, in emission order: light α rows (``light_*``,
+    with ``light_dst`` resolved here so the parent never touches per-row
+    data) and heavy β rows (``heavy_*``).  Free local light deliveries
+    land in ``state["pending_*"]`` and same-machine β rows in
+    ``state["local_heavy_*"]`` for :func:`_apply_tokens_task`.
+
+    ``local_live`` reports the tokens this move parked machine-locally;
+    because the heavy re-sampling in
+    :func:`~repro.core.pagerank.tokens.receive_heavy_tokens` conserves
+    counts, the parent recovers each machine's post-apply live total as
+    ``local_live + delivered light + delivered heavy`` without waiting
+    for the apply.
+    """
+    if payload is not None:
+        _apply_tokens_task(ctx, machine, rng, payload, state)
+    verts = ctx.parts[machine]
     indptr, indices = ctx.graph.indptr, ctx.graph.indices
+    tok = state["tokens"]
+    act = state["active"]  # invariant: flatnonzero(tok > 0)
+    vertices = verts[act]
     # Lines 5-6: terminate each token with probability eps.
-    counts = terminate_tokens(counts, eps, rng)
+    counts = terminate_tokens(tok[act], eps, rng)
     # Out-degree-0 vertices absorb their tokens.
     keep = (counts > 0) & (indptr[vertices + 1] > indptr[vertices])
     vertices, counts = vertices[keep], counts[keep]
@@ -243,82 +284,111 @@ def _move_live_tokens(
     hv, hdst, hc = move_heavy_tokens(
         vertices[is_heavy], counts[is_heavy], indptr, ctx.nbr_home, ctx.k, rng
     )
-    return dv, dc, hv, hdst, hc
-
-
-def _move_tokens_task(
-    ctx, machine: int, rng, tokens_local, eps: float,
-    heavy_threshold: int, enable_heavy_path: bool,
-) -> dict:
-    """Superstep kernel: one machine's token moves (Algorithm 1, lines 5-23).
-
-    ``ctx`` is the machine's graph context — the
-    :class:`~repro.kmachine.distgraph.DistributedGraph` on the inline
-    engines, a shared-memory
-    :class:`~repro.kmachine.parallel.store.SharedGraphView` in a process
-    worker.  ``tokens_local`` holds the token counts of
-    ``ctx.parts[machine]``; every count is consumed (terminated,
-    absorbed, or emitted), so the caller resets the hosted range.
-
-    Returns columnar outbox fragments: free local deliveries
-    (``incoming_*``), remote light α rows (``light_*``), remote heavy β
-    rows (``heavy_*``), and same-machine heavy counts (``local_heavy_*``,
-    re-sampled after the exchange with this same machine's stream).  The
-    RNG draw sequence is exactly the historical inline loop's, on either
-    backend.
-    """
-    tok = np.asarray(tokens_local, dtype=np.int64)
-    act = np.flatnonzero(tok > 0)
-    dv, dc, hv, hdst, hc = _move_live_tokens(
-        ctx, rng, ctx.parts[machine][act], tok[act],
-        eps, heavy_threshold, enable_heavy_path,
-    )
+    tok[act] = 0  # every live count was consumed above
+    state["active"] = _EMPTY
     # Local deliveries are free; remote ones form the α / β rows.
     homes = ctx.home[dv]
     local = homes == machine
     local_heavy = hdst == machine
+    state["pending_v"] = np.searchsorted(verts, dv[local])
+    state["pending_c"] = dc[local]
+    state["local_heavy_v"] = hv[local_heavy]
+    state["local_heavy_c"] = hc[local_heavy]
     return {
-        "incoming_v": dv[local], "incoming_c": dc[local],
         "light_dst": homes[~local], "light_v": dv[~local], "light_c": dc[~local],
         "heavy_dst": hdst[~local_heavy],
         "heavy_v": hv[~local_heavy], "heavy_c": hc[~local_heavy],
-        "local_heavy_v": hv[local_heavy], "local_heavy_c": hc[local_heavy],
+        "local_live": int(state["pending_c"].sum() + state["local_heavy_c"].sum()),
     }
 
 
-def _receive_heavy_task(ctx, machine: int, rng, payload) -> tuple:
-    """Superstep kernel: re-sample delivered heavy counts (lines 31-36).
+def _assemble_token_outbox(machines, results) -> dict:
+    """Pack one group's move fragments into a columnar outbox.
 
-    ``payload["vertex"]/["count"]`` are the machine's delivered β rows in
-    canonical order; ``payload["local_vertex"]/["local_count"]`` the
-    same-machine heavy counts in emission order — together exactly the
-    sequence the inline loop re-sampled with this machine's stream.
-    Returns ``(dest_vertices, dest_counts)`` contributions, one entry per
-    row and landing vertex.
+    Runs worker-side on the process engine (one aggregate per worker)
+    and inline otherwise (one aggregate covering all machines).  Rows
+    keep per-machine emission order within the group, which is all the
+    canonical delivery order needs.  ``live_m``/``live_c`` carry each
+    member machine's ``local_live`` count back alongside the outbox.
     """
-    return receive_heavy_tokens(
-        np.concatenate([payload["vertex"], payload["local_vertex"]]),
-        np.concatenate([payload["count"], payload["local_count"]]),
+    cols: dict[str, list[np.ndarray]] = {
+        "light_src": [], "light_dst": [], "light_v": [], "light_c": [],
+        "heavy_src": [], "heavy_dst": [], "heavy_v": [], "heavy_c": [],
+    }
+    for m, res in zip(machines, results):
+        if res["light_v"].size:
+            cols["light_src"].append(np.full(res["light_v"].size, m, dtype=np.int64))
+            for name in ("light_dst", "light_v", "light_c"):
+                cols[name].append(res[name])
+        if res["heavy_v"].size:
+            cols["heavy_src"].append(np.full(res["heavy_v"].size, m, dtype=np.int64))
+            for name in ("heavy_dst", "heavy_v", "heavy_c"):
+                cols[name].append(res[name])
+    out = {
+        name: (np.concatenate(parts) if parts else _EMPTY)
+        for name, parts in cols.items()
+    }
+    out["live_m"] = np.asarray(list(machines), dtype=np.int64)
+    out["live_c"] = np.array([r["local_live"] for r in results], dtype=np.int64)
+    return out
+
+
+def _apply_tokens_task(ctx, machine: int, rng, payload, state) -> int:
+    """Superstep kernel: apply one iteration's deliveries (lines 31-36).
+
+    ``payload`` carries the machine's delivered light rows (canonical
+    order) and delivered heavy β rows (canonical order); the heavy rows
+    are re-sampled into concrete neighbors with this machine's stream —
+    delivered rows first, then the buffered same-machine rows in
+    emission order.  All contributions are positive, so the new
+    ``active`` set is just the unique touched indices.  Returns the
+    number of tokens applied.
+    """
+    verts = ctx.parts[machine]
+    tok, psi = state["tokens"], state["psi"]
+    dv, dc = receive_heavy_tokens(
+        np.concatenate([payload["hvertex"], state["local_heavy_v"]]),
+        np.concatenate([payload["hcount"], state["local_heavy_c"]]),
         machine, ctx.graph.indptr, ctx.graph.indices, ctx.nbr_home, rng,
     )
+    delivered = np.searchsorted(verts, np.concatenate([payload["vertex"], dv]))
+    idx = np.concatenate([state["pending_v"], delivered])
+    cnt = np.concatenate([state["pending_c"], payload["count"], dc])
+    state["pending_v"] = state["pending_c"] = _EMPTY
+    state["local_heavy_v"] = state["local_heavy_c"] = _EMPTY
+    # One integer segment-sum over the touched indices feeds both tables.
+    active, inverse = np.unique(idx, return_inverse=True)
+    added = np.zeros(active.size, dtype=np.int64)
+    np.add.at(added, inverse, cnt)
+    tok[active] += added
+    psi[active] += added
+    state["active"] = active
+    return int(cnt.sum())
 
 
 class _PageRankDriver:
     """BSP driver: one Algorithm-1 walk iteration per superstep.
 
-    Per-machine compute is expressed as two superstep kernels —
-    :func:`_move_tokens_task` (token kinematics, emitting columnar
-    outbox fragments) and :func:`_receive_heavy_task` (heavy-row
-    re-sampling) — dispatched through :meth:`Cluster.map_machines`, so
-    the inline engines run them serially while the process backend fans
-    them out to shard workers, with identical per-machine draw order
-    either way.  The merged traffic forms two columnar streams —
-    ``pr-light`` (``<α[v], dest: v>``) and ``pr-heavy``
-    (``<β[j], src: u>``) count messages — exchanged in a single
-    communication phase, so every execution backend charges the same
-    ``max_ij ceil(L_ij / B)`` rounds the per-object simulator did.
+    The per-machine token and ψ tables are installed once as resident
+    state (:func:`_install_token_states`) and every iteration is one
+    :meth:`Cluster.map_machines` dispatch of :func:`_step_tokens_task` —
+    serial on the inline engines, fanned out to shard workers on the
+    process backend, with identical per-machine draw order either way —
+    carrying the previous deliveries in and the remote α/β rows out, so
+    per-iteration work is proportional to live tokens rather than ``n``.
+    The rows, assembled group-side (:func:`_assemble_token_outbox`),
+    form two columnar streams — ``pr-light`` (``<α[v], dest: v>``) and
+    ``pr-heavy`` (``<β[j], src: u>``) count messages — exchanged in a
+    single communication phase, so every execution backend charges the
+    same ``max_ij ceil(L_ij / B)`` rounds the per-object simulator did.
     Control traffic (liveness flags, verdict broadcast) stays on the
     message-level fallback path.
+
+    Live counts (the termination signal) are recovered parent-side from
+    ``local_live`` plus delivered counts (token moves conserve counts),
+    and :meth:`finish` issues one trailing apply so the pulled tables
+    always include the last deliveries.  The apply is draw-neutral when
+    it has no heavy rows.
     """
 
     def __init__(
@@ -332,10 +402,7 @@ class _PageRankDriver:
         enable_heavy_path: bool,
         vid_bits: int,
     ) -> None:
-        self.cluster = cluster
         self.dg = distgraph
-        self.parts = distgraph.parts
-        self.tokens = tokens
         self.psi = psi
         self.eps = eps
         self.heavy_threshold = heavy_threshold
@@ -343,65 +410,69 @@ class _PageRankDriver:
         self.vid_bits = vid_bits
         self.iteration = 0
         self.stats: list[IterationStats] = []
+        self.handle = cluster.install_resident(
+            _install_token_states(distgraph, tokens, psi), distgraph=distgraph,
+        )
+        self._carry: list | None = None  # deliveries awaiting fold-in
 
     def finish(self, cluster: Cluster) -> None:
-        """Post-loop hook; driver state already lives in the parent."""
+        """Pull the machines' ψ tables back into the parent array."""
+        if self._carry is not None:
+            # Fold the final iteration's deliveries in (a draw-free
+            # no-op when the run terminated with zero live tokens).
+            cluster.map_machines(
+                _apply_tokens_task, self.dg, self._carry, resident=self.handle,
+            )
+            self._carry = None
+        states = cluster.pull_resident(self.handle)
+        for verts, st in zip(self.dg.parts, states):
+            self.psi[verts] = st["psi"]
 
     def step(self, cluster: Cluster, state=None) -> bool:
         it = self.iteration
         self.iteration += 1
-        tokens = self.tokens
-        incoming = np.zeros(tokens.size, dtype=np.int64)
+        k = cluster.k
 
-        moved = cluster.map_machines(
-            _move_tokens_task,
+        groups = cluster.map_machines(
+            _step_tokens_task,
             self.dg,
-            [tokens[verts] for verts in self.parts],
+            self._carry if self._carry is not None else [None] * k,
             common={
                 "eps": self.eps,
                 "heavy_threshold": self.heavy_threshold,
                 "enable_heavy_path": self.enable_heavy_path,
             },
+            resident=self.handle,
+            assemble=_assemble_token_outbox,
         )
-        # Every hosted token was consumed by the kernel (terminated,
-        # absorbed, or emitted as an α/β row), so the global array resets
-        # to the incoming counts alone — the inline loop's net effect.
-        tokens[:] = 0
-
-        # Columnar outboxes: per-machine row fragments, concatenated in
-        # machine (emission) order into one light and one heavy stream.
-        merged = _assemble_token_outbox(range(cluster.k), moved)
-        for res in moved:
-            np.add.at(incoming, res["incoming_v"], res["incoming_c"])
+        local_live = np.zeros(k, dtype=np.int64)
+        for g in groups:
+            local_live[g["live_m"]] = g["live_c"]
+        merged = {
+            name: (
+                np.concatenate([g[name] for g in groups])
+                if len(groups) > 1 else groups[0][name]
+            )
+            for name in groups[0]
+            if not name.startswith("live_")
+        }
         light_in, heavy_in = self._exchange_tokens(cluster, it, merged)
 
-        # Light rows land on their destination vertex's home machine; the
-        # aggregation is one global scatter-add.
-        np.add.at(incoming, light_in.columns["vertex"], light_in.columns["count"])
-        # Heavy rows re-sample concrete neighbors with the *receiving*
-        # machine's RNG, in canonical delivery order (backend-independent).
-        # Skipping the dispatch when no machine has rows is draw-neutral:
-        # the kernel makes no draws on an empty payload.
-        if len(heavy_in) or any(res["local_heavy_v"].size for res in moved):
-            payloads = []
-            for j, res in enumerate(moved):
-                rows = heavy_in.for_machine(j)
-                payloads.append({
-                    "vertex": rows["vertex"],
-                    "count": rows["count"],
-                    "local_vertex": res["local_heavy_v"],
-                    "local_count": res["local_heavy_c"],
-                })
-            received = cluster.map_machines(_receive_heavy_task, self.dg, payloads)
-            for dv, dc in received:
-                if dv.size:
-                    np.add.at(incoming, dv, dc)
-
-        tokens += incoming
-        self.psi += incoming
-        return self._close_iteration(
-            cluster, it, [int(tokens[verts].sum()) for verts in self.parts]
-        )
+        payloads = []
+        lives = []
+        for j in range(k):
+            rows = light_in.for_machine(j)
+            hrows = heavy_in.for_machine(j)
+            payloads.append({
+                "vertex": rows["vertex"], "count": rows["count"],
+                "hvertex": hrows["vertex"], "hcount": hrows["count"],
+            })
+            # Moves conserve counts, so the post-apply live total is
+            # known before the apply runs (it rides the next dispatch).
+            lives.append(int(local_live[j] + rows["count"].sum()
+                             + hrows["count"].sum()))
+        self._carry = payloads
+        return self._close_iteration(cluster, it, lives)
 
     def _exchange_tokens(self, cluster: Cluster, it: int, merged: dict) -> list:
         """Exchange one iteration's merged α and β rows in a single phase."""
@@ -444,255 +515,3 @@ class _PageRankDriver:
             0, kind="pr-continue", payload=live > 0, bits=1, label="pagerank/control/verdict"
         )
         return live > 0
-
-
-# ----------------------------------------------------------------------
-# Resident-superstep driver: token/ψ tables live with their machine.
-
-def _install_token_states(dg: DistributedGraph, tokens: np.ndarray,
-                          psi: np.ndarray) -> list[dict]:
-    """Per-machine resident state for :class:`_ResidentPageRankDriver`.
-
-    ``tokens``/``psi`` hold the machine's hosted slice (local index =
-    position in the sorted ``parts[i]``); ``active`` is the invariant
-    ``flatnonzero(tokens > 0)`` maintained incrementally so a superstep
-    costs ``O(live)`` instead of ``O(n_i)``.  ``pending_*`` (free local
-    light deliveries, local indices) and ``local_heavy_*`` (same-machine
-    β rows, emission order) buffer intra-iteration carry-over between
-    the move and apply kernels.
-    """
-    return [
-        {
-            "tokens": tokens[verts],
-            "psi": psi[verts],
-            "active": np.flatnonzero(tokens[verts] > 0),
-            "pending_v": _EMPTY, "pending_c": _EMPTY,
-            "local_heavy_v": _EMPTY, "local_heavy_c": _EMPTY,
-        }
-        for verts in dg.parts
-    ]
-
-
-def _move_tokens_resident_task(
-    ctx, machine: int, rng, payload, state, *, eps: float,
-    heavy_threshold: int, enable_heavy_path: bool,
-) -> dict:
-    """Resident twin of :func:`_move_tokens_task` (identical draw order).
-
-    Reads token counts from ``state`` instead of a shipped array and
-    emits only the *remote* rows; free local light deliveries land in
-    ``state["pending_*"]`` and same-machine β rows in
-    ``state["local_heavy_*"]`` for :func:`_apply_tokens_resident_task`.
-    Every previously-live count is consumed (``tokens[active] = 0``),
-    mirroring the legacy driver's global reset.  ``light_dst`` is
-    resolved worker-side so the parent never touches per-row data.
-    """
-    verts = ctx.parts[machine]
-    tok = state["tokens"]
-    act = state["active"]  # invariant: flatnonzero(tok > 0)
-    dv, dc, hv, hdst, hc = _move_live_tokens(
-        ctx, rng, verts[act], tok[act], eps, heavy_threshold, enable_heavy_path,
-    )
-    tok[act] = 0  # every live count was consumed above
-    state["active"] = _EMPTY
-    homes = ctx.home[dv]
-    local = homes == machine
-    local_heavy = hdst == machine
-    state["pending_v"] = np.searchsorted(verts, dv[local])
-    state["pending_c"] = dc[local]
-    state["local_heavy_v"] = hv[local_heavy]
-    state["local_heavy_c"] = hc[local_heavy]
-    return {
-        "light_dst": homes[~local], "light_v": dv[~local], "light_c": dc[~local],
-        "heavy_dst": hdst[~local_heavy],
-        "heavy_v": hv[~local_heavy], "heavy_c": hc[~local_heavy],
-    }
-
-
-def _step_tokens_resident_task(
-    ctx, machine: int, rng, payload, state, *, eps: float,
-    heavy_threshold: int, enable_heavy_path: bool,
-) -> dict:
-    """Fused apply+move: one dispatch per iteration instead of two.
-
-    ``payload`` is the *previous* iteration's deliveries (``None`` on the
-    first superstep): folding them in here instead of in a trailing
-    dispatch halves the per-iteration kernel round-trips, and the draw
-    sequence is unchanged — apply(it) draws still precede move(it+1)
-    draws on each machine's private stream.  ``local_live`` reports the
-    tokens this move parked machine-locally (free light deliveries plus
-    same-machine β rows); because the heavy re-sampling in
-    :func:`~repro.core.pagerank.tokens.receive_heavy_tokens` conserves counts, the
-    parent recovers each machine's post-apply live total as
-    ``local_live + delivered light + delivered heavy`` without waiting
-    for the apply.
-    """
-    if payload is not None:
-        _apply_tokens_resident_task(ctx, machine, rng, payload, state)
-    out = _move_tokens_resident_task(
-        ctx, machine, rng, None, state, eps=eps,
-        heavy_threshold=heavy_threshold, enable_heavy_path=enable_heavy_path,
-    )
-    out["local_live"] = int(state["pending_c"].sum()
-                            + state["local_heavy_c"].sum())
-    return out
-
-
-def _assemble_token_outbox(machines, results) -> dict:
-    """Pack one group's move-kernel fragments into a columnar outbox.
-
-    Runs worker-side on the process engine (one aggregate per worker)
-    and inline otherwise (one aggregate covering all machines); the
-    legacy driver calls it parent-side over all ``k`` results.  Rows
-    keep per-machine emission order within the group, which is all the
-    canonical delivery order needs.  ``live_m``/``live_c`` carry each
-    member machine's ``local_live`` count back alongside the outbox.
-    """
-    cols: dict[str, list[np.ndarray]] = {
-        "light_src": [], "light_dst": [], "light_v": [], "light_c": [],
-        "heavy_src": [], "heavy_dst": [], "heavy_v": [], "heavy_c": [],
-    }
-    for m, res in zip(machines, results):
-        if res["light_v"].size:
-            cols["light_src"].append(np.full(res["light_v"].size, m, dtype=np.int64))
-            for name in ("light_dst", "light_v", "light_c"):
-                cols[name].append(res[name])
-        if res["heavy_v"].size:
-            cols["heavy_src"].append(np.full(res["heavy_v"].size, m, dtype=np.int64))
-            for name in ("heavy_dst", "heavy_v", "heavy_c"):
-                cols[name].append(res[name])
-    out = {
-        name: (np.concatenate(parts) if parts else _EMPTY)
-        for name, parts in cols.items()
-    }
-    out["live_m"] = np.asarray(list(machines), dtype=np.int64)
-    out["live_c"] = np.array([r.get("local_live", 0) for r in results],
-                             dtype=np.int64)
-    return out
-
-
-def _apply_tokens_resident_task(ctx, machine: int, rng, payload, state) -> int:
-    """Apply one iteration's deliveries to the machine's resident tables.
-
-    ``payload`` carries the machine's delivered light rows (canonical
-    order) and delivered heavy β rows (canonical order); the heavy rows
-    are re-sampled with this machine's stream — delivered rows first,
-    then the buffered same-machine rows in emission order — exactly
-    :func:`_receive_heavy_task`'s sequence.  All contributions are
-    positive, so the new ``active`` set is just the unique touched
-    indices.  Returns the machine's live-token count (the termination
-    signal), the only thing that still crosses back per iteration.
-    """
-    verts = ctx.parts[machine]
-    tok, psi = state["tokens"], state["psi"]
-    dv, dc = receive_heavy_tokens(
-        np.concatenate([payload["hvertex"], state["local_heavy_v"]]),
-        np.concatenate([payload["hcount"], state["local_heavy_c"]]),
-        machine, ctx.graph.indptr, ctx.graph.indices, ctx.nbr_home, rng,
-    )
-    delivered = np.searchsorted(verts, np.concatenate([payload["vertex"], dv]))
-    idx = np.concatenate([state["pending_v"], delivered])
-    cnt = np.concatenate([state["pending_c"], payload["count"], dc])
-    state["pending_v"] = state["pending_c"] = _EMPTY
-    state["local_heavy_v"] = state["local_heavy_c"] = _EMPTY
-    # One integer segment-sum over the touched indices feeds both tables.
-    active, inverse = np.unique(idx, return_inverse=True)
-    added = np.zeros(active.size, dtype=np.int64)
-    np.add.at(added, inverse, cnt)
-    tok[active] += added
-    psi[active] += added
-    state["active"] = active
-    return int(cnt.sum())
-
-
-class _ResidentPageRankDriver(_PageRankDriver):
-    """Algorithm-1 driver with worker-resident token/ψ tables.
-
-    Same BSP structure and bit-identical traffic/draws as
-    :class:`_PageRankDriver`, but the per-machine token and ψ tables are
-    installed once as resident state, the move kernel's outbox is
-    assembled group-side (:func:`_assemble_token_outbox`), and delivery
-    application is folded into the *next* iteration's dispatch
-    (:func:`_step_tokens_resident_task`) — so per iteration exactly one
-    kernel round-trip carries the previous deliveries in and the remote
-    α/β rows out, and per-iteration work is proportional to live tokens
-    rather than ``n``.  Live counts (the termination signal) are
-    recovered parent-side from ``local_live`` plus delivered counts
-    (token moves conserve counts), and :meth:`finish` issues one
-    trailing apply so the pulled tables always include the last
-    deliveries.  The apply is draw-neutral when it has no heavy rows,
-    so the per-machine draw sequence is the legacy driver's exactly.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._handle = self.cluster.install_resident(
-            _install_token_states(self.dg, self.tokens, self.psi),
-            distgraph=self.dg,
-        )
-        self._carry: list | None = None  # deliveries awaiting fold-in
-
-    def finish(self, cluster: Cluster) -> None:
-        """Pull the worker-side tables back into the parent arrays."""
-        if self._handle is None:
-            return
-        if self._carry is not None:
-            # Fold the final iteration's deliveries in (a draw-free
-            # no-op when the run terminated with zero live tokens).
-            cluster.map_machines(
-                _apply_tokens_resident_task, self.dg, self._carry,
-                resident=self._handle,
-            )
-            self._carry = None
-        states = cluster.pull_resident(self._handle)
-        cluster.drop_resident(self._handle)
-        self._handle = None
-        for verts, st in zip(self.parts, states):
-            self.tokens[verts] = st["tokens"]
-            self.psi[verts] = st["psi"]
-
-    def step(self, cluster: Cluster, state=None) -> bool:
-        it = self.iteration
-        self.iteration += 1
-        k = cluster.k
-
-        groups = cluster.map_machines(
-            _step_tokens_resident_task,
-            self.dg,
-            self._carry if self._carry is not None else [None] * k,
-            common={
-                "eps": self.eps,
-                "heavy_threshold": self.heavy_threshold,
-                "enable_heavy_path": self.enable_heavy_path,
-            },
-            resident=self._handle,
-            assemble=_assemble_token_outbox,
-        )
-        local_live = np.zeros(k, dtype=np.int64)
-        for g in groups:
-            local_live[g["live_m"]] = g["live_c"]
-        merged = {
-            name: (
-                np.concatenate([g[name] for g in groups])
-                if len(groups) > 1 else groups[0][name]
-            )
-            for name in groups[0]
-            if not name.startswith("live_")
-        }
-        light_in, heavy_in = self._exchange_tokens(cluster, it, merged)
-
-        payloads = []
-        lives = []
-        for j in range(k):
-            rows = light_in.for_machine(j)
-            hrows = heavy_in.for_machine(j)
-            payloads.append({
-                "vertex": rows["vertex"], "count": rows["count"],
-                "hvertex": hrows["vertex"], "hcount": hrows["count"],
-            })
-            # Moves conserve counts, so the post-apply live total is
-            # known before the apply runs (it rides the next dispatch).
-            lives.append(int(local_live[j] + rows["count"].sum()
-                             + hrows["count"].sum()))
-        self._carry = payloads
-        return self._close_iteration(cluster, it, lives)

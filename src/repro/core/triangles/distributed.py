@@ -46,7 +46,7 @@ from repro.graphs.triangles_ref import enumerate_triangles_edges
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import MessageBatch, resident_enabled
+from repro.kmachine.engine import MessageBatch
 from repro.kmachine.partition import VertexPartition
 from repro.core.triangles.colors import (
     machines_needing_edge_array,
@@ -173,7 +173,6 @@ def enumerate_triangles_distributed(
     skip_local_enumeration: bool = False,
     engine: str = "message",
     distgraph: DistributedGraph | None = None,
-    resident: bool | None = None,
 ) -> TriangleResult:
     """Enumerate all triangles of ``graph`` with ``k`` machines (Theorem 5).
 
@@ -203,10 +202,6 @@ def enumerate_triangles_distributed(
         an explicit ``cluster`` is supplied.  The edge streams of all
         three phases are columnar, so the vector backend runs them
         without materializing message objects.
-    resident:
-        Ship Phase-3 outputs through the group-assembled contract
-        (:func:`_assemble_enumeration`); the default follows
-        ``REPRO_RESIDENT``.  Output is identical either way.
 
     Returns
     -------
@@ -338,7 +333,6 @@ def enumerate_triangles_distributed(
     # whose color multiset equals its (sorted) triplet, so the global
     # output has no duplicates.
     all_tris: list[np.ndarray] = []
-    all_triads: list[np.ndarray] = []
     per_machine = np.zeros(k, dtype=np.int64)
     if skip_local_enumeration:
         return TriangleResult(
@@ -353,40 +347,26 @@ def enumerate_triangles_distributed(
         for j in range(k)
     ]
     common = {"colors": colors, "q": q, "enumerate_triads": enumerate_triads}
-    if resident_enabled(resident):
-        # Group-assembled shipping: one aggregate per worker (process) or
-        # for the whole superstep (inline).  Triangles are re-sorted
-        # globally below, so group order is free to differ from machine
-        # order; triads are reassembled machine-ascending via the counts.
-        groups = cluster.map_machines(
-            _enumerate_triangles_task, dg, payloads, common=common,
-            assemble=_assemble_enumeration,
-        )
-        triad_chunks: list = [None] * k
-        for agg in groups:
-            tri_parts = np.split(agg["tris"], np.cumsum(agg["tri_counts"])[:-1])
-            triad_parts = np.split(agg["triads"], np.cumsum(agg["triad_counts"])[:-1])
-            for j, tri_c, triad_c in zip(agg["machines"], tri_parts, triad_parts):
-                j = int(j)
-                if tri_c.shape[0]:
-                    all_tris.append(tri_c)
-                    per_machine[j] += tri_c.shape[0]
-                if triad_c.shape[0]:
-                    triad_chunks[j] = triad_c
-        all_triads = [c for c in triad_chunks if c is not None]
-    else:
-        outs = cluster.map_machines(
-            _enumerate_triangles_task, dg, payloads, common=common
-        )
-        for j, out in enumerate(outs):
-            if out is None:
-                continue
-            mine, triads = out
-            if mine is not None:
-                all_tris.append(mine)
-                per_machine[j] += mine.shape[0]
-            if triads is not None:
-                all_triads.append(triads)
+    # Group-assembled shipping: one aggregate per worker (process) or
+    # for the whole superstep (inline).  Triangles are re-sorted
+    # globally below, so group order is free to differ from machine
+    # order; triads are reassembled machine-ascending via the counts.
+    groups = cluster.map_machines(
+        _enumerate_triangles_task, dg, payloads, common=common,
+        assemble=_assemble_enumeration,
+    )
+    triad_chunks: list = [None] * k
+    for agg in groups:
+        tri_parts = np.split(agg["tris"], np.cumsum(agg["tri_counts"])[:-1])
+        triad_parts = np.split(agg["triads"], np.cumsum(agg["triad_counts"])[:-1])
+        for j, tri_c, triad_c in zip(agg["machines"], tri_parts, triad_parts):
+            j = int(j)
+            if tri_c.shape[0]:
+                all_tris.append(tri_c)
+                per_machine[j] += tri_c.shape[0]
+            if triad_c.shape[0]:
+                triad_chunks[j] = triad_c
+    all_triads = [c for c in triad_chunks if c is not None]
 
     if all_tris:
         triangles = np.concatenate(all_tris, axis=0)

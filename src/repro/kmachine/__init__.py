@@ -61,7 +61,7 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
   ``runtime.run`` calls with the same worker count reuse the same
   processes and any still-published graph stores;
   :func:`~repro.kmachine.parallel.shutdown_worker_pools` tears them
-  down explicitly and ``REPRO_WARM_POOL=0`` restores run-scoped pools.
+  down explicitly.
 
 All backends share :meth:`LinkNetwork.record` for accounting and
 deliver rows in the same canonical ``(dst, src, emission)`` order, so
@@ -140,9 +140,10 @@ and must obey three contracts for the backends to stay bit-identical:
    example: rows pre-ordered by edge rank once, then a ``minimum``
    scatter of row positions finds each component's first crossing row.
 
-Two further contracts let hot drivers cut what crosses the
-driver/worker boundary each superstep (the *resident superstep* path,
-default-on, gated by ``REPRO_RESIDENT=0``):
+Two further contracts are how the hot drivers (PageRank, MST and
+connectivity, triangle Phase 3) are written: they cut what crosses the
+driver/worker boundary each superstep, and each family has this one
+driver on every engine:
 
 4. **Resident state.**  :meth:`Cluster.install_resident` ships one
    per-machine state object to its owning worker once and returns a
@@ -218,7 +219,6 @@ from repro.kmachine.engine import (
     ResidentHandle,
     VectorEngine,
     make_engine,
-    resident_enabled,
 )
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import (
@@ -267,7 +267,6 @@ __all__ = [
     "MessageBatch",
     "DeliveredBatch",
     "ResidentHandle",
-    "resident_enabled",
     "make_engine",
     "DistributedGraph",
     "MachineShard",

@@ -43,7 +43,6 @@ both engines support.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -64,25 +63,9 @@ __all__ = [
     "MessageEngine",
     "VectorEngine",
     "ResidentHandle",
-    "resident_enabled",
     "ENGINES",
     "make_engine",
 ]
-
-#: Environment switch for the resident-superstep driver paths (PageRank
-#: token tables, Borůvka incident structures, assembled triangle
-#: outboxes).  Default on; ``REPRO_RESIDENT=0`` restores the legacy
-#: ship-everything-per-superstep paths (bit-identical results either
-#: way — the toggle exists so benchmarks can compare the two).
-RESIDENT_ENV = "REPRO_RESIDENT"
-
-
-def resident_enabled(override: "bool | None" = None) -> bool:
-    """Resolve a driver's ``resident`` parameter against the environment."""
-    if override is not None:
-        return bool(override)
-    return os.environ.get(RESIDENT_ENV, "1").lower() not in ("0", "false", "no", "off")
-
 
 _RESIDENT_COUNTER = itertools.count()
 

@@ -34,7 +34,6 @@ from repro.kmachine.parallel.pool import (
     WorkerPool,
     active_pools,
     shutdown_worker_pools,
-    warm_pools_enabled,
 )
 from repro.kmachine.parallel.store import SharedGraphStore, SharedGraphView
 
@@ -45,5 +44,4 @@ __all__ = [
     "WorkerPool",
     "active_pools",
     "shutdown_worker_pools",
-    "warm_pools_enabled",
 ]

@@ -19,8 +19,7 @@ Design notes
   from the process-wide registry on the first ``map_machines`` call and
   released warm on :meth:`close`.  Consecutive runs with the same
   worker count reuse the same processes (and any still-published graph
-  stores) with no respawn; ``REPRO_WARM_POOL=0`` restores run-scoped
-  pools.
+  stores) with no respawn.
 * **Machine affinity.**  Machine ``i`` is pinned to worker ``i % W``
   for the span of the hold.  Each machine's private RNG stream lives in
   (and is advanced only by) its owning worker, so the per-machine draw
@@ -505,7 +504,7 @@ class ProcessEngine(VectorEngine):
         """Release the worker pool (warm) and poison the engine.  Idempotent.
 
         The pool's processes and shared graph stores survive for the
-        next acquirer unless warm pools are disabled; use
+        next acquirer; use
         :func:`repro.kmachine.parallel.pool.shutdown_worker_pools` to
         tear everything down explicitly.
         """

@@ -16,8 +16,8 @@ A pool is held by at most one engine at a time: workers hold *the
 holder's* per-machine RNG streams, so interleaving two clusters over one
 pool would clobber state.  ``acquire_pool`` hands out an idle pool with
 the requested worker count, or spawns a fresh one; ``release_pool``
-marks it idle (or destroys it when warm pools are disabled via
-``REPRO_WARM_POOL=0``, or when the caller discards it after a crash).
+marks it idle (or destroys it when the caller discards it after a
+crash).
 Each new holder ships its own RNG streams on its first superstep, which
 replaces the previous holder's, so reuse never leaks randomness across
 runs.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
 from collections import OrderedDict
 
 from repro.errors import ModelError
@@ -58,7 +57,6 @@ __all__ = [
     "release_pool",
     "shutdown_worker_pools",
     "active_pools",
-    "warm_pools_enabled",
     "MAX_IDLE_POOLS",
     "MAX_STORES",
 ]
@@ -69,14 +67,6 @@ MAX_IDLE_POOLS = 2
 #: Published graph stores kept per pool before LRU eviction (one segment
 #: is O(n + m) ints; mirrors the distgraph cache's own bound).
 MAX_STORES = 8
-
-#: Set to ``0`` to restore run-scoped pools (every release destroys).
-WARM_ENV = "REPRO_WARM_POOL"
-
-
-def warm_pools_enabled() -> bool:
-    """Whether released pools stay warm for the next acquirer."""
-    return os.environ.get(WARM_ENV, "1").lower() not in ("0", "false", "no", "off")
 
 
 class WorkerPool:
@@ -232,12 +222,11 @@ def release_pool(pool: WorkerPool, discard: bool = False) -> None:
     """Return a pool to the registry warm, or destroy it.
 
     ``discard=True`` destroys unconditionally — used after a worker
-    crash, when the pool's processes cannot be trusted.  Warm release is
-    also a destroy when ``REPRO_WARM_POOL=0``.  Idle pools beyond
-    :data:`MAX_IDLE_POOLS` are destroyed oldest-first.
+    crash, when the pool's processes cannot be trusted.  Idle pools
+    beyond :data:`MAX_IDLE_POOLS` are destroyed oldest-first.
     """
     pool.holder = None
-    if discard or not pool.alive or not warm_pools_enabled():
+    if discard or not pool.alive:
         pool.destroy()
         return
     # Move to the registry tail so reuse prefers the freshest pool.

@@ -42,7 +42,6 @@ dicts/lists/tuples — stays in ``packed`` and rides the pipe.
 
 from __future__ import annotations
 
-import os
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -57,11 +56,9 @@ __all__ = [
     "unlink_untracked",
 ]
 
-#: Total array bytes below which a shipment stays on the pipe.  The
-#: default (64 KiB, one pipe buffer) is overridable via the
-#: ``REPRO_SHM_THRESHOLD`` environment variable, read at import time
-#: (worker processes inherit the importing parent's value).
-SHM_MIN_BYTES = int(os.environ.get("REPRO_SHM_THRESHOLD", 1 << 16))
+#: Total array bytes below which a shipment stays on the pipe: 64 KiB,
+#: one pipe buffer.
+SHM_MIN_BYTES = 1 << 16
 
 #: Segment offsets are aligned so every field starts on a boundary NumPy
 #: is always happy to view any dtype at.

@@ -435,15 +435,6 @@ class TestWarmPools:
             cold_draws = cold.map_machines(_draw, distgraph, [None] * K)
         assert warm_draws == cold_draws
 
-    def test_disabled_warm_pools_destroy_on_release(self, distgraph, monkeypatch):
-        shutdown_worker_pools()
-        monkeypatch.setenv(ppool.WARM_ENV, "0")
-        with _cluster() as cluster:
-            cluster.map_machines(_pid, distgraph, [None] * K)
-            pool = cluster.engine.pool
-        assert not pool.alive
-        assert pool not in active_pools()
-
     def test_kernel_error_releases_pool_warm_but_not_poisoned(self, distgraph):
         shutdown_worker_pools()
         cluster = _cluster(seed=5)
@@ -501,16 +492,3 @@ class TestClusterLifecycle:
             fresh.map_machines(_pid, distgraph, [None] * K)
             assert fresh.engine.pool is pool
 
-    def test_leaked_cluster_with_warm_pools_disabled_frees_segments(
-        self, distgraph, monkeypatch
-    ):
-        shutdown_worker_pools()
-        monkeypatch.setenv(ppool.WARM_ENV, "0")
-        cluster = _cluster()
-        cluster.map_machines(_sum_local_degrees, distgraph, [0] * K)
-        segment = cluster.engine.pool.ensure_store(distgraph).key
-        del cluster
-        gc.collect()
-        assert active_pools() == ()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=segment)

@@ -203,11 +203,10 @@ class TestHolderScoping:
             assert c2.map_machines(_read_count, distgraph, [None] * K,
                                    resident=h2) == [0] * K
 
-    def test_two_sequential_runtime_runs_share_a_pool_cleanly(self, monkeypatch):
+    def test_two_sequential_runtime_runs_share_a_pool_cleanly(self):
         # Two different algorithms, one warm pool: the second holder's
         # resident supersteps must match its inline-engine run exactly —
         # any stale first-holder state would break bit-identity.
-        monkeypatch.setenv(ppool.WARM_ENV, "1")
         shutdown_worker_pools()
         graph = repro.gnp_random_graph(150, 8 / 150, seed=5)
         try:

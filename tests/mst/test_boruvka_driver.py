@@ -130,12 +130,11 @@ def test_regenerate_oracle(monkeypatch):
     pytest.fail(f"regenerated {ORACLE_PATH.name}; review the diff and rerun without {REGEN_ENV}")
 
 
-@pytest.mark.parametrize("resident", [True, False])
-@pytest.mark.parametrize("engine", ["message", "vector"])
+@pytest.mark.parametrize("engine", ["message", "vector", "process"])
 @pytest.mark.parametrize("name", sorted(_cases()))
-def test_driver_matches_recorded_run(monkeypatch, name, engine, resident):
+def test_driver_matches_recorded_run(monkeypatch, name, engine):
     recorded = json.loads(ORACLE_PATH.read_text())[name]
-    assert _observe(monkeypatch, _cases()[name], engine=engine, resident=resident) == recorded
+    assert _observe(monkeypatch, _cases()[name], engine=engine) == recorded
 
 
 def test_cases_reach_the_replaced_loops():

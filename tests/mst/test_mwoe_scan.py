@@ -7,8 +7,7 @@ there) with the endpoint's component, the edge id and the edge's global
 rank — sorted by (component, rank) and cut at the first row of every
 component.  :func:`repro.core.mst.distributed._mwoe_scan_task` must
 return the same ``(comp, edge)`` rows, in the same order and dtype, on
-every engine, from the table installed as resident state or shipped as
-the payload.
+every engine.
 """
 
 from __future__ import annotations
@@ -52,15 +51,13 @@ def legacy_payloads(dg: DistributedGraph, labels: np.ndarray, rank_of: np.ndarra
     ]
 
 
-def new_scans(dg, weights, labels, engine: str, resident: bool) -> list[dict]:
+def new_scans(dg, weights, labels, engine: str) -> list[dict]:
     """The kernel under test, dispatched the way the driver dispatches it."""
     edges = dg.graph.edges
     tables = _incidence_tables(dg, edges, np.argsort(weights, kind="stable"))
     common = {"labels": labels, "crossing": np.not_equal(*labels[edges].T)}
     workers = {"workers": 2} if engine == "process" else {}
     with Cluster(k=dg.k, n=max(2, dg.n), seed=0, engine=engine, **workers) as cluster:
-        if not resident:
-            return cluster.map_machines(_mwoe_scan_task, dg, tables, common=common)
         handle = cluster.install_resident(tables, distgraph=dg)
         try:
             return cluster.map_machines(
@@ -70,12 +67,12 @@ def new_scans(dg, weights, labels, engine: str, resident: bool) -> list[dict]:
             cluster.drop_resident(handle)
 
 
-def assert_matches_oracle(dg, weights, labels, engine, resident):
+def assert_matches_oracle(dg, weights, labels, engine):
     m = dg.graph.m
     rank_of = np.empty(m, dtype=np.int64)
     rank_of[np.lexsort((np.arange(m), weights))] = np.arange(m)
     expected = [lexsort_scan(**rows) for rows in legacy_payloads(dg, labels, rank_of)]
-    got = new_scans(dg, weights, labels, engine, resident)
+    got = new_scans(dg, weights, labels, engine)
     assert len(got) == len(expected) == dg.k
     for machine, (new, old) in enumerate(zip(got, expected)):
         for column in ("comp", "edge"):
@@ -115,19 +112,17 @@ def scan_states(draw):
     return dg, weights, labels
 
 
-@pytest.mark.parametrize("resident", [True, False])
 @pytest.mark.parametrize("engine", ["message", "vector"])
 @given(state=scan_states())
 @settings(max_examples=60, deadline=None)
-def test_scan_matches_lexsort_oracle_inline(engine, resident, state):
-    assert_matches_oracle(*state, engine, resident)
+def test_scan_matches_lexsort_oracle_inline(engine, state):
+    assert_matches_oracle(*state, engine)
 
 
-@pytest.mark.parametrize("resident", [True, False])
 @given(state=scan_states())
 @settings(max_examples=8, deadline=None)
-def test_scan_matches_lexsort_oracle_process(resident, state):
-    assert_matches_oracle(*state, "process", resident)
+def test_scan_matches_lexsort_oracle_process(state):
+    assert_matches_oracle(*state, "process")
 
 
 def _fixed(n, edges, home, k, labels, weights=None):
@@ -137,22 +132,20 @@ def _fixed(n, edges, home, k, labels, weights=None):
     return dg, weights, np.array(labels, dtype=np.int64)
 
 
-@pytest.mark.parametrize("resident", [True, False])
-def test_machine_hosting_both_endpoints_proposes_for_both(resident):
+def test_machine_hosting_both_endpoints_proposes_for_both():
     # Edge (0, 1) lives wholly on machine 0: one row per endpoint, and each
     # endpoint's component gets its own candidate from the same machine.
     state = _fixed(3, [(0, 1), (1, 2)], home=[0, 0, 1], k=2, labels=[0, 1, 2], weights=[1.0, 2.0])
-    assert_matches_oracle(*state, "vector", resident)
-    scans = new_scans(*state, "vector", resident)
+    assert_matches_oracle(*state, "vector")
+    scans = new_scans(*state, "vector")
     assert scans[0]["comp"].tolist() == [0, 1] and scans[0]["edge"].tolist() == [0, 0]
     assert scans[1]["comp"].tolist() == [2] and scans[1]["edge"].tolist() == [1]
 
 
-@pytest.mark.parametrize("resident", [True, False])
-def test_single_component_and_idle_machines_return_empty_int64(resident):
+def test_single_component_and_idle_machines_return_empty_int64():
     state = _fixed(4, [(0, 1), (1, 2), (2, 3)], home=[0, 0, 0, 0], k=3, labels=[2, 2, 2, 2])
-    assert_matches_oracle(*state, "vector", resident)
-    for scan in new_scans(*state, "vector", resident):
+    assert_matches_oracle(*state, "vector")
+    for scan in new_scans(*state, "vector"):
         assert scan["comp"].size == scan["edge"].size == 0
         assert scan["comp"].dtype == scan["edge"].dtype == np.int64
 
@@ -161,6 +154,6 @@ def test_equal_weights_break_ties_by_edge_index():
     # All ones: component 5 = {0, 1} sees all four edges; the lowest index wins.
     state = _fixed(6, [(0, 2), (0, 3), (1, 4), (1, 5)], home=[0, 0, 1, 1, 1, 1], k=2,
                    labels=[5, 5, 2, 3, 4, 1])
-    assert_matches_oracle(*state, "vector", True)
-    scan = new_scans(*state, "vector", True)[0]
+    assert_matches_oracle(*state, "vector")
+    scan = new_scans(*state, "vector")[0]
     assert scan["comp"].tolist() == [5] and scan["edge"].tolist() == [0]

@@ -225,10 +225,8 @@ class TestTracedRuns:
             assert set(event["segments"]) - {"assemble_s"} == {
                 "ship_s", "kernel_s", "pool_wait_s", "unpack_s"}
             assert all(v >= 0 for v in event["segments"].values())
-        from repro.kmachine import resident_enabled
-        if resident_enabled(None):  # legacy path (REPRO_RESIDENT=0): none
-            assert any("assemble_s" in e["segments"] for e in maps), (
-                "resident pagerank emitted no worker-assembled supersteps")
+        assert any("assemble_s" in e["segments"] for e in maps), (
+            "pagerank emitted no worker-assembled supersteps")
 
     def test_shared_tracer_spans_multiple_runs(self, graph):
         tracer = Tracer()

@@ -1,5 +1,6 @@
 """End-to-end daemon tests: HTTP surface, concurrency, fault isolation."""
 
+import inspect
 import json
 import socket
 import threading
@@ -7,8 +8,11 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+import repro
+from repro.core.mst.distributed import boruvka_forest
 from repro.errors import ServeError
 from repro.obs.alerts import AlertRule
 from repro.serve import ReproServer, ServeClient
@@ -282,6 +286,32 @@ class TestRunRequests:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
         assert err.value.code == 400
+
+    def test_resident_is_not_a_parameter(self, daemon):
+        """Each family has one driver: nothing accepts a switch between two."""
+        graph = repro.path_graph(4)
+        entry_points = [
+            (repro.distributed_pagerank, (graph,)),
+            (repro.enumerate_triangles_distributed, (graph,)),
+            (boruvka_forest, (graph, np.ones(3))),
+            (repro.distributed_mst, (graph, np.ones(3))),
+            (repro.connected_components_distributed, (graph,)),
+        ]
+        for fn, args in entry_points:
+            assert "resident" not in inspect.signature(fn).parameters, fn.__name__
+            with pytest.raises(TypeError, match="resident"):
+                fn(*args, k=2, seed=1, resident=True)
+        _, client = daemon
+        payload = json.dumps({"algo": "pagerank", "dataset": DATASET, "k": 4,
+                              "params": {"resident": False}}).encode()
+        request = urllib.request.Request(
+            f"http://{client.host}:{client.port}/run", data=payload, method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"] == "TypeError"
 
     def test_concurrent_clients(self, daemon):
         """Eight clients at once; every reply correct, one execution."""
