@@ -12,12 +12,11 @@ Execution backend
 -----------------
 Benches that run simulator drivers select the execution engine through
 :func:`engine_choice`, which reads the ``REPRO_ENGINE`` environment
-variable (``message``, ``vector``, or ``process``; default ``vector``,
-the fast in-process backend — counts are engine-independent, see the
-CLI's ``--engine`` flag).  With ``process``, ``REPRO_WORKERS`` sizes
-the shard-worker pool (default: CPU count).  Example::
+variable (a name in ``repro.kmachine.engine.ENGINES``; default its
+``DEFAULT_ENGINE`` — counts are engine-independent, see the CLI's
+``--engine`` flag).  With ``process``, ``REPRO_WORKERS`` sizes the
+shard-worker pool (default: CPU count).  Example::
 
-    REPRO_ENGINE=message pytest benchmarks/bench_pagerank_rounds.py
     REPRO_ENGINE=process REPRO_WORKERS=4 pytest benchmarks/bench_pagerank_rounds.py
 
 Registry runs
@@ -47,13 +46,13 @@ ENGINE_ENV = "REPRO_ENGINE"
 WORKERS_ENV = "REPRO_WORKERS"
 
 
-def engine_choice(default: str = "vector") -> str:
+def engine_choice() -> str:
     """The execution engine benches should pass to simulator drivers."""
-    choice = os.environ.get(ENGINE_ENV, default)
-    if choice not in ("message", "vector", "process"):
-        raise ValueError(
-            f"{ENGINE_ENV} must be 'message', 'vector', or 'process', got {choice!r}"
-        )
+    from repro.kmachine.engine import DEFAULT_ENGINE, ENGINES
+
+    choice = os.environ.get(ENGINE_ENV, DEFAULT_ENGINE)
+    if choice not in ENGINES:
+        raise ValueError(f"{ENGINE_ENV} must be one of {sorted(ENGINES)}, got {choice!r}")
     return choice
 
 

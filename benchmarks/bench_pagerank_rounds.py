@@ -13,13 +13,11 @@ measured round counts versus ``k``:
 The paper proves asymptotics, not absolute numbers; the reproduction
 target is the *shape* — who wins and the fitted exponents.
 
-The module also regenerates the execution-engine comparisons: the same
-Algorithm-1 run at ``n = 50_000`` on the per-object ``MessageEngine``
-versus the vectorized ``VectorEngine`` (identical round/message/bit
-counts, ``>= 3x`` wall-clock for the vector backend), and at
-``n = 100_000`` the vectorized backend versus the multiprocessing
-``ProcessEngine`` with 4 shard workers (identical counts; ``>= 1.5x``
-wall-clock asserted when the host has at least 4 CPUs).
+The module also regenerates the execution-engine comparison: the same
+Algorithm-1 run at ``n = 100_000`` on the vectorized ``VectorEngine``
+versus the multiprocessing ``ProcessEngine`` with 4 shard workers
+(identical counts; ``>= 1.5x`` wall-clock asserted when the host has at
+least 4 CPUs).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ KS = (4, 8, 16, 32)
 KS_LARGE = (8, 16, 32, 64)
 N_GNP = 3000
 N_STAR = 2000
-N_ENGINE = 50_000
 N_PROCESS = 100_000
 PROCESS_WORKERS = 4
 
@@ -83,24 +80,6 @@ def run_asymptotic_sweep():
         ).result
         sweep.add({"k": k}, {"first_iter_rounds": r.iteration_stats[0].rounds})
     return sweep
-
-
-def run_engine_comparison(n=N_ENGINE, k=16, max_iterations=2):
-    """Identical counts, >= 3x wall-clock: VectorEngine vs MessageEngine."""
-    g = repro.random_regularish_graph(n, 8, seed=6)
-    B = log2ceil(n)
-    timings: dict[str, float] = {}
-    counts: dict[str, tuple] = {}
-    for eng in ("vector", "message"):
-        start = time.perf_counter()
-        rep = run_algorithm(
-            "pagerank", g, k, seed=7, c=0.5, bandwidth=B,
-            max_iterations=max_iterations, engine=eng,
-        )
-        timings[eng] = time.perf_counter() - start
-        counts[eng] = (rep.rounds, rep.metrics.messages, rep.metrics.bits)
-    assert counts["vector"] == counts["message"], counts
-    return timings, counts
 
 
 def run_process_comparison(
@@ -162,8 +141,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    timings, eng_counts = run_engine_comparison()
-    speedup = timings["message"] / timings["vector"]
     ptimings, pcounts = run_process_comparison()
     pspeedup = ptimings["vector"] / ptimings["process"]
 
@@ -185,10 +162,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
         f"fit (asymptotic regime): rounds ~ k^{fit_asym.exponent:.2f}"
         f"  (paper: k^-2; r2={fit_asym.r_squared:.3f})",
         "",
-        f"engine comparison (n={N_ENGINE}, identical counts {eng_counts['vector']}):",
-        f"  message: {timings['message']:.3f}s   vector: {timings['vector']:.3f}s"
-        f"   speedup: {speedup:.1f}x (target: >= 3x)",
-        "",
         f"process engine (n={N_PROCESS}, {PROCESS_WORKERS} workers, "
         f"identical counts {pcounts['vector']}):",
         f"  vector: {ptimings['vector']:.3f}s   process: {ptimings['process']:.3f}s"
@@ -200,7 +173,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
     benchmark.extra_info["algo1_exponent"] = fit_algo.exponent
     benchmark.extra_info["baseline_exponent"] = fit_base.exponent
     benchmark.extra_info["asymptotic_exponent"] = fit_asym.exponent
-    benchmark.extra_info["engine_speedup"] = speedup
     benchmark.extra_info["process_speedup"] = pspeedup
 
     # Shape assertions: Algorithm 1 scales clearly superlinearly, and the
@@ -211,7 +183,6 @@ def bench_t4_pagerank_round_scaling(benchmark):
     for row in star.rows:
         assert row.values["algo1_rounds"] < row.values["baseline_rounds"]
         assert row.values["algo1_rounds"] <= row.values["no_heavy_rounds"]
-    assert speedup >= 3.0, f"vector engine only {speedup:.1f}x faster than message"
     # Parallel speedup needs parallel hardware; counts are asserted always.
     if (os.cpu_count() or 1) >= PROCESS_WORKERS:
         assert pspeedup >= 1.5, (
@@ -221,15 +192,13 @@ def bench_t4_pagerank_round_scaling(benchmark):
 
 
 def smoke():
-    """Smallest configuration: the gnp sweep shape plus tiny engine checks."""
+    """Smallest configuration: the gnp sweep shape plus a tiny engine check."""
     g = repro.gnp_random_graph(200, 6.0 / 200, seed=1)
     B = log2ceil(200)
     r = run_algorithm(
         "pagerank", g, 4, seed=2, c=0.5, bandwidth=B, max_iterations=3
     ).result
     assert r.rounds > 0
-    timings, counts = run_engine_comparison(n=500, k=4, max_iterations=2)
-    assert counts["vector"] == counts["message"]
     _, pcounts = run_process_comparison(
         n=500, k=4, workers=2, max_iterations=2, c=0.5
     )

@@ -7,25 +7,18 @@ Three artifacts:
   is asserted to finish in single-digit seconds (the subsystem's
   acceptance bar — no Python loop ever touches an edge);
 * **dataset sweep** — triangles / pagerank / mst across the workload
-  families on all three execution engines, results and accounting
+  families on both execution engines, results and accounting
   asserted bit-identical per (dataset, algorithm) — the paper's upper
   bounds hold for arbitrary inputs, and so must the simulator;
 * **cache round trip** — the acceptance spec
   ``rmat:n=100000,avg_deg=16,seed=7`` is materialized (cold build +
   snapshot store), re-materialized (warm load, asserted ``>= 5x``
-  faster), and run end-to-end on all three engines bit-identically.
-
-``main()`` emits the same measurements as one JSON document for the CI
-``workloads`` job artifact (CI persists ``REPRO_DATA_DIR`` across runs
-via actions/cache, so its cold builds happen once per cache key).
+  faster), and run end-to-end on both engines bit-identically.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -54,7 +47,7 @@ SWEEP_DATASETS = (
     "gnp:n={n},avg_deg=8,seed=1",
 )
 SWEEP_ALGOS = ("triangles", "pagerank", "mst")
-ENGINES = ("message", "vector", "process")
+ENGINES = ("vector", "process")
 K = 8
 SEED = 2
 
@@ -218,37 +211,6 @@ def bench_workload_subsystem(benchmark):
     )
 
 
-def build_report(build_n: int, sweep_n: int, acceptance_spec: str,
-                 workers: int | None) -> dict:
-    """The JSON document the CI ``workloads`` job uploads."""
-    return {
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "builds": run_build_timings(build_n),
-        "sweep": run_dataset_sweep(sweep_n, workers=workers),
-        "cache_round_trip": run_cache_round_trip(acceptance_spec, workers=workers),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="bench-workloads.json")
-    parser.add_argument("--build-n", type=int, default=BUILD_N)
-    parser.add_argument("--sweep-n", type=int, default=SWEEP_N)
-    parser.add_argument("--acceptance-spec", default=ACCEPTANCE_SPEC)
-    parser.add_argument("--workers", type=int, default=None)
-    args = parser.parse_args(argv)
-    report = build_report(
-        args.build_n, args.sweep_n, args.acceptance_spec, args.workers
-    )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def smoke():
     """Smallest configuration: every stage at toy sizes."""
     import tempfile
@@ -277,6 +239,3 @@ def smoke():
             else:
                 os.environ[DATA_DIR_ENV] = old
 
-
-if __name__ == "__main__":
-    sys.exit(main())

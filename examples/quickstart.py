@@ -6,7 +6,7 @@ random vertex partition, runs the paper's two headline algorithms
 measured round counts next to the matching lower bounds.
 
 The architecture is layered: the *engine layer* picks how a superstep
-executes (``engine="message"``, ``"vector"``, or ``"process"`` for
+executes (``engine="vector"``, the default, or ``"process"`` for
 multiprocessing shard workers over a shared-memory graph store — with
 *warm worker pools* reused across runs), the *runtime layer* shares
 per-machine graph shards (:class:`repro.DistributedGraph`) and owns run
@@ -69,42 +69,23 @@ def main() -> None:
     lbs = repro.sorting_round_lower_bound(values.size, k, sorted_result.metrics.bandwidth)
     print(f"  §1.3 lower bound: {lbs:.1f} rounds")
 
-    # --- Execution engines ---------------------------------------------
-    # Every driver takes engine="message" (per-object simulation) or
-    # engine="vector" (columnar NumPy batches).  Results and round
-    # accounting are identical; the vector backend is much faster once
-    # per-phase traffic is large.  On the CLI:
-    #   python -m repro pagerank --engine vector
+    # --- Execution engines: vector (default) vs process ------------------
+    # Every driver runs on engine="vector" (columnar NumPy batches in this
+    # process) unless told otherwise.  engine="process" keeps that
+    # vectorized exchange layer but runs each machine's per-superstep
+    # compute in a pool of worker processes: the graph shards are
+    # published once into a shared-memory store and the workers hold the
+    # per-machine RNG streams, so results and round accounting stay
+    # bit-identical while heavy per-shard compute uses every core.  The
+    # heavy-token regime (c >= k / log n) is where it shines — the
+    # per-machine sampling loops dominate wall-clock there.  On the CLI:
+    #   python -m repro pagerank --engine process --workers 4
+    import os
     import time
 
     big = repro.random_regularish_graph(30_000, 8, seed=seed)
-    timings, rounds = {}, {}
-    for engine in ("message", "vector"):
-        start = time.perf_counter()
-        run = repro.distributed_pagerank(
-            big, k=16, seed=seed, c=0.5, max_iterations=2, engine=engine
-        )
-        timings[engine] = time.perf_counter() - start
-        rounds[engine] = run.rounds
-    assert rounds["message"] == rounds["vector"]  # backend never changes counts
-    print(f"\nExecution engines on n={big.n} (identical rounds/messages/bits)")
-    print(
-        f"  message: {timings['message']:.3f}s   vector: {timings['vector']:.3f}s"
-        f"   speedup: {timings['message'] / timings['vector']:.1f}x"
-    )
-
-    # --- Parallel shard workers (engine="process") ----------------------
-    # The third backend keeps the vectorized exchange layer but runs each
-    # machine's per-superstep compute in a pool of worker processes: the
-    # graph shards are published once into a shared-memory store and the
-    # workers hold the per-machine RNG streams, so results stay
-    # bit-identical while heavy per-shard compute uses every core.  The
-    # heavy-token regime (c >= k / log n) is where it shines — the
-    # per-machine sampling loops dominate wall-clock there.
-    import os
-
     workers = min(4, os.cpu_count() or 1)
-    ptimings = {}
+    ptimings, rounds = {}, {}
     for engine, kwargs in (("vector", {}), ("process", {"workers": workers})):
         start = time.perf_counter()
         run = repro.runtime.run(
@@ -204,9 +185,9 @@ def main() -> None:
     # materialization before its first superstep.  PR 7 removes that tax:
     # the materialized DistributedGraph shards persist as mmap-friendly
     # sidecars next to the CSR blob, so the next cold start maps them
-    # back read-only instead of rebuilding ($REPRO_SHARD_SNAPSHOTS=0
-    # disables).  RunReport.first_superstep_seconds is the cold-start
-    # clock: process entry to the first superstep's first activity.
+    # back read-only instead of rebuilding.
+    # RunReport.first_superstep_seconds is the cold-start clock: process
+    # entry to the first superstep's first activity.
     # Generators shard across the worker pool too — bit-identical to
     # serial — via `repro data build --jobs N` or $REPRO_BUILD_JOBS.
     from repro.kmachine.distgraph import clear_distgraph_cache

@@ -25,10 +25,15 @@ Execution is layered so that scale, speed, and scenario-diversity are
 independent axes:
 
 1. **Engine layer** (:mod:`repro.kmachine.engine`) — *how* a
-   communication phase executes.  ``Cluster(engine="message")`` keeps
-   per-object :class:`~repro.kmachine.Message` semantics;
-   ``engine="vector"`` runs the same phases as columnar NumPy batches.
-   Results and round/message/bit accounting are backend-identical.
+   communication phase executes.  Two product engines: ``"vector"``
+   (the default everywhere, named once as ``DEFAULT_ENGINE``) runs
+   phases as columnar NumPy batches in this process; ``"process"``
+   adds a pool of shard workers for per-machine compute.  Results and
+   round/message/bit accounting are backend-identical, and the test
+   suite holds both to a per-object oracle engine that lives under
+   ``tests/`` (one :class:`~repro.kmachine.Message` per batch row;
+   1.3–1.8x slower on whole runs of the batched families, 1.0x on the
+   accounting-only ones).
 2. **Runtime layer** (:mod:`repro.kmachine.distgraph`,
    :mod:`repro.runtime`) — *what state a run shares*.
    :class:`~repro.kmachine.DistributedGraph` materializes each machine's
@@ -67,14 +72,11 @@ name                      default         reader                why it is config
                           in cache root                         cache of the serve daemon
 ``REPRO_BUILD_JOBS``      1 (serial)      workloads/spec.py     CPUs a dataset build may use; the
                                                                 graph is bit-identical at any value
-``REPRO_SHARD_SNAPSHOTS`` on              kmachine/distgraph.py ``0`` neither writes nor reads shard
-                                                                snapshots: the A/B lever of
-                                                                benchmarks/bench_coldstart.py
 ``REPRO_TRACE``           unset (off)     obs/trace.py          output path: trace any run without
                                                                 editing its call site
 ``REPRO_ALERT_RULES``     unset (none)    obs/alerts.py         deployment config: the daemon's
                                                                 rule file, ``default`` or ``none``
-``REPRO_ENGINE`` [*]      vector          benchmarks/_common.py CI runs one bench suite per backend
+``REPRO_ENGINE`` [*]      DEFAULT_ENGINE  benchmarks/_common.py CI runs one bench suite per backend
 ``REPRO_WORKERS`` [*]     CPU count       benchmarks/_common.py worker-pool size when that is
                                                                 ``process``
 ========================= =============== ===================== ====================================
@@ -91,7 +93,7 @@ Quickstart::
     print(result.rounds, result.estimates[:5])
 
     # Equivalent, through the registry (bit-identical given the seed):
-    report = runtime.run("pagerank", g, k=8, seed=1, engine="vector")
+    report = runtime.run("pagerank", g, k=8, seed=1)
     print(report.rounds, report.result.estimates[:5])
 """
 

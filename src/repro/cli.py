@@ -56,6 +56,7 @@ from repro._util import polylog
 from repro.errors import ReproError
 from repro.experiments.fits import fit_power_law
 from repro.experiments.tables import format_table
+from repro.kmachine.engine import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -550,11 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine(p):
         p.add_argument(
             "--engine",
-            choices=("message", "vector", "process"),
-            default="message",
-            help="execution backend: per-object messages, vectorized batches, "
-            "or multiprocessing shard workers (identical results and round "
-            "accounting on all three)",
+            choices=sorted(ENGINES),
+            default=DEFAULT_ENGINE,
+            help="execution backend: vectorized batches in this process, or "
+            "multiprocessing shard workers (identical results and round "
+            "accounting on both)",
         )
         p.add_argument(
             "--workers",
@@ -723,8 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--k", type=int, default=None)
     cr.add_argument("--seed", type=int, default=None,
                     help="run seed (cacheable runs need one)")
-    cr.add_argument("--engine", choices=("message", "vector", "process"),
-                    default=None, help="execution backend (daemon default: vector)")
+    cr.add_argument("--engine", choices=sorted(ENGINES), default=None,
+                    help=f"execution backend (daemon default: {DEFAULT_ENGINE})")
     cr.add_argument("--workers", type=int, default=None)
     cr.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="family parameter override (repeatable)")

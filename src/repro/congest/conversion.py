@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.kmachine.cluster import Cluster
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
 from repro.congest.model import CongestExecution
@@ -30,7 +31,7 @@ def convert_execution(
     bandwidth: int | None = None,
     seed: int | None = None,
     addressing_bits: int | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
 ) -> Metrics:
     """Replay a recorded CONGEST execution in the k-machine model.
 
@@ -51,8 +52,8 @@ def convert_execution(
         Theorem.  Defaults to ``2 * ceil(log2 n)`` (source and
         destination vertex ids).
     engine:
-        Execution backend for the replay cluster (``"message"`` or
-        ``"vector"``); replay is aggregate-only, so both backends charge
+        Execution backend for the replay cluster (``"vector"`` or
+        ``"process"``); replay is aggregate-only, so both backends charge
         identical rounds.
 
     Returns

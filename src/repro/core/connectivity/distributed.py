@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.partition import VertexPartition
 from repro.core.mst.distributed import boruvka_forest
@@ -64,7 +65,7 @@ def connected_components_distributed(
     seed: int | None = None,
     bandwidth: int | None = None,
     partition: VertexPartition | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     cluster=None,
     distgraph=None,
 ) -> ConnectivityResult:

@@ -16,7 +16,7 @@ round lower bounds for
   ``n - 1`` MST edges (any machine may output any edge) forces
   ``IC = Θ̃(n/k)`` and ``T = Ω̃(n/k²)``, matching the ``Õ(n/k²)``
   algorithm of Pandurangan-Robinson-Scquizzato (SPAA 2016), which is out
-  of scope here (see DESIGN.md §6).
+  of scope here.
 """
 
 from __future__ import annotations

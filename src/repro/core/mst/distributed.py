@@ -34,7 +34,7 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
 ``O(log n)`` phases halve the component count, so on sparse graphs the
 total is ``Õ(m/k² + polylog)`` rounds — consistent with (and bounded
 below by) the §1.3 ``Ω̃(n/k²)`` lower bound.  The companion SPAA'16 paper
-removes the log factors with a more intricate algorithm; see DESIGN.md.
+removes the log factors with a more intricate algorithm.
 
 Message flows are accounted at aggregate level (load matrices), which is
 exact for these oblivious patterns; the driver computes the same values a
@@ -53,6 +53,7 @@ from repro.graphs.graph import Graph
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
 from repro.core.mst.reference import checked_weights
@@ -165,7 +166,7 @@ def boruvka_forest(
     bandwidth: int | None = None,
     partition: VertexPartition | None = None,
     max_phases: int | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     cluster: Cluster | None = None,
     distgraph: DistributedGraph | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, Metrics]:
@@ -296,7 +297,7 @@ def distributed_mst(
     bandwidth: int | None = None,
     partition: VertexPartition | None = None,
     max_phases: int | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     cluster: Cluster | None = None,
     distgraph: DistributedGraph | None = None,
 ) -> MSTResult:

@@ -26,7 +26,7 @@ from repro.graphs.graph import Graph
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import MessageBatch
+from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
 from repro.core.pagerank.result import IterationStats, PageRankResult
@@ -45,7 +45,7 @@ def baseline_pagerank(
     partition: VertexPartition | None = None,
     cluster: Cluster | None = None,
     max_iterations: int | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     distgraph: DistributedGraph | None = None,
 ) -> PageRankResult:
     """Run the per-edge-forwarding baseline (see module docstring)."""

@@ -37,7 +37,7 @@ from repro.graphs.graph import Graph
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import MessageBatch
+from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
 from repro.core.pagerank.result import IterationStats, PageRankResult
@@ -83,7 +83,7 @@ def distributed_pagerank(
     max_iterations: int | None = None,
     enable_heavy_path: bool = True,
     sources: np.ndarray | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     distgraph: DistributedGraph | None = None,
 ) -> PageRankResult:
     """Run Algorithm 1 on ``graph`` with ``k`` machines.
@@ -120,7 +120,7 @@ def distributed_pagerank(
         these vertices and estimates are normalized by ``|sources|``
         (matching ``pagerank_walk_series(..., sources=...)``).
     engine:
-        Execution backend (``"message"`` or ``"vector"``); ignored when
+        Execution backend (``"vector"`` or ``"process"``); ignored when
         an explicit ``cluster`` is supplied.  Results and accounting are
         backend-independent.
     distgraph:

@@ -34,7 +34,7 @@ from repro._util import check_positive_int
 from repro.errors import AlgorithmError
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
-from repro.kmachine.engine import MessageBatch
+from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.metrics import Metrics
 
 __all__ = ["distributed_sort", "SortResult"]
@@ -111,7 +111,7 @@ def distributed_sort(
     bandwidth: int | None = None,
     assignment: np.ndarray | None = None,
     oversample: float = 8.0,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     cluster: Cluster | None = None,
 ) -> SortResult:
     """Sort ``values`` with ``k`` machines in ``Õ(n/k²)`` rounds.
@@ -127,7 +127,7 @@ def distributed_sort(
         Sampling-rate constant: each element is sampled with probability
         ``min(1, oversample * k * ln n / n)``.
     engine:
-        Execution backend (``"message"`` or ``"vector"``).  The sample
+        Execution backend (``"vector"`` or ``"process"``).  The sample
         and redistribution streams are columnar ``(value, index)`` rows.
     """
     values = np.asarray(values)

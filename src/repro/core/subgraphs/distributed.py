@@ -22,6 +22,7 @@ from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.partition import VertexPartition
 from repro.core.subgraphs.colors4 import num_colors_for_machines_r4, quads_needing_edge_array
 from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
@@ -64,7 +65,7 @@ def enumerate_subgraphs_distributed(
     partition: VertexPartition | None = None,
     cluster: Cluster | None = None,
     use_proxies: bool = True,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     distgraph: DistributedGraph | None = None,
 ) -> TriangleResult:
     """Enumerate all (non-induced) K4s or C4s of ``graph`` with ``k`` machines.

@@ -27,6 +27,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.triangles_ref import enumerate_triangles_edges
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
 from repro.core.triangles.colors import machines_needing_edge_array
@@ -71,7 +72,7 @@ def enumerate_triangles_conversion(
     bandwidth: int | None = None,
     partition: VertexPartition | None = None,
     cluster: Cluster | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
 ) -> TriangleResult:
     """Simulate clique TriPartition at vertex granularity (see module doc).
 

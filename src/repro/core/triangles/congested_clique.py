@@ -25,6 +25,7 @@ from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph
+from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.partition import VertexPartition
 from repro.core.triangles.distributed import enumerate_triangles_distributed
 from repro.core.triangles.result import TriangleResult
@@ -43,7 +44,7 @@ def enumerate_triangles_congested_clique(
     bandwidth: int | None = None,
     cluster: Cluster | None = None,
     partition: VertexPartition | None = None,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     distgraph: DistributedGraph | None = None,
 ) -> TriangleResult:
     """Enumerate all triangles with ``n`` machines, one vertex each.

@@ -46,7 +46,7 @@ from repro.graphs.triangles_ref import enumerate_triangles_edges
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
-from repro.kmachine.engine import MessageBatch
+from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.partition import VertexPartition
 from repro.core.triangles.colors import (
     machines_needing_edge_array,
@@ -171,7 +171,7 @@ def enumerate_triangles_distributed(
     degree_threshold: int | None = None,
     enumerate_triads: bool = False,
     skip_local_enumeration: bool = False,
-    engine: str = "message",
+    engine: str = DEFAULT_ENGINE,
     distgraph: DistributedGraph | None = None,
 ) -> TriangleResult:
     """Enumerate all triangles of ``graph`` with ``k`` machines (Theorem 5).
@@ -198,7 +198,7 @@ def enumerate_triangles_distributed(
         by large-scale *round-scaling* benches; the returned triangle
         array is empty.
     engine:
-        Execution backend (``"message"`` or ``"vector"``); ignored when
+        Execution backend (``"vector"`` or ``"process"``); ignored when
         an explicit ``cluster`` is supplied.  The edge streams of all
         three phases are columnar, so the vector backend runs them
         without materializing message objects.

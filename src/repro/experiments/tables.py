@@ -1,4 +1,4 @@
-"""Plain-text table rendering for bench output (EXPERIMENTS.md rows)."""
+"""Plain-text table rendering for bench output."""
 
 from __future__ import annotations
 

@@ -17,12 +17,14 @@ simplifies; :meth:`Cluster.run_driver` runs that loop for driver objects
 exposing a ``step(cluster, state)`` method.
 
 *How* a phase executes is delegated to a pluggable execution engine
-(``engine="message"``, ``engine="vector"``, or ``engine="process"`` for
+(``engine="vector"``, the default, or ``engine="process"`` for
 multiprocessing shard workers — see :mod:`repro.kmachine.engine` and
-:mod:`repro.kmachine.parallel`); all backends produce identical results
-and identical round/message/bit accounting.  Drivers whose per-machine
-compute is hot can express it as a superstep kernel and dispatch it via
-:meth:`Cluster.map_machines`, which the process backend parallelizes.
+:mod:`repro.kmachine.parallel`); both produce identical results and
+identical round/message/bit accounting, which the test suite checks
+against a per-object oracle engine (``tests/message_engine.py``).
+Drivers whose per-machine compute is hot can express it as a superstep
+kernel and dispatch it via :meth:`Cluster.map_machines`, which the
+process backend parallelizes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ import numpy as np
 
 from repro._util import check_positive_int, polylog, spawn_rngs
 from repro.errors import ModelError
-from repro.kmachine.engine import DeliveredBatch, Engine, MessageBatch, make_engine
+from repro.kmachine.engine import (
+    DEFAULT_ENGINE,
+    DeliveredBatch,
+    Engine,
+    MessageBatch,
+    make_engine,
+)
 from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.network import LinkNetwork
@@ -61,10 +69,11 @@ class Cluster:
     mode:
         Network accounting mode (``"phase"`` or ``"strict"``).
     engine:
-        Execution backend: ``"message"`` (per-object semantics, the
-        default), ``"vector"`` (columnar/vectorized), ``"process"``
-        (multiprocessing shard workers over a shared-memory graph
-        store), or an :class:`~repro.kmachine.engine.Engine` subclass.
+        Execution backend: ``"vector"`` (columnar/vectorized, the
+        default — :data:`~repro.kmachine.engine.DEFAULT_ENGINE`),
+        ``"process"`` (multiprocessing shard workers over a
+        shared-memory graph store), or an
+        :class:`~repro.kmachine.engine.Engine` subclass.
     workers:
         Worker-pool size for the process backend (defaults to the CPU
         count, capped at ``k``); invalid with the in-process backends.
@@ -77,7 +86,7 @@ class Cluster:
         bandwidth: int | None = None,
         seed: int | None = None,
         mode: str = "phase",
-        engine: "str | type[Engine]" = "message",
+        engine: "str | type[Engine]" = DEFAULT_ENGINE,
         workers: int | None = None,
     ) -> None:
         check_positive_int(k, "k")

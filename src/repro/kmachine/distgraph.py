@@ -35,7 +35,6 @@ recomputation per superstep.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -51,12 +50,7 @@ __all__ = [
     "cached_distgraph",
     "clear_distgraph_cache",
     "warm_shard_snapshots",
-    "SHARD_SNAPSHOTS_ENV",
 ]
-
-#: Set to ``0``/``false``/``off`` to disable on-disk shard snapshots
-#: (both the mmap'd warm-start load and the write-through store).
-SHARD_SNAPSHOTS_ENV = "REPRO_SHARD_SNAPSHOTS"
 
 
 class MachineShard:
@@ -327,12 +321,6 @@ def _same_graph(cached: Graph, graph: Graph) -> bool:
     )
 
 
-def _snapshots_enabled() -> bool:
-    return os.environ.get(SHARD_SNAPSHOTS_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
 def _home_digest(home: np.ndarray) -> bytes:
     return hashlib.blake2b(
         np.ascontiguousarray(home).tobytes(), digest_size=16
@@ -515,7 +503,8 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     ``np.load(mmap_mode="r")`` on the sidecar — a warm start skips shard
     materialization entirely and faults pages in lazily, shared across
     processes — and a genuine cold build writes the sidecar through for
-    the next process.  ``$REPRO_SHARD_SNAPSHOTS=0`` disables both sides.
+    the next process.  A corrupt, vanished or version-mismatched sidecar
+    is a miss: rebuild, then write through.
     """
     digest = _home_digest(partition.home)
     key = (_graph_cache_key(graph), partition.k, digest)
@@ -531,9 +520,7 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
         _DISTGRAPH_CACHE.move_to_end(key)
         return dg
     dg = None
-    snapshot = (
-        getattr(graph, "content_key", None) is not None and _snapshots_enabled()
-    )
+    snapshot = getattr(graph, "content_key", None) is not None
     if snapshot:
         dg = _load_snapshot_distgraph(graph, partition, digest)
     if dg is None:
@@ -555,11 +542,10 @@ def warm_shard_snapshots(graph: Graph, limit: int | None = None) -> int:
     LRU key — the partitions are reconstructed from the snapshot's own
     ``home`` section — so the first request that resolves the same
     placement starts computing without touching the CSR.  Returns the
-    number of snapshots loaded (0 when snapshots are disabled or the
-    graph has no content key).
+    number of snapshots loaded (0 when the graph has no content key).
     """
     ck = getattr(graph, "content_key", None)
-    if ck is None or not _snapshots_enabled():
+    if ck is None:
         return 0
     cache = _graph_cache_module().default_cache()
     count = 0

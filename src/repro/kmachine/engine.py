@@ -1,17 +1,11 @@
 """Pluggable execution engines for the k-machine simulator.
 
 An :class:`Engine` decides *how* one communication phase is represented
-and executed; the algorithm drivers decide *what* is sent.  Two backends
-implement identical semantics:
+and executed; the algorithm drivers decide *what* is sent.  The product
+has two backends, and :data:`DEFAULT_ENGINE` is the one place the
+default is named:
 
-:class:`MessageEngine`
-    The original per-object backend: every logical message becomes a
-    :class:`~repro.kmachine.message.Message` instance routed through
-    :meth:`LinkNetwork.exchange`.  Faithful to the message-passing
-    reading of the model and convenient to debug, but the Python-object
-    hot loop dominates wall-clock time at large ``n``.
-
-:class:`VectorEngine`
+:class:`VectorEngine` (``"vector"``, the default)
     A dataflow-style backend: a phase's traffic is a handful of
     :class:`MessageBatch` objects — columnar NumPy arrays of per-message
     ``(src, dst, bits)`` plus payload columns — and round accounting,
@@ -19,25 +13,35 @@ implement identical semantics:
     ``(k, k)`` matrices and ``np.add.at`` / ``lexsort``, never touching
     a Python loop over messages.
 
-A third backend, :class:`~repro.kmachine.parallel.engine.ProcessEngine`
-(``engine="process"``), inherits the vectorized exchange layer and runs
-per-machine superstep kernels (:meth:`Engine.map_machines`) in a pool of
-worker processes attached zero-copy to a shared-memory graph store; the
-:mod:`repro.kmachine` package registers it by importing
-:mod:`repro.kmachine.parallel`.
+:class:`~repro.kmachine.parallel.engine.ProcessEngine` (``"process"``)
+    Inherits the vectorized exchange layer and runs per-machine
+    superstep kernels (:meth:`Engine.map_machines`) in a pool of worker
+    processes attached zero-copy to a shared-memory graph store; the
+    :mod:`repro.kmachine` package registers it by importing
+    :mod:`repro.kmachine.parallel`.
 
-Both engines charge rounds through the same
-:meth:`LinkNetwork.record` primitive and deliver batch rows in the same
+The test suite adds one more: a per-object *oracle* engine
+(``tests/message_engine.py``, registered as ``message`` by
+``tests/conftest.py``) that turns every batch row into a
+:class:`~repro.kmachine.message.Message` routed through
+:meth:`LinkNetwork.exchange`.  It is the message-passing reading of the
+model taken literally, and the cross-engine, golden and driver-oracle
+suites compare the product engines against it; whole runs on it are
+1.3–1.8x slower on the batched families (PageRank, triangles) and no
+slower on the accounting-only ones (MST, connectivity).
+
+Every engine charges rounds through the same
+:meth:`LinkNetwork.record` primitive and delivers batch rows in the same
 *canonical order* (destination machine, then source machine, then
 emission order), so a driver written against the batch API produces
-bit-identical results, round counts, and per-link bit totals on either
+bit-identical results, round counts, and per-link bit totals on any
 backend — which the property tests in
 ``tests/property/test_property_engines.py`` assert for every algorithm
 family.
 
 Drivers whose traffic is heterogeneous (control messages, one-off
-payloads) fall back to the message-level :meth:`Engine.exchange`, which
-both engines support.
+payloads) use the message-level :meth:`Engine.exchange`, which is
+per-object on every engine.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ __all__ = [
     "MessageBatch",
     "DeliveredBatch",
     "Engine",
-    "MessageEngine",
     "VectorEngine",
     "ResidentHandle",
     "ENGINES",
+    "DEFAULT_ENGINE",
+    "engine_class",
     "make_engine",
 ]
 
@@ -255,10 +260,10 @@ def _top_links(bits_mat: np.ndarray, top: int) -> list[list[int]] | None:
 class Engine:
     """Executes communication phases against a :class:`LinkNetwork`.
 
-    Subclasses implement :meth:`exchange` (per-object traffic) and
-    :meth:`exchange_batches` (columnar traffic).  All accounting flows
-    into the shared :class:`~repro.kmachine.metrics.Metrics` of the
-    bound network, so backends are interchangeable mid-run.
+    Subclasses implement :meth:`exchange_batches` (columnar traffic);
+    per-object :meth:`exchange` is shared.  All accounting flows into
+    the shared :class:`~repro.kmachine.metrics.Metrics` of the bound
+    network, so backends are interchangeable mid-run.
     """
 
     name: str = "abstract"
@@ -299,12 +304,27 @@ class Engine:
         """The bound network's cumulative metrics."""
         return self.network.metrics
 
-    # -- abstract phase execution --------------------------------------
+    # -- phase execution -------------------------------------------------
     def exchange(
         self, outboxes: Sequence[Iterable[Message]], label: str = ""
     ) -> list[list[Message]]:
-        """Run one message-level communication phase."""
-        raise NotImplementedError
+        """Run one message-level communication phase.
+
+        Heterogeneous traffic keeps per-object semantics on every
+        backend; only batch traffic is engine-specific.
+        """
+        self._mark_activity()
+        if not self.tracer.enabled:
+            return self.network.exchange(outboxes, label=label)
+        t0 = time.perf_counter()
+        inboxes = self.network.exchange(outboxes, label=label)
+        self.tracer.phase(
+            "exchange",
+            label,
+            time.perf_counter() - t0,
+            stats=self.metrics.phase_log[-1],
+        )
+        return inboxes
 
     def exchange_batches(
         self, batches: Sequence[MessageBatch], label: str = ""
@@ -488,95 +508,6 @@ class Engine:
                 )
 
 
-class MessageEngine(Engine):
-    """The per-object backend: every logical message is a :class:`Message`."""
-
-    name = "message"
-
-    def exchange(
-        self, outboxes: Sequence[Iterable[Message]], label: str = ""
-    ) -> list[list[Message]]:
-        self._mark_activity()
-        if not self.tracer.enabled:
-            return self.network.exchange(outboxes, label=label)
-        t0 = time.perf_counter()
-        inboxes = self.network.exchange(outboxes, label=label)
-        self.tracer.phase(
-            "exchange",
-            label,
-            time.perf_counter() - t0,
-            stats=self.metrics.phase_log[-1],
-        )
-        return inboxes
-
-    def exchange_batches(
-        self, batches: Sequence[MessageBatch], label: str = ""
-    ) -> list[DeliveredBatch]:
-        self._mark_activity()
-        self._validate_batches(batches)
-        trace = self.tracer.enabled
-        t0 = time.perf_counter() if trace else 0.0
-        k = self.k
-        outboxes: list[list[Message]] = [[] for _ in range(k)]
-        for b, batch in enumerate(batches):
-            src, dst, bits = batch.src, batch.dst, batch.bits
-            for r in range(len(batch)):
-                outboxes[int(src[r])].append(
-                    Message(
-                        src=int(src[r]),
-                        dst=int(dst[r]),
-                        kind=batch.kind,
-                        payload=(b, r),
-                        bits=int(bits[r]),
-                    )
-                )
-        t1 = time.perf_counter() if trace else 0.0
-        inboxes = self.network.exchange(outboxes, label=label)
-        t2 = time.perf_counter() if trace else 0.0
-
-        # Reassemble each batch from the physically delivered messages in
-        # canonical order: destination, then source, then emission order.
-        delivered: list[DeliveredBatch] = []
-        rows_per_batch: list[list[tuple[int, int, int]]] = [[] for _ in batches]
-        for j, inbox in enumerate(inboxes):
-            for msg in inbox:
-                b, r = msg.payload
-                rows_per_batch[b].append((j, msg.src, r))
-        for batch, rows in zip(batches, rows_per_batch):
-            if rows:
-                arr = np.array(sorted(rows), dtype=np.int64)
-                order = arr[:, 2]
-                dst = arr[:, 0]
-            else:
-                order = np.zeros(0, dtype=np.int64)
-                dst = np.zeros(0, dtype=np.int64)
-            offsets = np.searchsorted(dst, np.arange(k + 1))
-            delivered.append(
-                DeliveredBatch(
-                    kind=batch.kind,
-                    src=batch.src[order],
-                    dst=dst,
-                    bits=batch.bits[order],
-                    columns={n: c[order] for n, c in batch.columns.items()},
-                    offsets=offsets,
-                )
-            )
-        if trace:
-            t3 = time.perf_counter()
-            self.tracer.phase(
-                "exchange_batches",
-                label,
-                t3 - t0,
-                segments={
-                    "pack_s": t1 - t0,
-                    "exchange_s": t2 - t1,
-                    "deliver_s": t3 - t2,
-                },
-                stats=self.metrics.phase_log[-1],
-            )
-        return delivered
-
-
 class VectorEngine(Engine):
     """The vectorized backend: dense load matrices, columnar delivery.
 
@@ -588,24 +519,6 @@ class VectorEngine(Engine):
     """
 
     name = "vector"
-
-    def exchange(
-        self, outboxes: Sequence[Iterable[Message]], label: str = ""
-    ) -> list[list[Message]]:
-        # Heterogeneous traffic keeps per-object semantics on both
-        # backends; only batch traffic takes the vectorized path.
-        self._mark_activity()
-        if not self.tracer.enabled:
-            return self.network.exchange(outboxes, label=label)
-        t0 = time.perf_counter()
-        inboxes = self.network.exchange(outboxes, label=label)
-        self.tracer.phase(
-            "exchange",
-            label,
-            time.perf_counter() - t0,
-            stats=self.metrics.phase_log[-1],
-        )
-        return inboxes
 
     def exchange_batches(
         self, batches: Sequence[MessageBatch], label: str = ""
@@ -687,21 +600,25 @@ class VectorEngine(Engine):
 #: Registry of engine backends by name.  ``"process"`` is added when
 #: :mod:`repro.kmachine.parallel` is imported, which the
 #: :mod:`repro.kmachine` package ``__init__`` does eagerly.
-ENGINES: dict[str, type[Engine]] = {
-    MessageEngine.name: MessageEngine,
-    VectorEngine.name: VectorEngine,
-}
+ENGINES: dict[str, type[Engine]] = {VectorEngine.name: VectorEngine}
+
+#: The engine every entry point runs on when none is named — the one
+#: place the default is spelled.
+DEFAULT_ENGINE = VectorEngine.name
 
 
-def _build_engine(cls: type[Engine], network: LinkNetwork, workers: int | None) -> Engine:
-    if workers is None:
-        return cls(network)
-    if not cls.supports_workers:
-        raise ModelError(
-            f"engine {cls.name!r} does not take a workers setting "
-            f"(only the process backend runs a worker pool)"
-        )
-    return cls(network, workers=workers)
+def engine_class(spec: "str | type[Engine]") -> type[Engine]:
+    """The engine class a spec (registered name or class) names."""
+    if isinstance(spec, type) and issubclass(spec, Engine):
+        return spec
+    if isinstance(spec, str):
+        try:
+            return ENGINES[spec]
+        except KeyError:
+            raise ModelError(
+                f"unknown engine {spec!r}; available: {sorted(ENGINES)}"
+            ) from None
+    raise ModelError(f"cannot interpret engine spec {spec!r}")
 
 
 def make_engine(
@@ -721,14 +638,12 @@ def make_engine(
         if workers is not None:
             raise ModelError("pass workers when the engine is created, not with an instance")
         return spec
-    if isinstance(spec, type) and issubclass(spec, Engine):
-        return _build_engine(spec, network, workers)
-    if isinstance(spec, str):
-        try:
-            cls = ENGINES[spec]
-        except KeyError:
-            raise ModelError(
-                f"unknown engine {spec!r}; available: {sorted(ENGINES)}"
-            ) from None
-        return _build_engine(cls, network, workers)
-    raise ModelError(f"cannot interpret engine spec {spec!r}")
+    cls = engine_class(spec)
+    if workers is None:
+        return cls(network)
+    if not cls.supports_workers:
+        raise ModelError(
+            f"engine {cls.name!r} does not take a workers setting "
+            f"(only the process backend runs a worker pool)"
+        )
+    return cls(network, workers=workers)

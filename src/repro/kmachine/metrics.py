@@ -185,7 +185,7 @@ class Metrics:
         return max((p.max_link_bits for p in self.phase_log), default=0)
 
     def as_dict(self) -> dict:
-        """Summary dictionary (for benches / EXPERIMENTS.md rows)."""
+        """Summary dictionary (for bench table rows)."""
         return {
             "k": self.k,
             "bandwidth": self.bandwidth,

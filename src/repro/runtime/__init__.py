@@ -3,8 +3,8 @@
 Architecture (bottom-up):
 
 * **engine layer** (:mod:`repro.kmachine.engine`) — *how* a communication
-  phase executes (per-object messages vs columnar batches), behind
-  ``Cluster(engine=...)``;
+  phase executes (columnar batches in this process, or with a pool of
+  shard workers), behind ``Cluster(engine=...)``;
 * **runtime layer** (:mod:`repro.kmachine.distgraph` + this package) —
   *what state a run shares*: :class:`~repro.kmachine.distgraph.DistributedGraph`
   materializes the per-machine RVP shards once, and :func:`run` owns

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import AlgorithmError
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, cached_distgraph
+from repro.kmachine.engine import DEFAULT_ENGINE, Engine, engine_class
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
 from repro.obs.bounds import BoundReport, compute_bound_report
@@ -273,8 +274,8 @@ def _resolve_result_store(result_cache):
     return result_cache
 
 
-def _result_cache_plan(name, data, k, merged, seed, engine, bandwidth, cluster, placement):
-    """``(key, params_json, engine_name)`` for a cacheable run, else ``None``.
+def _result_cache_plan(name, data, k, merged, seed, engine_name, bandwidth, cluster, placement):
+    """``(key, params_json)`` for a cacheable run, else ``None``.
 
     A run is cacheable exactly when it is a pure function of the key:
     the input carries a dataset content key, the seed is pinned, the
@@ -293,9 +294,7 @@ def _result_cache_plan(name, data, k, merged, seed, engine, bandwidth, cluster, 
         params_json = canonical_params(merged, k, bandwidth)
     except TypeError:
         return None  # e.g. an explicit numpy weights array
-    engine_name = engine if engine is not None else "message"
-    key = result_key(content_key, name, params_json, seed, engine_name)
-    return key, params_json, engine_name
+    return result_key(content_key, name, params_json, seed, engine_name), params_json
 
 
 def run(
@@ -304,7 +303,7 @@ def run(
     k: int | None = None,
     *,
     dataset=None,
-    engine: str | None = None,
+    engine: str | type[Engine] | None = None,
     workers: int | None = None,
     seed: int | None = None,
     bandwidth: int | None = None,
@@ -327,7 +326,8 @@ def run(
 
     Seeded runs are bit-identical to calling the family's
     ``distributed_*`` function directly with the same arguments, on
-    either engine.
+    either product engine (``"vector"``, ``"process"``) and on the
+    per-object oracle engine the test suite registers as ``message``.
 
     Parameters
     ----------
@@ -351,8 +351,12 @@ def run(
         content key lets :func:`~repro.kmachine.distgraph.cached_distgraph`
         reuse materialized shards across reloads.  Graph families only.
     engine / workers / seed / bandwidth:
-        Cluster construction knobs (``engine`` defaults to
-        ``"message"``; ``workers`` sizes the process backend's pool).
+        Cluster construction knobs.  ``engine`` is a registered name
+        or an :class:`~repro.kmachine.engine.Engine` subclass and
+        defaults to :data:`~repro.kmachine.engine.DEFAULT_ENGINE`; it
+        is resolved once, so the result-cache key, the trace header,
+        the stored row and ``RunReport.engine`` all carry the resolved
+        engine's ``name``.  ``workers`` sizes the process backend's pool.
         All four conflict with an explicit ``cluster=`` — the cluster
         already fixed them — and passing any of them alongside one
         raises :class:`AlgorithmError` rather than silently running on
@@ -423,7 +427,7 @@ def _run_impl(
     entered: float,
     tracer,
     dataset,
-    engine: str | None,
+    engine,
     workers: int | None,
     seed: int | None,
     bandwidth: int | None,
@@ -470,6 +474,12 @@ def _run_impl(
                     f"explicit cluster= already fixed it — drop {knob} "
                     f"or drop cluster"
                 )
+        engine_name = cluster.engine.name
+    else:
+        # Resolved here and nowhere else: the result key, run_start, the
+        # stored row and the Cluster built below cannot disagree.
+        engine = engine_class(DEFAULT_ENGINE if engine is None else engine)
+        engine_name = engine.name
     merged = dict(spec.default_params)
     merged.update(params)
     if "seed" in merged and merged["seed"] is None:
@@ -480,9 +490,7 @@ def _run_impl(
         tracer.run_start(
             algo=spec.name, n=n, m=m, k=k,
             bandwidth=_bandwidth_of(cluster, bandwidth, spec, data),
-            engine=(cluster.engine.name if cluster is not None
-                    else engine if engine is not None else "message"),
-            workers=workers,
+            engine=engine_name, workers=workers,
         )
     store = _resolve_result_store(result_cache)
     if cache_only and store is None:
@@ -490,10 +498,10 @@ def _run_impl(
     plan = None
     if store is not None:
         plan = _result_cache_plan(
-            name, data, k, merged, seed, engine, bandwidth, cluster, placement
+            name, data, k, merged, seed, engine_name, bandwidth, cluster, placement
         )
         if plan is not None:
-            key, params_json, engine_name = plan
+            key, params_json = plan
             # cache_only probes never count a miss: the caller's real
             # run (which looks up again) owns the miss accounting.
             hit = store.get(key, count_miss=not cache_only)
@@ -526,7 +534,7 @@ def _run_impl(
     if cluster is None:
         cluster = Cluster(
             k=k, n=spec.cluster_n(data), bandwidth=bandwidth, seed=seed,
-            engine=engine if engine is not None else "message", workers=workers,
+            engine=engine, workers=workers,
         )
     if placement is None:
         placement = spec.sample_placement(cluster, data)
@@ -556,10 +564,10 @@ def _run_impl(
             cluster.close()
     first_activity = getattr(cluster.engine, "first_activity", None)
     if plan is not None:
-        key, params_json, engine_name = plan
+        key, params_json = plan
         store.put(
             key, content_key=data.content_key, algo=spec.name,
-            params_json=params_json, seed=seed, engine=cluster.engine.name,
+            params_json=params_json, seed=seed, engine=engine_name,
             n=n, k=k, result=result, metrics=cluster.metrics,
         )
     setup_s = first_activity - entered if first_activity is not None else None
@@ -573,7 +581,7 @@ def _run_impl(
         name=spec.name,
         result=result,
         metrics=cluster.metrics,
-        engine=cluster.engine.name,
+        engine=engine_name,
         k=k,
         n=n,
         params=merged,

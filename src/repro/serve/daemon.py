@@ -32,7 +32,8 @@ that merely stays connected.
 ``POST /run``
     Body: ``{"algo": "pagerank", "dataset": "rmat:n=1e6,avg_deg=16,seed=7",
     "k": 8, "seed": 1, "engine": "vector", "params": {"c": 2}}``
-    (``engine`` defaults to ``"vector"``, the fast in-process backend;
+    (``engine`` defaults to
+    :data:`~repro.kmachine.engine.DEFAULT_ENGINE`, as everywhere;
     ``workers``/``bandwidth``/``timeout`` optional).  Replies with the
     run report: counts, metrics, ``cached`` flag, and the family's
     summary rows.  Graph families only — inputs are named by dataset
@@ -461,8 +462,7 @@ class ReproServer:
         report = self.session.run(
             algo,
             dataset=dataset,
-            # The service default is the fast in-process backend.
-            engine=payload.get("engine") or "vector",
+            engine=payload.get("engine") or None,  # runtime.run fills the default
             **kwargs,
             **params,
         )

@@ -20,11 +20,11 @@ connection guarded by a lock) and multiple processes (WAL journal +
 busy timeout), and the table is bounded by ``max_entries`` with
 least-recently-used eviction.
 
-**A hit is a pure read.**  ``get`` checks existence and TTL with one
-blob-free ``SELECT algo, created`` and opens no write transaction.  The
-row's ``last_used`` stamp and ``hits`` count are buffered and written
-inside the next write transaction (``put``, ``rows``, ``clear``,
-``close``, an expiry delete) or by the hit that makes
+**A hit is a pure read.**  ``get`` checks existence with one blob-free
+``SELECT created`` and opens no write transaction.  The row's
+``last_used`` stamp and ``hits`` count are buffered and written inside
+the next write transaction (``put``, ``rows``, ``clear``, ``close``) or
+by the hit that makes
 :data:`FLUSH_PENDING_HITS` of them pending, so eviction always sees them
 and a killed process loses at most that many stamps, never a result.
 
@@ -32,7 +32,7 @@ and a killed process loses at most that many stamps, never a result.
 unpickled (LRU).  sqlite remains the source of truth across processes: a
 decoded row is served only while the ``created`` just read from the file
 equals the one it was decoded under, so a row another process replaced
-is re-read and one it deleted (or that expired) is a miss.  Such a hit
+is re-read and one it deleted is a miss.  Such a hit
 reads no payload byte and unpickles nothing.  Hits share the decoded
 objects, so every numpy array in them is handed out read-only.
 
@@ -195,41 +195,28 @@ class ResultStore:
         ephemeral in-process store.
     max_entries:
         LRU row bound enforced after each :meth:`put`.
-    ttl_seconds:
-        Optional expiry by algorithm family: a number applies one TTL to
-        every row; a mapping keys TTLs by ``algo`` name, with ``"*"`` as
-        the fallback for families not listed (no ``"*"`` means unlisted
-        families never expire).  A row older than its family's TTL
-        (measured from ``created``, not ``last_used`` — popularity must
-        not keep stale results alive) is treated as a miss on lookup and
-        deleted; :meth:`put` additionally sweeps expired rows before LRU
-        eviction so dead rows never crowd out live ones.
 
-    Counters (:attr:`hits`, :attr:`misses`, :attr:`stores`,
-    :attr:`expired`, :attr:`swept`) are in-memory and per-instance: they
-    answer "what did *this* session's traffic do", while the per-row
-    ``hits`` column persists popularity across daemon restarts (written
-    with the next write transaction, see the module docstring).
-    ``expired`` counts lookups that found only an expired row (each also
-    counts as a miss); ``swept`` counts rows deleted by expiry.
+    A row is a pure function of its key (content hash, params, seed), so
+    it never goes stale: rows leave only by LRU eviction or :meth:`clear`.
+
+    Counters (:attr:`hits`, :attr:`misses`, :attr:`stores`) are
+    in-memory and per-instance: they answer "what did *this* session's
+    traffic do", while the per-row ``hits`` column persists popularity
+    across daemon restarts (written with the next write transaction, see
+    the module docstring).
     """
 
     def __init__(self, path: "str | Path | None" = None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES,
-                 ttl_seconds=None) -> None:
+                 max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise ServeError(f"max_entries must be positive, got {max_entries}")
         self.path = str(path) if path is not None else _default_path()
         self.max_entries = int(max_entries)
-        self.ttl_seconds = self._normalize_ttl(ttl_seconds)
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.expired = 0
-        self.swept = 0
-        #: Injectable wall clock (tests pin it to exercise expiry
-        #: deterministically); every created/last_used/TTL comparison
-        #: goes through it.
+        #: Injectable wall clock (tests pin it); every created/last_used
+        #: stamp goes through it.
         self._clock = time.time
         self._lock = threading.RLock()
         #: key -> [last_used, hits] not yet written; hits since the last flush.
@@ -253,61 +240,6 @@ class ResultStore:
             self._conn.executescript(_SCHEMA)
         # Weak-referenced: registration never keeps the store alive.
         self._obs_token = obs_registry().register("result_store", self.stats)
-
-    @staticmethod
-    def _normalize_ttl(ttl) -> dict[str, float]:
-        """``{algo: seconds}`` view of the ``ttl_seconds`` argument."""
-        if ttl is None:
-            return {}
-        if isinstance(ttl, (int, float)) and not isinstance(ttl, bool):
-            ttl = {"*": ttl}
-        try:
-            items = dict(ttl).items()
-        except (TypeError, ValueError):
-            raise ServeError(
-                f"ttl_seconds must be a number or an algo->seconds "
-                f"mapping, got {ttl!r}"
-            ) from None
-        out: dict[str, float] = {}
-        for algo, seconds in items:
-            try:
-                seconds = float(seconds)
-            except (TypeError, ValueError):
-                raise ServeError(
-                    f"ttl_seconds[{algo!r}] must be a number, got {seconds!r}"
-                ) from None
-            if seconds <= 0:
-                raise ServeError(
-                    f"ttl_seconds[{algo!r}] must be positive, got {seconds}"
-                )
-            out[str(algo)] = seconds
-        return out
-
-    def _ttl_for(self, algo: str) -> float | None:
-        specific = self.ttl_seconds.get(algo)
-        return specific if specific is not None else self.ttl_seconds.get("*")
-
-    def _sweep_expired_locked(self, now: float) -> int:
-        """Delete every expired row (caller holds the lock + txn)."""
-        removed = 0
-        explicit = [algo for algo in self.ttl_seconds if algo != "*"]
-        for algo in explicit:
-            cursor = self._conn.execute(
-                "DELETE FROM results WHERE algo = ? AND created < ?",
-                (algo, now - self.ttl_seconds[algo]),
-            )
-            removed += cursor.rowcount
-        default = self.ttl_seconds.get("*")
-        if default is not None:
-            placeholders = ",".join("?" * len(explicit))
-            exclusion = f" AND algo NOT IN ({placeholders})" if explicit else ""
-            cursor = self._conn.execute(
-                f"DELETE FROM results WHERE created < ?{exclusion}",
-                (now - default, *explicit),
-            )
-            removed += cursor.rowcount
-        self.swept += removed
-        return removed
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -363,25 +295,16 @@ class ResultStore:
         ``metrics`` are read-only, because hits share them.  A hit
         bumps :attr:`hits`; a miss bumps :attr:`misses` unless
         ``count_miss`` is False (optimistic probes that are always
-        followed by a counted lookup).  A row past its family's TTL is a
-        miss (counted in :attr:`expired` too) and is deleted in place.
+        followed by a counted lookup).
         """
         with self._lock:
             head = self._conn.execute(
-                "SELECT algo, created FROM results WHERE key = ?", (key,)
+                "SELECT created FROM results WHERE key = ?", (key,)
             ).fetchone()
             if head is None:
                 return self._miss(key, count_miss)
-            algo, created = head
-            now = self._clock()
-            ttl = self._ttl_for(algo)
-            if ttl is not None and now - float(created) > ttl:
-                self._delete(key)
-                self.expired += 1
-                self.swept += 1
-                return self._miss(key, count_miss)
             entry = self._decoded.get(key)
-            if entry is not None and entry[0] == created:
+            if entry is not None and entry[0] == head[0]:
                 self._decoded.move_to_end(key)
             else:
                 if entry is not None:
@@ -389,6 +312,7 @@ class ResultStore:
                 entry = self._decode(key)
                 if entry is None:
                     return self._miss(key, count_miss)
+            now = self._clock()
             stamp = self._pending.setdefault(key, [now, 0])
             stamp[0] = now
             stamp[1] += 1
@@ -461,10 +385,6 @@ class ResultStore:
         now = self._clock()
         with self._write():
             self._forget(key)
-            if self.ttl_seconds:
-                # Expired rows go first so LRU eviction below only ever
-                # competes among live entries.
-                self._sweep_expired_locked(now)
             self._conn.execute(
                 "INSERT OR REPLACE INTO results (key, content_key, algo, params, "
                 "seed, engine, n, k, rounds, payload, created, last_used, hits) "
@@ -504,19 +424,14 @@ class ResultStore:
         """Traffic and occupancy counters (JSON-ready)."""
         with self._lock:
             entries = self._count_locked()
-        out = {
+        return {
             "path": self.path,
             "entries": entries,
             "max_entries": self.max_entries,
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "expired": self.expired,
-            "swept": self.swept,
         }
-        if self.ttl_seconds:
-            out["ttl_seconds"] = dict(self.ttl_seconds)
-        return out
 
     def rows(self) -> list[dict]:
         """Row metadata (no payloads), most recently used first."""

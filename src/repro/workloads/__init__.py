@@ -65,8 +65,8 @@ Two layers keep repeated starts sub-second and first builds fast:
   (``np.load(mmap_mode="r")``) — pages fault in on demand, nothing is
   parsed or copied, and a warm ``runtime.run`` reaches its first
   superstep in well under a second where rebuilding shards took
-  seconds.  ``$REPRO_SHARD_SNAPSHOTS=0`` disables the layer;
-  ``repro serve --prewarm SPEC`` preloads snapshots at daemon start.
+  seconds.  ``repro serve --prewarm SPEC`` preloads snapshots at
+  daemon start.
 
 * **Parallel generation.**  ``build_dataset(spec, jobs=N)``, ``repro
   data build --jobs N``, or ``$REPRO_BUILD_JOBS`` shard the heavy

@@ -1,15 +1,21 @@
 """Unit tests for the pluggable execution-engine layer."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from message_engine import MessageEngine
 from repro.errors import ModelError
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.engine import (
     ENGINES,
     MessageBatch,
-    MessageEngine,
     VectorEngine,
     make_engine,
 )
@@ -58,6 +64,36 @@ class TestEngineRegistry:
     def test_registry_contents(self):
         assert ENGINES["message"] is MessageEngine
         assert ENGINES["vector"] is VectorEngine
+
+    def test_product_table_is_vector_and_process(self):
+        """Without conftest's oracle registration: two engines, one default."""
+        code = textwrap.dedent("""
+            from repro.cli import build_parser
+            from repro.errors import ModelError
+            from repro.kmachine import LinkNetwork
+            from repro.kmachine.engine import DEFAULT_ENGINE, ENGINES, make_engine
+
+            assert sorted(ENGINES) == ["process", "vector"], sorted(ENGINES)
+            assert DEFAULT_ENGINE == "vector"
+            try:
+                make_engine("message", LinkNetwork(3, bandwidth=8))
+            except ModelError as exc:
+                assert "['process', 'vector']" in str(exc), exc
+            else:
+                raise AssertionError("message resolved outside the tests")
+            try:
+                build_parser().parse_args(["run", "pagerank", "--engine", "message"])
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                raise AssertionError("--engine message accepted outside the tests")
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_make_engine_from_name_and_class(self):
         net = LinkNetwork(3, bandwidth=8)

@@ -253,6 +253,23 @@ class TestRunRequests:
         assert status["session"]["cache_hits"] == 1
         assert status["session"]["result_store"]["hits"] == 1
 
+    def test_one_default_engine_over_every_door(self, daemon):
+        """Session, runtime.run and POST /run with no engine share one row."""
+        from repro import runtime
+        from repro.kmachine.engine import DEFAULT_ENGINE
+
+        server, client = daemon
+        store = server.session.store
+        first = server.session.run("triangles", dataset=DATASET, k=4, seed=9)
+        second = runtime.run("triangles", dataset=DATASET, k=4, seed=9,
+                             result_cache=store)
+        third = client.run("triangles", dataset=DATASET, k=4, seed=9)
+        assert (first.cached, second.cached, third["cached"]) == (False, True, True)
+        assert first.engine == second.engine == third["engine"] == DEFAULT_ENGINE
+        (row,) = store.rows()
+        assert row["engine"] == DEFAULT_ENGINE and row["hits"] == 2
+        assert store.stats()["hits"] == 2 and store.stats()["stores"] == 1
+
     def test_summary_rows_are_json_clean(self, daemon):
         _, client = daemon
         report = client.run("pagerank", dataset=DATASET, k=4, seed=1)

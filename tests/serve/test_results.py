@@ -305,17 +305,6 @@ class TestDecodedRows:
             assert np.array_equal(again["pi"], np.arange(4.0))
             assert payload["pi"].flags.writeable, "the caller's own array is untouched"
 
-    def test_ttl_expiry_fires_on_a_decoded_row(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=60) as store:
-            clock = _pin_clock(store)
-            _put(store, "a" * 32)
-            assert store.get("a" * 32) is not None
-            assert "a" * 32 in store._decoded
-            clock["now"] += 61
-            assert store.get("a" * 32) is None
-            assert store.expired == 1 and len(store) == 0
-            assert "a" * 32 not in store._decoded and store._decoded_bytes == 0
-
     def test_other_handle_clears_or_replaces_the_row(self, tmp_path):
         path = tmp_path / "r.sqlite"
         with ResultStore(path) as first, ResultStore(path) as second:
@@ -358,100 +347,6 @@ class TestDecodedRows:
             assert {r["key"]: r["hits"] for r in store.rows()}["a" * 32] == 3
 
 
-class TestTTL:
-    """Per-algo-family result expiry, on a pinned clock."""
-
-    @staticmethod
-    def _pinned(store, start=1_000.0):
-        state = {"now": start}
-        store._clock = lambda: state["now"]
-        return state
-
-    def test_expired_row_is_a_miss_and_deleted_in_place(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=60) as store:
-            clock = self._pinned(store)
-            key = result_key("c" * 32, "pagerank", "{}", 1, "vector")
-            _put(store, key)
-            assert store.get(key) is not None
-            clock["now"] += 61
-            assert store.get(key) is None
-            stats = store.stats()
-            assert stats["expired"] == 1 and stats["swept"] == 1
-            assert stats["misses"] == 1 and stats["hits"] == 1
-            assert len(store) == 0
-            # A re-put after expiry restarts the row's life.
-            _put(store, key)
-            assert store.get(key) is not None
-
-    def test_expiry_measured_from_created_not_last_used(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=60) as store:
-            clock = self._pinned(store)
-            key = result_key("c" * 32, "pagerank", "{}", 1, "vector")
-            _put(store, key)
-            for _ in range(5):  # popularity must not grant immortality
-                clock["now"] += 20
-                store.get(key)
-            clock["now"] += 20  # 120s after creation
-            assert store.get(key) is None
-
-    def test_count_miss_false_still_counts_expiry(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=60) as store:
-            clock = self._pinned(store)
-            key = result_key("c" * 32, "pagerank", "{}", 1, "vector")
-            _put(store, key)
-            clock["now"] += 61
-            assert store.get(key, count_miss=False) is None
-            assert store.misses == 0
-            assert store.expired == 1
-
-    def test_per_algo_map_with_wildcard_fallback(self, tmp_path):
-        ttl = {"pagerank": 60, "*": 600}
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=ttl) as store:
-            clock = self._pinned(store)
-            pr = result_key("c" * 32, "pagerank", "{}", 1, "vector")
-            mst = result_key("c" * 32, "mst", "{}", 1, "vector")
-            _put(store, pr, algo="pagerank")
-            _put(store, mst, algo="mst")
-            clock["now"] += 120  # past pagerank's TTL, inside mst's
-            assert store.get(pr) is None
-            assert store.get(mst) is not None
-            clock["now"] += 600
-            assert store.get(mst) is None
-
-    def test_put_sweeps_expired_rows(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=60) as store:
-            clock = self._pinned(store)
-            for seed in range(3):
-                _put(store, result_key("c" * 32, "pagerank", "{}", seed,
-                                       "vector"), seed=seed)
-            clock["now"] += 61
-            fresh = result_key("c" * 32, "pagerank", "{}", 9, "vector")
-            _put(store, fresh, seed=9)
-            # The sweep removed the stale rows without any get() traffic.
-            assert len(store) == 1
-            assert store.swept == 3
-            assert store.expired == 0  # no lookup ever saw them
-
-    def test_no_ttl_means_no_expiry(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite") as store:
-            clock = self._pinned(store)
-            key = result_key("c" * 32, "pagerank", "{}", 1, "vector")
-            _put(store, key)
-            clock["now"] += 10**9
-            assert store.get(key) is not None
-            assert "ttl_seconds" not in store.stats()
-
-    def test_stats_reports_the_ttl_map(self, tmp_path):
-        with ResultStore(tmp_path / "r.sqlite", ttl_seconds=30) as store:
-            assert store.stats()["ttl_seconds"] == {"*": 30.0}
-
-    @pytest.mark.parametrize("bad", [0, -5, "soon", {"pagerank": 0},
-                                     {"mst": "x"}, True])
-    def test_rejects_malformed_ttl(self, tmp_path, bad):
-        with pytest.raises(ServeError, match="ttl_seconds"):
-            ResultStore(tmp_path / "r.sqlite", ttl_seconds=bad)
-
-
 class TestRunIntegration:
     """The cache under real runs: payloads must survive the roundtrip."""
 
@@ -476,3 +371,27 @@ class TestRunIntegration:
             ).fetchone()[0]
             result, _ = pickle.loads(raw)
             assert np.array_equal(result.estimates, first.result.estimates)
+
+    def test_engine_by_class_and_by_name_share_one_row(self, tmp_path):
+        """``engine=VectorEngine`` keys, traces and reports by the class's name."""
+        import json
+
+        from repro.kmachine.engine import VectorEngine
+        from repro.workloads import GraphCache
+
+        g = GraphCache(root=tmp_path / "data").materialize(
+            "gnp:n=120,avg_deg=5,seed=3"
+        )
+        trace = tmp_path / "trace.jsonl"
+        with ResultStore(tmp_path / "r.sqlite") as store:
+            first = runtime.run("pagerank", g, k=4, seed=1, engine=VectorEngine,
+                                result_cache=store, trace=str(trace))
+            second = runtime.run("pagerank", g, k=4, seed=1, engine="vector",
+                                 result_cache=store)
+            assert not first.cached and second.cached
+            assert first.engine == second.engine == "vector"
+            (row,) = store.rows()
+            assert row["engine"] == "vector" and row["hits"] == 1
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        (start,) = (e for e in events if e["event"] == "run_start")
+        assert start["engine"] == "vector"

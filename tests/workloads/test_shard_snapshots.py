@@ -7,7 +7,8 @@ lifecycle contract: a warm load is bit-identical to a fresh build and
 genuinely mmap-backed (mutation raises), a format-version bump turns
 every existing sidecar into a miss that rebuilds and re-stores, sidecars
 never outlive (or predate) their parent entry, and every failure mode —
-vanished files, disabled snapshots — degrades to the serial rebuild.
+corrupt, vanished or version-mismatched files — degrades to the serial
+rebuild.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 from repro import workloads
 from repro.kmachine import distgraph as dg_mod
 from repro.kmachine.distgraph import (
-    SHARD_SNAPSHOTS_ENV,
     DistributedGraph,
     cached_distgraph,
     clear_distgraph_cache,
@@ -130,15 +130,6 @@ def test_vanished_blob_is_a_miss_not_an_error(cache_root):
     clear_distgraph_cache()
     dg = cached_distgraph(graph, partition)  # falls back to the CSR build
     _assert_same_distgraph(dg, DistributedGraph(graph, partition))
-
-
-def test_env_flag_disables_both_sides(cache_root, monkeypatch):
-    monkeypatch.setenv(SHARD_SNAPSHOTS_ENV, "0")
-    graph, partition = _materialized()
-    dg = cached_distgraph(graph, partition)
-    assert not _mmap_backed(dg.nbr_home)
-    assert default_cache().list_shards(graph.content_key) == []
-    assert warm_shard_snapshots(graph) == 0
 
 
 def test_sidecars_never_predate_their_parent_entry(cache_root):
