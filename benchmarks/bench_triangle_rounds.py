@@ -10,22 +10,11 @@ inputs (the paper's lower-bound distribution):
 * broadcast strawman ``Õ(m/k)``;
 * ablation: no-proxy variant (send load concentrates on home machines of
   heavy vertices — reported via the max per-machine send count).
-
-The module also regenerates the process-engine comparison at
-``n = 100_000``: the same Theorem-5 run on the vectorized inline backend
-versus multiprocessing shard workers.  Phase-3 local enumeration — a
-superstep kernel since the universal-kernel refactor — dominates
-wall-clock at this scale and fans out across the worker pool, while the
-exchange and accounting layers stay byte-identical (counts asserted
-always; ``>= 1.5x`` wall-clock asserted when the host has at least 4
-CPUs).
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -38,9 +27,6 @@ from _common import emit, log2ceil, run_algorithm
 
 N = 220
 KS = (8, 27, 64, 125)
-N_PROCESS = 100_000
-K_PROCESS = 27
-PROCESS_WORKERS = 4
 
 
 def run_dense_sweep():
@@ -123,40 +109,6 @@ def run_proxy_ablation():
     return sweep
 
 
-def run_process_comparison(
-    n=N_PROCESS, k=K_PROCESS, workers=PROCESS_WORKERS, avg_degree=16.0, seed=6
-):
-    """Identical counts, parallel speedup: ProcessEngine vs VectorEngine.
-
-    At ``k = 27`` the color partition uses ``q = 3``, so all 27 machines
-    own triplets and Phase 3 enumerates ``~3m/27`` received edges each —
-    per-machine *compute* (the forward-algorithm intersection loop) that
-    the process backend fans out across ``workers`` shard workers, with
-    the received edge payloads shipped through per-superstep
-    shared-memory segments rather than pipes.  The exchange phases and
-    all accounting stay byte-identical across backends.
-    """
-    g = repro.gnp_random_graph(n, avg_degree / n, seed=seed)
-    B = log2ceil(n)
-    timings: dict[str, float] = {}
-    counts: dict[str, tuple] = {}
-    for eng in ("vector", "process"):
-        kwargs = {"engine": eng}
-        if eng == "process":
-            kwargs["workers"] = workers
-        start = time.perf_counter()
-        rep = run_algorithm("triangles", g, k, seed=7, bandwidth=B, **kwargs)
-        timings[eng] = time.perf_counter() - start
-        counts[eng] = (
-            rep.rounds,
-            rep.metrics.messages,
-            rep.metrics.bits,
-            rep.result.count,
-        )
-    assert counts["vector"] == counts["process"], counts
-    return timings, counts
-
-
 def bench_t5_triangle_round_scaling(benchmark):
     dense, sparse, ablation, asym = benchmark.pedantic(
         lambda: (
@@ -168,8 +120,6 @@ def bench_t5_triangle_round_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    ptimings, pcounts = run_process_comparison()
-    pspeedup = ptimings["vector"] / ptimings["process"]
 
     ks = dense.column("k")
     fit_ours = fit_power_law(ks, dense.column("theorem5_rounds"))
@@ -193,17 +143,10 @@ def bench_t5_triangle_round_scaling(benchmark):
         "",
         f"fit (asymptotic regime): rounds ~ k^{fit_asym.exponent:.2f}"
         f"  (paper: k^-5/3 = k^-1.67; r2={fit_asym.r_squared:.3f})",
-        "",
-        f"process engine (n={N_PROCESS}, k={K_PROCESS}, {PROCESS_WORKERS} workers, "
-        f"identical counts {pcounts['vector']}):",
-        f"  vector: {ptimings['vector']:.3f}s   process: {ptimings['process']:.3f}s"
-        f"   speedup: {pspeedup:.2f}x (target: >= 1.5x on >= 4 CPUs; "
-        f"host has {os.cpu_count()})",
     ]
     emit("T5_triangle_rounds", "\n".join(lines))
     benchmark.extra_info["theorem5_exponent"] = fit_ours.exponent
     benchmark.extra_info["asymptotic_exponent"] = fit_asym.exponent
-    benchmark.extra_info["process_speedup"] = pspeedup
 
     # Shape: Theorem 5 wins against both baselines at every k; the
     # large-n fit approaches the paper's -5/3; proxies cut the worst
@@ -215,12 +158,6 @@ def bench_t5_triangle_round_scaling(benchmark):
     assert fit_asym.exponent < -1.5
     for row in ablation.rows:
         assert row.values["max_send_with_proxies"] <= row.values["max_send_without"]
-    # Parallel speedup needs parallel hardware; counts are asserted always.
-    if (os.cpu_count() or 1) >= PROCESS_WORKERS:
-        assert pspeedup >= 1.5, (
-            f"process engine only {pspeedup:.2f}x faster than vector "
-            f"with {PROCESS_WORKERS} workers on {os.cpu_count()} CPUs"
-        )
 
 
 def smoke():
@@ -230,5 +167,3 @@ def smoke():
     ours = run_algorithm("triangles", g, 8, seed=1, bandwidth=B).result
     conv = repro.enumerate_triangles_conversion(g, k=8, seed=1, bandwidth=B)
     assert ours.count == conv.count
-    _, pcounts = run_process_comparison(n=400, k=8, workers=2, avg_degree=10.0)
-    assert pcounts["vector"] == pcounts["process"]

@@ -180,7 +180,7 @@ def main() -> None:
     print(f"  triangles on the dataset: {wrep.result.count} "
           f"({wrep.rounds} rounds; rerun reused cached shards)")
 
-    # --- Cold-start tour: shard snapshots + parallel generation ---------
+    # --- Cold-start tour: shard snapshots --------------------------------
     # A fresh process on a cached dataset still pays partition + shard
     # materialization before its first superstep.  PR 7 removes that tax:
     # the materialized DistributedGraph shards persist as mmap-friendly
@@ -188,12 +188,8 @@ def main() -> None:
     # back read-only instead of rebuilding.
     # RunReport.first_superstep_seconds is the cold-start clock: process
     # entry to the first superstep's first activity.
-    # Generators shard across the worker pool too — bit-identical to
-    # serial — via `repro data build --jobs N` or $REPRO_BUILD_JOBS.
     from repro.kmachine.distgraph import clear_distgraph_cache
 
-    pg = workloads.materialize(dataset, jobs=2)  # parallel == serial bits
-    assert (pg.edges == wg.edges).all()
     clear_distgraph_cache()  # simulate a fresh process (no resident shards)
     cold_run = runtime.run("pagerank", dataset=dataset, k=8, seed=seed,
                            engine="vector", max_iterations=2, c=0.5)

@@ -70,8 +70,6 @@ name                      default         reader                why it is config
                                                                 differs per host
 ``REPRO_RESULT_DB``       results.sqlite  serve/results.py      deployment path: the sqlite result
                           in cache root                         cache of the serve daemon
-``REPRO_BUILD_JOBS``      1 (serial)      workloads/spec.py     CPUs a dataset build may use; the
-                                                                graph is bit-identical at any value
 ``REPRO_TRACE``           unset (off)     obs/trace.py          output path: trace any run without
                                                                 editing its call site
 ``REPRO_ALERT_RULES``     unset (none)    obs/alerts.py         deployment config: the daemon's

@@ -280,7 +280,7 @@ def cmd_data(args) -> int:
         cached_before = (
             not args.no_cache and spec.cacheable and cache.has(spec)
         )
-        g = cache.materialize(spec, use_cache=not args.no_cache, jobs=args.jobs)
+        g = cache.materialize(spec, use_cache=not args.no_cache)
         source = "built (no-cache)" if args.no_cache else (
             "cache hit" if cached_before else "built"
         )
@@ -632,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="build fresh without reading or writing the on-disk cache",
-    )
-    d.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel generation workers (bit-identical to serial; "
-        "default: $REPRO_BUILD_JOBS or 1)",
     )
     d.set_defaults(func=cmd_data)
     d = dsub.add_parser("ls", help="list cached datasets")

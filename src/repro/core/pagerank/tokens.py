@@ -8,13 +8,12 @@ multinomial over destination *machines* weighted by the vertex's neighbor
 distribution (Algorithm 1, line 23) and the receiving machine re-samples
 concrete neighbors (lines 31-36).
 
-The heavy path comes in two forms.  :func:`heavy_machine_counts` and
-:func:`split_tokens_among_local_neighbors` handle one vertex / one β row
-and are the reference; :func:`move_heavy_tokens` and
+The heavy path is batched: :func:`move_heavy_tokens` and
 :func:`receive_heavy_tokens` handle a machine's whole batch and are what
-the superstep kernels call.  The batched forms consume the generator
-*draw for draw* like the scalar ones called in row order (tested on
-outputs and ``bit_generator.state``), under one batching rule:
+the superstep kernels call.  They consume the generator *draw for draw*
+like one call per vertex / per β row in row order (the per-row oracle
+lives in ``tests/pagerank/test_tokens.py``, compared on outputs and
+``bit_generator.state``), under one batching rule:
 
     a broadcast ``rng.multinomial(counts, pvals)`` is draw-identical to
     sequential calls only when every row has the same ``len(pvals)``.
@@ -37,9 +36,7 @@ from repro.errors import AlgorithmError
 __all__ = [
     "terminate_tokens",
     "move_light_tokens",
-    "heavy_machine_counts",
     "move_heavy_tokens",
-    "split_tokens_among_local_neighbors",
     "receive_heavy_tokens",
 ]
 
@@ -100,34 +97,6 @@ def move_light_tokens(
     return dest_vertices.astype(np.int64), agg[dest_vertices].astype(np.int64)
 
 
-def heavy_machine_counts(
-    vertex: int,
-    tokens: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    home: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    nbr_home: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sample destination machines for a heavy vertex's tokens.
-
-    Implements Algorithm 1's line 23: each token picks machine ``j`` with
-    probability ``n_{j,u} / d_u`` (the fraction of ``u``'s neighbors hosted
-    at ``j``).  Returns a ``(k,)`` array ``β`` of token counts per machine.
-
-    ``nbr_home`` is the cached home-of-neighbor column aligned with
-    ``indices`` (see :class:`~repro.kmachine.distgraph.DistributedGraph`);
-    when given, the per-call ``home[nbrs]`` gather is skipped.
-    """
-    lo, hi = indptr[vertex], indptr[vertex + 1]
-    if hi == lo or tokens == 0:
-        return np.zeros(k, dtype=np.int64)
-    homes = nbr_home[lo:hi] if nbr_home is not None else home[indices[lo:hi]]
-    per_machine = np.bincount(homes, minlength=k).astype(np.float64)
-    return rng.multinomial(tokens, per_machine / per_machine.sum()).astype(np.int64)
-
-
 def _expand_adjacency(
     vertices: np.ndarray, indptr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,11 +121,16 @@ def move_heavy_tokens(
     k: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched :func:`heavy_machine_counts` for one machine's heavy vertices.
+    """Sample destination machines for one machine's heavy vertices.
+
+    Algorithm 1, line 23: each token of heavy vertex ``u`` picks machine
+    ``j`` with probability ``n_{j,u} / d_u`` (the fraction of ``u``'s
+    neighbors hosted at ``j``; ``nbr_home`` is the home-of-neighbor
+    column aligned with the CSR ``indices``).
 
     Returns the non-zero β entries as ``(src_vertices, machines, counts)``
     in emission order (vertex order, then ascending machine).  Draws
-    exactly what one :func:`heavy_machine_counts` call per vertex would:
+    exactly what one ``rng.multinomial`` call per vertex would:
     one broadcast multinomial whose rows all have width ``k``.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
@@ -180,30 +154,6 @@ def _no_local_neighbors(vertex: int, machine: int | None) -> AlgorithmError:
     )
 
 
-def split_tokens_among_local_neighbors(
-    vertex: int,
-    tokens: int,
-    local_neighbors: np.ndarray,
-    rng: np.random.Generator,
-    machine: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Receiving side of a heavy message (Algorithm 1, lines 31-36).
-
-    The destination machine delivers each of the ``tokens`` tokens to a
-    uniform vertex among the locally-hosted neighbors of the heavy source.
-    Returns ``(dest_vertices, dest_counts)``.  ``machine`` only names the
-    receiver in the error raised when ``local_neighbors`` is empty.
-    """
-    local_neighbors = np.asarray(local_neighbors, dtype=np.int64)
-    if local_neighbors.size == 0:
-        raise _no_local_neighbors(vertex, machine)
-    if tokens == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    picks = rng.multinomial(tokens, np.full(local_neighbors.size, 1.0 / local_neighbors.size))
-    nz = picks > 0
-    return local_neighbors[nz], picks[nz].astype(np.int64)
-
-
 def receive_heavy_tokens(
     vertices: np.ndarray,
     counts: np.ndarray,
@@ -213,11 +163,14 @@ def receive_heavy_tokens(
     nbr_home: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`split_tokens_among_local_neighbors` for one machine.
+    """Receiving side of heavy messages (Algorithm 1, lines 31-36).
+
+    ``machine`` delivers each token of a β row to a uniform vertex among
+    the locally-hosted neighbors of the row's heavy source.
 
     ``vertices``/``counts`` are the β rows ``machine`` re-samples, in
     order.  Returns the concatenated per-row ``(dest_vertices,
-    dest_counts)``; draws exactly what one scalar call per row would.
+    dest_counts)``; draws exactly what one multinomial per row would.
     Only ``rng.multinomial`` itself runs per row (widths differ, see the
     module docstring), and not at all for a row with a single local
     neighbor: a one-entry multinomial draws nothing.

@@ -50,10 +50,8 @@ quadratic limit).  Adapters over the legacy exact generators:
 ``edgelist``, ``metis``, ``snap`` (chunked SNAP/edge-text reader for
 multi-ten-million-edge downloads).
 
-Cold start: shard snapshots and parallel generation
----------------------------------------------------
-Two layers keep repeated starts sub-second and first builds fast:
-
+Cold start: shard snapshots
+---------------------------
 * **Shard snapshots.**  Running an algorithm at machine count ``k``
   materializes a :class:`~repro.kmachine.distgraph.DistributedGraph` —
   per-machine CSR shards, partition arrays, neighbor-home maps.  That
@@ -68,15 +66,11 @@ Two layers keep repeated starts sub-second and first builds fast:
   seconds.  ``repro serve --prewarm SPEC`` preloads snapshots at
   daemon start.
 
-* **Parallel generation.**  ``build_dataset(spec, jobs=N)``, ``repro
-  data build --jobs N``, or ``$REPRO_BUILD_JOBS`` shard the heavy
-  generators (``geometric``, ``rmat``, ``sbm``) across the warm worker
-  pools (:mod:`repro.workloads.parallel`).  The parallel build is
-  **bit-identical** to the serial one — RNG streams are repositioned
-  exactly (R-MAT), kept serial where consumption is data-dependent
-  (SBM), or untouched where the sharded work is deterministic
-  (geometric) — so ``jobs`` never enters specs or content hashes, and
-  the golden-hash suites enforce the equivalence.
+* **One builder per family.**  The sharded second copy of ``geometric``,
+  ``rmat``, ``sbm`` and SNAP parsing ran at 0.90-0.96x of serial on 2
+  CPUs (0.67x on 1, ``benchmarks/results/C2_coldstart.txt``) and went in
+  PR 24.  A second builder needs a >= 4-CPU host, a harness workload on
+  each side of the choice, and a selection made by the code, not a flag.
 
 Quickstart::
 
@@ -93,13 +87,11 @@ Quickstart::
 """
 
 from repro.workloads.spec import (
-    BUILD_JOBS_ENV,
     DatasetSpec,
     ParamSpec,
     WorkloadFamily,
     available_workloads,
     build_dataset,
-    build_jobs,
     get_workload,
     literal_value,
     parse_spec,
@@ -148,8 +140,6 @@ __all__ = [
     "available_workloads",
     "workload_families",
     "build_dataset",
-    "build_jobs",
-    "BUILD_JOBS_ENV",
     # generators
     "rmat_graph",
     "sbm_graph",

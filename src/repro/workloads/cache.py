@@ -203,32 +203,38 @@ class GraphCache:
         return self.graphs_dir / f"{stem}.npy", self.graphs_dir / f"{stem}.json"
 
     # -- key resolution -------------------------------------------------
-    def resolve_key(self, ref: "str | DatasetSpec") -> str:
-        """Resolve a spec or an abbreviated hash to a full content hash."""
+    def resolve_key(self, ref: "str | DatasetSpec") -> "str | None":
+        """Resolve a spec or an abbreviated hash to a full content hash.
+
+        ``None`` means an all-hex token that matches no entry: a cache
+        miss, not a spec error.
+        """
         if isinstance(ref, DatasetSpec):
             return ref.content_hash()
         ref = ref.strip()
-        if ":" in ref or not all(ch in "0123456789abcdef" for ch in ref.lower()):
-            return parse_spec(ref).content_hash()
         low = ref.lower()
+        if (
+            ":" in ref
+            or not all(ch in "0123456789abcdef" for ch in low)
+            or low in _spec.available_workloads()
+        ):
+            return parse_spec(ref).content_hash()
         if len(low) == 32:
             return low
         matches = [e.key for e in self.entries() if e.key.startswith(low)]
-        # A short all-hex token that is a registered family name (none
-        # today, but cheap to keep honest) or matches nothing falls back
-        # to spec parsing for its error message.
-        if not matches:
-            return parse_spec(ref).content_hash()
         if len(matches) > 1:
             raise WorkloadError(
                 f"hash prefix {ref!r} is ambiguous: {', '.join(sorted(matches))}"
             )
-        return matches[0]
+        return matches[0] if matches else None
 
     # -- queries --------------------------------------------------------
     def has(self, ref: "str | DatasetSpec") -> bool:
         """Whether a committed entry exists (snapshot *and* sidecar)."""
-        npz, meta = self._paths(self.resolve_key(ref))
+        key = self.resolve_key(ref)
+        if key is None:
+            return False
+        npz, meta = self._paths(key)
         return npz.exists() and meta.exists()
 
     def read_meta(self, key: str) -> dict | None:
@@ -304,6 +310,8 @@ class GraphCache:
     def info(self, ref: "str | DatasetSpec") -> CacheEntry:
         """The committed entry for ``ref`` (raises if absent)."""
         key = self.resolve_key(ref)
+        if key is None:
+            raise WorkloadError(f"no cached dataset matches hash prefix {ref!r}")
         for entry in self._entries(self._scan(), only=f"{key}."):
             return entry
         raise WorkloadError(f"no cached dataset for {ref!r} (hash {key})")
@@ -570,6 +578,8 @@ class GraphCache:
     def evict(self, ref: "str | DatasetSpec") -> bool:
         """Remove one entry; returns whether anything was deleted."""
         key = self.resolve_key(ref)
+        if key is None:
+            return False
         npz, meta = self._paths(key)
         existed = npz.exists() or meta.exists()
         self._remove(key)
@@ -587,15 +597,8 @@ class GraphCache:
         self,
         spec: "str | DatasetSpec",
         use_cache: bool = True,
-        jobs: int | None = None,
     ) -> Graph:
         """Load a dataset from the cache, building (and storing) on miss.
-
-        ``jobs`` is an *execution* knob, not part of the dataset's
-        identity: it requests a parallel build on a miss (see
-        :func:`~repro.workloads.spec.build_dataset`) and never enters
-        the content hash — a graph built at any job count is
-        bit-identical and cache-shared with the serial build.
 
         Non-cacheable (file-backed) families always build, and their
         graphs carry no content key (see
@@ -606,10 +609,7 @@ class GraphCache:
             graph = self.load(spec)
             if graph is not None:
                 return graph
-        if jobs is None:
-            graph = _spec.build_dataset(spec)
-        else:
-            graph = _spec.build_dataset(spec, jobs=jobs)
+        graph = _spec.build_dataset(spec)
         _COUNTERS.builds += 1
         if use_cache and spec.cacheable:
             self.store(spec, graph)
@@ -621,12 +621,8 @@ def default_cache() -> GraphCache:
     return GraphCache()
 
 
-def materialize(
-    spec: "str | DatasetSpec",
-    use_cache: bool = True,
-    jobs: int | None = None,
-) -> Graph:
+def materialize(spec: "str | DatasetSpec", use_cache: bool = True) -> Graph:
     """Module-level convenience: :meth:`GraphCache.materialize` at the
     default root.  This is the entry point ``runtime.run(dataset=...)``
     and the CLI use."""
-    return default_cache().materialize(spec, use_cache=use_cache, jobs=jobs)
+    return default_cache().materialize(spec, use_cache=use_cache)

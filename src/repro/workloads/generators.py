@@ -37,7 +37,6 @@ from repro.graphs.graph import Graph
 from repro.workloads.spec import (
     ParamSpec,
     WorkloadFamily,
-    build_jobs,
     register_workload,
 )
 
@@ -177,30 +176,6 @@ def rmat_graph(
     # plenty of resolution for quadrant probabilities.
     t_a, t_ab, t_abc = np.float32(a), np.float32(a + b), np.float32(a + b + c)
 
-    jobs = build_jobs()
-    if jobs > 1 and isinstance(seed, (int, np.integer)):
-        # Workers re-derive the exact serial float32 draws by PCG64
-        # stream position (see repro.workloads.parallel); the driver
-        # only tracks the position and keeps rejection/dedup serial,
-        # so the result is bit-identical to the serial path below.
-        from repro.workloads import parallel as _parallel
-
-        pos = [0]
-
-        def parallel_draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
-            u, v = _parallel.rmat_draw_chunks(
-                jobs, seed=int(seed), pos=pos[0], batch=batch, scale=scale,
-                t_a=t_a, t_ab=t_ab, t_abc=t_abc,
-            )
-            pos[0] += scale * batch
-            return u, v
-
-        try:
-            keys = _sample_unique_keys(parallel_draw, n, target, oversample=1.1)
-            return _keys_to_graph(keys, n)
-        except _parallel.ParallelBuildUnavailable:
-            pass  # fresh serial rng below; no draws were consumed from it
-
     rng = as_rng(seed)
 
     def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,19 +246,6 @@ def sbm_graph(
             parts.append((u, v))
     if not parts:
         return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=False)
-    jobs = build_jobs()
-    if jobs > 1:
-        # Binomial counts and Lemire-rejection endpoint draws consume
-        # the stream data-dependently, so all RNG work stays serial
-        # (above); workers take the block pairs — size-balanced across
-        # the pool — and the driver never concatenates the raw draws.
-        from repro.workloads import parallel as _parallel
-
-        try:
-            keys = _parallel.sbm_pair_chunks(jobs, parts, n)
-            return _keys_to_graph(keys, n)
-        except _parallel.ParallelBuildUnavailable:
-            pass
     u = np.concatenate([p[0] for p in parts])
     v = np.concatenate([p[1] for p in parts])
     return _draws_to_graph(u, v, n)
@@ -320,21 +282,6 @@ def geometric_graph(
     np.cumsum(counts, out=indptr[1:])
     pos = np.arange(n, dtype=np.int64)
     r2 = r * r
-    jobs = build_jobs()
-    if jobs > 1:
-        # The point draw above is the only RNG use; the scan is pure
-        # compute, so workers cover disjoint left-row ranges and the
-        # forward-offset rule keeps chunk pair sets disjoint.
-        from repro.workloads import parallel as _parallel
-
-        try:
-            keys = _parallel.geometric_scan_chunks(
-                jobs, pts_s=pts_s, ix_s=ix_s, iy_s=iy_s, cid_s=cid[order],
-                indptr=indptr, order=order, ncell=ncell, r2=r2, n=n,
-            )
-            return _keys_to_graph(keys, n)
-        except _parallel.ParallelBuildUnavailable:
-            pass
     parts: list[np.ndarray] = []
     # Forward-only offsets visit each unordered cell pair exactly once.
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)):

@@ -51,7 +51,6 @@ from repro.graphs.graph import Graph
 from repro.workloads.spec import (
     ParamSpec,
     WorkloadFamily,
-    build_jobs,
     register_workload,
 )
 
@@ -155,10 +154,6 @@ def _drop_duplicate_rows(edges: np.ndarray, n: int, directed: bool) -> np.ndarra
 #: memory at roughly a few tens of MB regardless of file size.
 SNAP_CHUNK_ROWS = 1 << 20
 
-#: Files below this size parse serially even when a worker pool is
-#: available: pool spin-up plus result shipping dominates sub-MB parses.
-SNAP_PARALLEL_MIN_BYTES = 4 << 20
-
 
 def read_snap(
     path: "str | Path",
@@ -174,29 +169,12 @@ def read_snap(
     densely relabeled in sorted order, and duplicate/reversed rows and
     self-loops are folded, matching :func:`read_edge_list` semantics at
     1e7+-edge scale.  Extra columns (timestamps, weights) are ignored.
-
-    When ``REPRO_BUILD_JOBS`` grants a worker pool and the file is at
-    least :data:`SNAP_PARALLEL_MIN_BYTES`, workers parse disjoint byte
-    ranges concurrently (:func:`repro.workloads.parallel.snap_byte_chunks`);
-    the parsed edge set — and therefore the returned graph — is
-    bit-identical to a serial parse.
     """
     path = Path(path)
     if not path.exists():
         raise WorkloadError(f"SNAP edge-list file not found: {path}")
     if chunk_rows <= 0:
         raise WorkloadError(f"chunk_rows must be positive, got {chunk_rows}")
-    jobs = build_jobs()
-    size = path.stat().st_size
-    if jobs > 1 and size >= SNAP_PARALLEL_MIN_BYTES:
-        from repro.workloads import parallel as _parallel
-
-        try:
-            chunks = _parallel.snap_byte_chunks(
-                jobs, path, size, directed, chunk_rows)
-            return _snap_finalize([c for c in chunks if c.size], directed)
-        except _parallel.ParallelBuildUnavailable:
-            pass
     chunks: list[np.ndarray] = []
     with path.open() as fh:
         while True:
@@ -228,11 +206,6 @@ def read_snap(
             chunks.append(_chunk_unique_rows(block, directed))
             if block.shape[0] < chunk_rows:
                 break
-    return _snap_finalize(chunks, directed)
-
-
-def _snap_finalize(chunks: list[np.ndarray], directed: bool) -> Graph:
-    """Global relabel + dedupe shared by the serial and parallel parses."""
     if not chunks:
         return Graph(n=0, edges=np.zeros((0, 2), dtype=np.int64), directed=directed)
     edges = np.concatenate(chunks)

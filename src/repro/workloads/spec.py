@@ -19,10 +19,8 @@ and of the in-memory shard LRU
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -40,8 +38,6 @@ __all__ = [
     "available_workloads",
     "workload_families",
     "build_dataset",
-    "build_jobs",
-    "BUILD_JOBS_ENV",
     "SPEC_FORMAT_VERSION",
 ]
 
@@ -295,47 +291,9 @@ def parse_spec(text: "str | DatasetSpec") -> DatasetSpec:
     return DatasetSpec(family=family_name, items=tuple(sorted(resolved.items())))
 
 
-#: Environment default for :func:`build_jobs` (an explicit
-#: ``build_dataset(jobs=...)`` wins over it).
-BUILD_JOBS_ENV = "REPRO_BUILD_JOBS"
-
-_build_jobs_var: "contextvars.ContextVar[int | None]" = contextvars.ContextVar(
-    "repro_build_jobs", default=None
-)
-
-
-def build_jobs() -> int:
-    """The parallel-build job count in effect for the current build.
-
-    This is an *execution* knob, never dataset identity: it does not
-    appear in specs, canonical strings, or content hashes — a graph
-    built at any job count is bit-identical to the serial build
-    (enforced by the golden-hash suites).  Resolution order: the
-    ``jobs`` argument of the enclosing :func:`build_dataset` call, else
-    ``$REPRO_BUILD_JOBS``, else 1 (serial).  Generators that know how
-    to shard (geometric, R-MAT, SBM) consult this inside their builders.
-    """
-    jobs = _build_jobs_var.get()
-    if jobs is None:
-        raw = os.environ.get(BUILD_JOBS_ENV, "").strip()
-        if raw:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise WorkloadError(
-                    f"${BUILD_JOBS_ENV} must be an integer job count, got {raw!r}"
-                ) from None
-        else:
-            jobs = 1
-    return max(1, int(jobs))
-
-
-def build_dataset(spec: "str | DatasetSpec", jobs: int | None = None):
+def build_dataset(spec: "str | DatasetSpec"):
     """Build the dataset a spec describes (no caching; see
     :func:`repro.workloads.cache.materialize` for the cached path).
-
-    ``jobs`` scopes :func:`build_jobs` for the duration of the build;
-    ``None`` leaves the environment default in force.
 
     For cacheable families the returned
     :class:`~repro.graphs.graph.Graph` carries the spec's content hash
@@ -348,14 +306,7 @@ def build_dataset(spec: "str | DatasetSpec", jobs: int | None = None):
     """
     spec = parse_spec(spec)
     family = get_workload(spec.family)
-    if jobs is None:
-        graph = family.builder(**spec.params)
-    else:
-        token = _build_jobs_var.set(int(jobs))
-        try:
-            graph = family.builder(**spec.params)
-        finally:
-            _build_jobs_var.reset(token)
+    graph = family.builder(**spec.params)
     if family.cacheable:
         graph.content_key = spec.content_hash()
     return graph

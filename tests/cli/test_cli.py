@@ -199,10 +199,20 @@ class TestDataCommands:
 
     def test_rm_missing_is_error(self, data_dir, capsys):
         assert main(["data", "rm", self.SPEC]) == 1
+        capsys.readouterr()
+        # An unknown hash prefix is a cache miss, not an unknown family.
+        assert main(["data", "rm", "8c27904f"]) == 1
+        err = capsys.readouterr().err
+        assert "no cached dataset for '8c27904f'" in err and "family" not in err
+        assert main(["data", "info", "8c27904f"]) == 2
+        err = capsys.readouterr().err
+        assert "hash prefix '8c27904f'" in err and "family" not in err
 
     def test_bad_spec_reports_error(self, data_dir, capsys):
         assert main(["data", "build", "nope:n=3"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["data", "rm", "rmta:n=10"]) == 2  # a typo is still a typo
+        assert "unknown workload family 'rmta'" in capsys.readouterr().err
 
     def test_run_with_dataset(self, data_dir, capsys):
         rc = main(["run", "triangles", "--dataset", self.SPEC, "--k", "4",

@@ -10,6 +10,62 @@ from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 
 
+# The per-vertex / per-β-row forms of the heavy path: the reference the
+# batched kernels (``tk.move_heavy_tokens`` / ``tk.receive_heavy_tokens``)
+# must reproduce draw for draw.
+
+def heavy_machine_counts(
+    vertex: int,
+    tokens: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    home: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    nbr_home: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sample destination machines for a heavy vertex's tokens.
+
+    Implements Algorithm 1's line 23: each token picks machine ``j`` with
+    probability ``n_{j,u} / d_u`` (the fraction of ``u``'s neighbors hosted
+    at ``j``).  Returns a ``(k,)`` array ``β`` of token counts per machine.
+
+    ``nbr_home`` is the cached home-of-neighbor column aligned with
+    ``indices`` (see :class:`~repro.kmachine.distgraph.DistributedGraph`);
+    when given, the per-call ``home[nbrs]`` gather is skipped.
+    """
+    lo, hi = indptr[vertex], indptr[vertex + 1]
+    if hi == lo or tokens == 0:
+        return np.zeros(k, dtype=np.int64)
+    homes = nbr_home[lo:hi] if nbr_home is not None else home[indices[lo:hi]]
+    per_machine = np.bincount(homes, minlength=k).astype(np.float64)
+    return rng.multinomial(tokens, per_machine / per_machine.sum()).astype(np.int64)
+
+
+def split_tokens_among_local_neighbors(
+    vertex: int,
+    tokens: int,
+    local_neighbors: np.ndarray,
+    rng: np.random.Generator,
+    machine: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Receiving side of a heavy message (Algorithm 1, lines 31-36).
+
+    The destination machine delivers each of the ``tokens`` tokens to a
+    uniform vertex among the locally-hosted neighbors of the heavy source.
+    Returns ``(dest_vertices, dest_counts)``.  ``machine`` only names the
+    receiver in the error raised when ``local_neighbors`` is empty.
+    """
+    local_neighbors = np.asarray(local_neighbors, dtype=np.int64)
+    if local_neighbors.size == 0:
+        raise tk._no_local_neighbors(vertex, machine)
+    if tokens == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    picks = rng.multinomial(tokens, np.full(local_neighbors.size, 1.0 / local_neighbors.size))
+    nz = picks > 0
+    return local_neighbors[nz], picks[nz].astype(np.int64)
+
+
 class TestTerminate:
     def test_eps_one_kills_everything(self):
         rng = np.random.default_rng(0)
@@ -87,7 +143,7 @@ class TestHeavyPath:
         home[21:31] = 2  # 10 leaves on machine 2
         home[31:41] = 3  # 10 leaves on machine 3
         rng = np.random.default_rng(9)
-        beta = tk.heavy_machine_counts(0, 40_000, g.indptr, g.indices, home, 4, rng)
+        beta = heavy_machine_counts(0, 40_000, g.indptr, g.indices, home, 4, rng)
         assert beta.sum() == 40_000
         assert beta[1] == pytest.approx(20_000, rel=0.05)
         assert beta[2] == pytest.approx(10_000, rel=0.1)
@@ -97,24 +153,24 @@ class TestHeavyPath:
         g = repro.star_graph(5)
         home = np.zeros(5, dtype=np.int64)
         rng = np.random.default_rng(10)
-        beta = tk.heavy_machine_counts(0, 0, g.indptr, g.indices, home, 2, rng)
+        beta = heavy_machine_counts(0, 0, g.indptr, g.indices, home, 2, rng)
         assert beta.sum() == 0
 
     def test_split_among_local_neighbors_conserves(self):
         rng = np.random.default_rng(11)
-        dv, dc = tk.split_tokens_among_local_neighbors(0, 1000, np.array([3, 5, 7]), rng)
+        dv, dc = split_tokens_among_local_neighbors(0, 1000, np.array([3, 5, 7]), rng)
         assert dc.sum() == 1000
         assert set(dv.tolist()) <= {3, 5, 7}
 
     def test_split_uniform(self):
         rng = np.random.default_rng(12)
-        dv, dc = tk.split_tokens_among_local_neighbors(0, 90_000, np.array([1, 2, 3]), rng)
+        dv, dc = split_tokens_among_local_neighbors(0, 90_000, np.array([1, 2, 3]), rng)
         assert np.allclose(dc, 30_000, rtol=0.05)
 
     def test_split_raises_without_local_neighbors(self):
         rng = np.random.default_rng(13)
         with pytest.raises(AlgorithmError, match="machine 3 .* vertex 0 "):
-            tk.split_tokens_among_local_neighbors(
+            split_tokens_among_local_neighbors(
                 0, 10, np.array([], dtype=np.int64), rng, machine=3
             )
 
@@ -133,7 +189,7 @@ def _sequential_send(vertices, counts, g, home, k, rng):
     """``heavy_machine_counts`` per vertex, rows emitted as the kernels used to."""
     src, dst, cnt = [], [], []
     for u, c in zip(vertices.tolist(), counts.tolist()):
-        beta = tk.heavy_machine_counts(
+        beta = heavy_machine_counts(
             u, c, g.indptr, g.indices, home, k, rng, nbr_home=home[g.indices]
         )
         for j in np.flatnonzero(beta).tolist():
@@ -148,7 +204,7 @@ def _sequential_receive(vertices, counts, machine, g, home, rng):
     dvs, dcs = [], []
     for u, c in zip(vertices.tolist(), counts.tolist()):
         nbrs = g.indices[g.indptr[u] : g.indptr[u + 1]]
-        dv, dc = tk.split_tokens_among_local_neighbors(
+        dv, dc = split_tokens_among_local_neighbors(
             u, c, nbrs[home[nbrs] == machine], rng, machine=machine
         )
         dvs += dv.tolist()

@@ -16,9 +16,7 @@ from pathlib import Path
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-BENCH_MODULES = sorted(p.name for p in BENCH_DIR.glob("bench_*.py")) + [
-    "process_comparison_report.py"  # the CI artifact generator
-]
+BENCH_MODULES = sorted(p.name for p in BENCH_DIR.glob("bench_*.py"))
 
 
 def _load(name: str):

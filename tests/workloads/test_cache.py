@@ -94,6 +94,16 @@ class TestEntriesAndRemoval:
     def test_info_missing_raises(self, cache):
         with pytest.raises(WorkloadError, match="no cached dataset"):
             cache.info(SPEC)
+        # An all-hex token matching no entry is a miss, not a spec error.
+        cache.materialize(SPEC)
+        key = parse_spec(SPEC).content_hash()
+        unknown = ("0" if key[0] != "0" else "1") * 8
+        with pytest.raises(WorkloadError, match=f"matches hash prefix '{unknown}'"):
+            cache.info(unknown)
+        assert not cache.has(unknown) and not cache.evict(unknown)
+        assert cache.has(SPEC)
+        with pytest.raises(WorkloadError, match="unknown workload family 'rmta'"):
+            cache.evict("rmta:n=10")
 
     def test_ambiguous_prefix_raises(self, cache, monkeypatch):
         cache.materialize(SPEC)

@@ -164,74 +164,6 @@ class TestSnap:
         assert g.content_key is None  # file-backed: never content-addressed
 
 
-class TestSnapParallel:
-    """Byte-range sharded parsing must be bit-identical to the serial parse."""
-
-    def _write_messy_file(self, tmp_path):
-        # Comment headers, both orientations, repeats, self-loops, sparse
-        # ids, mid-file comments — enough rows that every byte-range
-        # boundary lands mid-line somewhere.
-        rng = np.random.default_rng(31)
-        u = rng.integers(0, 1 << 16, size=4000)
-        v = rng.integers(0, 1 << 16, size=4000)
-        lines = ["# Nodes: ? Edges: ?"]
-        for i, (a, b) in enumerate(zip(u, v)):
-            lines.append(f"{a}\t{b}")
-            if i % 3 == 0:
-                lines.append(f"{b}\t{a}")  # reversed orientation on disk
-            if i % 17 == 0:
-                lines.append(f"{a}\t{a}")  # self-loop
-            if i % 500 == 0:
-                lines.append("% stray comment")
-        path = tmp_path / "snap.txt"
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_parallel_parse_bit_identical(self, tmp_path, monkeypatch,
-                                          directed, jobs):
-        from repro.workloads import BUILD_JOBS_ENV
-        from repro.workloads import io as wio
-
-        path = self._write_messy_file(tmp_path)
-        serial = read_snap(path, directed=directed)
-        monkeypatch.setenv(BUILD_JOBS_ENV, str(jobs))
-        monkeypatch.setattr(wio, "SNAP_PARALLEL_MIN_BYTES", 1)
-        parallel = read_snap(path, directed=directed)
-        assert parallel.n == serial.n and parallel.m == serial.m
-        assert np.array_equal(parallel.edges, serial.edges)
-        assert np.array_equal(parallel.indptr, serial.indptr)
-        assert np.array_equal(parallel.indices, serial.indices)
-
-    def test_small_files_stay_serial(self, tmp_path, monkeypatch):
-        from repro.workloads import BUILD_JOBS_ENV
-        from repro.workloads import io as wio
-        from repro.workloads import parallel as wpar
-
-        path = tmp_path / "snap.txt"
-        path.write_text("0\t1\n1\t2\n")
-
-        def boom(*a, **kw):  # the gate must keep tiny parses off the pool
-            raise AssertionError("parallel path taken below the size floor")
-
-        monkeypatch.setattr(wpar, "snap_byte_chunks", boom)
-        monkeypatch.setenv(BUILD_JOBS_ENV, "4")
-        g = read_snap(path)
-        assert g.n == 3 and g.m == 2
-
-    def test_worker_errors_surface(self, tmp_path, monkeypatch):
-        from repro.workloads import BUILD_JOBS_ENV
-        from repro.workloads import io as wio
-
-        path = tmp_path / "snap.txt"
-        path.write_text("0\t1\n-5\t2\n" * 50)
-        monkeypatch.setenv(BUILD_JOBS_ENV, "2")
-        monkeypatch.setattr(wio, "SNAP_PARALLEL_MIN_BYTES", 1)
-        with pytest.raises(WorkloadError):
-            read_snap(path)
-
-
 class TestMetis:
     def test_small_graph(self, tmp_path):
         # Triangle plus a pendant: 0-1, 0-2, 1-2, 2-3 (1-indexed file).

@@ -4,9 +4,9 @@ The acceptance contract of the workload subsystem: a dataset spec
 resolves through the on-disk cache, runs bit-identically on all three
 execution engines, a second invocation does not regenerate the dataset,
 and reloaded datasets reuse materialized :class:`DistributedGraph`
-shards via their content key (the full-size n=100k/n=1e6 configurations
-run in ``benchmarks/bench_workloads.py``; these tests exercise the same
-code paths at suite-friendly sizes).
+shards via their content key (at suite-friendly sizes; build and load
+time at full size are the harness's ``workloads.build_s`` /
+``workloads.load_s`` in ``benchmarks/e2e``).
 """
 
 import numpy as np
@@ -22,6 +22,15 @@ from repro.workloads import DATA_DIR_ENV, materialize
 ENGINES = ("message", "vector", "process")
 SPEC = "rmat:n=5000,avg_deg=8,seed=7"
 SEED = 17
+#: One small spec per scalable family, run next to ``SPEC``.
+FAMILY_SPECS = (
+    "rmat:n=400,avg_deg=8,seed=1",
+    "sbm:n=400,blocks=16,avg_deg=8,seed=1",
+    "geometric:n=400,avg_deg=8,seed=1",
+    "smallworld:n=400,nbrs=8,seed=1",
+    "gnp:n=400,avg_deg=8,seed=1",
+)
+ALGOS = ("triangles", "pagerank", "mst")
 
 
 @pytest.fixture(autouse=True)
@@ -33,10 +42,18 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 class TestDatasetRuns:
-    @pytest.mark.parametrize("algo", ["triangles", "pagerank", "mst"])
-    def test_bit_identical_across_engines(self, algo):
+    @pytest.mark.parametrize(
+        "algo,spec",
+        [pytest.param(a, SPEC, id=a) for a in ALGOS]
+        + [
+            pytest.param(a, s, id=f"{a}-{s.partition(':')[0]}")
+            for s in FAMILY_SPECS
+            for a in ALGOS
+        ],
+    )
+    def test_bit_identical_across_engines(self, algo, spec):
         reports = [
-            runtime.run(algo, dataset=SPEC, k=4, seed=SEED, engine=e)
+            runtime.run(algo, dataset=spec, k=4, seed=SEED, engine=e)
             for e in ENGINES
         ]
         base = reports[0]
@@ -50,6 +67,7 @@ class TestDatasetRuns:
             else:
                 assert np.array_equal(base.result.edges, other.result.edges)
             assert base.metrics.rounds == other.metrics.rounds
+            assert base.metrics.messages == other.metrics.messages
             assert base.metrics.bits == other.metrics.bits
         assert [r.engine for r in reports] == list(ENGINES)
 

@@ -235,75 +235,53 @@ def test_content_key_set_on_built_graphs():
 
 
 # ----------------------------------------------------------------------
-# Parallel generation: jobs > 1 must be bit-identical to the serial path
-# (anything else would silently fork the content-addressed cache).
+# One builder per family: no ``jobs=`` / ``--jobs`` / ``REPRO_BUILD_JOBS``
+# selects a second one, and the worker pool has no client in this package.
 
-#: Sized so every parallelized stage actually runs (R-MAT draws span
-#: multiple chunks, the geometric grid scan has non-trivial buckets).
-PARALLEL_SPECS = [
-    "rmat:n=30000,avg_deg=8,seed=7",
-    "rmat:n=5000,avg_deg=12,seed=13",
-    "sbm:n=20000,blocks=4,avg_deg=8,mix=0.2,seed=7",
-    "geometric:n=20000,avg_deg=8,seed=7",
-]
+def test_workloads_package_imports_nothing_from_kmachine():
+    import ast
 
+    import repro.workloads
 
-@pytest.mark.parametrize("spec", PARALLEL_SPECS)
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_parallel_build_bit_identical_to_serial(spec, jobs):
-    serial = build_dataset(spec)
-    parallel = build_dataset(spec, jobs=jobs)
-    assert _csr_hash(parallel) == _csr_hash(serial), (
-        f"{spec} at jobs={jobs} diverged from the serial build"
-    )
-
-
-@pytest.mark.parametrize("spec", GOLDEN_SPECS[:3])
-def test_parallel_build_matches_golden(spec):
-    if os.environ.get(REGEN_ENV):
-        pytest.skip("regenerating")
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert _csr_hash(build_dataset(spec, jobs=2)) == golden[spec]
+    offenders = []
+    for path in sorted(Path(repro.workloads.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro":
+                    names += [f"repro.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                (path.name, node.lineno, name)
+                for name in names
+                if f"{name}.".startswith("repro.kmachine.")
+            ]
+    assert offenders == []
 
 
-def test_build_jobs_resolution(monkeypatch):
-    from repro.workloads import BUILD_JOBS_ENV, build_jobs
+def test_no_jobs_parameter_or_flag_is_left():
+    import inspect
 
-    monkeypatch.delenv(BUILD_JOBS_ENV, raising=False)
-    assert build_jobs() == 1
-    monkeypatch.setenv(BUILD_JOBS_ENV, "3")
-    assert build_jobs() == 3
-    monkeypatch.setenv(BUILD_JOBS_ENV, "junk")
-    with pytest.raises(WorkloadError, match="integer job count"):
-        build_jobs()
+    from repro import workloads
+    from repro.cli import build_parser
+
+    for fn in (build_dataset, workloads.GraphCache.materialize, workloads.materialize):
+        assert "jobs" not in inspect.signature(fn).parameters, fn
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["data", "build", "rmat:n=100", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
-def test_jobs_env_drives_the_build(monkeypatch):
-    from repro.workloads import BUILD_JOBS_ENV
+def test_build_jobs_env_is_not_read(monkeypatch):
+    from repro.kmachine.parallel import active_pools, shutdown_worker_pools
 
     spec = "geometric:n=8000,avg_deg=6,seed=2"
-    serial = build_dataset(spec)
-    monkeypatch.setenv(BUILD_JOBS_ENV, "2")
-    assert _csr_hash(build_dataset(spec)) == _csr_hash(serial)
-
-
-def test_worker_task_failure_is_an_error_not_a_fallback():
-    """A bug inside a chunk task must surface, not silently serialize —
-    a silent fallback would let the equivalence tests pass vacuously."""
-    from repro.workloads import parallel
-
-    with pytest.raises(WorkloadError, match="parallel build task failed"):
-        # indptr too short for the claimed cell grid: the worker raises.
-        parallel.map_chunks(
-            2,
-            parallel._geometric_chunk,
-            [(0, 4), (4, 8)],
-            {
-                "pts_s": np.zeros((8, 2)), "ix_s": np.zeros(8, dtype=np.int64),
-                "iy_s": np.zeros(8, dtype=np.int64),
-                "cid_s": np.full(8, 99, dtype=np.int64),
-                "indptr": np.zeros(2, dtype=np.int64),
-                "order": np.arange(8, dtype=np.int64),
-                "ncell": 1, "r2": 1.0, "n": 8,
-            },
-        )
+    shutdown_worker_pools()
+    monkeypatch.delenv("REPRO_BUILD_JOBS", raising=False)
+    unset = _csr_hash(build_dataset(spec))
+    monkeypatch.setenv("REPRO_BUILD_JOBS", "2")
+    assert _csr_hash(build_dataset(spec)) == unset
+    assert active_pools() == ()
