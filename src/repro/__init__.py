@@ -53,6 +53,17 @@ independent axes:
    cache; ``runtime.run(name, dataset=...)`` and ``python -m repro data``
    consume them, and reloaded datasets reuse materialized shards.
 
+Imports follow the run, not the package tree.  ``import repro`` loads
+only ``__version__``; every other public name here and in
+:mod:`repro.kmachine`, :mod:`repro.obs`, :mod:`repro.graphs` and
+:mod:`repro.core.pagerank` resolves from its module on first access
+(PEP 562).  The registry lists all families at once but imports a
+family's result class, driver and lower bound only when its spec first
+runs, and the ``"process"`` engine loads :mod:`repro.kmachine.parallel`
+(and :mod:`multiprocessing`) only when it is first asked for.  A cold
+``runtime.run`` therefore pays for the family and engine it uses, and
+nothing else.
+
 Environment switches
 --------------------
 Every ``REPRO_*`` variable the package reads.  Each is read where it is
@@ -96,150 +107,109 @@ Quickstart::
 """
 
 from repro._version import __version__
+from repro._lazy import lazy_exports
 
-from repro.graphs import (
-    Graph,
-    gnp_random_graph,
-    complete_graph,
-    star_graph,
-    path_graph,
-    cycle_graph,
-    empty_graph,
-    planted_triangles_graph,
-    chung_lu_graph,
-    random_regularish_graph,
-    pagerank_lowerbound_graph,
-    PageRankLowerBoundInstance,
-    enumerate_triangles,
-    count_triangles,
-    count_open_triads,
-)
-from repro.kmachine import (
-    Cluster,
-    DistributedGraph,
-    LinkNetwork,
-    Message,
-    Metrics,
-    VertexPartition,
-    EdgePartition,
-    random_vertex_partition,
-    random_edge_partition,
-    rep_to_rvp,
-    shutdown_worker_pools,
-)
-from repro.core.pagerank import (
-    distributed_pagerank,
-    baseline_pagerank,
-    pagerank_walk_series,
-    pagerank_teleport,
-    PageRankResult,
-)
-from repro.core.triangles import (
-    enumerate_triangles_distributed,
-    enumerate_triangles_congested_clique,
-    enumerate_triangles_broadcast,
-    enumerate_triangles_conversion,
-    TriangleResult,
-)
-from repro.core.subgraphs import (
-    enumerate_subgraphs_distributed,
-    enumerate_k4_edges,
-    enumerate_c4_edges,
-    count_k4,
-    count_c4,
-)
-from repro.core.mst import distributed_mst, kruskal_mst, MSTResult, DisjointSetUnion
-from repro.core.sorting import distributed_sort, SortResult
-from repro.core.connectivity import (
-    connected_components_distributed,
-    ConnectivityResult,
-)
-from repro.core.lowerbounds import (
-    GeneralLowerBound,
-    general_lower_bound_rounds,
-    pagerank_round_lower_bound,
-    triangle_round_lower_bound,
-    congested_clique_lower_bound,
-    triangle_message_lower_bound,
-    sorting_round_lower_bound,
-    mst_round_lower_bound,
-)
+# Every public name with the package that exports it; each resolves on
+# first access (see "Architecture" above).
+_EXPORTS = {
+    # The runtime layer (algorithm registry + unified run()).  Use it as
+    # repro.runtime.run(...) — no top-level alias, so it cannot be
+    # confused with the benchmark helper of the same purpose (which
+    # defaults to the REPRO_ENGINE backend).
+    "runtime": "repro.runtime",
+    # The workload subsystem (dataset specs, scalable generators, loaders,
+    # content-addressed on-disk graph cache); see repro.workloads for the
+    # spec grammar.
+    "workloads": "repro.workloads",
+    **dict.fromkeys(
+        [
+            "Graph",
+            "gnp_random_graph",
+            "complete_graph",
+            "star_graph",
+            "path_graph",
+            "cycle_graph",
+            "empty_graph",
+            "planted_triangles_graph",
+            "chung_lu_graph",
+            "random_regularish_graph",
+            "pagerank_lowerbound_graph",
+            "PageRankLowerBoundInstance",
+            "enumerate_triangles",
+            "count_triangles",
+            "count_open_triads",
+        ],
+        "repro.graphs",
+    ),
+    **dict.fromkeys(
+        [
+            "DistributedGraph",
+            "Cluster",
+            "shutdown_worker_pools",
+            "LinkNetwork",
+            "Message",
+            "Metrics",
+            "VertexPartition",
+            "EdgePartition",
+            "random_vertex_partition",
+            "random_edge_partition",
+            "rep_to_rvp",
+        ],
+        "repro.kmachine",
+    ),
+    **dict.fromkeys(
+        [
+            "distributed_pagerank",
+            "baseline_pagerank",
+            "pagerank_walk_series",
+            "pagerank_teleport",
+            "PageRankResult",
+        ],
+        "repro.core.pagerank",
+    ),
+    **dict.fromkeys(
+        [
+            "enumerate_triangles_distributed",
+            "enumerate_triangles_congested_clique",
+            "enumerate_triangles_broadcast",
+            "enumerate_triangles_conversion",
+            "TriangleResult",
+        ],
+        "repro.core.triangles",
+    ),
+    **dict.fromkeys(
+        [
+            "enumerate_subgraphs_distributed",
+            "enumerate_k4_edges",
+            "enumerate_c4_edges",
+            "count_k4",
+            "count_c4",
+        ],
+        "repro.core.subgraphs",
+    ),
+    **dict.fromkeys(
+        ["distributed_mst", "kruskal_mst", "MSTResult", "DisjointSetUnion"],
+        "repro.core.mst",
+    ),
+    "connected_components_distributed": "repro.core.connectivity",
+    "ConnectivityResult": "repro.core.connectivity",
+    "distributed_sort": "repro.core.sorting",
+    "SortResult": "repro.core.sorting",
+    **dict.fromkeys(
+        [
+            "GeneralLowerBound",
+            "general_lower_bound_rounds",
+            "pagerank_round_lower_bound",
+            "triangle_round_lower_bound",
+            "congested_clique_lower_bound",
+            "triangle_message_lower_bound",
+            "sorting_round_lower_bound",
+            "mst_round_lower_bound",
+        ],
+        "repro.core.lowerbounds",
+    ),
+}
 
-# The runtime layer (algorithm registry + unified run()); importing it
-# registers the built-in specs.  Use it as repro.runtime.run(...) — no
-# top-level alias, so it cannot be confused with the benchmark helper
-# of the same purpose (which defaults to the REPRO_ENGINE backend).
-from repro import runtime
+__all__ = ["__version__", *_EXPORTS]
 
-# The workload subsystem (dataset specs, scalable generators, loaders,
-# content-addressed on-disk graph cache); importing it registers the
-# built-in workload families.  See repro.workloads for the spec grammar.
-from repro import workloads
-
-__all__ = [
-    "__version__",
-    # runtime layer
-    "runtime",
-    "workloads",
-    "DistributedGraph",
-    # graphs
-    "Graph",
-    "gnp_random_graph",
-    "complete_graph",
-    "star_graph",
-    "path_graph",
-    "cycle_graph",
-    "empty_graph",
-    "planted_triangles_graph",
-    "chung_lu_graph",
-    "random_regularish_graph",
-    "pagerank_lowerbound_graph",
-    "PageRankLowerBoundInstance",
-    "enumerate_triangles",
-    "count_triangles",
-    "count_open_triads",
-    # k-machine model
-    "Cluster",
-    "shutdown_worker_pools",
-    "LinkNetwork",
-    "Message",
-    "Metrics",
-    "VertexPartition",
-    "EdgePartition",
-    "random_vertex_partition",
-    "random_edge_partition",
-    "rep_to_rvp",
-    # algorithms
-    "distributed_pagerank",
-    "baseline_pagerank",
-    "pagerank_walk_series",
-    "pagerank_teleport",
-    "PageRankResult",
-    "enumerate_triangles_distributed",
-    "enumerate_triangles_congested_clique",
-    "enumerate_triangles_broadcast",
-    "enumerate_triangles_conversion",
-    "TriangleResult",
-    "enumerate_subgraphs_distributed",
-    "enumerate_k4_edges",
-    "enumerate_c4_edges",
-    "count_k4",
-    "count_c4",
-    "distributed_mst",
-    "kruskal_mst",
-    "MSTResult",
-    "connected_components_distributed",
-    "ConnectivityResult",
-    "DisjointSetUnion",
-    "distributed_sort",
-    "SortResult",
-    # lower bounds
-    "GeneralLowerBound",
-    "general_lower_bound_rounds",
-    "pagerank_round_lower_bound",
-    "triangle_round_lower_bound",
-    "congested_clique_lower_bound",
-    "triangle_message_lower_bound",
-    "sorting_round_lower_bound",
-    "mst_round_lower_bound",
-]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

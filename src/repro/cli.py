@@ -54,11 +54,15 @@ import repro
 from repro import runtime
 from repro._util import polylog
 from repro.errors import ReproError
-from repro.experiments.fits import fit_power_law
-from repro.experiments.tables import format_table
 from repro.kmachine.engine import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main", "build_parser"]
+
+
+def _print_table(headers, rows) -> None:
+    from repro.experiments.tables import format_table
+
+    print(format_table(headers, rows))
 
 
 def _graph_from_args(args) -> "repro.Graph":
@@ -160,7 +164,7 @@ def cmd_run(args) -> int:
         rows.extend(list(pair) for pair in rep.ledger_report.rows())
     if spec.summarize is not None:
         rows.extend([label, value] for label, value in spec.summarize(rep.result))
-    print(format_table([spec.title, "value"], rows))
+    _print_table([spec.title, "value"], rows)
     if args.trace:
         print(f"\ntrace written to {args.trace} "
               f"(render with: python -m repro trace summarize {args.trace})")
@@ -185,7 +189,7 @@ def cmd_pagerank(args) -> int:
         ["L1 error vs reference", f"{res.l1_error(ref):.5f}"],
         ["Theorem-2 lower bound", f"{rep.lower_bound():.3f} rounds"],
     ]
-    print(format_table(["PageRank (Algorithm 1)", "value"], rows))
+    _print_table(["PageRank (Algorithm 1)", "value"], rows)
     return 0
 
 
@@ -204,7 +208,7 @@ def cmd_triangles(args) -> int:
         ["colors q", res.num_colors],
         ["Theorem-3 lower bound", f"{lb:.3f} rounds"],
     ]
-    print(format_table(["Triangles (Theorem 5)", "value"], rows))
+    _print_table(["Triangles (Theorem 5)", "value"], rows)
     return 0
 
 
@@ -222,7 +226,7 @@ def cmd_sort(args) -> int:
         ["block imbalance", f"{res.max_block_imbalance():.3f}"],
         ["§1.3 lower bound", f"{rep.lower_bound():.3f} rounds"],
     ]
-    print(format_table(["Sorting (sample sort)", "value"], rows))
+    _print_table(["Sorting (sample sort)", "value"], rows)
     return 0 if ok else 1
 
 
@@ -242,7 +246,7 @@ def cmd_mst(args) -> int:
         ["phases / rounds", f"{res.phases} / {rep.rounds}"],
         ["components", res.num_components],
     ]
-    print(format_table(["MST (proxy-Borůvka)", "value"], rows))
+    _print_table(["MST (proxy-Borůvka)", "value"], rows)
     return 0 if abs(res.total_weight - ref_total) < 1e-9 else 1
 
 
@@ -258,7 +262,7 @@ def cmd_lowerbounds(args) -> int:
         ["MST (§1.3)", f"{repro.mst_round_lower_bound(n, k, B):.4g}"],
     ]
     print(f"General Lower Bound Theorem cookbook — n={n}, k={k}, B={B}\n")
-    print(format_table(["problem", "lower bound (rounds)"], rows))
+    _print_table(["problem", "lower bound (rounds)"], rows)
     return 0
 
 
@@ -292,7 +296,7 @@ def cmd_data(args) -> int:
         ]
         if spec.cacheable and not args.no_cache:
             rows.append(["path", str(cache.info(spec).path)])
-        print(format_table(["dataset", "value"], rows))
+        _print_table(["dataset", "value"], rows)
         return 0
     if args.data_command == "ls":
         entries = cache.entries()
@@ -303,7 +307,7 @@ def cmd_data(args) -> int:
             [e.key[:12], e.family, e.n, e.m, _format_bytes(e.nbytes), e.spec]
             for e in entries
         ]
-        print(format_table(["hash", "family", "n", "m", "size", "spec"], rows))
+        _print_table(["hash", "family", "n", "m", "size", "spec"], rows)
         total = sum(e.nbytes for e in entries)
         print(f"\n{len(entries)} dataset(s), {_format_bytes(total)} "
               f"(cap {_format_bytes(cache.max_bytes)}) at {cache.graphs_dir}")
@@ -319,7 +323,7 @@ def cmd_data(args) -> int:
             ["size", _format_bytes(e.nbytes)],
             ["path", str(e.path)],
         ]
-        print(format_table(["dataset", "value"], rows))
+        _print_table(["dataset", "value"], rows)
         return 0
     if args.data_command == "rm":
         if args.all:
@@ -400,7 +404,7 @@ def cmd_client(args) -> int:
             rows.append(["result store",
                          f"{store['entries']} entries at {store['path']} "
                          f"({store['hits']} hits / {store['misses']} misses)"])
-        print(format_table(["daemon", "value"], rows))
+        _print_table(["daemon", "value"], rows)
         return 0
     if args.client_command == "alerts":
         reply = client.alerts()
@@ -418,9 +422,9 @@ def cmd_client(args) -> int:
                 f"{last:.4g}" if isinstance(last, float) else
                 ("-" if last is None else last),
             ])
-        print(format_table(
+        _print_table(
             ["rule", "severity", "condition", "state", "last value"], rows
-        ))
+        )
         active = reply["active"]
         suffix = f": {', '.join(active)}" if active else ""
         print(f"\n{len(active)} active alert(s){suffix} "
@@ -451,8 +455,7 @@ def cmd_client(args) -> int:
         ]
         for label, value in report.get("summary", []):
             rows.append([label, value])
-        print(format_table([f"{report['algo']} @ {args.host}:{args.port}", "value"],
-                           rows))
+        _print_table([f"{report['algo']} @ {args.host}:{args.port}", "value"], rows)
         return 0
     raise SystemExit(f"unknown client command {args.client_command!r}")
 
@@ -487,8 +490,10 @@ def cmd_sweep(args) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-    print(format_table(["k", "rounds"], rows))
+    _print_table(["k", "rounds"], rows)
     if len(ks) >= 2 and all(v > 0 for v in rounds):
+        from repro.experiments.fits import fit_power_law
+
         fit = fit_power_law(ks, rounds)
         target = f"   (paper: {spec.fit_target})" if spec.fit_target else ""
         print(f"\nfit: rounds ~ k^{fit.exponent:.2f}{target}")
@@ -765,10 +770,12 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # Warm pools let a single command's runs (a sweep's k-points and
         # repetitions) share worker processes; the command boundary is
-        # where they are torn down deterministically.
-        from repro.kmachine.parallel import shutdown_worker_pools
+        # where they are torn down deterministically.  No pool exists
+        # unless the process backend was loaded.
+        if "repro.kmachine.parallel" in sys.modules:
+            from repro.kmachine.parallel import shutdown_worker_pools
 
-        shutdown_worker_pools()
+            shutdown_worker_pools()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -43,8 +43,6 @@ per-machine execution would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro._util import check_positive_int, stable_hash64_array
@@ -57,6 +55,7 @@ from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.metrics import Metrics, unit_load_matrix
 from repro.kmachine.partition import VertexPartition
 from repro.core.mst.reference import checked_weights
+from repro.core.mst.result import MSTResult
 
 __all__ = ["distributed_mst", "MSTResult"]
 
@@ -111,36 +110,6 @@ def _mwoe_scan_task(ctx, machine: int, rng, payload, state, *,
     np.minimum.at(first, labels[state["own"][rows]], np.arange(rows.size))
     comp = np.flatnonzero(first < rows.size)
     return {"comp": comp, "edge": state["edge"][rows[first[comp]]]}
-
-
-@dataclass
-class MSTResult:
-    """Output of the distributed MST computation.
-
-    Attributes
-    ----------
-    edges:
-        ``(t, 2)`` spanning-forest edge rows (canonical order).
-    total_weight:
-        Sum of the chosen edges' weights.
-    metrics:
-        Communication metrics.
-    phases:
-        Number of Borůvka phases executed.
-    num_components:
-        Final component count (1 for connected inputs).
-    """
-
-    edges: np.ndarray
-    total_weight: float
-    metrics: Metrics
-    phases: int
-    num_components: int
-
-    @property
-    def rounds(self) -> int:
-        """Total rounds charged."""
-        return self.metrics.rounds
 
 
 def _account(cluster: Cluster, src: np.ndarray, dst: np.ndarray, bits_per: int, label: str) -> None:

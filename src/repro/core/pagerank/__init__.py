@@ -11,17 +11,19 @@
 * :mod:`~repro.core.pagerank.lemma4` — the Lemma-4 closed forms.
 """
 
-from repro.core.pagerank.distributed import distributed_pagerank
-from repro.core.pagerank.baseline import baseline_pagerank
-from repro.core.pagerank.reference import pagerank_walk_series, pagerank_teleport
-from repro.core.pagerank.result import PageRankResult
-from repro.core.pagerank import lemma4
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "distributed_pagerank",
-    "baseline_pagerank",
-    "pagerank_walk_series",
-    "pagerank_teleport",
-    "PageRankResult",
-    "lemma4",
-]
+# Every public name with the module that defines it; each resolves on
+# first access.
+_EXPORTS = {
+    "distributed_pagerank": "repro.core.pagerank.distributed",
+    "baseline_pagerank": "repro.core.pagerank.baseline",
+    "pagerank_walk_series": "repro.core.pagerank.reference",
+    "pagerank_teleport": "repro.core.pagerank.reference",
+    "PageRankResult": "repro.core.pagerank.result",
+    "lemma4": "repro.core.pagerank.lemma4",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

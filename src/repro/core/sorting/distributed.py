@@ -26,7 +26,6 @@ every block at ``Õ(n/k)`` elements whp, which tests assert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.errors import AlgorithmError
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
-from repro.kmachine.metrics import Metrics
+from repro.core.sorting.result import SortResult
 
 __all__ = ["distributed_sort", "SortResult"]
 
@@ -66,42 +65,6 @@ def _sort_block_task(ctx, machine: int, rng, block):
         return None
     order = np.lexsort((block[:, 1], block[:, 0]))
     return block[order, 0]
-
-
-@dataclass
-class SortResult:
-    """Output of a distributed sort.
-
-    Attributes
-    ----------
-    blocks:
-        Per-machine sorted arrays; concatenating them in machine order is
-        the globally sorted sequence.
-    metrics:
-        Communication metrics.
-    splitters:
-        The broadcast splitters.
-    """
-
-    blocks: list[np.ndarray]
-    metrics: Metrics
-    splitters: np.ndarray
-
-    @property
-    def rounds(self) -> int:
-        """Total rounds charged."""
-        return self.metrics.rounds
-
-    def concatenated(self) -> np.ndarray:
-        """The full output sequence in machine order."""
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
-
-    def max_block_imbalance(self) -> float:
-        """``max block size / (n/k)``."""
-        n = sum(b.size for b in self.blocks)
-        if n == 0:
-            return 0.0
-        return max(b.size for b in self.blocks) / (n / len(self.blocks))
 
 
 def distributed_sort(

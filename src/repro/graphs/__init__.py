@@ -1,46 +1,42 @@
 """Graph substrate: CSR graphs, generators, the Figure-1 lower-bound graph,
 vertex hashing, and exact sequential triangle/triad enumeration."""
 
-from repro.graphs.graph import Graph
-from repro.graphs.generators import (
-    gnp_random_graph,
-    complete_graph,
-    star_graph,
-    path_graph,
-    cycle_graph,
-    empty_graph,
-    planted_triangles_graph,
-    chung_lu_graph,
-    random_regularish_graph,
-)
-from repro.graphs.lowerbound import PageRankLowerBoundInstance, pagerank_lowerbound_graph
-from repro.graphs.hashing import hash_colors, hash_machines
-from repro.graphs.triangles_ref import (
-    enumerate_triangles,
-    count_triangles,
-    count_open_triads,
-    enumerate_open_triads,
-    triangles_per_vertex,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "gnp_random_graph",
-    "complete_graph",
-    "star_graph",
-    "path_graph",
-    "cycle_graph",
-    "empty_graph",
-    "planted_triangles_graph",
-    "chung_lu_graph",
-    "random_regularish_graph",
-    "PageRankLowerBoundInstance",
-    "pagerank_lowerbound_graph",
-    "hash_colors",
-    "hash_machines",
-    "enumerate_triangles",
-    "count_triangles",
-    "count_open_triads",
-    "enumerate_open_triads",
-    "triangles_per_vertex",
-]
+# Every public name with the module that defines it; each resolves on
+# first access.
+_EXPORTS = {
+    "Graph": "repro.graphs.graph",
+    **dict.fromkeys(
+        [
+            "gnp_random_graph",
+            "complete_graph",
+            "star_graph",
+            "path_graph",
+            "cycle_graph",
+            "empty_graph",
+            "planted_triangles_graph",
+            "chung_lu_graph",
+            "random_regularish_graph",
+        ],
+        "repro.graphs.generators",
+    ),
+    "PageRankLowerBoundInstance": "repro.graphs.lowerbound",
+    "pagerank_lowerbound_graph": "repro.graphs.lowerbound",
+    "hash_colors": "repro.graphs.hashing",
+    "hash_machines": "repro.graphs.hashing",
+    **dict.fromkeys(
+        [
+            "enumerate_triangles",
+            "count_triangles",
+            "count_open_triads",
+            "enumerate_open_triads",
+            "triangles_per_vertex",
+        ],
+        "repro.graphs.triangles_ref",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -208,76 +208,45 @@ this way.  Tracing never changes results, rounds, or delivery order;
 it only observes them.
 """
 
-from repro.kmachine.message import Message
-from repro.kmachine.metrics import Metrics, PhaseStats, unit_load_matrix
-from repro.kmachine.network import LinkNetwork
-from repro.kmachine.engine import (
-    DeliveredBatch,
-    Engine,
-    MessageBatch,
-    ResidentHandle,
-    VectorEngine,
-    make_engine,
-)
-from repro.kmachine.cluster import Cluster
-from repro.kmachine.distgraph import (
-    DistributedGraph,
-    MachineShard,
-    cached_distgraph,
-    clear_distgraph_cache,
-    resolve_distgraph,
-)
-from repro.kmachine.parallel import (
-    ProcessEngine,
-    SharedGraphStore,
-    SharedGraphView,
-    active_pools,
-    shutdown_worker_pools,
-)
-from repro.kmachine.partition import (
-    VertexPartition,
-    EdgePartition,
-    random_vertex_partition,
-    random_edge_partition,
-    rep_to_rvp,
-)
-from repro.kmachine.routing import (
-    direct_exchange,
-    valiant_exchange,
-    lemma13_round_bound,
-)
-from repro.kmachine import encoding
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "Metrics",
-    "PhaseStats",
-    "unit_load_matrix",
-    "LinkNetwork",
-    "Cluster",
-    "Engine",
-    "VectorEngine",
-    "ProcessEngine",
-    "SharedGraphStore",
-    "SharedGraphView",
-    "active_pools",
-    "shutdown_worker_pools",
-    "MessageBatch",
-    "DeliveredBatch",
-    "ResidentHandle",
-    "make_engine",
-    "DistributedGraph",
-    "MachineShard",
-    "cached_distgraph",
-    "clear_distgraph_cache",
-    "resolve_distgraph",
-    "VertexPartition",
-    "EdgePartition",
-    "random_vertex_partition",
-    "random_edge_partition",
-    "rep_to_rvp",
-    "direct_exchange",
-    "valiant_exchange",
-    "lemma13_round_bound",
-    "encoding",
-]
+# Every public name with the module that defines it; each resolves on
+# first access, so the process backend (and multiprocessing) loads only
+# when it is used.
+_EXPORTS = {
+    "Message": "repro.kmachine.message",
+    "Metrics": "repro.kmachine.metrics",
+    "PhaseStats": "repro.kmachine.metrics",
+    "unit_load_matrix": "repro.kmachine.metrics",
+    "LinkNetwork": "repro.kmachine.network",
+    "Cluster": "repro.kmachine.cluster",
+    "Engine": "repro.kmachine.engine",
+    "VectorEngine": "repro.kmachine.engine",
+    "ProcessEngine": "repro.kmachine.parallel",
+    "SharedGraphStore": "repro.kmachine.parallel",
+    "SharedGraphView": "repro.kmachine.parallel",
+    "active_pools": "repro.kmachine.parallel",
+    "shutdown_worker_pools": "repro.kmachine.parallel",
+    "MessageBatch": "repro.kmachine.engine",
+    "DeliveredBatch": "repro.kmachine.engine",
+    "ResidentHandle": "repro.kmachine.engine",
+    "make_engine": "repro.kmachine.engine",
+    "DistributedGraph": "repro.kmachine.distgraph",
+    "MachineShard": "repro.kmachine.distgraph",
+    "cached_distgraph": "repro.kmachine.distgraph",
+    "clear_distgraph_cache": "repro.kmachine.distgraph",
+    "resolve_distgraph": "repro.kmachine.distgraph",
+    "VertexPartition": "repro.kmachine.partition",
+    "EdgePartition": "repro.kmachine.partition",
+    "random_vertex_partition": "repro.kmachine.partition",
+    "random_edge_partition": "repro.kmachine.partition",
+    "rep_to_rvp": "repro.kmachine.partition",
+    "direct_exchange": "repro.kmachine.routing",
+    "valiant_exchange": "repro.kmachine.routing",
+    "lemma13_round_bound": "repro.kmachine.routing",
+    "encoding": "repro.kmachine.encoding",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

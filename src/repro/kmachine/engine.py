@@ -16,9 +16,9 @@ default is named:
 :class:`~repro.kmachine.parallel.engine.ProcessEngine` (``"process"``)
     Inherits the vectorized exchange layer and runs per-machine
     superstep kernels (:meth:`Engine.map_machines`) in a pool of worker
-    processes attached zero-copy to a shared-memory graph store; the
-    :mod:`repro.kmachine` package registers it by importing
-    :mod:`repro.kmachine.parallel`.
+    processes attached zero-copy to a shared-memory graph store.
+    :data:`ENGINES` lists it by module, which is imported on its first
+    lookup.
 
 The test suite adds one more: a per-object *oracle* engine
 (``tests/message_engine.py``, registered as ``message`` by
@@ -46,8 +46,10 @@ per-object on every engine.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -597,10 +599,51 @@ class VectorEngine(Engine):
         return int(rounds_mat.max(initial=0))
 
 
-#: Registry of engine backends by name.  ``"process"`` is added when
-#: :mod:`repro.kmachine.parallel` is imported, which the
-#: :mod:`repro.kmachine` package ``__init__`` does eagerly.
-ENGINES: dict[str, type[Engine]] = {VectorEngine.name: VectorEngine}
+class _EngineTable(Mapping):
+    """Engine classes by name; a backend may be listed by its module.
+
+    A name listed by module is known (iteration, ``in``, error texts)
+    before that module is imported; the first lookup imports it, and
+    the module registers its class under the name.
+    """
+
+    def __init__(self, classes: dict, modules: dict) -> None:
+        self._classes = dict(classes)
+        self._modules = dict(modules)
+
+    def __getitem__(self, name: str) -> type[Engine]:
+        module = self._modules.get(name)
+        if module is not None:
+            importlib.import_module(module)
+        return self._classes[name]
+
+    def __setitem__(self, name: str, cls: type[Engine]) -> None:
+        self._classes[name] = cls
+        self._modules.pop(name, None)
+
+    def __contains__(self, name) -> bool:
+        return name in self._classes or name in self._modules
+
+    def _names(self) -> dict:
+        # A dict, not a chain of the two: a name that another thread is
+        # moving from one to the other is listed once.
+        return {**self._modules, **self._classes}
+
+    def __iter__(self):
+        return iter(self._names())
+
+    def __len__(self) -> int:
+        return len(self._names())
+
+
+#: Registry of engine backends by name.  ``"process"`` is listed by its
+#: module, so it is known from the start and
+#: :mod:`repro.kmachine.parallel` (with :mod:`multiprocessing`) is
+#: imported only when a process engine is first asked for.
+ENGINES = _EngineTable(
+    {VectorEngine.name: VectorEngine},
+    {"process": "repro.kmachine.parallel.engine"},
+)
 
 #: The engine every entry point runs on when none is named — the one
 #: place the default is spelled.

@@ -24,9 +24,10 @@ simulator (``Cluster(engine="process", workers=...)``):
   accounting — so results, rounds, and bits stay bit-identical to the
   inline backends.
 
-Importing this package registers ``"process"`` in
-:data:`repro.kmachine.engine.ENGINES`; :mod:`repro.kmachine` imports it
-eagerly, so the name is always resolvable through ``make_engine``.
+:data:`repro.kmachine.engine.ENGINES` lists ``"process"`` by the
+module of :class:`ProcessEngine`, so the name always resolves through
+``make_engine`` while this package (and :mod:`multiprocessing`) is
+imported only on that first lookup.
 """
 
 from repro.kmachine.parallel.engine import ProcessEngine

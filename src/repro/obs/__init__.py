@@ -46,73 +46,62 @@ CLI's ``--trace out.jsonl``, or ``$REPRO_TRACE``; render a trace with
 ``python -m repro trace export out.jsonl --format chrome``.
 """
 
-from repro.obs.alerts import (
-    ALERT_RULES_ENV,
-    AlertEngine,
-    AlertRule,
-    default_rules,
-    jsonl_sink,
-    load_rules,
-    resolve_alert_rules,
-    stderr_sink,
-    webhook_sink,
-)
-from repro.obs.bounds import BoundReport, compute_bound_report
-from repro.obs.export import (
-    EXPORT_FORMATS,
-    export_chrome,
-    export_speedscope,
-    export_trace,
-    validate_chrome_trace,
-    write_export,
-)
-from repro.obs.ledger import LedgerEntry, LedgerReport, compute_ledger_report
-from repro.obs.registry import MinuteRing, ObsRegistry, obs_registry, render_prometheus
-from repro.obs.summarize import format_summary, summarize_trace
-from repro.obs.trace import (
-    NULL_TRACER,
-    TRACE_ENV,
-    TRACE_SCHEMA_VERSION,
-    NullTracer,
-    TraceError,
-    Tracer,
-    read_trace,
-    resolve_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundReport",
-    "compute_bound_report",
-    "LedgerEntry",
-    "LedgerReport",
-    "compute_ledger_report",
-    "ALERT_RULES_ENV",
-    "AlertEngine",
-    "AlertRule",
-    "default_rules",
-    "load_rules",
-    "resolve_alert_rules",
-    "stderr_sink",
-    "jsonl_sink",
-    "webhook_sink",
-    "EXPORT_FORMATS",
-    "export_chrome",
-    "export_speedscope",
-    "export_trace",
-    "validate_chrome_trace",
-    "write_export",
-    "MinuteRing",
-    "ObsRegistry",
-    "obs_registry",
-    "render_prometheus",
-    "format_summary",
-    "summarize_trace",
-    "NULL_TRACER",
-    "TRACE_ENV",
-    "TRACE_SCHEMA_VERSION",
-    "NullTracer",
-    "TraceError",
-    "Tracer",
-    "read_trace",
-    "resolve_tracer",
-]
+# Every public name with the module that defines it; each resolves on
+# first access, so a run that only traces never loads alerts or export.
+_EXPORTS = {
+    "BoundReport": "repro.obs.bounds",
+    "compute_bound_report": "repro.obs.bounds",
+    "LedgerEntry": "repro.obs.ledger",
+    "LedgerReport": "repro.obs.ledger",
+    "compute_ledger_report": "repro.obs.ledger",
+    **dict.fromkeys(
+        [
+            "ALERT_RULES_ENV",
+            "AlertEngine",
+            "AlertRule",
+            "default_rules",
+            "load_rules",
+            "resolve_alert_rules",
+            "stderr_sink",
+            "jsonl_sink",
+            "webhook_sink",
+        ],
+        "repro.obs.alerts",
+    ),
+    **dict.fromkeys(
+        [
+            "EXPORT_FORMATS",
+            "export_chrome",
+            "export_speedscope",
+            "export_trace",
+            "validate_chrome_trace",
+            "write_export",
+        ],
+        "repro.obs.export",
+    ),
+    **dict.fromkeys(
+        ["MinuteRing", "ObsRegistry", "obs_registry", "render_prometheus"],
+        "repro.obs.registry",
+    ),
+    "format_summary": "repro.obs.summarize",
+    "summarize_trace": "repro.obs.summarize",
+    **dict.fromkeys(
+        [
+            "NULL_TRACER",
+            "TRACE_ENV",
+            "TRACE_SCHEMA_VERSION",
+            "NullTracer",
+            "TraceError",
+            "Tracer",
+            "read_trace",
+            "resolve_tracer",
+        ],
+        "repro.obs.trace",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

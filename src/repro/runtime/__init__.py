@@ -54,6 +54,7 @@ Usage::
     print(runtime.available())
 """
 
+from repro._lazy import lazy_exports
 from repro.runtime.registry import (
     AlgorithmSpec,
     RunReport,
@@ -63,7 +64,6 @@ from repro.runtime.registry import (
     run,
     specs,
 )
-from repro.runtime.session import Session
 from repro.runtime.families import register_builtin_specs
 
 register_builtin_specs()
@@ -79,3 +79,7 @@ __all__ = [
     "run",
     "specs",
 ]
+
+# The session layer (threads, the serve result store) loads on first
+# access: a one-shot run never needs it.
+__getattr__, __dir__ = lazy_exports(globals(), {"Session": "repro.runtime.session"})

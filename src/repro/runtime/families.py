@@ -7,77 +7,85 @@ family entry point.  The adapters pass the cluster and prebuilt
 assignment) down, so a registry run performs exactly the same RNG draws
 as a direct ``distributed_*`` call — seeded results are bit-identical on
 both execution engines.
+
+Nothing here imports a family at registration: a spec is built (its
+result class imported) on the family's first lookup, and each adapter
+and lower-bound callable imports its driver or bound when called, so a
+run loads only the family it runs.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
-from repro.core.connectivity import ConnectivityResult, connected_components_distributed
-from repro.core.lowerbounds import (
-    congested_clique_lower_bound,
-    mst_round_lower_bound,
-    pagerank_round_lower_bound,
-    sorting_round_lower_bound,
-    triangle_round_lower_bound,
-)
-from repro.core.mst import MSTResult, distributed_mst
-from repro.core.pagerank import PageRankResult, baseline_pagerank, distributed_pagerank
-from repro.core.sorting import SortResult, distributed_sort
-from repro.core.subgraphs import enumerate_subgraphs_distributed
-from repro.core.triangles import (
-    TriangleResult,
-    enumerate_triangles_congested_clique,
-    enumerate_triangles_conversion,
-    enumerate_triangles_distributed,
-)
-from repro.core.triangles.congested_clique import identity_partition
 from repro.runtime.registry import (
     GRAPH,
     VALUES,
     AlgorithmSpec,
     _sample_element_assignment,
-    register,
+    register_builder,
 )
 
 __all__ = ["register_builtin_specs"]
 
 
 def _run_pagerank(graph, cluster, dg, params):
+    from repro.core.pagerank.distributed import distributed_pagerank
+
     return distributed_pagerank(
         graph, cluster.k, cluster=cluster, distgraph=dg, **params
     )
 
 
 def _run_pagerank_baseline(graph, cluster, dg, params):
+    from repro.core.pagerank.baseline import baseline_pagerank
+
     return baseline_pagerank(graph, cluster.k, cluster=cluster, distgraph=dg, **params)
 
 
 def _run_triangles(graph, cluster, dg, params):
+    from repro.core.triangles.distributed import enumerate_triangles_distributed
+
     return enumerate_triangles_distributed(
         graph, cluster.k, cluster=cluster, distgraph=dg, **params
     )
 
 
 def _run_subgraphs(graph, cluster, dg, params):
+    from repro.core.subgraphs.distributed import enumerate_subgraphs_distributed
+
     return enumerate_subgraphs_distributed(
         graph, cluster.k, cluster=cluster, distgraph=dg, **params
     )
 
 
 def _run_congested_clique_triangles(graph, cluster, dg, params):
+    from repro.core.triangles.congested_clique import enumerate_triangles_congested_clique
+
     return enumerate_triangles_congested_clique(
         graph, cluster=cluster, distgraph=dg, **params
     )
 
 
+def _identity_placement(cluster, graph):
+    from repro.core.triangles.congested_clique import identity_partition
+
+    return identity_partition(graph.n)
+
+
 def _run_triangles_conversion(graph, cluster, partition, params):
+    from repro.core.triangles.baseline import enumerate_triangles_conversion
+
     return enumerate_triangles_conversion(
         graph, cluster.k, cluster=cluster, partition=partition, **params
     )
 
 
 def _run_mst(graph, cluster, dg, params):
+    from repro.core.mst.distributed import distributed_mst
+
     params = dict(params)
     weights = params.pop("weights")
     wseed = params.pop("seed")
@@ -91,15 +99,53 @@ def _run_mst(graph, cluster, dg, params):
 
 
 def _run_connectivity(graph, cluster, dg, params):
+    from repro.core.connectivity.distributed import connected_components_distributed
+
     return connected_components_distributed(
         graph, cluster.k, cluster=cluster, distgraph=dg, **params
     )
 
 
 def _run_sorting(values, cluster, assignment, params):
+    from repro.core.sorting.distributed import distributed_sort
+
     return distributed_sort(
         values, cluster.k, cluster=cluster, assignment=assignment, **params
     )
+
+
+# -- Round lower bounds from the General Lower Bound Theorem cookbook
+# -- (:mod:`repro.core.lowerbounds`), imported when a run is finalized.
+
+
+def _lb_pagerank(n, k, bandwidth):
+    from repro.core.lowerbounds.pagerank import pagerank_round_lower_bound
+
+    return pagerank_round_lower_bound(n, k, bandwidth)
+
+
+def _lb_triangles(n, k, bandwidth, t=None):
+    from repro.core.lowerbounds.triangles import triangle_round_lower_bound
+
+    return triangle_round_lower_bound(n, k, bandwidth, t=t)
+
+
+def _lb_congested_clique(n, k, bandwidth):
+    from repro.core.lowerbounds.triangles import congested_clique_lower_bound
+
+    return congested_clique_lower_bound(n, bandwidth)
+
+
+def _lb_boruvka(n, k, bandwidth):
+    from repro.core.lowerbounds.extensions import mst_round_lower_bound
+
+    return mst_round_lower_bound(n, k, bandwidth)
+
+
+def _lb_sorting(n, k, bandwidth):
+    from repro.core.lowerbounds.extensions import sorting_round_lower_bound
+
+    return sorting_round_lower_bound(n, k, bandwidth)
 
 
 # -- Õ upper-bound polynomials (the part the theorem states; the obs
@@ -176,152 +222,143 @@ def _summarize_sorting(r: SortResult) -> list:
     ]
 
 
+def _register(*, result_type: str, **fields) -> None:
+    """Register a family whose ``result_type`` (``"module:Class"``) loads on first lookup."""
+    module, cls = result_type.split(":")
+    register_builder(
+        fields["name"],
+        lambda: AlgorithmSpec(result_type=getattr(importlib.import_module(module), cls), **fields),
+    )
+
+
 def register_builtin_specs() -> None:
     """Register every :mod:`repro.core` family (idempotent via import)."""
-    register(
-        AlgorithmSpec(
-            name="pagerank",
-            title="PageRank (Algorithm 1)",
-            runner=_run_pagerank,
-            input_kind=GRAPH,
-            result_type=PageRankResult,
-            bounds="Õ(n/k²) rounds (Theorem 4)",
-            default_params={"c": 16.0},
-            lower_bound=pagerank_round_lower_bound,
-            upper_bound=_ub_pagerank,
-            round_value=lambda r: r.token_rounds(),
-            fit_target="-2 (Thm 4)",
-            summarize=_summarize_pagerank,
-            build_distgraph=True,
-        )
+    _register(
+        name="pagerank",
+        title="PageRank (Algorithm 1)",
+        runner=_run_pagerank,
+        input_kind=GRAPH,
+        result_type="repro.core.pagerank.result:PageRankResult",
+        bounds="Õ(n/k²) rounds (Theorem 4)",
+        default_params={"c": 16.0},
+        lower_bound=_lb_pagerank,
+        upper_bound=_ub_pagerank,
+        round_value=lambda r: r.token_rounds(),
+        fit_target="-2 (Thm 4)",
+        summarize=_summarize_pagerank,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="pagerank-baseline",
-            title="PageRank (per-edge baseline, SODA'15)",
-            runner=_run_pagerank_baseline,
-            input_kind=GRAPH,
-            result_type=PageRankResult,
-            bounds="Õ(n/k) rounds (Klauck et al., SODA 2015)",
-            default_params={"c": 16.0},
-            lower_bound=pagerank_round_lower_bound,
-            upper_bound=_ub_pagerank_baseline,
-            round_value=lambda r: r.token_rounds(),
-            fit_target="-1 (SODA'15)",
-            summarize=_summarize_pagerank,
-            build_distgraph=True,
-        )
+    _register(
+        name="pagerank-baseline",
+        title="PageRank (per-edge baseline, SODA'15)",
+        runner=_run_pagerank_baseline,
+        input_kind=GRAPH,
+        result_type="repro.core.pagerank.result:PageRankResult",
+        bounds="Õ(n/k) rounds (Klauck et al., SODA 2015)",
+        default_params={"c": 16.0},
+        lower_bound=_lb_pagerank,
+        upper_bound=_ub_pagerank_baseline,
+        round_value=lambda r: r.token_rounds(),
+        fit_target="-1 (SODA'15)",
+        summarize=_summarize_pagerank,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="triangles",
-            title="Triangle enumeration (Theorem 5)",
-            runner=_run_triangles,
-            input_kind=GRAPH,
-            result_type=TriangleResult,
-            bounds="Õ(m/k^{5/3} + n/k^{4/3}) rounds (Theorem 5)",
-            lower_bound=triangle_round_lower_bound,
-            # Theorem 3's bound depends on the output count t; without it the
-            # dense-graph default can exceed the measured rounds on sparse inputs.
-            lower_bound_extra=lambda r: {"t": max(1, r.count)},
-            upper_bound=_ub_triangles,
-            fit_target="-5/3 (Thm 5)",
-            summarize=_summarize_triangles,
-            build_distgraph=True,
-        )
+    _register(
+        name="triangles",
+        title="Triangle enumeration (Theorem 5)",
+        runner=_run_triangles,
+        input_kind=GRAPH,
+        result_type="repro.core.triangles.result:TriangleResult",
+        bounds="Õ(m/k^{5/3} + n/k^{4/3}) rounds (Theorem 5)",
+        lower_bound=_lb_triangles,
+        # Theorem 3's bound depends on the output count t; without it the
+        # dense-graph default can exceed the measured rounds on sparse inputs.
+        lower_bound_extra=lambda r: {"t": max(1, r.count)},
+        upper_bound=_ub_triangles,
+        fit_target="-5/3 (Thm 5)",
+        summarize=_summarize_triangles,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="congested-clique-triangles",
-            title="Triangle enumeration, congested clique (Corollary 1)",
-            runner=_run_congested_clique_triangles,
-            input_kind=GRAPH,
-            result_type=TriangleResult,
-            bounds="O(n^{1/3}/B) rounds at k=n (Dolev et al.; Corollary 1 matching)",
-            # One machine per vertex: the caller's k is overridden and the
-            # placement is the deterministic identity partition (no RVP draw).
-            fix_k=lambda g: g.n,
-            sample_placement=lambda cluster, g: identity_partition(g.n),
-            lower_bound=lambda n, k, B: congested_clique_lower_bound(n, B),
-            upper_bound=_ub_congested_clique,
-            fit_target=None,
-            summarize=_summarize_triangles,
-            build_distgraph=True,
-        )
+    _register(
+        name="congested-clique-triangles",
+        title="Triangle enumeration, congested clique (Corollary 1)",
+        runner=_run_congested_clique_triangles,
+        input_kind=GRAPH,
+        result_type="repro.core.triangles.result:TriangleResult",
+        bounds="O(n^{1/3}/B) rounds at k=n (Dolev et al.; Corollary 1 matching)",
+        # One machine per vertex: the caller's k is overridden and the
+        # placement is the deterministic identity partition (no RVP draw).
+        fix_k=lambda g: g.n,
+        sample_placement=_identity_placement,
+        lower_bound=_lb_congested_clique,
+        upper_bound=_ub_congested_clique,
+        fit_target=None,
+        summarize=_summarize_triangles,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="triangles-conversion",
-            title="Triangle enumeration via the Conversion Theorem (SODA'15)",
-            runner=_run_triangles_conversion,
-            input_kind=GRAPH,
-            result_type=TriangleResult,
-            bounds="Õ(n^{7/3}/k²) rounds (Klauck et al., SODA 2015 baseline)",
-            lower_bound=triangle_round_lower_bound,
-            lower_bound_extra=lambda r: {"t": max(1, r.count)},
-            upper_bound=_ub_triangles_conversion,
-            fit_target="-2 (conversion)",
-            summarize=_summarize_triangles,
-            build_distgraph=False,
-        )
+    _register(
+        name="triangles-conversion",
+        title="Triangle enumeration via the Conversion Theorem (SODA'15)",
+        runner=_run_triangles_conversion,
+        input_kind=GRAPH,
+        result_type="repro.core.triangles.result:TriangleResult",
+        bounds="Õ(n^{7/3}/k²) rounds (Klauck et al., SODA 2015 baseline)",
+        lower_bound=_lb_triangles,
+        lower_bound_extra=lambda r: {"t": max(1, r.count)},
+        upper_bound=_ub_triangles_conversion,
+        fit_target="-2 (conversion)",
+        summarize=_summarize_triangles,
+        build_distgraph=False,
     )
-    register(
-        AlgorithmSpec(
-            name="subgraphs",
-            title="K4/C4 enumeration (§1.2 generalization)",
-            runner=_run_subgraphs,
-            input_kind=GRAPH,
-            result_type=TriangleResult,
-            bounds="Õ(m/k^{3/2} + n/k^{5/4}) rounds (§1.2 remark)",
-            default_params={"pattern": "k4"},
-            upper_bound=_ub_subgraphs,
-            summarize=_summarize_triangles,
-            build_distgraph=True,
-        )
+    _register(
+        name="subgraphs",
+        title="K4/C4 enumeration (§1.2 generalization)",
+        runner=_run_subgraphs,
+        input_kind=GRAPH,
+        result_type="repro.core.triangles.result:TriangleResult",
+        bounds="Õ(m/k^{3/2} + n/k^{5/4}) rounds (§1.2 remark)",
+        default_params={"pattern": "k4"},
+        upper_bound=_ub_subgraphs,
+        summarize=_summarize_triangles,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="mst",
-            title="MST (proxy-Borůvka)",
-            runner=_run_mst,
-            input_kind=GRAPH,
-            result_type=MSTResult,
-            bounds="Õ(m/k² + polylog) rounds (§1.3, cf. SPAA'16)",
-            default_params={"weights": None, "seed": None},
-            lower_bound=mst_round_lower_bound,
-            upper_bound=_ub_boruvka,
-            summarize=_summarize_mst,
-            build_distgraph=True,
-        )
+    _register(
+        name="mst",
+        title="MST (proxy-Borůvka)",
+        runner=_run_mst,
+        input_kind=GRAPH,
+        result_type="repro.core.mst.result:MSTResult",
+        bounds="Õ(m/k² + polylog) rounds (§1.3, cf. SPAA'16)",
+        default_params={"weights": None, "seed": None},
+        lower_bound=_lb_boruvka,
+        upper_bound=_ub_boruvka,
+        summarize=_summarize_mst,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="connectivity",
-            title="Connected components (unit-weight Borůvka)",
-            runner=_run_connectivity,
-            input_kind=GRAPH,
-            result_type=ConnectivityResult,
-            bounds="Õ(m/k² + polylog) rounds (§1.3)",
-            lower_bound=mst_round_lower_bound,
-            upper_bound=_ub_boruvka,
-            summarize=_summarize_connectivity,
-            build_distgraph=True,
-        )
+    _register(
+        name="connectivity",
+        title="Connected components (unit-weight Borůvka)",
+        runner=_run_connectivity,
+        input_kind=GRAPH,
+        result_type="repro.core.connectivity.result:ConnectivityResult",
+        bounds="Õ(m/k² + polylog) rounds (§1.3)",
+        lower_bound=_lb_boruvka,
+        upper_bound=_ub_boruvka,
+        summarize=_summarize_connectivity,
+        build_distgraph=True,
     )
-    register(
-        AlgorithmSpec(
-            name="sorting",
-            title="Distributed sorting (sample sort)",
-            runner=_run_sorting,
-            input_kind=VALUES,
-            result_type=SortResult,
-            bounds="Θ̃(n/k²) rounds (§1.3)",
-            default_params={"oversample": 8.0},
-            lower_bound=sorting_round_lower_bound,
-            upper_bound=_ub_sorting,
-            summarize=_summarize_sorting,
-            check=_sorting_ok,
-            sample_placement=_sample_element_assignment,
-            build_distgraph=False,
-        )
+    _register(
+        name="sorting",
+        title="Distributed sorting (sample sort)",
+        runner=_run_sorting,
+        input_kind=VALUES,
+        result_type="repro.core.sorting.result:SortResult",
+        bounds="Θ̃(n/k²) rounds (§1.3)",
+        default_params={"oversample": 8.0},
+        lower_bound=_lb_sorting,
+        upper_bound=_ub_sorting,
+        summarize=_summarize_sorting,
+        check=_sorting_ok,
+        sample_placement=_sample_element_assignment,
+        build_distgraph=False,
     )

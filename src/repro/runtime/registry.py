@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from repro.kmachine.distgraph import DistributedGraph, cached_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, Engine, engine_class
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
-from repro.obs.bounds import BoundReport, compute_bound_report
-from repro.obs.ledger import LedgerReport, compute_ledger_report
 from repro.obs.trace import resolve_tracer
+
+if TYPE_CHECKING:
+    from repro.obs.bounds import BoundReport
+    from repro.obs.ledger import LedgerReport
 
 __all__ = [
     "AlgorithmSpec",
@@ -160,18 +162,42 @@ class AlgorithmSpec:
 
 
 _REGISTRY: dict[str, AlgorithmSpec] = {}
+#: Families registered by name and spec builder; a name moves to
+#: :data:`_REGISTRY` on its first lookup.
+_BUILDERS: dict[str, Callable[[], AlgorithmSpec]] = {}
+
+
+def _claim(name: str) -> None:
+    if name in _REGISTRY or name in _BUILDERS:
+        raise AlgorithmError(f"algorithm {name!r} is already registered")
 
 
 def register(spec: AlgorithmSpec) -> AlgorithmSpec:
     """Register an algorithm family; names are unique."""
-    if spec.name in _REGISTRY:
-        raise AlgorithmError(f"algorithm {spec.name!r} is already registered")
+    _claim(spec.name)
     _REGISTRY[spec.name] = spec
     return spec
 
 
+def register_builder(name: str, build: Callable[[], AlgorithmSpec]) -> None:
+    """Register family ``name`` by a zero-argument spec builder.
+
+    The name is listed at once; ``build`` runs on the first
+    :func:`get_spec`, so the modules it imports (the family's result
+    class) load only when the family is used.
+    """
+    _claim(name)
+    _BUILDERS[name] = build
+
+
 def get_spec(name: str) -> AlgorithmSpec:
     """Look up a registered family by name."""
+    build = _BUILDERS.get(name)
+    if build is not None:
+        # Safe for concurrent first lookups: the first spec built is
+        # kept, and the name is in one of the two dicts throughout.
+        _REGISTRY.setdefault(name, build())
+        _BUILDERS.pop(name, None)
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -182,12 +208,12 @@ def get_spec(name: str) -> AlgorithmSpec:
 
 def available() -> tuple[str, ...]:
     """Registered family names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted({*_REGISTRY, *_BUILDERS}))
 
 
 def specs() -> tuple[AlgorithmSpec, ...]:
     """All registered specs, sorted by name."""
-    return tuple(_REGISTRY[name] for name in available())
+    return tuple(get_spec(name) for name in available())
 
 
 @dataclass
@@ -408,6 +434,23 @@ def run(
             tracer.close()
 
 
+def _bound_reports(spec, n, k, m, metrics, result, events=None) -> dict:
+    """A finished run's ``bound_report`` and ``ledger_report`` fields."""
+    from repro.obs.bounds import compute_bound_report
+    from repro.obs.ledger import compute_ledger_report
+
+    return {
+        "bound_report": compute_bound_report(
+            spec, n=n, k=k, bandwidth=metrics.bandwidth,
+            metrics=metrics, result=result, m=m,
+        ),
+        "ledger_report": compute_ledger_report(
+            spec, n=n, k=k, bandwidth=metrics.bandwidth,
+            metrics=metrics, m=m, events=events,
+        ),
+    }
+
+
 def _bandwidth_of(cluster, bandwidth, spec, data) -> int:
     """The link bandwidth ``B`` the run will use (for trace headers)."""
     if cluster is not None:
@@ -518,14 +561,7 @@ def _run_impl(
                     engine=engine_name, k=k, n=n, params=merged, spec=spec,
                     distgraph=None, workers=None, cached=True,
                     wall_seconds=wall,
-                    bound_report=compute_bound_report(
-                        spec, n=n, k=k, bandwidth=metrics.bandwidth,
-                        metrics=metrics, result=result, m=m,
-                    ),
-                    ledger_report=compute_ledger_report(
-                        spec, n=n, k=k, bandwidth=metrics.bandwidth,
-                        metrics=metrics, m=m,
-                    ),
+                    **_bound_reports(spec, n, k, m, metrics, result),
                     tracer=tracer if tracer.enabled else None,
                 )
     if cache_only:
@@ -590,13 +626,8 @@ def _run_impl(
         workers=getattr(cluster.engine, "workers", None),
         first_superstep_seconds=setup_s,
         wall_seconds=wall,
-        bound_report=compute_bound_report(
-            spec, n=n, k=k, bandwidth=cluster.metrics.bandwidth,
-            metrics=cluster.metrics, result=result, m=m,
-        ),
-        ledger_report=compute_ledger_report(
-            spec, n=n, k=k, bandwidth=cluster.metrics.bandwidth,
-            metrics=cluster.metrics, m=m,
+        **_bound_reports(
+            spec, n, k, m, cluster.metrics, result,
             events=tracer.events if tracer.enabled else None,
         ),
         tracer=tracer if tracer.enabled else None,

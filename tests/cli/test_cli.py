@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -229,3 +234,41 @@ class TestDataCommands:
                    "--ks", "4,8", "--tokens", "2"])
         assert rc == 0
         assert "fit: rounds ~ k^" in capsys.readouterr().out
+
+
+#: ``python -m repro run pagerank --n 200 --k 4 --set c=2`` as printed
+#: before the package surfaces became lazy, minus the two wall-clock rows.
+RUN_PAGERANK_OUTPUT = [
+    'PageRank (Algorithm 1)                                                                                  value',
+    '----------------------  -------------------------------------------------------------------------------------',
+    '       n (/ m) / k / B                                                                    200 / 800 / 4 / 256',
+    '                engine                                                                                 vector',
+    '                rounds                                                                                    194',
+    '       messages / bits                                                                           6383 / 58697',
+    '               theorem                                                             Õ(n/k²) rounds (Theorem 4)',
+    '        upper envelope                           194 rounds within Õ-envelope 3,200 (core 12.5 × polylog 256)',
+    '       measured / core                                                                                   15.5',
+    '           lower bound                                                   194 rounds above lower bound 0.01215',
+    "         heaviest link                                                  624 bits in phase 'pagerank/tokens/0'",
+    '                ledger                           183 phases within round budget 3,200 (cumulative 194 rounds)',
+    "       ledger headroom  heaviest link 624 bits in phase 0 'pagerank/tokens/0' = 0.08% of the link-bits budget",
+    '            iterations                                                                                     61',
+    '          token rounds                                                                                     72',
+    '         tokens/vertex                                                                                     16',
+]
+_WALL_CLOCK_ROWS = ("first superstep", "total wall")
+
+
+def test_run_pagerank_output_is_unchanged():
+    """A fresh ``python -m repro run`` (the lean import path) prints the same report."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "pagerank", "--n", "200", "--k", "4",
+         "--set", "c=2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert sum(line.strip().startswith(_WALL_CLOCK_ROWS) for line in lines) == 2
+    kept = [line for line in lines if not line.strip().startswith(_WALL_CLOCK_ROWS)]
+    assert kept == RUN_PAGERANK_OUTPUT

@@ -95,6 +95,28 @@ class TestEngineRegistry:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_process_resolves_without_importing_the_backend_first(self):
+        """``"process"`` is known before, and loaded by, its first lookup."""
+        code = textwrap.dedent("""
+            import sys
+
+            from repro.kmachine.engine import ENGINES, make_engine
+            from repro.kmachine.network import LinkNetwork
+
+            assert "process" in ENGINES and "multiprocessing" not in sys.modules
+            assert not [m for m in sys.modules if m.startswith("repro.kmachine.parallel")]
+            engine = make_engine("process", LinkNetwork(3, bandwidth=8), workers=1)
+            assert type(engine).__module__ == "repro.kmachine.parallel.engine"
+            assert ENGINES["process"] is type(engine)
+            engine.close()
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_make_engine_from_name_and_class(self):
         net = LinkNetwork(3, bandwidth=8)
         assert isinstance(make_engine("vector", net), VectorEngine)
