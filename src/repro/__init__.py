@@ -17,7 +17,7 @@ The package provides:
   §1.3 extensions);
 * :mod:`repro.core.sorting` — ``Õ(n/k²)`` distributed sorting;
 * :mod:`repro.info` / :mod:`repro.experiments` — information-theoretic
-  helpers and the sweep/fit harness used by the benches.
+  helpers, log-log exponent fits and plain-text tables.
 
 Architecture
 ------------
@@ -85,13 +85,7 @@ name                      default         reader                why it is config
                                                                 editing its call site
 ``REPRO_ALERT_RULES``     unset (none)    obs/alerts.py         deployment config: the daemon's
                                                                 rule file, ``default`` or ``none``
-``REPRO_ENGINE`` [*]      DEFAULT_ENGINE  benchmarks/_common.py CI runs one bench suite per backend
-``REPRO_WORKERS`` [*]     CPU count       benchmarks/_common.py worker-pool size when that is
-                                                                ``process``
 ========================= =============== ===================== ====================================
-
-[*] Not read by the package: only the paper-table benches consult them.
-The library and the CLI take ``engine=`` / ``workers=`` arguments.
 
 Quickstart::
 
@@ -112,10 +106,8 @@ from repro._lazy import lazy_exports
 # Every public name with the package that exports it; each resolves on
 # first access (see "Architecture" above).
 _EXPORTS = {
-    # The runtime layer (algorithm registry + unified run()).  Use it as
-    # repro.runtime.run(...) — no top-level alias, so it cannot be
-    # confused with the benchmark helper of the same purpose (which
-    # defaults to the REPRO_ENGINE backend).
+    # The runtime layer (algorithm registry + unified run()), used as
+    # repro.runtime.run(...).
     "runtime": "repro.runtime",
     # The workload subsystem (dataset specs, scalable generators, loaders,
     # content-addressed on-disk graph cache); see repro.workloads for the

@@ -65,6 +65,12 @@ def _print_table(headers, rows) -> None:
     print(format_table(headers, rows))
 
 
+def _lower_bound_cell(rep) -> str:
+    """The run's matching lower bound, or ``-`` outside the theorem's domain."""
+    lb = rep.lower_bound()
+    return "-" if lb is None else f"{lb:.3f} rounds"
+
+
 def _graph_from_args(args) -> "repro.Graph":
     n = args.n
     if args.graph == "gnp":
@@ -151,15 +157,9 @@ def cmd_run(args) -> int:
         rows.append(["first superstep", f"{rep.first_superstep_seconds:.3f}s"])
     if rep.wall_seconds is not None:
         rows.append(["total wall", f"{rep.wall_seconds:.3f}s"])
-    if rep.bound_report is not None:
-        # The report's rows cover the theorem prose and the matching
-        # lower bound, so no separate "bound" rows are needed.
-        rows.extend(list(pair) for pair in rep.bound_report.rows())
-    else:
-        rows.insert(0, ["bound", spec.bounds])
-        lb = rep.lower_bound()
-        if lb is not None:
-            rows.append(["matching lower bound", f"{lb:.3f} rounds"])
+    # The bound report's rows cover the theorem prose and the matching
+    # lower bound, so no separate "bound" rows are needed.
+    rows.extend(list(pair) for pair in rep.bound_report.rows())
     if rep.ledger_report is not None:
         rows.extend(list(pair) for pair in rep.ledger_report.rows())
     if spec.summarize is not None:
@@ -187,7 +187,7 @@ def cmd_pagerank(args) -> int:
         ["messages / bits", f"{rep.metrics.messages} / {rep.metrics.bits}"],
         ["iterations", res.iterations],
         ["L1 error vs reference", f"{res.l1_error(ref):.5f}"],
-        ["Theorem-2 lower bound", f"{rep.lower_bound():.3f} rounds"],
+        ["Theorem-2 lower bound", _lower_bound_cell(rep)],
     ]
     _print_table(["PageRank (Algorithm 1)", "value"], rows)
     return 0
@@ -199,14 +199,14 @@ def cmd_triangles(args) -> int:
         "triangles", g, args.k, engine=args.engine, workers=args.workers, seed=args.seed
     )
     res = rep.result
-    lb = rep.lower_bound()  # Theorem 3 at the measured t (spec threads it through)
     rows = [
         ["n / m / k / B", f"{g.n} / {g.m} / {args.k} / {rep.bandwidth}"],
         ["triangles", res.count],
         ["rounds", rep.rounds],
         ["messages / bits", f"{rep.metrics.messages} / {rep.metrics.bits}"],
         ["colors q", res.num_colors],
-        ["Theorem-3 lower bound", f"{lb:.3f} rounds"],
+        # Theorem 3 at the measured t (the spec threads it through).
+        ["Theorem-3 lower bound", _lower_bound_cell(rep)],
     ]
     _print_table(["Triangles (Theorem 5)", "value"], rows)
     return 0
@@ -224,7 +224,7 @@ def cmd_sort(args) -> int:
         ["rounds", rep.rounds],
         ["globally sorted", ok],
         ["block imbalance", f"{res.max_block_imbalance():.3f}"],
-        ["§1.3 lower bound", f"{rep.lower_bound():.3f} rounds"],
+        ["§1.3 lower bound", _lower_bound_cell(rep)],
     ]
     _print_table(["Sorting (sample sort)", "value"], rows)
     return 0 if ok else 1

@@ -1,7 +1,10 @@
-"""Experiment harness: parameter sweeps, log-log exponent fits, tables."""
+"""Log-log exponent fits and plain-text tables for the paper's scaling claims.
+
+``benchmarks/paper_tables.py``, the CLI's ``sweep`` and the examples fit
+measured rounds against ``k`` (or ``n``) and print the result as tables.
+"""
 
 from repro.experiments.fits import fit_power_law, PowerLawFit
 from repro.experiments.tables import format_table
-from repro.experiments.harness import Sweep, SweepRow
 
-__all__ = ["fit_power_law", "PowerLawFit", "format_table", "Sweep", "SweepRow"]
+__all__ = ["fit_power_law", "PowerLawFit", "format_table"]

@@ -273,15 +273,12 @@ class RunReport:
         return self.spec.round_value(self.result)
 
     def lower_bound(self) -> float | None:
-        """The matching round lower bound at this run's ``(n, k, B)``."""
-        if self.spec.lower_bound is None:
-            return None
-        extra = (
-            self.spec.lower_bound_extra(self.result)
-            if self.spec.lower_bound_extra is not None
-            else {}
-        )
-        return self.spec.lower_bound(self.n, self.k, self.bandwidth, **extra)
+        """The matching round lower bound at this run's ``(n, k, B)``.
+
+        ``None`` when the family declares none or ``(n, k)`` lies outside
+        the theorem's stated domain; evaluated once, in :attr:`bound_report`.
+        """
+        return self.bound_report.lower_bound_rounds
 
 
 def _resolve_result_store(result_cache):

@@ -46,6 +46,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rounds" in out and "Theorem-2" in out
 
+    def test_pagerank_below_the_theorem_domain_prints_no_bound(self, capsys):
+        # Theorem 2 needs n >= 5: the bound is "-", not an uncaught ValueError.
+        rc = main(["pagerank", "--graph", "star", "--n", "4"])
+        assert rc == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if "Theorem-2" in line)
+        assert row.split()[-1] == "-"
+
     def test_triangles_runs(self, capsys):
         rc = main(["triangles", "--n", "60", "--k", "8", "--graph", "dense"])
         assert rc == 0

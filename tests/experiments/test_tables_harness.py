@@ -1,8 +1,7 @@
-"""Unit tests for table rendering and the sweep harness."""
+"""Unit tests for table rendering."""
 
 import pytest
 
-from repro.experiments.harness import Sweep
 from repro.experiments.tables import format_table
 
 
@@ -28,27 +27,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestSweep:
-    def test_add_and_column(self):
-        s = Sweep("demo")
-        s.add({"k": 8}, {"rounds": 100})
-        s.add({"k": 16}, {"rounds": 25})
-        assert s.column("k") == [8, 16]
-        assert s.column("rounds") == [100, 25]
-
-    def test_column_missing_key(self):
-        s = Sweep("demo")
-        s.add({"k": 8}, {"rounds": 100})
-        with pytest.raises(KeyError):
-            s.column("nope")
-
-    def test_render_contains_values(self):
-        s = Sweep("demo")
-        s.add({"k": 8}, {"rounds": 100})
-        out = s.render()
-        assert "demo" in out and "100" in out and "k" in out
-
-    def test_render_empty(self):
-        assert "no rows" in Sweep("empty").render()

@@ -45,7 +45,7 @@ def _public_callables():
                         yield f"{info.name}.{name}.{attr}", member
 
 
-def test_every_engine_parameter_defaults_to_the_one_constant(monkeypatch):
+def test_every_engine_parameter_defaults_to_the_one_constant():
     defaults = {}
     for qualname, obj in _public_callables():
         try:
@@ -60,12 +60,6 @@ def test_every_engine_parameter_defaults_to_the_one_constant(monkeypatch):
     assert set(defaults.values()) <= {DEFAULT_ENGINE, None}, defaults
     assert defaults["repro.kmachine.cluster.Cluster"] == DEFAULT_ENGINE
     assert defaults["repro.runtime.registry.run"] is None
-
-    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    from _common import engine_choice
-
-    assert engine_choice() == DEFAULT_ENGINE
 
 
 def test_cli_parsers_default_to_it():

@@ -30,9 +30,8 @@ def _table_rows() -> list[list[str]]:
 def test_switch_table_matches_the_names_in_src():
     rows = _table_rows()
     assert all(len(row) == 4 and all(row) for row in rows), rows
-    read_by_package = {NAME.search(name).group() for name, *_ in rows if "[*]" not in name}
-    footnoted = {NAME.search(name).group() for name, *_ in rows if "[*]" in name}
-    assert len(read_by_package) + len(footnoted) == len(rows)  # one row per name
+    names = {NAME.search(name).group() for name, *_ in rows}
+    assert len(names) == len(rows)  # one row per name
 
     found: set[str] = set()
     for path in SRC.rglob("*.py"):
@@ -40,10 +39,8 @@ def test_switch_table_matches_the_names_in_src():
         if path == Path(repro.__file__):
             text = text.replace(repro.__doc__, "")  # the table itself
         found.update(NAME.findall(text))
-    # Footnoted names are the benches'; the package may mention them, never read them.
-    assert found - footnoted == read_by_package
+    assert found == names
 
     for name, _default, reader, _why in rows:
         name = NAME.search(name).group()
-        base = ROOT if name in footnoted else SRC / "repro"
-        assert f'"{name}"' in (base / reader).read_text(encoding="utf-8"), (name, reader)
+        assert f'"{name}"' in (SRC / "repro" / reader).read_text(encoding="utf-8"), (name, reader)
