@@ -288,39 +288,34 @@ def main() -> None:
           f"Õ({bound.upper_bound_rounds:.0f}) envelope, ok={bound.ok}")
 
     # --- Communication ledger -------------------------------------------
-    # The BoundReport checks the end-of-run total; the LedgerReport on
-    # the same RunReport closes the loop phase by phase: every recorded
-    # phase gets a row of measured bits/rounds with running totals,
-    # checked against the budget the family's declared Õ bound implies
-    # (round_budget = core x polylog(n) x slack, bits_budget = rounds x
-    # bandwidth) — the first phase to blow the envelope is flagged, not
-    # just the sum.  `repro run` prints these rows; the serve daemon
-    # returns them in every /run reply.
-    ledger = traced.ledger_report
-    assert ledger.ok and not ledger.violations
-    heaviest_phase = ledger.heaviest_entry
-    print(f"  ledger: {len(ledger.entries)} phases, "
-          f"{ledger.total_rounds} rounds of budget "
-          f"{ledger.round_budget:.0f} — ok={ledger.ok}")
+    # The same BoundReport checks the run phase by phase: every recorded
+    # phase is a ledger entry of measured bits/rounds with running
+    # totals, checked against the envelope and the bits budget it
+    # implies (bits_budget = envelope x bandwidth), so the first phase to
+    # blow the envelope is flagged, not just the sum.  `repro run`
+    # prints these rows; the serve daemon returns the verdict (with the
+    # flagged phases) as `bound` in every /run reply.
+    assert not bound.violations
+    heaviest_phase = bound.heaviest_entry
+    print(f"  ledger: {len(bound.entries)} phases, "
+          f"{len(bound.violations)} over the budget")
     print(f"  heaviest phase: #{heaviest_phase.index} "
           f"'{heaviest_phase.label}' ({heaviest_phase.max_link_bits} bits "
           f"on its heaviest link)")
 
     # --- Trace export: open a run in a timeline viewer ------------------
-    # A JSONL trace converts to the Chrome trace-event format (open in
-    # chrome://tracing or https://ui.perfetto.dev) or a speedscope
-    # profile (https://www.speedscope.app): one named track per run,
+    # A JSONL trace converts to the Chrome trace-event format, which
+    # chrome://tracing, https://ui.perfetto.dev and
+    # https://www.speedscope.app all open: one named track per run,
     # phase slices with driver gaps, segment sub-spans as children.
     # On the CLI:
-    #   python -m repro trace export out.jsonl --format chrome
-    from repro.obs import export_trace, validate_chrome_trace
+    #   python -m repro trace export out.jsonl
+    from repro.obs import export_chrome, validate_chrome_trace
 
-    chrome_doc = export_trace(tracer.events, "chrome")
+    chrome_doc = export_chrome(tracer.events)
     validate_chrome_trace(chrome_doc)  # what the CI export smoke runs
-    speedscope_doc = export_trace(tracer.events, "speedscope")
     print(f"  export: {len(chrome_doc['traceEvents'])} Chrome trace "
-          f"events / {len(speedscope_doc['profiles'])} speedscope "
-          f"profile(s) from the same JSONL")
+          f"events from the same JSONL")
 
     # --- Alerts round-trip: inject failures, watch a rule fire ----------
     # The daemon evaluates declarative alert rules (dotted metric path,

@@ -25,8 +25,8 @@ Commands
 ``trace``        inspect execution traces: ``trace summarize out.jsonl``
                  renders the per-phase wall-clock breakdown written by
                  ``run --trace`` / ``$REPRO_TRACE``; ``trace export
-                 out.jsonl --format chrome|speedscope`` converts it for
-                 ``chrome://tracing`` / https://speedscope.app.
+                 out.jsonl`` converts it to Chrome trace-event JSON for
+                 ``chrome://tracing``, Perfetto or speedscope.
 ``data``         manage the workload subsystem's content-addressed graph
                  cache: ``data build <spec>``, ``data ls``, ``data info
                  <spec|hash>``, ``data rm <spec|hash|--all>``.
@@ -157,11 +157,9 @@ def cmd_run(args) -> int:
         rows.append(["first superstep", f"{rep.first_superstep_seconds:.3f}s"])
     if rep.wall_seconds is not None:
         rows.append(["total wall", f"{rep.wall_seconds:.3f}s"])
-    # The bound report's rows cover the theorem prose and the matching
-    # lower bound, so no separate "bound" rows are needed.
+    # The bound report's rows cover the theorem prose, the matching
+    # lower bound and the per-phase ledger verdict.
     rows.extend(list(pair) for pair in rep.bound_report.rows())
-    if rep.ledger_report is not None:
-        rows.extend(list(pair) for pair in rep.ledger_report.rows())
     if spec.summarize is not None:
         rows.extend([label, value] for label, value in spec.summarize(rep.result))
     _print_table([spec.title, "value"], rows)
@@ -512,11 +510,9 @@ def cmd_trace(args) -> int:
         from repro.obs.export import default_export_path, write_export
 
         events = read_trace(args.path)
-        out = args.out or default_export_path(args.path, args.format)
-        path = write_export(events, args.format, out)
-        target = ("chrome://tracing (or https://ui.perfetto.dev)"
-                  if args.format == "chrome" else "https://www.speedscope.app")
-        print(f"wrote {args.format} export to {path}\nopen it in {target}")
+        path = write_export(events, args.out or default_export_path(args.path))
+        print(f"wrote chrome export to {path}\nopen it in chrome://tracing, "
+              f"https://ui.perfetto.dev or https://www.speedscope.app")
         return 0
     raise SystemExit(f"unknown trace command {args.trace_command!r}")
 
@@ -660,17 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="heaviest phase groups and links shown")
     t.set_defaults(func=cmd_trace)
     t = tsub.add_parser(
-        "export", help="convert a trace for an interactive viewer"
+        "export", help="convert a trace to Chrome trace-event JSON "
+        "(chrome://tracing, Perfetto, speedscope)"
     )
     t.add_argument("path", help="trace JSONL written by --trace / $REPRO_TRACE")
     t.add_argument(
-        "--format", choices=("chrome", "speedscope"), default="chrome",
-        help="chrome trace-event JSON (chrome://tracing, Perfetto) or "
-        "speedscope JSON (speedscope.app)",
-    )
-    t.add_argument(
         "--out", metavar="PATH", default=None,
-        help="output file (default: <trace>.<format>.json next to the input)",
+        help="output file (default: <trace>.chrome.json next to the input)",
     )
     t.set_defaults(func=cmd_trace)
 

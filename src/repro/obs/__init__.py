@@ -1,24 +1,20 @@
-"""Observability: tracing, bound checking, ledger, alerts, telemetry.
+"""Observability: tracing, the theorem check, alerts, telemetry.
 
 Every piece is designed to cost nothing when unused:
 
 - :mod:`repro.obs.trace` — a :class:`Tracer` the engines emit per-phase
   wall-clock events into (JSONL with a versioned schema), plus the
   shared :data:`NULL_TRACER` no-op every engine carries by default.
-- :mod:`repro.obs.bounds` — :class:`BoundReport`: measured rounds and
-  link loads checked against the family theorem's Õ envelope and lower
-  bound, attached to every :class:`~repro.runtime.registry.RunReport`.
-- :mod:`repro.obs.ledger` — :class:`LedgerReport`: the round-granular
-  version of the same check.  **Contract**: every phase the metrics
-  layer charged becomes a :class:`LedgerEntry` with running totals; the
-  budgets are ``round_budget = max(core, 1) * polylog(n) * slack``
-  (``slack=1.0`` reproduces the BoundReport envelope) and
-  ``bits_budget = round_budget * bandwidth`` (the paper's B-bits-per-
-  link-per-round accounting); an entry is flagged when its cumulative
-  rounds cross ``round_budget`` or its own heaviest link crosses
-  ``bits_budget``; a family with no declared ``upper_bound`` flags
-  nothing (``ok`` is vacuously True).  Attached to ``RunReport.
-  ledger_report`` on every run, cached hits included.
+- :mod:`repro.obs.bounds` — :class:`BoundReport`, the one verdict per
+  run, attached as ``RunReport.bound_report`` on every run, cached hits
+  included.  **Contract**: the Õ envelope is ``max(core, 1) *
+  polylog(n)`` and ``bits_budget = envelope * bandwidth`` (the paper's
+  B-bits-per-link-per-round accounting); every phase the metrics layer
+  charged becomes a :class:`LedgerEntry` with running totals, flagged
+  when its cumulative rounds cross the envelope or its own heaviest
+  link crosses ``bits_budget``; ``ok`` means no entry is flagged and
+  the run is not below the General Lower Bound Theorem's floor.  A
+  family with no declared ``upper_bound`` flags nothing.
 - :mod:`repro.obs.alerts` — :class:`AlertRule` / :class:`AlertEngine`.
   **Contract**: a rule names a dotted metric path into the daemon's
   snapshot (``serve.*`` derived from the :class:`MinuteRing` window and
@@ -26,13 +22,15 @@ Every piece is designed to cost nothing when unused:
   ``op``/``threshold``, a ``sustain_s`` window, and a severity.  A rule
   fires after its metric breaches continuously for ``sustain_s`` and
   resolves on the first clean evaluation; a missing or ``None`` metric
-  never breaches.  Events go to pluggable sinks; state is served at
+  never breaches.  Events go to :func:`stderr_sink` (or the callables a
+  caller passes as ``ReproServer(alert_sinks=...)``); state is served at
   ``GET /alerts`` and as ``repro_alert_active`` Prometheus gauges.  With
   no rules configured the daemon builds no engine and the request path
   is untouched.
-- :mod:`repro.obs.export` — ``repro trace export`` converters from the
-  JSONL schema to Chrome trace-event and speedscope JSON, plus
-  :func:`validate_chrome_trace`, the schema check CI runs.
+- :mod:`repro.obs.export` — ``repro trace export``: the JSONL schema
+  converted to Chrome trace-event JSON (chrome://tracing, Perfetto and
+  speedscope all open it), plus :func:`validate_chrome_trace`, the
+  schema check CI runs.
 - :mod:`repro.obs.registry` — :func:`obs_registry`, the process-wide
   weak-referenced stats registry the serve daemon's ``/metrics``
   endpoint collects, and :class:`MinuteRing`, the per-minute request
@@ -43,7 +41,7 @@ Enable tracing with ``runtime.run(trace="out.jsonl")`` (or a
 :class:`Tracer` instance, or ``trace=True`` for in-memory events), the
 CLI's ``--trace out.jsonl``, or ``$REPRO_TRACE``; render a trace with
 ``python -m repro trace summarize out.jsonl`` or export it with
-``python -m repro trace export out.jsonl --format chrome``.
+``python -m repro trace export out.jsonl``.
 """
 
 from repro._lazy import lazy_exports
@@ -51,11 +49,10 @@ from repro._lazy import lazy_exports
 # Every public name with the module that defines it; each resolves on
 # first access, so a run that only traces never loads alerts or export.
 _EXPORTS = {
-    "BoundReport": "repro.obs.bounds",
-    "compute_bound_report": "repro.obs.bounds",
-    "LedgerEntry": "repro.obs.ledger",
-    "LedgerReport": "repro.obs.ledger",
-    "compute_ledger_report": "repro.obs.ledger",
+    **dict.fromkeys(
+        ["BoundReport", "LedgerEntry", "compute_bound_report", "compute_ledger_report"],
+        "repro.obs.bounds",
+    ),
     **dict.fromkeys(
         [
             "ALERT_RULES_ENV",
@@ -65,20 +62,11 @@ _EXPORTS = {
             "load_rules",
             "resolve_alert_rules",
             "stderr_sink",
-            "jsonl_sink",
-            "webhook_sink",
         ],
         "repro.obs.alerts",
     ),
     **dict.fromkeys(
-        [
-            "EXPORT_FORMATS",
-            "export_chrome",
-            "export_speedscope",
-            "export_trace",
-            "validate_chrome_trace",
-            "write_export",
-        ],
+        ["export_chrome", "validate_chrome_trace", "write_export"],
         "repro.obs.export",
     ),
     **dict.fromkeys(

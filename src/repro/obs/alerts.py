@@ -7,8 +7,8 @@ obs_registry` source), a comparison against a threshold, a sustain
 window, and a severity.  :class:`AlertEngine` evaluates the rule set
 against fresh snapshots — a rule *fires* once its metric has breached
 continuously for ``sustain_s`` seconds and *resolves* on the first clean
-evaluation — and dispatches fire/resolve events to pluggable sinks
-(:func:`stderr_sink`, :func:`jsonl_sink`, :func:`webhook_sink`).
+evaluation — and dispatches fire/resolve events to its sinks
+(:func:`stderr_sink` in the daemon, or any callables a caller passes).
 
 The daemon runs one engine in a background asyncio loop when (and only
 when) rules are configured — ``repro serve --alert-rules rules.json``
@@ -53,8 +53,6 @@ __all__ = [
     "load_rules",
     "resolve_alert_rules",
     "stderr_sink",
-    "jsonl_sink",
-    "webhook_sink",
 ]
 
 #: Environment variable naming the default rule file (or ``default`` /
@@ -108,6 +106,16 @@ class AlertRule:
                 f"rule {self.name!r}: unknown severity {self.severity!r} "
                 f"(expected one of {', '.join(_SEVERITIES)})"
             )
+        # Checked here, not at evaluation: a threshold that cannot be
+        # compared would raise inside the engine's rule loop, silencing
+        # every later rule and the events already collected.
+        try:
+            float(self.threshold)
+        except (TypeError, ValueError):
+            raise AlertError(
+                f"rule {self.name!r}: threshold must be a number, "
+                f"got {self.threshold!r}"
+            ) from None
         if self.sustain_s < 0:
             raise AlertError(f"rule {self.name!r}: sustain_s must be >= 0")
 
@@ -225,36 +233,6 @@ def stderr_sink(event: dict) -> None:
         f"{event['op']} {event['threshold']}",
         file=sys.stderr,
     )
-
-
-def jsonl_sink(path: str | os.PathLike) -> Callable[[dict], None]:
-    """A sink appending one JSON line per fire/resolve event."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def sink(event: dict) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, default=str) + "\n")
-
-    return sink
-
-
-def webhook_sink(url: str, timeout: float = 5.0) -> Callable[[dict], None]:
-    """A sink POSTing each event as JSON to ``url`` (failures swallowed:
-    alert delivery must never take the daemon down with it)."""
-    import urllib.request
-
-    def sink(event: dict) -> None:
-        data = json.dumps(event, default=str).encode()
-        request = urllib.request.Request(
-            url, data=data, headers={"Content-Type": "application/json"},
-        )
-        try:
-            urllib.request.urlopen(request, timeout=timeout).close()
-        except OSError:
-            pass
-
-    return sink
 
 
 # -- the engine ---------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Convert JSONL traces to Chrome trace-event / speedscope documents.
+"""Convert JSONL traces to Chrome trace-event documents.
 
-``repro trace export run.jsonl --format chrome`` turns the per-phase
-events of :mod:`repro.obs.trace` into files standard timeline viewers
-open directly — ``chrome://tracing`` / Perfetto for the Chrome
-trace-event format, https://www.speedscope.app for speedscope — so
+``repro trace export run.jsonl`` turns the per-phase events of
+:mod:`repro.obs.trace` into a Chrome trace-event file that standard
+timeline viewers open directly — ``chrome://tracing``, Perfetto, and
+https://www.speedscope.app (which imports the Chrome format) — so
 phase streams, driver gaps, and engine sub-spans (``ship_s`` /
 ``kernel_s`` / ``assemble_s`` / resident installs) become an
 inspectable flame chart instead of a JSONL file.
 
 Layout: each ``run_start``/``run_end`` pair becomes one named track
-(Chrome ``tid`` / speedscope profile).  A tracer's ``phase`` event is
+(Chrome ``tid``).  A tracer's ``phase`` event is
 emitted at the phase's *end* with its ``wall_s`` span and the
-``driver_s`` parent-side gap charged to it, so the exporters place a
+``driver_s`` parent-side gap charged to it, so the exporter places a
 ``driver:<label>`` slice at ``at - wall_s - driver_s`` followed by the
 phase slice at ``at - wall_s``.  Segment sub-spans become child slices
 laid out sequentially inside the phase *only when their sum fits the
@@ -33,16 +33,7 @@ from pathlib import Path
 
 from repro.obs.trace import TraceError
 
-__all__ = [
-    "export_chrome",
-    "export_speedscope",
-    "export_trace",
-    "validate_chrome_trace",
-    "write_export",
-    "EXPORT_FORMATS",
-]
-
-EXPORT_FORMATS = ("chrome", "speedscope")
+__all__ = ["export_chrome", "validate_chrome_trace", "write_export"]
 
 #: Slack factor for "do the segments fit inside the phase wall": timer
 #: rounding must not demote an honest segment breakdown to args-only.
@@ -263,113 +254,22 @@ def validate_chrome_trace(doc) -> None:
             stack.append((begin, finish))
 
 
-def export_speedscope(events: list[dict]) -> dict:
-    """Speedscope evented-profile JSON (one profile per run)."""
-    frames: list[dict] = []
-    frame_index: dict[str, int] = {}
-
-    def frame(name: str) -> int:
-        if name not in frame_index:
-            frame_index[name] = len(frames)
-            frames.append({"name": name})
-        return frame_index[name]
-
-    profiles = []
-    for index, run in enumerate(_runs_of(events), start=1):
-        profile_events: list[dict] = []
-        cursor = None
-
-        def emit(kind: str, fr: int, at: float) -> float:
-            nonlocal cursor
-            # Speedscope requires a strict stack discipline with
-            # non-decreasing timestamps; clamp to the cursor so timer
-            # rounding never produces a backwards step.
-            at = at if cursor is None else max(at, cursor)
-            cursor = at
-            profile_events.append({"type": kind, "frame": fr, "at": at})
-            return at
-
-        start_value = None
-        for event in run["phases"]:
-            wall = float(event.get("wall_s") or 0.0)
-            driver = float(event.get("driver_s") or 0.0)
-            at = float(event.get("at") or 0.0)
-            begin = at - wall
-            label = event.get("label") or ""
-            op = event.get("op") or "phase"
-            name = f"{op}:{label}" if label else op
-            if start_value is None:
-                start_value = max(0.0, begin - driver)
-                cursor = start_value
-            if driver > 0:
-                fr = frame(f"driver:{label}" if label else "driver")
-                emit("O", fr, begin - driver)
-                emit("C", fr, begin)
-            fr = frame(name)
-            opened = emit("O", fr, begin)
-            segments = event.get("segments") or {}
-            seg_total = sum(float(v) for v in segments.values())
-            if segments and 0 < seg_total <= wall * _FIT_SLACK:
-                seg_cursor = max(opened, begin)
-                for seg_name, seconds in segments.items():
-                    seconds = float(seconds)
-                    if seconds <= 0:
-                        continue
-                    seg_frame = frame(seg_name)
-                    emit("O", seg_frame, seg_cursor)
-                    seg_cursor = emit("C", seg_frame, seg_cursor + seconds)
-            emit("C", fr, max(at, cursor if cursor is not None else at))
-        end = run["end"]
-        end_value = cursor if cursor is not None else 0.0
-        if end is not None and end.get("at") is not None:
-            end_value = max(end_value, float(end["at"]))
-        profiles.append({
-            "type": "evented",
-            "name": _run_name(run, index),
-            "unit": "seconds",
-            "startValue": start_value if start_value is not None else 0.0,
-            "endValue": end_value,
-            "events": profile_events,
-        })
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "shared": {"frames": frames},
-        "profiles": profiles,
-        "exporter": "repro trace export",
-    }
-
-
-def export_trace(events: list[dict], fmt: str) -> dict:
-    """Dispatch on ``fmt`` (``chrome`` validates before returning)."""
-    if fmt == "chrome":
-        doc = export_chrome(events)
-        validate_chrome_trace(doc)
-        return doc
-    if fmt == "speedscope":
-        return export_speedscope(events)
-    raise TraceError(
-        f"unknown export format {fmt!r}; expected one of "
-        f"{', '.join(EXPORT_FORMATS)}"
-    )
-
-
-def write_export(
-    events: list[dict], fmt: str, out: str | os.PathLike
-) -> Path:
-    """Export and write to ``out``; returns the written path."""
-    doc = export_trace(events, fmt)
+def write_export(events: list[dict], out: str | os.PathLike) -> Path:
+    """Export, validate and write to ``out``; returns the written path."""
+    doc = export_chrome(events)
+    validate_chrome_trace(doc)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, default=str) + "\n", encoding="utf-8")
     return out
 
 
-def default_export_path(trace_path: str | os.PathLike, fmt: str) -> Path:
-    """``run.jsonl`` -> ``run.chrome.json`` / ``run.speedscope.json``."""
+def default_export_path(trace_path: str | os.PathLike) -> Path:
+    """``run.jsonl`` -> ``run.chrome.json``."""
     path = Path(trace_path)
     stem = path.name
     for suffix in (".jsonl", ".json"):
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
             break
-    return path.with_name(f"{stem}.{fmt}.json")
+    return path.with_name(f"{stem}.chrome.json")

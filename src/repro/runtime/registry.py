@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -24,11 +24,8 @@ from repro.kmachine.distgraph import DistributedGraph, cached_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, Engine, engine_class
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
+from repro.obs.bounds import BoundReport, compute_bound_report
 from repro.obs.trace import resolve_tracer
-
-if TYPE_CHECKING:
-    from repro.obs.bounds import BoundReport
-    from repro.obs.ledger import LedgerReport
 
 __all__ = [
     "AlgorithmSpec",
@@ -246,13 +243,10 @@ class RunReport:
     #: the total wall-clock the caller paid, including dataset
     #: materialization and (for cached reports) the sqlite lookup.
     wall_seconds: float | None = None
-    #: Measured rounds / link loads checked against the family
-    #: theorem's Õ envelope and lower bound (see :mod:`repro.obs.bounds`).
+    #: The run's verdict: measured rounds and link loads checked against
+    #: the family theorem's Õ envelope and lower bound, phase by phase,
+    #: with the per-phase ledger in ``entries`` (see :mod:`repro.obs.bounds`).
     bound_report: BoundReport | None = None
-    #: Per-phase communication ledger: every phase's rounds / bits /
-    #: heaviest link checked against the same Õ envelope, round-granular
-    #: (see :mod:`repro.obs.ledger`).
-    ledger_report: LedgerReport | None = None
     #: The live :class:`~repro.obs.trace.Tracer` of a traced run
     #: (``None`` untraced).  In-memory tracers keep their events here
     #: for programmatic inspection.
@@ -431,23 +425,6 @@ def run(
             tracer.close()
 
 
-def _bound_reports(spec, n, k, m, metrics, result, events=None) -> dict:
-    """A finished run's ``bound_report`` and ``ledger_report`` fields."""
-    from repro.obs.bounds import compute_bound_report
-    from repro.obs.ledger import compute_ledger_report
-
-    return {
-        "bound_report": compute_bound_report(
-            spec, n=n, k=k, bandwidth=metrics.bandwidth,
-            metrics=metrics, result=result, m=m,
-        ),
-        "ledger_report": compute_ledger_report(
-            spec, n=n, k=k, bandwidth=metrics.bandwidth,
-            metrics=metrics, m=m, events=events,
-        ),
-    }
-
-
 def _bandwidth_of(cluster, bandwidth, spec, data) -> int:
     """The link bandwidth ``B`` the run will use (for trace headers)."""
     if cluster is not None:
@@ -558,7 +535,10 @@ def _run_impl(
                     engine=engine_name, k=k, n=n, params=merged, spec=spec,
                     distgraph=None, workers=None, cached=True,
                     wall_seconds=wall,
-                    **_bound_reports(spec, n, k, m, metrics, result),
+                    bound_report=compute_bound_report(
+                        spec, n=n, k=k, bandwidth=metrics.bandwidth,
+                        metrics=metrics, result=result, m=m,
+                    ),
                     tracer=tracer if tracer.enabled else None,
                 )
     if cache_only:
@@ -623,8 +603,9 @@ def _run_impl(
         workers=getattr(cluster.engine, "workers", None),
         first_superstep_seconds=setup_s,
         wall_seconds=wall,
-        **_bound_reports(
-            spec, n, k, m, cluster.metrics, result,
+        bound_report=compute_bound_report(
+            spec, n=n, k=k, bandwidth=cluster.metrics.bandwidth,
+            metrics=cluster.metrics, result=result, m=m,
             events=tracer.events if tracer.enabled else None,
         ),
         tracer=tracer if tracer.enabled else None,

@@ -118,6 +118,19 @@ def _jsonable(value):
     return str(value)
 
 
+def _coerce(payload: dict, name: str, kind: type):
+    """``payload[name]`` as ``kind`` (None when absent); a 400 naming the field if not."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ServeError(
+            f"{name!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        ) from None
+
+
 class ReproServer:
     """The long-lived daemon multiplexing run requests over one session.
 
@@ -165,6 +178,9 @@ class ReproServer:
         alert_interval: float = 5.0,
         alert_sinks=None,
     ) -> None:
+        # Resolved first: a malformed rule file must fail before the
+        # session opens its result store.
+        rules = resolve_alert_rules(alert_rules)
         self.host = host
         self.port = port
         self._own_session = session is None
@@ -184,7 +200,6 @@ class ReproServer:
         # Per-minute request telemetry (outcome counts + latency
         # quantiles); served by /status?history=1 and /metrics.
         self.ring = MinuteRing()
-        rules = resolve_alert_rules(alert_rules)
         self.alert_interval = float(alert_interval)
         if self.alert_interval <= 0:
             raise ServeError("alert_interval must be positive")
@@ -455,10 +470,10 @@ class ReproServer:
             raise ServeError("'params' must be a JSON object")
         kwargs = {}
         if payload.get("timeout") is not None:
-            kwargs["timeout"] = float(payload["timeout"])
+            kwargs["timeout"] = _coerce(payload, "timeout", float)
         start = time.perf_counter()
         for name in ("k", "seed", "workers", "bandwidth"):
-            kwargs[name] = int(payload[name]) if payload.get(name) is not None else None
+            kwargs[name] = _coerce(payload, name, int)
         report = self.session.run(
             algo,
             dataset=dataset,
@@ -486,8 +501,6 @@ class ReproServer:
         }
         if report.bound_report is not None:
             out["bound"] = report.bound_report.as_dict()
-        if report.ledger_report is not None:
-            out["ledger"] = report.ledger_report.as_dict()
         if report.spec.summarize is not None:
             out["summary"] = [
                 [label, _jsonable(value)]

@@ -8,7 +8,6 @@ from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
     default_rules,
-    jsonl_sink,
     load_rules,
     resolve_alert_rules,
     stderr_sink,
@@ -34,6 +33,8 @@ class TestRuleValidation:
         {"op": "=="},
         {"severity": "fatal"},
         {"sustain_s": -1.0},
+        {"threshold": "high"},
+        {"threshold": None},
     ])
     def test_rejects_malformed_fields(self, bad):
         with pytest.raises(AlertError):
@@ -162,21 +163,19 @@ class TestEngineStateMachine:
 
 
 class TestSinksAndGauges:
-    def test_events_reach_sinks_and_sink_errors_are_swallowed(self, tmp_path):
-        seen = []
+    def test_events_reach_sinks_and_sink_errors_are_swallowed(self):
+        seen, also_seen = [], []
 
         def bad_sink(event):
             raise RuntimeError("sink down")
 
-        log = tmp_path / "alerts.jsonl"
         engine = AlertEngine(
             [rule()], lambda: {"serve": {"error_rate": 0.9}},
-            sinks=(bad_sink, seen.append, jsonl_sink(log)),
+            sinks=(bad_sink, seen.append, also_seen.append),
         )
         engine.evaluate(now=0.0)
         assert [e["event"] for e in seen] == ["fire"]
-        lines = [json.loads(line) for line in log.read_text().splitlines()]
-        assert lines[0]["rule"] == "err" and lines[0]["event"] == "fire"
+        assert also_seen == seen and also_seen[0]["rule"] == "err"
 
     def test_stderr_sink_formats_the_event(self, capsys):
         engine = AlertEngine([rule()], lambda: {"serve": {"error_rate": 0.9}},

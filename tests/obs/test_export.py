@@ -1,4 +1,4 @@
-"""Trace export tests: Chrome trace-event and speedscope documents."""
+"""Trace export tests: Chrome trace-event documents."""
 
 import json
 
@@ -7,11 +7,8 @@ import pytest
 import repro
 from repro import runtime
 from repro.obs.export import (
-    EXPORT_FORMATS,
     default_export_path,
     export_chrome,
-    export_speedscope,
-    export_trace,
     validate_chrome_trace,
     write_export,
 )
@@ -58,7 +55,7 @@ class TestChromeExport:
         assert any(name.startswith("exchange") for name in names)
 
     def test_round_trips_through_json(self, traced_events, tmp_path):
-        out = write_export(traced_events, "chrome", tmp_path / "t.json")
+        out = write_export(traced_events, tmp_path / "t.json")
         doc = json.loads(out.read_text())
         validate_chrome_trace(doc)
         assert doc["otherData"]["exporter"] == "repro trace export"
@@ -160,58 +157,12 @@ class TestValidator:
         validate_chrome_trace(doc)
 
 
-class TestSpeedscopeExport:
-    def test_real_trace_structure(self, traced_events, tmp_path):
-        out = write_export(traced_events, "speedscope", tmp_path / "s.json")
-        doc = json.loads(out.read_text())
-        assert doc["$schema"].startswith("https://www.speedscope.app")
-        assert len(doc["profiles"]) == 1
-        profile = doc["profiles"][0]
-        assert profile["type"] == "evented"
-        assert profile["unit"] == "seconds"
-        assert profile["startValue"] <= profile["endValue"]
-        frames = doc["shared"]["frames"]
-        for event in profile["events"]:
-            assert event["type"] in ("O", "C")
-            assert 0 <= event["frame"] < len(frames)
-
-    def test_events_balance_and_never_step_backwards(self, traced_events):
-        doc = export_speedscope(traced_events)
-        for profile in doc["profiles"]:
-            stack = []
-            last_at = None
-            for event in profile["events"]:
-                if last_at is not None:
-                    assert event["at"] >= last_at
-                last_at = event["at"]
-                if event["type"] == "O":
-                    stack.append(event["frame"])
-                else:
-                    assert stack.pop() == event["frame"]
-            assert stack == []
-
-    def test_synthetic_frames(self):
-        doc = export_speedscope(synthetic_events())
-        names = [f["name"] for f in doc["shared"]["frames"]]
-        assert "exchange:ranks" in names
-        assert "driver:ranks" in names
-        assert "pack_s" in names
-        assert "kernel_s" not in names  # oversubscribed: args-only
-
-
 class TestDispatchAndPaths:
-    def test_unknown_format_raises(self):
-        with pytest.raises(TraceError, match="unknown export format"):
-            export_trace(synthetic_events(), "flamegraph")
-        assert EXPORT_FORMATS == ("chrome", "speedscope")
-
     def test_default_export_path(self, tmp_path):
-        assert default_export_path(tmp_path / "run.jsonl", "chrome") == (
+        assert default_export_path(tmp_path / "run.jsonl") == (
             tmp_path / "run.chrome.json"
         )
-        assert default_export_path("t.json", "speedscope") == (
-            default_export_path("t", "speedscope")
-        )
+        assert default_export_path("t.json") == default_export_path("t")
 
     def test_cli_export_round_trip(self, graph, tmp_path, capsys):
         from repro.cli import main
@@ -219,7 +170,6 @@ class TestDispatchAndPaths:
         trace = tmp_path / "cli.jsonl"
         runtime.run("triangles", graph, 4, seed=1, trace=trace)
         out = tmp_path / "cli.chrome.json"
-        assert main(["trace", "export", str(trace), "--format", "chrome",
-                     "--out", str(out)]) == 0
+        assert main(["trace", "export", str(trace), "--out", str(out)]) == 0
         validate_chrome_trace(json.loads(out.read_text()))
         assert str(out) in capsys.readouterr().out

@@ -304,6 +304,17 @@ class TestRunRequests:
             urllib.request.urlopen(request)
         assert err.value.code == 400
 
+    def test_uncoercible_fields_are_400s_naming_the_field(self, daemon):
+        _, client = daemon
+        with socket.create_connection((client.host, client.port)) as sock:
+            for field, value in (("k", "eight"), ("timeout", "soon")):
+                status, _, reply = _exchange(sock, _run_request(**{field: value}))
+                assert status == 400, reply
+                assert reply["error"] == "ServeError"
+                assert repr(field) in reply["message"]
+            status, _, reply = _exchange(sock, _run_request(k="8", seed=9))
+            assert status == 200 and reply["report"]["k"] == 8
+
     def test_resident_is_not_a_parameter(self, daemon):
         """Each family has one driver: nothing accepts a switch between two."""
         graph = repro.path_graph(4)
@@ -518,8 +529,22 @@ class TestAlerting:
     def test_run_reply_carries_the_ledger(self, daemon):
         _, client = daemon
         report = client.run("pagerank", dataset=DATASET, k=4, seed=1)
-        ledger = report["ledger"]
-        assert ledger["ok"] is True
-        assert ledger["algo"] == "pagerank"
-        assert ledger["phases"] > 0
-        assert ledger["violation_count"] == 0
+        bound = report["bound"]
+        assert bound["ok"] is True
+        assert bound["algo"] == "pagerank"
+        assert bound["measured_phases"] > 0
+        assert bound["violation_count"] == 0
+
+    def test_run_reply_carries_one_bound_verdict(self, daemon):
+        """A miss and its result-cache hit answer with the same single verdict."""
+        _, client = daemon
+        miss = client.run("pagerank", dataset=DATASET, k=4, seed=1)
+        hit = client.run("pagerank", dataset=DATASET, k=4, seed=1)
+        assert (miss["cached"], hit["cached"]) == (False, True)
+        for reply in (miss, hit):
+            assert "ledger" not in reply
+            bound = reply["bound"]
+            assert bound["measured_max_link_bits"] > 0
+            assert bound["violation_count"] == 0 and bound["violations"] == []
+            assert bound["ok"] is True
+        assert hit["bound"] == miss["bound"]
