@@ -138,6 +138,16 @@ class TestBudgets:
                                       metrics=make_metrics())
         assert report.upper_bound_rounds == pytest.approx(float(polylog(1024)))
 
+    def test_out_of_domain_upper_bound_disables_the_budget(self):
+        def upper(n, k, bandwidth, m=None):
+            raise ValueError("out of domain")
+
+        report = compute_bound_report(stub_spec(upper=upper), n=100, k=4,
+                                      bandwidth=32, metrics=make_metrics())
+        assert report.upper_bound_rounds is None
+        assert report.bits_budget is None
+        assert report.ok is True
+
     def test_no_upper_bound_means_no_budget_and_vacuous_ok(self):
         met = make_metrics(phases=((10**9, 5),))
         report = compute_bound_report(stub_spec(), n=100, k=4, bandwidth=32,
