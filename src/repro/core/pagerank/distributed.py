@@ -28,6 +28,7 @@ to ``v``.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -138,6 +139,26 @@ def distributed_pagerank(
     n = graph.n
     if n == 0:
         raise AlgorithmError("cannot compute PageRank of the empty graph")
+    if not (isinstance(c, Real) and math.isfinite(c) and c > 0):
+        raise AlgorithmError(f"c must be a finite positive number, got {c!r}")
+    if max_iterations is not None and not (
+        isinstance(max_iterations, (int, np.integer))
+        and not isinstance(max_iterations, bool)
+        and max_iterations > 0
+    ):
+        raise AlgorithmError(
+            f"max_iterations must be a positive int, got {max_iterations!r}"
+        )
+    if sources is not None:
+        raw = np.asarray(sources)
+        integral = raw.dtype.kind in "iu" or (
+            raw.dtype.kind == "f"
+            and bool(np.isfinite(raw).all())
+            and np.array_equal(raw, np.floor(raw))
+        )
+        if not integral:
+            raise AlgorithmError("sources must be integral vertex ids")
+        sources = raw.astype(np.int64)
     own_cluster = cluster is None
     if cluster is None:
         cluster = Cluster(k=k, n=n, bandwidth=bandwidth, seed=seed, engine=engine)
@@ -156,7 +177,6 @@ def distributed_pagerank(
         tokens = np.full(n, t0, dtype=np.int64)
         num_sources = n
     else:
-        sources = np.asarray(sources, dtype=np.int64)
         if sources.size == 0 or sources.min() < 0 or sources.max() >= n:
             raise AlgorithmError("sources must be a non-empty array of vertex ids")
         if np.unique(sources).size != sources.size:
@@ -281,9 +301,13 @@ def _step_tokens_task(
     dv, dc = move_light_tokens(
         vertices[~is_heavy], counts[~is_heavy], indptr, indices, rng
     )
-    hv, hdst, hc = move_heavy_tokens(
-        vertices[is_heavy], counts[is_heavy], indptr, ctx.nbr_home, ctx.k, rng
-    )
+    # ctx.home_groups is built on first read, so a run with no heavy
+    # vertex never builds it (an empty batch draws nothing either way).
+    hv = hdst = hc = _EMPTY
+    if is_heavy.any():
+        hv, hdst, hc = move_heavy_tokens(
+            vertices[is_heavy], counts[is_heavy], ctx.home_groups, ctx.k, rng
+        )
     tok[act] = 0  # every live count was consumed above
     state["active"] = _EMPTY
     # Local deliveries are free; remote ones form the α / β rows.
@@ -346,11 +370,13 @@ def _apply_tokens_task(ctx, machine: int, rng, payload, state) -> int:
     """
     verts = ctx.parts[machine]
     tok, psi = state["tokens"], state["psi"]
-    dv, dc = receive_heavy_tokens(
-        np.concatenate([payload["hvertex"], state["local_heavy_v"]]),
-        np.concatenate([payload["hcount"], state["local_heavy_c"]]),
-        machine, ctx.graph.indptr, ctx.graph.indices, ctx.nbr_home, rng,
-    )
+    rows = np.concatenate([payload["hvertex"], state["local_heavy_v"]])
+    dv = dc = _EMPTY
+    if rows.size:  # as in _step_tokens_task: no heavy row, no table build
+        dv, dc = receive_heavy_tokens(
+            rows, np.concatenate([payload["hcount"], state["local_heavy_c"]]),
+            machine, ctx.home_groups, ctx.k, rng,
+        )
     delivered = np.searchsorted(verts, np.concatenate([payload["vertex"], dv]))
     idx = np.concatenate([state["pending_v"], delivered])
     cnt = np.concatenate([state["pending_c"], payload["count"], dc])

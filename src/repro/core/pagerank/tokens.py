@@ -25,6 +25,16 @@ side's rows have one entry per locally-hosted neighbor, so their widths
 differ; zero-padding them to a common width costs extra draws (the last
 real entry stops being the draw-free remainder), so that side keeps one
 call per row and vectorizes everything around it.
+
+Neither side scans adjacency rows.  Both read the graph through its
+home-grouped table ``(start, nbrs)`` (``ctx.home_groups``, built once
+per graph by :func:`~repro.kmachine.distgraph.group_neighbors_by_home`):
+the neighbors of ``u`` hosted on machine ``j`` are
+``nbrs[start[u*k + j] : start[u*k + j + 1]]``, in CSR order.  The sending
+side's per-machine counts are ``np.diff(start[u*k : u*k + k + 1])``; the
+receiving side's row widths and local neighbors are one offset pair per
+row.  CSR order inside a group is what keeps the draws identical: it
+decides which neighbor each multinomial entry maps to.
 """
 
 from __future__ import annotations
@@ -97,27 +107,10 @@ def move_light_tokens(
     return dest_vertices.astype(np.int64), agg[dest_vertices].astype(np.int64)
 
 
-def _expand_adjacency(
-    vertices: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR positions of every adjacency entry of ``vertices``, row by row.
-
-    Returns ``(take, row, deg)``: ``take`` indexes the CSR columns,
-    ``row[i]`` is the position in ``vertices`` that ``take[i]`` belongs to.
-    """
-    lo = indptr[vertices]
-    deg = indptr[vertices + 1] - lo
-    ends = np.cumsum(deg)
-    row = np.repeat(np.arange(vertices.size), deg)
-    take = np.arange(int(ends[-1])) + (lo - (ends - deg))[row]
-    return take, row, deg
-
-
 def move_heavy_tokens(
     vertices: np.ndarray,
     counts: np.ndarray,
-    indptr: np.ndarray,
-    nbr_home: np.ndarray,
+    home_groups: tuple[np.ndarray, np.ndarray],
     k: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,8 +118,8 @@ def move_heavy_tokens(
 
     Algorithm 1, line 23: each token of heavy vertex ``u`` picks machine
     ``j`` with probability ``n_{j,u} / d_u`` (the fraction of ``u``'s
-    neighbors hosted at ``j``; ``nbr_home`` is the home-of-neighbor
-    column aligned with the CSR ``indices``).
+    neighbors hosted at ``j``, read off the home-grouped table
+    ``home_groups = (start, nbrs)``; see the module docstring).
 
     Returns the non-zero β entries as ``(src_vertices, machines, counts)``
     in emission order (vertex order, then ascending machine).  Draws
@@ -135,14 +128,16 @@ def move_heavy_tokens(
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    live = (indptr[vertices + 1] > indptr[vertices]) & (counts > 0)
-    vertices, counts = vertices[live], counts[live]
-    if vertices.size == 0:
+    start, _ = home_groups
+    bounds = start[vertices[:, None] * k + np.arange(k + 1)]
+    deg = bounds[:, k] - bounds[:, 0]
+    live = (deg > 0) & (counts > 0)
+    if not live.any():
         return _EMPTY, _EMPTY, _EMPTY
-    take, row, deg = _expand_adjacency(vertices, indptr)
-    per_machine = np.bincount(row * k + nbr_home[take], minlength=vertices.size * k)
-    pvals = per_machine.reshape(vertices.size, k) / deg[:, None].astype(np.float64)
-    beta = rng.multinomial(counts, pvals)
+    vertices = vertices[live]
+    per_machine = np.diff(bounds[live], axis=1)
+    pvals = per_machine / deg[live, None].astype(np.float64)
+    beta = rng.multinomial(counts[live], pvals)
     src, machines = np.nonzero(beta)
     return vertices[src], machines, beta[src, machines]
 
@@ -158,15 +153,16 @@ def receive_heavy_tokens(
     vertices: np.ndarray,
     counts: np.ndarray,
     machine: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    nbr_home: np.ndarray,
+    home_groups: tuple[np.ndarray, np.ndarray],
+    k: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receiving side of heavy messages (Algorithm 1, lines 31-36).
 
     ``machine`` delivers each token of a β row to a uniform vertex among
-    the locally-hosted neighbors of the row's heavy source.
+    the locally-hosted neighbors of the row's heavy source, read off the
+    home-grouped table ``home_groups = (start, nbrs)`` (see the module
+    docstring).
 
     ``vertices``/``counts`` are the β rows ``machine`` re-samples, in
     order.  Returns the concatenated per-row ``(dest_vertices,
@@ -179,12 +175,14 @@ def receive_heavy_tokens(
     counts = np.asarray(counts, dtype=np.int64)
     if vertices.size == 0:
         return _EMPTY, _EMPTY
-    take, row, _ = _expand_adjacency(vertices, indptr)
-    hosted = nbr_home[take] == machine
-    local = indices[take[hosted]]
-    sizes = np.bincount(row[hosted], minlength=vertices.size)
+    start, nbrs = home_groups
+    slot = vertices * k + machine
+    lo = start[slot]
+    sizes = start[slot + 1] - lo
     if not sizes.all():
         raise _no_local_neighbors(int(vertices[np.argmin(sizes)]), machine)
+    ends = np.cumsum(sizes)
+    local = nbrs[np.arange(int(ends[-1])) + np.repeat(lo - (ends - sizes), sizes)]
     multi = sizes > 1
     tabled = len(_UNIFORM)
     drawn = [

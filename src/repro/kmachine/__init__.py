@@ -107,9 +107,14 @@ and must obey three contracts for the backends to stay bit-identical:
    (:mod:`repro.core.pagerank.tokens`) is the worked example: one
    broadcast call on the sending side, where every row spans the ``k``
    machines; one call per row on the receiving side, where widths
-   differ, with everything around the call vectorized over the batch
-   (range-expand the rows' CSR slices, mask on ``ctx.nbr_home``) instead
-   of calling ``ctx.local_neighbors`` row by row.
+   differ, with everything around the call vectorized over the batch.
+   Neither side scans adjacency rows: both read ``ctx.home_groups``,
+   the adjacency grouped by neighbor home once per graph, where a
+   row's per-machine neighbor counts and its neighbors on one machine
+   are offset reads, gathered for the whole batch at once instead of
+   calling ``ctx.local_neighbors`` row by row.  The groups keep CSR
+   order, which decides which neighbor each multinomial entry maps
+   to, so the draws are those of the per-row masks.
 2. **Payload contract.**  ``payloads[i]`` must be machine ``i``'s
    complete per-superstep input: a picklable structure of plain NumPy
    arrays / scalars / ``None`` (large arrays ship through shared
@@ -118,9 +123,12 @@ and must obey three contracts for the backends to stay bit-identical:
    :class:`~repro.kmachine.parallel.store.SharedGraphView` in a worker,
    or ``None`` when the caller passes ``distgraph=None`` (non-graph
    families) — exposing ``parts``, ``home``, ``nbr_home``,
-   ``graph.indptr`` / ``graph.indices``, ``k``, ``n``, and
-   ``local_neighbors``.  Kernels must not mutate ``ctx`` or rely on any
-   other parent state.
+   ``graph.indptr`` / ``graph.indices``, ``k``, ``n``,
+   ``home_groups`` (the ``(start, nbrs)`` table of
+   :func:`~repro.kmachine.distgraph.group_neighbors_by_home`, built on
+   first read in whichever process reads it) and ``local_neighbors``
+   (one slice of that table).  Kernels must not mutate ``ctx`` or rely
+   on any other parent state.
 3. **Result contract.**  Results are returned per machine (the
    scheduler yields them in machine order); parent-side merges must be
    order-insensitive exact operations (concatenation in machine order,

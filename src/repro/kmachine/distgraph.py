@@ -15,6 +15,9 @@ superstep loops, per-machine boolean masks over the edge list).
 * :attr:`nbr_home` — the home machine of each CSR adjacency entry
   (aligned with ``graph.indices``), so ``home[nbrs]`` scatters in hot
   loops become cached slices,
+* :attr:`home_groups` — the adjacency regrouped by neighbor home
+  (:func:`group_neighbors_by_home`), so "how many of ``u``'s neighbors
+  live on ``j``" and "which ones" are two offset reads,
 * :attr:`edge_homes` — both endpoints' home machines for every edge row,
 * :meth:`shard` — a per-machine CSR slice (hosted vertices, local
   ``indptr``/``indices``, neighbor homes, degrees), built lazily on
@@ -46,6 +49,7 @@ from repro.kmachine.partition import VertexPartition, random_vertex_partition
 __all__ = [
     "DistributedGraph",
     "MachineShard",
+    "group_neighbors_by_home",
     "resolve_distgraph",
     "cached_distgraph",
     "clear_distgraph_cache",
@@ -101,7 +105,55 @@ class MachineShard:
         )
 
 
-class DistributedGraph:
+def group_neighbors_by_home(
+    indptr: np.ndarray, indices: np.ndarray, nbr_home: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A CSR adjacency regrouped by the home machine of each neighbor.
+
+    Returns ``(start, nbrs)``: ``start`` has ``n * k + 1`` offsets and
+    ``nbrs`` is a stable permutation of ``indices``, so the neighbors of
+    ``u`` hosted on machine ``j`` are ``nbrs[start[u*k + j] : start[u*k + j + 1]]``
+    in CSR order, and ``u``'s whole row spans ``start[u*k] : start[u*k + k]``.
+    ``nbr_home`` is the home machine of each entry of ``indices``.
+    """
+    n = indptr.size - 1
+    key = np.repeat(np.arange(n, dtype=np.int64) * k, np.diff(indptr)) + nbr_home
+    start = np.zeros(n * k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n * k), out=start[1:])
+    return start, indices[np.argsort(key, kind="stable")]
+
+
+class HomeGroupedNeighbors:
+    """The home-grouped adjacency view every kernel context exposes.
+
+    Shared by :class:`DistributedGraph` and the process engine's
+    :class:`~repro.kmachine.parallel.store.SharedGraphView`.  A host
+    provides ``graph.indptr`` / ``graph.indices``, ``nbr_home``, ``k``
+    and a ``_home_groups`` attribute initialised to ``None``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def home_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`group_neighbors_by_home` of this graph (built on first use, cached)."""
+        if self._home_groups is None:
+            g = self.graph
+            self._home_groups = group_neighbors_by_home(
+                g.indptr, g.indices, self.nbr_home, self.k
+            )
+        return self._home_groups
+
+    def local_neighbors(self, v: int, machine: int) -> np.ndarray:
+        """Neighbors of ``v`` hosted on ``machine``, in CSR order (a slice; no copy)."""
+        if not (0 <= machine < self.k):
+            raise PartitionError(f"machine index {machine} out of range [0, {self.k})")
+        start, nbrs = self.home_groups
+        slot = v * self.k + machine
+        return nbrs[start[slot] : start[slot + 1]]
+
+
+class DistributedGraph(HomeGroupedNeighbors):
     """A graph plus a vertex partition, with cached per-machine shards.
 
     Parameters
@@ -121,6 +173,7 @@ class DistributedGraph:
         "n",
         "_parts",
         "_nbr_home",
+        "_home_groups",
         "_degrees",
         "_edge_homes",
         "_shards",
@@ -138,6 +191,7 @@ class DistributedGraph:
         self.n = graph.n
         self._parts: list[np.ndarray] | None = None
         self._nbr_home: np.ndarray | None = None
+        self._home_groups: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: np.ndarray | None = None
         self._edge_homes: tuple[np.ndarray, np.ndarray] | None = None
         self._shards: list[MachineShard | None] = [None] * self.k
@@ -186,16 +240,6 @@ class DistributedGraph:
         """Home machines of ``v``'s neighbors (cached slice; no fancy-indexing)."""
         g = self.graph
         return self.nbr_home[g.indptr[v] : g.indptr[v + 1]]
-
-    def local_neighbors(self, v: int, machine: int) -> np.ndarray:
-        """Neighbors of ``v`` hosted on ``machine``.
-
-        Equivalent to ``nbrs[home[nbrs] == machine]`` but reads the cached
-        :attr:`nbr_home` column instead of re-gathering ``home``.
-        """
-        g = self.graph
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        return g.indices[lo:hi][self.nbr_home[lo:hi] == machine]
 
     # -- per-machine shards --------------------------------------------
     def shard(self, machine: int) -> MachineShard:

@@ -34,7 +34,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import ModelError
-from repro.kmachine.distgraph import DistributedGraph
+from repro.kmachine.distgraph import DistributedGraph, HomeGroupedNeighbors
 from repro.kmachine.parallel.shipping import attach_untracked
 
 __all__ = ["SharedGraphStore", "SharedGraphView"]
@@ -51,17 +51,23 @@ class _CsrView:
         self.indices = indices
 
 
-class SharedGraphView:
+class SharedGraphView(HomeGroupedNeighbors):
     """Zero-copy worker-side view of a published :class:`SharedGraphStore`.
 
     Exposes the read surface superstep kernels use on the inline engines'
     :class:`DistributedGraph` context: :attr:`graph` (``.indptr`` /
     ``.indices``), :attr:`home`, :attr:`nbr_home`, :attr:`parts`,
-    :attr:`k`, :attr:`n`, and :meth:`local_neighbors`.
+    :attr:`k`, :attr:`n`, and — with the same definitions as
+    ``DistributedGraph`` — :attr:`home_groups` and
+    :meth:`local_neighbors`.  The home-grouped table is not published:
+    a worker builds it from the attached arrays the first time a kernel
+    reads it (only PageRank's heavy path does), into private memory, so
+    the segment layout is the same for every family.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, meta: dict) -> None:
         self._shm = shm
+        self._home_groups = None
         self.key: str = meta["key"]
         self.k: int = meta["k"]
         self.n: int = meta["n"]
@@ -93,17 +99,12 @@ class SharedGraphView:
         """
         return cls(attach_untracked(meta["key"]), meta)
 
-    def local_neighbors(self, v: int, machine: int) -> np.ndarray:
-        """Neighbors of ``v`` hosted on ``machine`` (mirrors ``DistributedGraph``)."""
-        g = self.graph
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        return g.indices[lo:hi][self.nbr_home[lo:hi] == machine]
-
     def detach(self) -> None:
         """Unmap the segment; the view's arrays must not be used afterwards."""
         # Drop the ndarray views before closing the mmap, else close() raises
         # BufferError on the exported buffer.
         self.parts = []
+        self._home_groups = None
         self.home = self.nbr_home = None  # type: ignore[assignment]
         self.graph = None  # type: ignore[assignment]
         self._shm.close()

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.errors import PartitionError
 from repro.graphs.graph import Graph
-from repro.kmachine.distgraph import DistributedGraph
+from repro.kmachine.distgraph import (
+    DistributedGraph,
+    cached_distgraph,
+    clear_distgraph_cache,
+    group_neighbors_by_home,
+)
+from repro.kmachine.parallel import SharedGraphStore
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
 
 
@@ -75,6 +83,84 @@ class TestPerVertexViews:
             for i in range(dg.k):
                 expected = nbrs[part.home[nbrs] == i]
                 assert np.array_equal(dg.local_neighbors(v, i), expected)
+
+    @pytest.mark.parametrize("machine", [-1, 3])
+    def test_local_neighbors_rejects_bad_machine(self, machine):
+        _, _, dg = make_dg(k=3)
+        with pytest.raises(PartitionError):
+            dg.local_neighbors(0, machine)
+
+
+def _assert_groups_match_mask(ctx, g, home, k):
+    """``ctx.home_groups`` slices equal the masked CSR rows for every ``(u, j)``."""
+    start, nbrs = ctx.home_groups
+    assert start.size == g.n * k + 1 and start[-1] == g.indices.size
+    assert np.array_equal(np.sort(nbrs), np.sort(g.indices))
+    for u in range(g.n):
+        row = g.indices[g.indptr[u] : g.indptr[u + 1]]
+        for j in range(k):
+            expected = row[home[row] == j]
+            assert np.array_equal(nbrs[start[u * k + j] : start[u * k + j + 1]], expected)
+            assert np.array_equal(ctx.local_neighbors(u, j), expected)
+
+
+class TestHomeGroups:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_masked_rows(self, data):
+        # Small n against k up to 9 covers k > n, empty machines and
+        # isolated vertices; directed graphs have rows with no out-edges.
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, 9))
+        directed = data.draw(st.booleans())
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+        edges = []
+        if pairs:
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+        g = Graph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2), directed=directed)
+        home = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        dg = DistributedGraph(g, VertexPartition(home=home, k=k))
+        _assert_groups_match_mask(dg, g, home, k)
+        store = SharedGraphStore(dg)
+        try:
+            view = store.view()
+            try:
+                _assert_groups_match_mask(view, g, home, k)
+            finally:
+                view.detach()
+        finally:
+            store.close()
+
+    def test_builder_on_the_empty_graph(self):
+        start, nbrs = group_neighbors_by_home(
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64), 4,
+        )
+        assert start.tolist() == [0] and nbrs.size == 0
+
+    def test_cached(self):
+        _, _, dg = make_dg()
+        assert dg._home_groups is None
+        assert dg.home_groups is dg.home_groups
+
+    @pytest.mark.parametrize(
+        "name, params, built",
+        [
+            ("triangles", {}, False),
+            ("mst", {}, False),
+            ("connectivity", {}, False),
+            ("pagerank", {"enable_heavy_path": False}, False),
+            ("pagerank", {}, True),
+        ],
+    )
+    def test_only_the_heavy_path_builds_the_table(self, name, params, built):
+        g, part, _ = make_dg(n=40, k=4, p=0.2)
+        clear_distgraph_cache()
+        try:
+            runtime.run(name, g, 4, seed=3, placement=part, **params)
+            assert (cached_distgraph(g, part)._home_groups is not None) is built
+        finally:
+            clear_distgraph_cache()
 
 
 class TestShards:

@@ -83,6 +83,34 @@ class TestDeterminismAndValidation:
         with pytest.raises(AlgorithmError):
             repro.distributed_pagerank(g, k=4, eps=1.5)
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_rejects_non_positive_max_iterations(self, max_iterations):
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="max_iterations"):
+            repro.distributed_pagerank(g, k=4, seed=1, max_iterations=max_iterations)
+
+    def test_rejects_nan_c(self):
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="c must be"):
+            repro.distributed_pagerank(g, k=4, seed=1, c=float("nan"))
+
+    @pytest.mark.parametrize("c", [0.0, -2.0])
+    def test_rejects_non_positive_c(self, c):
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="c must be"):
+            repro.distributed_pagerank(g, k=4, seed=1, c=c)
+
+    def test_rejects_non_integral_sources(self):
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="integral"):
+            repro.distributed_pagerank(g, k=4, seed=1, sources=[1.5, 2.0])
+
+    def test_accepts_integral_float_sources(self):
+        g = repro.cycle_graph(10)
+        a = repro.distributed_pagerank(g, k=4, seed=1, c=5, sources=[1.0, 2.0])
+        b = repro.distributed_pagerank(g, k=4, seed=1, c=5, sources=[1, 2])
+        assert np.array_equal(a.estimates, b.estimates)
+
     def test_rejects_mismatched_partition(self):
         g = repro.cycle_graph(10)
         p = random_vertex_partition(11, 4, seed=0)

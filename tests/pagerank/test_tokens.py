@@ -8,6 +8,7 @@ import repro
 from repro.core.pagerank import tokens as tk
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
+from repro.kmachine.distgraph import group_neighbors_by_home
 
 
 # The per-vertex / per-β-row forms of the heavy path: the reference the
@@ -180,8 +181,7 @@ class TestHeavyPath:
         rng = np.random.default_rng(13)
         with pytest.raises(AlgorithmError, match="machine 0 .* vertex 2 "):
             tk.receive_heavy_tokens(
-                np.array([0, 2]), np.array([10, 10]), 0,
-                g.indptr, g.indices, home[g.indices], rng,
+                np.array([0, 2]), np.array([10, 10]), 0, _groups(g, home, 2), 2, rng
             )
 
 
@@ -212,6 +212,11 @@ def _sequential_receive(vertices, counts, machine, g, home, rng):
     return dvs, dcs
 
 
+def _groups(g, home, k):
+    """The home-grouped table the batched kernels read."""
+    return group_neighbors_by_home(g.indptr, g.indices, home[g.indices], k)
+
+
 def _assert_draw_for_draw(batched, scalar, seed):
     """Same outputs and same generator state from two equally seeded streams."""
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -223,16 +228,16 @@ def _assert_draw_for_draw(batched, scalar, seed):
 
 def _assert_send_matches(vertices, counts, g, home, k, seed):
     _assert_draw_for_draw(
-        lambda rng: tk.move_heavy_tokens(vertices, counts, g.indptr, home[g.indices], k, rng),
+        lambda rng: tk.move_heavy_tokens(vertices, counts, _groups(g, home, k), k, rng),
         lambda rng: _sequential_send(vertices, counts, g, home, k, rng),
         seed,
     )
 
 
-def _assert_receive_matches(vertices, counts, machine, g, home, seed):
+def _assert_receive_matches(vertices, counts, machine, g, home, k, seed):
     _assert_draw_for_draw(
         lambda rng: tk.receive_heavy_tokens(
-            vertices, counts, machine, g.indptr, g.indices, home[g.indices], rng
+            vertices, counts, machine, _groups(g, home, k), k, rng
         ),
         lambda rng: _sequential_receive(vertices, counts, machine, g, home, rng),
         seed,
@@ -269,8 +274,8 @@ class TestBatchedHeavyPathDrawForDraw:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         out = tk.move_heavy_tokens(
-            np.array([2, 3, 0]), np.array([50, 50, 0]), g.indptr,
-            np.zeros(2, dtype=np.int64), 2, rng,
+            np.array([2, 3, 0]), np.array([50, 50, 0]),
+            _groups(g, np.zeros(g.n, dtype=np.int64), 2), 2, rng,
         )
         assert [a.size for a in out] == [0, 0, 0]
         assert rng.bit_generator.state == before
@@ -284,7 +289,7 @@ class TestBatchedHeavyPathDrawForDraw:
         for machine in range(k):
             vertices, counts = _rows_for(machine, g, home, setup, high)
             counts[::5] = 0  # a 0-token row draws nothing either way
-            _assert_receive_matches(vertices, counts, machine, g, home, seed=high + machine)
+            _assert_receive_matches(vertices, counts, machine, g, home, k, seed=high + machine)
 
     def test_receive_single_neighbor_rows_draw_nothing(self):
         # Every leaf of a star has one neighbor, so every row has width 1.
@@ -293,12 +298,10 @@ class TestBatchedHeavyPathDrawForDraw:
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         leaves = np.arange(1, 30)
-        dv, dc = tk.receive_heavy_tokens(
-            leaves, leaves * 3, 0, g.indptr, g.indices, home[g.indices], rng
-        )
+        dv, dc = tk.receive_heavy_tokens(leaves, leaves * 3, 0, _groups(g, home, 1), 1, rng)
         assert dv.tolist() == [0] * 29 and dc.tolist() == (leaves * 3).tolist()
         assert rng.bit_generator.state == before
-        _assert_receive_matches(leaves, leaves * 3, 0, g, home, seed=2)
+        _assert_receive_matches(leaves, leaves * 3, 0, g, home, 1, seed=2)
 
     def test_receive_mixes_narrow_and_wide_rows(self):
         # The hub's row is wider than the uniform-pvals table; leaves are width 1.
@@ -307,15 +310,15 @@ class TestBatchedHeavyPathDrawForDraw:
         home[150:] = 1
         vertices = np.array([5, 0, 7, 0, 160])
         counts = np.array([9, 4000, 1, 3, 12])
-        _assert_receive_matches(vertices[:4], counts[:4], 0, g, home, seed=3)
-        _assert_receive_matches(vertices[[1, 3]], counts[[1, 3]], 1, g, home, seed=4)
+        _assert_receive_matches(vertices[:4], counts[:4], 0, g, home, 2, seed=3)
+        _assert_receive_matches(vertices[[1, 3]], counts[[1, 3]], 1, g, home, 2, seed=4)
 
     def test_empty_batch(self):
         g = repro.star_graph(5)
         home = np.zeros(g.n, dtype=np.int64)
         none = np.zeros(0, dtype=np.int64)
         _assert_send_matches(none, none, g, home, 2, seed=5)
-        _assert_receive_matches(none, none, 0, g, home, seed=5)
+        _assert_receive_matches(none, none, 0, g, home, 2, seed=5)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -336,4 +339,4 @@ class TestBatchedHeavyPathDrawForDraw:
         if hosted:
             rows = st.lists(st.tuples(st.sampled_from(hosted), st.integers(0, 400)), max_size=12)
             got = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
-            _assert_receive_matches(got[:, 0], got[:, 1], machine, g, home, seed)
+            _assert_receive_matches(got[:, 0], got[:, 1], machine, g, home, k, seed)
