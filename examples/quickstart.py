@@ -79,7 +79,7 @@ def main() -> None:
     # bit-identical while heavy per-shard compute uses every core.  The
     # heavy-token regime (c >= k / log n) is where it shines — the
     # per-machine sampling loops dominate wall-clock there.  On the CLI:
-    #   python -m repro pagerank --engine process --workers 4
+    #   python -m repro run pagerank --engine process --workers 4
     import os
     import time
 

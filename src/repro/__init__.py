@@ -44,8 +44,8 @@ independent axes:
    algorithms exist*.  Every family (PageRank, triangles, subgraphs,
    sorting, MST, connectivity) registers an
    :class:`~repro.runtime.AlgorithmSpec`; the CLI (``python -m repro run
-   <algo>``), the k-sweep harness, and the benches are generic over the
-   registry, so a new workload is one spec away from all three.
+   <algo>``, at one k or a k-sweep) and the benches are generic over the
+   registry, so a new workload is one spec away from both.
 4. **Workload subsystem** (:mod:`repro.workloads`) — *which inputs
    exist*.  Named dataset specs (``"rmat:n=1e6,avg_deg=16,seed=7"``)
    build million-node graphs through vectorized samplers or file

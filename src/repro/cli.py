@@ -9,19 +9,13 @@ Commands
 --------
 ``run``          run any registered algorithm (``python -m repro run
                  triangles --n 200 --k 27``) and print a generic report:
-                 theorem bound, rounds, messages/bits, lower bound, and
-                 the family's result summary.
-``pagerank``     run Algorithm 1 on a generated graph and report
-                 rounds/messages/error vs the exact reference and the
-                 Theorem-2 lower bound.
-``triangles``    run the Theorem-5 enumeration and report counts, rounds,
-                 and the Theorem-3 lower bound.
-``sort``         run the §1.3 sample sort.
-``mst``          run proxy-Borůvka MST on a weighted random graph.
+                 theorem bound, rounds, messages/bits, lower bound, the
+                 family's result summary and its checks against a
+                 sequential reference (exit 1 if one fails).  A comma
+                 list sweeps k instead (``--k 4,8,16``): one progress
+                 line per k, a ``k | rounds`` table and the fitted
+                 exponent of the round scaling.
 ``lowerbounds``  print the Theorem-1 cookbook table for given (n, k, B).
-``sweep``        sweep k for any registered algorithm and fit the
-                 exponent of its round scaling (one structured progress
-                 line per run).
 ``trace``        inspect execution traces: ``trace summarize out.jsonl``
                  renders the per-phase wall-clock breakdown written by
                  ``run --trace`` / ``$REPRO_TRACE``; ``trace export
@@ -38,7 +32,7 @@ Commands
                  <spec>``, ``client status``, ``client alerts``,
                  ``client health``, ``client shutdown``.
 
-``run`` and ``sweep`` also accept ``--dataset <spec>`` (e.g. ``--dataset
+``run`` also accepts ``--dataset <spec>`` (e.g. ``--dataset
 rmat:n=1e6,avg_deg=16,seed=7``), replacing the built-in ``--graph/--n``
 input with a named workload resolved through the on-disk cache.
 """
@@ -63,12 +57,6 @@ def _print_table(headers, rows) -> None:
     from repro.experiments.tables import format_table
 
     print(format_table(headers, rows))
-
-
-def _lower_bound_cell(rep) -> str:
-    """The run's matching lower bound, or ``-`` outside the theorem's domain."""
-    lb = rep.lower_bound()
-    return "-" if lb is None else f"{lb:.3f} rounds"
 
 
 def _graph_from_args(args) -> "repro.Graph":
@@ -136,12 +124,45 @@ def _parse_set_params(pairs) -> dict:
 
 def cmd_run(args) -> int:
     spec = runtime.get_spec(args.algo)
+    sweep = len(args.k) > 1
+    if sweep and spec.fix_k is not None:
+        raise SystemExit(
+            f"{spec.name!r} fixes k from its input; a k-sweep would run every point "
+            f"at the same k, so pass one --k"
+        )
     data = _input_from_args(spec, args)
     params = _parse_set_params(args.set)
-    rep = runtime.run(
-        args.algo, data, args.k, engine=args.engine, workers=args.workers,
-        seed=args.seed, trace=args.trace, **params
-    )
+    tracer = None
+    if args.trace:
+        # One tracer shared by every k, so a sweep lands in a single trace
+        # file (run() only closes tracers it opened).
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer(args.trace)
+    try:
+        reports = []
+        for k in args.k:
+            rep = runtime.run(
+                args.algo, data, k, engine=args.engine, workers=args.workers,
+                seed=args.seed, trace=tracer, **params
+            )
+            reports.append(rep)
+            if sweep:
+                wall = f"{rep.wall_seconds:.3f}" if rep.wall_seconds is not None else "-"
+                print(f"[sweep] algo={args.algo} k={k} rounds={rep.round_value()} "
+                      f"wall_s={wall}", flush=True)
+    finally:
+        if tracer is not None:
+            tracer.close()
+    rc = _print_sweep(spec, reports) if sweep else _print_run(spec, data, rep)
+    if args.trace:
+        print(f"\ntrace written to {args.trace} "
+              f"(render with: python -m repro trace summarize {args.trace})")
+    return rc
+
+
+def _print_run(spec, data, rep) -> int:
+    """One run's report table; 1 if one of the family's checks failed."""
     size = f"{data.n} / {data.m}" if hasattr(data, "m") else str(rep.n)
     engine_label = (
         f"{rep.engine} ({rep.workers} workers)" if rep.workers else rep.engine
@@ -162,102 +183,43 @@ def cmd_run(args) -> int:
     rows.extend(list(pair) for pair in rep.bound_report.rows())
     if spec.summarize is not None:
         rows.extend([label, value] for label, value in spec.summarize(rep.result))
+    checks = spec.check(data, rep) if spec.check is not None else []
+    rows.extend([label, value if ok else f"{value}  FAILED"] for label, value, ok in checks)
     _print_table([spec.title, "value"], rows)
-    if args.trace:
-        print(f"\ntrace written to {args.trace} "
-              f"(render with: python -m repro trace summarize {args.trace})")
-    if spec.check is not None and not spec.check(rep.result):
-        return 1
+    return 0 if all(ok for _, _, ok in checks) else 1
+
+
+def _print_sweep(spec, reports) -> int:
+    """A k-sweep's ``k | rounds`` table and its fitted scaling exponent."""
+    ks = [rep.k for rep in reports]
+    rounds = [rep.round_value() for rep in reports]
+    _print_table(["k", "rounds"], list(zip(ks, rounds)))
+    if all(v > 0 for v in rounds):
+        from repro.experiments.fits import fit_power_law
+
+        fit = fit_power_law(ks, rounds)
+        target = f"   (paper: {spec.fit_target})" if spec.fit_target else ""
+        print(f"\nfit: rounds ~ k^{fit.exponent:.2f}{target}")
     return 0
-
-
-def cmd_pagerank(args) -> int:
-    g = _graph_from_args(args)
-    rep = runtime.run(
-        "pagerank", g, args.k, engine=args.engine, workers=args.workers,
-        seed=args.seed, c=args.tokens
-    )
-    res = rep.result
-    ref = repro.pagerank_walk_series(g, eps=res.eps)
-    rows = [
-        ["n / m / k / B", f"{g.n} / {g.m} / {args.k} / {rep.bandwidth}"],
-        ["rounds (total / token)", f"{rep.rounds} / {res.token_rounds()}"],
-        ["messages / bits", f"{rep.metrics.messages} / {rep.metrics.bits}"],
-        ["iterations", res.iterations],
-        ["L1 error vs reference", f"{res.l1_error(ref):.5f}"],
-        ["Theorem-2 lower bound", _lower_bound_cell(rep)],
-    ]
-    _print_table(["PageRank (Algorithm 1)", "value"], rows)
-    return 0
-
-
-def cmd_triangles(args) -> int:
-    g = _graph_from_args(args)
-    rep = runtime.run(
-        "triangles", g, args.k, engine=args.engine, workers=args.workers, seed=args.seed
-    )
-    res = rep.result
-    rows = [
-        ["n / m / k / B", f"{g.n} / {g.m} / {args.k} / {rep.bandwidth}"],
-        ["triangles", res.count],
-        ["rounds", rep.rounds],
-        ["messages / bits", f"{rep.metrics.messages} / {rep.metrics.bits}"],
-        ["colors q", res.num_colors],
-        # Theorem 3 at the measured t (the spec threads it through).
-        ["Theorem-3 lower bound", _lower_bound_cell(rep)],
-    ]
-    _print_table(["Triangles (Theorem 5)", "value"], rows)
-    return 0
-
-
-def cmd_sort(args) -> int:
-    values = np.random.default_rng(args.seed).random(args.n)
-    rep = runtime.run(
-        "sorting", values, args.k, engine=args.engine, workers=args.workers, seed=args.seed
-    )
-    res = rep.result
-    ok = bool(np.all(np.diff(res.concatenated()) >= 0))
-    rows = [
-        ["n / k / B", f"{args.n} / {args.k} / {rep.bandwidth}"],
-        ["rounds", rep.rounds],
-        ["globally sorted", ok],
-        ["block imbalance", f"{res.max_block_imbalance():.3f}"],
-        ["§1.3 lower bound", _lower_bound_cell(rep)],
-    ]
-    _print_table(["Sorting (sample sort)", "value"], rows)
-    return 0 if ok else 1
-
-
-def cmd_mst(args) -> int:
-    g = _graph_from_args(args)
-    w = np.random.default_rng(args.seed).random(g.m)
-    rep = runtime.run(
-        "mst", g, args.k, engine=args.engine, workers=args.workers,
-        seed=args.seed, weights=w
-    )
-    res = rep.result
-    _, ref_total = repro.kruskal_mst(g, w)
-    rows = [
-        ["n / m / k", f"{g.n} / {g.m} / {args.k}"],
-        ["forest edges", res.edges.shape[0]],
-        ["weight (vs Kruskal)", f"{res.total_weight:.4f} ({ref_total:.4f})"],
-        ["phases / rounds", f"{res.phases} / {rep.rounds}"],
-        ["components", res.num_components],
-    ]
-    _print_table(["MST (proxy-Borůvka)", "value"], rows)
-    return 0 if abs(res.total_weight - ref_total) < 1e-9 else 1
 
 
 def cmd_lowerbounds(args) -> int:
     n, k = args.n, args.k
     B = args.bandwidth or polylog(n, factor=1)
+
+    def cell(bound, *bound_args) -> str:
+        try:
+            return f"{bound(*bound_args):.4g}"
+        except ValueError:
+            return "-"  # outside the theorem's stated domain (tiny n/k)
+
     rows = [
-        ["PageRank (Thm 2)", f"{repro.pagerank_round_lower_bound(n, k, B):.4g}"],
-        ["Triangles (Thm 3)", f"{repro.triangle_round_lower_bound(n, k, B):.4g}"],
-        ["Congested clique triangles (Cor 1, k=n)", f"{repro.congested_clique_lower_bound(n, B):.4g}"],
-        ["Triangle messages (Cor 2)", f"{repro.triangle_message_lower_bound(n, k):.4g}"],
-        ["Sorting (§1.3)", f"{repro.sorting_round_lower_bound(n, k, B):.4g}"],
-        ["MST (§1.3)", f"{repro.mst_round_lower_bound(n, k, B):.4g}"],
+        ["PageRank (Thm 2)", cell(repro.pagerank_round_lower_bound, n, k, B)],
+        ["Triangles (Thm 3)", cell(repro.triangle_round_lower_bound, n, k, B)],
+        ["Congested clique triangles (Cor 1, k=n)", cell(repro.congested_clique_lower_bound, n, B)],
+        ["Triangle messages (Cor 2)", cell(repro.triangle_message_lower_bound, n, k)],
+        ["Sorting (§1.3)", cell(repro.sorting_round_lower_bound, n, k, B)],
+        ["MST (§1.3)", cell(repro.mst_round_lower_bound, n, k, B)],
     ]
     print(f"General Lower Bound Theorem cookbook — n={n}, k={k}, B={B}\n")
     _print_table(["problem", "lower bound (rounds)"], rows)
@@ -458,46 +420,6 @@ def cmd_client(args) -> int:
     raise SystemExit(f"unknown client command {args.client_command!r}")
 
 
-def cmd_sweep(args) -> int:
-    spec = runtime.get_spec(args.problem)
-    data = _input_from_args(spec, args)
-    params = {"c": args.tokens} if "c" in spec.default_params else {}
-    params.update(_parse_set_params(args.set))
-    ks = [int(x) for x in args.ks.split(",")]
-    tracer = None
-    if args.trace:
-        # One tracer shared by every k-point, so the whole sweep lands
-        # in a single trace file (run() only closes tracers it opened).
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer(args.trace)
-    rows = []
-    rounds = []
-    try:
-        for k in ks:
-            rep = runtime.run(
-                args.problem, data, k, engine=args.engine, workers=args.workers,
-                seed=args.seed, trace=tracer, **params
-            )
-            val = rep.round_value()
-            rounds.append(val)
-            rows.append([k, val])
-            wall = f"{rep.wall_seconds:.3f}" if rep.wall_seconds is not None else "-"
-            print(f"[sweep] algo={args.problem} k={k} rounds={val} "
-                  f"wall_s={wall}", flush=True)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    _print_table(["k", "rounds"], rows)
-    if len(ks) >= 2 and all(v > 0 for v in rounds):
-        from repro.experiments.fits import fit_power_law
-
-        fit = fit_power_law(ks, rounds)
-        target = f"   (paper: {spec.fit_target})" if spec.fit_target else ""
-        print(f"\nfit: rounds ~ k^{fit.exponent:.2f}{target}")
-    return 0
-
-
 def cmd_trace(args) -> int:
     """``trace {summarize,export}`` — render or convert a trace file."""
     from repro.obs import format_summary, read_trace, summarize_trace
@@ -536,61 +458,61 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
         return value
 
-    def common(p, default_n=1000):
-        p.add_argument("--n", type=intish, default=default_n, help="problem size")
-        p.add_argument("--k", type=int, default=8, help="number of machines")
-        p.add_argument("--seed", type=int, default=1, help="random seed")
-        p.add_argument(
-            "--graph",
-            choices=("gnp", "dense", "star", "powerlaw", "lb"),
-            default="gnp",
-            help="input graph family",
-        )
-        p.add_argument("--avg-degree", type=float, default=8.0)
-        add_engine(p)
+    def k_list(raw: str) -> list[int]:
+        # One k runs once; a comma list sweeps k (distinct values only: a
+        # repeated k adds no point to the fitted exponent).
+        ks = [intish(part) for part in raw.split(",")]
+        if len(set(ks)) != len(ks):
+            raise argparse.ArgumentTypeError(f"repeated k in {raw!r}")
+        return ks
 
-    def add_engine(p):
-        p.add_argument(
-            "--engine",
-            choices=sorted(ENGINES),
-            default=DEFAULT_ENGINE,
-            help="execution backend: vectorized batches in this process, or "
-            "multiprocessing shard workers (identical results and round "
-            "accounting on both)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="W",
-            help="worker-pool size for --engine process "
-            "(default: CPU count, capped at k); pools stay warm across "
-            "the runs of one command (e.g. a sweep's repetitions)",
-        )
-
-    def add_trace(p):
-        p.add_argument(
-            "--trace", metavar="PATH", default=None,
-            help="write a per-phase execution trace (JSONL) to PATH; render "
-            "it with 'python -m repro trace summarize PATH' "
-            "($REPRO_TRACE=PATH works for any run)",
-        )
-
-    def add_dataset(p):
-        p.add_argument(
-            "--dataset",
-            metavar="SPEC",
-            default=None,
-            help="workload dataset spec replacing --graph/--n, e.g. "
-            "'rmat:n=1e6,avg_deg=16,seed=7' (resolved through the "
-            "content-addressed on-disk cache; see 'python -m repro data')",
-        )
-
-    p = sub.add_parser("run", help="run any registered algorithm")
+    p = sub.add_parser("run", help="run any registered algorithm, at one k or a k-sweep")
     p.add_argument("algo", choices=runtime.available(), help="registered algorithm")
-    common(p, default_n=500)
-    add_dataset(p)
-    add_trace(p)
+    p.add_argument("--n", type=intish, default=500, help="problem size")
+    p.add_argument(
+        "--k", type=k_list, default=[8], metavar="K[,K...]",
+        help="number of machines; a comma list (e.g. 4,8,16) sweeps k and "
+        "fits the exponent of the round scaling",
+    )
+    p.add_argument("--seed", type=int, default=1, help="random seed")
+    p.add_argument(
+        "--graph",
+        choices=("gnp", "dense", "star", "powerlaw", "lb"),
+        default="gnp",
+        help="input graph family",
+    )
+    p.add_argument("--avg-degree", type=float, default=8.0)
+    p.add_argument(
+        "--engine",
+        choices=sorted(ENGINES),
+        default=DEFAULT_ENGINE,
+        help="execution backend: vectorized batches in this process, or "
+        "multiprocessing shard workers (identical results and round "
+        "accounting on both)",
+    )
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="W",
+        help="worker-pool size for --engine process "
+        "(default: CPU count, capped at k); pools stay warm across "
+        "the runs of one command (e.g. a sweep's k-points)",
+    )
+    p.add_argument(
+        "--dataset",
+        metavar="SPEC",
+        default=None,
+        help="workload dataset spec replacing --graph/--n, e.g. "
+        "'rmat:n=1e6,avg_deg=16,seed=7' (resolved through the "
+        "content-addressed on-disk cache; see 'python -m repro data')",
+    )
+    p.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="write a per-phase execution trace (JSONL) to PATH, every k of "
+        "a sweep in one file; render it with 'python -m repro trace "
+        "summarize PATH' ($REPRO_TRACE=PATH works for any run)",
+    )
     p.add_argument(
         "--set",
         action="append",
@@ -599,28 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("pagerank", help="run Algorithm 1")
-    common(p)
-    p.add_argument("--tokens", type=float, default=16.0, help="token constant c")
-    p.set_defaults(func=cmd_pagerank)
-
-    p = sub.add_parser("triangles", help="run the Theorem-5 enumeration")
-    common(p, default_n=200)
-    p.set_defaults(func=cmd_triangles)
-
-    p = sub.add_parser("sort", help="run the §1.3 sample sort")
-    p.add_argument("--n", type=intish, default=50_000)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
-    add_engine(p)
-    p.set_defaults(func=cmd_sort)
-
-    p = sub.add_parser("mst", help="run proxy-Borůvka MST")
-    common(p, default_n=300)
-    p.set_defaults(func=cmd_mst)
-
     p = sub.add_parser("lowerbounds", help="print the Theorem-1 cookbook table")
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=intish, default=100_000)
     p.add_argument("--k", type=int, default=32)
     p.add_argument("--bandwidth", type=int, default=None)
     p.set_defaults(func=cmd_lowerbounds)
@@ -729,25 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         cc = csub.add_parser(name, help=doc)
         cc.set_defaults(func=cmd_client)
 
-    p = sub.add_parser("sweep", help="sweep k and fit the scaling exponent")
-    common(p, default_n=1000)
-    add_dataset(p)
-    add_trace(p)
-    p.add_argument(
-        "--problem",
-        choices=runtime.available(),
-        default="pagerank",
-        help="registered algorithm to sweep",
-    )
-    p.add_argument("--ks", default="4,8,16,32", help="comma-separated k values")
-    p.add_argument("--tokens", type=float, default=1.0)
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="family parameter override (repeatable), e.g. --set pattern=c4",
-    )
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -760,10 +643,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # Warm pools let a single command's runs (a sweep's k-points and
-        # repetitions) share worker processes; the command boundary is
-        # where they are torn down deterministically.  No pool exists
-        # unless the process backend was loaded.
+        # Warm pools let a single command's runs (a sweep's k-points)
+        # share worker processes; the command boundary is where they are
+        # torn down deterministically.  No pool exists unless the
+        # process backend was loaded.
         if "repro.kmachine.parallel" in sys.modules:
             from repro.kmachine.parallel import shutdown_worker_pools
 

@@ -83,18 +83,25 @@ def _run_triangles_conversion(graph, cluster, partition, params):
     )
 
 
+def _mst_weights(graph, params) -> np.ndarray:
+    """The run's edge weights: ``params["weights"]``, else drawn from ``params["seed"]``.
+
+    Deterministic random weights from the run seed, so seeded registry
+    runs agree across engines; the Kruskal check reads the same weights.
+    """
+    weights = params["weights"]
+    if weights is None:
+        weights = np.random.default_rng(params["seed"]).random(graph.m)
+    return weights
+
+
 def _run_mst(graph, cluster, dg, params):
     from repro.core.mst.distributed import distributed_mst
 
-    params = dict(params)
-    weights = params.pop("weights")
-    wseed = params.pop("seed")
-    if weights is None:
-        # Deterministic random weights from the run seed (the CLI's historic
-        # convention), so seeded registry runs agree across engines.
-        weights = np.random.default_rng(wseed).random(graph.m)
+    weights = _mst_weights(graph, params)
+    rest = {key: value for key, value in params.items() if key not in ("weights", "seed")}
     return distributed_mst(
-        graph, weights, cluster.k, cluster=cluster, distgraph=dg, **params
+        graph, weights, cluster.k, cluster=cluster, distgraph=dg, **rest
     )
 
 
@@ -211,15 +218,36 @@ def _summarize_connectivity(r: ConnectivityResult) -> list:
     return [("components", r.num_components), ("connected", r.is_connected())]
 
 
-def _sorting_ok(r: SortResult) -> bool:
-    return bool(np.all(np.diff(r.concatenated()) >= 0))
-
-
 def _summarize_sorting(r: SortResult) -> list:
-    return [
-        ("globally sorted", _sorting_ok(r)),
-        ("block imbalance", f"{r.max_block_imbalance():.3f}"),
-    ]
+    return [("block imbalance", f"{r.max_block_imbalance():.3f}")]
+
+
+# -- Self-checks against a sequential reference, ``(data, report) ->
+# -- [(label, value, ok)]``; the CLI ``run`` prints them and exits 1 on
+# -- any failed row.  References are imported when a check runs.
+
+
+def _check_pagerank(graph, rep) -> list:
+    from repro.core.pagerank.reference import pagerank_walk_series
+
+    r = rep.result
+    error = r.l1_error(pagerank_walk_series(graph, eps=r.eps))
+    # Reported, never gated: the δ it is held to depends on the caller's c.
+    return [("L1 error vs reference", f"{error:.5f}", True)]
+
+
+def _check_mst(graph, rep) -> list:
+    from repro.core.mst.reference import kruskal_mst
+
+    total = rep.result.total_weight
+    _, ref_total = kruskal_mst(graph, _mst_weights(graph, rep.params))
+    return [("weight (vs Kruskal)", f"{total:.4f} ({ref_total:.4f})",
+             abs(total - ref_total) < 1e-9)]
+
+
+def _check_sorting(values, rep) -> list:
+    ok = bool(np.all(np.diff(rep.result.concatenated()) >= 0))
+    return [("globally sorted", ok, ok)]
 
 
 def _register(*, result_type: str, **fields) -> None:
@@ -246,6 +274,7 @@ def register_builtin_specs() -> None:
         round_value=lambda r: r.token_rounds(),
         fit_target="-2 (Thm 4)",
         summarize=_summarize_pagerank,
+        check=_check_pagerank,
         build_distgraph=True,
     )
     _register(
@@ -261,6 +290,7 @@ def register_builtin_specs() -> None:
         round_value=lambda r: r.token_rounds(),
         fit_target="-1 (SODA'15)",
         summarize=_summarize_pagerank,
+        check=_check_pagerank,
         build_distgraph=True,
     )
     _register(
@@ -333,6 +363,7 @@ def register_builtin_specs() -> None:
         lower_bound=_lb_boruvka,
         upper_bound=_ub_boruvka,
         summarize=_summarize_mst,
+        check=_check_mst,
         build_distgraph=True,
     )
     _register(
@@ -358,7 +389,7 @@ def register_builtin_specs() -> None:
         lower_bound=_lb_sorting,
         upper_bound=_ub_sorting,
         summarize=_summarize_sorting,
-        check=_sorting_ok,
+        check=_check_sorting,
         sample_placement=_sample_element_assignment,
         build_distgraph=False,
     )

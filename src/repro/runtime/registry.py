@@ -6,7 +6,7 @@ theorem bound — and :func:`run` owns everything the ``distributed_*``
 entry points used to duplicate: cluster construction, input-placement
 sampling, :class:`~repro.kmachine.distgraph.DistributedGraph` shard
 materialization, engine selection, and metrics collection.  New workloads
-are one registered spec away from the CLI, the k-sweep harness, and the
+are one registered spec away from the CLI (one run or a k-sweep) and the
 benchmark suite.
 """
 
@@ -114,9 +114,11 @@ class AlgorithmSpec:
     summarize:
         Optional result → list of ``(label, value)`` rows for CLI output.
     check:
-        Optional result → bool self-check (e.g. "output is globally
-        sorted"); the generic CLI ``run`` command exits non-zero when it
-        fails.
+        Optional ``(data, report) -> [(label, value, ok)]`` self-check
+        of a finished run against a sequential reference (PageRank's L1
+        error, the MST weight against Kruskal, global sortedness).  Only
+        the CLI ``run`` command calls it: it prints the rows after the
+        :attr:`summarize` rows and exits 1 if any ``ok`` is false.
     cluster_n:
         Input → the ``n`` passed to :class:`Cluster` (bandwidth default).
     sample_placement:
@@ -145,7 +147,7 @@ class AlgorithmSpec:
     round_value: Callable[[Any], int] = _total_rounds
     fit_target: str | None = None
     summarize: Callable[[Any], list] | None = None
-    check: Callable[[Any], bool] | None = None
+    check: Callable[[Any, RunReport], list] | None = None
     cluster_n: Callable[[Any], int] = _default_cluster_n
     sample_placement: Callable[[Cluster, Any], Any] = _sample_rvp
     build_distgraph: bool = False

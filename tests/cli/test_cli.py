@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import runtime
 from repro.cli import build_parser, main
 
 
@@ -16,16 +18,30 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_pagerank_defaults(self):
-        args = build_parser().parse_args(["pagerank"])
-        assert args.n == 1000 and args.k == 8 and args.graph == "gnp"
+        args = build_parser().parse_args(["run", "pagerank"])
+        assert args.n == 500 and args.k == [8] and args.graph == "gnp"
 
     def test_sweep_parses_ks(self):
-        args = build_parser().parse_args(["sweep", "--ks", "2,4,8"])
-        assert args.ks == "2,4,8"
+        args = build_parser().parse_args(["run", "pagerank", "--k", "2,4,8"])
+        assert args.k == [2, 4, 8]
+
+    @pytest.mark.parametrize("ks", ["4,x", "8,8", "4,", "2.5"])
+    def test_malformed_k_list_is_a_usage_error(self, ks, capsys):
+        # Non-integers and repeated k exit 2 with a usage message, not a
+        # traceback or a fit over one distinct k.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "pagerank", "--k", ks])
+        assert exc.value.code == 2
+        assert "argument --k" in capsys.readouterr().err
 
     def test_rejects_unknown_graph(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["pagerank", "--graph", "nope"])
+            build_parser().parse_args(["run", "pagerank", "--graph", "nope"])
+
+    def test_deleted_verbs_are_gone(self):
+        for verb in ("pagerank", "triangles", "sort", "mst", "sweep"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb])
 
     def test_run_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
@@ -41,33 +57,38 @@ class TestParser:
 
 class TestCommands:
     def test_pagerank_runs(self, capsys):
-        rc = main(["pagerank", "--n", "120", "--k", "4", "--tokens", "8"])
+        rc = main(["run", "pagerank", "--n", "120", "--k", "4", "--set", "c=8"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "rounds" in out and "Theorem-2" in out
+        for label in ("rounds", "lower bound", "L1 error vs reference"):
+            assert label in out
 
     def test_pagerank_below_the_theorem_domain_prints_no_bound(self, capsys):
-        # Theorem 2 needs n >= 5: the bound is "-", not an uncaught ValueError.
-        rc = main(["pagerank", "--graph", "star", "--n", "4"])
+        # Theorem 2 needs n >= 5: the bound row is left out, not an uncaught ValueError.
+        rc = main(["run", "pagerank", "--graph", "star", "--n", "4"])
         assert rc == 0
-        row = next(line for line in capsys.readouterr().out.splitlines() if "Theorem-2" in line)
-        assert row.split()[-1] == "-"
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.strip().startswith("upper envelope") for line in lines)
+        assert not any(line.strip().startswith("lower bound") for line in lines)
 
     def test_triangles_runs(self, capsys):
-        rc = main(["triangles", "--n", "60", "--k", "8", "--graph", "dense"])
+        rc = main(["run", "triangles", "--n", "60", "--k", "8", "--graph", "dense"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "triangles" in out and "Theorem-3" in out
+        assert "occurrences" in out and "Theorem 5" in out and "lower bound" in out
 
     def test_sort_runs(self, capsys):
-        rc = main(["sort", "--n", "2000", "--k", "4"])
+        rc = main(["run", "sorting", "--n", "2000", "--k", "4"])
         assert rc == 0
-        assert "globally sorted" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "globally sorted" in out and "block imbalance" in out
 
     def test_mst_runs(self, capsys):
-        rc = main(["mst", "--n", "80", "--k", "4"])
+        rc = main(["run", "mst", "--n", "80", "--k", "4"])
         assert rc == 0
-        assert "Kruskal" in capsys.readouterr().out
+        row = next(line for line in capsys.readouterr().out.splitlines() if "Kruskal" in line)
+        weight, ref = row.split()[-2:]
+        assert ref == f"({weight})"
 
     def test_lowerbounds_runs(self, capsys):
         rc = main(["lowerbounds", "--n", "10000", "--k", "16"])
@@ -76,43 +97,118 @@ class TestCommands:
         for name in ("PageRank", "Triangles", "Sorting", "MST"):
             assert name in out
 
-    def test_sweep_pagerank(self, capsys):
-        rc = main(
-            ["sweep", "--problem", "pagerank", "--n", "300", "--ks", "4,8", "--tokens", "2"]
-        )
+    def test_lowerbounds_out_of_domain_prints_dash(self, capsys):
+        # Theorem 2 needs n >= 5: its row is "-", the others still print.
+        rc = main(["lowerbounds", "--n", "4", "--k", "2"])
         assert rc == 0
-        assert "fit: rounds ~ k^" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+
+        def cell(problem):
+            return next(line for line in lines if problem in line).split()[-1]
+
+        assert cell("PageRank (Thm 2)") == "-"
+        assert cell("MST (§1.3)") != "-"
+
+    def test_lowerbounds_n_accepts_scientific(self, capsys):
+        assert main(["lowerbounds", "--n", "1e6", "--k", "16"]) == 0
+        assert "n=1000000, k=16" in capsys.readouterr().out
+
+    def test_sweep_pagerank(self, capsys):
+        rc = main(["run", "pagerank", "--n", "300", "--k", "4,8", "--set", "c=2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("[sweep] algo=pagerank") == 2
+        assert "fit: rounds ~ k^" in out and "(paper: -2 (Thm 4))" in out
+        # A sweep prints the k | rounds table, not one report per k.
+        assert "L1 error vs reference" not in out
 
     def test_sweep_triangles(self, capsys):
-        rc = main(
-            ["sweep", "--problem", "triangles", "--n", "80", "--graph", "dense", "--ks", "8,27"]
-        )
+        rc = main(["run", "triangles", "--n", "80", "--graph", "dense", "--k", "8,27"])
         assert rc == 0
         assert "Thm 5" in capsys.readouterr().out
 
+    def test_sweep_refuses_a_fixed_k_family(self):
+        # The congested clique runs at k = n whatever --k says: a sweep
+        # would print rows labelled with k values it never ran.
+        with pytest.raises(SystemExit, match="congested-clique-triangles"):
+            main(["run", "congested-clique-triangles", "--n", "30", "--k", "4,8"])
+
+    def test_sweep_writes_one_trace(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        path = tmp_path / "sweep.jsonl"
+        rc = main(["run", "pagerank", "--n", "120", "--k", "4,8", "--set", "c=2",
+                   "--trace", str(path)])
+        assert rc == 0
+        runs = [e["k"] for e in read_trace(path) if e["event"] == "run_start"]
+        assert runs == [4, 8]
+
     def test_star_family(self, capsys):
-        rc = main(["pagerank", "--n", "200", "--k", "4", "--graph", "star", "--tokens", "4"])
+        rc = main(["run", "pagerank", "--n", "200", "--k", "4", "--graph", "star",
+                   "--set", "c=4"])
         assert rc == 0
 
     def test_lb_family(self, capsys):
-        rc = main(["pagerank", "--n", "201", "--k", "4", "--graph", "lb", "--tokens", "8"])
+        rc = main(["run", "pagerank", "--n", "201", "--k", "4", "--graph", "lb",
+                   "--set", "c=8"])
         assert rc == 0
 
     def test_powerlaw_family(self, capsys):
-        rc = main(["triangles", "--n", "100", "--k", "8", "--graph", "powerlaw"])
+        rc = main(["run", "triangles", "--n", "100", "--k", "8", "--graph", "powerlaw"])
         assert rc == 0
 
 
-class TestGenericRun:
-    def test_run_every_registered_family(self, capsys):
-        from repro import runtime
+#: The row each family's ``check`` prints (``None``: the family has no check).
+CHECK_LABELS = {
+    "congested-clique-triangles": None,
+    "connectivity": None,
+    "mst": "weight (vs Kruskal)",
+    "pagerank": "L1 error vs reference",
+    "pagerank-baseline": "L1 error vs reference",
+    "sorting": "globally sorted",
+    "subgraphs": None,
+    "triangles": None,
+    "triangles-conversion": None,
+}
 
-        for name in runtime.available():
-            rc = main(["run", name, "--n", "60", "--k", "8", "--graph", "dense"])
-            assert rc == 0, name
-            out = capsys.readouterr().out
-            assert runtime.get_spec(name).bounds.split()[0] in out
-            assert "rounds" in out
+
+class TestGenericRun:
+    @pytest.mark.parametrize("name", runtime.available())
+    def test_run_every_registered_family(self, name, capsys):
+        spec = runtime.get_spec(name)
+        assert (spec.check is not None) == (CHECK_LABELS[name] is not None)
+        rc = main(["run", name, "--n", "60", "--k", "8", "--graph", "dense"])
+        assert rc == 0, name
+        out = capsys.readouterr().out
+        assert spec.bounds.split()[0] in out
+        assert "rounds" in out
+        # A family's check row is the last row of the table, after its summary.
+        last = out.splitlines()[-1].strip()
+        if CHECK_LABELS[name] is not None:
+            assert last.startswith(CHECK_LABELS[name])
+        else:
+            assert not last.startswith(tuple(filter(None, CHECK_LABELS.values())))
+
+    @pytest.mark.parametrize("algo, doctor, label", [
+        ("mst", lambda r: dataclasses.replace(r, total_weight=r.total_weight + 1e-6),
+         "weight (vs Kruskal)"),
+        ("sorting", lambda r: dataclasses.replace(r, blocks=r.blocks[::-1]),
+         "globally sorted"),
+    ], ids=["mst", "sorting"])
+    def test_a_doctored_result_fails_its_check(self, algo, doctor, label, monkeypatch, capsys):
+        real_run = runtime.run
+
+        def doctored_run(*args, **kwargs):
+            rep = real_run(*args, **kwargs)
+            rep.result = doctor(rep.result)
+            return rep
+
+        monkeypatch.setattr(runtime, "run", doctored_run)
+        rc = main(["run", algo, "--n", "200", "--k", "4"])
+        assert rc == 1
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith(label))
+        assert row.endswith("FAILED")
 
     def test_run_with_engine_and_set_param(self, capsys):
         rc = main(
@@ -138,8 +234,8 @@ class TestGenericRun:
 
     def test_sweep_accepts_set_params(self, capsys):
         rc = main(
-            ["sweep", "--problem", "subgraphs", "--n", "40", "--graph", "dense",
-             "--ks", "16,81", "--set", "pattern=c4"]
+            ["run", "subgraphs", "--n", "40", "--graph", "dense",
+             "--k", "16,81", "--set", "pattern=c4"]
         )
         assert rc == 0
         assert "fit: rounds ~ k^" in capsys.readouterr().out
@@ -161,12 +257,12 @@ class TestGenericRun:
         assert params["e"] == "c4"
 
     def test_n_flag_accepts_scientific_and_underscores(self):
-        args = build_parser().parse_args(["pagerank", "--n", "1e3"])
+        args = build_parser().parse_args(["run", "pagerank", "--n", "1e3"])
         assert args.n == 1000
-        args = build_parser().parse_args(["sort", "--n", "2_000"])
+        args = build_parser().parse_args(["run", "sorting", "--n", "2_000"])
         assert args.n == 2000
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["pagerank", "--n", "1.5"])
+            build_parser().parse_args(["run", "pagerank", "--n", "1.5"])
 
 
 @pytest.fixture
@@ -237,14 +333,15 @@ class TestDataCommands:
             main(["run", "sorting", "--dataset", self.SPEC, "--k", "4"])
 
     def test_sweep_with_dataset(self, data_dir, capsys):
-        rc = main(["sweep", "--problem", "pagerank", "--dataset", self.SPEC,
-                   "--ks", "4,8", "--tokens", "2"])
+        rc = main(["run", "pagerank", "--dataset", self.SPEC,
+                   "--k", "4,8", "--set", "c=2"])
         assert rc == 0
         assert "fit: rounds ~ k^" in capsys.readouterr().out
 
 
 #: ``python -m repro run pagerank --n 200 --k 4 --set c=2`` as printed
-#: before the package surfaces became lazy, minus the two wall-clock rows.
+#: before the package surfaces became lazy, minus the two wall-clock rows,
+#: plus the family check's row (the last).
 RUN_PAGERANK_OUTPUT = [
     'PageRank (Algorithm 1)                                                                                  value',
     '----------------------  -------------------------------------------------------------------------------------',
@@ -262,6 +359,7 @@ RUN_PAGERANK_OUTPUT = [
     '            iterations                                                                                     61',
     '          token rounds                                                                                     72',
     '         tokens/vertex                                                                                     16',
+    ' L1 error vs reference                                                                                0.07994',
 ]
 _WALL_CLOCK_ROWS = ("first superstep", "total wall")
 

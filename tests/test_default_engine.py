@@ -65,7 +65,7 @@ def test_every_engine_parameter_defaults_to_the_one_constant():
 def test_cli_parsers_default_to_it():
     parser = build_parser()
     assert parser.parse_args(["run", "pagerank"]).engine == DEFAULT_ENGINE
-    assert parser.parse_args(["sweep"]).engine == DEFAULT_ENGINE
+    assert parser.parse_args(["run", "sorting", "--k", "4,8"]).engine == DEFAULT_ENGINE
     # The client sends no engine; the daemon's runtime.run fills the default.
     client = parser.parse_args(["client", "run", "pagerank", "--dataset", "gnp:n=10"])
     assert client.engine is None
