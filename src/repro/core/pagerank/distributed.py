@@ -149,6 +149,11 @@ def distributed_pagerank(
         raise AlgorithmError(
             f"max_iterations must be a positive int, got {max_iterations!r}"
         )
+    thr = k if heavy_threshold is None else heavy_threshold
+    if not (
+        isinstance(thr, (int, np.integer)) and not isinstance(thr, bool) and thr >= 2
+    ):
+        raise AlgorithmError(f"heavy threshold must be an int >= 2, got {thr!r}")
     if sources is not None:
         raw = np.asarray(sources)
         integral = raw.dtype.kind in "iu" or (
@@ -166,9 +171,6 @@ def distributed_pagerank(
         raise AlgorithmError(f"cluster has k={cluster.k}, expected {k}")
     dg = resolve_distgraph(graph, k, cluster.shared_rng, partition, distgraph)
     t0 = max(1, math.ceil(c * math.log2(max(2, n))))
-    thr = int(heavy_threshold) if heavy_threshold is not None else k
-    if thr < 2:
-        raise AlgorithmError(f"heavy threshold must be >= 2, got {thr}")
     if max_iterations is None:
         max_iterations = max(1, math.ceil(4.0 * math.log(max(2, n * t0)) / eps))
 
@@ -191,7 +193,7 @@ def distributed_pagerank(
         tokens=tokens,
         psi=psi,
         eps=eps,
-        heavy_threshold=thr,
+        heavy_threshold=int(thr),
         enable_heavy_path=enable_heavy_path,
         vid_bits=vid_bits,
     )
@@ -231,12 +233,14 @@ def _install_token_states(dg: DistributedGraph, tokens: np.ndarray,
     """Per-machine resident state for :class:`_PageRankDriver`.
 
     ``tokens``/``psi`` hold the machine's hosted slice (local index =
-    position in the sorted ``parts[i]``); ``active`` is the invariant
-    ``flatnonzero(tokens > 0)`` maintained incrementally so a superstep
-    costs ``O(live)`` instead of ``O(n_i)``.  ``pending_*`` (free local
-    light deliveries, local indices) and ``local_heavy_*`` (same-machine
-    β rows, emission order) buffer intra-iteration carry-over between
-    a move and the apply that follows it.
+    position in the sorted ``parts[i]``, read off ``ctx.local_index``);
+    ``active`` is the invariant ``flatnonzero(tokens > 0)``, kept so the
+    move reads only the live slots.  A superstep costs ``O(live)`` plus
+    one ``O(n_i)`` segment-sum over the machine's slots in the apply.
+    ``pending_*`` (free local light deliveries, local indices) and
+    ``local_heavy_*`` (same-machine β rows, emission order) buffer
+    intra-iteration carry-over between a move and the apply that
+    follows it.
     """
     return [
         {
@@ -314,7 +318,7 @@ def _step_tokens_task(
     homes = ctx.home[dv]
     local = homes == machine
     local_heavy = hdst == machine
-    state["pending_v"] = np.searchsorted(verts, dv[local])
+    state["pending_v"] = ctx.local_index[dv[local]]
     state["pending_c"] = dc[local]
     state["local_heavy_v"] = hv[local_heavy]
     state["local_heavy_c"] = hc[local_heavy]
@@ -365,10 +369,9 @@ def _apply_tokens_task(ctx, machine: int, rng, payload, state) -> int:
     are re-sampled into concrete neighbors with this machine's stream —
     delivered rows first, then the buffered same-machine rows in
     emission order.  All contributions are positive, so the new
-    ``active`` set is just the unique touched indices.  Returns the
-    number of tokens applied.
+    ``active`` set is just the touched slots.  Returns the number of
+    tokens applied.
     """
-    verts = ctx.parts[machine]
     tok, psi = state["tokens"], state["psi"]
     rows = np.concatenate([payload["hvertex"], state["local_heavy_v"]])
     dv = dc = _EMPTY
@@ -377,17 +380,18 @@ def _apply_tokens_task(ctx, machine: int, rng, payload, state) -> int:
             rows, np.concatenate([payload["hcount"], state["local_heavy_c"]]),
             machine, ctx.home_groups, ctx.k, rng,
         )
-    delivered = np.searchsorted(verts, np.concatenate([payload["vertex"], dv]))
+    delivered = ctx.local_index[np.concatenate([payload["vertex"], dv])]
     idx = np.concatenate([state["pending_v"], delivered])
     cnt = np.concatenate([state["pending_c"], payload["count"], dc])
     state["pending_v"] = state["pending_c"] = _EMPTY
     state["local_heavy_v"] = state["local_heavy_c"] = _EMPTY
-    # One integer segment-sum over the touched indices feeds both tables.
-    active, inverse = np.unique(idx, return_inverse=True)
-    added = np.zeros(active.size, dtype=np.int64)
-    np.add.at(added, inverse, cnt)
-    tok[active] += added
-    psi[active] += added
+    # One segment-sum over the machine's slots feeds both tables; it is
+    # integer-exact because every slot's total is a token count, far
+    # below 2**53.
+    added = np.bincount(idx, weights=cnt, minlength=tok.size).astype(np.int64)
+    active = np.flatnonzero(added)
+    tok[active] += added[active]
+    psi[active] += added[active]
     state["active"] = active
     return int(cnt.sum())
 

@@ -15,16 +15,23 @@ like one call per vertex / per β row in row order (the per-row oracle
 lives in ``tests/pagerank/test_tokens.py``, compared on outputs and
 ``bit_generator.state``), under one batching rule:
 
-    a broadcast ``rng.multinomial(counts, pvals)`` is draw-identical to
-    sequential calls only when every row has the same ``len(pvals)``.
+    a broadcast ``rng.multinomial(counts, pvals)`` runs its rows in
+    order through the scalar routine, so it is draw-identical to one
+    call per row when each row is that row's ``pvals`` behind *leading*
+    zeros; *trailing* zeros are not draw-free.
 
-NumPy runs the rows of a broadcast call sequentially through the same
-C routine as a scalar call, so the sending side (every row is a
-distribution over the ``k`` machines) is one call.  The receiving
-side's rows have one entry per locally-hosted neighbor, so their widths
-differ; zero-padding them to a common width costs extra draws (the last
-real entry stops being the draw-free remainder), so that side keeps one
-call per row and vectorizes everything around it.
+NumPy's multinomial draws one binomial per entry but the last, which
+takes the remainder without drawing.  A leading entry of 0 is a
+``binomial(p=0)``, which returns 0 without touching the bit generator
+and leaves the remaining mass at exactly 1; a trailing 0 would turn the
+row's last real entry into a drawn binomial.  The sending side (every
+row is a distribution over the ``k`` machines) is therefore one call.
+The receiving side's rows have one entry per locally-hosted neighbor,
+so their widths differ: each block of :data:`_BLOCK` consecutive rows
+is one call with every row right-aligned to the block's widest (a
+width-1 row stays draw-free, its only entry being the remainder).  A
+row wider than :data:`_WIDE` is a call of its own: padding a whole
+block to its width would cost more than the call.
 
 Neither side scans adjacency rows.  Both read the graph through its
 home-grouped table ``(start, nbrs)`` (``ctx.home_groups``, built once
@@ -52,10 +59,12 @@ __all__ = [
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-# Uniform pvals for the common narrow receive rows, indexed by width (a
-# row has at least two entries when it draws), so the per-row loop does
-# not allocate them; wider rows build their own.
-_UNIFORM = (None, None, *(np.full(s, 1.0 / s) for s in range(2, 65)))
+# Receiving-side blocking: at most _BLOCK consecutive rows per broadcast
+# multinomial, and a row wider than _WIDE is a call of its own.  Every
+# padded cell costs NumPy a few ns (checks, then a draw-free binomial),
+# so one wide row would pad a whole block for more than a call costs.
+_BLOCK = 256
+_WIDE = 64
 
 
 def terminate_tokens(
@@ -167,9 +176,10 @@ def receive_heavy_tokens(
     ``vertices``/``counts`` are the β rows ``machine`` re-samples, in
     order.  Returns the concatenated per-row ``(dest_vertices,
     dest_counts)``; draws exactly what one multinomial per row would.
-    Only ``rng.multinomial`` itself runs per row (widths differ, see the
-    module docstring), and not at all for a row with a single local
-    neighbor: a one-entry multinomial draws nothing.
+    Consecutive rows share one broadcast call per block (at most
+    :data:`_BLOCK` rows, a row wider than :data:`_WIDE` alone), each
+    row's uniform ``1/s`` entries right-aligned behind leading zeros,
+    which draw nothing; a width-1 row draws nothing either way.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -182,17 +192,31 @@ def receive_heavy_tokens(
     if not sizes.all():
         raise _no_local_neighbors(int(vertices[np.argmin(sizes)]), machine)
     ends = np.cumsum(sizes)
-    local = nbrs[np.arange(int(ends[-1])) + np.repeat(lo - (ends - sizes), sizes)]
-    multi = sizes > 1
-    tabled = len(_UNIFORM)
-    drawn = [
-        rng.multinomial(c, _UNIFORM[s] if s < tabled else np.full(s, 1.0 / s))
-        for s, c in zip(sizes[multi].tolist(), counts[multi].tolist())
-    ]
-    picks = np.empty(local.size, dtype=np.int64)
-    in_multi = np.repeat(multi, sizes)
-    picks[~in_multi] = counts[~multi]
-    if drawn:
-        picks[in_multi] = np.concatenate(drawn)
+    begins = ends - sizes
+    total = int(ends[-1])
+    local = nbrs[np.arange(total) + np.repeat(lo - begins, sizes)]
+    n = sizes.size
+    wide = np.flatnonzero(sizes > _WIDE)
+    firsts = np.union1d(np.arange(0, n, _BLOCK), np.concatenate([wide, wide + 1]))
+    firsts = firsts[firsts < n]
+    rows = np.diff(firsts, append=n)
+    width = np.maximum.reduceat(sizes, firsts)
+    # Row i, the q-th of its block, fills the last s_i cells of row q of
+    # the block's (rows, width) pvals: its entries sit at flat cells
+    # (q + 1) * width - s_i + r, i.e. each entry's index plus a per-row shift.
+    row_end = np.repeat(width * (1 - firsts), rows) + np.repeat(width, rows) * np.arange(n)
+    pos = np.arange(total) + np.repeat(row_end - ends, sizes)
+    uniform = np.repeat(1.0 / sizes, sizes)
+    picks = np.empty(total, dtype=np.int64)
+    row_at = np.append(firsts, n).tolist()
+    entry_at = np.append(begins[firsts], total).tolist()
+    for a, b, e0, e1, w in zip(row_at, row_at[1:], entry_at, entry_at[1:], width.tolist()):
+        if b - a == 1:  # no padding: the per-row call itself
+            picks[e0:e1] = rng.multinomial(counts[a], uniform[e0:e1])
+            continue
+        cells = pos[e0:e1]
+        pvals = np.zeros((b - a) * w)
+        pvals[cells] = uniform[e0:e1]
+        picks[e0:e1] = rng.multinomial(counts[a:b], pvals.reshape(b - a, w)).reshape(-1)[cells]
     landed = picks > 0
     return local[landed], picks[landed]

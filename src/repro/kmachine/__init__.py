@@ -101,20 +101,23 @@ and must obey three contracts for the backends to stay bit-identical:
    vertices or rows is allowed exactly when it leaves the stream
    untouched: array-parameter ``binomial`` / ``integers`` calls draw
    element by element in order, and a broadcast
-   ``rng.multinomial(counts, pvals)`` is draw-identical to sequential
-   calls only when every row has the same ``len(pvals)`` (padding a
-   narrower row with zeros costs extra draws).  PageRank's heavy path
-   (:mod:`repro.core.pagerank.tokens`) is the worked example: one
+   ``rng.multinomial(counts, pvals)`` runs its rows in order through
+   the scalar routine, so it is draw-identical to sequential calls when
+   each row is that row's ``pvals`` behind *leading* zeros (a leading
+   0 is a ``binomial(p=0)``, which draws nothing; a *trailing* 0 turns
+   the row's draw-free remainder into a drawn entry).  PageRank's heavy
+   path (:mod:`repro.core.pagerank.tokens`) is the worked example: one
    broadcast call on the sending side, where every row spans the ``k``
-   machines; one call per row on the receiving side, where widths
-   differ, with everything around the call vectorized over the batch.
-   Neither side scans adjacency rows: both read ``ctx.home_groups``,
-   the adjacency grouped by neighbor home once per graph, where a
-   row's per-machine neighbor counts and its neighbors on one machine
-   are offset reads, gathered for the whole batch at once instead of
-   calling ``ctx.local_neighbors`` row by row.  The groups keep CSR
-   order, which decides which neighbor each multinomial entry maps
-   to, so the draws are those of the per-row masks.
+   machines; on the receiving side, where widths differ, one call per
+   block of consecutive rows, each row right-aligned behind leading
+   zeros to the block's widest.  Neither side scans adjacency rows:
+   both read ``ctx.home_groups``, the adjacency grouped by neighbor
+   home once per graph, where a row's per-machine neighbor counts and
+   its neighbors on one machine are offset reads, gathered for the
+   whole batch at once instead of calling ``ctx.local_neighbors`` row
+   by row.  The groups keep CSR order, which decides which neighbor
+   each multinomial entry maps to, so the draws are those of the
+   per-row masks.
 2. **Payload contract.**  ``payloads[i]`` must be machine ``i``'s
    complete per-superstep input: a picklable structure of plain NumPy
    arrays / scalars / ``None`` (large arrays ship through shared
@@ -126,9 +129,10 @@ and must obey three contracts for the backends to stay bit-identical:
    ``graph.indptr`` / ``graph.indices``, ``k``, ``n``,
    ``home_groups`` (the ``(start, nbrs)`` table of
    :func:`~repro.kmachine.distgraph.group_neighbors_by_home`, built on
-   first read in whichever process reads it) and ``local_neighbors``
-   (one slice of that table).  Kernels must not mutate ``ctx`` or rely
-   on any other parent state.
+   first read in whichever process reads it), ``local_neighbors``
+   (one slice of that table) and ``local_index`` (each vertex's
+   position in its home machine's ``parts`` entry, built likewise).
+   Kernels must not mutate ``ctx`` or rely on any other parent state.
 3. **Result contract.**  Results are returned per machine (the
    scheduler yields them in machine order); parent-side merges must be
    order-insensitive exact operations (concatenation in machine order,

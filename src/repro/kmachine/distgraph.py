@@ -18,6 +18,9 @@ superstep loops, per-machine boolean masks over the edge list).
 * :attr:`home_groups` — the adjacency regrouped by neighbor home
   (:func:`group_neighbors_by_home`), so "how many of ``u``'s neighbors
   live on ``j``" and "which ones" are two offset reads,
+* :attr:`local_index` — each vertex's position in its home machine's
+  ``parts`` entry, so mapping global ids to a machine's local slots is
+  a gather instead of a ``searchsorted``,
 * :attr:`edge_homes` — both endpoints' home machines for every edge row,
 * :meth:`shard` — a per-machine CSR slice (hosted vertices, local
   ``indptr``/``indices``, neighbor homes, degrees), built lazily on
@@ -124,12 +127,13 @@ def group_neighbors_by_home(
 
 
 class HomeGroupedNeighbors:
-    """The home-grouped adjacency view every kernel context exposes.
+    """The home-grouped adjacency and local-slot index every kernel context exposes.
 
     Shared by :class:`DistributedGraph` and the process engine's
     :class:`~repro.kmachine.parallel.store.SharedGraphView`.  A host
-    provides ``graph.indptr`` / ``graph.indices``, ``nbr_home``, ``k``
-    and a ``_home_groups`` attribute initialised to ``None``.
+    provides ``graph.indptr`` / ``graph.indices``, ``nbr_home``,
+    ``parts``, ``k``, ``n`` and ``_home_groups`` / ``_local_index``
+    attributes initialised to ``None``.
     """
 
     __slots__ = ()
@@ -143,6 +147,20 @@ class HomeGroupedNeighbors:
                 g.indptr, g.indices, self.nbr_home, self.k
             )
         return self._home_groups
+
+    @property
+    def local_index(self) -> np.ndarray:
+        """``(n,)`` position of each vertex in its home machine's ``parts`` entry (cached).
+
+        For ``v`` hosted on machine ``i``, ``parts[i][local_index[v]] == v``:
+        the ``searchsorted(parts[i], v)`` of every vertex, built on first use.
+        """
+        if self._local_index is None:
+            index = np.empty(self.n, dtype=np.int64)
+            for verts in self.parts:
+                index[verts] = np.arange(verts.size)
+            self._local_index = index
+        return self._local_index
 
     def local_neighbors(self, v: int, machine: int) -> np.ndarray:
         """Neighbors of ``v`` hosted on ``machine``, in CSR order (a slice; no copy)."""
@@ -174,6 +192,7 @@ class DistributedGraph(HomeGroupedNeighbors):
         "_parts",
         "_nbr_home",
         "_home_groups",
+        "_local_index",
         "_degrees",
         "_edge_homes",
         "_shards",
@@ -192,6 +211,7 @@ class DistributedGraph(HomeGroupedNeighbors):
         self._parts: list[np.ndarray] | None = None
         self._nbr_home: np.ndarray | None = None
         self._home_groups: tuple[np.ndarray, np.ndarray] | None = None
+        self._local_index: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._edge_homes: tuple[np.ndarray, np.ndarray] | None = None
         self._shards: list[MachineShard | None] = [None] * self.k

@@ -372,9 +372,9 @@ class Engine:
         ``ctx`` exposes the read surface of a
         :class:`~repro.kmachine.distgraph.DistributedGraph` (``parts``,
         ``home``, ``nbr_home``, ``graph.indptr`` / ``graph.indices``,
-        ``home_groups``, ``local_neighbors``) — or is ``None`` when the
-        caller passes ``distgraph=None`` (kernels over non-graph inputs,
-        e.g. the sorting family).  ``payloads[i]`` is machine ``i``'s
+        ``home_groups``, ``local_index``, ``local_neighbors``) — or is
+        ``None`` when the caller passes ``distgraph=None`` (kernels over
+        non-graph inputs, e.g. the sorting family).  ``payloads[i]`` is machine ``i``'s
         per-superstep input; ``rngs[i]`` its private Generator.  Returns
         the ``k`` results in machine order.
 

@@ -58,16 +58,17 @@ class SharedGraphView(HomeGroupedNeighbors):
     :class:`DistributedGraph` context: :attr:`graph` (``.indptr`` /
     ``.indices``), :attr:`home`, :attr:`nbr_home`, :attr:`parts`,
     :attr:`k`, :attr:`n`, and — with the same definitions as
-    ``DistributedGraph`` — :attr:`home_groups` and
-    :meth:`local_neighbors`.  The home-grouped table is not published:
-    a worker builds it from the attached arrays the first time a kernel
-    reads it (only PageRank's heavy path does), into private memory, so
-    the segment layout is the same for every family.
+    ``DistributedGraph`` — :attr:`home_groups`, :attr:`local_index` and
+    :meth:`local_neighbors`.  Neither table is published: a worker
+    builds each from the attached arrays the first time a kernel reads
+    it (only PageRank does), into private memory, so the segment layout
+    is the same for every family.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, meta: dict) -> None:
         self._shm = shm
         self._home_groups = None
+        self._local_index = None
         self.key: str = meta["key"]
         self.k: int = meta["k"]
         self.n: int = meta["n"]
@@ -104,7 +105,7 @@ class SharedGraphView(HomeGroupedNeighbors):
         # Drop the ndarray views before closing the mmap, else close() raises
         # BufferError on the exported buffer.
         self.parts = []
-        self._home_groups = None
+        self._home_groups = self._local_index = None
         self.home = self.nbr_home = None  # type: ignore[assignment]
         self.graph = None  # type: ignore[assignment]
         self._shm.close()

@@ -163,6 +163,46 @@ class TestHomeGroups:
             clear_distgraph_cache()
 
 
+class TestLocalIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_searchsorted_on_both_contexts(self, data):
+        # k up to 9 over at most 10 vertices leaves some machines empty.
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, 9))
+        home = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        dg = DistributedGraph(Graph(n=n), VertexPartition(home=home, k=k))
+        expected = [int(np.searchsorted(dg.parts[home[v]], v)) for v in range(n)]
+        assert dg.local_index.tolist() == expected
+        store = SharedGraphStore(dg)
+        try:
+            view = store.view()
+            try:
+                assert np.array_equal(view.local_index, dg.local_index)
+            finally:
+                view.detach()
+        finally:
+            store.close()
+
+    def test_cached(self):
+        _, _, dg = make_dg()
+        assert dg._local_index is None
+        assert dg.local_index is dg.local_index
+
+    @pytest.mark.parametrize(
+        "name, built", [("triangles", False), ("mst", False), ("connectivity", False),
+                        ("pagerank", True)],
+    )
+    def test_only_pagerank_builds_it(self, name, built):
+        g, part, _ = make_dg(n=40, k=4, p=0.2)
+        clear_distgraph_cache()
+        try:
+            runtime.run(name, g, 4, seed=3, placement=part)
+            assert (cached_distgraph(g, part)._local_index is not None) is built
+        finally:
+            clear_distgraph_cache()
+
+
 class TestShards:
     def test_shard_covers_hosted_vertices(self):
         g, part, dg = make_dg()

@@ -89,6 +89,28 @@ class TestDeterminismAndValidation:
         with pytest.raises(AlgorithmError, match="max_iterations"):
             repro.distributed_pagerank(g, k=4, seed=1, max_iterations=max_iterations)
 
+    @pytest.mark.parametrize(
+        "heavy_threshold",
+        [2.7, "8", float("nan"), True, 1, 0],
+        ids=["float", "str", "nan", "bool", "one", "zero"],
+    )
+    def test_rejects_bad_heavy_threshold(self, heavy_threshold):
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="heavy threshold"):
+            repro.distributed_pagerank(g, k=4, seed=1, heavy_threshold=heavy_threshold)
+
+    def test_rejects_k_one_default_heavy_threshold(self):
+        # The threshold defaults to k, and one machine makes it 1.
+        g = repro.cycle_graph(10)
+        with pytest.raises(AlgorithmError, match="heavy threshold"):
+            repro.distributed_pagerank(g, k=1, seed=1)
+
+    def test_accepts_numpy_int_heavy_threshold(self):
+        g = repro.gnp_random_graph(40, 0.2, seed=3)
+        a = repro.distributed_pagerank(g, k=4, seed=1, c=5, heavy_threshold=np.int64(3))
+        b = repro.distributed_pagerank(g, k=4, seed=1, c=5, heavy_threshold=3)
+        assert np.array_equal(a.estimates, b.estimates)
+
     def test_rejects_nan_c(self):
         g = repro.cycle_graph(10)
         with pytest.raises(AlgorithmError, match="c must be"):

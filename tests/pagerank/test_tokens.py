@@ -340,3 +340,28 @@ class TestBatchedHeavyPathDrawForDraw:
             rows = st.lists(st.tuples(st.sampled_from(hosted), st.integers(0, 400)), max_size=12)
             got = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
             _assert_receive_matches(got[:, 0], got[:, 1], machine, g, home, k, seed)
+
+    def test_receive_batch_spanning_blocks(self):
+        # Sources on machine 1 with 1.._WIDE neighbors on machine 0, plus
+        # one wider source; the batch crosses three block boundaries.
+        block, widest = tk._BLOCK, tk._WIDE
+        rows = 3 * block + 7
+        setup = np.random.default_rng(17)
+        widths = setup.integers(1, widest, rows)  # narrower than the widest
+        widths[::9] = 1
+        widths[block] = widths[3 * block - 1] = widest  # first of one block, last of the next
+        widths[40] = 3 * widest  # a call of its own, splitting the first block
+        targets = int(widths.max())
+        edges = [
+            (targets + i, int(t))
+            for i, w in enumerate(widths.tolist())
+            for t in setup.choice(targets, w, replace=False).tolist()
+        ]
+        g = Graph(n=targets + rows, edges=np.array(edges, dtype=np.int64))
+        home = np.r_[np.zeros(targets, dtype=np.int64), np.ones(rows, dtype=np.int64)]
+        counts = setup.integers(1, 30, rows)  # n * p < 30: inversion
+        counts[::4] = setup.integers(2000, 6000, counts[::4].size)  # BTPE
+        counts[::7] = 0
+        counts[block] = 5000
+        vertices = targets + np.arange(rows)  # batch row i has width widths[i]
+        _assert_receive_matches(vertices, counts, 0, g, home, 2, seed=21)
