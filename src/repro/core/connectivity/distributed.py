@@ -33,7 +33,8 @@ def connected_components_distributed(
 ) -> ConnectivityResult:
     """Compute connected components of ``graph`` with ``k`` machines.
 
-    Runs proxy-Borůvka with unit edge weights (ties broken by edge index),
+    Runs proxy-Borůvka with unit edge weights (ties broken by edge index,
+    so the rank order is the index order and no weights are passed),
     then renames the final Borůvka labels to canonical ones — free local
     post-processing once every machine knows the final component labels
     (which the Borůvka label-refresh flow already delivers and accounts).
@@ -42,7 +43,7 @@ def connected_components_distributed(
         raise AlgorithmError("connectivity is defined on undirected graphs here")
     forest, labels, _, metrics = boruvka_forest(
         graph,
-        np.ones(graph.m, dtype=np.float64),
+        None,
         k=k,
         seed=seed,
         bandwidth=bandwidth,
@@ -52,10 +53,12 @@ def connected_components_distributed(
         distgraph=distgraph,
     )
     # Canonicalize each Borůvka root label to its first, i.e. smallest, vertex.
-    roots, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    n = labels.size
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
     return ConnectivityResult(
-        labels=first[inverse],
-        num_components=int(roots.size),
+        labels=first[labels],
+        num_components=int(np.count_nonzero(first < n)),
         spanning_forest=graph.edges[forest],
         metrics=metrics,
     )

@@ -20,6 +20,12 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
    per run.  A component's candidate is then its first crossing row, so
    a phase costs one pass over the table and no sort; the proxies'
    global minimum is the same ``minimum`` scatter over edge ranks.
+   The rank order needs no stable sort: :func:`_rank_order` takes
+   NumPy's default (unstable) sort and then re-sorts by edge index only
+   the positions that sit in runs of equal weights, which gives the
+   stable order exactly.  Connectivity passes no weights: its unit
+   weights make the rank order the edge-index order, so it sorts
+   nothing.
 3. **Pointer jumping** — the merge forest ``c -> parent(c)`` (the other
    endpoint's component) is star-contracted by proxies exchanging
    ``parent(parent(c))`` queries/replies; 2-cycles break toward the
@@ -29,7 +35,13 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
    a jump round is a gather ``pointer[parent]`` and the label refresh
    that follows is ``pointer[labels]``.
 4. **Label refresh** — every (machine, old-component) pair queries the
-   proxy for the new root label.
+   proxy for the new root label.  The distinct pairs come machine by
+   machine from one reusable slot table over labels
+   (:func:`_machine_labels`), in O(n) time and memory and no sort; their
+   order is arbitrary, which the order-free load matrix does not see.
+
+Every final label is a root that labels itself, so the component count
+is the number of vertices ``v`` with ``labels[v] == v``.
 
 ``O(log n)`` phases halve the component count, so on sparse graphs the
 total is ``Õ(m/k² + polylog)`` rounds — consistent with (and bounded
@@ -62,6 +74,34 @@ __all__ = ["distributed_mst", "MSTResult"]
 _WEIGHT_BITS = 32
 
 
+def _rank_order(weights: np.ndarray) -> np.ndarray:
+    """Edge ids in (weight, index) order: ``np.argsort(weights, kind="stable")``.
+
+    NumPy's default sort is several times faster than its stable one on
+    floats but orders equal weights arbitrarily.  Those ties sit in
+    contiguous runs of the sorted order; each run gets an id and the
+    tied positions alone are re-sorted by ``run * m + index``, which puts
+    every run back in index order without moving it.  ``-0.0`` and
+    ``0.0`` compare equal, so they form one run, as in the stable sort.
+    """
+    order = np.argsort(weights)
+    m = order.size
+    ranked = weights[order]
+    tied = ranked[1:] == ranked[:-1]  # tied[i]: positions i and i+1 share a weight
+    if not tied.any():
+        return order
+    in_run = np.zeros(m, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    pos = np.flatnonzero(in_run)
+    starts = np.ones(pos.size, dtype=bool)
+    starts[1:] = ~tied[pos[1:] - 1]
+    key = (np.cumsum(starts) - 1) * m + order[pos]
+    key.sort()
+    order[pos] = key % m
+    return order
+
+
 def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarray) -> list[dict]:
     """Per-machine incidence tables for the MWOE scans, in edge-rank order.
 
@@ -71,9 +111,14 @@ def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarr
     it, so a component's minimum-weight outgoing edge on a machine is
     its *first* crossing row and no rank column is needed.  An edge with
     both endpoints on one machine has two rows there, one per endpoint.
+    Both columns use the smallest unsigned dtype that holds
+    ``max(n, m)`` (half of ``int64`` or less), which is what the tables
+    cost resident on their machines.
     Constant across phases: built once per run, only labels change.
     """
-    ends = edges[by_rank]  # flattened, rows 2r and 2r+1 are the endpoints of the rank-r edge
+    index = np.min_scalar_type(max(dg.n, by_rank.size))
+    # flattened, rows 2r and 2r+1 are the endpoints of the rank-r edge
+    ends = edges.astype(index)[by_rank]
     # The machine-major regrouping must keep rank order within a machine:
     # a stable sort, which NumPy runs as an O(rows) radix pass when the
     # key is at most 16 bits wide.
@@ -85,7 +130,7 @@ def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarr
     own = np.split(ends.ravel()[order], bounds)
     del ends
     order >>= 1  # flattened row -> rank
-    edge = np.split(by_rank[order], bounds)
+    edge = np.split(by_rank.astype(index)[order], bounds)
     return [{"edge": e, "own": o} for e, o in zip(edge, own)]
 
 
@@ -102,14 +147,18 @@ def _mwoe_scan_task(ctx, machine: int, rng, payload, state, *,
     first crossing row: a ``minimum`` scatter of row positions — well
     defined however duplicates are visited, unlike a duplicate-index
     assignment — and no sort.  Returns the ``(comp, edge)`` candidates,
-    components ascending.  No RNG draws, so engines agree trivially; the
-    process backend fans the scans out across shard workers.
+    components ascending, both ``int64`` whatever the table's dtype.  No
+    RNG draws, so engines agree trivially; the process backend fans the
+    scans out across shard workers.
     """
-    rows = np.flatnonzero(crossing[state["edge"]])
+    # ``np.take`` gathers through the narrow table columns without first
+    # widening them to ``intp``, which plain fancy indexing does.
+    edge = state["edge"]
+    rows = np.flatnonzero(np.take(crossing, edge))
     first = np.full(labels.size, rows.size, dtype=np.int64)
-    np.minimum.at(first, labels[state["own"][rows]], np.arange(rows.size))
+    np.minimum.at(first, np.take(labels, state["own"][rows]), np.arange(rows.size))
     comp = np.flatnonzero(first < rows.size)
-    return {"comp": comp, "edge": state["edge"][rows[first[comp]]]}
+    return {"comp": comp, "edge": edge[rows[first[comp]]].astype(np.int64)}
 
 
 def _account(cluster: Cluster, src: np.ndarray, dst: np.ndarray, bits_per: int, label: str) -> None:
@@ -127,9 +176,29 @@ def _proxies(comp: np.ndarray, k: int) -> np.ndarray:
     return (stable_hash64_array(comp, salt=9) % np.uint64(k)).astype(np.int64)
 
 
+def _machine_labels(parts: list[np.ndarray], labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (machine, label) pairs over hosted vertices, unsorted.
+
+    Machine by machine: every hosted vertex writes its position into its
+    label's slot, and a position keeps its label only if the slot still
+    holds it.  Whichever duplicate write lands last, exactly one position
+    per distinct label survives, so the *set* is exact; only its order
+    depends on NumPy.  One ``(n,)`` slot table serves every machine.
+    """
+    slot = np.empty(labels.size, dtype=np.intp)
+    comps = []
+    for verts in parts:
+        here = labels[verts]
+        at = np.arange(here.size)
+        slot[here] = at
+        comps.append(here[slot[here] == at])
+    machine = np.repeat(np.arange(len(parts)), [c.size for c in comps])
+    return machine, np.concatenate(comps)
+
+
 def boruvka_forest(
     graph: Graph,
-    weights: np.ndarray,
+    weights: np.ndarray | None,
     k: int,
     seed: int | None = None,
     bandwidth: int | None = None,
@@ -145,9 +214,17 @@ def boruvka_forest(
     ascending, every vertex's final component label (the Borůvka root
     label, not canonical), the number of phases run and the cluster's
     metrics.  Arguments are those of :func:`distributed_mst`, which
-    validates ``weights``.
+    validates ``weights``; ``weights=None`` means unit weights, whose
+    (weight, index) order is the edge-index order.  ``max_phases`` is
+    ``None`` (enough phases for any graph) or an int ≥ 1.
     """
     check_positive_int(k, "k")
+    if max_phases is not None and not (
+        isinstance(max_phases, (int, np.integer))
+        and not isinstance(max_phases, bool)
+        and max_phases >= 1
+    ):
+        raise AlgorithmError(f"max_phases must be an int >= 1, got {max_phases!r}")
     n, m = graph.n, graph.m
     if cluster is None:
         cluster = Cluster(k=k, n=max(2, n), bandwidth=bandwidth, seed=seed, engine=engine)
@@ -186,7 +263,7 @@ def boruvka_forest(
                 # Per-run precomputation, after the first accounted flow so
                 # the time to first superstep activity does not pay for it.
                 # Total order on edges: (weight, index) — makes the MSF unique.
-                by_rank = np.argsort(weights, kind="stable")
+                by_rank = np.arange(m) if weights is None else _rank_order(weights)
                 rank_of = np.empty(m, dtype=np.int64)
                 rank_of[by_rank] = np.arange(m)
                 # Tables live with their machine; only the labels and
@@ -244,8 +321,7 @@ def boruvka_forest(
                 pointer[comps] = par
 
             # ---- Flow 4: label refresh per (machine, component) pair. ----
-            span = labels.max() + 1
-            q_machine, q_comp = np.divmod(np.unique(dg.home * span + labels), span)
+            q_machine, q_comp = _machine_labels(dg.parts, labels)
             q_proxy = _proxies(q_comp, k)
             _account(cluster, q_machine, q_proxy, vid, f"mst/label-query/{phases}")
             _account(cluster, q_proxy, q_machine, 2 * vid, f"mst/label-reply/{phases}")
@@ -291,5 +367,5 @@ def distributed_mst(
         total_weight=float(weights[forest].sum()),
         metrics=metrics,
         phases=phases,
-        num_components=int(np.unique(labels).size),
+        num_components=int(np.count_nonzero(labels == np.arange(labels.size))),
     )

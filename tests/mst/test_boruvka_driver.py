@@ -38,6 +38,7 @@ import pytest
 import repro
 from repro.core.connectivity import connected_components_distributed
 from repro.core.mst import distributed_mst
+from repro.core.mst.distributed import boruvka_forest
 from repro.kmachine.metrics import Metrics
 
 ORACLE_PATH = Path(__file__).resolve().parent / "boruvka_driver_oracle.json"
@@ -177,3 +178,17 @@ def test_labels_and_counts_match_networkx(name):
     assert cc.labels.dtype == np.int64
     assert np.array_equal(cc.labels, expected)
     assert cc.num_components == nx.number_connected_components(full)
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_root_count_is_the_distinct_label_count(name):
+    # ``num_components`` counts the labels that label themselves; every
+    # final label is such a root, under a max_phases cut-off too.
+    case = _cases()[name]
+    run = dict(k=case["k"], seed=case["seed"], max_phases=case.get("max_phases"))
+    _, labels, _, _ = boruvka_forest(case["graph"], case["weights"], **run)
+    distinct = np.unique(labels)
+    assert np.array_equal(labels[distinct], distinct)
+    mst = distributed_mst(case["graph"], case["weights"], **run)
+    recorded = json.loads(ORACLE_PATH.read_text())[name]["mst"]["num_components"]
+    assert mst.num_components == distinct.size == recorded

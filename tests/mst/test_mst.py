@@ -36,6 +36,27 @@ def test_non_finite_weight_is_rejected_naming_the_first_edge(entry, bad):
         entry(g, w)
 
 
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5])
+def test_max_phases_must_be_an_int_of_at_least_one(monkeypatch, bad):
+    # 0 and -3 used to return an empty "forest", True ran one phase and
+    # 2.5 raised a bare TypeError.  The check comes before any cluster.
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built before max_phases was checked")
+
+    monkeypatch.setattr("repro.core.mst.distributed.Cluster", no_cluster)
+    g = repro.cycle_graph(6)
+    with pytest.raises(AlgorithmError, match=r"max_phases must be an int >= 1"):
+        distributed_mst(g, np.arange(6, dtype=float), k=4, seed=0, max_phases=bad)
+
+
+def test_max_phases_accepts_numpy_ints():
+    g = repro.cycle_graph(6)
+    w = np.arange(6, dtype=float)
+    one = distributed_mst(g, w, k=4, seed=0, max_phases=np.int64(1))
+    assert one.phases == 1
+    assert distributed_mst(g, w, k=4, seed=0, max_phases=1).edges.tolist() == one.edges.tolist()
+
+
 class TestKruskal:
     def test_path_graph_takes_all_edges(self):
         g = repro.path_graph(5)
