@@ -11,26 +11,14 @@ import math
 import numpy as np
 
 __all__ = [
-    "ceil_div",
     "bits_for",
     "bits_for_count",
-    "ilog2",
-    "is_perfect_cube",
     "icbrt",
     "as_rng",
     "spawn_rngs",
     "check_positive_int",
     "polylog",
 ]
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling integer division ``ceil(a / b)`` for non-negative ``a``, positive ``b``."""
-    if b <= 0:
-        raise ValueError(f"divisor must be positive, got {b}")
-    if a < 0:
-        raise ValueError(f"dividend must be non-negative, got {a}")
-    return -(-a // b)
 
 
 def bits_for(n_values: int) -> int:
@@ -48,21 +36,6 @@ def bits_for_count(max_count: int) -> int:
     if max_count < 0:
         raise ValueError(f"max_count must be non-negative, got {max_count}")
     return bits_for(max_count + 1)
-
-
-def ilog2(n: int) -> int:
-    """Floor of log2 for positive integers."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return n.bit_length() - 1
-
-
-def is_perfect_cube(n: int) -> bool:
-    """True iff ``n`` is a perfect cube of a positive integer."""
-    if n <= 0:
-        return False
-    r = icbrt(n)
-    return r * r * r == n
 
 
 def icbrt(n: int) -> int:
@@ -117,14 +90,6 @@ def polylog(n: int, factor: int = 32, power: int = 1) -> int:
     check_positive_int(factor, "factor")
     check_positive_int(power, "power")
     return factor * (max(1, math.ceil(math.log2(max(2, n)))) ** power)
-
-
-def stable_hash64(x: int, salt: int = 0) -> int:
-    """Deterministic 64-bit integer hash (splitmix64), independent of PYTHONHASHSEED."""
-    z = (x + 0x9E3779B97F4A7C15 + salt * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
 
 
 def stable_hash64_array(xs: "np.ndarray", salt: int = 0) -> "np.ndarray":

@@ -89,13 +89,6 @@ def _input_from_args(spec: "runtime.AlgorithmSpec", args):
     return _graph_from_args(args)
 
 
-#: run() keyword arguments that collide with --set; rejecting them avoids a
-#: confusing duplicate-keyword TypeError from runtime.run().  The first group
-#: has dedicated CLI flags; the second is reachable only from the Python API.
-_FLAGGED_PARAMS = frozenset({"k", "engine", "workers", "seed"})
-_API_ONLY_PARAMS = frozenset({"bandwidth", "cluster", "placement"})
-
-
 def _parse_set_params(pairs) -> dict:
     """Parse repeated ``--set key=value`` options with literal-ish coercion.
 
@@ -111,13 +104,6 @@ def _parse_set_params(pairs) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise SystemExit(f"--set expects key=value, got {pair!r}")
-        if key in _FLAGGED_PARAMS:
-            raise SystemExit(f"--set {key}=... conflicts with the --{key} flag; use that instead")
-        if key in _API_ONLY_PARAMS:
-            raise SystemExit(
-                f"{key} is not settable via --set; use the Python API "
-                f"(repro.runtime.run(..., {key}=...))"
-            )
         params[key] = literal_value(raw)
     return params
 
@@ -130,8 +116,11 @@ def cmd_run(args) -> int:
             f"{spec.name!r} fixes k from its input; a k-sweep would run every point "
             f"at the same k, so pass one --k"
         )
-    data = _input_from_args(spec, args)
     params = _parse_set_params(args.set)
+    # Before the input is built; a run() argument such as k or seed is
+    # not a family parameter either, so it cannot collide with one.
+    spec.check_params(params)
+    data = _input_from_args(spec, args)
     tracer = None
     if args.trace:
         # One tracer shared by every k, so a sweep lands in a single trace
@@ -458,6 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
         return value
 
+    def at_least(low: int):
+        # Sizes and seeds from the command line are checked before any
+        # graph or generator is built from them.
+        def parse(raw: str) -> int:
+            value = intish(raw)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {raw!r}")
+            return value
+
+        return parse
+
     def k_list(raw: str) -> list[int]:
         # One k runs once; a comma list sweeps k (distinct values only: a
         # repeated k adds no point to the fitted exponent).
@@ -468,13 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run any registered algorithm, at one k or a k-sweep")
     p.add_argument("algo", choices=runtime.available(), help="registered algorithm")
-    p.add_argument("--n", type=intish, default=500, help="problem size")
+    p.add_argument("--n", type=at_least(1), default=500, help="problem size")
     p.add_argument(
         "--k", type=k_list, default=[8], metavar="K[,K...]",
         help="number of machines; a comma list (e.g. 4,8,16) sweeps k and "
         "fits the exponent of the round scaling",
     )
-    p.add_argument("--seed", type=int, default=1, help="random seed")
+    p.add_argument("--seed", type=at_least(0), default=1, help="random seed")
     p.add_argument(
         "--graph",
         choices=("gnp", "dense", "star", "powerlaw", "lb"),

@@ -1,5 +1,5 @@
 """Graph substrate: CSR graphs, generators, the Figure-1 lower-bound graph,
-vertex hashing, and exact sequential triangle/triad enumeration."""
+and exact sequential triangle/triad enumeration."""
 
 from repro._lazy import lazy_exports
 
@@ -23,15 +23,12 @@ _EXPORTS = {
     ),
     "PageRankLowerBoundInstance": "repro.graphs.lowerbound",
     "pagerank_lowerbound_graph": "repro.graphs.lowerbound",
-    "hash_colors": "repro.graphs.hashing",
-    "hash_machines": "repro.graphs.hashing",
     **dict.fromkeys(
         [
             "enumerate_triangles",
             "count_triangles",
             "count_open_triads",
             "enumerate_open_triads",
-            "triangles_per_vertex",
         ],
         "repro.graphs.triangles_ref",
     ),

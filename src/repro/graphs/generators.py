@@ -222,8 +222,8 @@ def random_bipartite_graph(
 ) -> Graph:
     """Bipartite ``G(n_left, n_right, p)``: left vertices ``0..n_left-1``.
 
-    Triangle-free by construction; used by the bipartiteness verifier and
-    as a zero-triangle control for the enumeration algorithms.
+    Triangle-free by construction; a zero-triangle control for the
+    enumeration algorithms.
     """
     check_positive_int(n_left, "n_left")
     check_positive_int(n_right, "n_right")

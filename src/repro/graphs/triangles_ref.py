@@ -17,7 +17,6 @@ from repro.graphs.graph import Graph
 __all__ = [
     "enumerate_triangles",
     "count_triangles",
-    "triangles_per_vertex",
     "count_open_triads",
     "enumerate_open_triads",
     "enumerate_triangles_edges",
@@ -89,15 +88,6 @@ def enumerate_triangles(graph: Graph) -> np.ndarray:
 def count_triangles(graph: Graph) -> int:
     """Number of triangles (``t`` in the paper's notation)."""
     return int(enumerate_triangles(graph).shape[0])
-
-
-def triangles_per_vertex(graph: Graph) -> np.ndarray:
-    """``(n,)`` array: number of triangles containing each vertex."""
-    tris = enumerate_triangles(graph)
-    counts = np.zeros(graph.n, dtype=np.int64)
-    if tris.size:
-        np.add.at(counts, tris.ravel(), 1)
-    return counts
 
 
 def count_open_triads(graph: Graph) -> int:

@@ -14,8 +14,7 @@ The simulator is *phase-accurate*: an algorithm runs as a sequence of
 communication phases (supersteps).  A phase in which link ``(i, j)``
 carries ``L_ij`` bits costs ``max_ij ceil(L_ij / B)`` rounds, which is the
 exact cost of the oblivious delivery schedule all of the paper's
-upper-bound arguments use (cf. Lemma 13).  A strict round-by-round mode
-is also provided and is tested to agree with the phase formula.
+upper-bound arguments use (cf. Lemma 13).
 
 Engine architecture
 -------------------
@@ -32,9 +31,8 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
   :data:`~repro.kmachine.engine.DEFAULT_ENGINE` — executes batches
   through :class:`~repro.kmachine.engine.VectorEngine`: per-link loads
   are scattered into dense ``(k, k)`` bits/messages matrices, round
-  accounting (phase and strict modes) is computed from those matrices,
-  and delivery is one stable sort per batch — no Python loop over
-  messages.
+  accounting is computed from those matrices, and delivery is one
+  stable sort per batch — no Python loop over messages.
 * ``Cluster(..., engine="process", workers=W)`` executes them through
   :class:`~repro.kmachine.parallel.engine.ProcessEngine`: the vectorized
   exchange layer is inherited unchanged, and per-machine *compute* —
@@ -59,7 +57,7 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
   :func:`~repro.kmachine.parallel.shutdown_worker_pools` tears them
   down explicitly.
 
-Both backends share :meth:`LinkNetwork.record` for accounting and
+Both backends share :meth:`LinkNetwork.account_phase` for accounting and
 deliver rows in the same canonical ``(dst, src, emission)`` order, so
 results, round counts, and per-link bit totals are engine-independent.
 The reference they are held to is a third, test-only engine: the

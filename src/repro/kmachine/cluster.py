@@ -66,8 +66,6 @@ class Cluster:
     seed:
         Master seed; spawns ``k`` private machine generators and one shared
         generator, all reproducible.
-    mode:
-        Network accounting mode (``"phase"`` or ``"strict"``).
     engine:
         Execution backend: ``"vector"`` (columnar/vectorized, the
         default — :data:`~repro.kmachine.engine.DEFAULT_ENGINE`),
@@ -85,20 +83,21 @@ class Cluster:
         n: int | None = None,
         bandwidth: int | None = None,
         seed: int | None = None,
-        mode: str = "phase",
         engine: "str | type[Engine]" = DEFAULT_ENGINE,
         workers: int | None = None,
     ) -> None:
-        check_positive_int(k, "k")
-        if k < 2:
+        # k arrives from the command line and from /run requests: any
+        # integer below 2 is the model's error, not a generic ValueError.
+        if isinstance(k, (int, np.integer)) and k < 2:
             raise ModelError(f"the k-machine model requires k >= 2, got k={k}")
+        check_positive_int(k, "k")
         if bandwidth is None:
             if n is None:
                 raise ModelError("provide either bandwidth or n (for the polylog default)")
             bandwidth = polylog(n)
         self.k = int(k)
         self.n = None if n is None else int(n)
-        self.network = LinkNetwork(k=self.k, bandwidth=int(bandwidth), mode=mode)
+        self.network = LinkNetwork(k=self.k, bandwidth=int(bandwidth))
         self.engine: Engine = make_engine(engine, self.network, workers=workers)
         rngs = spawn_rngs(seed, self.k + 1)
         #: Per-machine private random generators.

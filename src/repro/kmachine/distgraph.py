@@ -27,10 +27,9 @@ superstep loops, per-machine boolean masks over the edge list).
   first access; the current drivers consume the cached global views
   above, and shards are the extension point for per-machine parallel
   execution (see ROADMAP open items),
-* batch-building helpers (:meth:`split_local_remote`,
-  :meth:`group_by_machine`, :meth:`edges_by_shipper`) for the common
-  "scatter rows to home machines" and "group work by owning machine"
-  patterns.
+* batch-building helpers (:meth:`group_by_machine`,
+  :meth:`edges_by_shipper`) for the common "group work by owning
+  machine" pattern.
 
 All helpers return exactly the values the ad-hoc derivations produced, in
 the same order, so migrating a driver onto ``DistributedGraph`` never
@@ -295,30 +294,6 @@ class DistributedGraph(HomeGroupedNeighbors):
         return [self.shard(i) for i in range(self.k)]
 
     # -- batch-building helpers ----------------------------------------
-    def split_local_remote(
-        self, machine: int, dest_vertices: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split per-destination-vertex rows into local and remote deliveries.
-
-        Rows whose destination vertex lives on ``machine`` are local (free);
-        the rest form a remote stream addressed to each vertex's home.
-
-        Returns
-        -------
-        (local_vertices, local_values, remote_vertices, remote_values, remote_dst)
-            ``remote_dst[r]`` is the home machine of ``remote_vertices[r]``.
-        """
-        dest_vertices = np.asarray(dest_vertices, dtype=np.int64)
-        homes = self.home[dest_vertices]
-        local = homes == machine
-        return (
-            dest_vertices[local],
-            values[local],
-            dest_vertices[~local],
-            values[~local],
-            homes[~local],
-        )
-
     def group_by_machine(self, assignment: np.ndarray) -> list[np.ndarray]:
         """Group row indices by owning machine in one stable pass.
 

@@ -10,11 +10,6 @@ implementation would transmit:
 * a token/edge count with maximum value ``c`` costs ``ceil(log2 (c+1))``
   bits,
 * a fixed-point PageRank value costs :data:`FLOAT_BITS` bits.
-
-The vectorized execution engine additionally represents message payloads
-as *columnar* NumPy arrays; :func:`payload_dtype` builds the structured
-dtype describing one logical message of such a stream (see
-:meth:`repro.kmachine.engine.MessageBatch.to_records`).
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ __all__ = [
     "heavy_count_message_bits",
     "edge_message_bits",
     "value_message_bits",
-    "payload_dtype",
 ]
 
 #: Bits used for one real-valued payload entry (fixed-point, double-ish).
@@ -89,16 +83,3 @@ def edge_message_bits(n: int) -> int:
 def value_message_bits(n: int) -> int:
     """Size of a message carrying ``(vertex id, real value)``."""
     return vertex_id_bits(n) + FLOAT_BITS
-
-
-# ----------------------------------------------------------------------
-# Structured record layouts for columnar (batched) message streams.
-def payload_dtype(**fields) -> np.dtype:
-    """Structured dtype of one logical message with the given fields.
-
-    Field order follows keyword order, so ``payload_dtype(u=np.int64,
-    c=np.int64)`` describes a ``(u, c)`` record stream.
-    """
-    if not fields:
-        raise ValueError("payload_dtype requires at least one field")
-    return np.dtype([(name, np.dtype(dt)) for name, dt in fields.items()])

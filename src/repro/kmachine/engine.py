@@ -31,7 +31,7 @@ suites compare the product engines against it; whole runs on it are
 slower on the accounting-only ones (MST, connectivity).
 
 Every engine charges rounds through the same
-:meth:`LinkNetwork.record` primitive and delivers batch rows in the same
+:meth:`LinkNetwork.account_phase` primitive and delivers batch rows in the same
 *canonical order* (destination machine, then source machine, then
 emission order), so a driver written against the batch API produces
 bit-identical results, round counts, and per-link bit totals on any
@@ -56,7 +56,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ModelError
-from repro.kmachine import encoding
 from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.network import LinkNetwork
@@ -156,35 +155,6 @@ class MessageBatch:
 
     def __len__(self) -> int:
         return int(self.src.size)
-
-    def record_dtype(self) -> np.dtype:
-        """Structured dtype of one logical message (see :func:`encoding.payload_dtype`)."""
-        return encoding.payload_dtype(
-            src=self.src.dtype,
-            dst=self.dst.dtype,
-            bits=self.bits.dtype,
-            **{name: col.dtype for name, col in self.columns.items()},
-        )
-
-    def to_records(self) -> np.ndarray:
-        """The batch as one structured array (columnar -> record view)."""
-        out = np.empty(len(self), dtype=self.record_dtype())
-        out["src"], out["dst"], out["bits"] = self.src, self.dst, self.bits
-        for name, col in self.columns.items():
-            out[name] = col
-        return out
-
-    @classmethod
-    def from_records(cls, kind: str, records: np.ndarray) -> "MessageBatch":
-        """Inverse of :meth:`to_records`."""
-        names = [n for n in records.dtype.names if n not in ("src", "dst", "bits")]
-        return cls(
-            kind=kind,
-            src=records["src"],
-            dst=records["dst"],
-            bits=records["bits"],
-            columns={n: np.ascontiguousarray(records[n]) for n in names},
-        )
 
 
 @dataclass(slots=True)
@@ -514,10 +484,9 @@ class VectorEngine(Engine):
     """The vectorized backend: dense load matrices, columnar delivery.
 
     Per phase it materializes no message objects at all: per-link bit and
-    message loads are scattered into ``(k, k)`` matrices, round cost
-    (including strict-mode fragmentation) is computed from those
-    matrices, and payload rows are regrouped per destination with one
-    stable ``lexsort`` per batch.
+    message loads are scattered into ``(k, k)`` matrices, round cost is
+    computed from those matrices, and payload rows are regrouped per
+    destination with one stable ``lexsort`` per batch.
     """
 
     name = "vector"
@@ -529,12 +498,10 @@ class VectorEngine(Engine):
         self._validate_batches(batches)
         trace = self.tracer.enabled
         t0 = time.perf_counter() if trace else 0.0
-        net = self.network
         k = self.k
         bits_mat = np.zeros((k, k), dtype=np.int64)
         msgs_mat = np.zeros((k, k), dtype=np.int64)
         local = 0
-        strict_rounds: int | None = None
         for batch in batches:
             if len(batch) == 0:
                 continue
@@ -543,17 +510,8 @@ class VectorEngine(Engine):
             rs, rd = batch.src[remote], batch.dst[remote]
             np.add.at(bits_mat, (rs, rd), batch.bits[remote])
             np.add.at(msgs_mat, (rs, rd), 1)
-
-        if net.mode == "strict":
-            strict_rounds = self._strict_rounds(batches, bits_mat)
         t1 = time.perf_counter() if trace else 0.0
-        net.record(
-            bits_mat,
-            msgs_mat,
-            label=label,
-            local_messages=local,
-            strict_rounds=strict_rounds,
-        )
+        self.network.account_phase(bits_mat, msgs_mat, label=label, local_messages=local)
         t2 = time.perf_counter() if trace else 0.0
         delivered = [_canonical_delivery(batch, k) for batch in batches]
         if trace:
@@ -571,32 +529,6 @@ class VectorEngine(Engine):
                 top_links=_top_links(bits_mat, self.tracer.top_links),
             )
         return delivered
-
-    def _strict_rounds(
-        self, batches: Sequence[MessageBatch], bits_mat: np.ndarray
-    ) -> int:
-        """Strict-mode round cost, computed without simulating queues.
-
-        With packing, a link's FIFO drain carries over the unused budget
-        of each round, so per-link cost collapses to
-        ``ceil(total link bits / B)``; without packing each message pays
-        ``ceil(bits / B)`` rounds of its own.  Both are exactly what
-        :meth:`LinkNetwork._strict_rounds` computes message by message.
-        """
-        B = self.network.bandwidth
-        if self.network.packing:
-            return int(np.max(-(-bits_mat // B), initial=0))
-        rounds_mat = np.zeros_like(bits_mat)
-        for batch in batches:
-            if len(batch) == 0:
-                continue
-            remote = batch.src != batch.dst
-            np.add.at(
-                rounds_mat,
-                (batch.src[remote], batch.dst[remote]),
-                -(-batch.bits[remote] // B),
-            )
-        return int(rounds_mat.max(initial=0))
 
 
 class _EngineTable(Mapping):

@@ -152,23 +152,6 @@ class Metrics:
         self.phase_log.append(stats)
         return stats
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold another execution's metrics into this one (same k, B)."""
-        if other.k != self.k or other.bandwidth != self.bandwidth:
-            raise ValueError("can only merge metrics with identical k and bandwidth")
-        self.rounds += other.rounds
-        self.phases += other.phases
-        self.messages += other.messages
-        self.bits += other.bits
-        self.local_messages += other.local_messages
-        self.phase_log.extend(other.phase_log)
-        self.sent_messages += other.sent_messages
-        self.received_messages += other.received_messages
-        self.sent_bits += other.sent_bits
-        self.received_bits += other.received_bits
-        return self
-
     @property
     def max_machine_sent(self) -> int:
         """Largest number of messages sent by a single machine overall."""
@@ -205,7 +188,7 @@ class Metrics:
 
         Also validates the phase log against the cumulative counters and
         the per-machine arrays against the configured shape — so a buggy
-        :meth:`merge` (mismatched ``k``, dropped phases, corrupted
+        accounting path (mismatched ``k``, dropped phases, corrupted
         arrays) is caught here rather than in downstream reports.
         """
         for name in ("sent_messages", "received_messages", "sent_bits", "received_bits"):

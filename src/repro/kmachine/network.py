@@ -1,23 +1,12 @@
 """The pairwise link network with exact per-link round accounting.
 
-Two equivalent execution modes:
-
-* ``"phase"`` (default): a communication phase with per-link bit loads
-  ``L_ij`` costs ``max_ij ceil(L_ij / B)`` rounds.  This is exact for the
-  oblivious schedule in which every link drains its own queue, which is the
-  schedule all of the paper's upper-bound proofs charge (messages between a
-  fixed pair of machines always use the direct link; cf. Lemma 13).
-
-* ``"strict"``: the same queues are drained round by round, ``B`` bits per
-  link per round, messages in FIFO order and never split across rounds
-  unless larger than ``B`` (a message of ``b > B`` bits occupies
-  ``ceil(b/B)`` consecutive rounds of its link).  Tests assert both modes
-  charge identical rounds, which holds because per-link round cost is
-  ``ceil(sum-of-message-bits / B)`` only when messages pack perfectly; in
-  strict mode we therefore account fragmentation explicitly and the phase
-  mode is a lower bound.  For the algorithms in this repo messages are far
-  smaller than ``B``, so the two agree up to the packing of the last round;
-  see ``tests/kmachine/test_network.py``.
+A communication phase with per-link bit loads ``L_ij`` costs
+``max_ij ceil(L_ij / B)`` rounds.  This is exact for the oblivious
+schedule in which every link drains its own queue, ``B`` bits per round,
+which is the schedule all of the paper's upper-bound proofs charge
+(messages between a fixed pair of machines always use the direct link;
+cf. Lemma 13): draining a link's FIFO queue round by round, messages
+packed into each round's ``B`` bits, takes exactly ``ceil(L_ij / B)``.
 """
 
 from __future__ import annotations
@@ -26,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro._util import ceil_div, check_positive_int
+from repro._util import check_positive_int
 from repro.errors import ModelError
 from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
@@ -43,33 +32,15 @@ class LinkNetwork:
         Number of machines (``k >= 2``).
     bandwidth:
         Link bandwidth ``B`` in bits per round.
-    mode:
-        ``"phase"`` or ``"strict"`` (see module docstring).
-    packing:
-        In strict mode, whether multiple messages may share one round on a
-        link as long as their total size fits in ``B`` (``True``, default)
-        or each round carries at most one message (``False``, which models
-        the common "one B-bit message per link per round" reading of the
-        model).
     """
 
-    def __init__(
-        self,
-        k: int,
-        bandwidth: int,
-        mode: str = "phase",
-        packing: bool = True,
-    ) -> None:
+    def __init__(self, k: int, bandwidth: int) -> None:
         check_positive_int(k, "k")
         if k < 2:
             raise ModelError(f"the k-machine model requires k >= 2, got k={k}")
         check_positive_int(bandwidth, "bandwidth")
-        if mode not in ("phase", "strict"):
-            raise ValueError(f"mode must be 'phase' or 'strict', got {mode!r}")
         self.k = int(k)
         self.bandwidth = int(bandwidth)
-        self.mode = mode
-        self.packing = bool(packing)
         self.metrics = Metrics(k=self.k, bandwidth=self.bandwidth)
 
     # ------------------------------------------------------------------
@@ -117,41 +88,11 @@ class LinkNetwork:
                 msgs[msg.src, msg.dst] += msg.multiplicity
                 per_link.setdefault((msg.src, msg.dst), []).append(msg)
 
-        strict_rounds = self._strict_rounds(per_link) if self.mode == "strict" else None
-        self.record(
-            bits, msgs, label=label, local_messages=local, strict_rounds=strict_rounds
-        )
+        self.account_phase(bits, msgs, label=label, local_messages=local)
 
         for (_, dst), batch in sorted(per_link.items()):
             inboxes[dst].extend(batch)
         return inboxes
-
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        bits_matrix: np.ndarray,
-        messages_matrix: np.ndarray,
-        label: str = "",
-        local_messages: int = 0,
-        strict_rounds: int | None = None,
-    ):
-        """Record one phase's aggregate loads; the engines' accounting primitive.
-
-        ``strict_rounds``, when given in strict mode, overrides the
-        phase-formula round count with the simulated FIFO-drain value
-        (callers compute it per backend: :meth:`exchange` simulates the
-        queues, the vector engine derives it from the load matrices).
-        Returns the recorded :class:`~repro.kmachine.metrics.PhaseStats`.
-        """
-        stats = self.metrics.record_phase(
-            bits_matrix, messages_matrix, label=label, local_messages=local_messages
-        )
-        if strict_rounds is not None and self.mode == "strict":
-            delta = strict_rounds - stats.rounds
-            if delta:
-                stats.rounds += delta
-                self.metrics.rounds += delta
-        return stats
 
     # ------------------------------------------------------------------
     def account_phase(
@@ -161,37 +102,17 @@ class LinkNetwork:
         label: str = "",
         local_messages: int = 0,
     ) -> int:
-        """Account a phase given aggregate loads only (no message objects).
+        """Account one phase from its aggregate ``(k, k)`` loads; returns its rounds.
 
-        Used by analytically-simulated baselines whose message volume would
-        be prohibitive to materialize.  Returns the rounds charged.
+        The accounting primitive every exchange ends in: :meth:`exchange`
+        and the engines' batch exchanges pass the loads they scattered,
+        and analytically-simulated phases (whose message volume would be
+        prohibitive to materialize) pass their loads directly.
         """
         stats = self.metrics.record_phase(
             bits_matrix, messages_matrix, label=label, local_messages=local_messages
         )
         return stats.rounds
-
-    # ------------------------------------------------------------------
-    def _strict_rounds(self, per_link: dict[tuple[int, int], list[Message]]) -> int:
-        """Simulate FIFO draining of every link queue, B bits per round."""
-        B = self.bandwidth
-        worst = 0
-        for _, queue in per_link.items():
-            rounds = 0
-            budget = 0
-            for msg in queue:
-                if self.packing:
-                    if msg.bits <= budget:
-                        budget -= msg.bits
-                    else:
-                        need = msg.bits - budget
-                        extra = ceil_div(need, B)
-                        rounds += extra
-                        budget = extra * B - need
-                else:
-                    rounds += ceil_div(msg.bits, B)
-            worst = max(worst, rounds)
-        return worst
 
     # ------------------------------------------------------------------
     @property

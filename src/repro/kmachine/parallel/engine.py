@@ -4,7 +4,7 @@ The third execution backend (``Cluster(engine="process")``).  Exchange
 semantics are inherited wholesale from
 :class:`~repro.kmachine.engine.VectorEngine` — per-link loads scattered
 into dense ``(k, k)`` matrices, canonical ``(dst, src, emission)``
-delivery order, identical phase/strict round accounting — so anything a
+delivery order, identical round accounting — so anything a
 driver routes through :meth:`exchange` / :meth:`exchange_batches` is
 bit-identical by construction.  What this engine adds is a parallel
 implementation of the *superstep scheduler*

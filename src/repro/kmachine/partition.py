@@ -2,9 +2,8 @@
 
 The paper assumes the RVP model: every vertex (with its incident edges) is
 assigned independently and uniformly at random to one of the ``k`` machines
-(Section 1.1).  A convenient implementation is hashing: if a machine knows
-a vertex id, it knows the vertex's home machine.  Both a seeded-RNG
-assignment and a deterministic-hash assignment are provided.
+(Section 1.1).  The assignment is drawn from a seeded generator (the
+cluster's shared randomness), so every machine can recompute it.
 
 Footnote 3 of the paper notes that an REP input can be converted to an RVP
 input in ``Õ(m/k² + n/k)`` rounds; :func:`rep_to_rvp` implements that
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int, stable_hash64_array
+from repro._util import as_rng, check_positive_int
 from repro.errors import PartitionError
 from repro.kmachine import encoding
 from repro.kmachine.metrics import Metrics, unit_load_matrix
@@ -27,7 +26,6 @@ __all__ = [
     "EdgePartition",
     "random_vertex_partition",
     "random_edge_partition",
-    "hash_vertex_partition",
     "rep_to_rvp",
 ]
 
@@ -138,14 +136,6 @@ def random_vertex_partition(
     return VertexPartition(home=rng.integers(0, k, size=n), k=k)
 
 
-def hash_vertex_partition(n: int, k: int, salt: int = 0) -> VertexPartition:
-    """Deterministic RVP via a 64-bit hash of the vertex id (paper §1.1)."""
-    check_positive_int(n, "n")
-    check_positive_int(k, "k")
-    hashes = stable_hash64_array(np.arange(n, dtype=np.int64), salt=salt)
-    return VertexPartition(home=(hashes % np.uint64(k)).astype(np.int64), k=k)
-
-
 def random_edge_partition(
     m: int, k: int, seed: int | np.random.Generator | None = None
 ) -> EdgePartition:
@@ -173,7 +163,7 @@ def rep_to_rvp(
     messages have random *sources* (the REP) and random *destinations*
     (the RVP), so by Lemma 13 the exchange takes ``Õ(m/k²)`` rounds, plus
     ``Õ(n/k)`` rounds to announce vertex ids — which is free here because
-    homes are computed by hashing.
+    every machine recomputes the homes from the shared randomness.
 
     Parameters
     ----------

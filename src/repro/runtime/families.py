@@ -265,6 +265,7 @@ def register_builtin_specs() -> None:
         name="pagerank",
         title="PageRank (Algorithm 1)",
         runner=_run_pagerank,
+        entry="repro.core.pagerank.distributed:distributed_pagerank",
         input_kind=GRAPH,
         result_type="repro.core.pagerank.result:PageRankResult",
         bounds="Õ(n/k²) rounds (Theorem 4)",
@@ -281,6 +282,7 @@ def register_builtin_specs() -> None:
         name="pagerank-baseline",
         title="PageRank (per-edge baseline, SODA'15)",
         runner=_run_pagerank_baseline,
+        entry="repro.core.pagerank.baseline:baseline_pagerank",
         input_kind=GRAPH,
         result_type="repro.core.pagerank.result:PageRankResult",
         bounds="Õ(n/k) rounds (Klauck et al., SODA 2015)",
@@ -297,6 +299,7 @@ def register_builtin_specs() -> None:
         name="triangles",
         title="Triangle enumeration (Theorem 5)",
         runner=_run_triangles,
+        entry="repro.core.triangles.distributed:enumerate_triangles_distributed",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
         bounds="Õ(m/k^{5/3} + n/k^{4/3}) rounds (Theorem 5)",
@@ -313,6 +316,7 @@ def register_builtin_specs() -> None:
         name="congested-clique-triangles",
         title="Triangle enumeration, congested clique (Corollary 1)",
         runner=_run_congested_clique_triangles,
+        entry="repro.core.triangles.congested_clique:enumerate_triangles_congested_clique",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
         bounds="O(n^{1/3}/B) rounds at k=n (Dolev et al.; Corollary 1 matching)",
@@ -330,6 +334,7 @@ def register_builtin_specs() -> None:
         name="triangles-conversion",
         title="Triangle enumeration via the Conversion Theorem (SODA'15)",
         runner=_run_triangles_conversion,
+        entry="repro.core.triangles.baseline:enumerate_triangles_conversion",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
         bounds="Õ(n^{7/3}/k²) rounds (Klauck et al., SODA 2015 baseline)",
@@ -344,6 +349,7 @@ def register_builtin_specs() -> None:
         name="subgraphs",
         title="K4/C4 enumeration (§1.2 generalization)",
         runner=_run_subgraphs,
+        entry="repro.core.subgraphs.distributed:enumerate_subgraphs_distributed",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
         bounds="Õ(m/k^{3/2} + n/k^{5/4}) rounds (§1.2 remark)",
@@ -356,6 +362,7 @@ def register_builtin_specs() -> None:
         name="mst",
         title="MST (proxy-Borůvka)",
         runner=_run_mst,
+        entry="repro.core.mst.distributed:distributed_mst",
         input_kind=GRAPH,
         result_type="repro.core.mst.result:MSTResult",
         bounds="Õ(m/k² + polylog) rounds (§1.3, cf. SPAA'16)",
@@ -370,6 +377,7 @@ def register_builtin_specs() -> None:
         name="connectivity",
         title="Connected components (unit-weight Borůvka)",
         runner=_run_connectivity,
+        entry="repro.core.connectivity.distributed:connected_components_distributed",
         input_kind=GRAPH,
         result_type="repro.core.connectivity.result:ConnectivityResult",
         bounds="Õ(m/k² + polylog) rounds (§1.3)",
@@ -382,6 +390,7 @@ def register_builtin_specs() -> None:
         name="sorting",
         title="Distributed sorting (sample sort)",
         runner=_run_sorting,
+        entry="repro.core.sorting.distributed:distributed_sort",
         input_kind=VALUES,
         result_type="repro.core.sorting.result:SortResult",
         bounds="Θ̃(n/k²) rounds (§1.3)",

@@ -12,8 +12,11 @@ benchmark suite.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -44,6 +47,13 @@ GRAPH, VALUES = "graph", "values"
 #: Machine count used when ``run`` is called without ``k`` (dataset-spec
 #: invocations commonly omit it).
 DEFAULT_K = 8
+
+#: Entry-point arguments a runner fills from what :func:`run` built or
+#: was given; none of them is a family parameter.
+_SUPPLIED = frozenset({
+    "graph", "values", "k", "seed", "bandwidth", "engine", "cluster",
+    "partition", "assignment", "distgraph",
+})
 
 
 def _default_cluster_n(data) -> int:
@@ -132,6 +142,11 @@ class AlgorithmSpec:
         Optional ``data -> k`` override for families whose machine count
         is determined by the input (the congested clique uses one
         machine per vertex); :func:`run` replaces the caller's ``k``.
+    entry:
+        ``"module:function"`` naming the family entry point the runner
+        calls.  Its keyword parameters, less the ones the runner fills
+        itself, are the family parameters :func:`run` accepts
+        (:attr:`accepted_params`); ``None`` accepts any.
     """
 
     name: str
@@ -152,11 +167,31 @@ class AlgorithmSpec:
     sample_placement: Callable[[Cluster, Any], Any] = _sample_rvp
     build_distgraph: bool = False
     fix_k: Callable[[Any], int] | None = None
+    entry: str | None = None
 
     def __post_init__(self) -> None:
         if self.input_kind not in (GRAPH, VALUES):
             raise AlgorithmError(
                 f"input_kind must be {GRAPH!r} or {VALUES!r}, got {self.input_kind!r}"
+            )
+
+    @cached_property
+    def accepted_params(self) -> frozenset[str] | None:
+        """Family parameter names ``run(**params)`` accepts (``None``: any)."""
+        if self.entry is None:
+            return None
+        module, function = self.entry.split(":")
+        signature = inspect.signature(getattr(importlib.import_module(module), function))
+        return frozenset(signature.parameters) - _SUPPLIED
+
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        """Raise :class:`AlgorithmError` naming any key this family does not take."""
+        accepted = self.accepted_params if params else None
+        unknown = sorted(set(params) - accepted) if accepted is not None else []
+        if unknown:
+            raise AlgorithmError(
+                f"{self.name!r} has no parameter {', '.join(map(repr, unknown))}; "
+                f"it accepts: {', '.join(sorted(accepted)) or 'none'}"
             )
 
 
@@ -457,6 +492,11 @@ def _run_impl(
     **params,
 ) -> RunReport:
     spec = get_spec(name)
+    spec.check_params(params)
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
+    ):
+        raise AlgorithmError(f"seed must be a non-negative integer, got {seed!r}")
     if dataset is not None:
         if data is not None:
             raise AlgorithmError("pass either data or dataset, not both")

@@ -402,8 +402,8 @@ def register_builtin_workloads() -> None:
     if _REGISTERED:
         return
     _REGISTERED = True
-    seed = ParamSpec("seed", int, default=0)
-    n = ParamSpec("n", int, required=True)
+    seed = ParamSpec("seed", int, default=0, minimum=0)
+    n = ParamSpec("n", int, required=True, minimum=1)
     register_workload(WorkloadFamily(
         name="rmat",
         title="R-MAT heavy-tailed graph (Graph500-style quadrant recursion)",

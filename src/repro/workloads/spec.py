@@ -88,26 +88,33 @@ class ParamSpec:
 
     ``default is None`` (with ``required=True``) marks the parameter as
     mandatory; otherwise the default participates in canonicalization, so
-    omitting it and spelling it out hash identically.
+    omitting it and spelling it out hash identically.  ``minimum`` is the
+    smallest value an ``int`` parameter may take (a vertex count is at
+    least 1, a seed at least 0).
     """
 
     name: str
     kind: type  # int, float, bool, or str
     default: object = None
     required: bool = False
+    minimum: int | None = None
 
     def coerce(self, value) -> object:
         """Coerce a parsed value into this parameter's declared type."""
         if self.kind is int:
             if isinstance(value, bool):
                 raise WorkloadError(f"parameter {self.name!r} must be an int")
-            if isinstance(value, int):
-                return value
             if isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise WorkloadError(
-                f"parameter {self.name!r} must be an integer, got {value!r}"
-            )
+                value = int(value)
+            if not isinstance(value, int):
+                raise WorkloadError(
+                    f"parameter {self.name!r} must be an integer, got {value!r}"
+                )
+            if self.minimum is not None and value < self.minimum:
+                raise WorkloadError(
+                    f"parameter {self.name!r} must be >= {self.minimum}, got {value}"
+                )
+            return value
         if self.kind is float:
             if isinstance(value, bool) or isinstance(value, str):
                 raise WorkloadError(

@@ -222,15 +222,13 @@ class TestGenericRun:
         with pytest.raises(SystemExit):
             main(["run", "pagerank", "--n", "40", "--k", "4", "--set", "oops"])
 
-    def test_run_rejects_reserved_set_keys(self):
+    def test_run_rejects_reserved_set_keys(self, capsys):
         # A --set collision with run()'s own kwargs would otherwise raise
-        # a raw TypeError from runtime.run().
-        for key in ("k", "seed", "engine"):
-            with pytest.raises(SystemExit, match=f"--{key} flag"):
-                main(["run", "pagerank", "--n", "40", "--k", "4", "--set", f"{key}=3"])
-        for key in ("bandwidth", "cluster", "placement"):
-            with pytest.raises(SystemExit, match="not settable"):
-                main(["run", "pagerank", "--n", "40", "--k", "4", "--set", f"{key}=3"])
+        # a raw TypeError from runtime.run(); none is a family parameter.
+        for key in ("k", "seed", "engine", "workers", "bandwidth", "cluster", "placement"):
+            rc = main(["run", "pagerank", "--n", "40", "--k", "4", "--set", f"{key}=3"])
+            assert rc == 2
+            assert f"no parameter {key!r}; it accepts: c, " in capsys.readouterr().err
 
     def test_sweep_accepts_set_params(self, capsys):
         rc = main(
@@ -245,6 +243,24 @@ class TestGenericRun:
         rc = main(["run", "pagerank", "--n", "40", "--k", "4", "--set", "eps=2.0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "pagerank", "--n", "0"], "argument --n"),
+        (["run", "pagerank", "--n", "-5"], "argument --n"),
+        (["data", "build", "rmat:n=0,avg_deg=2,seed=1"], "parameter 'n' must be >= 1"),
+        (["run", "triangles", "--seed", "-1"], "argument --seed"),
+        (["run", "pagerank", "--set", "nope=1"], "no parameter 'nope'; it accepts: c, "),
+        (["run", "pagerank", "--k", "0"], "requires k >= 2, got k=0"),
+    ])
+    def test_bad_input_exits_2_without_a_traceback(self, argv, named, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "REPRO_DATA_DIR": str(tmp_path)},
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "error:" in done.stderr and named in done.stderr
 
     def test_set_coerces_large_int_spellings(self):
         from repro.cli import _parse_set_params

@@ -1,8 +1,10 @@
 """Unit tests for graph generators."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import GraphError
 from repro.graphs import generators as gen
 
@@ -126,3 +128,43 @@ class TestHeavyTailedAndRegular:
     def test_regularish_rejects_degree_ge_n(self):
         with pytest.raises(GraphError):
             gen.random_regularish_graph(4, 4)
+
+
+class TestGridBarbellBipartite:
+    def test_grid_shape(self):
+        g = gen.grid_graph(4, 5)
+        assert g.n == 20
+        assert g.m == 4 * 4 + 3 * 5  # horizontal + vertical
+        assert g.max_degree() == 4
+
+    def test_grid_degenerate_rows(self):
+        g = gen.grid_graph(1, 6)
+        assert g.m == 5
+
+    def test_grid_is_bipartite(self):
+        g = gen.grid_graph(5, 5)
+        assert nx.is_bipartite(g.to_networkx())
+
+    def test_barbell_structure(self):
+        g = gen.barbell_graph(5, bridge_length=3)
+        assert g.n == 2 * 5 + 2
+        assert repro.count_triangles(g) == 2 * 10  # C(5,3) per clique
+
+    def test_barbell_short_bridge(self):
+        g = gen.barbell_graph(4, bridge_length=1)
+        assert g.n == 8
+        assert g.has_edge(3, 4)
+
+    def test_barbell_connected(self):
+        g = gen.barbell_graph(6, bridge_length=4)
+        assert nx.is_connected(g.to_networkx())
+
+    def test_random_bipartite_no_triangles(self):
+        g = gen.random_bipartite_graph(20, 25, 0.3, seed=0)
+        assert repro.count_triangles(g) == 0
+        assert nx.is_bipartite(g.to_networkx())
+
+    def test_random_bipartite_edges_cross_sides(self):
+        g = gen.random_bipartite_graph(10, 15, 0.5, seed=1)
+        for u, v in g.edges:
+            assert (u < 10) != (v < 10)

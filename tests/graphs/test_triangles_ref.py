@@ -14,7 +14,6 @@ from repro.graphs.triangles_ref import (
     enumerate_open_triads,
     enumerate_triangles,
     enumerate_triangles_edges,
-    triangles_per_vertex,
 )
 
 
@@ -75,18 +74,6 @@ class TestEnumerateTriangles:
 
     def test_edges_form_empty(self):
         assert enumerate_triangles_edges(5, np.zeros((0, 2), dtype=np.int64)).shape == (0, 3)
-
-
-class TestTrianglesPerVertex:
-    def test_complete_graph(self):
-        g = gen.complete_graph(5)
-        assert triangles_per_vertex(g).tolist() == [6] * 5  # C(4,2)
-
-    def test_matches_networkx(self):
-        g = gen.gnp_random_graph(40, 0.3, seed=5)
-        ours = triangles_per_vertex(g)
-        theirs = nx.triangles(g.to_networkx())
-        assert ours.tolist() == [theirs[v] for v in range(g.n)]
 
 
 class TestOpenTriads:

@@ -1,56 +1,13 @@
-"""End-to-end runs under the strict round-by-round network engine.
+"""End-to-end runs at the extremes of the model's parameters.
 
-The phase formula ``ceil(max link bits / B)`` is the accounting all
-benches use; these tests run whole algorithms under the strict FIFO
-engine and check (a) identical outputs, (b) strict rounds >= phase rounds
-(fragmentation can only add), and (c) close agreement when messages are
-far smaller than B.
+Communication-only runs (local enumeration skipped), adversarial
+partitions that put every vertex on one machine, and link bandwidths of
+one bit and of 10^9 bits per round.
 """
 
 import numpy as np
 
 import repro
-from repro.kmachine.cluster import Cluster
-
-
-def make_clusters(k, n, seed, bandwidth):
-    phase = Cluster(k=k, n=n, bandwidth=bandwidth, seed=seed, mode="phase")
-    # The per-object oracle engine drains real FIFO queues in strict mode;
-    # the product engines charge the same rounds from a closed form.
-    strict = Cluster(k=k, n=n, bandwidth=bandwidth, seed=seed, mode="strict",
-                     engine="message")
-    return phase, strict
-
-
-class TestStrictPageRank:
-    def test_identical_estimates_and_dominating_rounds(self):
-        g = repro.gnp_random_graph(60, 0.1, seed=1)
-        k, B = 4, 64
-        phase_c, strict_c = make_clusters(k, g.n, 2, B)
-        a = repro.distributed_pagerank(g, k=k, cluster=phase_c, c=10)
-        b = repro.distributed_pagerank(g, k=k, cluster=strict_c, c=10)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert b.rounds >= a.rounds
-
-    def test_close_agreement_with_wide_links(self):
-        g = repro.cycle_graph(40)
-        k = 4
-        phase_c, strict_c = make_clusters(k, g.n, 3, 4096)
-        a = repro.distributed_pagerank(g, k=k, cluster=phase_c, c=5)
-        b = repro.distributed_pagerank(g, k=k, cluster=strict_c, c=5)
-        # With B >> message sizes both modes sit on the 1-round floor.
-        assert a.rounds == b.rounds
-
-
-class TestStrictTriangles:
-    def test_identical_triangles(self):
-        g = repro.gnp_random_graph(40, 0.3, seed=4)
-        k, B = 8, 64
-        phase_c, strict_c = make_clusters(k, g.n, 5, B)
-        a = repro.enumerate_triangles_distributed(g, k=k, cluster=phase_c)
-        b = repro.enumerate_triangles_distributed(g, k=k, cluster=strict_c)
-        assert np.array_equal(a.triangles, b.triangles)
-        assert b.rounds >= a.rounds
 
 
 class TestSkipLocalEnumeration:

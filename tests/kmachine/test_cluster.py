@@ -25,6 +25,8 @@ class TestClusterConstruction:
     def test_rejects_k_below_two(self):
         with pytest.raises(ModelError):
             Cluster(k=1, n=10)
+        with pytest.raises(ModelError):
+            Cluster(k=0, n=10)
 
     def test_per_machine_rngs_are_independent(self):
         c = Cluster(k=4, n=100, seed=5)

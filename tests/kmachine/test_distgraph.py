@@ -240,19 +240,6 @@ class TestShards:
 
 
 class TestBatchHelpers:
-    def test_split_local_remote(self):
-        g, part, dg = make_dg()
-        dv = np.arange(g.n)
-        vals = np.arange(g.n) * 10
-        for i in range(dg.k):
-            lv, lc, rv, rc, rdst = dg.split_local_remote(i, dv, vals)
-            mask = part.home[dv] == i
-            assert np.array_equal(lv, dv[mask])
-            assert np.array_equal(lc, vals[mask])
-            assert np.array_equal(rv, dv[~mask])
-            assert np.array_equal(rc, vals[~mask])
-            assert np.array_equal(rdst, part.home[dv[~mask]])
-
     def test_group_by_machine_matches_flatnonzero(self):
         _, _, dg = make_dg()
         rng = np.random.default_rng(3)

@@ -11,7 +11,6 @@ import pytest
 
 from message_engine import MessageEngine
 from repro.errors import ModelError
-from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.engine import (
     ENGINES,
@@ -47,18 +46,6 @@ class TestMessageBatch:
     def test_rejects_nonpositive_bits(self):
         with pytest.raises(ModelError):
             _batch([0], [1], [0])
-
-    def test_record_roundtrip(self):
-        b = _batch([0, 1], [1, 0], [4, 8], u=[10, 20], w=[0.5, 1.5])
-        rec = b.to_records()
-        assert rec.dtype == encoding.payload_dtype(
-            src=np.int64, dst=np.int64, bits=np.int64, u=np.int64, w=np.float64
-        )
-        back = MessageBatch.from_records("t", rec)
-        assert np.array_equal(back.src, b.src)
-        assert np.array_equal(back.columns["u"], b.columns["u"])
-        assert np.array_equal(back.columns["w"], b.columns["w"])
-
 
 class TestEngineRegistry:
     def test_registry_contents(self):
@@ -192,46 +179,33 @@ class TestExchangeBatches:
         with pytest.raises(ModelError):
             c.exchange_batches([_batch([-1], [0], [4])])
 
-    def test_strict_mode_matches_phase_mode_with_packing(self, engine):
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 4, 30)
-        dst = rng.integers(0, 4, 30)
-        bits = rng.integers(1, 20, 30)
-        strict = Cluster(k=4, bandwidth=7, seed=0, mode="strict", engine=engine)
-        phase = Cluster(k=4, bandwidth=7, seed=0, mode="phase", engine=engine)
-        strict.exchange_batches([_batch(src, dst, bits)])
-        phase.exchange_batches([_batch(src, dst, bits)])
-        assert strict.rounds == phase.rounds
-
-
 class TestEngineEquivalence:
     def test_randomized_batches_identical_across_backends(self):
         rng = np.random.default_rng(7)
-        for mode in ("phase", "strict"):
-            for _ in range(20):
-                k = int(rng.integers(2, 6))
-                t = int(rng.integers(0, 50))
-                src = rng.integers(0, k, t)
-                dst = rng.integers(0, k, t)
-                bits = rng.integers(1, 25, t)
-                payload = rng.integers(0, 1000, t)
-                results = {}
-                for engine in ENGINE_NAMES:
-                    c = Cluster(k=k, bandwidth=5, seed=0, mode=mode, engine=engine)
-                    (d,) = c.exchange_batches([_batch(src, dst, bits, u=payload)])
-                    results[engine] = (
-                        c.rounds,
-                        c.metrics.bits,
-                        c.metrics.messages,
-                        c.metrics.local_messages,
-                        d.src.tolist(),
-                        d.dst.tolist(),
-                        d.columns["u"].tolist(),
-                        d.offsets.tolist(),
-                    )
-                first = results[ENGINE_NAMES[0]]
-                for engine in ENGINE_NAMES[1:]:
-                    assert results[engine] == first
+        for _ in range(20):
+            k = int(rng.integers(2, 6))
+            t = int(rng.integers(0, 50))
+            src = rng.integers(0, k, t)
+            dst = rng.integers(0, k, t)
+            bits = rng.integers(1, 25, t)
+            payload = rng.integers(0, 1000, t)
+            results = {}
+            for engine in ENGINE_NAMES:
+                c = Cluster(k=k, bandwidth=5, seed=0, engine=engine)
+                (d,) = c.exchange_batches([_batch(src, dst, bits, u=payload)])
+                results[engine] = (
+                    c.rounds,
+                    c.metrics.bits,
+                    c.metrics.messages,
+                    c.metrics.local_messages,
+                    d.src.tolist(),
+                    d.dst.tolist(),
+                    d.columns["u"].tolist(),
+                    d.offsets.tolist(),
+                )
+            first = results[ENGINE_NAMES[0]]
+            for engine in ENGINE_NAMES[1:]:
+                assert results[engine] == first
 
 
 class TestBroadcast:

@@ -1,4 +1,4 @@
-"""Unit tests for the link network (phase and strict modes)."""
+"""Unit tests for the link network and its phase accounting."""
 
 import numpy as np
 import pytest
@@ -89,62 +89,6 @@ class TestExchange:
         assert net.rounds == 1
         net.reset_metrics()
         assert net.rounds == 0 and net.metrics.messages == 0
-
-
-class TestStrictMode:
-    def test_agrees_with_phase_mode_for_small_messages(self):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            k = int(rng.integers(2, 6))
-            msgs = []
-            for _ in range(int(rng.integers(0, 30))):
-                i, j = rng.integers(0, k, size=2)
-                if i == j:
-                    continue
-                msgs.append(Message(src=int(i), dst=int(j), kind="a", bits=1))
-            phase = LinkNetwork(k, bandwidth=4, mode="phase")
-            strict = LinkNetwork(k, bandwidth=4, mode="strict")
-            phase.exchange(boxes(k, msgs))
-            strict.exchange(boxes(k, msgs))
-            # With unit-size messages packing is perfect: identical rounds.
-            assert phase.rounds == strict.rounds
-
-    def test_strict_counts_fragmentation_without_packing(self):
-        # Two 5-bit messages, B=8: phase mode packs (ceil(10/8)=2 rounds);
-        # strict without packing charges one round each = 2 as well, but
-        # three 3-bit messages differ: phase ceil(9/8)=2, strict-no-pack 3.
-        msgs = [Message(src=0, dst=1, kind="a", bits=3) for _ in range(3)]
-        phase = LinkNetwork(2, bandwidth=8, mode="phase")
-        nopack = LinkNetwork(2, bandwidth=8, mode="strict", packing=False)
-        phase.exchange(boxes(2, msgs))
-        nopack.exchange(boxes(2, msgs))
-        assert phase.rounds == 2
-        assert nopack.rounds == 3
-
-    def test_strict_packing_spans_rounds(self):
-        # One 20-bit message over an 8-bit link: 3 rounds in both modes.
-        msgs = [Message(src=0, dst=1, kind="a", bits=20)]
-        strict = LinkNetwork(2, bandwidth=8, mode="strict")
-        strict.exchange(boxes(2, msgs))
-        assert strict.rounds == 3
-
-    def test_strict_never_below_phase(self):
-        rng = np.random.default_rng(1)
-        for trial in range(20):
-            k = 3
-            msgs = [
-                Message(src=0, dst=1, kind="a", bits=int(rng.integers(1, 20)))
-                for _ in range(int(rng.integers(1, 10)))
-            ]
-            phase = LinkNetwork(k, bandwidth=7, mode="phase")
-            strict = LinkNetwork(k, bandwidth=7, mode="strict")
-            phase.exchange(boxes(k, list(msgs)))
-            strict.exchange(boxes(k, list(msgs)))
-            assert strict.rounds >= phase.rounds
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            LinkNetwork(2, bandwidth=8, mode="weird")
 
 
 class TestAccountPhase:

@@ -8,7 +8,6 @@ from repro.kmachine.network import LinkNetwork
 from repro.kmachine.partition import (
     EdgePartition,
     VertexPartition,
-    hash_vertex_partition,
     random_edge_partition,
     random_vertex_partition,
     rep_to_rvp,
@@ -51,19 +50,6 @@ class TestVertexPartition:
         a = random_vertex_partition(100, 5, seed=9)
         b = random_vertex_partition(100, 5, seed=9)
         assert np.array_equal(a.home, b.home)
-
-    def test_hash_partition_deterministic(self):
-        a = hash_vertex_partition(100, 5, salt=1)
-        b = hash_vertex_partition(100, 5, salt=1)
-        assert np.array_equal(a.home, b.home)
-        c = hash_vertex_partition(100, 5, salt=2)
-        assert not np.array_equal(a.home, c.home)
-
-    def test_hash_partition_roughly_balanced(self):
-        p = hash_vertex_partition(5000, 8, salt=0)
-        counts = p.counts()
-        assert counts.min() > 0.6 * 5000 / 8
-        assert counts.max() < 1.4 * 5000 / 8
 
     def test_rejects_out_of_range_home(self):
         with pytest.raises(PartitionError):

@@ -7,6 +7,8 @@ backends (per-object, vectorized, and multiprocessing shard workers) —
 and must match a direct call to the family entry point.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,23 @@ class TestRegistryAPI:
             assert spec.title and spec.bounds
             assert spec.input_kind in ("graph", "values")
             assert isinstance(spec.result_type, type)
+            # Every default is a parameter the entry point takes (the run
+            # seed MST's weights draw from is filled by run() itself), and
+            # no family parameter shares a name with a run() argument.
+            assert set(spec.default_params) - {"seed"} <= spec.accepted_params
+            assert not spec.accepted_params & set(inspect.signature(runtime.run).parameters)
+
+    def test_unknown_param_rejected_naming_the_accepted_ones(self):
+        with pytest.raises(AlgorithmError,
+                           match="no parameter 'nope'; it accepts: c, enable_heavy_path"):
+            runtime.run("pagerank", FIXED_GRAPH, K, seed=SEED, nope=1)
+        with pytest.raises(AlgorithmError, match="'partition'.*accepts: none"):
+            runtime.run("connectivity", FIXED_GRAPH, K, partition=None)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(AlgorithmError, match="seed must be a non-negative integer"):
+            runtime.run("triangles", FIXED_GRAPH, K, seed=seed)
 
 
 class TestPlacementAndCluster:

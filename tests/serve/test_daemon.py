@@ -339,7 +339,25 @@ class TestRunRequests:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
         assert err.value.code == 400
-        assert json.loads(err.value.read())["error"] == "TypeError"
+        reply = json.loads(err.value.read())
+        assert reply["error"] == "AlgorithmError"
+        assert "'resident'" in reply["message"] and "max_iterations" in reply["message"]
+
+    @pytest.mark.parametrize("fields, error, named", [
+        ({"dataset": "rmat:n=0,avg_deg=2,seed=1"}, "WorkloadError", "'n'"),
+        ({"dataset": "gnp:n=50,seed=-3"}, "WorkloadError", "'seed'"),
+        ({"seed": -1}, "AlgorithmError", "seed"),
+        ({"params": {"nope": 1}}, "AlgorithmError", "'nope'"),
+        ({"k": 0}, "ModelError", "k >= 2"),
+    ])
+    def test_bad_inputs_are_400s_naming_the_value(self, daemon, fields, error, named):
+        _, client = daemon
+        with socket.create_connection((client.host, client.port)) as sock:
+            status, _, reply = _exchange(sock, _run_request(**fields))
+            assert status == 400, reply
+            assert reply["error"] == error and named in reply["message"]
+            status, _, reply = _exchange(sock, _run_request(seed=9))
+            assert status == 200, reply
 
     def test_concurrent_clients(self, daemon):
         """Eight clients at once; every reply correct, one execution."""

@@ -108,6 +108,9 @@ class TestParseErrors:
             "rmat:avg_deg=true",              # bool into float param
             "rmat:n=100,avg_deg=nan",         # non-finite float param
             "rmat:n=100,avg_deg=inf",         # non-finite float param
+            "rmat:n=0",                       # vertex count below 1
+            "gnp:n=-5",                       # vertex count below 1
+            "sbm:n=100,seed=-1",              # negative seed
         ],
     )
     def test_rejected(self, bad):
