@@ -102,3 +102,27 @@ class TestAccountPhase:
         assert rounds == 4
         assert net.metrics.messages == 7
         assert net.metrics.phase_log[-1].label == "agg"
+
+    def test_exchange_charges_what_account_phase_charges(self):
+        # exchange() scatters its messages into link loads and accounts
+        # them through account_phase(): the two phases must log alike.
+        msgs = [Message(src=0, dst=1, kind="a", bits=13, multiplicity=2),
+                Message(src=0, dst=1, kind="a", bits=9),
+                Message(src=2, dst=0, kind="a", bits=30),
+                Message(src=1, dst=1, kind="a", bits=50)]
+        by_exchange = LinkNetwork(3, bandwidth=8)
+        by_exchange.exchange(boxes(3, msgs), label="p")
+        bits = np.zeros((3, 3), dtype=np.int64)
+        counts = np.zeros((3, 3), dtype=np.int64)
+        bits[0, 1], counts[0, 1] = 22, 3
+        bits[2, 0], counts[2, 0] = 30, 1
+        by_loads = LinkNetwork(3, bandwidth=8)
+        assert by_loads.account_phase(bits, counts, label="p", local_messages=1) == 4
+        assert by_exchange.metrics.phase_log == by_loads.metrics.phase_log
+        assert by_exchange.metrics.as_dict() == by_loads.metrics.as_dict()
+
+    def test_empty_phase_costs_no_rounds_but_is_counted(self):
+        net = LinkNetwork(4, bandwidth=8)
+        zeros = np.zeros((4, 4), dtype=np.int64)
+        assert net.account_phase(zeros, zeros, label="idle") == 0
+        assert net.rounds == 0 and net.metrics.phases == 1

@@ -49,6 +49,19 @@ class TestNetworkProperties:
         remote_bits = sum(m.bits for m in msgs if not m.is_local)
         assert net.rounds * bandwidth * k * (k - 1) >= remote_bits
 
+    @given(workloads(), st.integers(1, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_phase_charge_is_heaviest_link_ceiling(self, workload, bandwidth):
+        # The charge is exactly max_ij ceil(L_ij / B) over remote links.
+        k, msgs = workload
+        loads = {}
+        for m in msgs:
+            if m.src != m.dst:
+                loads[m.src, m.dst] = loads.get((m.src, m.dst), 0) + m.bits
+        net = LinkNetwork(k, bandwidth=bandwidth)
+        net.exchange([[m for m in msgs if m.src == i] for i in range(k)])
+        assert net.rounds == max((-(-b // bandwidth) for b in loads.values()), default=0)
+
     @given(st.integers(1, 500), st.integers(2, 12), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_partition_covers_everything(self, n, k, seed):

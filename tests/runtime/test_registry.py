@@ -226,6 +226,17 @@ class TestRegistryAPI:
         with pytest.raises(AlgorithmError, match="'partition'.*accepts: none"):
             runtime.run("connectivity", FIXED_GRAPH, K, partition=None)
 
+    @pytest.mark.parametrize("name", runtime.available())
+    def test_every_family_rejects_an_unknown_param(self, name):
+        # Each family names its entry point, so run() refuses a key the
+        # entry point does not take and lists the ones it does.
+        accepted = runtime.get_spec(name).accepted_params
+        assert accepted is not None
+        listed = ", ".join(sorted(accepted)) or "none"
+        with pytest.raises(AlgorithmError,
+                           match=f"no parameter 'zz_unknown'; it accepts: {listed}$"):
+            runtime.run(name, _input_for(name), K, seed=SEED, zz_unknown=1)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(AlgorithmError, match="seed must be a non-negative integer"):

@@ -8,7 +8,15 @@ from repro.workloads import (
     available_workloads,
     literal_value,
     parse_spec,
+    workload_families,
 )
+
+#: Every generated family: the ones that take a vertex count ``n``.
+GENERATED = sorted(
+    f.name for f in workload_families() if any(p.name == "n" for p in f.params)
+)
+#: Required parameters (besides ``n``) a family's spec must spell out.
+REQUIRED_EXTRA = {"planted-triangles": ",triangles=1"}
 
 
 class TestLiteralValue:
@@ -116,6 +124,16 @@ class TestParseErrors:
     def test_rejected(self, bad):
         with pytest.raises(WorkloadError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize("family", GENERATED)
+    def test_vertex_count_below_one_rejected(self, family):
+        with pytest.raises(WorkloadError, match="'n' must be >= 1, got 0"):
+            parse_spec(f"{family}:n=0{REQUIRED_EXTRA.get(family, '')}")
+
+    @pytest.mark.parametrize("family", GENERATED)
+    def test_negative_seed_rejected(self, family):
+        with pytest.raises(WorkloadError, match="'seed' must be >= 0, got -1"):
+            parse_spec(f"{family}:n=10,seed=-1{REQUIRED_EXTRA.get(family, '')}")
 
     def test_non_string_rejected(self):
         with pytest.raises(WorkloadError):
