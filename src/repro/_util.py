@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from repro.errors import AlgorithmError
+
 __all__ = [
     "bits_for",
     "bits_for_count",
@@ -17,6 +19,8 @@ __all__ = [
     "as_rng",
     "spawn_rngs",
     "check_positive_int",
+    "check_input_int",
+    "check_seed",
     "polylog",
 ]
 
@@ -79,6 +83,22 @@ def check_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
+
+
+def check_input_int(value, name: str, minimum: int) -> None:
+    """Raise :class:`~repro.errors.AlgorithmError` unless ``value`` is an int >= ``minimum``.
+
+    For numbers from outside the program (the command line, ``/run``
+    requests), checked before any graph or generator is built from them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise AlgorithmError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """A run seed is ``None`` (fresh entropy) or an integer >= 0, as numpy requires."""
+    if seed is not None:
+        check_input_int(seed, "seed", 0)
 
 
 def polylog(n: int, factor: int = 32, power: int = 1) -> int:

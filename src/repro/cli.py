@@ -46,7 +46,7 @@ import numpy as np
 
 import repro
 from repro import runtime
-from repro._util import polylog
+from repro._util import check_input_int, check_seed, polylog
 from repro.errors import ReproError
 from repro.kmachine.engine import DEFAULT_ENGINE, ENGINES
 
@@ -76,6 +76,7 @@ def _graph_from_args(args) -> "repro.Graph":
 
 def _input_from_args(spec: "runtime.AlgorithmSpec", args):
     """Build the spec's input from CLI arguments (graph family or values)."""
+    check_seed(args.seed)
     if getattr(args, "dataset", None):
         if spec.input_kind == "values":
             raise SystemExit(
@@ -84,6 +85,7 @@ def _input_from_args(spec: "runtime.AlgorithmSpec", args):
         from repro import workloads
 
         return workloads.materialize(args.dataset)
+    check_input_int(args.n, "--n", 1)
     if spec.input_kind == "values":
         return np.random.default_rng(args.seed).random(args.n)
     return _graph_from_args(args)
@@ -447,17 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
         return value
 
-    def at_least(low: int):
-        # Sizes and seeds from the command line are checked before any
-        # graph or generator is built from them.
-        def parse(raw: str) -> int:
-            value = intish(raw)
-            if value < low:
-                raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {raw!r}")
-            return value
-
-        return parse
-
     def k_list(raw: str) -> list[int]:
         # One k runs once; a comma list sweeps k (distinct values only: a
         # repeated k adds no point to the fitted exponent).
@@ -468,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run any registered algorithm, at one k or a k-sweep")
     p.add_argument("algo", choices=runtime.available(), help="registered algorithm")
-    p.add_argument("--n", type=at_least(1), default=500, help="problem size")
+    p.add_argument("--n", type=intish, default=500, help="problem size")
     p.add_argument(
         "--k", type=k_list, default=[8], metavar="K[,K...]",
         help="number of machines; a comma list (e.g. 4,8,16) sweeps k and "
         "fits the exponent of the round scaling",
     )
-    p.add_argument("--seed", type=at_least(0), default=1, help="random seed")
+    p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument(
         "--graph",
         choices=("gnp", "dense", "star", "powerlaw", "lb"),

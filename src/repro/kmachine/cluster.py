@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro._util import check_positive_int, polylog, spawn_rngs
+from repro._util import polylog, spawn_rngs
 from repro.errors import ModelError
 from repro.kmachine.engine import (
     DEFAULT_ENGINE,
@@ -86,18 +86,14 @@ class Cluster:
         engine: "str | type[Engine]" = DEFAULT_ENGINE,
         workers: int | None = None,
     ) -> None:
-        # k arrives from the command line and from /run requests: any
-        # integer below 2 is the model's error, not a generic ValueError.
-        if isinstance(k, (int, np.integer)) and k < 2:
-            raise ModelError(f"the k-machine model requires k >= 2, got k={k}")
-        check_positive_int(k, "k")
         if bandwidth is None:
             if n is None:
                 raise ModelError("provide either bandwidth or n (for the polylog default)")
             bandwidth = polylog(n)
-        self.k = int(k)
+        # The network validates k (the model needs k >= 2).
+        self.network = LinkNetwork(k=k, bandwidth=int(bandwidth))
+        self.k = self.network.k
         self.n = None if n is None else int(n)
-        self.network = LinkNetwork(k=self.k, bandwidth=int(bandwidth))
         self.engine: Engine = make_engine(engine, self.network, workers=workers)
         rngs = spawn_rngs(seed, self.k + 1)
         #: Per-machine private random generators.

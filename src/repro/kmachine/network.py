@@ -35,9 +35,11 @@ class LinkNetwork:
     """
 
     def __init__(self, k: int, bandwidth: int) -> None:
-        check_positive_int(k, "k")
-        if k < 2:
+        # k arrives from the command line and from /run requests: any
+        # integer below 2 is the model's error, not a generic ValueError.
+        if isinstance(k, (int, np.integer)) and k < 2:
             raise ModelError(f"the k-machine model requires k >= 2, got k={k}")
+        check_positive_int(k, "k")
         check_positive_int(bandwidth, "bandwidth")
         self.k = int(k)
         self.bandwidth = int(bandwidth)

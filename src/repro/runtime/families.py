@@ -9,9 +9,10 @@ as a direct ``distributed_*`` call — seeded results are bit-identical on
 both execution engines.
 
 Nothing here imports a family at registration: a spec is built (its
-result class imported) on the family's first lookup, and each adapter
-and lower-bound callable imports its driver or bound when called, so a
-run loads only the family it runs.
+result class imported) on the family's first lookup, and its entry point
+(:attr:`~repro.runtime.registry.AlgorithmSpec.entry_point`) and
+lower-bound callable import their module when first called, so a run
+loads only the family it runs.
 """
 
 from __future__ import annotations
@@ -31,42 +32,14 @@ from repro.runtime.registry import (
 __all__ = ["register_builtin_specs"]
 
 
-def _run_pagerank(graph, cluster, dg, params):
-    from repro.core.pagerank.distributed import distributed_pagerank
-
-    return distributed_pagerank(
-        graph, cluster.k, cluster=cluster, distgraph=dg, **params
-    )
+def _run_on_shards(entry, graph, cluster, dg, params):
+    # The shared shape of the PageRank, triangle, subgraph and
+    # connectivity entry points.
+    return entry(graph, cluster.k, cluster=cluster, distgraph=dg, **params)
 
 
-def _run_pagerank_baseline(graph, cluster, dg, params):
-    from repro.core.pagerank.baseline import baseline_pagerank
-
-    return baseline_pagerank(graph, cluster.k, cluster=cluster, distgraph=dg, **params)
-
-
-def _run_triangles(graph, cluster, dg, params):
-    from repro.core.triangles.distributed import enumerate_triangles_distributed
-
-    return enumerate_triangles_distributed(
-        graph, cluster.k, cluster=cluster, distgraph=dg, **params
-    )
-
-
-def _run_subgraphs(graph, cluster, dg, params):
-    from repro.core.subgraphs.distributed import enumerate_subgraphs_distributed
-
-    return enumerate_subgraphs_distributed(
-        graph, cluster.k, cluster=cluster, distgraph=dg, **params
-    )
-
-
-def _run_congested_clique_triangles(graph, cluster, dg, params):
-    from repro.core.triangles.congested_clique import enumerate_triangles_congested_clique
-
-    return enumerate_triangles_congested_clique(
-        graph, cluster=cluster, distgraph=dg, **params
-    )
+def _run_congested_clique_triangles(entry, graph, cluster, dg, params):
+    return entry(graph, cluster=cluster, distgraph=dg, **params)
 
 
 def _identity_placement(cluster, graph):
@@ -75,12 +48,8 @@ def _identity_placement(cluster, graph):
     return identity_partition(graph.n)
 
 
-def _run_triangles_conversion(graph, cluster, partition, params):
-    from repro.core.triangles.baseline import enumerate_triangles_conversion
-
-    return enumerate_triangles_conversion(
-        graph, cluster.k, cluster=cluster, partition=partition, **params
-    )
+def _run_triangles_conversion(entry, graph, cluster, partition, params):
+    return entry(graph, cluster.k, cluster=cluster, partition=partition, **params)
 
 
 def _mst_weights(graph, params) -> np.ndarray:
@@ -95,30 +64,14 @@ def _mst_weights(graph, params) -> np.ndarray:
     return weights
 
 
-def _run_mst(graph, cluster, dg, params):
-    from repro.core.mst.distributed import distributed_mst
-
+def _run_mst(entry, graph, cluster, dg, params):
     weights = _mst_weights(graph, params)
     rest = {key: value for key, value in params.items() if key not in ("weights", "seed")}
-    return distributed_mst(
-        graph, weights, cluster.k, cluster=cluster, distgraph=dg, **rest
-    )
+    return entry(graph, weights, cluster.k, cluster=cluster, distgraph=dg, **rest)
 
 
-def _run_connectivity(graph, cluster, dg, params):
-    from repro.core.connectivity.distributed import connected_components_distributed
-
-    return connected_components_distributed(
-        graph, cluster.k, cluster=cluster, distgraph=dg, **params
-    )
-
-
-def _run_sorting(values, cluster, assignment, params):
-    from repro.core.sorting.distributed import distributed_sort
-
-    return distributed_sort(
-        values, cluster.k, cluster=cluster, assignment=assignment, **params
-    )
+def _run_sorting(entry, values, cluster, assignment, params):
+    return entry(values, cluster.k, cluster=cluster, assignment=assignment, **params)
 
 
 # -- Round lower bounds from the General Lower Bound Theorem cookbook
@@ -250,13 +203,26 @@ def _check_sorting(values, rep) -> list:
     return [("globally sorted", ok, ok)]
 
 
-def _register(*, result_type: str, **fields) -> None:
-    """Register a family whose ``result_type`` (``"module:Class"``) loads on first lookup."""
+def _register(*, result_type: str, runner, **fields) -> None:
+    """Register a family whose ``result_type`` (``"module:Class"``) loads on first lookup.
+
+    ``runner`` takes the family entry point first: the registered runner
+    passes it :attr:`AlgorithmSpec.entry_point`, so what a run calls is
+    the function whose signature :meth:`AlgorithmSpec.check_params` reads.
+    """
     module, cls = result_type.split(":")
-    register_builder(
-        fields["name"],
-        lambda: AlgorithmSpec(result_type=getattr(importlib.import_module(module), cls), **fields),
-    )
+
+    def build() -> AlgorithmSpec:
+        spec = AlgorithmSpec(
+            result_type=getattr(importlib.import_module(module), cls),
+            runner=lambda data, cluster, placement, params: runner(
+                spec.entry_point, data, cluster, placement, params
+            ),
+            **fields,
+        )
+        return spec
+
+    register_builder(fields["name"], build)
 
 
 def register_builtin_specs() -> None:
@@ -264,7 +230,7 @@ def register_builtin_specs() -> None:
     _register(
         name="pagerank",
         title="PageRank (Algorithm 1)",
-        runner=_run_pagerank,
+        runner=_run_on_shards,
         entry="repro.core.pagerank.distributed:distributed_pagerank",
         input_kind=GRAPH,
         result_type="repro.core.pagerank.result:PageRankResult",
@@ -281,7 +247,7 @@ def register_builtin_specs() -> None:
     _register(
         name="pagerank-baseline",
         title="PageRank (per-edge baseline, SODA'15)",
-        runner=_run_pagerank_baseline,
+        runner=_run_on_shards,
         entry="repro.core.pagerank.baseline:baseline_pagerank",
         input_kind=GRAPH,
         result_type="repro.core.pagerank.result:PageRankResult",
@@ -298,7 +264,7 @@ def register_builtin_specs() -> None:
     _register(
         name="triangles",
         title="Triangle enumeration (Theorem 5)",
-        runner=_run_triangles,
+        runner=_run_on_shards,
         entry="repro.core.triangles.distributed:enumerate_triangles_distributed",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
@@ -348,7 +314,7 @@ def register_builtin_specs() -> None:
     _register(
         name="subgraphs",
         title="K4/C4 enumeration (§1.2 generalization)",
-        runner=_run_subgraphs,
+        runner=_run_on_shards,
         entry="repro.core.subgraphs.distributed:enumerate_subgraphs_distributed",
         input_kind=GRAPH,
         result_type="repro.core.triangles.result:TriangleResult",
@@ -376,7 +342,7 @@ def register_builtin_specs() -> None:
     _register(
         name="connectivity",
         title="Connected components (unit-weight Borůvka)",
-        runner=_run_connectivity,
+        runner=_run_on_shards,
         entry="repro.core.connectivity.distributed:connected_components_distributed",
         input_kind=GRAPH,
         result_type="repro.core.connectivity.result:ConnectivityResult",

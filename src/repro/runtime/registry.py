@@ -21,6 +21,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro._util import check_seed
 from repro.errors import AlgorithmError
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, cached_distgraph
@@ -92,6 +93,11 @@ class AlgorithmSpec:
         the family entry point with the cluster/placement :func:`run`
         built.  ``placement`` is a :class:`VertexPartition` (graph
         inputs) or an element→machine assignment array (value inputs).
+    entry:
+        ``"module:function"`` naming the family entry point the runner
+        calls (:attr:`entry_point`).  Its parameters, less the ones the
+        runner fills itself, are the family parameters :func:`run`
+        accepts (:attr:`accepted_params`).
     input_kind:
         ``"graph"`` or ``"values"``.
     result_type:
@@ -142,16 +148,12 @@ class AlgorithmSpec:
         Optional ``data -> k`` override for families whose machine count
         is determined by the input (the congested clique uses one
         machine per vertex); :func:`run` replaces the caller's ``k``.
-    entry:
-        ``"module:function"`` naming the family entry point the runner
-        calls.  Its keyword parameters, less the ones the runner fills
-        itself, are the family parameters :func:`run` accepts
-        (:attr:`accepted_params`); ``None`` accepts any.
     """
 
     name: str
     title: str
     runner: Callable[[Any, Cluster, Any, dict], Any]
+    entry: str
     input_kind: str
     result_type: type
     bounds: str
@@ -167,7 +169,6 @@ class AlgorithmSpec:
     sample_placement: Callable[[Cluster, Any], Any] = _sample_rvp
     build_distgraph: bool = False
     fix_k: Callable[[Any], int] | None = None
-    entry: str | None = None
 
     def __post_init__(self) -> None:
         if self.input_kind not in (GRAPH, VALUES):
@@ -176,22 +177,24 @@ class AlgorithmSpec:
             )
 
     @cached_property
-    def accepted_params(self) -> frozenset[str] | None:
-        """Family parameter names ``run(**params)`` accepts (``None``: any)."""
-        if self.entry is None:
-            return None
+    def entry_point(self) -> Callable[..., Any]:
+        """The function :attr:`entry` names, imported on first use."""
         module, function = self.entry.split(":")
-        signature = inspect.signature(getattr(importlib.import_module(module), function))
-        return frozenset(signature.parameters) - _SUPPLIED
+        return getattr(importlib.import_module(module), function)
+
+    @cached_property
+    def accepted_params(self) -> frozenset[str]:
+        """Family parameter names ``run(**params)`` accepts."""
+        return frozenset(inspect.signature(self.entry_point).parameters) - _SUPPLIED
 
     def check_params(self, params: Mapping[str, Any]) -> None:
         """Raise :class:`AlgorithmError` naming any key this family does not take."""
-        accepted = self.accepted_params if params else None
-        unknown = sorted(set(params) - accepted) if accepted is not None else []
+        # No params, no import: the entry module loads when the run does.
+        unknown = sorted(set(params) - self.accepted_params) if params else []
         if unknown:
             raise AlgorithmError(
                 f"{self.name!r} has no parameter {', '.join(map(repr, unknown))}; "
-                f"it accepts: {', '.join(sorted(accepted)) or 'none'}"
+                f"it accepts: {', '.join(sorted(self.accepted_params)) or 'none'}"
             )
 
 
@@ -493,10 +496,7 @@ def _run_impl(
 ) -> RunReport:
     spec = get_spec(name)
     spec.check_params(params)
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
-    ):
-        raise AlgorithmError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     if dataset is not None:
         if data is not None:
             raise AlgorithmError("pass either data or dataset, not both")

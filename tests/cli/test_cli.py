@@ -245,10 +245,10 @@ class TestGenericRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, named", [
-        (["run", "pagerank", "--n", "0"], "argument --n"),
-        (["run", "pagerank", "--n", "-5"], "argument --n"),
+        (["run", "pagerank", "--n", "0"], "--n must be an integer >= 1, got 0"),
+        (["run", "pagerank", "--n", "-5"], "--n must be an integer >= 1, got -5"),
         (["data", "build", "rmat:n=0,avg_deg=2,seed=1"], "parameter 'n' must be >= 1"),
-        (["run", "triangles", "--seed", "-1"], "argument --seed"),
+        (["run", "triangles", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["run", "pagerank", "--set", "nope=1"], "no parameter 'nope'; it accepts: c, "),
         (["run", "pagerank", "--k", "0"], "requires k >= 2, got k=0"),
     ])

@@ -27,6 +27,8 @@ class TestClusterConstruction:
             Cluster(k=1, n=10)
         with pytest.raises(ModelError):
             Cluster(k=0, n=10)
+        with pytest.raises(TypeError):
+            Cluster(k=2.5, n=10)
 
     def test_per_machine_rngs_are_independent(self):
         c = Cluster(k=4, n=100, seed=5)

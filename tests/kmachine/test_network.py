@@ -80,8 +80,12 @@ class TestExchange:
             net.exchange([[], []])
 
     def test_k_must_be_at_least_two(self):
-        with pytest.raises(ModelError):
-            LinkNetwork(1, bandwidth=8)
+        # Every integer k < 2 is the model's error, zero and negatives too.
+        for k in (1, 0, -3, np.int64(0)):
+            with pytest.raises(ModelError, match=f"requires k >= 2, got k={k}"):
+                LinkNetwork(k, bandwidth=8)
+        with pytest.raises(TypeError):
+            LinkNetwork(2.5, bandwidth=8)
 
     def test_reset_metrics(self):
         net = LinkNetwork(2, bandwidth=8)

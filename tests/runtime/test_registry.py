@@ -21,7 +21,7 @@ from repro.kmachine.distgraph import (
     clear_distgraph_cache,
 )
 from repro.kmachine.partition import random_vertex_partition
-from repro.runtime.registry import AlgorithmSpec
+from repro.runtime.registry import _SUPPLIED, AlgorithmSpec
 
 ENGINES = ("message", "vector", "process")
 SEED = 17
@@ -203,6 +203,7 @@ class TestRegistryAPI:
                 name="x",
                 title="x",
                 runner=lambda *a: None,
+                entry="repro.core.sorting.distributed:distributed_sort",
                 input_kind="tensor",
                 result_type=object,
                 bounds="",
@@ -231,15 +232,31 @@ class TestRegistryAPI:
         # Each family names its entry point, so run() refuses a key the
         # entry point does not take and lists the ones it does.
         accepted = runtime.get_spec(name).accepted_params
-        assert accepted is not None
         listed = ", ".join(sorted(accepted)) or "none"
         with pytest.raises(AlgorithmError,
                            match=f"no parameter 'zz_unknown'; it accepts: {listed}$"):
             runtime.run(name, _input_for(name), K, seed=SEED, zz_unknown=1)
 
+    @pytest.mark.parametrize("name", runtime.available())
+    def test_runner_calls_the_entry_point(self, name, monkeypatch):
+        # check_params reads the signature of spec.entry_point, so that
+        # must be the function the runner calls; every argument the runner
+        # fills itself must be one check_params keeps out of the family's.
+        spec = runtime.get_spec(name)
+        signature = inspect.signature(spec.entry_point)
+        calls = []
+        monkeypatch.setitem(spec.__dict__, "entry_point",
+                            lambda *args, **kwargs: calls.append((args, kwargs)) or "called")
+        params = dict(spec.default_params)
+        with repro.Cluster(k=K, n=40, seed=SEED) as cluster:
+            assert spec.runner(_input_for(name), cluster, None, params) == "called"
+        [(args, kwargs)] = calls
+        filled = set(signature.bind(*args, **kwargs).arguments) - set(params)
+        assert filled and filled <= _SUPPLIED
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(AlgorithmError, match="seed must be a non-negative integer"):
+        with pytest.raises(AlgorithmError, match="seed must be an integer >= 0"):
             runtime.run("triangles", FIXED_GRAPH, K, seed=seed)
 
 

@@ -1,9 +1,12 @@
-"""Unit tests for ``stable_hash64_array``, the hash that places MST proxies."""
+"""Unit tests for ``stable_hash64_array``, the hash that places MST proxies,
+and the checks on numbers that come from outside the program."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from repro._util import stable_hash64_array
+from repro._util import check_input_int, check_seed, stable_hash64_array
+from repro.errors import AlgorithmError
 
 MASK = (1 << 64) - 1
 
@@ -49,3 +52,19 @@ class TestStableHash64Array:
             minlength=8,
         )
         assert counts.min() > 850 and counts.max() < 1150
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(3)])
+    def test_valid_seeds_pass(self, seed):
+        check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, True, "7"])
+    def test_bad_seeds_are_algorithm_errors(self, seed):
+        with pytest.raises(AlgorithmError, match="seed must be an integer >= 0"):
+            check_seed(seed)
+
+    def test_minimum_is_inclusive_and_named(self):
+        check_input_int(1, "--n", 1)
+        with pytest.raises(AlgorithmError, match="--n must be an integer >= 1, got 0"):
+            check_input_int(0, "--n", 1)
