@@ -15,7 +15,7 @@ from repro.errors import AlgorithmError
 __all__ = [
     "bits_for",
     "bits_for_count",
-    "icbrt",
+    "iroot",
     "as_rng",
     "spawn_rngs",
     "check_positive_int",
@@ -42,19 +42,19 @@ def bits_for_count(max_count: int) -> int:
     return bits_for(max_count + 1)
 
 
-def icbrt(n: int) -> int:
-    """Integer cube root: largest ``r`` with ``r**3 <= n``."""
+def iroot(n: int, r: int) -> int:
+    """Integer r-th root: largest ``x`` with ``x**r <= n``."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n == 0:
         return 0
-    r = round(n ** (1.0 / 3.0))
+    x = round(n ** (1.0 / r))
     # Fix float rounding either way.
-    while r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+    while x**r > n:
+        x -= 1
+    while (x + 1) ** r <= n:
+        x += 1
+    return x
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:

@@ -62,7 +62,7 @@ def _print_table(headers, rows) -> None:
 def _graph_from_args(args) -> "repro.Graph":
     n = args.n
     if args.graph == "gnp":
-        return repro.gnp_random_graph(n, args.avg_degree / n, seed=args.seed)
+        return repro.gnp_random_graph(n, min(1.0, args.avg_degree / n), seed=args.seed)
     if args.graph == "dense":
         return repro.gnp_random_graph(n, 0.5, seed=args.seed)
     if args.graph == "star":
@@ -79,7 +79,7 @@ def _input_from_args(spec: "runtime.AlgorithmSpec", args):
     check_seed(args.seed)
     if getattr(args, "dataset", None):
         if spec.input_kind == "values":
-            raise SystemExit(
+            raise ReproError(
                 f"--dataset describes a graph; {spec.name!r} takes values input"
             )
         from repro import workloads
@@ -105,7 +105,7 @@ def _parse_set_params(pairs) -> dict:
     for pair in pairs or ():
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ReproError(f"--set expects key=value, got {pair!r}")
         params[key] = literal_value(raw)
     return params
 
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
     spec = runtime.get_spec(args.algo)
     sweep = len(args.k) > 1
     if sweep and spec.fix_k is not None:
-        raise SystemExit(
+        raise ReproError(
             f"{spec.name!r} fixes k from its input; a k-sweep would run every point "
             f"at the same k, so pass one --k"
         )
@@ -282,7 +282,7 @@ def cmd_data(args) -> int:
             print(f"removed {removed} dataset(s)")
             return 0
         if not args.spec:
-            raise SystemExit("data rm needs a spec/hash or --all")
+            raise ReproError("data rm needs a spec/hash or --all")
         if not cache.evict(args.spec):
             print(f"no cached dataset for {args.spec!r}", file=sys.stderr)
             return 1

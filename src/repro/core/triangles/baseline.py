@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_positive_int, icbrt
+from repro._util import check_positive_int
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.graphs.triangles_ref import enumerate_triangles_edges
@@ -30,7 +30,7 @@ from repro.kmachine.cluster import Cluster
 from repro.kmachine.engine import DEFAULT_ENGINE
 from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
-from repro.core.triangles.colors import machines_needing_edge_array
+from repro.core.triangles.colors import machines_needing_edge_array, num_colors, owner_keys
 from repro.core.triangles.result import TriangleResult
 
 __all__ = ["enumerate_triangles_conversion", "enumerate_triangles_broadcast"]
@@ -53,13 +53,10 @@ def _enumerate_clique_nodes_task(
     count = 0
     for node, chunk in node_chunks:
         tris = enumerate_triangles_edges(n, chunk)
-        if tris.size:
-            csort = np.sort(colors[tris], axis=1)
-            key = csort[:, 0] * q * q + csort[:, 1] * q + csort[:, 2]
-            mine = tris[key == node]
-            if mine.size:
-                rows.append(mine)
-                count += mine.shape[0]
+        mine = tris[owner_keys(colors[tris], q) == node]
+        if mine.size:
+            rows.append(mine)
+            count += mine.shape[0]
     if not rows:
         return None, 0
     return np.concatenate(rows, axis=0), count
@@ -100,7 +97,7 @@ def enumerate_triangles_conversion(
         raise AlgorithmError("partition does not match the graph/cluster")
     home = partition.home
 
-    q = max(1, icbrt(n))
+    q = num_colors(n, 3)
     colors = (np.arange(n, dtype=np.int64) % q)  # deterministic clique coloring
     edges = graph.edges
     m = edges.shape[0]
@@ -116,7 +113,7 @@ def enumerate_triangles_conversion(
 
     # Each edge is shipped by its lower endpoint (which knows it in the
     # clique model) to the q sorted-triplet clique nodes that need it.
-    target_nodes = machines_needing_edge_array(colors[edges[:, 0]], colors[edges[:, 1]], q)
+    target_nodes = machines_needing_edge_array(colors[edges[:, 0]], colors[edges[:, 1]], q, 3)
     # Triplet ranks < q³ <= n are valid clique-node ids.
     flat_targets = target_nodes.ravel()
     flat_sources = np.repeat(edges[:, 0], q)

@@ -21,12 +21,21 @@ TriPartition with two k-machine-specific ingredients:
 3. **Local enumeration.**  Each triplet machine enumerates triangles in
    its received edge set and outputs those whose corner-color multiset
    equals its triplet — every triangle is output by exactly one machine.
-   Both the proxy draws and this Phase-3 enumeration are per-machine
-   superstep kernels (:func:`_draw_edge_proxies_task`,
-   :func:`_enumerate_triangles_task`) dispatched through
-   :meth:`Cluster.map_machines`: serial on the inline engines, fanned
-   out across shard workers on the process backend, draw-for-draw and
-   bit-for-bit identical either way.
+
+Phases 1–3 (proxy draws, forwarding to the tuple owners, local
+enumeration and result assembly) are :func:`enumerate_color_tuples`,
+which is generic over the pattern: the paper's remark that the technique
+"can be generalized to the enumeration of other small subgraphs" is the
+same function run with color 4-tuples by
+:func:`~repro.core.subgraphs.distributed.enumerate_subgraphs_distributed`.
+:data:`PATTERNS` names each pattern's tuple size and sequential
+enumerator.  The proxy draws and the Phase-3 enumeration are superstep
+kernels (:func:`_draw_edge_proxies_task`, :func:`_enumerate_tuples_task`)
+dispatched through :meth:`Cluster.map_machines`: serial on the inline
+engines, fanned out across shard workers on the process backend,
+draw-for-draw and bit-for-bit identical either way.  This module keeps
+the triangle-only parts: Phase 0's designation requests, the coin-based
+shipper rule and open triads.
 
 With ``use_proxies=False`` the proxy stage is skipped (home machines send
 edges straight to triplet machines) — the ablation showing proxy load
@@ -48,95 +57,80 @@ from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.partition import VertexPartition
+from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
 from repro.core.triangles.colors import (
     machines_needing_edge_array,
-    num_colors_for_machines,
+    num_colors,
+    owner_keys,
 )
 from repro.core.triangles.result import TriangleResult
 
-__all__ = ["enumerate_triangles_distributed"]
+__all__ = ["PATTERNS", "enumerate_color_tuples", "enumerate_triangles_distributed"]
+
+#: Pattern name -> (tuple size r, sequential enumerator ``(n, edges) ->
+#: rows``).  The enumerator is both Phase 3's local step and the
+#: reference a run's check compares the distributed rows with.
+PATTERNS = {
+    "triangles": (3, enumerate_triangles_edges),
+    "k4": (4, enumerate_k4_edges),
+    "c4": (4, enumerate_c4_edges),
+}
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_NO_TRIADS = np.zeros((0, 3), dtype=np.int64)
 
 
 def _draw_edge_proxies_task(ctx, machine: int, rng, count: int) -> np.ndarray:
     """Superstep kernel: machine's i.u.r. proxy draws for its shipped edges.
 
     ``count`` is the number of edges the machine is responsible for
-    shipping; the single ``integers`` call (skipped when idle, exactly
-    like the historical inline loop) keeps the per-machine draw order
-    identical on every engine.  Shared by the subgraph family, whose
-    proxy stage is the same primitive.
+    shipping; the single ``integers`` call (skipped when idle) keeps the
+    per-machine draw order identical on every engine.
     """
     if not count:
         return _EMPTY
     return rng.integers(0, ctx.k, size=count)
 
 
-def _enumerate_triangles_task(
+def _enumerate_tuples_task(
     ctx, machine: int, rng, local_edges, colors: np.ndarray, q: int,
-    enumerate_triads: bool,
+    pattern: str, enumerate_triads: bool,
 ):
-    """Superstep kernel: Phase-3 local enumeration on one triplet machine.
+    """Superstep kernel: Phase-3 local enumeration on one tuple owner.
 
     ``local_edges`` is the machine's received edge set (``None`` when it
-    received nothing or owns no triplet); ``colors`` is the shared hash.
-    Returns ``(triangles, open_triads)`` restricted to the machine's
-    color multiset, each ``None`` when empty — pure local compute, no
-    RNG draws, so engines agree bit for bit and the process backend can
-    fan the (dominant) enumeration cost out across shard workers.
+    received nothing or owns no tuple); ``colors`` is the shared hash.
+    Returns ``(rows, open_triads)`` restricted to the machine's color
+    multiset (triads only when asked for) — pure local compute, no RNG
+    draws, so engines agree bit for bit and the process backend can fan
+    the (dominant) enumeration cost out across shard workers.
     """
-    if local_edges is None or local_edges.shape[0] == 0:
-        return None
-    mine = None
-    tris = enumerate_triangles_edges(ctx.n, local_edges)
-    if tris.size:
-        csort = np.sort(colors[tris], axis=1)
-        key = csort[:, 0] * q * q + csort[:, 1] * q + csort[:, 2]
-        mine = tris[key == machine]
-        if not mine.size:
-            mine = None
-    triads = None
-    if enumerate_triads:
-        triads = _local_open_triads(ctx.n, local_edges, colors, q, machine)
-        if not triads.size:
-            triads = None
-    if mine is None and triads is None:
-        return None
-    return mine, triads
-
-
-_EMPTY3 = np.zeros((0, 3), dtype=np.int64)
+    r, enumerate_rows = PATTERNS[pattern]
+    if local_edges is None:
+        return np.zeros((0, r), dtype=np.int64), _NO_TRIADS
+    rows = enumerate_rows(ctx.n, local_edges)
+    triads = (
+        _local_open_triads(ctx.n, local_edges, colors, q, machine)
+        if enumerate_triads else _NO_TRIADS
+    )
+    return rows[owner_keys(colors[rows], q) == machine], triads
 
 
 def _assemble_enumeration(machines, results) -> dict:
     """Pack one group's Phase-3 outputs into a single columnar shipment.
 
-    Concatenated triangle/triad rows plus per-machine row counts, so the
-    driver can split the aggregate back per machine (triad output order
-    is machine-ascending, so the counts are load-bearing, not just
-    bookkeeping).  On the process engine this runs worker-side — one
-    shipment per worker instead of one (possibly huge) row array per
-    machine.
+    Concatenated occurrence/triad rows plus per-machine row counts, so the
+    driver can credit each machine and put the triads back in machine
+    order.  On the process engine this runs worker-side — one shipment
+    per worker instead of one (possibly huge) row array per machine.
     """
-    tri_rows: list[np.ndarray] = []
-    tri_counts: list[int] = []
-    triad_rows: list[np.ndarray] = []
-    triad_counts: list[int] = []
-    for out in results:
-        mine, triads = out if out is not None else (None, None)
-        tri_counts.append(0 if mine is None else mine.shape[0])
-        if mine is not None:
-            tri_rows.append(mine)
-        triad_counts.append(0 if triads is None else triads.shape[0])
-        if triads is not None:
-            triad_rows.append(triads)
+    rows, triads = zip(*results)
     return {
         "machines": np.asarray(machines, dtype=np.int64),
-        "tris": np.concatenate(tri_rows) if tri_rows else _EMPTY3,
-        "tri_counts": np.asarray(tri_counts, dtype=np.int64),
-        "triads": np.concatenate(triad_rows) if triad_rows else _EMPTY3,
-        "triad_counts": np.asarray(triad_counts, dtype=np.int64),
+        "rows": np.concatenate(rows),
+        "row_counts": np.array([len(x) for x in rows], dtype=np.int64),
+        "triads": np.concatenate(triads),
+        "triad_counts": np.array([len(x) for x in triads], dtype=np.int64),
     }
 
 
@@ -157,6 +151,120 @@ def _edge_batch(
         bits=np.full(edges.shape[0], ebits, dtype=np.int64),
         columns={"u": np.ascontiguousarray(edges[:, 0]),
                  "v": np.ascontiguousarray(edges[:, 1])},
+    )
+
+
+def enumerate_color_tuples(
+    cluster: Cluster,
+    dg: DistributedGraph,
+    edges: np.ndarray,
+    shipper: np.ndarray,
+    colors: np.ndarray,
+    q: int,
+    pattern: str,
+    kind: str,
+    labels: tuple[str, str],
+    use_proxies: bool = True,
+    enumerate_triads: bool = False,
+    skip_local_enumeration: bool = False,
+) -> TriangleResult:
+    """Phases 1–3 of Theorem 5 for one pattern of :data:`PATTERNS`.
+
+    ``shipper[e]`` is the machine that sends edge ``e`` on its way and
+    ``colors`` the shared ``q``-coloring.  Edges go to i.u.r. proxies
+    (unless ``use_proxies`` is off), on to every sorted r-tuple owner that
+    needs them, and each owner outputs the occurrences whose corner-color
+    multiset is its own.  ``kind`` prefixes the two message kinds
+    (``<kind>-edge-proxy``, ``<kind>-edge-final``) and ``labels`` names
+    the two exchanges.  Returns the lexicographically sorted ``(t, r)``
+    rows, the per-machine output counts and, with ``enumerate_triads``,
+    the open triads in machine order.
+    """
+    r, _ = PATTERNS[pattern]
+    k = cluster.k
+    n = dg.n
+    m = edges.shape[0]
+
+    # Phase 1 — edges to random proxies (each shipper picks i.u.r. proxies
+    # with its private randomness, drawn by the proxy superstep kernel).
+    if use_proxies:
+        groups = dg.edges_by_shipper(shipper)
+        draws = cluster.map_machines(
+            _draw_edge_proxies_task, dg, [int(idx.size) for idx in groups]
+        )
+        proxy = np.empty(m, dtype=np.int64)
+        for idx, drawn in zip(groups, draws):
+            if idx.size:
+                proxy[idx] = drawn
+        remote = shipper != proxy
+        cluster.exchange_batches(
+            [_edge_batch(edges[remote], shipper[remote], proxy[remote], f"{kind}-edge-proxy", n)],
+            label=labels[0],
+        )
+        holder = proxy
+    else:
+        holder = shipper
+
+    # Phase 2 — holders forward every edge to the sorted-tuple owners that
+    # need it (owners are computable from the shared hash alone).
+    targets = machines_needing_edge_array(colors[edges[:, 0]], colors[edges[:, 1]], q, r)
+    p = targets.shape[1]
+    flat_src = np.repeat(holder, p)
+    flat_dst = targets.ravel()
+    flat_edges = np.repeat(edges, p, axis=0)
+    local = flat_src == flat_dst
+    remote = ~local
+    (final_in,) = cluster.exchange_batches(
+        [_edge_batch(flat_edges[remote], flat_src[remote], flat_dst[remote],
+                     f"{kind}-edge-final", n)],
+        label=labels[1],
+    )
+
+    # Phase 3 — local enumeration on each tuple owner; a machine outputs
+    # exactly the occurrences whose color multiset equals its (sorted)
+    # tuple, so the global output has no duplicates.
+    per_machine = np.zeros(k, dtype=np.int64)
+    if skip_local_enumeration:
+        return TriangleResult(
+            triangles=np.zeros((0, r), dtype=np.int64),
+            metrics=cluster.metrics,
+            per_machine_output=per_machine,
+            num_colors=q,
+        )
+    # An owner's edge set: the copies it kept (free) plus those it received.
+    dst = np.concatenate([flat_dst[local], final_in.dst])
+    order = np.argsort(dst, kind="stable")
+    got = np.concatenate([
+        flat_edges[local], np.column_stack([final_in.columns["u"], final_in.columns["v"]])
+    ])[order]
+    per_owner = np.split(got, np.searchsorted(dst[order], np.arange(1, k)))
+    owners = min(k, q**r)
+    payloads = [e if j < owners and e.size else None for j, e in enumerate(per_owner)]
+    common = {"colors": colors, "q": q, "pattern": pattern,
+              "enumerate_triads": enumerate_triads}
+    # Group-assembled shipping: one aggregate per worker (process) or
+    # for the whole superstep (inline); groups hold disjoint machines.
+    # Rows are re-sorted globally below, so group order is free to differ
+    # from machine order; triads are put back machine-ascending.
+    groups = cluster.map_machines(
+        _enumerate_tuples_task, dg, payloads, common=common,
+        assemble=_assemble_enumeration,
+    )
+    machines = np.concatenate([agg["machines"] for agg in groups])
+    per_machine[machines] = np.concatenate([agg["row_counts"] for agg in groups])
+    occ = np.concatenate([agg["rows"] for agg in groups])
+    occ = occ[np.lexsort(occ.T[::-1])]
+    open_triads = None
+    if enumerate_triads:
+        triads = np.concatenate([agg["triads"] for agg in groups])
+        owner = np.repeat(machines, np.concatenate([agg["triad_counts"] for agg in groups]))
+        open_triads = triads[np.argsort(owner, kind="stable")]
+    return TriangleResult(
+        triangles=occ,
+        metrics=cluster.metrics,
+        per_machine_output=per_machine,
+        num_colors=q,
+        open_triads=open_triads,
     )
 
 
@@ -220,7 +328,7 @@ def enumerate_triangles_distributed(
         raise AlgorithmError(f"cluster has k={cluster.k}, expected {k}")
     dg = resolve_distgraph(graph, k, cluster.shared_rng, partition, distgraph)
     home = dg.home
-    q = num_colors_for_machines(k)
+    q = num_colors(k, 3)
     # Shared hash h: V -> C (public randomness, known to every machine).
     colors = cluster.shared_rng.integers(0, q, size=n)
     if degree_threshold is None:
@@ -266,125 +374,13 @@ def enumerate_triangles_distributed(
         shipper_vertex = np.where(ship_second, edges[:, 1], edges[:, 0])
         shipper = home[shipper_vertex]
     else:
-        shipper = np.zeros(0, dtype=np.int64)
+        shipper = _EMPTY
 
-    # ------------------------------------------------------------------
-    # Phase 1 — edges to random proxies (each shipper picks i.u.r. proxies
-    # with its private randomness, drawn by the proxy superstep kernel).
-    if use_proxies:
-        groups = dg.edges_by_shipper(shipper)
-        draws = cluster.map_machines(
-            _draw_edge_proxies_task, dg, [int(idx.size) for idx in groups]
-        )
-        proxy = np.empty(m, dtype=np.int64)
-        for idx, drawn in zip(groups, draws):
-            if idx.size:
-                proxy[idx] = drawn
-        remote = shipper != proxy
-        cluster.exchange_batches(
-            [_edge_batch(edges[remote], shipper[remote], proxy[remote], "tri-edge-proxy", n)],
-            label="triangles/to-proxies",
-        )
-        holder = proxy
-    else:
-        holder = shipper
-
-    # ------------------------------------------------------------------
-    # Phase 2 — proxies forward every edge to the q sorted-triplet owners
-    # that need it (owners are computable from the shared hash alone).
-    targets = machines_needing_edge_array(colors[edges[:, 0]], colors[edges[:, 1]], q) if m else np.zeros((0, 0), dtype=np.int64)
-    received: list[list[np.ndarray]] = [[] for _ in range(k)]
-    if m:
-        flat_src = np.repeat(holder, q)
-        flat_dst = targets.ravel()
-        flat_edges = np.repeat(edges, q, axis=0)
-        local = flat_src == flat_dst
-        if np.any(local):
-            ld, le = flat_dst[local], flat_edges[local]
-            order = np.argsort(ld, kind="stable")
-            ld, le = ld[order], le[order]
-            boundaries = np.flatnonzero(np.diff(ld)) + 1
-            starts = np.concatenate([[0], boundaries])
-            for s, chunk in zip(starts, np.split(le, boundaries)):
-                if chunk.shape[0]:
-                    received[int(ld[s])].append(chunk)
-        remote = ~local
-        batch = _edge_batch(
-            flat_edges[remote], flat_src[remote], flat_dst[remote], "tri-edge-final", n
-        )
-    else:
-        batch = _edge_batch(
-            np.zeros((0, 2), dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            "tri-edge-final",
-            n,
-        )
-    (final_in,) = cluster.exchange_batches([batch], label="triangles/to-triplets")
-    for j in range(k):
-        rows = final_in.for_machine(j)
-        if rows["u"].size:
-            received[j].append(np.column_stack([rows["u"], rows["v"]]))
-
-    # ------------------------------------------------------------------
-    # Phase 3 — local enumeration on each triplet machine (a superstep
-    # kernel: serial on the inline engines, fanned out to shard workers
-    # on the process backend); a machine outputs exactly the triangles
-    # whose color multiset equals its (sorted) triplet, so the global
-    # output has no duplicates.
-    all_tris: list[np.ndarray] = []
-    per_machine = np.zeros(k, dtype=np.int64)
-    if skip_local_enumeration:
-        return TriangleResult(
-            triangles=np.zeros((0, 3), dtype=np.int64),
-            metrics=cluster.metrics,
-            per_machine_output=per_machine,
-            num_colors=q,
-        )
-    owners = min(k, q**3)
-    payloads = [
-        np.concatenate(received[j], axis=0) if j < owners and received[j] else None
-        for j in range(k)
-    ]
-    common = {"colors": colors, "q": q, "enumerate_triads": enumerate_triads}
-    # Group-assembled shipping: one aggregate per worker (process) or
-    # for the whole superstep (inline).  Triangles are re-sorted
-    # globally below, so group order is free to differ from machine
-    # order; triads are reassembled machine-ascending via the counts.
-    groups = cluster.map_machines(
-        _enumerate_triangles_task, dg, payloads, common=common,
-        assemble=_assemble_enumeration,
-    )
-    triad_chunks: list = [None] * k
-    for agg in groups:
-        tri_parts = np.split(agg["tris"], np.cumsum(agg["tri_counts"])[:-1])
-        triad_parts = np.split(agg["triads"], np.cumsum(agg["triad_counts"])[:-1])
-        for j, tri_c, triad_c in zip(agg["machines"], tri_parts, triad_parts):
-            j = int(j)
-            if tri_c.shape[0]:
-                all_tris.append(tri_c)
-                per_machine[j] += tri_c.shape[0]
-            if triad_c.shape[0]:
-                triad_chunks[j] = triad_c
-    all_triads = [c for c in triad_chunks if c is not None]
-
-    if all_tris:
-        triangles = np.concatenate(all_tris, axis=0)
-        order = np.lexsort((triangles[:, 2], triangles[:, 1], triangles[:, 0]))
-        triangles = triangles[order]
-    else:
-        triangles = np.zeros((0, 3), dtype=np.int64)
-    open_triads = None
-    if enumerate_triads:
-        open_triads = (
-            np.concatenate(all_triads, axis=0) if all_triads else np.zeros((0, 3), dtype=np.int64)
-        )
-    return TriangleResult(
-        triangles=triangles,
-        metrics=cluster.metrics,
-        per_machine_output=per_machine,
-        num_colors=q,
-        open_triads=open_triads,
+    return enumerate_color_tuples(
+        cluster, dg, edges, shipper, colors, q, "triangles",
+        kind="tri", labels=("triangles/to-proxies", "triangles/to-triplets"),
+        use_proxies=use_proxies, enumerate_triads=enumerate_triads,
+        skip_local_enumeration=skip_local_enumeration,
     )
 
 
@@ -410,9 +406,7 @@ def _local_open_triads(
         for ai in range(len(nb)):
             for bi in range(ai + 1, len(nb)):
                 a, b = nb[ai], nb[bi]
-                cs = sorted((int(colors[center]), int(colors[a]), int(colors[b])))
-                if cs[0] * q * q + cs[1] * q + cs[2] != machine:
-                    continue
                 if b not in adj.get(a, ()):
                     rows.append((center, a, b))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    triads = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return triads[owner_keys(colors[triads], q) == machine]

@@ -18,15 +18,16 @@ class TriangleResult:
     Attributes
     ----------
     triangles:
-        ``(t, 3)`` array of sorted vertex triples, lexicographically
-        ordered, each triangle exactly once.
+        ``(t, r)`` occurrence rows, lexicographically ordered, each
+        occurrence exactly once: sorted vertex triples for triangles,
+        the rows of :mod:`repro.core.subgraphs.local` for K4/C4.
     metrics:
         Communication metrics of the run.
     per_machine_output:
         ``(k,)`` number of triangles output by each machine (the balance
         of this vector is what Corollary 2's message bound rests on).
     num_colors:
-        ``q = floor(k^{1/3})`` used by the color partition (0 when the
+        ``q = floor(k^{1/r})`` used by the color partition (0 when the
         algorithm does not use colors).
     open_triads:
         Optional ``(s, 3)`` array of open triads (center first) when triad

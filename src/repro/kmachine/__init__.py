@@ -76,9 +76,11 @@ Authoring superstep kernels
 ---------------------------
 Every registered algorithm family routes its per-machine compute
 through :meth:`Cluster.map_machines` kernels — PageRank's token moves
-and heavy re-sampling, the triangle/subgraph proxy draws and Phase-3
-local enumeration (including the congested-clique and
-conversion-theorem variants), MST's local Borůvka component scans
+and heavy re-sampling, the proxy draws and Phase-3 local enumeration of
+the one color-tuple pipeline that triangles, the congested clique and
+K4/C4 share
+(:func:`repro.core.triangles.distributed.enumerate_color_tuples`), the
+conversion-theorem baseline's per-node enumeration, MST's local Borůvka component scans
 (inherited by connectivity), and sorting's Bernoulli sampling and local
 block sort.  A kernel is a **module-level** callable (workers resolve
 it by reference)::
@@ -151,7 +153,7 @@ and must obey three contracts for the backends to stay bit-identical:
    scatter of row positions finds each component's first crossing row.
 
 Two further contracts are how the hot drivers (PageRank, MST and
-connectivity, triangle Phase 3) are written: they cut what crosses the
+connectivity, the color-tuple Phase 3) are written: they cut what crosses the
 driver/worker boundary each superstep, and each family has this one
 driver on every engine:
 
@@ -191,7 +193,8 @@ driver on every engine:
    canonical delivery re-sorts rows by ``(dst, src, emission)`` and
    per-machine rows stay contiguous and emission-ordered within any
    group; order-sensitive outputs must carry per-machine counts so the
-   parent can restore machine order (see the triangle Phase-3 kernel).
+   parent can restore machine order (see the color-tuple pipeline's
+   Phase-3 kernel and its ``_assemble_enumeration``).
 
 Tracing contract
 ----------------

@@ -203,6 +203,17 @@ def _check_sorting(values, rep) -> list:
     return [("globally sorted", ok, ok)]
 
 
+def _check_enumeration(graph, rep) -> list:
+    from repro.core.triangles.distributed import PATTERNS
+
+    if rep.params.get("skip_local_enumeration"):
+        return [("occurrences (vs sequential)", "not enumerated", True)]
+    rows = rep.result.triangles
+    reference = PATTERNS[rep.params.get("pattern", "triangles")][1](graph.n, graph.edges)
+    return [("occurrences (vs sequential)", f"{len(rows)} ({len(reference)})",
+             bool(np.array_equal(rows, reference)))]
+
+
 def _register(*, result_type: str, runner, **fields) -> None:
     """Register a family whose ``result_type`` (``"module:Class"``) loads on first lookup.
 
@@ -276,6 +287,7 @@ def register_builtin_specs() -> None:
         upper_bound=_ub_triangles,
         fit_target="-5/3 (Thm 5)",
         summarize=_summarize_triangles,
+        check=_check_enumeration,
         build_distgraph=True,
     )
     _register(
@@ -294,6 +306,7 @@ def register_builtin_specs() -> None:
         upper_bound=_ub_congested_clique,
         fit_target=None,
         summarize=_summarize_triangles,
+        check=_check_enumeration,
         build_distgraph=True,
     )
     _register(
@@ -309,6 +322,7 @@ def register_builtin_specs() -> None:
         upper_bound=_ub_triangles_conversion,
         fit_target="-2 (conversion)",
         summarize=_summarize_triangles,
+        check=_check_enumeration,
         build_distgraph=False,
     )
     _register(
@@ -322,6 +336,7 @@ def register_builtin_specs() -> None:
         default_params={"pattern": "k4"},
         upper_bound=_ub_subgraphs,
         summarize=_summarize_triangles,
+        check=_check_enumeration,
         build_distgraph=True,
     )
     _register(

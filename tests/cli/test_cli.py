@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -127,11 +128,12 @@ class TestCommands:
         assert rc == 0
         assert "Thm 5" in capsys.readouterr().out
 
-    def test_sweep_refuses_a_fixed_k_family(self):
+    def test_sweep_refuses_a_fixed_k_family(self, capsys):
         # The congested clique runs at k = n whatever --k says: a sweep
         # would print rows labelled with k values it never ran.
-        with pytest.raises(SystemExit, match="congested-clique-triangles"):
-            main(["run", "congested-clique-triangles", "--n", "30", "--k", "4,8"])
+        rc = main(["run", "congested-clique-triangles", "--n", "30", "--k", "4,8"])
+        assert rc == 2
+        assert "'congested-clique-triangles' fixes k from its input" in capsys.readouterr().err
 
     def test_sweep_writes_one_trace(self, tmp_path, capsys):
         from repro.obs import read_trace
@@ -158,17 +160,20 @@ class TestCommands:
         assert rc == 0
 
 
+#: The four enumeration families compare their rows with the sequential
+#: enumeration of the whole input.
+ENUMERATION_FAMILIES = [
+    "congested-clique-triangles", "subgraphs", "triangles", "triangles-conversion",
+]
+
 #: The row each family's ``check`` prints (``None``: the family has no check).
 CHECK_LABELS = {
-    "congested-clique-triangles": None,
+    **dict.fromkeys(ENUMERATION_FAMILIES, "occurrences (vs sequential)"),
     "connectivity": None,
     "mst": "weight (vs Kruskal)",
     "pagerank": "L1 error vs reference",
     "pagerank-baseline": "L1 error vs reference",
     "sorting": "globally sorted",
-    "subgraphs": None,
-    "triangles": None,
-    "triangles-conversion": None,
 }
 
 
@@ -189,13 +194,18 @@ class TestGenericRun:
         else:
             assert not last.startswith(tuple(filter(None, CHECK_LABELS.values())))
 
-    @pytest.mark.parametrize("algo, doctor, label", [
+    @pytest.mark.parametrize("algo, doctor, label, argv", [
         ("mst", lambda r: dataclasses.replace(r, total_weight=r.total_weight + 1e-6),
-         "weight (vs Kruskal)"),
+         "weight (vs Kruskal)", ["--n", "200", "--k", "4"]),
         ("sorting", lambda r: dataclasses.replace(r, blocks=r.blocks[::-1]),
-         "globally sorted"),
-    ], ids=["mst", "sorting"])
-    def test_a_doctored_result_fails_its_check(self, algo, doctor, label, monkeypatch, capsys):
+         "globally sorted", ["--n", "200", "--k", "4"]),
+        # One dropped occurrence row.
+        *[(name, lambda r: dataclasses.replace(r, triangles=r.triangles[1:]),
+           "occurrences (vs sequential)", ["--n", "40", "--k", "4", "--graph", "dense"])
+          for name in ENUMERATION_FAMILIES],
+    ], ids=["mst", "sorting", *ENUMERATION_FAMILIES])
+    def test_a_doctored_result_fails_its_check(self, algo, doctor, label, argv, monkeypatch,
+                                               capsys):
         real_run = runtime.run
 
         def doctored_run(*args, **kwargs):
@@ -204,7 +214,7 @@ class TestGenericRun:
             return rep
 
         monkeypatch.setattr(runtime, "run", doctored_run)
-        rc = main(["run", algo, "--n", "200", "--k", "4"])
+        rc = main(["run", algo, *argv])
         assert rc == 1
         row = next(line for line in capsys.readouterr().out.splitlines()
                    if line.strip().startswith(label))
@@ -218,9 +228,10 @@ class TestGenericRun:
         assert rc == 0
         assert "vector" in capsys.readouterr().out
 
-    def test_run_bad_set_pair(self):
-        with pytest.raises(SystemExit):
-            main(["run", "pagerank", "--n", "40", "--k", "4", "--set", "oops"])
+    def test_run_bad_set_pair(self, capsys):
+        rc = main(["run", "pagerank", "--n", "40", "--k", "4", "--set", "oops"])
+        assert rc == 2
+        assert "--set expects key=value, got 'oops'" in capsys.readouterr().err
 
     def test_run_rejects_reserved_set_keys(self, capsys):
         # A --set collision with run()'s own kwargs would otherwise raise
@@ -251,6 +262,12 @@ class TestGenericRun:
         (["run", "triangles", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["run", "pagerank", "--set", "nope=1"], "no parameter 'nope'; it accepts: c, "),
         (["run", "pagerank", "--k", "0"], "requires k >= 2, got k=0"),
+        (["run", "pagerank", "--set", "oops"], "--set expects key=value, got 'oops'"),
+        (["run", "congested-clique-triangles", "--n", "20", "--k", "4,8"],
+         "fixes k from its input"),
+        (["run", "sorting", "--dataset", "gnp:n=10,avg_deg=2,seed=1"],
+         "--dataset describes a graph; 'sorting' takes values input"),
+        (["data", "rm"], "data rm needs a spec/hash or --all"),
     ])
     def test_bad_input_exits_2_without_a_traceback(self, argv, named, tmp_path):
         src = Path(__file__).resolve().parents[2] / "src"
@@ -261,6 +278,36 @@ class TestGenericRun:
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert "error:" in done.stderr and named in done.stderr
+
+    def test_n_below_the_average_degree_runs(self, capsys):
+        # The default gnp input caps p = --avg-degree / --n at 1.
+        assert main(["run", "pagerank", "--n", "3"]) == 0
+        assert " 3 / 3 / 8 / " in capsys.readouterr().out  # n / m / k: the triangle K3
+
+    def test_a_failed_check_still_exits_1(self, tmp_path):
+        # Exit 1 is a wrong result only: the usage errors above exit 2.
+        code = textwrap.dedent("""
+            import dataclasses, sys
+            from repro import runtime
+            from repro.cli import main
+
+            real_run = runtime.run
+
+            def doctored_run(*args, **kwargs):
+                rep = real_run(*args, **kwargs)
+                rep.result = dataclasses.replace(rep.result, triangles=rep.result.triangles[1:])
+                return rep
+
+            runtime.run = doctored_run
+            sys.exit(main(["run", "triangles", "--n", "40", "--k", "8", "--graph", "dense"]))
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "REPRO_DATA_DIR": str(tmp_path)},
+        )
+        assert done.returncode == 1, done.stderr
+        assert "FAILED" in done.stdout and "error:" not in done.stderr
 
     def test_set_coerces_large_int_spellings(self):
         from repro.cli import _parse_set_params
@@ -344,9 +391,9 @@ class TestDataCommands:
         assert rc == 0
         assert "rounds" in capsys.readouterr().out
 
-    def test_run_dataset_rejected_for_values_input(self, data_dir):
-        with pytest.raises(SystemExit, match="values"):
-            main(["run", "sorting", "--dataset", self.SPEC, "--k", "4"])
+    def test_run_dataset_rejected_for_values_input(self, data_dir, capsys):
+        assert main(["run", "sorting", "--dataset", self.SPEC, "--k", "4"]) == 2
+        assert "takes values input" in capsys.readouterr().err
 
     def test_sweep_with_dataset(self, data_dir, capsys):
         rc = main(["run", "pagerank", "--dataset", self.SPEC,

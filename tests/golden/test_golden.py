@@ -34,6 +34,7 @@ REGEN_ENV = "REPRO_REGEN_GOLDEN"
 
 PAGERANK_CASES = [(200, 4, 11), (300, 8, 5)]
 TRIANGLE_CASES = [(100, 8, 3), (120, 27, 9)]
+SUBGRAPH_CASES = [("k4", 60, 16, 4), ("c4", 50, 81, 7)]
 
 
 def _pagerank_counts(n: int, k: int, seed: int, engine: str) -> dict:
@@ -58,12 +59,27 @@ def _triangle_counts(n: int, k: int, seed: int, engine: str) -> dict:
     }
 
 
+def _subgraph_counts(pattern: str, n: int, k: int, seed: int, engine: str) -> dict:
+    g = repro.gnp_random_graph(n, 0.3, seed=seed)
+    r = repro.enumerate_subgraphs_distributed(g, k=k, pattern=pattern, seed=seed, engine=engine)
+    return {
+        "rounds": r.rounds,
+        "messages": r.metrics.messages,
+        "bits": r.metrics.bits,
+        "occurrences": r.count,
+    }
+
+
 def _compute_all() -> dict:
     out = {}
     for n, k, seed in PAGERANK_CASES:
         out[f"pagerank n={n} k={k} seed={seed}"] = _pagerank_counts(n, k, seed, "message")
     for n, k, seed in TRIANGLE_CASES:
         out[f"triangles n={n} k={k} seed={seed}"] = _triangle_counts(n, k, seed, "message")
+    for pattern, n, k, seed in SUBGRAPH_CASES:
+        out[f"subgraphs-{pattern} n={n} k={k} seed={seed}"] = _subgraph_counts(
+            pattern, n, k, seed, "message"
+        )
     return out
 
 
@@ -106,5 +122,18 @@ def test_triangle_counts_match_golden(case, engine):
     expected = _golden()[f"triangles n={n} k={k} seed={seed}"]
     assert _triangle_counts(n, k, seed, engine) == expected, (
         f"triangle accounting drifted from golden (engine={engine}); if the "
+        f"change is intentional, regenerate with {REGEN_ENV}=1"
+    )
+
+
+@pytest.mark.parametrize("engine", ["message", "vector", "process"])
+@pytest.mark.parametrize("case", SUBGRAPH_CASES, ids=lambda c: f"{c[0]}-n{c[1]}-k{c[2]}-s{c[3]}")
+def test_subgraph_counts_match_golden(case, engine):
+    if os.environ.get(REGEN_ENV):
+        pytest.skip("regenerating")
+    pattern, n, k, seed = case
+    expected = _golden()[f"subgraphs-{pattern} n={n} k={k} seed={seed}"]
+    assert _subgraph_counts(pattern, n, k, seed, engine) == expected, (
+        f"{pattern} accounting drifted from golden (engine={engine}); if the "
         f"change is intentional, regenerate with {REGEN_ENV}=1"
     )

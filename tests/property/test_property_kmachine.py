@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro._util import bits_for, bits_for_count, icbrt
+from repro._util import bits_for, bits_for_count, iroot
 from repro.kmachine.message import Message
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.partition import random_vertex_partition
@@ -83,7 +83,7 @@ class TestUtilProperties:
         b = bits_for_count(c)
         assert 2**b >= c + 1
 
-    @given(st.integers(0, 10**12))
-    def test_icbrt_definition(self, n):
-        r = icbrt(n)
-        assert r**3 <= n < (r + 1) ** 3
+    @given(st.integers(0, 10**12), st.integers(2, 6))
+    def test_iroot_definition(self, n, r):
+        x = iroot(n, r)
+        assert x**r <= n < (x + 1) ** r

@@ -4,61 +4,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.subgraphs import colors4
 from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
 from repro.errors import AlgorithmError
-
-
-class TestColors4:
-    def test_num_colors(self):
-        assert colors4.num_colors_for_machines_r4(16) == 2
-        assert colors4.num_colors_for_machines_r4(81) == 3
-        assert colors4.num_colors_for_machines_r4(80) == 2
-        assert colors4.num_colors_for_machines_r4(2) == 1
-
-    def test_quad_round_trip(self):
-        q = 3
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    for d in range(q):
-                        mid = colors4.machine_for_quad(a, b, c, d, q)
-                        assert colors4.quad_for_machine(mid, q) == (a, b, c, d)
-
-    def test_sorted_quads_count(self):
-        # Multisets of size 4 from q colors: C(q+3, 4).
-        import math
-
-        for q in (1, 2, 3, 4):
-            assert len(colors4.sorted_quads(q)) == math.comb(q + 3, 4)
-
-    def test_quads_needing_edge_count_and_distinct(self):
-        q = 3
-        for cu in range(q):
-            for cv in range(q):
-                ids = colors4.quads_needing_edge(cu, cv, q)
-                assert ids.size == q * (q + 1) // 2
-                assert np.unique(ids).size == ids.size
-
-    def test_vectorized_matches_scalar(self):
-        q = 3
-        rng = np.random.default_rng(0)
-        cu = rng.integers(0, q, size=50)
-        cv = rng.integers(0, q, size=50)
-        vec = colors4.quads_needing_edge_array(cu, cv, q)
-        for e in range(50):
-            scalar = colors4.quads_needing_edge(int(cu[e]), int(cv[e]), q)
-            assert np.array_equal(np.sort(vec[e]), np.sort(scalar))
-
-    def test_every_quad_covered_by_its_pairs(self):
-        q = 2
-        for quad in colors4.sorted_quads(q):
-            mid = colors4.machine_for_quad(*quad, q)
-            # Every corner pair of the quad must route edges to it.
-            import itertools
-
-            for x, y in itertools.combinations(quad, 2):
-                assert mid in colors4.quads_needing_edge(x, y, q)
 
 
 class TestDistributedEnumeration:

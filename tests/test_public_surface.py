@@ -1,7 +1,8 @@
 """The lazily resolved package surfaces expose exactly what they did eagerly.
 
-``repro``, ``repro.kmachine``, ``repro.obs``, ``repro.graphs`` and
-``repro.core.pagerank`` resolve each public name on first access
+``repro``, ``repro.kmachine``, ``repro.obs``, ``repro.graphs``,
+``repro.core.pagerank``, ``repro.core.triangles`` and
+``repro.core.subgraphs`` resolve each public name on first access
 (PEP 562).  Every name must still be the very object a direct import of
 its submodule gives, be listed by ``dir()``, and come with ``import *``.
 """
@@ -18,7 +19,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGES = ["repro", "repro.kmachine", "repro.obs", "repro.graphs", "repro.core.pagerank"]
+PACKAGES = [
+    "repro", "repro.kmachine", "repro.obs", "repro.graphs", "repro.core.pagerank",
+    "repro.core.triangles", "repro.core.subgraphs",
+]
 
 
 def _direct(package: str, name: str, value):
