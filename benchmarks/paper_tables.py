@@ -61,7 +61,6 @@ from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
 from repro.experiments.fits import fit_power_law
 from repro.experiments.tables import format_table
 from repro.kmachine import LinkNetwork, random_edge_partition, rep_to_rvp
-from repro.kmachine.message import Message
 from repro.kmachine.partition import random_vertex_partition
 from repro.kmachine.routing import (
     direct_exchange,
@@ -449,10 +448,9 @@ def l13_routing(ks=(8, 16, 32), loads=(200, 800, 3200), sink_k=16, sink_x=2000) 
     for k in ks:
         for x in loads:
             dests = rng.integers(0, k, size=(k, x))
-            out = [[Message(src=i, dst=int(j), kind="w", bits=bits) for j in dests[i]]
-                   for i in range(k)]
             net = LinkNetwork(k, bandwidth=B)
-            direct_exchange(net, out)
+            direct_exchange(net, np.repeat(np.arange(k), x), dests.ravel(),
+                            np.full(k * x, bits))
             envelope = lemma13_round_bound(x, k, bits, B)
             rows.append({
                 "k": k,
@@ -461,12 +459,12 @@ def l13_routing(ks=(8, 16, 32), loads=(200, 800, 3200), sink_k=16, sink_x=2000) 
                 "lemma13_envelope": round(envelope, 1),
                 "ratio": net.rounds / envelope,
             })
-    out = [[] for _ in range(sink_k)]
-    out[1] = [Message(src=1, dst=0, kind="w", bits=bits) for _ in range(sink_x)]
+    to_sink = (np.ones(sink_x, dtype=np.int64), np.zeros(sink_x, dtype=np.int64),
+               np.full(sink_x, bits))
     net_direct = LinkNetwork(sink_k, bandwidth=B)
-    direct_exchange(net_direct, [list(b) for b in out])
+    direct_exchange(net_direct, *to_sink)
     net_valiant = LinkNetwork(sink_k, bandwidth=B)
-    valiant_exchange(net_valiant, out, rng=np.random.default_rng(1))
+    valiant_exchange(net_valiant, *to_sink, rng=np.random.default_rng(1))
     sink = {"k": sink_k, "x": sink_x, "direct_rounds": net_direct.rounds,
             "valiant_rounds": net_valiant.rounds}
     report = Report()

@@ -31,7 +31,7 @@ independent axes:
    adds a pool of shard workers for per-machine compute.  Results and
    round/message/bit accounting are backend-identical, and the test
    suite holds both to a per-object oracle engine that lives under
-   ``tests/`` (one :class:`~repro.kmachine.Message` per batch row;
+   ``tests/`` (batch rows tallied and delivered one at a time;
    1.3–1.8x slower on whole runs of the batched families, 1.0x on the
    accounting-only ones).
 2. **Runtime layer** (:mod:`repro.kmachine.distgraph`,
@@ -139,7 +139,6 @@ _EXPORTS = {
             "Cluster",
             "shutdown_worker_pools",
             "LinkNetwork",
-            "Message",
             "Metrics",
             "VertexPartition",
             "EdgePartition",

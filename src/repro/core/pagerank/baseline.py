@@ -27,9 +27,8 @@ from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
-from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
-from repro.core.pagerank.result import IterationStats, PageRankResult
+from repro.core.pagerank.result import IterationStats, PageRankResult, close_iteration
 from repro.core.pagerank.tokens import terminate_tokens
 
 __all__ = ["baseline_pagerank"]
@@ -136,26 +135,11 @@ def baseline_pagerank(
 
         tokens += incoming
         psi += incoming
-        phase = cluster.metrics.phase_log[-1]
         live = int(tokens.sum())
-        stats.append(
-            IterationStats(
-                iteration=it,
-                rounds=phase.rounds,
-                messages=phase.messages,
-                max_machine_sent=phase.max_machine_sent,
-                max_machine_received=phase.max_machine_received,
-                live_tokens=live,
-            )
-        )
-        flags = cluster.empty_outboxes()
-        for i in range(1, cluster.k):
-            alive = bool(tokens[parts[i]].sum() > 0)
-            flags[i].append(Message(src=i, dst=0, kind="pr-alive", payload=alive, bits=1))
-        cluster.exchange(flags, label="pagerank-baseline/control/report")
-        cluster.broadcast(
-            0, kind="pr-continue", payload=live > 0, bits=1, label="pagerank-baseline/control/verdict"
-        )
+        stats.append(close_iteration(
+            cluster, it, live,
+            "pagerank-baseline/control/report", "pagerank-baseline/control/verdict",
+        ))
         if live == 0:
             break
 

@@ -39,9 +39,8 @@ from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
-from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition
-from repro.core.pagerank.result import IterationStats, PageRankResult
+from repro.core.pagerank.result import IterationStats, PageRankResult, close_iteration
 from repro.core.pagerank.tokens import (
     move_heavy_tokens,
     move_light_tokens,
@@ -200,7 +199,9 @@ def distributed_pagerank(
     # max_iterations is a user-facing iteration budget (whp all tokens have
     # terminated by the default), so exhausting it returns partial state.
     try:
-        cluster.run_driver(driver, max_steps=max_iterations, on_exhaust="return")
+        for _ in range(max_iterations):
+            if not driver.step(cluster):
+                break
         # The ψ table lives with the machines; pull it back while the
         # pool is still held (before any close below).
         driver.finish(cluster)
@@ -411,8 +412,8 @@ class _PageRankDriver:
     ``pr-heavy`` (``<β[j], src: u>``) count messages — exchanged in a
     single communication phase, so every execution backend charges the
     same ``max_ij ceil(L_ij / B)`` rounds the per-object simulator did.
-    Control traffic (liveness flags, verdict broadcast) stays on the
-    message-level fallback path.
+    Control traffic (liveness flags, verdict broadcast) is charged by
+    :func:`~repro.core.pagerank.result.close_iteration`.
 
     Live counts (the termination signal) are recovered parent-side from
     ``local_live`` plus delivered counts (token moves conserve counts),
@@ -458,7 +459,8 @@ class _PageRankDriver:
         for verts, st in zip(self.dg.parts, states):
             self.psi[verts] = st["psi"]
 
-    def step(self, cluster: Cluster, state=None) -> bool:
+    def step(self, cluster: Cluster) -> bool:
+        """Run one walk iteration; True while tokens remain live."""
         it = self.iteration
         self.iteration += 1
         k = cluster.k
@@ -502,7 +504,10 @@ class _PageRankDriver:
             lives.append(int(local_live[j] + rows["count"].sum()
                              + hrows["count"].sum()))
         self._carry = payloads
-        return self._close_iteration(cluster, it, lives)
+        live = sum(lives)
+        self.stats.append(close_iteration(
+            cluster, it, live, "pagerank/control/report", "pagerank/control/verdict"))
+        return live > 0
 
     def _exchange_tokens(self, cluster: Cluster, it: int, merged: dict) -> list:
         """Exchange one iteration's merged α and β rows in a single phase."""
@@ -515,33 +520,3 @@ class _PageRankDriver:
             merged["heavy_v"], merged["heavy_c"], self.vid_bits,
         )
         return cluster.exchange_batches([light, heavy], label=f"pagerank/tokens/{it}")
-
-    def _close_iteration(self, cluster: Cluster, it: int, lives: list[int]) -> bool:
-        """Record the iteration's stats, then detect termination (accounted).
-
-        ``lives`` is each machine's live-token count after the iteration.
-        Every machine reports a 1-bit liveness flag to machine 0, which
-        broadcasts the verdict.
-        """
-        phase = cluster.metrics.phase_log[-1]
-        live = sum(lives)
-        self.stats.append(
-            IterationStats(
-                iteration=it,
-                rounds=phase.rounds,
-                messages=phase.messages,
-                max_machine_sent=phase.max_machine_sent,
-                max_machine_received=phase.max_machine_received,
-                live_tokens=live,
-            )
-        )
-        flags = cluster.empty_outboxes()
-        for i in range(1, cluster.k):
-            flags[i].append(
-                Message(src=i, dst=0, kind="pr-alive", payload=lives[i] > 0, bits=1)
-            )
-        cluster.exchange(flags, label="pagerank/control/report")
-        cluster.broadcast(
-            0, kind="pr-continue", payload=live > 0, bits=1, label="pagerank/control/verdict"
-        )
-        return live > 0

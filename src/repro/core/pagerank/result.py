@@ -1,4 +1,4 @@
-"""Result container for distributed PageRank runs."""
+"""Result container and per-iteration bookkeeping for distributed PageRank runs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.kmachine.metrics import Metrics
 
-__all__ = ["PageRankResult", "IterationStats"]
+__all__ = ["PageRankResult", "IterationStats", "close_iteration"]
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,34 @@ class IterationStats:
     max_machine_sent: int
     max_machine_received: int
     live_tokens: int
+
+
+def close_iteration(
+    cluster, iteration: int, live: int, report_label: str, verdict_label: str
+) -> IterationStats:
+    """Stats of the iteration whose token phase was charged last, then its termination check.
+
+    The check is two accounted control phases whose 1-bit messages no
+    driver reads (the parent sees ``live`` directly): every machine
+    ``i > 0`` reports a liveness flag to machine 0 (``report_label``),
+    which broadcasts the verdict (``verdict_label``).  Callers pass
+    literal labels, so every iteration's phase log shares one string
+    object per label.
+    """
+    phase = cluster.metrics.phase_log[-1]
+    stats = IterationStats(
+        iteration=iteration,
+        rounds=phase.rounds,
+        messages=phase.messages,
+        max_machine_sent=phase.max_machine_sent,
+        max_machine_received=phase.max_machine_received,
+        live_tokens=live,
+    )
+    flags = np.zeros((cluster.k, cluster.k), dtype=np.int64)
+    flags[1:, 0] = 1
+    cluster.account_phase(flags, flags, label=report_label)
+    cluster.broadcast(0, bits=1, label=verdict_label)
+    return stats
 
 
 @dataclass

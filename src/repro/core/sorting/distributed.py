@@ -157,13 +157,7 @@ def distributed_sort(
         # Degenerate sample: fall back to value-range splitters.
         lo, hi = float(values.min()), float(values.max())
         splitters = np.linspace(lo, hi, k + 1)[1:-1]
-    cluster.broadcast(
-        0,
-        kind="sort-splitters",
-        payload=splitters,
-        bits=int(max(1, splitters.size)) * val_bits,
-        label="sort/splitters",
-    )
+    cluster.broadcast(0, bits=int(max(1, splitters.size)) * val_bits, label="sort/splitters")
 
     # ------------------------------------------------------------------
     # Phase 3 — redistribution.  Bucket by value; searchsorted(right)

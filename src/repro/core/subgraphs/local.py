@@ -10,7 +10,10 @@ algorithms and the reference oracles for tests.
   determined by its diagonal pair ``{u, w}`` and two common neighbors
   ``{v1, v2}``; each cycle has exactly two diagonals, so keeping the
   occurrence only when ``min(u, w) < min(v1, v2)`` reports each cycle
-  exactly once.  Rows are ``(v0, v1, v2, v3)`` meaning the cycle
+  exactly once.  The common neighbors come from wedges ``u - c - w``
+  (two neighbors of a centre ``c``) grouped by their endpoint pair, so
+  the work is ``O(sum_c deg(c)^2)`` rather than one set intersection per
+  vertex pair.  Rows are ``(v0, v1, v2, v3)`` meaning the cycle
   ``v0 - v1 - v2 - v3 - v0`` with ``v0`` the minimum vertex and
   ``v1 < v3`` its two cycle-neighbors.
 """
@@ -60,34 +63,43 @@ def enumerate_k4_edges(n: int, edges: np.ndarray) -> np.ndarray:
     return out
 
 
+def _later_pairs(end: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(p, q)`` with ``p < q < end[p]``, for every ``p`` where ``first[p]``.
+
+    ``end[p]`` is the exclusive end of the sorted run holding position
+    ``p``, so the pairs are those of two positions in one run.
+    """
+    p = np.flatnonzero(first)
+    cnt = end[p] - p - 1
+    lo = np.repeat(p, cnt)
+    return lo, lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
 def enumerate_c4_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """All 4-cycles (as canonical rows, see module docstring)."""
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return np.zeros((0, 4), dtype=np.int64)
     edges = np.unique(np.sort(edges.reshape(-1, 2), axis=1), axis=0)
-    adj = _adjacency_sets(n, edges)
-    vertices = sorted(adj)
-    rows: list[tuple[int, int, int, int]] = []
-    for i, u in enumerate(vertices):
-        for w in vertices[i + 1 :]:
-            common = sorted(adj[u] & adj[w])
-            if len(common) < 2:
-                continue
-            for ai in range(len(common)):
-                for bi in range(ai + 1, len(common)):
-                    v1, v2 = common[ai], common[bi]
-                    # {u, w} is one of the two diagonals of the cycle
-                    # u - v1 - w - v2; keep the canonical one.
-                    if min(u, w) < min(v1, v2):
-                        v0 = min(u, w)
-                        vopp = max(u, w)
-                        rows.append((v0, v1, vopp, v2))
-    out = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    if out.shape[0]:
-        order = np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))
-        out = out[order]
-    return out
+    # Both orientations, sorted by (centre, neighbor): each centre's run
+    # of neighbors ascends, so a pair of its slots is a wedge u - c - w
+    # with u < w.  Only wedges with u < c can carry a kept cycle (v0 = u
+    # is below both of its cycle-neighbors).
+    centre = np.concatenate([edges[:, 0], edges[:, 1]])
+    nbr = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((nbr, centre))
+    centre, nbr = centre[order], nbr[order]
+    lo, hi = _later_pairs(np.searchsorted(centre, centre, side="right"), nbr < centre)
+    u, w, c = nbr[lo], nbr[hi], centre[lo]
+    # Group the wedges by their endpoint pair (u, w), centres ascending:
+    # two centres v1 < v2 of one group close the cycle u - v1 - w - v2.
+    order = np.lexsort((c, w, u))
+    u, w, c = u[order], w[order], c[order]
+    key = u * (int(edges.max()) + 1) + w
+    lo, hi = _later_pairs(np.searchsorted(key, key, side="right"), np.ones(key.size, bool))
+    out = np.column_stack([u[lo], c[lo], w[lo], c[hi]])
+    order = np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))
+    return out[order]
 
 
 def count_k4(graph: Graph) -> int:

@@ -28,7 +28,6 @@ from repro.graphs.triangles_ref import enumerate_triangles_edges
 from repro.kmachine import encoding
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.engine import DEFAULT_ENGINE
-from repro.kmachine.message import Message
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
 from repro.core.triangles.colors import machines_needing_edge_array, num_colors, owner_keys
 from repro.core.triangles.result import TriangleResult
@@ -199,28 +198,16 @@ def enumerate_triangles_broadcast(
     edges = graph.edges
 
     # Each edge is broadcast by the home of its lower endpoint (the other
-    # home machine stays silent to avoid duplicates).
-    src = home[edges[:, 0]] if edges.size else np.zeros(0, dtype=np.int64)
-    outboxes = cluster.empty_outboxes()
-    ebits = encoding.edge_message_bits(n)
-    for i in range(k):
-        mine = edges[src == i]
-        if mine.shape[0] == 0:
-            continue
-        for j in range(k):
-            if j == i:
-                continue
-            outboxes[i].append(
-                Message(
-                    src=i,
-                    dst=j,
-                    kind="tri-bcast",
-                    payload=mine,
-                    bits=int(mine.shape[0]) * ebits,
-                    multiplicity=int(mine.shape[0]),
-                )
-            )
-    cluster.exchange(outboxes, label="triangles-broadcast/scatter")
+    # home machine stays silent to avoid duplicates).  Nothing is
+    # delivered — every machine then holds the whole edge list — so the
+    # phase is its link loads alone: machine i's m_i edge messages on
+    # each of its k - 1 outgoing links.
+    sent = np.bincount(home[edges[:, 0]], minlength=k)
+    msgs = np.repeat(sent[:, None], k, axis=1)
+    np.fill_diagonal(msgs, 0)
+    cluster.account_phase(
+        msgs * encoding.edge_message_bits(n), msgs, label="triangles-broadcast/scatter"
+    )
 
     tris = enumerate_triangles_edges(n, edges)
     per_machine = np.zeros(k, dtype=np.int64)

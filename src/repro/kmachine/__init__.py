@@ -21,12 +21,15 @@ Engine architecture
 Algorithm drivers are decoupled from *how* a phase executes by a
 pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
 
-* Drivers describe a superstep's traffic either as per-object
-  :class:`Message` outboxes (:meth:`Cluster.exchange`, the fallback for
-  heterogeneous control traffic) or — on the hot paths — as columnar
+* Drivers charge a superstep through three phase primitives: traffic
+  that is delivered goes as columnar
   :class:`~repro.kmachine.engine.MessageBatch` streams of per-message
   ``(src, dst, bits)`` plus payload arrays
-  (:meth:`Cluster.exchange_batches`).
+  (:meth:`Cluster.exchange_batches`); traffic nobody reads (control
+  flags, broadcasts, scatters the receivers rebuild locally) passes only
+  its ``(k, k)`` link loads (:meth:`Cluster.account_phase`, and
+  :meth:`Cluster.broadcast` built on it); per-machine compute runs as
+  superstep kernels (:meth:`Cluster.map_machines`).
 * ``Cluster(..., engine="vector")`` — the default, named once as
   :data:`~repro.kmachine.engine.DEFAULT_ENGINE` — executes batches
   through :class:`~repro.kmachine.engine.VectorEngine`: per-link loads
@@ -61,16 +64,14 @@ Both backends share :meth:`LinkNetwork.account_phase` for accounting and
 deliver rows in the same canonical ``(dst, src, emission)`` order, so
 results, round counts, and per-link bit totals are engine-independent.
 The reference they are held to is a third, test-only engine: the
-per-object ``MessageEngine`` in ``tests/message_engine.py``
-materializes one :class:`Message` per batch row, and
-``tests/conftest.py`` registers it as ``message`` so the property
+per-object ``MessageEngine`` in ``tests/message_engine.py`` tallies
+and delivers one batch row at a time, and ``tests/conftest.py``
+registers it as ``message`` so the property
 (``tests/property/test_property_engines.py``), golden, registry and
 driver-oracle suites run every family on it too.  A whole run on the
 oracle is 1.3–1.8x slower on the batched families and 1.0x on the
-accounting-only ones.  :meth:`Cluster.run_driver` runs a BSP driver
-loop against whichever backend the cluster was built with; drivers
-express hot per-machine compute as kernels and everything else stays
-engine-agnostic.
+accounting-only ones.  Drivers express hot per-machine compute as
+kernels and everything else stays engine-agnostic.
 
 Authoring superstep kernels
 ---------------------------
@@ -227,7 +228,6 @@ from repro._lazy import lazy_exports
 # first access, so the process backend (and multiprocessing) loads only
 # when it is used.
 _EXPORTS = {
-    "Message": "repro.kmachine.message",
     "Metrics": "repro.kmachine.metrics",
     "PhaseStats": "repro.kmachine.metrics",
     "unit_load_matrix": "repro.kmachine.metrics",

@@ -9,28 +9,27 @@ A :class:`Cluster` bundles everything an algorithm driver needs:
   generator (the public random string used by the lower-bound analysis).
 
 Algorithms are written as *drivers*: per superstep they compute each
-machine's outbox from that machine's local state only, then call
-:meth:`Cluster.exchange` (heterogeneous per-object traffic) or
-:meth:`Cluster.exchange_batches` (homogeneous columnar traffic).  This is
-the BSP-style structure the paper itself notes the k-machine model
-simplifies; :meth:`Cluster.run_driver` runs that loop for driver objects
-exposing a ``step(cluster, state)`` method.
+machine's outgoing traffic from that machine's local state only, then
+charge it through one of three phase primitives —
+:meth:`Cluster.exchange_batches` (columnar traffic that is delivered),
+:meth:`Cluster.account_phase` (aggregate-only phases: the ``(k, k)``
+link loads alone, nothing delivered) and :meth:`Cluster.map_machines`
+(per-machine superstep kernels).  This is the BSP-style structure the
+paper itself notes the k-machine model simplifies.
 
 *How* a phase executes is delegated to a pluggable execution engine
 (``engine="vector"``, the default, or ``engine="process"`` for
 multiprocessing shard workers — see :mod:`repro.kmachine.engine` and
 :mod:`repro.kmachine.parallel`); both produce identical results and
 identical round/message/bit accounting, which the test suite checks
-against a per-object oracle engine (``tests/message_engine.py``).
-Drivers whose per-machine compute is hot can express it as a superstep
-kernel and dispatch it via :meth:`Cluster.map_machines`, which the
-process backend parallelizes.
+against a per-object oracle engine (``tests/message_engine.py``).  The
+process backend parallelizes :meth:`Cluster.map_machines`.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from repro.kmachine.engine import (
     MessageBatch,
     make_engine,
 )
-from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.network import LinkNetwork
 
@@ -101,8 +99,6 @@ class Cluster:
         #: The shared ("public") random string generator.
         self.shared_rng: np.random.Generator = rngs[self.k]
         self.seed = seed
-        #: Supersteps executed by the most recent :meth:`run_driver` call.
-        self.last_driver_supersteps: int = 0
         # A leaked cluster must not strand a held worker pool: the
         # finalizer runs engine.close() at garbage collection (the bound
         # method keeps the engine alive exactly as long as the cluster,
@@ -126,12 +122,6 @@ class Cluster:
     def rounds(self) -> int:
         """Total rounds accounted so far."""
         return self.network.rounds
-
-    def exchange(
-        self, outboxes: Sequence[Iterable[Message]], label: str = ""
-    ) -> list[list[Message]]:
-        """Run one per-object communication phase via the engine."""
-        return self.engine.exchange(outboxes, label=label)
 
     def exchange_batches(
         self, batches: Sequence[MessageBatch], label: str = ""
@@ -200,74 +190,22 @@ class Cluster:
             bits_matrix, messages_matrix, label=label, local_messages=local_messages
         )
 
-    def empty_outboxes(self) -> list[list[Message]]:
-        """A fresh list of ``k`` empty outboxes."""
-        return [[] for _ in range(self.k)]
-
-    def broadcast(
-        self, src: int, kind: str, payload, bits: int, label: str = "broadcast"
-    ) -> list[list[Message]]:
-        """Machine ``src`` sends the same message to every other machine.
+    def broadcast(self, src: int, bits: int, label: str = "broadcast") -> int:
+        """Charge machine ``src`` sending one ``bits``-bit message to every other machine.
 
         The sender is excluded (``k - 1`` copies, one per other machine);
-        ``bits`` is the per-copy wire size and must be positive.
+        ``bits`` is the per-copy wire size and must be positive.  Nothing
+        is delivered: the phase is accounted through
+        :meth:`account_phase`, and its rounds are returned.
         """
         if not (0 <= src < self.k):
             raise ModelError(f"machine index {src} out of range [0, {self.k})")
         if int(bits) <= 0:
             raise ModelError(f"broadcast message size must be positive, got {bits}")
-        outboxes = self.empty_outboxes()
-        outboxes[src] = [
-            Message(src=src, dst=j, kind=kind, payload=payload, bits=int(bits))
-            for j in range(self.k)
-            if j != src
-        ]
-        return self.exchange(outboxes, label=label)
-
-    # ------------------------------------------------------------------
-    def run_driver(
-        self,
-        driver,
-        state=None,
-        max_steps: int | None = None,
-        on_exhaust: str = "raise",
-    ):
-        """Run a BSP driver loop until the driver signals completion.
-
-        ``driver`` is either an object with a ``step(cluster, state)``
-        method or a bare callable with the same signature; it performs
-        one superstep (local computation plus exchanges) and returns a
-        truthy value while more supersteps remain.  Returns ``state``;
-        the number of supersteps executed is recorded in
-        :attr:`last_driver_supersteps`.
-
-        If ``max_steps`` is exhausted before the driver signals
-        completion, a :class:`~repro.errors.ModelError` is raised —
-        unless ``on_exhaust="return"``, which returns the partial state
-        instead (for drivers where the cap is a legitimate user-facing
-        iteration budget, e.g. PageRank's ``max_iterations``).
-        """
-        if on_exhaust not in ("raise", "return"):
-            raise ModelError(
-                f"on_exhaust must be 'raise' or 'return', got {on_exhaust!r}"
-            )
-        step: Callable = driver.step if hasattr(driver, "step") else driver
-        if not callable(step):
-            raise ModelError("driver must be callable or expose a step() method")
-        steps = 0
-        done = False
-        while max_steps is None or steps < max_steps:
-            steps += 1
-            if not step(self, state):
-                done = True
-                break
-        self.last_driver_supersteps = steps
-        if not done and max_steps is not None and on_exhaust == "raise":
-            raise ModelError(
-                f"driver did not signal completion within max_steps={max_steps} "
-                f"supersteps; pass on_exhaust='return' to accept partial state"
-            )
-        return state
+        msgs = np.zeros((self.k, self.k), dtype=np.int64)
+        msgs[src] = 1
+        msgs[src, src] = 0
+        return self.account_phase(msgs * int(bits), msgs, label=label)
 
     def reset_metrics(self) -> None:
         """Discard accumulated metrics."""

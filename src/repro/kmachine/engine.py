@@ -22,11 +22,10 @@ default is named:
 
 The test suite adds one more: a per-object *oracle* engine
 (``tests/message_engine.py``, registered as ``message`` by
-``tests/conftest.py``) that turns every batch row into a
-:class:`~repro.kmachine.message.Message` routed through
-:meth:`LinkNetwork.exchange`.  It is the message-passing reading of the
-model taken literally, and the cross-engine, golden and driver-oracle
-suites compare the product engines against it; whole runs on it are
+``tests/conftest.py``) that tallies and delivers every batch row one at
+a time in Python.  It is the message-passing reading of the model taken
+literally, and the cross-engine, golden and driver-oracle suites
+compare the product engines against it; whole runs on it are
 1.3–1.8x slower on the batched families (PageRank, triangles) and no
 slower on the accounting-only ones (MST, connectivity).
 
@@ -39,9 +38,9 @@ backend — which the property tests in
 ``tests/property/test_property_engines.py`` assert for every algorithm
 family.
 
-Drivers whose traffic is heterogeneous (control messages, one-off
-payloads) use the message-level :meth:`Engine.exchange`, which is
-per-object on every engine.
+A phase whose messages nobody reads (control flags, verdict broadcasts,
+a scatter whose receivers rebuild the data locally) passes its ``(k, k)``
+loads to :meth:`Engine.account_phase` instead of delivering them.
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ import itertools
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
 from repro.kmachine.network import LinkNetwork
 from repro.obs.trace import NULL_TRACER
@@ -233,9 +231,10 @@ class Engine:
     """Executes communication phases against a :class:`LinkNetwork`.
 
     Subclasses implement :meth:`exchange_batches` (columnar traffic);
-    per-object :meth:`exchange` is shared.  All accounting flows into
-    the shared :class:`~repro.kmachine.metrics.Metrics` of the bound
-    network, so backends are interchangeable mid-run.
+    :meth:`account_phase` and :meth:`map_machines` are shared.  All
+    accounting flows into the shared
+    :class:`~repro.kmachine.metrics.Metrics` of the bound network, so
+    backends are interchangeable mid-run.
     """
 
     name: str = "abstract"
@@ -277,27 +276,6 @@ class Engine:
         return self.network.metrics
 
     # -- phase execution -------------------------------------------------
-    def exchange(
-        self, outboxes: Sequence[Iterable[Message]], label: str = ""
-    ) -> list[list[Message]]:
-        """Run one message-level communication phase.
-
-        Heterogeneous traffic keeps per-object semantics on every
-        backend; only batch traffic is engine-specific.
-        """
-        self._mark_activity()
-        if not self.tracer.enabled:
-            return self.network.exchange(outboxes, label=label)
-        t0 = time.perf_counter()
-        inboxes = self.network.exchange(outboxes, label=label)
-        self.tracer.phase(
-            "exchange",
-            label,
-            time.perf_counter() - t0,
-            stats=self.metrics.phase_log[-1],
-        )
-        return inboxes
-
     def exchange_batches(
         self, batches: Sequence[MessageBatch], label: str = ""
     ) -> list[DeliveredBatch]:

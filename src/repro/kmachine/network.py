@@ -11,13 +11,10 @@ packed into each round's ``B`` bits, takes exactly ``ceil(L_ij / B)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro._util import check_positive_int
 from repro.errors import ModelError
-from repro.kmachine.message import Message
 from repro.kmachine.metrics import Metrics
 
 __all__ = ["LinkNetwork"]
@@ -46,57 +43,6 @@ class LinkNetwork:
         self.metrics = Metrics(k=self.k, bandwidth=self.bandwidth)
 
     # ------------------------------------------------------------------
-    def _validate(self, outboxes: Sequence[Iterable[Message]]) -> None:
-        if len(outboxes) != self.k:
-            raise ModelError(
-                f"expected one outbox per machine ({self.k}), got {len(outboxes)}"
-            )
-
-    def exchange(
-        self,
-        outboxes: Sequence[Iterable[Message]],
-        label: str = "",
-    ) -> list[list[Message]]:
-        """Deliver one communication phase and account its cost.
-
-        ``outboxes[i]`` are the messages machine ``i`` sends this phase.
-        Returns ``inboxes`` where ``inboxes[j]`` lists the messages machine
-        ``j`` receives (remote first in link order, then local), and
-        accumulates rounds/messages/bits into :attr:`metrics`.
-        """
-        self._validate(outboxes)
-        k = self.k
-        bits = np.zeros((k, k), dtype=np.int64)
-        msgs = np.zeros((k, k), dtype=np.int64)
-        inboxes: list[list[Message]] = [[] for _ in range(k)]
-        local = 0
-        per_link: dict[tuple[int, int], list[Message]] = {}
-
-        for i, outbox in enumerate(outboxes):
-            for msg in outbox:
-                if msg.src != i:
-                    raise ModelError(
-                        f"machine {i} tried to send a message with src={msg.src}"
-                    )
-                if not (0 <= msg.dst < k):
-                    raise ModelError(
-                        f"message destination {msg.dst} out of range [0, {k})"
-                    )
-                if msg.is_local:
-                    local += msg.multiplicity
-                    inboxes[msg.dst].append(msg)
-                    continue
-                bits[msg.src, msg.dst] += msg.bits
-                msgs[msg.src, msg.dst] += msg.multiplicity
-                per_link.setdefault((msg.src, msg.dst), []).append(msg)
-
-        self.account_phase(bits, msgs, label=label, local_messages=local)
-
-        for (_, dst), batch in sorted(per_link.items()):
-            inboxes[dst].extend(batch)
-        return inboxes
-
-    # ------------------------------------------------------------------
     def account_phase(
         self,
         bits_matrix: np.ndarray,
@@ -106,9 +52,9 @@ class LinkNetwork:
     ) -> int:
         """Account one phase from its aggregate ``(k, k)`` loads; returns its rounds.
 
-        The accounting primitive every exchange ends in: :meth:`exchange`
-        and the engines' batch exchanges pass the loads they scattered,
-        and analytically-simulated phases (whose message volume would be
+        The accounting primitive every phase ends in: the engines' batch
+        exchanges pass the loads they scattered, and aggregate-only phases
+        (whose messages are never delivered, or whose volume would be
         prohibitive to materialize) pass their loads directly.
         """
         stats = self.metrics.record_phase(

@@ -16,12 +16,12 @@ trick referenced by the paper's "randomized proxy computation".
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro._util import as_rng
-from repro.kmachine.message import Message
+from repro.errors import ModelError
+from repro.kmachine.metrics import unit_load_matrix
 from repro.kmachine.network import LinkNetwork
 
 __all__ = [
@@ -32,44 +32,46 @@ __all__ = [
 
 
 def direct_exchange(
-    network: LinkNetwork,
-    outboxes: Sequence[Iterable[Message]],
-    label: str = "direct",
-) -> list[list[Message]]:
-    """One phase: every message uses the direct source→destination link."""
-    return network.exchange(outboxes, label=label)
+    network: LinkNetwork, src, dst, bits, label: str = "direct"
+) -> int:
+    """One phase: message ``t`` (``bits[t]`` bits) uses the direct ``src[t] → dst[t]`` link.
+
+    Charges the phase's link loads to ``network`` and returns its rounds;
+    messages with ``src[t] == dst[t]`` are local (free).
+    """
+    k = network.k
+    src, dst, bits = (np.asarray(a, dtype=np.int64) for a in (src, dst, bits))
+    if not (src.shape == dst.shape == bits.shape and src.ndim == 1):
+        raise ModelError(f"src/dst/bits must be 1-D of one length, got "
+                         f"{src.shape}/{dst.shape}/{bits.shape}")
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= k):
+        raise ModelError(f"machine index out of range [0, {k})")
+    if src.size and bits.min() <= 0:
+        raise ModelError("message sizes must be positive")
+    msgs, local = unit_load_matrix(src, dst, k)
+    loads = np.zeros((k, k), dtype=np.int64)
+    remote = src != dst
+    np.add.at(loads, (src[remote], dst[remote]), bits[remote])
+    return network.account_phase(loads, msgs, label=label, local_messages=local)
 
 
 def valiant_exchange(
     network: LinkNetwork,
-    outboxes: Sequence[Iterable[Message]],
+    src,
+    dst,
+    bits,
     rng: int | np.random.Generator | None = None,
     label: str = "valiant",
-) -> list[list[Message]]:
-    """Two-hop random routing: src → random intermediate → dst.
+) -> int:
+    """Two-hop random routing: src → random intermediate → dst; returns the rounds.
 
     Costs two phases.  The intermediate machine forwards each message
     unchanged; message sizes are preserved (a real implementation would add
     ``O(log k)`` header bits, which is within the model's polylog slack).
     """
-    rng = as_rng(rng)
-    k = network.k
-    hop1: list[list[Message]] = [[] for _ in range(k)]
-    for i, outbox in enumerate(outboxes):
-        for msg in outbox:
-            mid = int(rng.integers(0, k))
-            hop1[i].append(
-                Message(src=i, dst=mid, kind=msg.kind, payload=(msg.dst, msg.payload), bits=msg.bits)
-            )
-    mid_in = network.exchange(hop1, label=f"{label}/hop1")
-    hop2: list[list[Message]] = [[] for _ in range(k)]
-    for mid, inbox in enumerate(mid_in):
-        for msg in inbox:
-            final_dst, payload = msg.payload
-            hop2[mid].append(
-                Message(src=mid, dst=final_dst, kind=msg.kind, payload=payload, bits=msg.bits)
-            )
-    return network.exchange(hop2, label=f"{label}/hop2")
+    mid = as_rng(rng).integers(0, network.k, size=len(src))
+    return (direct_exchange(network, src, mid, bits, label=f"{label}/hop1")
+            + direct_exchange(network, mid, dst, bits, label=f"{label}/hop2"))
 
 
 def lemma13_round_bound(x: int, k: int, message_bits: int, bandwidth: int) -> float:

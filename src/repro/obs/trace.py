@@ -23,10 +23,11 @@ version ``1``):
 ``phase``
     ``{"event", "seq", "at", "op", "label", "wall_s", "driver_s",
     "segments", "rounds", "messages", "bits", "max_link_bits",
-    "top_links"}`` — ``op`` is the engine entry point (``exchange``,
-    ``exchange_batches``, ``account_phase``, ``map_machines``),
+    "top_links"}`` — ``op`` is the engine entry point
+    (``exchange_batches``, ``account_phase``, ``map_machines``, or
+    ``resident`` for installing and pulling per-machine state),
     ``segments`` a dict of wall-clock sub-spans in seconds (e.g.
-    ``pack_s`` / ``exchange_s`` / ``deliver_s`` on the vector backend,
+    ``pack_s`` / ``account_s`` / ``deliver_s`` on the vector backend,
     ``ship_s`` / ``kernel_s`` / ``pool_wait_s`` / ``unpack_s`` on the
     process backend), ``top_links`` the heaviest ``[src, dst, bits]``
     links of the phase when the backend can compute them cheaply.

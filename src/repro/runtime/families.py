@@ -198,6 +198,22 @@ def _check_mst(graph, rep) -> list:
              abs(total - ref_total) < 1e-9)]
 
 
+def _check_connectivity(graph, rep) -> list:
+    from repro.core.mst.dsu import DisjointSetUnion
+
+    dsu = DisjointSetUnion(graph.n)
+    for u, v in graph.edges:
+        dsu.union(int(u), int(v))
+    roots = dsu.component_labels()
+    # Canonical labels, as the result states them: each component's minimum vertex id.
+    first = np.full(graph.n, graph.n, dtype=np.int64)
+    np.minimum.at(first, roots, np.arange(graph.n))
+    r = rep.result
+    ok = r.num_components == dsu.num_components and np.array_equal(r.labels, first[roots])
+    return [("components (vs union-find)", f"{r.num_components} ({dsu.num_components})",
+             bool(ok))]
+
+
 def _check_sorting(values, rep) -> list:
     ok = bool(np.all(np.diff(rep.result.concatenated()) >= 0))
     return [("globally sorted", ok, ok)]
@@ -365,6 +381,7 @@ def register_builtin_specs() -> None:
         lower_bound=_lb_boruvka,
         upper_bound=_ub_boruvka,
         summarize=_summarize_connectivity,
+        check=_check_connectivity,
         build_distgraph=True,
     )
     _register(

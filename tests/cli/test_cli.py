@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import runtime
@@ -166,10 +167,10 @@ ENUMERATION_FAMILIES = [
     "congested-clique-triangles", "subgraphs", "triangles", "triangles-conversion",
 ]
 
-#: The row each family's ``check`` prints (``None``: the family has no check).
+#: The row each family's ``check`` prints; every registered family has one.
 CHECK_LABELS = {
     **dict.fromkeys(ENUMERATION_FAMILIES, "occurrences (vs sequential)"),
-    "connectivity": None,
+    "connectivity": "components (vs union-find)",
     "mst": "weight (vs Kruskal)",
     "pagerank": "L1 error vs reference",
     "pagerank-baseline": "L1 error vs reference",
@@ -181,29 +182,29 @@ class TestGenericRun:
     @pytest.mark.parametrize("name", runtime.available())
     def test_run_every_registered_family(self, name, capsys):
         spec = runtime.get_spec(name)
-        assert (spec.check is not None) == (CHECK_LABELS[name] is not None)
+        assert spec.check is not None
         rc = main(["run", name, "--n", "60", "--k", "8", "--graph", "dense"])
         assert rc == 0, name
         out = capsys.readouterr().out
         assert spec.bounds.split()[0] in out
         assert "rounds" in out
         # A family's check row is the last row of the table, after its summary.
-        last = out.splitlines()[-1].strip()
-        if CHECK_LABELS[name] is not None:
-            assert last.startswith(CHECK_LABELS[name])
-        else:
-            assert not last.startswith(tuple(filter(None, CHECK_LABELS.values())))
+        assert out.splitlines()[-1].strip().startswith(CHECK_LABELS[name])
 
     @pytest.mark.parametrize("algo, doctor, label, argv", [
         ("mst", lambda r: dataclasses.replace(r, total_weight=r.total_weight + 1e-6),
          "weight (vs Kruskal)", ["--n", "200", "--k", "4"]),
         ("sorting", lambda r: dataclasses.replace(r, blocks=r.blocks[::-1]),
          "globally sorted", ["--n", "200", "--k", "4"]),
+        # The two lowest-labelled components merged into one.
+        ("connectivity", lambda r: dataclasses.replace(r, labels=np.where(
+            r.labels == np.unique(r.labels)[1], r.labels.min(), r.labels)),
+         "components (vs union-find)", ["--n", "200", "--k", "4", "--avg-degree", "1"]),
         # One dropped occurrence row.
         *[(name, lambda r: dataclasses.replace(r, triangles=r.triangles[1:]),
            "occurrences (vs sequential)", ["--n", "40", "--k", "4", "--graph", "dense"])
           for name in ENUMERATION_FAMILIES],
-    ], ids=["mst", "sorting", *ENUMERATION_FAMILIES])
+    ], ids=["mst", "sorting", "connectivity", *ENUMERATION_FAMILIES])
     def test_a_doctored_result_fails_its_check(self, algo, doctor, label, argv, monkeypatch,
                                                capsys):
         real_run = runtime.run

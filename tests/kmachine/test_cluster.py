@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ModelError
 from repro._util import polylog
 from repro.kmachine.cluster import Cluster
-from repro.kmachine.message import Message
 
 
 class TestClusterConstruction:
@@ -44,38 +43,26 @@ class TestClusterConstruction:
 
 
 class TestClusterOperations:
-    def test_exchange_accounts_rounds(self):
+    def test_broadcast_charges_one_copy_per_other_machine(self):
+        c = Cluster(k=5, bandwidth=64, seed=0)
+        assert c.broadcast(2, bits=4, label="hello") == 1
+        phase = c.metrics.phase_log[-1]
+        assert (phase.label, phase.messages, phase.bits) == ("hello", 4, 16)
+        sent = np.zeros(5, dtype=np.int64)
+        sent[2] = 4
+        received = np.ones(5, dtype=np.int64)
+        received[2] = 0
+        assert np.array_equal(c.metrics.sent_messages, sent)
+        assert np.array_equal(c.metrics.received_messages, received)
+
+    def test_broadcast_rounds_grow_with_the_copy_size(self):
         c = Cluster(k=3, bandwidth=8, seed=0)
-        out = c.empty_outboxes()
-        out[0].append(Message(src=0, dst=1, kind="x", bits=16))
-        c.exchange(out)
-        assert c.rounds == 2
-
-    def test_empty_outboxes_fresh_lists(self):
-        c = Cluster(k=3, bandwidth=8)
-        a = c.empty_outboxes()
-        a[0].append("sentinel")
-        b = c.empty_outboxes()
-        assert b[0] == []
-
-    def test_broadcast_reaches_everyone_else(self):
-        c = Cluster(k=5, bandwidth=64, seed=0)
-        inboxes = c.broadcast(2, kind="hello", payload=7, bits=4)
-        for j in range(5):
-            if j == 2:
-                assert inboxes[j] == []
-            else:
-                assert len(inboxes[j]) == 1 and inboxes[j][0].payload == 7
-
-    def test_broadcast_costs_one_round_when_it_fits(self):
-        c = Cluster(k=5, bandwidth=64, seed=0)
-        c.broadcast(0, kind="b", payload=None, bits=4)
-        assert c.rounds == 1
+        assert c.broadcast(0, bits=17) == 3  # ceil(17/8) on every link
 
     def test_broadcast_rejects_bad_source(self):
         c = Cluster(k=3, bandwidth=8)
         with pytest.raises(ModelError):
-            c.broadcast(3, kind="b", payload=None, bits=4)
+            c.broadcast(3, bits=4)
 
     def test_account_phase_passthrough(self):
         c = Cluster(k=3, bandwidth=8)
@@ -87,69 +74,6 @@ class TestClusterOperations:
 
     def test_reset_metrics(self):
         c = Cluster(k=3, bandwidth=8, seed=0)
-        c.broadcast(0, kind="b", payload=None, bits=4)
+        c.broadcast(0, bits=4)
         c.reset_metrics()
         assert c.rounds == 0
-
-
-class TestRunDriver:
-    @staticmethod
-    def finite_driver(steps_needed):
-        calls = {"n": 0}
-
-        def step(cluster, state):
-            calls["n"] += 1
-            return calls["n"] < steps_needed
-
-        return step, calls
-
-    def test_runs_until_driver_completes(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        step, calls = self.finite_driver(3)
-        c.run_driver(step)
-        assert calls["n"] == 3
-        assert c.last_driver_supersteps == 3
-
-    def test_raises_when_max_steps_exhausted(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        step, _ = self.finite_driver(10)
-        with pytest.raises(ModelError, match="max_steps=4"):
-            c.run_driver(step, max_steps=4)
-        assert c.last_driver_supersteps == 4
-
-    def test_on_exhaust_return_gives_partial_state(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        step, calls = self.finite_driver(10)
-        state = {"tag": 1}
-        assert c.run_driver(step, state=state, max_steps=4, on_exhaust="return") is state
-        assert calls["n"] == 4
-        assert c.last_driver_supersteps == 4
-
-    def test_completion_on_last_allowed_step_does_not_raise(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        step, _ = self.finite_driver(4)
-        c.run_driver(step, max_steps=4)
-        assert c.last_driver_supersteps == 4
-
-    def test_rejects_bad_on_exhaust(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        with pytest.raises(ModelError):
-            c.run_driver(lambda cl, s: False, on_exhaust="ignore")
-
-    def test_rejects_non_callable_driver(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-        with pytest.raises(ModelError):
-            c.run_driver(object())
-
-    def test_step_method_driver(self):
-        c = Cluster(k=2, bandwidth=8, seed=0)
-
-        class Driver:
-            remaining = 2
-
-            def step(self, cluster, state):
-                self.remaining -= 1
-                return self.remaining > 0
-
-        c.run_driver(Driver())
-        assert c.last_driver_supersteps == 2

@@ -3,81 +3,43 @@
 import numpy as np
 import pytest
 
+from message_engine import MessageEngine
 from repro.errors import ModelError
-from repro.kmachine.message import Message
+from repro.kmachine.engine import MessageBatch
 from repro.kmachine.network import LinkNetwork
 
 
-def boxes(k, msgs):
-    out = [[] for _ in range(k)]
-    for m in msgs:
-        out[m.src].append(m)
-    return out
+def loads(k, links):
+    """(bits, messages) matrices of ``{(src, dst): (bits, messages)}``."""
+    bits = np.zeros((k, k), dtype=np.int64)
+    msgs = np.zeros((k, k), dtype=np.int64)
+    for (s, d), (b, m) in links.items():
+        bits[s, d], msgs[s, d] = b, m
+    return bits, msgs
 
 
-class TestExchange:
-    def test_delivery_to_inboxes(self):
-        net = LinkNetwork(3, bandwidth=16)
-        msgs = [
-            Message(src=0, dst=1, kind="a", payload="x", bits=4),
-            Message(src=2, dst=1, kind="a", payload="y", bits=4),
-            Message(src=1, dst=0, kind="b", payload="z", bits=4),
-        ]
-        inboxes = net.exchange(boxes(3, msgs))
-        assert [m.payload for m in inboxes[1]] == ["x", "y"]
-        assert [m.payload for m in inboxes[0]] == ["z"]
-        assert inboxes[2] == []
-
+class TestRounds:
     def test_rounds_max_over_links(self):
         net = LinkNetwork(3, bandwidth=8)
-        msgs = [Message(src=0, dst=1, kind="a", bits=20), Message(src=0, dst=2, kind="a", bits=7)]
-        net.exchange(boxes(3, msgs))
+        assert net.account_phase(*loads(3, {(0, 1): (20, 1), (0, 2): (7, 1)})) == 3
         assert net.rounds == 3  # ceil(20/8)
 
     def test_parallel_links_dont_add(self):
         # Loads on distinct links are delivered in parallel.
         net = LinkNetwork(4, bandwidth=8)
-        msgs = [Message(src=i, dst=(i + 1) % 4, kind="a", bits=8) for i in range(4)]
-        net.exchange(boxes(4, msgs))
+        net.account_phase(*loads(4, {(i, (i + 1) % 4): (8, 1) for i in range(4)}))
         assert net.rounds == 1
 
-    def test_same_link_accumulates(self):
+    def test_local_messages_are_free(self):
         net = LinkNetwork(2, bandwidth=8)
-        msgs = [Message(src=0, dst=1, kind="a", bits=5) for _ in range(5)]
-        net.exchange(boxes(2, msgs))
-        assert net.rounds == 4  # ceil(25/8)
-
-    def test_local_message_free_and_delivered(self):
-        net = LinkNetwork(2, bandwidth=8)
-        msgs = [Message(src=0, dst=0, kind="a", payload=1, bits=999)]
-        inboxes = net.exchange(boxes(2, msgs))
+        net.account_phase(*loads(2, {}), local_messages=3)
         assert net.rounds == 0
-        assert inboxes[0][0].payload == 1
-        assert net.metrics.local_messages == 1
+        assert net.metrics.local_messages == 3 and net.metrics.messages == 0
 
-    def test_multiplicity_counts_messages(self):
+    def test_diagonal_loads_rejected(self):
         net = LinkNetwork(2, bandwidth=8)
-        msgs = [Message(src=0, dst=1, kind="a", bits=16, multiplicity=4)]
-        net.exchange(boxes(2, msgs))
-        assert net.metrics.messages == 4
-        assert net.metrics.bits == 16
-
-    def test_wrong_src_rejected(self):
-        net = LinkNetwork(2, bandwidth=8)
-        out = [[Message(src=1, dst=0, kind="a")], []]
-        with pytest.raises(ModelError, match="src"):
-            net.exchange(out)
-
-    def test_out_of_range_dst_rejected(self):
-        net = LinkNetwork(2, bandwidth=8)
-        out = [[Message(src=0, dst=5, kind="a")], []]
-        with pytest.raises(ModelError, match="destination"):
-            net.exchange(out)
-
-    def test_wrong_outbox_count_rejected(self):
-        net = LinkNetwork(3, bandwidth=8)
-        with pytest.raises(ModelError, match="outbox"):
-            net.exchange([[], []])
+        with pytest.raises(ValueError, match="diagonal"):
+            net.account_phase(*loads(2, {(0, 0): (8, 1)}))
 
     def test_k_must_be_at_least_two(self):
         # Every integer k < 2 is the model's error, zero and negatives too.
@@ -89,7 +51,7 @@ class TestExchange:
 
     def test_reset_metrics(self):
         net = LinkNetwork(2, bandwidth=8)
-        net.exchange(boxes(2, [Message(src=0, dst=1, kind="a", bits=8)]))
+        net.account_phase(*loads(2, {(0, 1): (8, 1)}))
         assert net.rounds == 1
         net.reset_metrics()
         assert net.rounds == 0 and net.metrics.messages == 0
@@ -108,19 +70,14 @@ class TestAccountPhase:
         assert net.metrics.phase_log[-1].label == "agg"
 
     def test_exchange_charges_what_account_phase_charges(self):
-        # exchange() scatters its messages into link loads and accounts
-        # them through account_phase(): the two phases must log alike.
-        msgs = [Message(src=0, dst=1, kind="a", bits=13, multiplicity=2),
-                Message(src=0, dst=1, kind="a", bits=9),
-                Message(src=2, dst=0, kind="a", bits=30),
-                Message(src=1, dst=1, kind="a", bits=50)]
+        # The oracle engine tallies its rows one by one and accounts the
+        # loads through account_phase(): the two phases must log alike.
         by_exchange = LinkNetwork(3, bandwidth=8)
-        by_exchange.exchange(boxes(3, msgs), label="p")
-        bits = np.zeros((3, 3), dtype=np.int64)
-        counts = np.zeros((3, 3), dtype=np.int64)
-        bits[0, 1], counts[0, 1] = 22, 3
-        bits[2, 0], counts[2, 0] = 30, 1
+        MessageEngine(by_exchange).exchange_batches(
+            [MessageBatch("a", src=[0, 0, 0, 2, 1], dst=[1, 1, 1, 0, 1],
+                          bits=[6, 7, 9, 30, 50])], label="p")
         by_loads = LinkNetwork(3, bandwidth=8)
+        bits, counts = loads(3, {(0, 1): (22, 3), (2, 0): (30, 1)})
         assert by_loads.account_phase(bits, counts, label="p", local_messages=1) == 4
         assert by_exchange.metrics.phase_log == by_loads.metrics.phase_log
         assert by_exchange.metrics.as_dict() == by_loads.metrics.as_dict()

@@ -1,31 +1,41 @@
 """Unit tests for routing strategies and the Lemma-13 envelope."""
 
 import numpy as np
+import pytest
 
-from repro.kmachine.message import Message
+from repro.errors import ModelError
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.routing import direct_exchange, lemma13_round_bound, valiant_exchange
 
 
 def random_workload(k, x_per_machine, bits, rng):
-    """Each machine sends x messages to i.u.r. destinations."""
-    out = [[] for _ in range(k)]
-    for i in range(k):
-        for t in range(x_per_machine):
-            j = int(rng.integers(0, k))
-            out[i].append(Message(src=i, dst=j, kind="w", payload=t, bits=bits))
-    return out
+    """``(src, dst, bits)``: each machine sends x messages to i.u.r. destinations."""
+    src = np.repeat(np.arange(k), x_per_machine)
+    return src, rng.integers(0, k, size=src.size), np.full(src.size, bits)
+
+
+def to_sink(k, x, bits, senders):
+    """``(src, dst, bits)``: every sender sends x messages to machine 0."""
+    src = np.repeat(np.asarray(senders), x)
+    return src, np.zeros(src.size, dtype=np.int64), np.full(src.size, bits)
 
 
 class TestDirectExchange:
-    def test_delivers_everything(self):
+    def test_charges_every_message(self):
         rng = np.random.default_rng(0)
         k = 6
         net = LinkNetwork(k, bandwidth=16)
-        out = random_workload(k, 20, 4, rng)
-        inboxes = direct_exchange(net, out)
-        total = sum(len(b) for b in inboxes)
-        assert total == sum(len(b) for b in out)
+        src, dst, bits = random_workload(k, 20, 4, rng)
+        assert direct_exchange(net, src, dst, bits) == net.rounds
+        remote = src != dst
+        assert net.metrics.messages == int(remote.sum())
+        assert net.metrics.local_messages == int((~remote).sum())
+        assert net.metrics.bits == int(bits[remote].sum())
+
+    def test_rounds_are_the_heaviest_link(self):
+        net = LinkNetwork(3, bandwidth=8)
+        direct_exchange(net, [0, 0, 0, 2], [1, 1, 2, 2], [5, 6, 7, 99])
+        assert net.rounds == 2  # 11 bits on (0, 1); (2, 2) is local
 
     def test_lemma13_envelope_holds_for_random_destinations(self):
         # Measured rounds of a random-destination workload stay below the
@@ -33,8 +43,7 @@ class TestDirectExchange:
         rng = np.random.default_rng(1)
         k, x, bits, B = 8, 400, 8, 32
         net = LinkNetwork(k, bandwidth=B)
-        out = random_workload(k, x, bits, rng)
-        direct_exchange(net, out)
+        direct_exchange(net, *random_workload(k, x, bits, rng))
         assert net.rounds <= max(1.0, 4 * lemma13_round_bound(x, k, bits, B))
 
     def test_adversarial_destinations_blow_up(self):
@@ -42,61 +51,54 @@ class TestDirectExchange:
         # worse than the random-destination case with the same volume.
         k, x, bits, B = 8, 400, 8, 32
         net_bad = LinkNetwork(k, bandwidth=B)
-        out = [[] for _ in range(k)]
-        for i in range(1, k):
-            for t in range(x):
-                out[i].append(Message(src=i, dst=0, kind="w", bits=bits))
-        direct_exchange(net_bad, out)
+        direct_exchange(net_bad, *to_sink(k, x, bits, range(1, k)))
         rng = np.random.default_rng(2)
         net_rand = LinkNetwork(k, bandwidth=B)
-        direct_exchange(net_rand, random_workload(k, x, bits, rng))
+        direct_exchange(net_rand, *random_workload(k, x, bits, rng))
         assert net_bad.rounds > 3 * net_rand.rounds
+
+    @pytest.mark.parametrize("src, dst, bits, match", [
+        ([0], [3], [4], "out of range"),
+        ([-1], [0], [4], "out of range"),
+        ([0], [1], [0], "positive"),
+        ([0, 1], [1], [4], "one length"),
+    ])
+    def test_rejects_malformed_traffic(self, src, dst, bits, match):
+        net = LinkNetwork(3, bandwidth=8)
+        with pytest.raises(ModelError, match=match):
+            direct_exchange(net, src, dst, bits)
+        assert net.metrics.phases == 0
 
 
 class TestValiantExchange:
-    def test_delivers_to_final_destinations(self):
-        rng = np.random.default_rng(3)
+    def test_is_two_direct_hops_through_drawn_intermediates(self):
         k = 5
+        src = np.repeat(np.arange(k), 10)
+        dst = (src + 1 + np.tile(np.arange(10), k)) % k
+        bits = np.full(src.size, 4)
         net = LinkNetwork(k, bandwidth=64)
-        out = [[] for _ in range(k)]
-        expected = {j: 0 for j in range(k)}
-        for i in range(k):
-            for t in range(10):
-                j = (i + 1 + t) % k
-                out[i].append(Message(src=i, dst=j, kind="w", payload=(i, t), bits=4))
-                expected[j] += 1
-        inboxes = valiant_exchange(net, out, rng=rng)
-        for j in range(k):
-            assert len(inboxes[j]) == expected[j]
-
-    def test_preserves_payload_and_kind(self):
-        rng = np.random.default_rng(4)
-        net = LinkNetwork(3, bandwidth=64)
-        out = [[Message(src=0, dst=2, kind="tag", payload="data", bits=4)], [], []]
-        inboxes = valiant_exchange(net, out, rng=rng)
-        (msg,) = inboxes[2]
-        assert msg.kind == "tag" and msg.payload == "data"
+        rounds = valiant_exchange(net, src, dst, bits, rng=np.random.default_rng(3))
+        mid = np.random.default_rng(3).integers(0, k, size=src.size)
+        ref = LinkNetwork(k, bandwidth=64)
+        assert rounds == (direct_exchange(ref, src, mid, bits, label="valiant/hop1")
+                          + direct_exchange(ref, mid, dst, bits, label="valiant/hop2"))
+        assert net.metrics.as_dict() == ref.metrics.as_dict()
 
     def test_costs_two_phases(self):
-        rng = np.random.default_rng(5)
         net = LinkNetwork(3, bandwidth=64)
-        out = [[Message(src=0, dst=2, kind="w", bits=4)], [], []]
-        valiant_exchange(net, out, rng=rng)
-        assert net.metrics.phases == 2
+        valiant_exchange(net, [0], [2], [4], rng=np.random.default_rng(5))
+        assert [p.label for p in net.metrics.phase_log] == ["valiant/hop1", "valiant/hop2"]
 
     def test_balances_adversarial_single_sink(self):
         # With all traffic aimed at one machine, Valiant's first hop
         # spreads the *send* load; receive load at the sink still binds,
         # but per-source-link load drops to ~x/k.
         k, x, bits, B = 8, 200, 8, 8
-        rng = np.random.default_rng(6)
-        out = [[] for _ in range(k)]
-        for t in range(x):
-            out[1].append(Message(src=1, dst=0, kind="w", bits=bits))
+        flow = to_sink(k, x, bits, [1])
         net = LinkNetwork(k, bandwidth=B)
-        valiant_exchange(net, out, rng=rng)
+        valiant_exchange(net, *flow, rng=np.random.default_rng(6))
         direct = LinkNetwork(k, bandwidth=B)
-        direct_exchange(direct, [list(b) for b in out])
+        direct_exchange(direct, *flow)
         # Direct: the single (1, 0) link carries everything.
         assert direct.rounds == x * bits // B
         # Valiant: hop 1 spreads over k links; hop 2 converges on the sink

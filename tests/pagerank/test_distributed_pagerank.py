@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.pagerank.distributed import _PageRankDriver
+from repro.core.pagerank import distributed as pagerank_driver
 from repro.errors import AlgorithmError, PartitionError
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.partition import random_vertex_partition
@@ -266,17 +266,17 @@ def _fail_then_rerun(monkeypatch, graph, engine):
     Returns the resident tokens the failed run left in the engine (only
     the process engine keeps any) and the second run's result.
     """
-    close_iteration = _PageRankDriver._close_iteration
+    close_iteration = pagerank_driver.close_iteration
 
-    def failing(self, cluster, it, lives):
+    def failing(cluster, it, *rest):
         if it == 1:
             raise _Boom
-        return close_iteration(self, cluster, it, lives)
+        return close_iteration(cluster, it, *rest)
 
     workers = {"workers": 2} if engine == "process" else {}
     with Cluster(k=4, n=graph.n, seed=5, engine=engine, **workers) as cluster:
         with monkeypatch.context() as patch:
-            patch.setattr(_PageRankDriver, "_close_iteration", failing)
+            patch.setattr(pagerank_driver, "close_iteration", failing)
             with pytest.raises(_Boom):
                 repro.distributed_pagerank(graph, k=4, cluster=cluster)
         left_installed = set(getattr(cluster.engine, "_resident_tokens", ()))

@@ -3,36 +3,31 @@
 from hypothesis import given, settings, strategies as st
 
 from repro._util import bits_for, bits_for_count, iroot
-from repro.kmachine.message import Message
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.partition import random_vertex_partition
+from repro.kmachine.routing import direct_exchange
 
 
 @st.composite
 def workloads(draw):
-    """A small random message workload with valid sources."""
+    """A small random message workload: ``(k, src, dst, bits)`` lists."""
     k = draw(st.integers(2, 6))
     n_msgs = draw(st.integers(0, 40))
-    msgs = []
-    for _ in range(n_msgs):
-        i = draw(st.integers(0, k - 1))
-        j = draw(st.integers(0, k - 1))
-        bits = draw(st.integers(1, 25))
-        msgs.append(Message(src=i, dst=j, kind="w", bits=bits))
-    return k, msgs
+    machine = st.integers(0, k - 1)
+    src = draw(st.lists(machine, min_size=n_msgs, max_size=n_msgs))
+    dst = draw(st.lists(machine, min_size=n_msgs, max_size=n_msgs))
+    bits = draw(st.lists(st.integers(1, 25), min_size=n_msgs, max_size=n_msgs))
+    return k, src, dst, bits
 
 
 class TestNetworkProperties:
     @given(workloads(), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
-    def test_delivery_conserves_messages(self, workload, bandwidth):
-        k, msgs = workload
+    def test_every_message_is_charged_once(self, workload, bandwidth):
+        k, src, dst, bits = workload
         net = LinkNetwork(k, bandwidth=bandwidth)
-        out = [[] for _ in range(k)]
-        for m in msgs:
-            out[m.src].append(m)
-        inboxes = net.exchange(out)
-        assert sum(len(b) for b in inboxes) == len(msgs)
+        direct_exchange(net, src, dst, bits)
+        assert net.metrics.messages + net.metrics.local_messages == len(src)
         net.metrics.check_conservation()
 
     @given(workloads(), st.integers(1, 16))
@@ -40,26 +35,23 @@ class TestNetworkProperties:
     def test_rounds_lower_bounded_by_total_bits(self, workload, bandwidth):
         # Rounds >= total remote bits / (B * k * (k-1)): the network cannot
         # move more than B bits per link per round.
-        k, msgs = workload
+        k, src, dst, bits = workload
         net = LinkNetwork(k, bandwidth=bandwidth)
-        out = [[] for _ in range(k)]
-        for m in msgs:
-            out[m.src].append(m)
-        net.exchange(out)
-        remote_bits = sum(m.bits for m in msgs if not m.is_local)
+        direct_exchange(net, src, dst, bits)
+        remote_bits = sum(b for s, d, b in zip(src, dst, bits) if s != d)
         assert net.rounds * bandwidth * k * (k - 1) >= remote_bits
 
     @given(workloads(), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_phase_charge_is_heaviest_link_ceiling(self, workload, bandwidth):
         # The charge is exactly max_ij ceil(L_ij / B) over remote links.
-        k, msgs = workload
+        k, src, dst, bits = workload
         loads = {}
-        for m in msgs:
-            if m.src != m.dst:
-                loads[m.src, m.dst] = loads.get((m.src, m.dst), 0) + m.bits
+        for s, d, b in zip(src, dst, bits):
+            if s != d:
+                loads[s, d] = loads.get((s, d), 0) + b
         net = LinkNetwork(k, bandwidth=bandwidth)
-        net.exchange([[m for m in msgs if m.src == i] for i in range(k)])
+        direct_exchange(net, src, dst, bits)
         assert net.rounds == max((-(-b // bandwidth) for b in loads.values()), default=0)
 
     @given(st.integers(1, 500), st.integers(2, 12), st.integers(0, 2**31 - 1))

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.subgraphs.local import (
@@ -24,17 +25,29 @@ def brute_k4(graph):
     ]
 
 
-def brute_c4(graph):
-    a = graph.adjacency_matrix()
+def brute_c4(n, edges):
+    """The 4-subset oracle: every 4 vertices in every order, as canonical rows."""
+    adj = {frozenset((int(u), int(v))) for u, v in edges}
     out = set()
-    for quad in itertools.combinations(range(graph.n), 4):
-        for perm in itertools.permutations(quad):
-            v0, v1, v2, v3 = perm
+    for quad in itertools.combinations(range(n), 4):
+        for v0, v1, v2, v3 in itertools.permutations(quad):
             if v0 != min(quad) or v1 > v3:
                 continue
-            if a[v0, v1] and a[v1, v2] and a[v2, v3] and a[v3, v0]:
+            if all(frozenset(e) in adj for e in ((v0, v1), (v1, v2), (v2, v3), (v3, v0))):
                 out.add((v0, v1, v2, v3))
-    return sorted(out)
+    return np.array(sorted(out), dtype=np.int64).reshape(-1, 4)
+
+
+@st.composite
+def multigraphs(draw):
+    """``(n, edges)``: up to 9 vertices (some isolated), edges repeated and reversed."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return n, np.zeros((0, 2), dtype=np.int64)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=30))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 class TestK4:
@@ -104,8 +117,15 @@ class TestC4:
     def test_matches_bruteforce_gnp(self, seed):
         g = repro.gnp_random_graph(14, 0.4, seed=seed)
         ours = enumerate_c4_edges(g.n, g.edges)
-        brute = np.array(brute_c4(g), dtype=np.int64).reshape(-1, 4)
-        assert np.array_equal(ours, brute)
+        assert np.array_equal(ours, brute_c4(g.n, g.edges))
+
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_4_subset_oracle_on_multigraphs(self, graph):
+        n, edges = graph
+        ours = enumerate_c4_edges(n, edges)
+        assert ours.dtype == np.int64 and ours.shape[1:] == (4,)
+        assert np.array_equal(ours, brute_c4(n, edges))
 
     def test_canonical_rows(self):
         g = repro.gnp_random_graph(16, 0.4, seed=4)
