@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ModelError
 from repro._util import polylog
 from repro.kmachine.cluster import Cluster
+from repro.kmachine.engine import MessageBatch
 
 
 class TestClusterConstruction:
@@ -43,7 +44,13 @@ class TestClusterConstruction:
 
 
 class TestClusterOperations:
-    def test_broadcast_charges_one_copy_per_other_machine(self):
+    def test_exchange_accounts_rounds(self):
+        c = Cluster(k=3, bandwidth=8, seed=0)
+        c.exchange_batches([MessageBatch("x", src=[0], dst=[1], bits=[16])])
+        assert c.rounds == 2
+        assert c.metrics.phases == 1 and c.metrics.messages == 1
+
+    def test_broadcast_reaches_everyone_else(self):
         c = Cluster(k=5, bandwidth=64, seed=0)
         assert c.broadcast(2, bits=4, label="hello") == 1
         phase = c.metrics.phase_log[-1]
@@ -54,6 +61,11 @@ class TestClusterOperations:
         received[2] = 0
         assert np.array_equal(c.metrics.sent_messages, sent)
         assert np.array_equal(c.metrics.received_messages, received)
+
+    def test_broadcast_costs_one_round_when_it_fits(self):
+        c = Cluster(k=5, bandwidth=64, seed=0)
+        c.broadcast(0, bits=64)
+        assert c.rounds == 1
 
     def test_broadcast_rounds_grow_with_the_copy_size(self):
         c = Cluster(k=3, bandwidth=8, seed=0)

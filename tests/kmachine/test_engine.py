@@ -126,7 +126,7 @@ class TestEngineRegistry:
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 class TestExchangeBatches:
-    def test_accounting_matches_the_oracle(self, engine):
+    def test_accounting_matches_message_objects(self, engine):
         c = Cluster(k=3, bandwidth=8, seed=0, engine=engine)
         ref = Cluster(k=3, bandwidth=8, seed=0, engine="message")
         rows = [(0, 1, 6), (0, 2, 6), (2, 1, 10), (1, 1, 3)]

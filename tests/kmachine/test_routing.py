@@ -32,6 +32,19 @@ class TestDirectExchange:
         assert net.metrics.local_messages == int((~remote).sum())
         assert net.metrics.bits == int(bits[remote].sum())
 
+    def test_delivers_everything(self):
+        # Every remote message leaves its source and reaches its destination.
+        rng = np.random.default_rng(4)
+        k = 5
+        net = LinkNetwork(k, bandwidth=16)
+        src, dst, bits = random_workload(k, 30, 4, rng)
+        direct_exchange(net, src, dst, bits)
+        remote = src != dst
+        assert np.array_equal(net.metrics.sent_messages,
+                              np.bincount(src[remote], minlength=k))
+        assert np.array_equal(net.metrics.received_messages,
+                              np.bincount(dst[remote], minlength=k))
+
     def test_rounds_are_the_heaviest_link(self):
         net = LinkNetwork(3, bandwidth=8)
         direct_exchange(net, [0, 0, 0, 2], [1, 1, 2, 2], [5, 6, 7, 99])
@@ -83,6 +96,17 @@ class TestValiantExchange:
         assert rounds == (direct_exchange(ref, src, mid, bits, label="valiant/hop1")
                           + direct_exchange(ref, mid, dst, bits, label="valiant/hop2"))
         assert net.metrics.as_dict() == ref.metrics.as_dict()
+
+    def test_delivers_to_final_destinations(self):
+        # All traffic aims at machine 0 from elsewhere: whichever hop lands
+        # a message on 0 (hop 1 if 0 was drawn as its intermediate, else
+        # hop 2), it arrives there exactly once.
+        k, x = 6, 40
+        net = LinkNetwork(k, bandwidth=64)
+        valiant_exchange(net, *to_sink(k, x, 4, range(1, k)), rng=np.random.default_rng(7))
+        assert net.metrics.received_messages[0] == x * (k - 1)
+        hop2 = net.metrics.phase_log[-1]
+        assert hop2.max_machine_received == hop2.messages < x * (k - 1)
 
     def test_costs_two_phases(self):
         net = LinkNetwork(3, bandwidth=64)

@@ -157,6 +157,20 @@ class TestDeterminismAndValidation:
         res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10)
         assert res.iteration_stats[-1].live_tokens == 0
 
+    def test_loop_stops_once_every_token_has_died(self):
+        g = repro.cycle_graph(40)
+        res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=500)
+        assert res.iterations < 500
+        assert res.iteration_stats[-1].live_tokens == 0
+        assert all(s.live_tokens > 0 for s in res.iteration_stats[:-1])
+
+    def test_exhausted_iteration_budget_returns_partial_state(self):
+        g = repro.cycle_graph(40)
+        res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=2)
+        assert res.iterations == 2
+        assert res.iteration_stats[-1].live_tokens > 0
+        assert np.all(res.estimates > 0)
+
 
 class TestCommunicationBehaviour:
     def test_rounds_decrease_superlinearly_in_k(self):

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro._util import bits_for, bits_for_count, iroot
+from repro.kmachine.engine import MessageBatch, VectorEngine
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.partition import random_vertex_partition
 from repro.kmachine.routing import direct_exchange
@@ -21,6 +22,25 @@ def workloads(draw):
 
 
 class TestNetworkProperties:
+    @given(workloads(), st.integers(1, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_delivery_conserves_messages(self, workload, bandwidth):
+        # A batch exchange hands every row, payload and all, to its
+        # destination exactly once.
+        k, src, dst, bits = workload
+        net = LinkNetwork(k, bandwidth=bandwidth)
+        batch = MessageBatch("w", src=src, dst=dst, bits=bits,
+                             columns={"u": list(range(len(src)))})
+        (delivered,) = VectorEngine(net).exchange_batches([batch])
+        received = sorted(
+            (int(s), j, int(u))
+            for j in range(k)
+            for s, u in zip(delivered.src[delivered.machine_slice(j)],
+                            delivered.for_machine(j)["u"])
+        )
+        assert received == sorted(zip(src, dst, range(len(src))))
+        net.metrics.check_conservation()
+
     @given(workloads(), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_every_message_is_charged_once(self, workload, bandwidth):
