@@ -10,8 +10,10 @@ over its ``k - 1`` links, which is exactly the ``Ω̃(n/k)`` congestion the
 paper's §3.1 identifies and Algorithm 1 removes.
 
 Statistically the estimator is identical to Algorithm 1 (same walk
-process, same ``ψ`` counts); only the communication pattern differs —
-which is the point of the comparison benches.
+process, same ``ψ`` counts); only the communication pattern differs.
+It is the package's one Conversion-Theorem PageRank: T4 in
+``benchmarks/paper_tables.py`` carries the §1.3 comparison against
+Algorithm 1 (formerly the separate X3 experiment).
 """
 
 from __future__ import annotations

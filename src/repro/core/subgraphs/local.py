@@ -3,9 +3,9 @@
 These are the per-machine local kernels of the distributed subgraph
 algorithms and the reference oracles for tests.
 
-* **K4**: extend each triangle of the forward-oriented DAG by the common
-  out-neighborhood of its three corners; every 4-clique is reported once
-  as a sorted 4-tuple.
+* **K4**: extend each triangle ``a < b < c`` by the neighbours ``d > c``
+  of ``c`` adjacent to ``a`` and ``b`` (binary searches over sorted edge
+  keys); every 4-clique is reported once as a sorted 4-tuple.
 * **C4**: enumerate by diagonals — a 4-cycle ``u - v1 - w - v2`` is
   determined by its diagonal pair ``{u, w}`` and two common neighbors
   ``{v1, v2}``; each cycle has exactly two diagonals, so keeping the
@@ -29,14 +29,6 @@ from repro.graphs.triangles_ref import enumerate_triangles_edges
 __all__ = ["enumerate_k4_edges", "enumerate_c4_edges", "count_k4", "count_c4"]
 
 
-def _adjacency_sets(n: int, edges: np.ndarray) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(int(u), set()).add(int(v))
-        adj.setdefault(int(v), set()).add(int(u))
-    return adj
-
-
 def enumerate_k4_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """All 4-cliques of the undirected edge set, as sorted 4-tuples."""
     edges = np.asarray(edges, dtype=np.int64)
@@ -44,23 +36,20 @@ def enumerate_k4_edges(n: int, edges: np.ndarray) -> np.ndarray:
         return np.zeros((0, 4), dtype=np.int64)
     edges = np.unique(np.sort(edges.reshape(-1, 2), axis=1), axis=0)
     tris = enumerate_triangles_edges(n, edges)
-    if tris.size == 0:
-        return np.zeros((0, 4), dtype=np.int64)
-    adj = _adjacency_sets(n, edges)
-    rows: list[tuple[int, int, int, int]] = []
-    for a, b, c in tris:
-        a, b, c = int(a), int(b), int(c)
-        # Extend by vertices > c adjacent to all three: each K4 {a,b,c,d}
-        # with a<b<c<d is found exactly once, from its smallest triangle.
-        common = adj[a] & adj[b] & adj[c]
-        for d in common:
-            if d > c:
-                rows.append((a, b, c, d))
-    out = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    if out.shape[0]:
-        order = np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))
-        out = out[order]
-    return out
+    # Extend each triangle a < b < c by the neighbours d > c of c that are
+    # adjacent to a and b too: each K4 {a,b,c,d} with a<b<c<d is found
+    # once, from its smallest triangle.  The sorted keys src·n + dst hold
+    # c's neighbours above c in one run, and answer the (a, d), (b, d)
+    # membership tests by binary search.
+    keys = edges[:, 0] * n + edges[:, 1]
+    c = tris[:, 2]
+    lo, hi = np.searchsorted(keys, c * n + np.stack([c + 1, np.full_like(c, n)]))
+    cnt = hi - lo
+    row = np.repeat(np.arange(c.size), cnt)
+    d = edges[np.arange(row.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt), 1]
+    probe = np.concatenate([tris[row, 0] * n + d, tris[row, 1] * n + d])
+    found = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+    return np.column_stack([tris[row], d])[found.reshape(2, -1).all(axis=0)]
 
 
 def _later_pairs(end: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

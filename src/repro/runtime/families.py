@@ -198,20 +198,32 @@ def _check_mst(graph, rep) -> list:
              abs(total - ref_total) < 1e-9)]
 
 
-def _check_connectivity(graph, rep) -> list:
-    from repro.core.mst.dsu import DisjointSetUnion
+def min_vertex_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Each vertex's component label: the component's minimum vertex id.
 
-    dsu = DisjointSetUnion(graph.n)
-    for u, v in graph.edges:
-        dsu.union(int(u), int(v))
-    roots = dsu.component_labels()
-    # Canonical labels, as the result states them: each component's minimum vertex id.
-    first = np.full(graph.n, graph.n, dtype=np.int64)
-    np.minimum.at(first, roots, np.arange(graph.n))
+    Min-label hooking with pointer jumping over the edge array: every
+    root hooks onto the smallest root across its edges, then every
+    vertex jumps to its root, until no edge joins two roots.
+    """
+    lab = np.arange(n)
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        ru, rv = lab[u], lab[v]
+        cross = ru != rv
+        if not cross.any():
+            return lab
+        ru, rv = ru[cross], rv[cross]
+        np.minimum.at(lab, np.concatenate([ru, rv]), np.tile(np.minimum(ru, rv), 2))
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+
+
+def _check_connectivity(graph, rep) -> list:
+    labels = min_vertex_labels(graph.n, graph.edges)
+    components = int(np.count_nonzero(labels == np.arange(graph.n)))
     r = rep.result
-    ok = r.num_components == dsu.num_components and np.array_equal(r.labels, first[roots])
-    return [("components (vs union-find)", f"{r.num_components} ({dsu.num_components})",
-             bool(ok))]
+    ok = r.num_components == components and np.array_equal(r.labels, labels)
+    return [("components (vs union-find)", f"{r.num_components} ({components})", bool(ok))]
 
 
 def _check_sorting(values, rep) -> list:

@@ -1,4 +1,4 @@
-"""Tests for Kruskal reference and distributed Borůvka MST."""
+"""Tests for Kruskal reference, distributed Borůvka MST and connectivity."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 import networkx as nx
 
 import repro
+from repro.core.connectivity import connected_components_distributed
 from repro.core.lowerbounds.extensions import mst_round_lower_bound
 from repro.core.mst import distributed_mst, kruskal_mst
 from repro.errors import AlgorithmError
@@ -183,3 +184,28 @@ class TestDistributedMST:
         res = distributed_mst(g, np.zeros(0), k=4, seed=0)
         assert res.edges.shape[0] == 0
         assert res.num_components == 5
+
+
+class TestConnectivity:
+    def test_components_match_networkx(self):
+        g = repro.Graph(n=12, edges=[(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)])
+        res = connected_components_distributed(g, k=4, seed=0)
+        nxg = g.to_networkx()
+        assert res.num_components == nx.number_connected_components(nxg)
+        for comp in nx.connected_components(nxg):
+            labels = {int(res.labels[v]) for v in comp}
+            assert len(labels) == 1
+            assert min(comp) in labels  # canonical: min vertex id
+
+    def test_connected_random_graph(self):
+        g = repro.gnp_random_graph(100, 0.1, seed=1)
+        res = connected_components_distributed(g, k=8, seed=2)
+        assert res.num_components == nx.number_connected_components(g.to_networkx())
+        assert res.spanning_forest.shape[0] == g.n - res.num_components
+
+    def test_same_component_queries(self):
+        g = repro.Graph(n=5, edges=[(0, 1), (2, 3)])
+        res = connected_components_distributed(g, k=2, seed=3)
+        assert res.same_component(0, 1)
+        assert not res.same_component(1, 2)
+        assert not res.is_connected()

@@ -307,3 +307,38 @@ def test_failed_run_releases_its_resident_tables(monkeypatch):
     assert np.array_equal(rerun.estimates, clean.estimates)
     assert rerun.iteration_stats == clean.iteration_stats
     assert _accounting(rerun.metrics) == _accounting(clean.metrics)
+
+
+class TestPersonalizedPageRank:
+    def test_matches_personalized_reference(self):
+        g = repro.gnp_random_graph(80, 0.1, seed=20)
+        sources = np.array([0, 5, 9])
+        ref = repro.pagerank_walk_series(g, eps=0.3, sources=sources)
+        res = repro.distributed_pagerank(
+            g, k=4, eps=0.3, seed=21, c=300, sources=sources
+        )
+        # Monte-Carlo noise is relatively large on tiny masses: compare
+        # only where the reference carries real weight.
+        mask = ref > ref.max() / 10
+        err = np.abs(res.estimates - ref)[mask] / ref[mask]
+        assert err.max() < 0.4
+
+    def test_mass_concentrates_near_sources(self):
+        g = repro.path_graph(60)
+        res = repro.distributed_pagerank(
+            g, k=4, eps=0.3, seed=22, c=60, sources=np.array([0])
+        )
+        assert res.estimates[:5].sum() > res.estimates[30:].sum()
+
+    def test_rejects_bad_sources(self):
+        g = repro.cycle_graph(10)
+        with pytest.raises(Exception):
+            repro.distributed_pagerank(g, k=4, sources=np.array([10]))
+        with pytest.raises(Exception):
+            repro.distributed_pagerank(g, k=4, sources=np.array([1, 1]))
+
+    def test_reference_personalized_sums(self):
+        g = repro.cycle_graph(20, directed=True)
+        pr = repro.pagerank_walk_series(g, eps=0.2, sources=np.array([3]))
+        assert pr.sum() == pytest.approx(1.0)
+        assert pr[3] == pr.max()

@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules (subgraphs, MST,
-connectivity, CONGEST conversion)."""
+connectivity)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ import repro
 from repro.core.mst import DisjointSetUnion, distributed_mst, kruskal_mst
 from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
 from repro.graphs.graph import Graph
+from repro.runtime.families import min_vertex_labels
 
 
 @st.composite
@@ -102,16 +103,17 @@ class TestConnectivityProperties:
             labels = {int(res.labels[v]) for v in comp}
             assert labels == {min(comp)}
 
-
-class TestConversionProperties:
-    @given(st.integers(10, 40), st.integers(2, 8), st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_conversion_volume_preserved(self, n, k, seed):
-        from repro.congest import congest_pagerank, convert_execution
-        from repro.kmachine.partition import random_vertex_partition
-
-        g = repro.cycle_graph(max(3, n))
-        _, execution = congest_pagerank(g, seed=seed, c=4)
-        p = random_vertex_partition(g.n, k, seed=seed)
-        metrics = convert_execution(execution, p, k=k, bandwidth=16)
-        assert metrics.messages + metrics.local_messages == execution.total_messages
+    @given(st.integers(0, 20).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, max(0, n - 1)), st.integers(0, max(0, n - 1))),
+        max_size=40 if n else 0))))
+    @settings(max_examples=100, deadline=None)
+    def test_min_vertex_labels_match_dsu(self, graph):
+        # Multigraphs with isolated vertices, no edges, duplicate edges and self-loops.
+        n, pairs = graph
+        dsu = DisjointSetUnion(n)
+        for a, b in pairs:
+            dsu.union(a, b)
+        roots = dsu.component_labels()
+        first = np.full(n, n, dtype=np.int64)
+        np.minimum.at(first, roots, np.arange(n))
+        assert np.array_equal(min_vertex_labels(n, np.array(pairs, dtype=np.int64)), first[roots])

@@ -14,6 +14,7 @@ from repro.core.subgraphs.local import (
     enumerate_k4_edges,
 )
 from repro.errors import GraphError
+from repro.graphs.triangles_ref import enumerate_triangles_edges
 
 
 def brute_k4(graph):
@@ -23,6 +24,21 @@ def brute_k4(graph):
         for t in itertools.combinations(range(graph.n), 4)
         if all(a[x, y] for x, y in itertools.combinations(t, 2))
     ]
+
+
+def loop_k4(n, edges):
+    """The set-intersection oracle: extend each triangle by its corners' common neighbours."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(int(u), set()).add(int(v))
+        adj.setdefault(int(v), set()).add(int(u))
+    rows = sorted(
+        (int(a), int(b), int(c), d)
+        for a, b, c in enumerate_triangles_edges(n, edges)
+        for d in adj[int(a)] & adj[int(b)] & adj[int(c)] if d > c
+    )
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def brute_c4(n, edges):
@@ -48,6 +64,19 @@ def multigraphs(draw):
         lambda e: e[0] != e[1])
     edges = draw(st.lists(pair, max_size=30))
     return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def dense_multigraphs(draw):
+    """``(n, edges)``: each pair of up to 10 vertices an edge by a coin flip,
+    some edges repeated reversed, and up to 3 isolated vertices on top."""
+    core = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(core), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [pair for pair, kept in zip(pairs, keep) if kept]
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    edges = pairs + [(b, a) for a, b in repeats]
+    return core + draw(st.integers(0, 3)), np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 class TestK4:
@@ -84,6 +113,14 @@ class TestK4:
 
     def test_empty_edges(self):
         assert enumerate_k4_edges(5, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)
+
+    @given(dense_multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop_oracle_on_multigraphs(self, graph):
+        n, edges = graph
+        ours = enumerate_k4_edges(n, edges)
+        assert ours.dtype == np.int64 and ours.shape[1:] == (4,)
+        assert np.array_equal(ours, loop_k4(n, edges))
 
     def test_rejects_directed_count(self):
         g = repro.path_graph(5, directed=True)

@@ -54,9 +54,9 @@ def test_every_engine_parameter_defaults_to_the_one_constant():
             continue
         if param is not None and param.default is not inspect.Parameter.empty:
             defaults[qualname] = param.default
-    # Cluster, the ten family entry points + boruvka_forest, the CONGEST
-    # bridge, runtime.run and the serve client: none may go missing.
-    assert len(defaults) >= 14, sorted(defaults)
+    # Cluster, the nine family entry points + boruvka_forest, runtime.run
+    # and the serve client: none may go missing.
+    assert len(defaults) >= 13, sorted(defaults)
     assert set(defaults.values()) <= {DEFAULT_ENGINE, None}, defaults
     assert defaults["repro.kmachine.cluster.Cluster"] == DEFAULT_ENGINE
     assert defaults["repro.runtime.registry.run"] is None

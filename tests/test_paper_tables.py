@@ -28,7 +28,7 @@ ARTIFACTS = [
     "T2_pagerank_lowerbound", "T3_triangle_lowerbound", "T4_pagerank_rounds",
     "T5_triangle_rounds", "F1_lemma4_separation", "L12_L14_load_balance", "L13_routing",
     "C1_congested_clique", "C2_message_complexity", "X1_subgraphs", "X2_mst",
-    "X3_conversion_theorem", "S_sorting", "FN3_rep_conversion",
+    "S_sorting", "FN3_rep_conversion",
 ]
 
 #: Exactness and sandwich checks that must gate at the small size too.
