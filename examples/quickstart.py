@@ -25,6 +25,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 import repro
@@ -218,6 +219,7 @@ def main() -> None:
     #   python -m repro client status && python -m repro client shutdown
     import tempfile
 
+    from repro.errors import ServeError
     from repro.serve import ReproServer, ServeClient
 
     serve_dataset = "gnp:n=2000,avg_deg=6,seed=7"
@@ -317,49 +319,21 @@ def main() -> None:
     print(f"  export: {len(chrome_doc['traceEvents'])} Chrome trace "
           f"events from the same JSONL")
 
-    # --- Alerts round-trip: inject failures, watch a rule fire ----------
-    # The daemon evaluates declarative alert rules (dotted metric path,
-    # threshold, sustain window) against its live telemetry in a
-    # background loop — configured via --alert-rules rules.json or
-    # $REPRO_ALERT_RULES; without rules the request path is untouched.
-    # Here: an error-rate rule, a storm of bad requests to fire it, then
-    # good traffic to resolve it, all visible through GET /alerts.
-    from repro.obs import AlertRule
-
-    alert_events: list[dict] = []
-    rule = AlertRule(name="error-rate", metric="serve.error_rate",
-                     op=">", threshold=0.5, severity="critical")
+    # --- Alerting input: an error storm as /metrics series -------------
+    # The daemon runs no alert rules; an external alerter reads /metrics.
     with tempfile.NamedTemporaryFile(suffix=".sqlite") as tmp_db:
-        server = ReproServer(port=0, result_cache=tmp_db.name,
-                             alert_rules=[rule], alert_interval=0.05,
-                             alert_sinks=(alert_events.append,))
+        server = ReproServer(port=0, result_cache=tmp_db.name)
         with server.start_in_thread() as handle:
             client = ServeClient(handle.host, handle.port)
             client.wait_until_ready()
             for _ in range(4):  # the storm: unknown algos are 400s
-                try:
+                with contextlib.suppress(ServeError):
                     client.run("no-such-algo", dataset=serve_dataset, k=8)
-                except Exception:
-                    pass
-            deadline = time.monotonic() + 15
-            while (client.alerts()["active"] != ["error-rate"]
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            fired = client.alerts()
-            for _ in range(5):  # recovery: good (soon cached) runs
-                client.run("triangles", dataset=serve_dataset, k=8, seed=9)
-            while (client.alerts()["active"]
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            resolved = client.alerts()
-    assert fired["active"] == ["error-rate"]
-    assert resolved["active"] == [] and resolved["resolved"] == ["error-rate"]
-    print("\nAlert rules (GET /alerts; repro serve --alert-rules)")
-    print(f"  rule '{rule.name}' ({rule.metric} {rule.op} {rule.threshold}) "
-          f"fired under the failure storm, resolved after recovery")
-    print("  sink saw: " + ", ".join(
-        f"{e['event']}@{e['value']:.2f}" for e in alert_events))
-    workloads.default_cache().evict(serve_dataset)
+            with urllib.request.urlopen(f"http://{handle.host}:{handle.port}/metrics") as reply:
+                errors = re.findall(r"^repro_\w+_errors \S+$", reply.read().decode(), re.M)
+    assert re.search(r"^repro_session(_\d+)?_errors 4$", "\n".join(errors), re.M), errors
+    print("\nError storm on /metrics: " + ", ".join(errors))
+    workloads.default_cache().evict(serve_dataset)  # the storm built it
 
 
 if __name__ == "__main__":

@@ -83,8 +83,6 @@ name                      default         reader                why it is config
                           in cache root                         cache of the serve daemon
 ``REPRO_TRACE``           unset (off)     obs/trace.py          output path: trace any run without
                                                                 editing its call site
-``REPRO_ALERT_RULES``     unset (none)    obs/alerts.py         deployment config: the daemon's
-                                                                rule file, ``default`` or ``none``
 ========================= =============== ===================== ====================================
 
 Quickstart::

@@ -14,7 +14,6 @@ from repro.errors import AlgorithmError
 
 __all__ = [
     "bits_for",
-    "bits_for_count",
     "iroot",
     "as_rng",
     "spawn_rngs",
@@ -33,13 +32,6 @@ def bits_for(n_values: int) -> int:
     if n_values <= 0:
         raise ValueError(f"n_values must be positive, got {n_values}")
     return max(1, math.ceil(math.log2(n_values))) if n_values > 1 else 1
-
-
-def bits_for_count(max_count: int) -> int:
-    """Bits needed to encode an integer count in ``[0, max_count]``."""
-    if max_count < 0:
-        raise ValueError(f"max_count must be non-negative, got {max_count}")
-    return bits_for(max_count + 1)
 
 
 def iroot(n: int, r: int) -> int:

@@ -29,8 +29,8 @@ Commands
                  live across requests (``python -m repro serve --port
                  8642 --prewarm "rmat:n=1e6,avg_deg=16,seed=7"``).
 ``client``       talk to a running daemon: ``client run <algo> --dataset
-                 <spec>``, ``client status``, ``client alerts``,
-                 ``client health``, ``client shutdown``.
+                 <spec>``, ``client status``, ``client health``,
+                 ``client shutdown``.
 
 ``run`` also accepts ``--dataset <spec>`` (e.g. ``--dataset
 rmat:n=1e6,avg_deg=16,seed=7``), replacing the built-in ``--graph/--n``
@@ -309,19 +309,14 @@ def cmd_serve(args) -> int:
         timeout=args.timeout,
         max_datasets=args.max_datasets,
         prewarm=args.prewarm or (),
-        alert_rules=args.alert_rules,
-        alert_interval=args.alert_interval,
     )
     store = server.session.store
     print(f"repro serve: listening on http://{args.host}:{args.port}")
     print(f"  result cache: {store.path if store is not None else 'disabled'}")
     if args.prewarm:
         print(f"  prewarming {len(args.prewarm)} dataset(s)")
-    if server.alerts is not None:
-        print(f"  alerting: {len(server.alerts.rules)} rule(s), "
-              f"evaluated every {server.alert_interval:g}s")
     print("  POST /run, GET /status[?history=1], GET /metrics, "
-          "GET /alerts, GET /health, POST /shutdown")
+          "GET /health, POST /shutdown")
     server.serve_forever()
     print("repro serve: stopped")
     return 0
@@ -356,30 +351,6 @@ def cmd_client(args) -> int:
                          f"{store['entries']} entries at {store['path']} "
                          f"({store['hits']} hits / {store['misses']} misses)"])
         _print_table(["daemon", "value"], rows)
-        return 0
-    if args.client_command == "alerts":
-        reply = client.alerts()
-        if not reply.get("enabled"):
-            print("alerting disabled (daemon started without --alert-rules)")
-            return 0
-        rows = []
-        for rule in reply["rules"]:
-            last = rule["last_value"]
-            rows.append([
-                rule["name"],
-                rule["severity"],
-                f"{rule['metric']} {rule['op']} {rule['threshold']}",
-                "ACTIVE" if rule["active"] else "ok",
-                f"{last:.4g}" if isinstance(last, float) else
-                ("-" if last is None else last),
-            ])
-        _print_table(
-            ["rule", "severity", "condition", "state", "last value"], rows
-        )
-        active = reply["active"]
-        suffix = f": {', '.join(active)}" if active else ""
-        print(f"\n{len(active)} active alert(s){suffix} "
-              f"({reply['evaluations']} evaluations)")
         return 0
     if args.client_command == "shutdown":
         client.shutdown()
@@ -585,15 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset spec to materialize before accepting traffic "
         "(repeatable)",
     )
-    p.add_argument(
-        "--alert-rules", default=None, metavar="PATH",
-        help="alert rule JSON file, 'default' for the stock serve-health "
-        "rules, or 'none' (default: $REPRO_ALERT_RULES, else no alerting)",
-    )
-    p.add_argument(
-        "--alert-interval", type=float, default=5.0, metavar="S",
-        help="seconds between alert-rule evaluations",
-    )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", help="talk to a running analytics daemon")
@@ -616,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="family parameter override (repeatable)")
     cr.set_defaults(func=cmd_client)
     for name, doc in (("status", "daemon/session/result-store counters"),
-                      ("alerts", "alert-rule state (GET /alerts)"),
                       ("health", "liveness probe"),
                       ("shutdown", "ask the daemon to stop")):
         cc = csub.add_parser(name, help=doc)

@@ -11,8 +11,8 @@ class DisjointSetUnion:
     """Classic DSU over elements ``0 .. n-1``.
 
     ``find`` uses iterative path halving; ``union`` by size.  Amortized
-    near-constant operations; used by Kruskal and by tests validating the
-    distributed component structure.
+    near-constant operations; used by Kruskal, and by tests as the
+    component oracle.
     """
 
     __slots__ = ("parent", "size", "num_components")
@@ -44,10 +44,3 @@ class DisjointSetUnion:
         self.num_components -= 1
         return True
 
-    def connected(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` share a component."""
-        return self.find(a) == self.find(b)
-
-    def component_labels(self) -> np.ndarray:
-        """``(n,)`` array of representatives (fully compressed)."""
-        return np.array([self.find(int(x)) for x in range(self.parent.size)], dtype=np.int64)

@@ -261,42 +261,6 @@ class MinuteRing:
             buckets = buckets[-int(limit):]
         return buckets
 
-    def window(self, minutes: int = 2, now: float | None = None) -> dict:
-        """Merged outcome counters + latency quantiles over the last
-        ``minutes`` buckets (current minute included).
-
-        The alert engine evaluates rules against this window rather than
-        :meth:`current` so a rule never flaps just because the minute
-        boundary rolled over mid-storm.  ``error_rate`` is ``None`` when
-        the window saw no traffic — no evidence, no breach.
-        """
-        minute = int((time.time() if now is None else now) // 60)
-        merged = {
-            "minutes": int(minutes),
-            "requests": 0,
-            **{kind: 0 for kind in _RING_KINDS},
-        }
-        samples: list[float] = []
-        with self._lock:
-            for bucket_minute, bucket in self._buckets.items():
-                if minute - int(minutes) < bucket_minute <= minute:
-                    merged["requests"] += bucket["requests"]
-                    for kind in _RING_KINDS:
-                        merged[kind] += bucket[kind]
-                    samples.extend(bucket["samples"])
-        samples.sort()
-        if samples:
-            merged["latency_p50_s"] = _quantile(samples, 0.50)
-            merged["latency_p90_s"] = _quantile(samples, 0.90)
-            merged["latency_p99_s"] = _quantile(samples, 0.99)
-            merged["latency_max_s"] = samples[-1]
-            merged["latency_mean_s"] = sum(samples) / len(samples)
-        requests = merged["requests"]
-        merged["error_rate"] = (
-            merged["errors"] / requests if requests else None
-        )
-        return merged
-
     def current(self, now: float | None = None) -> dict:
         """The current minute's bucket (zeros when idle)."""
         minute = int((time.time() if now is None else now) // 60)

@@ -165,10 +165,6 @@ class ServeClient:
         """Daemon + session + result-store counters."""
         return self._request("GET", "/status")
 
-    def alerts(self) -> dict:
-        """Alert-rule state (``enabled``, ``rules``, ``active``)."""
-        return self._request("GET", "/alerts")
-
     def shutdown(self) -> dict:
         """Ask the daemon to stop gracefully."""
         return self._request("POST", "/shutdown")

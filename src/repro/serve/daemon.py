@@ -38,14 +38,6 @@ that merely stays connected.
     run report: counts, metrics, ``cached`` flag, and the family's
     summary rows.  Graph families only — inputs are named by dataset
     spec, resolved through the content-addressed graph cache.
-``GET /alerts``
-    Alert-rule state: configured rules, which are active, last observed
-    values.  Rules come from ``--alert-rules rules.json`` (or
-    ``default`` / ``$REPRO_ALERT_RULES``) and are evaluated by a
-    background loop every ``alert_interval`` seconds against a snapshot
-    of the telemetry ring's recent window, the session counters, and the
-    obs registry.  With no rules configured the endpoint reports
-    ``enabled: false``, no loop runs, and the request path is untouched.
 ``POST /shutdown``
     Graceful stop (in-flight requests finish).
 
@@ -64,7 +56,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ReproError, ServeError, SessionSaturated, SessionTimeout
-from repro.obs.alerts import AlertEngine, resolve_alert_rules, stderr_sink
 from repro.obs.registry import MinuteRing, obs_registry, render_prometheus
 from repro.runtime.session import Session
 
@@ -86,7 +77,7 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 #: The one method each endpoint answers (anything else is a 405).
 _METHODS = {"/health": "GET", "/status": "GET", "/metrics": "GET",
-            "/alerts": "GET", "/shutdown": "POST", "/run": "POST"}
+            "/shutdown": "POST", "/run": "POST"}
 
 #: How a failed ``/run`` is answered and counted: (exception types, HTTP
 #: status, telemetry kind), first match wins.
@@ -150,17 +141,6 @@ class ReproServer:
         whose on-disk shard snapshots are preloaded into the distgraph
         LRU (:meth:`Session.prewarm`) — so the first request pays
         neither the build/load nor the shard construction.
-    alert_rules:
-        Alert configuration, as accepted by
-        :func:`~repro.obs.alerts.resolve_alert_rules`: a rule list, a
-        JSON file path, ``"default"``, or ``None`` to consult
-        ``$REPRO_ALERT_RULES``.  When the resolved set is empty no
-        :class:`AlertEngine` is built and no evaluation loop runs.
-    alert_interval:
-        Seconds between alert evaluations (when rules are configured).
-    alert_sinks:
-        Callables receiving fire/resolve event dicts; defaults to
-        :func:`~repro.obs.alerts.stderr_sink`.
     """
 
     def __init__(
@@ -174,13 +154,7 @@ class ReproServer:
         timeout: float | None = None,
         max_datasets: int = 4,
         prewarm=(),
-        alert_rules=None,
-        alert_interval: float = 5.0,
-        alert_sinks=None,
     ) -> None:
-        # Resolved first: a malformed rule file must fail before the
-        # session opens its result store.
-        rules = resolve_alert_rules(alert_rules)
         self.host = host
         self.port = port
         self._own_session = session is None
@@ -200,15 +174,6 @@ class ReproServer:
         # Per-minute request telemetry (outcome counts + latency
         # quantiles); served by /status?history=1 and /metrics.
         self.ring = MinuteRing()
-        self.alert_interval = float(alert_interval)
-        if self.alert_interval <= 0:
-            raise ServeError("alert_interval must be positive")
-        #: None when no rules are configured — the hot path never checks
-        #: alerting state beyond this one attribute.
-        self.alerts: AlertEngine | None = None
-        if rules:
-            sinks = (stderr_sink,) if alert_sinks is None else tuple(alert_sinks)
-            self.alerts = AlertEngine(rules, self._alert_snapshot, sinks=sinks)
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -217,53 +182,6 @@ class ReproServer:
         #: Connections between requests (or mid-read): closed at shutdown.
         self._idle: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()  # one per open connection
-
-    # -- alert evaluation -----------------------------------------------
-    def _alert_snapshot(self) -> dict:
-        """The nested metric dict alert rules select from.
-
-        ``serve.*`` holds the derived health metrics (recent-window error
-        rate and latency quantiles, queue occupancy, result-cache hit
-        rate); every :func:`obs_registry` source rides along by name so
-        rules can also target raw component counters.
-        """
-        snapshot = obs_registry().collect()
-        window = self.ring.window(minutes=2)
-        session = self.session.stats()
-        store = session.get("result_store") or {}
-        inflight = session.get("inflight", 0)
-        queue_limit = session.get("queue_limit") or 0
-        lookups = store.get("hits", 0) + store.get("misses", 0)
-        snapshot["serve"] = {
-            "served": self.served,
-            "uptime_s": time.time() - self.started,
-            "window": window,
-            "error_rate": window["error_rate"],
-            "latency_p50_s": window.get("latency_p50_s"),
-            "latency_p99_s": window.get("latency_p99_s"),
-            "queue_depth": inflight,
-            "queue_limit": queue_limit,
-            "queue_utilization": inflight / queue_limit if queue_limit else None,
-            # Hit rate needs a minimum of traffic to mean anything — a
-            # daemon two requests into its life is not "collapsed".
-            "result_hit_rate": (
-                store.get("hits", 0) / lookups if lookups >= 20 else None
-            ),
-        }
-        return snapshot
-
-    async def _alert_loop(self) -> None:
-        """Evaluate the rule set every ``alert_interval`` s until stop."""
-        while True:
-            try:
-                await asyncio.wait_for(self._stop.wait(), self.alert_interval)
-                return
-            except asyncio.TimeoutError:
-                pass
-            try:
-                self.alerts.evaluate()
-            except Exception:  # noqa: BLE001 - alerting must not kill serving
-                pass
 
     # -- asyncio core ---------------------------------------------------
     async def _serve(self) -> None:
@@ -283,10 +201,6 @@ class ReproServer:
             raise
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
-        alert_task = (
-            self._loop.create_task(self._alert_loop())
-            if self.alerts is not None else None
-        )
         try:
             async with server:
                 await self._stop.wait()
@@ -299,8 +213,6 @@ class ReproServer:
                 if self._handlers:
                     await asyncio.wait(self._handlers)
         finally:
-            if alert_task is not None:
-                alert_task.cancel()
             self._executor.shutdown(wait=True)
             if self._own_session:
                 self.session.close(shutdown_pools=True)
@@ -407,15 +319,7 @@ class ReproServer:
                 "serve_minute": self.ring.current(),
             }
             stats.update(obs_registry().collect())
-            text = render_prometheus(stats)
-            if self.alerts is not None:
-                text += self.alerts.prometheus_lines()
-            return 200, text
-        if path == "/alerts":
-            if self.alerts is None:
-                return 200, {"ok": True, "enabled": False, "evaluations": 0,
-                             "rules": [], "active": [], "resolved": []}
-            return 200, {"ok": True, "enabled": True, **self.alerts.status()}
+            return 200, render_prometheus(stats)
         if path == "/shutdown":
             self._shutdown_requested = True  # applied after the response
             return 200, {"ok": True, "stopping": True}

@@ -459,5 +459,8 @@ def default_result_store() -> ResultStore:
     with _DEFAULT_STORE_LOCK:
         path = _default_path()
         if _DEFAULT_STORE is None or _DEFAULT_STORE.path != path:
+            # Drop the old store first, so the new one registers its
+            # stats under the bare "result_store" name, not a suffix.
+            _DEFAULT_STORE = None
             _DEFAULT_STORE = ResultStore(path)
         return _DEFAULT_STORE

@@ -27,8 +27,8 @@ Examples::
     geometric:n=500000,avg_deg=12,seed=3
     smallworld:n=100000,nbrs=10,rewire=0.2,seed=5
     gnp:n=1000,avg_deg=8,seed=3
-    edgelist:path=graph.tsv,relabel=true
-    snap:path=soc-LiveJournal1.txt
+    edgelist:path=graph.tsv
+    edgelist:path=soc-LiveJournal1.txt,relabel=true
 
 Specs are *normalized* on parse — defaults filled in, keys sorted, types
 coerced — so every spelling of the same dataset has one canonical string
@@ -47,8 +47,8 @@ structure), ``geometric`` (grid-bucketed unit square), ``smallworld``
 (ring lattice + rewiring), ``gnp`` (sparse binomial sampler above the
 quadratic limit).  Adapters over the legacy exact generators:
 ``chung-lu``, ``planted-triangles``.  File-backed (never cached):
-``edgelist``, ``metis``, ``snap`` (chunked SNAP/edge-text reader for
-multi-ten-million-edge downloads).
+``edgelist`` (chunked edge-text reader, SNAP downloads included;
+``relabel=true`` renumbers sparse ids densely) and ``metis``.
 
 Cold start: shard snapshots
 ---------------------------
@@ -111,9 +111,7 @@ from repro.workloads.io import (
     read_edge_list,
     read_metis,
     read_npz,
-    read_snap,
     register_io_workloads,
-    write_edge_list,
     write_npz,
 )
 from repro.workloads.cache import (
@@ -148,10 +146,8 @@ __all__ = [
     "register_builtin_workloads",
     # io
     "read_edge_list",
-    "write_edge_list",
     "read_metis",
     "read_npz",
-    "read_snap",
     "SnapshotMissingError",
     "SHARD_SNAPSHOT_VERSION",
     "write_npz",

@@ -3,12 +3,10 @@
 Three ways bits become a :class:`~repro.graphs.graph.Graph`:
 
 * :func:`read_edge_list` — whitespace/TSV edge lists (``u v`` per line,
-  ``#`` comments), with optional relabeling of arbitrary integer ids to
-  the dense ``0..n-1`` range the simulator requires;
-* :func:`read_snap` — the same wire format at SNAP scale: the file is
-  parsed in bounded chunks (never read whole), ids are densely
-  relabeled, and duplicate/reversed rows are folded, so 1e7+-edge
-  downloads stream straight into a canonical graph;
+  ``#`` comments; SNAP downloads included), parsed in bounded chunks so
+  1e7+-edge files stream straight into a canonical graph, with optional
+  dense relabeling of arbitrary integer ids to the ``0..n-1`` range the
+  simulator requires;
 * :func:`read_metis` — the METIS adjacency format (header ``n m``,
   1-indexed neighbor lines);
 * :func:`read_npz` / :func:`write_npz` — the snapshot format of the
@@ -32,8 +30,9 @@ warm starts fault pages in lazily and share them across processes
 through the OS page cache.  The cache layer owns paths and atomicity;
 this module owns only the bytes.
 
-The file-backed readers are registered as the ``edgelist``, ``snap``,
-and ``metis`` workload families (``edgelist:path=graph.tsv``).  They
+The file-backed readers are registered as the ``edgelist`` and
+``metis`` workload families (``edgelist:path=graph.tsv``, or
+``edgelist:path=soc-LiveJournal1.txt,relabel=true`` for a SNAP file).  They
 are *not* cacheable: the spec string cannot content-address bytes owned
 by an external file, so they rebuild on every materialization.
 """
@@ -56,8 +55,6 @@ from repro.workloads.spec import (
 
 __all__ = [
     "read_edge_list",
-    "write_edge_list",
-    "read_snap",
     "read_metis",
     "read_npz",
     "write_npz",
@@ -90,89 +87,32 @@ class SnapshotMissingError(WorkloadError, FileNotFoundError):
     """
 
 
+#: Rows per parse chunk in :func:`read_edge_list` — bounds peak
+#: text-buffer memory at roughly a few tens of MB regardless of file size.
+EDGE_LIST_CHUNK_ROWS = 1 << 20
+
+
 def read_edge_list(
     path: "str | Path",
     directed: bool = False,
     relabel: bool = False,
-    n: int | None = None,
+    chunk_rows: int = EDGE_LIST_CHUNK_ROWS,
 ) -> Graph:
     """Read a whitespace- or tab-separated edge list (``u v`` per line).
 
-    Lines starting with ``#`` or ``%`` are comments.  Duplicate rows (and,
-    for undirected graphs, reversed duplicates — the common "both
-    directions on disk" convention) and self-loops are dropped.  With
-    ``relabel=True`` arbitrary integer ids are densely renumbered in
-    sorted order; otherwise ids must already be ``0..n-1`` (``n`` defaults
-    to ``max id + 1``).
+    Lines starting with ``#`` or ``%`` are comments; extra columns
+    (timestamps, weights) are ignored.  Duplicate rows (and, for
+    undirected graphs, reversed duplicates — the common "both directions
+    on disk" convention of SNAP downloads) and self-loops are dropped.
+    The file is parsed ``chunk_rows`` rows at a time through numpy's C
+    tokenizer and folded per chunk, so it is never held whole.  With
+    ``relabel=True`` arbitrary non-negative integer ids (int64, past the
+    int32 range too) are densely renumbered in sorted order; otherwise
+    ids are kept and ``n = max id + 1``.
     """
     path = Path(path)
     if not path.exists():
         raise WorkloadError(f"edge-list file not found: {path}")
-    rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s[0] in "#%":
-                continue
-            parts = s.split()
-            if len(parts) < 2:
-                raise WorkloadError(f"{path}:{lineno}: expected 'u v', got {s!r}")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise WorkloadError(
-                    f"{path}:{lineno}: non-integer endpoint in {s!r}"
-                ) from None
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    if relabel:
-        ids, edges = np.unique(edges, return_inverse=True)
-        edges = edges.reshape(-1, 2)
-        n = ids.size if n is None else n
-    if edges.size:
-        if edges.min() < 0:
-            raise WorkloadError(f"{path}: negative vertex id (use relabel=true?)")
-        n = int(edges.max()) + 1 if n is None else n
-    elif n is None:
-        n = 0
-    edges = _drop_duplicate_rows(edges, n, directed)
-    return Graph(n=n, edges=edges, directed=directed)
-
-
-def _drop_duplicate_rows(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
-    """First-occurrence dedupe (+ self-loop drop) matching Graph canon rules."""
-    if not edges.size:
-        return edges
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    key_edges = edges if directed else np.sort(edges, axis=1)
-    keys = key_edges[:, 0] * np.int64(max(n, 1)) + key_edges[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return edges[first]
-
-
-#: Rows per parse chunk in :func:`read_snap` — bounds peak text-buffer
-#: memory at roughly a few tens of MB regardless of file size.
-SNAP_CHUNK_ROWS = 1 << 20
-
-
-def read_snap(
-    path: "str | Path",
-    directed: bool = False,
-    chunk_rows: int = SNAP_CHUNK_ROWS,
-) -> Graph:
-    """Read a SNAP-style edge list in bounded chunks (no whole-file read).
-
-    SNAP downloads are ``u<TAB>v`` rows with ``#`` comment headers,
-    arbitrary (sparse) integer ids, and — for undirected graphs — often
-    both orientations of each edge on disk.  The file is parsed
-    ``chunk_rows`` rows at a time through numpy's C tokenizer, ids are
-    densely relabeled in sorted order, and duplicate/reversed rows and
-    self-loops are folded, matching :func:`read_edge_list` semantics at
-    1e7+-edge scale.  Extra columns (timestamps, weights) are ignored.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise WorkloadError(f"SNAP edge-list file not found: {path}")
     if chunk_rows <= 0:
         raise WorkloadError(f"chunk_rows must be positive, got {chunk_rows}")
     chunks: list[np.ndarray] = []
@@ -199,29 +139,27 @@ def read_snap(
                 raise WorkloadError(f"{path}: malformed edge row: {exc}") from exc
             if block.shape[0] == 0:
                 break
-            # Fold within the chunk early so a duplicate-heavy file
-            # (both orientations on disk) never holds all raw rows.
             if block.min() < 0:
                 raise WorkloadError(f"{path}: negative vertex id")
-            chunks.append(_chunk_unique_rows(block, directed))
+            # Fold within the chunk early so a duplicate-heavy file
+            # (both orientations on disk) never holds all raw rows.
+            chunks.append(_unique_rows(block, directed))
             if block.shape[0] < chunk_rows:
                 break
-    if not chunks:
-        return Graph(n=0, edges=np.zeros((0, 2), dtype=np.int64), directed=directed)
-    edges = np.concatenate(chunks)
-    ids, edges = np.unique(edges, return_inverse=True)
-    edges = edges.reshape(-1, 2)
-    n = int(ids.size)
-    edges = _drop_duplicate_rows(edges, n, directed)
-    return Graph(n=n, edges=edges, directed=directed)
+    edges = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+    if relabel:
+        ids, edges = np.unique(edges, return_inverse=True)
+        edges = edges.reshape(-1, 2)
+        n = int(ids.size)
+    else:
+        n = int(edges.max()) + 1 if edges.size else 0
+    return Graph(n=n, edges=_unique_rows(edges, directed), directed=directed)
 
 
-def _chunk_unique_rows(block: np.ndarray, directed: bool) -> np.ndarray:
-    """Per-chunk fold: drop self-loops, keep one row per (unordered) pair.
+def _unique_rows(block: np.ndarray, directed: bool) -> np.ndarray:
+    """Drop self-loops and keep one row per (unordered, if undirected) pair.
 
-    Row order within a chunk is irrelevant — the final
-    :func:`_drop_duplicate_rows` pass (and ``Graph`` canonicalization)
-    runs on the dense relabeled ids.
+    Row order is irrelevant: ``Graph`` canonicalizes the edge array.
     """
     block = block[block[:, 0] != block[:, 1]]
     if not block.size:
@@ -233,16 +171,6 @@ def _chunk_unique_rows(block: np.ndarray, directed: bool) -> np.ndarray:
         keys = keyed[:, 0] * np.int64(hi + 1) + keyed[:, 1]
         return keyed[np.unique(keys, return_index=True)[1]]
     return np.unique(keyed, axis=0)
-
-
-def write_edge_list(path: "str | Path", graph: Graph) -> None:
-    """Write a graph's canonical edge array as a TSV edge list."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"# repro edge list: n={graph.n} m={graph.m} "
-                 f"directed={graph.directed}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u}\t{v}\n")
 
 
 def read_metis(path: "str | Path") -> Graph:
@@ -291,8 +219,7 @@ def read_metis(path: "str | Path") -> Graph:
         return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=False)
     u = np.concatenate(srcs)
     v = np.concatenate(dsts)
-    edges = _drop_duplicate_rows(np.column_stack([u, v]), n, directed=False)
-    g = Graph(n=n, edges=edges, directed=False)
+    g = Graph(n=n, edges=_unique_rows(np.column_stack([u, v]), False), directed=False)
     if g.m != m:
         raise WorkloadError(
             f"{path}: header says m={m} but adjacency lines define {g.m} edges"
@@ -491,10 +418,6 @@ def _edgelist_builder(path: str, directed: bool, relabel: bool) -> Graph:
     return read_edge_list(path, directed=directed, relabel=relabel)
 
 
-def _snap_builder(path: str, directed: bool) -> Graph:
-    return read_snap(path, directed=directed)
-
-
 def _metis_builder(path: str) -> Graph:
     return read_metis(path)
 
@@ -510,19 +433,11 @@ def register_io_workloads() -> None:
     _REGISTERED = True
     register_workload(WorkloadFamily(
         name="edgelist",
-        title="edge-list/TSV file (u v per line)",
+        title="edge-list/TSV/SNAP file (u v per line; relabel=true for sparse ids)",
         builder=_edgelist_builder,
         params=(ParamSpec("path", str, required=True),
                 ParamSpec("directed", bool, False),
                 ParamSpec("relabel", bool, False)),
-        cacheable=False,
-    ))
-    register_workload(WorkloadFamily(
-        name="snap",
-        title="SNAP edge-list file (chunked parse, dense relabel)",
-        builder=_snap_builder,
-        params=(ParamSpec("path", str, required=True),
-                ParamSpec("directed", bool, False)),
         cacheable=False,
     ))
     register_workload(WorkloadFamily(

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from repro._util import bits_for
 from repro.kmachine import encoding
+
+
+def count_bits(max_count: int) -> int:
+    """Scalar oracle of ``count_bits_array``: bits for an integer in ``[0, max_count]``."""
+    if max_count < 0:
+        raise ValueError(f"max_count must be non-negative, got {max_count}")
+    return bits_for(max_count + 1)
 
 
 class TestScalarSizes:
@@ -16,39 +24,30 @@ class TestScalarSizes:
         # Naming "one of one" still occupies a slot.
         assert encoding.vertex_id_bits(1) == 1
 
-    def test_machine_id_bits(self):
-        assert encoding.machine_id_bits(16) == 4
-        assert encoding.machine_id_bits(17) == 5
-
     def test_count_bits(self):
-        assert encoding.count_bits(0) == 1
-        assert encoding.count_bits(1) == 1
-        assert encoding.count_bits(2) == 2
-        assert encoding.count_bits(255) == 8
-        assert encoding.count_bits(256) == 9
+        assert count_bits(0) == 1
+        assert count_bits(1) == 1
+        assert count_bits(2) == 2
+        assert count_bits(255) == 8
+        assert count_bits(256) == 9
 
     def test_edge_bits_is_two_ids(self):
         assert encoding.edge_bits(1000) == 2 * encoding.vertex_id_bits(1000)
 
     def test_message_composites(self):
         n = 500
-        assert encoding.token_count_message_bits(n, 7) == encoding.vertex_id_bits(n) + 3
-        assert encoding.heavy_count_message_bits(n, 7) == encoding.vertex_id_bits(n) + 3
         assert encoding.edge_message_bits(n) == encoding.edge_bits(n)
-        assert encoding.value_message_bits(n) == encoding.vertex_id_bits(n) + encoding.FLOAT_BITS
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             encoding.vertex_id_bits(0)
-        with pytest.raises(ValueError):
-            encoding.count_bits(-1)
 
 
 class TestCountBitsArray:
     def test_matches_scalar(self):
         counts = np.array([0, 1, 2, 3, 4, 7, 8, 255, 256, 1023, 1024])
         vec = encoding.count_bits_array(counts)
-        scalars = [encoding.count_bits(int(c)) for c in counts]
+        scalars = [count_bits(int(c)) for c in counts]
         assert vec.tolist() == scalars
 
     def test_empty(self):

@@ -15,8 +15,8 @@ class TestDSU:
     def test_union_merges(self):
         dsu = DisjointSetUnion(4)
         assert dsu.union(0, 1)
-        assert dsu.connected(0, 1)
-        assert not dsu.connected(0, 2)
+        assert dsu.find(0) == dsu.find(1)
+        assert dsu.find(0) != dsu.find(2)
         assert dsu.num_components == 3
 
     def test_union_idempotent(self):
@@ -30,16 +30,16 @@ class TestDSU:
         dsu.union(0, 1)
         dsu.union(1, 2)
         dsu.union(3, 4)
-        assert dsu.connected(0, 2)
-        assert not dsu.connected(2, 3)
+        assert dsu.find(0) == dsu.find(2)
+        assert dsu.find(2) != dsu.find(3)
         dsu.union(2, 3)
-        assert dsu.connected(0, 4)
+        assert dsu.find(0) == dsu.find(4)
 
     def test_component_labels_consistent(self):
         dsu = DisjointSetUnion(8)
         for a, b in [(0, 1), (2, 3), (4, 5), (0, 2)]:
             dsu.union(a, b)
-        labels = dsu.component_labels()
+        labels = [dsu.find(v) for v in range(8)]
         assert labels[0] == labels[1] == labels[2] == labels[3]
         assert labels[4] == labels[5]
         assert labels[0] != labels[4]

@@ -258,24 +258,6 @@ class TestMinuteRing:
         assert set(algos) == {f"algo-{t}" for t in range(8)}
         assert all(a["requests"] == 64 for a in algos.values())
 
-    def test_window_merges_recent_buckets(self):
-        ring = MinuteRing()
-        ring.observe(0.1, kind="error", now=0.0)      # outside the window
-        ring.observe(0.2, kind="executed", now=60.0)
-        ring.observe(0.4, kind="error", now=120.0)
-        win = ring.window(minutes=2, now=125.0)
-        assert win["requests"] == 2
-        assert win["errors"] == 1
-        assert win["error_rate"] == pytest.approx(0.5)
-        assert win["latency_max_s"] == pytest.approx(0.4)
-
-    def test_window_error_rate_is_none_without_traffic(self):
-        ring = MinuteRing()
-        win = ring.window(minutes=2, now=1_000_000.0)
-        assert win["requests"] == 0
-        assert win["error_rate"] is None
-        assert "latency_p50_s" not in win
-
 
 DATASET = "gnp:n=120,avg_deg=5,seed=3"
 

@@ -11,6 +11,17 @@ from repro.graphs.graph import Graph
 from repro.runtime.families import min_vertex_labels
 
 
+def dsu_min_vertex_labels(n: int, pairs) -> np.ndarray:
+    """Oracle: each vertex's smallest component member, by union-find."""
+    dsu = DisjointSetUnion(n)
+    for a, b in pairs:
+        dsu.union(a, b)
+    roots = np.array([dsu.find(v) for v in range(n)], dtype=np.int64)
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, roots, np.arange(n))
+    return first[roots]
+
+
 @st.composite
 def small_graphs(draw, max_n=14):
     n = draw(st.integers(4, max_n))
@@ -110,10 +121,5 @@ class TestConnectivityProperties:
     def test_min_vertex_labels_match_dsu(self, graph):
         # Multigraphs with isolated vertices, no edges, duplicate edges and self-loops.
         n, pairs = graph
-        dsu = DisjointSetUnion(n)
-        for a, b in pairs:
-            dsu.union(a, b)
-        roots = dsu.component_labels()
-        first = np.full(n, n, dtype=np.int64)
-        np.minimum.at(first, roots, np.arange(n))
-        assert np.array_equal(min_vertex_labels(n, np.array(pairs, dtype=np.int64)), first[roots])
+        assert np.array_equal(min_vertex_labels(n, np.array(pairs, dtype=np.int64)),
+                              dsu_min_vertex_labels(n, pairs))

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro._util import bits_for, bits_for_count, iroot
+from repro._util import bits_for, iroot
+from repro.kmachine.encoding import count_bits_array
 from repro.kmachine.engine import MessageBatch, VectorEngine
 from repro.kmachine.network import LinkNetwork
 from repro.kmachine.partition import random_vertex_partition
@@ -91,8 +92,8 @@ class TestUtilProperties:
         assert 2 ** (b - 1) < n
 
     @given(st.integers(0, 10**9))
-    def test_bits_for_count_covers_range(self, c):
-        b = bits_for_count(c)
+    def test_count_bits_array_covers_range(self, c):
+        b = int(count_bits_array([c])[0])
         assert 2**b >= c + 1
 
     @given(st.integers(0, 10**12), st.integers(2, 6))

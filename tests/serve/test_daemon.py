@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.core.mst.distributed import boruvka_forest
 from repro.errors import ServeError
-from repro.obs.alerts import AlertRule
 from repro.serve import ReproServer, ServeClient
 
 DATASET = "gnp:n=150,avg_deg=5,seed=3"
@@ -388,6 +387,29 @@ class TestRunRequests:
         assert status["session"]["executed"] == 1
         assert status["session"]["cache_hits"] == 8
 
+    def test_run_reply_carries_the_ledger(self, daemon):
+        _, client = daemon
+        report = client.run("pagerank", dataset=DATASET, k=4, seed=1)
+        bound = report["bound"]
+        assert bound["ok"] is True
+        assert bound["algo"] == "pagerank"
+        assert bound["measured_phases"] > 0
+        assert bound["violation_count"] == 0
+
+    def test_run_reply_carries_one_bound_verdict(self, daemon):
+        """A miss and its result-cache hit answer with the same single verdict."""
+        _, client = daemon
+        miss = client.run("pagerank", dataset=DATASET, k=4, seed=1)
+        hit = client.run("pagerank", dataset=DATASET, k=4, seed=1)
+        assert (miss["cached"], hit["cached"]) == (False, True)
+        for reply in (miss, hit):
+            assert "ledger" not in reply
+            bound = reply["bound"]
+            assert bound["measured_max_link_bits"] > 0
+            assert bound["violation_count"] == 0 and bound["violations"] == []
+            assert bound["ok"] is True
+        assert hit["bound"] == miss["bound"]
+
 
 class TestLifecycle:
     def test_shutdown_endpoint_stops_the_daemon(self):
@@ -464,105 +486,35 @@ class TestLifecycle:
             assert client.status()["session"]["resident_datasets"] == 1
 
 
-def _wait_for(predicate, deadline=15.0, interval=0.05):
-    import time
-
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+def _metrics(client) -> dict[str, float]:
+    """``GET /metrics`` parsed into ``{series: value}``."""
+    url = f"http://{client.host}:{client.port}/metrics"
+    with urllib.request.urlopen(url, timeout=30) as reply:
+        lines = reply.read().decode().splitlines()
+    return {name: float(value) for name, value in (line.split() for line in lines)}
 
 
-class TestAlerting:
-    """The daemon's background alert loop, end to end over HTTP."""
+class TestMetricsSurface:
+    """``/metrics`` carries every series an external alerter reads."""
 
-    ERROR_RULE = {"name": "error-rate", "metric": "serve.error_rate",
-                  "op": ">", "threshold": 0.5, "sustain_s": 0.0,
-                  "severity": "critical"}
-
-    @pytest.fixture
-    def alert_daemon(self):
-        events = []
-        server = ReproServer(
-            port=0, alert_rules=[AlertRule(**self.ERROR_RULE)],
-            alert_interval=0.05, alert_sinks=(events.append,),
-        )
-        with server.start_in_thread() as handle, \
-                ServeClient(handle.host, handle.port) as client:
-            client.wait_until_ready()
-            yield server, client, events
-
-    def _metrics_text(self, client):
-        url = f"http://{client.host}:{client.port}/metrics"
-        with urllib.request.urlopen(url, timeout=30) as reply:
-            return reply.read().decode()
-
-    def test_error_storm_fires_then_good_traffic_resolves(self, alert_daemon):
-        server, client, events = alert_daemon
-        # A storm of failing requests: unknown algos are 400s that land
-        # in the ring as errors, pushing the window error rate to 1.0.
-        for _ in range(5):
+    def test_error_storm_and_cache_hit_show_as_series(self, daemon):
+        _, client = daemon
+        # serve_minute is the current minute's bucket: keep the storm
+        # clear of a minute boundary so it lands in one bucket.
+        if time.time() % 60 > 55:
+            time.sleep(60 - time.time() % 60 + 0.1)
+        for _ in range(4):
             with pytest.raises(ServeError):
                 client.run("no-such-algo", dataset=DATASET, k=4, seed=1)
-        assert _wait_for(
-            lambda: client.alerts()["active"] == ["error-rate"]
-        ), "alert never fired under a 100% error rate"
-        gauge = 'repro_alert_active{rule="error-rate",severity="critical"}'
-        assert f"{gauge} 1" in self._metrics_text(client)
+        before = _metrics(client)
+        assert before["repro_session_errors"] == 4
+        assert before["repro_serve_minute_errors"] == 4
 
-        # Good traffic dilutes the window below the threshold: one
-        # executed run plus cached hits.
-        for _ in range(6):
-            report = client.run("triangles", dataset=DATASET, k=4, seed=1)
-            assert report["algo"] == "triangles"
-        assert _wait_for(
-            lambda: client.alerts()["active"] == []
-        ), "alert never resolved after the error rate recovered"
-        reply = client.alerts()
-        assert reply["enabled"] is True
-        assert reply["resolved"] == ["error-rate"]
-        (rule,) = reply["rules"]
-        assert rule["fired_at"] is not None
-        assert rule["resolved_at"] is not None
-        assert rule["last_value"] == pytest.approx(5 / 11)
-        assert f"{gauge} 0" in self._metrics_text(client)
-        kinds = [e["event"] for e in events]
-        assert kinds == ["fire", "resolve"]
-
-    def test_no_rules_means_no_engine_and_no_gauges(self, daemon):
-        server, client = daemon
-        assert server.alerts is None  # zero alerting state on the path
-        reply = client.alerts()
-        assert reply["enabled"] is False
-        assert reply["rules"] == [] and reply["active"] == []
-        assert "repro_alert_active" not in self._metrics_text(client)
-
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ServeError, match="alert_interval"):
-            ReproServer(port=0, alert_rules=[AlertRule(**self.ERROR_RULE)],
-                        alert_interval=0.0)
-
-    def test_run_reply_carries_the_ledger(self, daemon):
-        _, client = daemon
-        report = client.run("pagerank", dataset=DATASET, k=4, seed=1)
-        bound = report["bound"]
-        assert bound["ok"] is True
-        assert bound["algo"] == "pagerank"
-        assert bound["measured_phases"] > 0
-        assert bound["violation_count"] == 0
-
-    def test_run_reply_carries_one_bound_verdict(self, daemon):
-        """A miss and its result-cache hit answer with the same single verdict."""
-        _, client = daemon
-        miss = client.run("pagerank", dataset=DATASET, k=4, seed=1)
-        hit = client.run("pagerank", dataset=DATASET, k=4, seed=1)
-        assert (miss["cached"], hit["cached"]) == (False, True)
-        for reply in (miss, hit):
-            assert "ledger" not in reply
-            bound = reply["bound"]
-            assert bound["measured_max_link_bits"] > 0
-            assert bound["violation_count"] == 0 and bound["violations"] == []
-            assert bound["ok"] is True
-        assert hit["bound"] == miss["bound"]
+        for _ in range(2):
+            client.run("triangles", dataset=DATASET, k=4, seed=1)
+        after = _metrics(client)
+        hits = "repro_result_store_hits"
+        assert after[hits] == before.get(hits, 0) + 1
+        for series in ("repro_session_queue_limit", "repro_session_inflight",
+                       "repro_serve_minute_latency_p99_s"):
+            assert series in after

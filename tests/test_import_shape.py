@@ -4,8 +4,8 @@ A fresh interpreter does ``from repro import obs, runtime`` and starts a
 vector PageRank on a tiny dataset, stopped at the engine's first phase
 activity by a tracer whose ``mark`` raises (the end-to-end harness's
 set-up probe).  Nothing from another family, the serve daemon, the
-process backend, trace export or alerting may be loaded by then.  The
-test counts modules and times nothing.
+process backend or trace export may be loaded by then.  The test
+counts modules and times nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ FORBIDDEN = [
     "multiprocessing",
     "multiprocessing.*",
     "repro.obs.export",
-    "repro.obs.alerts",
     "repro.core.triangles*",
     "repro.core.mst*",
     "repro.experiments*",

@@ -35,7 +35,6 @@ ENTRY_MODULES = [
     "repro.serve.client",
     "repro.obs.export",
     "repro.obs.summarize",
-    "repro.obs.alerts",
 ]
 
 _SCAN = textwrap.dedent("""

@@ -56,10 +56,9 @@ class TestMaterialize:
         assert len(counting_builds) == 2
 
     def test_file_backed_family_never_cached(self, cache, tmp_path, counting_builds):
-        from repro.workloads import write_edge_list
-
         path = tmp_path / "g.tsv"
-        write_edge_list(path, spec_mod.build_dataset("gnp:n=30,avg_deg=4,seed=1"))
+        graph = spec_mod.build_dataset("gnp:n=30,avg_deg=4,seed=1")
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in graph.edges))
         counting_builds.clear()
         spec = f"edgelist:path={path}"
         cache.materialize(spec)

@@ -10,10 +10,15 @@ from repro.workloads import (
     read_edge_list,
     read_metis,
     read_npz,
-    read_snap,
-    write_edge_list,
     write_npz,
 )
+
+
+def write_edge_list(path, graph):
+    """Write a graph's canonical edge array as a TSV edge list."""
+    with open(path, "w") as fh:
+        fh.write(f"# repro edge list: n={graph.n} m={graph.m} directed={graph.directed}\n")
+        fh.writelines(f"{u}\t{v}\n" for u, v in graph.edges)
 
 
 class TestEdgeList:
@@ -52,10 +57,10 @@ class TestEdgeList:
             read_edge_list(tmp_path / "missing.tsv")
         bad = tmp_path / "bad.tsv"
         bad.write_text("0\n")
-        with pytest.raises(WorkloadError, match="expected 'u v'"):
+        with pytest.raises(WorkloadError, match="malformed edge row"):
             read_edge_list(bad)
         bad.write_text("0 x\n")
-        with pytest.raises(WorkloadError, match="non-integer"):
+        with pytest.raises(WorkloadError, match="malformed edge row"):
             read_edge_list(bad)
         bad.write_text("-1 2\n")
         with pytest.raises(WorkloadError, match="negative"):
@@ -85,7 +90,9 @@ class TestEdgeList:
 
 
 class TestSnap:
-    def test_matches_read_edge_list_semantics(self, tmp_path):
+    """SNAP-style files: tabs, comment headers, sparse ids, relabel=True."""
+
+    def test_comment_headers_tabs_and_repeats(self, tmp_path):
         # Comment headers, tabs, both orientations, repeats, self-loops.
         path = tmp_path / "snap.txt"
         path.write_text(
@@ -93,13 +100,13 @@ class TestSnap:
             "# FromNodeId\tToNodeId\n"
             "0\t1\n1\t0\n1\t2\n2\t2\n0\t1\n% stray\n2\t0\n"
         )
-        g = read_snap(path)
+        g = read_edge_list(path, relabel=True)
         assert g.n == 3 and g.m == 3 and not g.directed
 
     def test_sparse_ids_densely_relabeled_in_sorted_order(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("10\t700\n700\t42\n")
-        g = read_snap(path)
+        g = read_edge_list(path, relabel=True)
         assert g.n == 3 and g.m == 2
         # ids sorted: 10 -> 0, 42 -> 1, 700 -> 2
         assert np.array_equal(g.edges, [[0, 2], [1, 2]])
@@ -108,8 +115,8 @@ class TestSnap:
         big = repro.gnp_random_graph(120, 0.1, seed=9)
         path = tmp_path / "snap.txt"
         write_edge_list(path, big)
-        whole = read_snap(path)
-        chunked = read_snap(path, chunk_rows=7)
+        whole = read_edge_list(path, relabel=True)
+        chunked = read_edge_list(path, relabel=True, chunk_rows=7)
         assert chunked.n == whole.n
         assert np.array_equal(chunked.edges, whole.edges)
         assert np.array_equal(chunked.indptr, whole.indptr)
@@ -121,45 +128,45 @@ class TestSnap:
         a, b, c = 2**31 + 5, 2**33 + 1, 3
         path = tmp_path / "snap.txt"
         path.write_text(f"{a}\t{b}\n{b}\t{c}\n{b}\t{a}\n")
-        g = read_snap(path, chunk_rows=2)
+        g = read_edge_list(path, relabel=True, chunk_rows=2)
         assert g.n == 3 and g.m == 2
         assert np.array_equal(g.edges, [[0, 2], [1, 2]])  # 3 < a < b
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("0\t1\t1288\n1\t2\t1289\n")
-        g = read_snap(path)
+        g = read_edge_list(path, relabel=True)
         assert g.n == 3 and g.m == 2
 
     def test_directed(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("0\t1\n1\t0\n")
-        g = read_snap(path, directed=True)
+        g = read_edge_list(path, directed=True, relabel=True)
         assert g.directed and g.m == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("# only comments\n")
-        g = read_snap(path)
+        g = read_edge_list(path, relabel=True)
         assert g.n == 0 and g.m == 0
 
     def test_errors(self, tmp_path):
         with pytest.raises(WorkloadError, match="not found"):
-            read_snap(tmp_path / "missing.txt")
+            read_edge_list(tmp_path / "missing.txt", relabel=True)
         bad = tmp_path / "bad.txt"
         bad.write_text("0\tx\n")
         with pytest.raises(WorkloadError, match="malformed edge row"):
-            read_snap(bad)
+            read_edge_list(bad, relabel=True)
         bad.write_text("-1\t2\n")
         with pytest.raises(WorkloadError, match="negative vertex id"):
-            read_snap(bad)
+            read_edge_list(bad, relabel=True)
         with pytest.raises(WorkloadError, match="chunk_rows"):
-            read_snap(bad, chunk_rows=0)
+            read_edge_list(bad, chunk_rows=0)
 
-    def test_snap_workload_family(self, tmp_path):
+    def test_relabel_workload_family(self, tmp_path):
         path = tmp_path / "snap.txt"
-        path.write_text("0\t1\n1\t2\n")
-        g = build_dataset(f"snap:path={path}")
+        path.write_text("10\t700\n700\t42\n")
+        g = build_dataset(f"edgelist:path={path},relabel=true")
         assert g.n == 3 and g.m == 2
         assert g.content_key is None  # file-backed: never content-addressed
 
