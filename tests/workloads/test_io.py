@@ -171,6 +171,111 @@ class TestSnap:
         assert g.content_key is None  # file-backed: never content-addressed
 
 
+def _write_rows(path, rows):
+    path.write_text("".join(f"{u}\t{v}\n" for u, v in rows))
+
+
+def _connected_pairs(n, extra, seed):
+    """A path through ``0..n-1`` (no isolated ids) plus random pairs."""
+    rng = np.random.default_rng(seed)
+    chords = rng.integers(0, n, size=(extra, 2))
+    return np.concatenate([np.stack([np.arange(n - 1), np.arange(1, n)], axis=1), chords])
+
+
+class TestReaderModes:
+    """Both id modes of ``read_edge_list`` share one parser and one fold."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
+    def test_folds_duplicates_across_chunk_boundaries(self, tmp_path, relabel, chunk_rows):
+        g = repro.gnp_random_graph(80, 0.08, seed=11)
+        # Both orientations, repeats and self-loops, shuffled so a pair's
+        # copies land in different chunks.
+        rows = np.concatenate([g.edges, g.edges[:, ::-1], g.edges[:10], [[4, 4], [9, 9]]])
+        rows = rows[np.random.default_rng(2).permutation(len(rows))]
+        path = tmp_path / "g.tsv"
+        _write_rows(path, rows)
+        whole = read_edge_list(path, relabel=relabel)
+        chunked = read_edge_list(path, relabel=relabel, chunk_rows=chunk_rows)
+        assert chunked.m == g.m
+        assert chunked.n == whole.n
+        assert np.array_equal(chunked.edges, whole.edges)
+        if not relabel:
+            assert np.array_equal(chunked.edges, g.edges)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("rename", [lambda v: v + 1000, lambda v: 7 * v + 3,
+                                        lambda v: 2**33 + v * 2**20],
+                             ids=["shift", "scale", "past-int32"])
+    def test_relabel_is_the_sorted_rename_of_raw_ids(self, tmp_path, directed, rename):
+        pairs = _connected_pairs(40, 60, seed=5)
+        dense, sparse = tmp_path / "dense.tsv", tmp_path / "sparse.tsv"
+        _write_rows(dense, pairs)
+        _write_rows(sparse, [(rename(int(u)), rename(int(v))) for u, v in pairs])
+        raw = read_edge_list(dense, directed=directed)
+        for g in (read_edge_list(dense, directed=directed, relabel=True),
+                  read_edge_list(sparse, directed=directed, relabel=True, chunk_rows=9)):
+            assert g.n == raw.n == 40 and g.directed == directed
+            assert np.array_equal(g.edges, raw.edges)
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n", "% a\n# b\n"],
+                             ids=["empty", "blank", "hash", "percent"])
+    def test_files_without_rows_are_empty_graphs(self, tmp_path, relabel, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        g = read_edge_list(path, relabel=relabel)
+        assert g.n == 0 and g.m == 0
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("text", ["0  1\n 1\t2 \n", "0 1\r\n1 2\r\n", "0 1\n\n1 2\n"],
+                             ids=["mixed-space", "crlf", "blank-line"])
+    def test_whitespace_variants_parse_alike(self, tmp_path, relabel, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        g = read_edge_list(path, relabel=relabel)
+        assert g.n == 3 and np.array_equal(g.edges, [[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("text", ["0\n", "0 x\n", "1.5 2\n", "0 1\n1 2\n2\n",
+                                      "0 99999999999999999999\n"],
+                             ids=["one-column", "word", "float", "short-late-row", "past-int64"])
+    def test_malformed_rows_rejected_in_any_chunk(self, tmp_path, relabel, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(WorkloadError, match="malformed edge row"):
+            read_edge_list(path, relabel=relabel, chunk_rows=1)
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("text", ["-1 2\n", "2 -1\n", "0 1\n1 2\n-3 4\n"],
+                             ids=["first-column", "second-column", "later-chunk"])
+    def test_negative_ids_rejected_in_any_chunk(self, tmp_path, relabel, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(WorkloadError, match="negative vertex id"):
+            read_edge_list(path, relabel=relabel, chunk_rows=1)
+
+    @pytest.mark.parametrize("params, n, directed", [
+        ("", 10, False),
+        (",relabel=true", 2, False),
+        (",directed=true", 10, True),
+        (",directed=true,relabel=true", 2, True),
+    ])
+    def test_edgelist_family_passes_both_flags(self, tmp_path, params, n, directed):
+        path = tmp_path / "g.tsv"
+        path.write_text("9 5\n5 9\n")
+        g = build_dataset(f"edgelist:path={path}{params}")
+        assert (g.n, g.directed) == (n, directed)
+        assert g.m == (2 if directed else 1)
+
+    @pytest.mark.parametrize("value", ["1", "yes"])
+    def test_edgelist_family_rejects_non_boolean_relabel(self, tmp_path, value):
+        path = tmp_path / "g.tsv"
+        path.write_text("0 1\n")
+        with pytest.raises(WorkloadError, match="relabel"):
+            build_dataset(f"edgelist:path={path},relabel={value}")
+
+
 class TestMetis:
     def test_small_graph(self, tmp_path):
         # Triangle plus a pendant: 0-1, 0-2, 1-2, 2-3 (1-indexed file).
