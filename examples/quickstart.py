@@ -333,7 +333,6 @@ def main() -> None:
                 errors = re.findall(r"^repro_\w+_errors \S+$", reply.read().decode(), re.M)
     assert re.search(r"^repro_session(_\d+)?_errors 4$", "\n".join(errors), re.M), errors
     print("\nError storm on /metrics: " + ", ".join(errors))
-    workloads.default_cache().evict(serve_dataset)  # the storm built it
 
 
 if __name__ == "__main__":

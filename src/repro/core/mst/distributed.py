@@ -14,18 +14,21 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
    Borůvka component scan, the :func:`_mwoe_scan_task` superstep kernel
    dispatched through :meth:`Cluster.map_machines` (serial on the inline
    engines, fanned out to shard workers on the process backend).  Each
-   machine holds a *rank-ordered incidence table*
-   (:func:`_incidence_tables`): one row per (edge, hosted endpoint),
-   rows in the global (weight, index) order of their edges, built once
-   per run.  A component's candidate is then its first crossing row, so
-   a phase costs one pass over the table and no sort; the proxies'
-   global minimum is the same ``minimum`` scatter over edge ranks.
-   The rank order needs no stable sort: :func:`_rank_order` takes
-   NumPy's default (unstable) sort and then re-sorts by edge index only
-   the positions that sit in runs of equal weights, which gives the
-   stable order exactly.  Connectivity passes no weights: its unit
-   weights make the rank order the edge-index order, so it sorts
-   nothing.
+   machine holds an *incidence table*
+   (:attr:`~repro.kmachine.distgraph.DistributedGraph.incidence`): one
+   row per (edge, hosted endpoint), in edge-index order.  It depends
+   only on the graph and the placement, so it is built once per
+   placement, shared with connectivity.  A component's candidate is its
+   minimum edge rank over its crossing rows, so a phase costs one pass
+   over the table and no sort; the proxies' global minimum is the same
+   ``minimum`` scatter over edge ranks, which the driver maps back to
+   edges.  MST gathers each row's rank in the (weight, index) order onto
+   its machine once per run; the order needs no stable sort:
+   :func:`_rank_order` takes NumPy's default (unstable) sort and then
+   re-sorts by edge index only the positions that sit in runs of equal
+   weights, which gives the stable order exactly.  Connectivity passes
+   no weights: its unit weights make an edge's rank its id, so it sorts
+   and gathers nothing.
 3. **Pointer jumping** — the merge forest ``c -> parent(c)`` (the other
    endpoint's component) is star-contracted by proxies exchanging
    ``parent(parent(c))`` queries/replies; 2-cycles break toward the
@@ -102,63 +105,53 @@ def _rank_order(weights: np.ndarray) -> np.ndarray:
     return order
 
 
-def _incidence_tables(dg: DistributedGraph, edges: np.ndarray, by_rank: np.ndarray) -> list[dict]:
-    """Per-machine incidence tables for the MWOE scans, in edge-rank order.
+def _scan_tables(dg: DistributedGraph, by_rank: np.ndarray | None) -> list[dict]:
+    """The MWOE scans' per-machine resident states for one run.
 
-    One row per (edge, endpoint hosted by the machine): the edge id and
-    the hosted endpoint (``own``).  ``by_rank`` lists the edge ids in the
-    global (weight, index) total order and every machine's rows follow
-    it, so a component's minimum-weight outgoing edge on a machine is
-    its *first* crossing row and no rank column is needed.  An edge with
-    both endpoints on one machine has two rows there, one per endpoint.
-    Both columns use the smallest unsigned dtype that holds
-    ``max(n, m)`` (half of ``int64`` or less), which is what the tables
-    cost resident on their machines.
-    Constant across phases: built once per run, only labels change.
+    Each is the machine's cached :attr:`DistributedGraph.incidence`
+    table (``edge`` and ``own``, shared, not copied) plus, unless
+    ``by_rank`` is ``None`` (unit weights: an edge's rank is its id),
+    each row's ``rank``: its edge's position in ``by_rank``, the edge ids
+    in the global (weight, index) order, in the table's dtype.
     """
-    index = np.min_scalar_type(max(dg.n, by_rank.size))
-    # flattened, rows 2r and 2r+1 are the endpoints of the rank-r edge
-    ends = edges.astype(index)[by_rank]
-    # The machine-major regrouping must keep rank order within a machine:
-    # a stable sort, which NumPy runs as an O(rows) radix pass when the
-    # key is at most 16 bits wide.
-    machine = dg.home.astype(np.min_scalar_type(dg.k))[ends].ravel()
-    order = np.argsort(machine, kind="stable")
-    bounds = np.cumsum(np.bincount(machine, minlength=dg.k))[:-1]
-    # This is the run's memory peak: drop each (2m,) temporary once used.
-    del machine
-    own = np.split(ends.ravel()[order], bounds)
-    del ends
-    order >>= 1  # flattened row -> rank
-    edge = np.split(by_rank.astype(index)[order], bounds)
-    return [{"edge": e, "own": o} for e, o in zip(edge, own)]
+    tables = [{"edge": edge, "own": own} for edge, own in dg.incidence]
+    if by_rank is not None:
+        rank_of = np.empty(by_rank.size, dtype=tables[0]["edge"].dtype)
+        rank_of[by_rank] = np.arange(by_rank.size)
+        for table in tables:
+            table["rank"] = np.take(rank_of, table["edge"])
+    return tables
 
 
 def _mwoe_scan_task(ctx, machine: int, rng, payload, state, *,
                     labels: np.ndarray, crossing: np.ndarray) -> dict:
     """Superstep kernel: one machine's local Borůvka component scan.
 
-    ``state`` is the machine's resident incidence table
-    (:func:`_incidence_tables`); the per-phase input is the broadcast
-    ``labels`` and, per edge, whether its endpoints' labels differ
-    (``crossing`` — what flow 1 tells the endpoints' homes), so the
-    per-machine ``payload`` is empty.  Rows are in edge-rank order, so the
-    minimum-weight outgoing edge of each component present here is its
-    first crossing row: a ``minimum`` scatter of row positions — well
-    defined however duplicates are visited, unlike a duplicate-index
-    assignment — and no sort.  Returns the ``(comp, edge)`` candidates,
-    components ascending, both ``int64`` whatever the table's dtype.  No
-    RNG draws, so engines agree trivially; the process backend fans the
-    scans out across shard workers.
+    ``state`` is the machine's resident table (:func:`_scan_tables`):
+    ``edge`` and ``own`` columns plus, for MST, each row's ``rank``;
+    connectivity's ranks are the edge ids, so it ships none.  The
+    per-phase input is the broadcast ``labels`` and, per edge, whether
+    its endpoints' labels differ (``crossing`` — what flow 1 tells the
+    endpoints' homes), so the per-machine ``payload`` is empty.  A
+    component's minimum-weight outgoing edge here is its minimum rank
+    over its crossing rows: a ``minimum`` scatter, well defined however
+    duplicates are visited and whatever the row order, and no sort.  Returns the ``(comp, rank)`` candidates, components
+    ascending, both ``int64`` whatever the table's dtype.  No RNG draws,
+    so engines agree trivially; the process backend fans the scans out
+    across shard workers.
     """
     # ``np.take`` gathers through the narrow table columns without first
     # widening them to ``intp``, which plain fancy indexing does.
     edge = state["edge"]
     rows = np.flatnonzero(np.take(crossing, edge))
-    first = np.full(labels.size, rows.size, dtype=np.int64)
-    np.minimum.at(first, np.take(labels, state["own"][rows]), np.arange(rows.size))
-    comp = np.flatnonzero(first < rows.size)
-    return {"comp": comp, "edge": edge[rows[first[comp]]].astype(np.int64)}
+    m = crossing.size
+    best = np.full(labels.size, m, dtype=np.int64)
+    # ``ufunc.at`` values must have the target's dtype: narrow ones take
+    # NumPy's casting slow path, ~30x slower.
+    rank = np.take(state.get("rank", edge), rows).astype(np.int64)
+    np.minimum.at(best, np.take(labels, np.take(state["own"], rows)), rank)
+    comp = np.flatnonzero(best < m)
+    return {"comp": comp, "rank": best[comp]}
 
 
 def _account(cluster: Cluster, src: np.ndarray, dst: np.ndarray, bits_per: int, label: str) -> None:
@@ -260,17 +253,14 @@ def boruvka_forest(
 
             # ---- Flow 2: candidate MWOE per (machine, component) -> proxy. ----
             if handle is None:
-                # Per-run precomputation, after the first accounted flow so
-                # the time to first superstep activity does not pay for it.
-                # Total order on edges: (weight, index) — makes the MSF unique.
-                by_rank = np.arange(m) if weights is None else _rank_order(weights)
-                rank_of = np.empty(m, dtype=np.int64)
-                rank_of[by_rank] = np.arange(m)
+                # After the first accounted flow, so the time to first
+                # superstep activity does not pay for the table build.
+                # Total order on edges: (weight, index) — makes the MSF
+                # unique.  Unit weights rank every edge by its id.
+                by_rank = None if weights is None else _rank_order(weights)
                 # Tables live with their machine; only the labels and
                 # the crossing bitmap ship each phase.
-                handle = cluster.install_resident(
-                    _incidence_tables(dg, edges, by_rank), distgraph=dg
-                )
+                handle = cluster.install_resident(_scan_tables(dg, by_rank), distgraph=dg)
             scans = cluster.map_machines(
                 _mwoe_scan_task,
                 dg,
@@ -279,7 +269,7 @@ def boruvka_forest(
                 resident=handle,
             )
             cand_comp = np.concatenate([scan["comp"] for scan in scans])
-            cand_edge = np.concatenate([scan["edge"] for scan in scans])
+            cand_rank = np.concatenate([scan["rank"] for scan in scans])
             cand_machine = np.repeat(np.arange(k), [scan["comp"].size for scan in scans])
             _account(
                 cluster,
@@ -291,9 +281,9 @@ def boruvka_forest(
 
             # Proxies take the global minimum candidate per component.
             best = np.full(n, m, dtype=np.int64)
-            np.minimum.at(best, cand_comp, rank_of[cand_edge])
+            np.minimum.at(best, cand_comp, cand_rank)
             comps = np.flatnonzero(best < m)
-            mwoe_edge = by_rank[best[comps]]
+            mwoe_edge = best[comps] if by_rank is None else by_rank[best[comps]]
             chosen[mwoe_edge] = True
 
             # ---- Flow 3: pointer jumping over component proxies. ----
@@ -353,9 +343,10 @@ def distributed_mst(
     All four flows are accounted at aggregate level through the chosen
     execution ``engine`` backend.
 
-    Each machine's edge-incidence table is installed as worker-resident
-    state once, so per phase only the current labels and the per-edge
-    crossing bitmap ship to the MWOE scans, not the tables.
+    Each machine's edge-incidence table (with its rows' edge ranks) is
+    installed as worker-resident state once per run, so per phase only
+    the current labels and the per-edge crossing bitmap ship to the MWOE
+    scans, not the tables.
     """
     weights = checked_weights(graph, weights)
     forest, labels, phases, metrics = boruvka_forest(

@@ -150,8 +150,12 @@ and must obey three contracts for the backends to stay bit-identical:
    orders the duplicates, ``np.add.at`` / ``np.bincount`` for sums) or
    with one *stable* sort.  MST's MWOE scan
    (:func:`repro.core.mst.distributed._mwoe_scan_task`) is the worked
-   example: rows pre-ordered by edge rank once, then a ``minimum``
-   scatter of row positions finds each component's first crossing row.
+   example: a ``minimum`` scatter of edge ranks over a machine's
+   crossing incidence rows gives each component's candidate, whatever
+   order the rows are in.  The values passed to ``ufunc.at`` must have
+   the target's dtype (cast narrow columns with ``.astype(np.int64)``
+   first): mismatched values take NumPy's casting slow path, ~30x
+   slower for that scan's scatter under NumPy 2.4.
 
 Two further contracts are how the hot drivers (PageRank, MST and
 connectivity, the color-tuple Phase 3) are written: they cut what crosses the

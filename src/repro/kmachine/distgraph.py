@@ -22,6 +22,9 @@ superstep loops, per-machine boolean masks over the edge list).
   ``parts`` entry, so mapping global ids to a machine's local slots is
   a gather instead of a ``searchsorted``,
 * :attr:`edge_homes` — both endpoints' home machines for every edge row,
+* :attr:`incidence` — per machine, one ``(edge, own)`` row per edge and
+  hosted endpoint (the Borůvka MWOE scans' tables), so MST,
+  connectivity and every later run at the placement share one build,
 * :meth:`shard` — a per-machine CSR slice (hosted vertices, local
   ``indptr``/``indices``, neighbor homes, degrees), built lazily on
   first access; the current drivers consume the cached global views
@@ -194,6 +197,7 @@ class DistributedGraph(HomeGroupedNeighbors):
         "_local_index",
         "_degrees",
         "_edge_homes",
+        "_incidence",
         "_shards",
     )
 
@@ -213,6 +217,7 @@ class DistributedGraph(HomeGroupedNeighbors):
         self._local_index: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._edge_homes: tuple[np.ndarray, np.ndarray] | None = None
+        self._incidence: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._shards: list[MachineShard | None] = [None] * self.k
 
     # -- cached global views -------------------------------------------
@@ -248,6 +253,36 @@ class DistributedGraph(HomeGroupedNeighbors):
                 z = np.zeros(0, dtype=np.int64)
                 self._edge_homes = (z, z)
         return self._edge_homes
+
+    @property
+    def incidence(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per machine, ``(edge, own)``: one row per (edge, hosted endpoint) (cached).
+
+        Rows are in edge-index order; an edge with both endpoints on one
+        machine has two rows there, its first endpoint's first.  Both
+        columns use ``np.min_scalar_type(max(n, m))`` (``uint32`` up to
+        4G), which is what the tables cost resident on their machines.
+        """
+        if self._incidence is None:
+            edges = self.graph.edges
+            index = np.min_scalar_type(max(self.n, edges.shape[0]))
+            # Flattened, rows 2e and 2e+1 are the endpoints of edge e.  A
+            # stable machine-major regrouping keeps edge order within a
+            # machine; NumPy runs it as an O(rows) radix pass when the key
+            # is at most 16 bits wide.
+            ends = edges.astype(index).ravel()
+            machine = self.home.astype(np.min_scalar_type(self.k))[ends]
+            order = np.argsort(machine, kind="stable")
+            bounds = np.cumsum(np.bincount(machine, minlength=self.k))[:-1]
+            del machine  # the build's memory peak: drop each (2m,) temporary once used
+            own = ends[order]
+            del ends
+            order >>= 1  # flattened row -> edge
+            edge = order.astype(index)
+            # Shared by every run at this placement: no run may write to it.
+            own.flags.writeable = edge.flags.writeable = False
+            self._incidence = list(zip(np.split(edge, bounds), np.split(own, bounds)))
+        return self._incidence
 
     # -- per-vertex views ----------------------------------------------
     def neighbors(self, v: int) -> np.ndarray:
@@ -535,6 +570,10 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     reuse, so a digest collision can never alias two placements.
     Distgraphs are immutable after construction (the lazy views are pure
     functions of graph + partition), which makes sharing semantics-free.
+    An entry costs its shards (~32 B per edge) plus whatever lazy views
+    its runs built; Borůvka's :attr:`~DistributedGraph.incidence` adds
+    ~16 B per edge with ``uint32`` columns (two rows per edge, two
+    columns of 4 B).
 
     Content-addressed graphs additionally persist their materialized
     shards as an mmap-friendly sidecar next to the CSR snapshot (see

@@ -251,8 +251,15 @@ class Session:
         return shape
 
     def _execute(self, name, data, k, dataset, kwargs):
-        """A miss, on the substrate thread: load the dataset, then run."""
+        """A miss, on the substrate thread: load the dataset, then run.
+
+        The family is resolved before the dataset loads, so an unknown
+        name fails without building (and caching) the dataset.
+        """
         if dataset is not None:
+            from repro.runtime.registry import get_spec
+
+            get_spec(name)
             data = self.materialize(dataset)
         return _registry_run(name, data, k, result_cache=self.store, **kwargs)
 

@@ -203,6 +203,81 @@ class TestLocalIndex:
             clear_distgraph_cache()
 
 
+def _incidence_oracle(edges, home, machine):
+    """``(edge, own)`` rows of ``machine``: edges ascending, first endpoint first."""
+    rows = [(e, int(u)) for e, pair in enumerate(edges) for u in pair if home[u] == machine]
+    return [r[0] for r in rows], [r[1] for r in rows]
+
+
+class TestIncidence:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_edges_by_hosted_endpoint(self, data):
+        # Arbitrary homes: machines host both endpoints, many vertices or none.
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 5))
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), max_size=30, unique=True)
+                          if possible else st.just([]))
+        home = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        g = Graph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+        dg = DistributedGraph(g, VertexPartition(home=home, k=k))
+        assert len(dg.incidence) == k
+        for machine, (edge, own) in enumerate(dg.incidence):
+            want_edge, want_own = _incidence_oracle(g.edges.tolist(), home, machine)
+            assert edge.tolist() == want_edge and own.tolist() == want_own
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (200, [(0, 1), (1, 2)]),  # max(n, m) < 256: uint8
+            (300, [(0, 299)]),  # n needs 16 bits
+            (30, [(u, v) for u in range(30) for v in range(u + 1, 30)]),  # m = 435
+            (70000, [(0, 69999)]),  # n needs 32 bits
+        ],
+    )
+    def test_columns_use_the_smallest_dtype_for_max_n_m(self, n, edges):
+        g = Graph(n=n, edges=np.array(edges, dtype=np.int64))
+        dg = DistributedGraph(g, random_vertex_partition(n, 3, seed=2))
+        dtype = np.min_scalar_type(max(g.n, g.m))
+        for edge, own in dg.incidence:
+            assert edge.dtype == own.dtype == dtype
+
+    def test_empty_graph(self):
+        dg = DistributedGraph(Graph(n=5), random_vertex_partition(5, 3, seed=1))
+        assert [(e.size, o.size) for e, o in dg.incidence] == [(0, 0)] * 3
+
+    def test_cached_and_read_only(self):
+        _, _, dg = make_dg()
+        assert dg._incidence is None
+        assert dg.incidence is dg.incidence
+        for edge, own in dg.incidence:
+            assert not edge.flags.writeable and not own.flags.writeable
+
+    @pytest.mark.parametrize("engine, workers", [("vector", None), ("process", 1)])
+    def test_mst_and_connectivity_share_one_build(self, monkeypatch, tmp_path, engine, workers):
+        from repro.core.mst import distributed
+        from repro.workloads import DATA_DIR_ENV
+
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "data"))
+        seen = []
+
+        def spy(dg, by_rank):
+            seen.append(dg.incidence)
+            return scan_tables(dg, by_rank)
+
+        scan_tables = distributed._scan_tables
+        monkeypatch.setattr(distributed, "_scan_tables", spy)
+        clear_distgraph_cache()
+        try:
+            for name in ("mst", "connectivity"):
+                runtime.run(name, dataset="gnp:n=80,avg_deg=4,seed=5", k=4, seed=3,
+                            engine=engine, workers=workers)
+        finally:
+            clear_distgraph_cache()
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+
 class TestShards:
     def test_shard_covers_hosted_vertices(self):
         g, part, dg = make_dg()

@@ -5,9 +5,11 @@ payload construction of commit 779b7e4, kept here as the oracle: each
 machine's proposals — one row per (crossing edge, endpoint hosted
 there) with the endpoint's component, the edge id and the edge's global
 rank — sorted by (component, rank) and cut at the first row of every
-component.  :func:`repro.core.mst.distributed._mwoe_scan_task` must
-return the same ``(comp, edge)`` rows, in the same order and dtype, on
-every engine.
+component.  :func:`repro.core.mst.distributed._mwoe_scan_task` returns
+``(comp, rank)`` rows; mapped back to edges through the stable rank
+order they must be the oracle's ``(comp, edge)`` rows, in the same order
+and dtype, on every engine.  The scan reads no row order, so permuting a
+machine's rows changes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.mst.distributed import _incidence_tables, _mwoe_scan_task
+from repro.core.mst.distributed import _mwoe_scan_task, _scan_tables
 from repro.graphs.graph import Graph
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.distgraph import DistributedGraph
@@ -51,10 +53,9 @@ def legacy_payloads(dg: DistributedGraph, labels: np.ndarray, rank_of: np.ndarra
     ]
 
 
-def new_scans(dg, weights, labels, engine: str) -> list[dict]:
-    """The kernel under test, dispatched the way the driver dispatches it."""
+def rank_scans(dg, labels, engine: str, tables: list[dict]) -> list[dict]:
+    """The kernel under test on ``tables``, dispatched the way the driver does."""
     edges = dg.graph.edges
-    tables = _incidence_tables(dg, edges, np.argsort(weights, kind="stable"))
     common = {"labels": labels, "crossing": np.not_equal(*labels[edges].T)}
     workers = {"workers": 2} if engine == "process" else {}
     with Cluster(k=dg.k, n=max(2, dg.n), seed=0, engine=engine, **workers) as cluster:
@@ -65,6 +66,15 @@ def new_scans(dg, weights, labels, engine: str) -> list[dict]:
             )
         finally:
             cluster.drop_resident(handle)
+
+
+def new_scans(dg, weights, labels, engine: str) -> list[dict]:
+    """The scans' ``(comp, rank)`` rows mapped back to ``(comp, edge)`` rows."""
+    by_rank = np.argsort(weights, kind="stable")
+    scans = rank_scans(dg, labels, engine, _scan_tables(dg, by_rank))
+    for scan in scans:
+        assert scan["rank"].dtype == np.int64
+    return [{"comp": scan["comp"], "edge": by_rank[scan["rank"]]} for scan in scans]
 
 
 def assert_matches_oracle(dg, weights, labels, engine):
@@ -157,3 +167,42 @@ def test_equal_weights_break_ties_by_edge_index():
     assert_matches_oracle(*state, "vector")
     scan = new_scans(*state, "vector")[0]
     assert scan["comp"].tolist() == [5] and scan["edge"].tolist() == [0]
+
+
+def _permuted(tables: list[dict], seed: int) -> list[dict]:
+    """Each machine's rows in a random order, the columns permuted alike."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for table in tables:
+        perm = rng.permutation(table["edge"].size)
+        out.append({column: values[perm] for column, values in table.items()})
+    return out
+
+
+@given(state=scan_states(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scan_output_does_not_depend_on_row_order(state, seed):
+    dg, weights, labels = state
+    for by_rank in (np.argsort(weights, kind="stable"), None):
+        tables = _scan_tables(dg, by_rank)
+        expected = rank_scans(dg, labels, "vector", tables)
+        got = rank_scans(dg, labels, "vector", _permuted(tables, seed))
+        for new, old in zip(got, expected):
+            for column in ("comp", "rank"):
+                assert new[column].dtype == np.int64
+                assert np.array_equal(new[column], old[column]), column
+
+
+@pytest.mark.parametrize("engine", ["vector", "process"])
+def test_empty_graph_and_machines_without_rows_return_empty_int64(engine):
+    # No edges at all, then machine 1 of 3 hosting no vertex: every scan
+    # that sees no crossing row returns empty int64 columns.
+    empty = _fixed(5, [], home=[0, 2, 0, 2, 2], k=3, labels=range(5))
+    sparse = _fixed(5, [(0, 2), (3, 4)], home=[0, 2, 0, 2, 2], k=3, labels=range(5))
+    for dg, weights, labels in (empty, sparse):
+        for by_rank in (np.argsort(weights, kind="stable"), None):
+            scans = rank_scans(dg, labels, engine, _scan_tables(dg, by_rank))
+            for machine, scan in enumerate(scans):
+                assert scan["comp"].dtype == scan["rank"].dtype == np.int64
+                if dg.graph.m == 0 or machine == 1:
+                    assert scan["comp"].size == scan["rank"].size == 0, machine

@@ -1,10 +1,11 @@
 """The Borůvka driver's sort-free pieces against the sorts they replaced.
 
 * :func:`_rank_order` must be ``np.argsort(weights, kind="stable")`` bit
-  for bit, ties included: the incidence tables, the proxies' minimum and
-  so every accounted flow follow it.
+  for bit, ties included: the scans' rank column, the proxies' minimum
+  and so every accounted flow follow it.
 * Connectivity passes ``weights=None``, whose order is the edge-index
-  order, i.e. the stable sort of unit weights.
+  order, i.e. the stable sort of unit weights: the scans rank its rows
+  by edge id.
 * :func:`_machine_labels` must give the (machine, label) pair set that
   ``np.unique(home * span + labels)`` decodes to; flow 4 accounts one
   query per pair, in any order.
@@ -92,16 +93,22 @@ def test_rank_order_on_zero_and_one_edges(weights):
 def test_connectivity_ranks_edges_as_the_stable_sort_of_unit_weights(monkeypatch, n, p):
     seen = []
 
-    def spy(dg, edges, by_rank):
-        seen.append(by_rank)
-        return incidence_tables(dg, edges, by_rank)
+    def spy(dg, by_rank):
+        tables = scan_tables(dg, by_rank)
+        seen.append(tables)
+        return tables
 
-    incidence_tables = distributed._incidence_tables
-    monkeypatch.setattr(distributed, "_incidence_tables", spy)
+    scan_tables = distributed._scan_tables
+    monkeypatch.setattr(distributed, "_scan_tables", spy)
     g = repro.gnp_random_graph(n, p, seed=n)
     connected_components_distributed(g, k=4, seed=1)
-    [by_rank] = seen
-    assert np.array_equal(by_rank, np.argsort(np.ones(g.m), kind="stable"))
+    [tables] = seen
+    rank_of = np.empty(g.m, dtype=np.int64)
+    rank_of[np.argsort(np.ones(g.m), kind="stable")] = np.arange(g.m)
+    for table in tables:
+        # The scan ranks a row by its ``rank`` column, else by its edge id.
+        rank = table.get("rank", table["edge"])
+        assert np.array_equal(rank, rank_of[table["edge"]])
 
 
 @pytest.mark.parametrize("engine", ["vector", "message"])

@@ -289,6 +289,14 @@ class TestRunRequests:
         assert status["session"]["errors"] == 2
         assert status["session"]["executed"] == 1
 
+    def test_unknown_algorithm_is_a_400_that_builds_no_dataset(self, daemon):
+        from repro import workloads
+
+        _, client = daemon
+        with pytest.raises(ServeError, match="400"):
+            client.run("no-such-algo", dataset=DATASET, k=4)
+        assert not workloads.default_cache().has(DATASET)
+
     def test_unknown_request_field_rejected(self, daemon):
         _, client = daemon
         url = f"http://{client.host}:{client.port}/run"

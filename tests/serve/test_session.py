@@ -68,6 +68,17 @@ class TestRequestPath:
         assert stats["errors"] == 1 and stats["executed"] == 1
         assert stats["inflight"] == 0
 
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_unknown_algorithm_builds_no_dataset(self, store, with_store):
+        from repro import workloads
+
+        spec = "gnp:n=70,avg_deg=3,seed=11"  # never built in this test
+        with Session(result_cache=store if with_store else None) as session:
+            with pytest.raises(AlgorithmError, match="unknown algorithm"):
+                session.run("no-such-algo", dataset=spec, k=4)
+            assert session.resident_datasets() == ()
+        assert not workloads.default_cache().has(spec)
+
     def test_closed_session_rejects(self, store):
         session = Session(result_cache=store)
         session.close()
