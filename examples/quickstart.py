@@ -145,7 +145,7 @@ def main() -> None:
     assert report.rounds == result.rounds  # same run, same accounting
     spec = report.spec
     print(f"  runtime.run('pagerank', ...): {report.rounds} rounds "
-          f"({spec.bounds}; lower bound {report.lower_bound():.1f})")
+          f"({spec.bounds}; lower bound {report.bound_report.lower_bound_rounds:.1f})")
 
     # --- Workload tour: generate -> cache -> run -> rerun hits cache ----
     # Datasets are named by *spec strings* ("family:key=value,..."): the

@@ -117,9 +117,6 @@ _EXPORTS = {
             "gnp_random_graph",
             "complete_graph",
             "star_graph",
-            "path_graph",
-            "cycle_graph",
-            "empty_graph",
             "planted_triangles_graph",
             "chung_lu_graph",
             "random_regularish_graph",
@@ -127,7 +124,6 @@ _EXPORTS = {
             "PageRankLowerBoundInstance",
             "enumerate_triangles",
             "count_triangles",
-            "count_open_triads",
         ],
         "repro.graphs",
     ),
@@ -151,7 +147,6 @@ _EXPORTS = {
             "distributed_pagerank",
             "baseline_pagerank",
             "pagerank_walk_series",
-            "pagerank_teleport",
             "PageRankResult",
         ],
         "repro.core.pagerank",
@@ -171,8 +166,6 @@ _EXPORTS = {
             "enumerate_subgraphs_distributed",
             "enumerate_k4_edges",
             "enumerate_c4_edges",
-            "count_k4",
-            "count_c4",
         ],
         "repro.core.subgraphs",
     ),

@@ -152,8 +152,17 @@ def cmd_run(args) -> int:
     return rc
 
 
+def _conservation_check(metrics) -> tuple[str, str, bool]:
+    """The ``conservation`` check row: the run's totals match its phase log."""
+    try:
+        metrics.check_conservation()
+    except AssertionError as exc:
+        return "conservation", str(exc), False
+    return "conservation", "totals match the phase log", True
+
+
 def _print_run(spec, data, rep) -> int:
-    """One run's report table; 1 if one of the family's checks failed."""
+    """One run's report table; 1 if conservation or a family check failed."""
     size = f"{data.n} / {data.m}" if hasattr(data, "m") else str(rep.n)
     engine_label = (
         f"{rep.engine} ({rep.workers} workers)" if rep.workers else rep.engine
@@ -174,7 +183,9 @@ def _print_run(spec, data, rep) -> int:
     rows.extend(list(pair) for pair in rep.bound_report.rows())
     if spec.summarize is not None:
         rows.extend([label, value] for label, value in spec.summarize(rep.result))
-    checks = spec.check(data, rep) if spec.check is not None else []
+    checks = [_conservation_check(rep.metrics)]
+    if spec.check is not None:
+        checks += spec.check(data, rep)
     rows.extend([label, value if ok else f"{value}  FAILED"] for label, value, ok in checks)
     _print_table([spec.title, "value"], rows)
     return 0 if all(ok for _, _, ok in checks) else 1

@@ -41,7 +41,3 @@ class ConnectivityResult:
     def is_connected(self) -> bool:
         """Whether the input graph was connected."""
         return self.num_components <= 1
-
-    def same_component(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` are connected."""
-        return bool(self.labels[u] == self.labels[v])

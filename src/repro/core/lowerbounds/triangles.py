@@ -221,9 +221,7 @@ def surprisal_account(
     (``triangles_output`` minus the machine's local ``t₃``).
     """
     n = graph.n
-    hosted = partition.machine_vertices(machine)
-    mask = np.zeros(n, dtype=bool)
-    mask[hosted] = True
+    mask = partition.home == machine
     e = graph.edges
     known_edges = int((mask[e[:, 0]] | mask[e[:, 1]]).sum()) if e.size else 0
     t3 = int(local_triangles_per_machine(graph, partition)[machine])

@@ -19,7 +19,6 @@ _EXPORTS = {
     "distributed_pagerank": "repro.core.pagerank.distributed",
     "baseline_pagerank": "repro.core.pagerank.baseline",
     "pagerank_walk_series": "repro.core.pagerank.reference",
-    "pagerank_teleport": "repro.core.pagerank.reference",
     "PageRankResult": "repro.core.pagerank.result",
     "lemma4": "repro.core.pagerank.lemma4",
 }

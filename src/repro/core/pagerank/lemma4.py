@@ -45,13 +45,6 @@ def value_b1(eps: float, n: int) -> float:
     return eps * (1.0 + beta + beta**2 + beta**3) / n
 
 
-def value_b1_paper_bound(eps: float, n: int) -> float:
-    """The paper's stated lower bound for the ``b_i = 1`` case:
-    ``eps (3 - 3eps + eps²)/n`` (Lemma 4)."""
-    _check(eps)
-    return eps * (3.0 - 3.0 * eps + eps**2) / n
-
-
 def separation_ratio(eps: float) -> float:
     """``value_b1 / value_b0`` — a constant > 1 for every ``eps`` in (0, 1)."""
     _check(eps)

@@ -1,18 +1,11 @@
 """Exact sequential PageRank references.
 
-Two standard semantics are provided:
-
-* :func:`pagerank_walk_series` — the random-walk-with-reset measure the
-  paper (and Das Sarma et al.) estimate:
-  ``pi(v) = (eps/n) * sum_u sum_{j>=0} (1-eps)^j P^j[u, v]`` with ``P`` the
-  out-edge transition matrix and *absorbing* dangling vertices (a token at
-  an out-degree-0 vertex terminates).  This matches Lemma 4's closed forms
-  on the Figure-1 graph exactly.
-
-* :func:`pagerank_teleport` — the classical Google-matrix stationary
-  distribution (dangling mass redistributed uniformly), comparable to
-  ``networkx.pagerank``.  On graphs without dangling vertices both
-  semantics agree up to normalization.
+:func:`pagerank_walk_series` is the random-walk-with-reset measure the
+paper (and Das Sarma et al.) estimate:
+``pi(v) = (eps/n) * sum_u sum_{j>=0} (1-eps)^j P^j[u, v]`` with ``P`` the
+out-edge transition matrix and *absorbing* dangling vertices (a token at
+an out-degree-0 vertex terminates).  This matches Lemma 4's closed forms
+on the Figure-1 graph exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ import numpy as np
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 
-__all__ = ["pagerank_walk_series", "pagerank_teleport", "push_step"]
+__all__ = ["pagerank_walk_series", "push_step"]
 
 
 def _check_eps(eps: float) -> None:
@@ -87,33 +80,3 @@ def pagerank_walk_series(
     else:
         raise AlgorithmError(f"walk series did not converge within {max_terms} terms")
     return eps * acc / num_sources
-
-
-def pagerank_teleport(
-    graph: Graph,
-    eps: float = 0.15,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Classical PageRank: stationary distribution of the Google matrix.
-
-    With probability ``eps`` the walk teleports to a uniform vertex; the
-    mass of dangling vertices is redistributed uniformly.  Returns a
-    probability vector (sums to 1).
-    """
-    _check_eps(eps)
-    n = graph.n
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    beta = 1.0 - eps
-    outdeg = graph.out_degrees()
-    dangling = outdeg == 0
-    pi = np.full(n, 1.0 / n, dtype=np.float64)
-    for _ in range(max_iter):
-        dangling_mass = pi[dangling].sum()
-        new = beta * (push_step(graph, pi) + dangling_mass / n) + eps / n
-        delta = np.abs(new - pi).sum()
-        pi = new
-        if delta < tol:
-            return pi
-    raise AlgorithmError(f"power iteration did not converge within {max_iter} iterations")

@@ -91,11 +91,6 @@ class PageRankResult:
         """
         return sum(p.rounds for p in self.metrics.phase_log if "/tokens" in p.label)
 
-    def linf_relative_error(self, reference: np.ndarray, floor: float = 1e-15) -> float:
-        """``max_v |est(v) - ref(v)| / max(ref(v), floor)``."""
-        ref = np.asarray(reference, dtype=np.float64)
-        return float(np.max(np.abs(self.estimates - ref) / np.maximum(ref, floor)))
-
     def l1_error(self, reference: np.ndarray) -> float:
         """Total variation style error ``sum_v |est(v) - ref(v)|``."""
         return float(np.abs(self.estimates - np.asarray(reference, dtype=np.float64)).sum())

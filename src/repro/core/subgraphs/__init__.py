@@ -24,8 +24,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "enumerate_k4_edges": "repro.core.subgraphs.local",
     "enumerate_c4_edges": "repro.core.subgraphs.local",
-    "count_k4": "repro.core.subgraphs.local",
-    "count_c4": "repro.core.subgraphs.local",
     "enumerate_subgraphs_distributed": "repro.core.subgraphs.distributed",
 }
 

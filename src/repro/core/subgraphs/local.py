@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError
-from repro.graphs.graph import Graph
 from repro.graphs.triangles_ref import enumerate_triangles_edges
 
-__all__ = ["enumerate_k4_edges", "enumerate_c4_edges", "count_k4", "count_c4"]
+__all__ = ["enumerate_k4_edges", "enumerate_c4_edges"]
 
 
 def enumerate_k4_edges(n: int, edges: np.ndarray) -> np.ndarray:
@@ -89,17 +87,3 @@ def enumerate_c4_edges(n: int, edges: np.ndarray) -> np.ndarray:
     out = np.column_stack([u[lo], c[lo], w[lo], c[hi]])
     order = np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))
     return out[order]
-
-
-def count_k4(graph: Graph) -> int:
-    """Number of 4-cliques of an undirected :class:`Graph`."""
-    if graph.directed:
-        raise GraphError("clique enumeration is defined on undirected graphs")
-    return int(enumerate_k4_edges(graph.n, graph.edges).shape[0])
-
-
-def count_c4(graph: Graph) -> int:
-    """Number of 4-cycles of an undirected :class:`Graph`."""
-    if graph.directed:
-        raise GraphError("cycle enumeration is defined on undirected graphs")
-    return int(enumerate_c4_edges(graph.n, graph.edges).shape[0])

@@ -17,10 +17,6 @@ machines) and ``q(q+1)/2`` for r = 4, so richer patterns cost more
 re-routing, as the AGM/Afrati-Ullman bound predicts.  Forwarding only to
 sorted-tuple owners keeps that volume while every occurrence is
 enumerated exactly once.
-
-The scalar helpers (:func:`machine_for_tuple`, :func:`tuple_for_machine`,
-:func:`sorted_tuples`, :func:`machines_needing_edge`) are the readable
-oracles the vectorized ones are tested against.
 """
 
 from __future__ import annotations
@@ -30,16 +26,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from repro._util import check_positive_int, iroot
-from repro.errors import AlgorithmError
 
 __all__ = [
     "num_colors",
     "owner_keys",
     "machines_needing_edge_array",
-    "machine_for_tuple",
-    "tuple_for_machine",
-    "sorted_tuples",
-    "machines_needing_edge",
 ]
 
 
@@ -75,45 +66,3 @@ def machines_needing_edge_array(
     rows[:, :, 1] = cv[:, None]
     rows[:, :, 2:] = added[None, :, :]
     return owner_keys(rows.reshape(-1, r), q).reshape(cu.size, added.shape[0])
-
-
-def machine_for_tuple(colors, q: int) -> int:
-    """Machine owning the ordered color tuple: its rank in lex order."""
-    machine = 0
-    for x in colors:
-        if not (0 <= x < q):
-            raise AlgorithmError(f"color {x} out of range [0, {q})")
-        machine = machine * q + x
-    return machine
-
-
-def tuple_for_machine(machine: int, q: int, r: int) -> tuple[int, ...]:
-    """Inverse of :func:`machine_for_tuple` for machines ``< q^r``."""
-    if not (0 <= machine < q**r):
-        raise AlgorithmError(f"machine {machine} owns no color {r}-tuple (q={q})")
-    digits = []
-    for _ in range(r):
-        machine, x = divmod(machine, q)
-        digits.append(x)
-    return tuple(reversed(digits))
-
-
-def sorted_tuples(q: int, r: int) -> list[tuple[int, ...]]:
-    """All sorted r-tuples ``(a <= b <= ...)`` — the canonical enumerators."""
-    check_positive_int(q, "q")
-    return list(combinations_with_replacement(range(q), r))
-
-
-def machines_needing_edge(cu: int, cv: int, q: int, r: int) -> np.ndarray:
-    """Owners of the sorted r-tuples whose multiset contains ``{cu, cv}``.
-
-    One per added ``(r-2)``-multiset of colors; distinct added multisets
-    give distinct unions with ``{cu, cv}``, so the owners are distinct.
-    """
-    return np.array(
-        [
-            machine_for_tuple(sorted((cu, cv) + added), q)
-            for added in combinations_with_replacement(range(q), r - 2)
-        ],
-        dtype=np.int64,
-    )

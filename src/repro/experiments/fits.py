@@ -26,10 +26,6 @@ class PowerLawFit:
     coefficient: float
     r_squared: float
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted law."""
-        return self.coefficient * np.asarray(x, dtype=np.float64) ** self.exponent
-
 
 def fit_power_law(x, y) -> PowerLawFit:
     """Fit ``y = C x^a`` on positive data by log-log least squares."""

@@ -1,5 +1,5 @@
 """Graph substrate: CSR graphs, generators, the Figure-1 lower-bound graph,
-and exact sequential triangle/triad enumeration."""
+and exact sequential triangle enumeration."""
 
 from repro._lazy import lazy_exports
 
@@ -12,9 +12,6 @@ _EXPORTS = {
             "gnp_random_graph",
             "complete_graph",
             "star_graph",
-            "path_graph",
-            "cycle_graph",
-            "empty_graph",
             "planted_triangles_graph",
             "chung_lu_graph",
             "random_regularish_graph",
@@ -27,8 +24,6 @@ _EXPORTS = {
         [
             "enumerate_triangles",
             "count_triangles",
-            "count_open_triads",
-            "enumerate_open_triads",
         ],
         "repro.graphs.triangles_ref",
     ),

@@ -19,15 +19,9 @@ __all__ = [
     "gnp_random_graph",
     "complete_graph",
     "star_graph",
-    "path_graph",
-    "cycle_graph",
-    "empty_graph",
     "planted_triangles_graph",
     "chung_lu_graph",
     "random_regularish_graph",
-    "grid_graph",
-    "barbell_graph",
-    "random_bipartite_graph",
 ]
 
 
@@ -84,32 +78,6 @@ def star_graph(n: int, center: int = 0) -> Graph:
     others = np.array([v for v in range(n) if v != center], dtype=np.int64)
     edges = np.column_stack([np.full(others.size, center, dtype=np.int64), others])
     return Graph(n=n, edges=edges, directed=False)
-
-
-def path_graph(n: int, directed: bool = False) -> Graph:
-    """A path ``0 - 1 - ... - (n-1)`` (directed: ``i -> i+1``)."""
-    check_positive_int(n, "n")
-    idx = np.arange(n - 1, dtype=np.int64)
-    edges = np.column_stack([idx, idx + 1])
-    return Graph(n=n, edges=edges, directed=directed)
-
-
-def cycle_graph(n: int, directed: bool = False) -> Graph:
-    """A cycle on ``n >= 3`` vertices."""
-    check_positive_int(n, "n")
-    if n < 3:
-        raise GraphError(f"a cycle needs n >= 3, got {n}")
-    idx = np.arange(n, dtype=np.int64)
-    edges = np.column_stack([idx, (idx + 1) % n])
-    if not directed:
-        edges = np.sort(edges, axis=1)
-    return Graph(n=n, edges=edges, directed=directed)
-
-
-def empty_graph(n: int, directed: bool = False) -> Graph:
-    """``n`` isolated vertices."""
-    check_positive_int(n, "n")
-    return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=directed)
 
 
 def planted_triangles_graph(
@@ -175,65 +143,6 @@ def chung_lu_graph(
     prob = np.minimum(1.0, w[u] * w[v] / W)
     keep = rng.random(u.size) < prob
     return Graph(n=n, edges=np.column_stack([u[keep], v[keep]]), directed=False)
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    """A ``rows x cols`` 2-D lattice (vertex ``(r, c)`` is ``r*cols + c``).
-
-    Bounded-degree, high-diameter — the opposite regime from stars; random
-    walks mix slowly, exercising many PageRank iterations.
-    """
-    check_positive_int(rows, "rows")
-    check_positive_int(cols, "cols")
-    r = np.arange(rows, dtype=np.int64)
-    c = np.arange(cols, dtype=np.int64)
-    vid = (r[:, None] * cols + c[None, :]).ravel()
-    grid = vid.reshape(rows, cols)
-    horiz = np.column_stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()]) if cols > 1 else np.zeros((0, 2), dtype=np.int64)
-    vert = np.column_stack([grid[:-1, :].ravel(), grid[1:, :].ravel()]) if rows > 1 else np.zeros((0, 2), dtype=np.int64)
-    return Graph(n=rows * cols, edges=np.concatenate([horiz, vert]), directed=False)
-
-
-def barbell_graph(clique_size: int, bridge_length: int = 1) -> Graph:
-    """Two ``K_{clique_size}`` cliques joined by a path of ``bridge_length`` edges.
-
-    The classic random-walk bottleneck graph: triangle-dense at both ends,
-    a communication choke point in the middle.
-    """
-    check_positive_int(clique_size, "clique_size")
-    check_positive_int(bridge_length, "bridge_length")
-    s = clique_size
-    n = 2 * s + max(0, bridge_length - 1)
-    u, v = _pairs_upper(s)
-    left = np.column_stack([u, v])
-    right = left + s
-    # Path from vertex s-1 (in the left clique) to vertex s (in the right
-    # clique) through bridge_length - 1 fresh vertices.
-    chain = [s - 1] + list(range(2 * s, 2 * s + bridge_length - 1)) + [s]
-    bridge = np.array(list(zip(chain[:-1], chain[1:])), dtype=np.int64)
-    return Graph(n=n, edges=np.concatenate([left, right, bridge]), directed=False)
-
-
-def random_bipartite_graph(
-    n_left: int,
-    n_right: int,
-    p: float,
-    seed: int | np.random.Generator | None = None,
-) -> Graph:
-    """Bipartite ``G(n_left, n_right, p)``: left vertices ``0..n_left-1``.
-
-    Triangle-free by construction; a zero-triangle control for the
-    enumeration algorithms.
-    """
-    check_positive_int(n_left, "n_left")
-    check_positive_int(n_right, "n_right")
-    if not (0.0 <= p <= 1.0):
-        raise GraphError(f"p must lie in [0, 1], got {p}")
-    rng = as_rng(seed)
-    mask = rng.random((n_left, n_right)) < p
-    li, ri = np.nonzero(mask)
-    edges = np.column_stack([li, ri + n_left]).astype(np.int64)
-    return Graph(n=n_left + n_right, edges=edges, directed=False)
 
 
 def random_regularish_graph(

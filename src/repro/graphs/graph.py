@@ -1,7 +1,7 @@
 """A lightweight CSR graph used throughout the reproduction.
 
 Undirected graphs store each edge in both adjacency lists; directed graphs
-store out-adjacency (in-adjacency is built lazily).  Vertices are integers
+store out-adjacency.  Vertices are integers
 ``0 .. n-1``; the lower-bound constructions layer random public ids on top
 (see :mod:`repro.graphs.lowerbound`).
 """
@@ -38,8 +38,6 @@ class Graph:
         "_edges",
         "indptr",
         "indices",
-        "_in_indptr",
-        "_in_indices",
         "content_key",
     )
 
@@ -68,9 +66,7 @@ class Graph:
             order = np.argsort(keys, kind="stable")
             edges = edges[order]
         self._edges = edges
-        self.indptr, self.indices = self._build_csr(edges, out=True)
-        self._in_indptr: np.ndarray | None = None
-        self._in_indices: np.ndarray | None = None
+        self.indptr, self.indices = self._build_csr(edges)
         #: Optional content-address of this graph (set by the workload layer
         #: for dataset-spec-built graphs); lets caches key on content instead
         #: of object identity, so a reloaded snapshot reuses materialized
@@ -78,11 +74,10 @@ class Graph:
         self.content_key: str | None = None
 
     # ------------------------------------------------------------------
-    def _build_csr(self, edges: np.ndarray, out: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _build_csr(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
         if self.directed:
-            src = edges[:, 0] if out else edges[:, 1]
-            dst = edges[:, 1] if out else edges[:, 0]
+            src, dst = edges[:, 0], edges[:, 1]
         else:
             src = np.concatenate([edges[:, 0], edges[:, 1]])
             dst = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -90,8 +85,7 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         if src.size:
-            # Lexsort by (src, dst) so every neighbor list comes out sorted,
-            # enabling binary-search membership tests without a per-vertex loop.
+            # Lexsort by (src, dst) so every neighbor list comes out sorted.
             order = np.lexsort((dst, src))
             indices = dst[order]
         else:
@@ -144,8 +138,6 @@ class Graph:
             within_fwd = np.arange(m, dtype=np.int64) - np.repeat(cum_fwd[:-1], counts_fwd)
             indices[np.repeat(base + counts_rev, counts_fwd) + within_fwd] = hi
             g.indptr, g.indices = indptr, indices
-        g._in_indptr = None
-        g._in_indices = None
         g.content_key = None
         return g
 
@@ -182,8 +174,6 @@ class Graph:
         g._edges = edges
         g.indptr = indptr
         g.indices = indices
-        g._in_indptr = None
-        g._in_indices = None
         g.content_key = None
         return g
 
@@ -198,26 +188,6 @@ class Graph:
         """``(m, 2)`` canonical edge array (sorted; undirected as (min, max))."""
         return self._edges
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Sorted out-neighbors of ``v`` (neighbors, if undirected)."""
-        self._check_vertex(v)
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Alias for :meth:`out_neighbors` on undirected graphs."""
-        if self.directed:
-            raise GraphError("neighbors() is for undirected graphs; use out_neighbors/in_neighbors")
-        return self.out_neighbors(v)
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Sorted in-neighbors of ``v`` (directed graphs)."""
-        self._check_vertex(v)
-        if not self.directed:
-            return self.out_neighbors(v)
-        if self._in_indptr is None:
-            self._in_indptr, self._in_indices = self._build_csr(self._edges, out=False)
-        return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
-
     def out_degrees(self) -> np.ndarray:
         """``(n,)`` out-degree array (degree, if undirected)."""
         return np.diff(self.indptr)
@@ -226,28 +196,7 @@ class Graph:
         """``(n,)`` degree array; for directed graphs, in+out degree."""
         if not self.directed:
             return self.out_degrees()
-        return self.out_degrees() + self.in_degrees()
-
-    def in_degrees(self) -> np.ndarray:
-        """``(n,)`` in-degree array."""
-        if not self.directed:
-            return self.out_degrees()
-        if self._edges.size == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        return np.bincount(self._edges[:, 1], minlength=self.n)
-
-    def max_degree(self) -> int:
-        """Maximum degree Δ."""
-        d = self.degrees()
-        return int(d.max()) if d.size else 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership test via binary search in the (out-)adjacency of ``u``."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        nbrs = self.out_neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < nbrs.size and nbrs[i] == v)
+        return self.out_degrees() + np.bincount(self._edges[:, 1], minlength=self.n)
 
     def subgraph_edges(self, vertices: np.ndarray) -> np.ndarray:
         """Edges of the induced subgraph on ``vertices`` (as global ids)."""
@@ -256,55 +205,6 @@ class Graph:
         e = self._edges
         keep = mask[e[:, 0]] & mask[e[:, 1]]
         return e[keep]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (small graphs only)."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        e = self._edges
-        if e.size:
-            a[e[:, 0], e[:, 1]] = True
-            if not self.directed:
-                a[e[:, 1], e[:, 0]] = True
-        return a
-
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Convert to a networkx graph (optional dependency, tests only)."""
-        import networkx as nx
-
-        g = nx.DiGraph() if self.directed else nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(map(tuple, self._edges))
-        return g
-
-    @classmethod
-    def from_networkx(cls, g) -> "Graph":
-        """Build from a networkx (Di)Graph with integer nodes ``0..n-1``.
-
-        Self-loops are rejected with :class:`GraphError`, matching the
-        constructor (they used to be silently dropped here, which made the
-        two construction paths disagree about the edge set).
-        """
-        import networkx as nx
-
-        directed = isinstance(g, nx.DiGraph)
-        n = g.number_of_nodes()
-        nodes = sorted(g.nodes())
-        if nodes != list(range(n)):
-            raise GraphError("from_networkx requires nodes labelled 0..n-1")
-        loops = [u for u, v in g.edges() if u == v]
-        if loops:
-            raise GraphError(
-                f"self-loops are not allowed (networkx graph has a self-loop "
-                f"at node {loops[0]})"
-            )
-        edges = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
-        return cls(n=n, edges=edges, directed=directed)
-
-    # ------------------------------------------------------------------
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise GraphError(f"vertex {v} out of range [0, {self.n})")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "DiGraph" if self.directed else "Graph"

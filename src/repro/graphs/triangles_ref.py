@@ -17,19 +17,8 @@ from repro.graphs.graph import Graph
 __all__ = [
     "enumerate_triangles",
     "count_triangles",
-    "count_open_triads",
-    "enumerate_open_triads",
     "enumerate_triangles_edges",
 ]
-
-
-def _forward_order(graph: Graph) -> np.ndarray:
-    """Rank vertices by (degree, id); returns rank[v]."""
-    deg = graph.degrees()
-    order = np.lexsort((np.arange(graph.n), deg))
-    rank = np.empty(graph.n, dtype=np.int64)
-    rank[order] = np.arange(graph.n)
-    return rank
 
 
 def enumerate_triangles_edges(n: int, edges: np.ndarray) -> np.ndarray:
@@ -88,44 +77,3 @@ def enumerate_triangles(graph: Graph) -> np.ndarray:
 def count_triangles(graph: Graph) -> int:
     """Number of triangles (``t`` in the paper's notation)."""
     return int(enumerate_triangles(graph).shape[0])
-
-
-def count_open_triads(graph: Graph) -> int:
-    """Number of open triads: vertex triples with exactly two edges.
-
-    Identity: ``sum_v C(deg(v), 2) - 3 * #triangles`` — each open triad is
-    counted once at its center; each triangle contributes one wedge at each
-    of its three corners, none of which is open.
-    """
-    if graph.directed:
-        raise GraphError("open triads are defined on undirected graphs")
-    deg = graph.degrees().astype(np.int64)
-    wedges = int((deg * (deg - 1) // 2).sum())
-    return wedges - 3 * count_triangles(graph)
-
-
-def enumerate_open_triads(graph: Graph, limit: int | None = None) -> np.ndarray:
-    """Open triads as rows ``(center, a, b)`` with ``a < b`` non-adjacent.
-
-    Output can be Θ(n·Δ²); pass ``limit`` to cap the number of rows
-    (raises :class:`GraphError` if the cap would be exceeded).
-    """
-    if graph.directed:
-        raise GraphError("open triads are defined on undirected graphs")
-    total = count_open_triads(graph)
-    if limit is not None and total > limit:
-        raise GraphError(f"open-triad output ({total}) exceeds limit ({limit})")
-    rows: list[tuple[int, int, int]] = []
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        for i in range(nbrs.size):
-            a = int(nbrs[i])
-            rest = nbrs[i + 1 :]
-            if rest.size == 0:
-                continue
-            # Non-adjacent pairs (a, b) of neighbors of v form open triads.
-            adj = np.isin(rest, graph.neighbors(a), assume_unique=True)
-            for b in rest[~adj]:
-                rows.append((v, a, int(b)))
-    out = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    return out

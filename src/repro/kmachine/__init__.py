@@ -130,8 +130,7 @@ and must obey three contracts for the backends to stay bit-identical:
    ``graph.indptr`` / ``graph.indices``, ``k``, ``n``,
    ``home_groups`` (the ``(start, nbrs)`` table of
    :func:`~repro.kmachine.distgraph.group_neighbors_by_home`, built on
-   first read in whichever process reads it), ``local_neighbors``
-   (one slice of that table) and ``local_index`` (each vertex's
+   first read in whichever process reads it) and ``local_index`` (each vertex's
    position in its home machine's ``parts`` entry, built likewise).
    Kernels must not mutate ``ctx`` or rely on any other parent state.
 3. **Result contract.**  Results are returned per machine (the

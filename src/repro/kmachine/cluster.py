@@ -118,11 +118,6 @@ class Cluster:
         """Accumulated execution metrics."""
         return self.network.metrics
 
-    @property
-    def rounds(self) -> int:
-        """Total rounds accounted so far."""
-        return self.network.rounds
-
     def exchange_batches(
         self, batches: Sequence[MessageBatch], label: str = ""
     ) -> list[DeliveredBatch]:
@@ -206,10 +201,6 @@ class Cluster:
         msgs[src] = 1
         msgs[src, src] = 0
         return self.account_phase(msgs * int(bits), msgs, label=label)
-
-    def reset_metrics(self) -> None:
-        """Discard accumulated metrics."""
-        self.network.reset_metrics()
 
     def close(self) -> None:
         """Release engine resources (the process backend's worker pool).

@@ -99,10 +99,6 @@ class MachineShard:
         self.nbr_home = nbr_home
         self.degrees = np.diff(indptr)
 
-    def neighbors(self, row: int) -> np.ndarray:
-        """Global neighbor ids of hosted vertex ``vertices[row]``."""
-        return self.indices[self.indptr[row] : self.indptr[row + 1]]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<MachineShard machine={self.machine} vertices={self.vertices.size}"
@@ -163,14 +159,6 @@ class HomeGroupedNeighbors:
                 index[verts] = np.arange(verts.size)
             self._local_index = index
         return self._local_index
-
-    def local_neighbors(self, v: int, machine: int) -> np.ndarray:
-        """Neighbors of ``v`` hosted on ``machine``, in CSR order (a slice; no copy)."""
-        if not (0 <= machine < self.k):
-            raise PartitionError(f"machine index {machine} out of range [0, {self.k})")
-        start, nbrs = self.home_groups
-        slot = v * self.k + machine
-        return nbrs[start[slot] : start[slot + 1]]
 
 
 class DistributedGraph(HomeGroupedNeighbors):
@@ -285,15 +273,6 @@ class DistributedGraph(HomeGroupedNeighbors):
         return self._incidence
 
     # -- per-vertex views ----------------------------------------------
-    def neighbors(self, v: int) -> np.ndarray:
-        """Global neighbor ids of ``v`` (a CSR slice; no copy)."""
-        g = self.graph
-        return g.indices[g.indptr[v] : g.indptr[v + 1]]
-
-    def neighbor_homes(self, v: int) -> np.ndarray:
-        """Home machines of ``v``'s neighbors (cached slice; no fancy-indexing)."""
-        g = self.graph
-        return self.nbr_home[g.indptr[v] : g.indptr[v + 1]]
 
     # -- per-machine shards --------------------------------------------
     def shard(self, machine: int) -> MachineShard:

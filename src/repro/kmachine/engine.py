@@ -276,11 +276,6 @@ class Engine:
         return self.network.metrics
 
     # -- phase execution -------------------------------------------------
-    def exchange_batches(
-        self, batches: Sequence[MessageBatch], label: str = ""
-    ) -> list[DeliveredBatch]:
-        """Run one columnar communication phase (one phase for all batches)."""
-        raise NotImplementedError
 
     def account_phase(
         self,
@@ -320,7 +315,7 @@ class Engine:
         ``ctx`` exposes the read surface of a
         :class:`~repro.kmachine.distgraph.DistributedGraph` (``parts``,
         ``home``, ``nbr_home``, ``graph.indptr`` / ``graph.indices``,
-        ``home_groups``, ``local_index``, ``local_neighbors``) — or is
+        ``home_groups``, ``local_index``) — or is
         ``None`` when the caller passes ``distgraph=None`` (kernels over
         non-graph inputs, e.g. the sorting family).  ``payloads[i]`` is machine ``i``'s
         per-superstep input; ``rngs[i]`` its private Generator.  Returns

@@ -55,18 +55,6 @@ class PhaseStats:
     max_machine_received: int
     label: str = ""
 
-    def as_dict(self) -> dict:
-        """JSON-ready view (phase summaries, the communication ledger)."""
-        return {
-            "label": self.label,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "bits": self.bits,
-            "max_link_bits": self.max_link_bits,
-            "max_machine_sent": self.max_machine_sent,
-            "max_machine_received": self.max_machine_received,
-        }
-
 
 @dataclass
 class Metrics:
@@ -153,11 +141,6 @@ class Metrics:
         return stats
 
     @property
-    def max_machine_sent(self) -> int:
-        """Largest number of messages sent by a single machine overall."""
-        return int(self.sent_messages.max(initial=0))
-
-    @property
     def max_machine_received(self) -> int:
         """Largest number of messages received by a single machine overall."""
         return int(self.received_messages.max(initial=0))
@@ -166,22 +149,6 @@ class Metrics:
     def max_link_bits(self) -> int:
         """Heaviest single-phase link load across the whole execution."""
         return max((p.max_link_bits for p in self.phase_log), default=0)
-
-    def as_dict(self) -> dict:
-        """Summary dictionary (for bench table rows)."""
-        return {
-            "k": self.k,
-            "bandwidth": self.bandwidth,
-            "rounds": self.rounds,
-            "phases": self.phases,
-            "messages": self.messages,
-            "bits": self.bits,
-            "local_messages": self.local_messages,
-            "max_machine_sent": self.max_machine_sent,
-            "max_machine_received": self.max_machine_received,
-            "max_link_bits": self.max_link_bits,
-            "phase_summary": [p.as_dict() for p in self.phase_log],
-        }
 
     def check_conservation(self) -> None:
         """Internal consistency: totals match per-machine aggregates.

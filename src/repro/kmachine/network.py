@@ -67,7 +67,3 @@ class LinkNetwork:
     def rounds(self) -> int:
         """Total rounds accounted so far."""
         return self.metrics.rounds
-
-    def reset_metrics(self) -> None:
-        """Discard accumulated metrics (e.g. between benchmark repetitions)."""
-        self.metrics = Metrics(k=self.k, bandwidth=self.bandwidth)

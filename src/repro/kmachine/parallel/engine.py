@@ -77,11 +77,6 @@ from repro.kmachine.parallel.pool import (
 __all__ = ["ProcessEngine", "MAX_STORES"]
 
 
-def _default_workers() -> int:
-    count = getattr(os, "process_cpu_count", os.cpu_count)()
-    return max(1, int(count or 1))
-
-
 class _DelegatedRNG:
     """Placeholder left in ``cluster.machine_rngs`` once a stream ships.
 
@@ -138,8 +133,9 @@ class ProcessEngine(VectorEngine):
         super().__init__(network)
         if workers is not None and int(workers) < 1:
             raise ModelError(f"workers must be >= 1, got {workers}")
-        self.workers = max(1, min(int(workers) if workers is not None else _default_workers(),
-                                  network.k))
+        if workers is None:
+            workers = getattr(os, "process_cpu_count", os.cpu_count)() or 1
+        self.workers = max(1, min(int(workers), network.k))
         self._closed = False
         self._rngs_shipped = False
         #: Tokens of resident state bundles installed in the held pool's
@@ -157,16 +153,6 @@ class ProcessEngine(VectorEngine):
     def pool(self) -> WorkerPool | None:
         """The held worker pool (None before the first map / after close)."""
         return self._pool_cell[0]
-
-    @property
-    def running(self) -> bool:
-        """Whether the engine currently holds a live worker pool."""
-        pool = self.pool
-        return pool is not None and pool.alive
-
-    def _owner(self, machine: int) -> int:
-        """The worker index owning ``machine``."""
-        return machine % self.workers
 
     def _machines_of(self, worker: int) -> range:
         return range(worker, self.k, self.workers)
@@ -371,25 +357,6 @@ class ProcessEngine(VectorEngine):
                 segments=segments,
             )
         return results
-
-    # ------------------------------------------------------------------
-    def pull_machine_rngs(self) -> dict:
-        """Fetch the workers' current per-machine Generators (testing aid)."""
-        pool = self.pool
-        if pool is None:
-            return {}
-        out: dict = {}
-        for w in range(pool.workers):
-            machines = list(self._machines_of(w))
-            try:
-                pool.send(w, ("pull-rngs", machines))
-                status, value = pool.recv(w)
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                self._crash(w, exc)
-            if status != "ok":
-                raise ModelError(f"pull-rngs failed: {value}")
-            out.update(value)
-        return out
 
     # ------------------------------------------------------------------
     def install_resident(self, states: Sequence, distgraph=None, rngs=None) -> ResidentHandle:

@@ -58,8 +58,8 @@ class SharedGraphView(HomeGroupedNeighbors):
     :class:`DistributedGraph` context: :attr:`graph` (``.indptr`` /
     ``.indices``), :attr:`home`, :attr:`nbr_home`, :attr:`parts`,
     :attr:`k`, :attr:`n`, and — with the same definitions as
-    ``DistributedGraph`` — :attr:`home_groups`, :attr:`local_index` and
-    :meth:`local_neighbors`.  Neither table is published: a worker
+    ``DistributedGraph`` — :attr:`home_groups` and :attr:`local_index`.
+    Neither table is published: a worker
     builds each from the attached arrays the first time a kernel reads
     it (only PageRank does), into private memory, so the segment layout
     is the same for every family.
@@ -166,20 +166,11 @@ class SharedGraphStore:
         """Unique store id (the shared segment's name)."""
         return self._meta["key"]
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the published segment in bytes."""
-        return self._shm.size
-
     def meta(self) -> dict:
         """Attachment metadata for :meth:`SharedGraphView.attach`."""
         if self._closed:
             raise ModelError("shared graph store is closed")
         return self._meta
-
-    def view(self) -> SharedGraphView:
-        """Attach an in-process view (used by tests and single-worker paths)."""
-        return SharedGraphView.attach(self.meta())
 
     def close(self, unlink: bool = True) -> None:
         """Unmap and (by default) destroy the segment.  Idempotent."""

@@ -47,8 +47,6 @@ Protocol (parent -> worker over one duplex pipe, processed in order):
     requested machines (state inspection / final result assembly).
 ``("drop-state", token)``
     Release one resident bundle (no reply; unknown tokens are ignored).
-``("pull-rngs", machines)``
-    Reply with the current Generator objects (tests / state inspection).
 ``("drop-store", store_key)``
     Detach the cached view of an evicted store and drop the resident
     bundles bound to it (no reply; ordering with later ``map`` commands
@@ -97,9 +95,6 @@ def worker_main(conn) -> None:
                 # (or be mistaken for) the new holder's.
                 residents.clear()
                 resident_store.clear()
-                continue
-            if cmd == "pull-rngs":
-                conn.send(("ok", {i: rngs[i] for i in msg[1]}))
                 continue
             if cmd == "drop-store":
                 view = views.pop(msg[1], None)

@@ -62,35 +62,12 @@ class VertexPartition:
         """Number of vertices."""
         return int(self.home.size)
 
-    def machine_vertices(self, i: int) -> np.ndarray:
-        """Vertices hosted by machine ``i`` (sorted)."""
-        if not (0 <= i < self.k):
-            raise PartitionError(f"machine index {i} out of range [0, {self.k})")
-        return np.flatnonzero(self.home == i)
-
     def vertices_by_machine(self) -> list[np.ndarray]:
         """List of per-machine vertex arrays (index = machine)."""
         order = np.argsort(self.home, kind="stable")
         counts = np.bincount(self.home, minlength=self.k)
         splits = np.cumsum(counts)[:-1]
         return [np.sort(part) for part in np.split(order, splits)]
-
-    def counts(self) -> np.ndarray:
-        """``(k,)`` array of vertices per machine."""
-        return np.bincount(self.home, minlength=self.k)
-
-    def balance_ratio(self) -> float:
-        """``max load / (n/k)`` — the RVP guarantees ``Θ̃(1)`` whp."""
-        if self.n == 0:
-            return 0.0
-        return float(self.counts().max()) / (self.n / self.k)
-
-    def is_balanced(self, slack: float = 4.0) -> bool:
-        """Whether every machine hosts at most ``slack * max(1, log2 n) * n/k`` vertices."""
-        if self.n == 0:
-            return True
-        bound = slack * max(1.0, np.log2(max(2, self.n))) * self.n / self.k
-        return bool(self.counts().max() <= bound)
 
 
 @dataclass(frozen=True)
@@ -113,16 +90,6 @@ class EdgePartition:
     def m(self) -> int:
         """Number of edges."""
         return int(self.home.size)
-
-    def machine_edges(self, i: int) -> np.ndarray:
-        """Edge indices assigned to machine ``i``."""
-        if not (0 <= i < self.k):
-            raise PartitionError(f"machine index {i} out of range [0, {self.k})")
-        return np.flatnonzero(self.home == i)
-
-    def counts(self) -> np.ndarray:
-        """``(k,)`` array of edges per machine."""
-        return np.bincount(self.home, minlength=self.k)
 
 
 # ----------------------------------------------------------------------

@@ -71,12 +71,6 @@ class ObsRegistry:
         with self._lock:
             self._sources.pop(token, None)
 
-    def sources(self) -> tuple[str, ...]:
-        """Names of currently live sources."""
-        with self._lock:
-            self._prune_locked()
-            return tuple(self._sources)
-
     def collect(self) -> dict[str, dict]:
         """``{name: stats_dict}`` from every live source.
 

@@ -83,10 +83,12 @@ class TraceError(ReproError):
 
 
 class NullTracer:
-    """The disabled tracer: every hook is a no-op.
+    """The disabled tracer.
 
-    Shared as the :data:`NULL_TRACER` singleton so that engine
-    construction allocates nothing for the untraced case.
+    Every instrumentation site checks ``enabled`` before it calls a
+    hook, so the only hook defined is the no-op :meth:`mark`.  Shared as
+    the :data:`NULL_TRACER` singleton so that engine construction
+    allocates nothing for the untraced case.
     """
 
     __slots__ = ()
@@ -94,16 +96,7 @@ class NullTracer:
     enabled = False
     top_links = 0
 
-    def emit(self, event: dict) -> None:
-        pass
-
-    def phase(self, op: str, label: str, wall_s: float, **extra: Any) -> None:
-        pass
-
     def mark(self, t: float | None = None) -> None:
-        pass
-
-    def close(self) -> None:
         pass
 
 

@@ -60,9 +60,7 @@ from repro.runtime.registry import (
     RunReport,
     available,
     get_spec,
-    register,
     run,
-    specs,
 )
 from repro.runtime.families import register_builtin_specs
 
@@ -74,10 +72,8 @@ __all__ = [
     "Session",
     "available",
     "get_spec",
-    "register",
     "register_builtin_specs",
     "run",
-    "specs",
 ]
 
 # The session layer (threads, the serve result store) loads on first

@@ -35,10 +35,8 @@ __all__ = [
     "AlgorithmSpec",
     "RunReport",
     "DEFAULT_K",
-    "register",
     "get_spec",
     "available",
-    "specs",
     "run",
 ]
 
@@ -204,18 +202,6 @@ _REGISTRY: dict[str, AlgorithmSpec] = {}
 _BUILDERS: dict[str, Callable[[], AlgorithmSpec]] = {}
 
 
-def _claim(name: str) -> None:
-    if name in _REGISTRY or name in _BUILDERS:
-        raise AlgorithmError(f"algorithm {name!r} is already registered")
-
-
-def register(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Register an algorithm family; names are unique."""
-    _claim(spec.name)
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 def register_builder(name: str, build: Callable[[], AlgorithmSpec]) -> None:
     """Register family ``name`` by a zero-argument spec builder.
 
@@ -223,7 +209,8 @@ def register_builder(name: str, build: Callable[[], AlgorithmSpec]) -> None:
     :func:`get_spec`, so the modules it imports (the family's result
     class) load only when the family is used.
     """
-    _claim(name)
+    if name in _REGISTRY or name in _BUILDERS:
+        raise AlgorithmError(f"algorithm {name!r} is already registered")
     _BUILDERS[name] = build
 
 
@@ -246,11 +233,6 @@ def get_spec(name: str) -> AlgorithmSpec:
 def available() -> tuple[str, ...]:
     """Registered family names, sorted."""
     return tuple(sorted({*_REGISTRY, *_BUILDERS}))
-
-
-def specs() -> tuple[AlgorithmSpec, ...]:
-    """All registered specs, sorted by name."""
-    return tuple(get_spec(name) for name in available())
 
 
 @dataclass
@@ -305,14 +287,6 @@ class RunReport:
     def round_value(self) -> int:
         """The family's sweep metric (see :attr:`AlgorithmSpec.round_value`)."""
         return self.spec.round_value(self.result)
-
-    def lower_bound(self) -> float | None:
-        """The matching round lower bound at this run's ``(n, k, B)``.
-
-        ``None`` when the family declares none or ``(n, k)`` lies outside
-        the theorem's stated domain; evaluated once, in :attr:`bound_report`.
-        """
-        return self.bound_report.lower_bound_rounds
 
 
 def _resolve_result_store(result_cache):

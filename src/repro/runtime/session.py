@@ -139,9 +139,6 @@ class Session:
         self._obs_token = obs_registry().register("session", self.stats)
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self, shutdown_pools: bool = False) -> None:
         """Stop admitting runs; optionally tear down the warm pools.
@@ -213,11 +210,6 @@ class Session:
             lambda: warm_shard_snapshots(self.materialize(dataset))
         ).result()
 
-    def resident_datasets(self) -> tuple[str, ...]:
-        """Content keys of the resident graphs, least recent first."""
-        with self._dataset_lock:
-            return tuple(self._datasets)
-
     def _probe_input(self, dataset):
         """What a result-cache probe needs of ``dataset``, without loading it.
 
@@ -253,13 +245,20 @@ class Session:
     def _execute(self, name, data, k, dataset, kwargs):
         """A miss, on the substrate thread: load the dataset, then run.
 
-        The family is resolved before the dataset loads, so an unknown
-        name fails without building (and caching) the dataset.
+        The family, its parameters and the seed are checked before the
+        dataset loads, so a request that ``run`` would reject fails
+        without building (and caching) the dataset.
         """
         if dataset is not None:
-            from repro.runtime.registry import get_spec
+            import inspect
 
-            get_spec(name)
+            from repro._util import check_seed
+            from repro.runtime.registry import get_spec, run
+
+            run_args = inspect.signature(run).parameters
+            get_spec(name).check_params(
+                {key: value for key, value in kwargs.items() if key not in run_args})
+            check_seed(kwargs.get("seed"))
             data = self.materialize(dataset)
         return _registry_run(name, data, k, result_cache=self.store, **kwargs)
 

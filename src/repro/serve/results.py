@@ -264,11 +264,6 @@ class ResultStore:
         if entry is not None:
             self._decoded_bytes -= entry[1]
 
-    def _delete(self, key: str) -> None:
-        with self._write():
-            self._forget(key)
-            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-
     def close(self) -> None:
         obs_registry().unregister(self._obs_token)
         with self._lock:
@@ -342,7 +337,9 @@ class ResultStore:
         try:
             result, metrics = pickle.loads(row[0])
         except Exception as exc:  # corrupt payload: drop the row, miss
-            self._delete(key)
+            with self._write():
+                self._forget(key)
+                self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
             raise ServeError(
                 f"corrupt result payload for key {key} "
                 f"(dropped from {self.path}): {exc}"
@@ -410,15 +407,6 @@ class ResultStore:
     def __len__(self) -> int:
         with self._lock:
             return self._count_locked()
-
-    def clear(self) -> int:
-        """Drop every row; returns how many were deleted."""
-        with self._write():
-            count = self._count_locked()
-            self._conn.execute("DELETE FROM results")
-            self._decoded.clear()
-            self._decoded_bytes = 0
-        return count
 
     def stats(self) -> dict:
         """Traffic and occupancy counters (JSON-ready)."""

@@ -23,10 +23,9 @@ Dataset-spec grammar
 Examples::
 
     rmat:n=1e6,avg_deg=16,seed=7
-    sbm:n=200_000,blocks=16,avg_deg=12,mix=0.05,seed=1
-    geometric:n=500000,avg_deg=12,seed=3
-    smallworld:n=100000,nbrs=10,rewire=0.2,seed=5
     gnp:n=1000,avg_deg=8,seed=3
+    chung-lu:n=5000,exponent=2.1,seed=1
+    planted-triangles:n=3000,triangles=500,noise_p=0.001,seed=2
     edgelist:path=graph.tsv
     edgelist:path=soc-LiveJournal1.txt,relabel=true
 
@@ -41,14 +40,14 @@ so a dataset reloaded from disk still reuses materialized shards.
 
 Built-in families
 -----------------
-Scalable (vectorized ``O(m)`` samplers; ``n >= 10^6`` in seconds):
-``rmat`` (heavy-tailed quadrant recursion), ``sbm`` (community
-structure), ``geometric`` (grid-bucketed unit square), ``smallworld``
-(ring lattice + rewiring), ``gnp`` (sparse binomial sampler above the
-quadratic limit).  Adapters over the legacy exact generators:
-``chung-lu``, ``planted-triangles``.  File-backed (never cached):
-``edgelist`` (chunked edge-text reader, SNAP downloads included;
-``relabel=true`` renumbers sparse ids densely) and ``metis``.
+Each family has a caller outside the tests (the CLI, an example, a paper
+table or the benchmark harness).  Scalable (vectorized ``O(m)``
+samplers; ``n >= 10^6`` in seconds): ``rmat`` (heavy-tailed quadrant
+recursion) and ``gnp`` (sparse binomial sampler above the quadratic
+limit).  Adapters over the legacy exact generators: ``chung-lu``,
+``planted-triangles``.  File-backed (never cached): ``edgelist``
+(chunked edge-text reader, SNAP downloads included; ``relabel=true``
+renumbers sparse ids densely).
 
 Cold start: shard snapshots
 ---------------------------
@@ -66,8 +65,8 @@ Cold start: shard snapshots
   seconds.  ``repro serve --prewarm SPEC`` preloads snapshots at
   daemon start.
 
-* **One builder per family.**  The sharded second copy of ``geometric``,
-  ``rmat``, ``sbm`` and SNAP parsing ran at 0.90-0.96x of serial on 2
+* **One builder per family.**  The sharded second copy of the builders
+  and of SNAP parsing ran at 0.90-0.96x of serial on 2
   CPUs (0.67x on 1, ``benchmarks/results/C2_coldstart.txt``) and went in
   PR 24.  A second builder needs a >= 4-CPU host, a harness workload on
   each side of the choice, and a selection made by the code, not a flag.
@@ -96,20 +95,12 @@ from repro.workloads.spec import (
     literal_value,
     parse_spec,
     register_workload,
-    workload_families,
 )
-from repro.workloads.generators import (
-    geometric_graph,
-    register_builtin_workloads,
-    rmat_graph,
-    sbm_graph,
-    smallworld_graph,
-)
+from repro.workloads.generators import register_builtin_workloads, rmat_graph
 from repro.workloads.io import (
     SHARD_SNAPSHOT_VERSION,
     SnapshotMissingError,
     read_edge_list,
-    read_metis,
     read_npz,
     register_io_workloads,
     write_npz,
@@ -136,17 +127,12 @@ __all__ = [
     "register_workload",
     "get_workload",
     "available_workloads",
-    "workload_families",
     "build_dataset",
     # generators
     "rmat_graph",
-    "sbm_graph",
-    "geometric_graph",
-    "smallworld_graph",
     "register_builtin_workloads",
     # io
     "read_edge_list",
-    "read_metis",
     "read_npz",
     "SnapshotMissingError",
     "SHARD_SNAPSHOT_VERSION",

@@ -3,19 +3,18 @@ for ``n >= 10^6`` in seconds.
 
 Unlike the exact small-graph generators in :mod:`repro.graphs.generators`
 (which enumerate all vertex pairs and therefore need ``O(n^2)`` work and
-memory), every sampler here draws edges directly — R-MAT quadrant
-recursion, per-block binomial counts for the SBM, grid-bucketed candidate
-pairs for the geometric family, ring-lattice rewiring for the small-world
-family — so the cost is ``O(m)`` up to deduplication.  All of them feed a
-single canonicalization path (:func:`_dedupe_canonical`) and construct the
-:class:`~repro.graphs.graph.Graph` from a plain edge array; no Python
+memory), the samplers here draw edges directly — R-MAT quadrant
+recursion, and uniform pair draws for ``gnp`` above the quadratic limit —
+so the cost is ``O(m)`` up to deduplication.  Both feed one
+canonicalization path (:func:`_sample_unique_keys`) and construct the
+:class:`~repro.graphs.graph.Graph` from sorted canonical keys; no Python
 loop ever touches an individual edge.
 
-Sampling caveats (standard for fast samplers, and documented per family):
-duplicate draws are discarded, so realized edge counts can fall slightly
-below the requested average degree; the SBM and G(n, p) families draw the
-edge *count* from the exact binomial but place edges by sampling with
-replacement and deduplicating.
+Sampling caveats (standard for fast samplers): duplicate draws are
+discarded, so realized edge counts can fall slightly below the requested
+average degree; the large-n G(n, p) sampler draws the edge *count* from
+the exact binomial but places edges by sampling with replacement and
+deduplicating.
 
 Every family takes an integer ``seed`` (dataset specs are fully
 deterministic; there is no ``None``-seed spelling), and every sampler is
@@ -40,49 +39,11 @@ from repro.workloads.spec import (
     register_workload,
 )
 
-__all__ = [
-    "rmat_graph",
-    "sbm_graph",
-    "geometric_graph",
-    "smallworld_graph",
-    "register_builtin_workloads",
-]
+__all__ = ["rmat_graph", "register_builtin_workloads"]
 
 #: n above which the legacy all-pairs generators are refused (their
 #: ``O(n^2)`` memory would dwarf the machine before producing a graph).
 _QUADRATIC_LIMIT = 20_000
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """In-place sort + adjacent-inequality dedupe of a fresh key array.
-
-    Produces exactly ``np.unique(keys)`` (sorted distinct values) but
-    through the sort path unconditionally — ``np.unique``'s hash path
-    is an order of magnitude slower on large int64 key arrays.
-    """
-    keys.sort()
-    if keys.size < 2:
-        return keys
-    mask = np.empty(keys.size, dtype=bool)
-    mask[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-    return keys[mask]
-
-
-def _draws_to_graph(u: np.ndarray, v: np.ndarray, n: int) -> Graph:
-    """Canonicalize undirected endpoint draws into a Graph.
-
-    Drops self-loops, folds duplicates, and sorts — deduping the packed
-    ``(min, max)`` keys produces the canonical edge order directly, so
-    construction takes the trusted :meth:`Graph.from_canonical_edges`
-    fast path.
-    """
-    keep = u != v
-    keys = (
-        np.minimum(u[keep], v[keep]) * np.int64(n)
-        + np.maximum(u[keep], v[keep])
-    )
-    return _keys_to_graph(_sorted_unique(keys), n)
 
 
 def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -195,153 +156,6 @@ def rmat_graph(
     return _keys_to_graph(keys, n)
 
 
-def sbm_graph(
-    n: int,
-    blocks: int = 8,
-    avg_deg: float = 16.0,
-    mix: float = 0.1,
-    seed: int | np.random.Generator | None = None,
-) -> Graph:
-    """Stochastic block model with ``blocks`` near-equal communities.
-
-    ``mix`` is the fraction of the total expected edge mass placed on
-    cross-block pairs (``0`` = disconnected communities, ``1`` = no
-    within-block preference); within each regime the edge probability is
-    uniform, chosen so the expected average degree is ``avg_deg``.  Edge
-    counts per block pair are exact binomials; endpoint placement samples
-    with replacement and deduplicates.
-    """
-    check_positive_int(n, "n")
-    check_positive_int(blocks, "blocks")
-    if blocks > n:
-        raise WorkloadError(f"need blocks <= n, got blocks={blocks}, n={n}")
-    if not (0.0 <= mix <= 1.0):
-        raise WorkloadError(f"mix must lie in [0, 1], got {mix}")
-    if avg_deg <= 0:
-        raise WorkloadError(f"avg_deg must be positive, got {avg_deg}")
-    rng = as_rng(seed)
-    sizes = np.full(blocks, n // blocks, dtype=np.int64)
-    sizes[: n % blocks] += 1
-    offsets = np.zeros(blocks + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    pairs_within = int((sizes * (sizes - 1) // 2).sum())
-    pairs_cross = n * (n - 1) // 2 - pairs_within
-    m_target = n * avg_deg / 2.0
-    p_in = min(1.0, (1.0 - mix) * m_target / pairs_within) if pairs_within else 0.0
-    p_out = min(1.0, mix * m_target / pairs_cross) if pairs_cross else 0.0
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(blocks):
-        for j in range(i, blocks):
-            if i == j:
-                p, pairs = p_in, int(sizes[i]) * (int(sizes[i]) - 1) // 2
-            else:
-                p, pairs = p_out, int(sizes[i]) * int(sizes[j])
-            if p <= 0.0 or pairs == 0:
-                continue
-            count = int(rng.binomial(pairs, p))
-            if count == 0:
-                continue
-            u = offsets[i] + rng.integers(0, sizes[i], size=count)
-            v = offsets[j] + rng.integers(0, sizes[j], size=count)
-            parts.append((u, v))
-    if not parts:
-        return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=False)
-    u = np.concatenate([p[0] for p in parts])
-    v = np.concatenate([p[1] for p in parts])
-    return _draws_to_graph(u, v, n)
-
-
-def geometric_graph(
-    n: int,
-    avg_deg: float = 16.0,
-    seed: int | np.random.Generator | None = None,
-) -> Graph:
-    """Random geometric graph on the unit square.
-
-    ``n`` points are dropped i.u.r.; vertices within Euclidean distance
-    ``r = sqrt(avg_deg / (pi * n))`` are adjacent (boundary effects make
-    the realized average degree slightly lower).  Candidate pairs come
-    from a uniform grid with cell side ``>= r``: only the five forward
-    cell offsets are scanned, each expanded with a grouped-arange gather,
-    so the cost is ``O(n + m)`` instead of ``O(n^2)``.
-    """
-    check_positive_int(n, "n")
-    if avg_deg <= 0:
-        raise WorkloadError(f"avg_deg must be positive, got {avg_deg}")
-    rng = as_rng(seed)
-    r = math.sqrt(min(avg_deg, float(n)) / (math.pi * n))
-    pts = rng.random((n, 2))
-    ncell = max(1, int(1.0 / r))
-    ix = np.minimum((pts[:, 0] * ncell).astype(np.int64), ncell - 1)
-    iy = np.minimum((pts[:, 1] * ncell).astype(np.int64), ncell - 1)
-    cid = ix * ncell + iy
-    order = np.argsort(cid, kind="stable")
-    pts_s, ix_s, iy_s = pts[order], ix[order], iy[order]
-    counts = np.bincount(cid, minlength=ncell * ncell)
-    indptr = np.zeros(ncell * ncell + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    pos = np.arange(n, dtype=np.int64)
-    r2 = r * r
-    parts: list[np.ndarray] = []
-    # Forward-only offsets visit each unordered cell pair exactly once.
-    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1)):
-        if dx == 0 and dy == 0:
-            starts = pos + 1
-            cnts = indptr[cid[order] + 1] - starts
-        else:
-            cx, cy = ix_s + dx, iy_s + dy
-            valid = (cx < ncell) & (cy >= 0) & (cy < ncell)
-            c2 = np.where(valid, cx * ncell + cy, 0)
-            starts = indptr[c2]
-            cnts = np.where(valid, indptr[c2 + 1] - starts, 0)
-        total = int(cnts.sum())
-        if total == 0:
-            continue
-        cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(cnts, out=cum[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], cnts)
-        left = np.repeat(pos, cnts)
-        right = np.repeat(starts, cnts) + within
-        d = pts_s[left] - pts_s[right]
-        close = (d * d).sum(axis=1) <= r2
-        parts.append(np.column_stack([order[left[close]], order[right[close]]]))
-    if not parts:
-        return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=False)
-    raw = np.concatenate(parts)
-    return _draws_to_graph(raw[:, 0], raw[:, 1], n)
-
-
-def smallworld_graph(
-    n: int,
-    nbrs: int = 8,
-    rewire: float = 0.1,
-    seed: int | np.random.Generator | None = None,
-) -> Graph:
-    """Watts–Strogatz-style small world: ring lattice plus rewiring.
-
-    Starts from the ring lattice where every vertex is adjacent to its
-    ``nbrs`` nearest neighbors (``nbrs`` even); each lattice edge has its
-    far endpoint redrawn uniformly with probability ``rewire``.  Rewired
-    draws creating self-loops or duplicates are dropped rather than
-    retried (a slight edge-count loss at high ``rewire``), keeping the
-    whole construction loop-free.
-    """
-    check_positive_int(n, "n")
-    check_positive_int(nbrs, "nbrs")
-    if nbrs % 2 != 0 or nbrs >= n:
-        raise WorkloadError(f"nbrs must be even and < n, got nbrs={nbrs}, n={n}")
-    if not (0.0 <= rewire <= 1.0):
-        raise WorkloadError(f"rewire must lie in [0, 1], got {rewire}")
-    rng = as_rng(seed)
-    base = np.arange(n, dtype=np.int64)
-    u = np.concatenate([base for _ in range(nbrs // 2)])
-    v = np.concatenate([(base + d) % n for d in range(1, nbrs // 2 + 1)])
-    flip = rng.random(u.size) < rewire
-    v = v.copy()
-    v[flip] = rng.integers(0, n, size=int(flip.sum()))
-    return _draws_to_graph(u, v, n)
-
-
 # ----------------------------------------------------------------------
 # Adapters around the legacy exact (quadratic) generators.
 
@@ -349,8 +163,7 @@ def _check_quadratic(n: int, family: str) -> None:
     if n > _QUADRATIC_LIMIT:
         raise WorkloadError(
             f"family {family!r} enumerates all vertex pairs and is limited "
-            f"to n <= {_QUADRATIC_LIMIT}; use rmat/sbm/geometric/smallworld "
-            f"for large graphs"
+            f"to n <= {_QUADRATIC_LIMIT}; use rmat or gnp for large graphs"
         )
 
 
@@ -410,25 +223,6 @@ def register_builtin_workloads() -> None:
         builder=rmat_graph,
         params=(n, ParamSpec("avg_deg", float, 16.0), ParamSpec("a", float, 0.57),
                 ParamSpec("b", float, 0.19), ParamSpec("c", float, 0.19), seed),
-    ))
-    register_workload(WorkloadFamily(
-        name="sbm",
-        title="stochastic block model (near-equal communities)",
-        builder=sbm_graph,
-        params=(n, ParamSpec("blocks", int, 8), ParamSpec("avg_deg", float, 16.0),
-                ParamSpec("mix", float, 0.1), seed),
-    ))
-    register_workload(WorkloadFamily(
-        name="geometric",
-        title="random geometric graph on the unit square (grid-bucketed)",
-        builder=geometric_graph,
-        params=(n, ParamSpec("avg_deg", float, 16.0), seed),
-    ))
-    register_workload(WorkloadFamily(
-        name="smallworld",
-        title="Watts-Strogatz small world (ring lattice + rewiring)",
-        builder=smallworld_graph,
-        params=(n, ParamSpec("nbrs", int, 8), ParamSpec("rewire", float, 0.1), seed),
     ))
     register_workload(WorkloadFamily(
         name="gnp",

@@ -1,14 +1,12 @@
 """Dataset loaders and the on-disk snapshot formats.
 
-Three ways bits become a :class:`~repro.graphs.graph.Graph`:
+Two ways bits become a :class:`~repro.graphs.graph.Graph`:
 
 * :func:`read_edge_list` — whitespace/TSV edge lists (``u v`` per line,
   ``#`` comments; SNAP downloads included), parsed in bounded chunks so
   1e7+-edge files stream straight into a canonical graph, with optional
   dense relabeling of arbitrary integer ids to the ``0..n-1`` range the
   simulator requires;
-* :func:`read_metis` — the METIS adjacency format (header ``n m``,
-  1-indexed neighbor lines);
 * :func:`read_npz` / :func:`write_npz` — the snapshot format of the
   on-disk graph cache: canonical edge array plus the prebuilt CSR, so a
   load is a handful of array reads and a trusted
@@ -30,11 +28,11 @@ warm starts fault pages in lazily and share them across processes
 through the OS page cache.  The cache layer owns paths and atomicity;
 this module owns only the bytes.
 
-The file-backed readers are registered as the ``edgelist`` and
-``metis`` workload families (``edgelist:path=graph.tsv``, or
-``edgelist:path=soc-LiveJournal1.txt,relabel=true`` for a SNAP file).  They
-are *not* cacheable: the spec string cannot content-address bytes owned
-by an external file, so they rebuild on every materialization.
+The edge-list reader is registered as the ``edgelist`` workload family
+(``edgelist:path=graph.tsv``, or
+``edgelist:path=soc-LiveJournal1.txt,relabel=true`` for a SNAP file).  It
+is *not* cacheable: the spec string cannot content-address bytes owned
+by an external file, so it rebuilds on every materialization.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.workloads.spec import (
 
 __all__ = [
     "read_edge_list",
-    "read_metis",
     "read_npz",
     "write_npz",
     "write_shard_blob",
@@ -171,60 +168,6 @@ def _unique_rows(block: np.ndarray, directed: bool) -> np.ndarray:
         keys = keyed[:, 0] * np.int64(hi + 1) + keyed[:, 1]
         return keyed[np.unique(keys, return_index=True)[1]]
     return np.unique(keyed, axis=0)
-
-
-def read_metis(path: "str | Path") -> Graph:
-    """Read a METIS adjacency file (undirected; no weights).
-
-    Format: a header line ``n m [fmt]`` followed by ``n`` lines, line
-    ``i`` listing the (1-indexed) neighbors of vertex ``i``.  Only the
-    unweighted format (``fmt`` absent or ``0``/``00``/``000``) is
-    supported.  Each edge must appear in both endpoint lines (the METIS
-    contract); the duplicate listing is folded into one undirected edge.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise WorkloadError(f"METIS file not found: {path}")
-    lines = [
-        ln.strip() for ln in path.read_text().splitlines()
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not lines:
-        raise WorkloadError(f"{path}: empty METIS file")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise WorkloadError(f"{path}: METIS header must be 'n m [fmt]'")
-    n, m = int(header[0]), int(header[1])
-    if len(header) > 2 and int(header[2]) != 0:
-        raise WorkloadError(f"{path}: weighted METIS format is not supported")
-    if len(lines) - 1 != n:
-        raise WorkloadError(
-            f"{path}: header says n={n} but file has {len(lines) - 1} "
-            f"adjacency lines"
-        )
-    srcs, dsts = [], []
-    for i, line in enumerate(lines[1:]):
-        try:
-            nbrs = np.array(line.split(), dtype=np.int64)
-        except ValueError:
-            raise WorkloadError(
-                f"{path}: non-integer neighbor id on line {i + 2}"
-            ) from None
-        if nbrs.size:
-            if nbrs.min() < 1 or nbrs.max() > n:
-                raise WorkloadError(f"{path}: neighbor id out of range on line {i + 2}")
-            srcs.append(np.full(nbrs.size, i, dtype=np.int64))
-            dsts.append(nbrs - 1)
-    if not srcs:
-        return Graph(n=n, edges=np.zeros((0, 2), dtype=np.int64), directed=False)
-    u = np.concatenate(srcs)
-    v = np.concatenate(dsts)
-    g = Graph(n=n, edges=_unique_rows(np.column_stack([u, v]), False), directed=False)
-    if g.m != m:
-        raise WorkloadError(
-            f"{path}: header says m={m} but adjacency lines define {g.m} edges"
-        )
-    return g
 
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
@@ -418,15 +361,11 @@ def _edgelist_builder(path: str, directed: bool, relabel: bool) -> Graph:
     return read_edge_list(path, directed=directed, relabel=relabel)
 
 
-def _metis_builder(path: str) -> Graph:
-    return read_metis(path)
-
-
 _REGISTERED = False
 
 
 def register_io_workloads() -> None:
-    """Register the file-backed workload families (idempotent)."""
+    """Register the file-backed ``edgelist`` workload family (idempotent)."""
     global _REGISTERED
     if _REGISTERED:
         return
@@ -438,12 +377,5 @@ def register_io_workloads() -> None:
         params=(ParamSpec("path", str, required=True),
                 ParamSpec("directed", bool, False),
                 ParamSpec("relabel", bool, False)),
-        cacheable=False,
-    ))
-    register_workload(WorkloadFamily(
-        name="metis",
-        title="METIS adjacency file (unweighted)",
-        builder=_metis_builder,
-        params=(ParamSpec("path", str, required=True),),
         cacheable=False,
     ))

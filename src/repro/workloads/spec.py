@@ -4,8 +4,8 @@ A *dataset spec* is a string naming a workload family plus keyword
 parameters::
 
     rmat:n=1e6,avg_deg=16,seed=7
-    sbm:n=200_000,blocks=16,avg_deg=12,mix=0.05,seed=1
-    gnp:n=1000,p=0.01,seed=3
+    gnp:n=1000,avg_deg=10,seed=3
+    edgelist:path=graph.tsv
 
 Grammar: ``family[:key=value[,key=value]*]``.  Keys are the family's
 declared parameter names; values are coerced to the declared type
@@ -36,7 +36,6 @@ __all__ = [
     "register_workload",
     "get_workload",
     "available_workloads",
-    "workload_families",
     "build_dataset",
     "SPEC_FORMAT_VERSION",
 ]
@@ -195,11 +194,6 @@ def available_workloads() -> tuple[str, ...]:
     return tuple(sorted(_WORKLOADS))
 
 
-def workload_families() -> tuple[WorkloadFamily, ...]:
-    """All registered families, sorted by name."""
-    return tuple(_WORKLOADS[name] for name in available_workloads())
-
-
 def _render(value) -> str:
     """Canonical text of one parameter value (``int`` before ``float``)."""
     if isinstance(value, bool):
@@ -306,7 +300,7 @@ def build_dataset(spec: "str | DatasetSpec"):
     :class:`~repro.graphs.graph.Graph` carries the spec's content hash
     in ``content_key``, so downstream content-addressed caches recognize
     it regardless of which build produced it.  File-backed families
-    (``edgelist``, ``metis``) get **no** content key: their spec hash
+    (``edgelist``) get **no** content key: their spec hash
     only covers the path string, not the file's bytes, so stamping it
     would let shard caches serve stale data after the file changes —
     those graphs key on object identity like any ad-hoc graph.

@@ -188,6 +188,10 @@ class TestGenericRun:
         out = capsys.readouterr().out
         assert spec.bounds.split()[0] in out
         assert "rounds" in out
+        conservation = next(line for line in out.splitlines()
+                            if line.strip().startswith("conservation"))
+        assert "totals match the phase log" in conservation
+        assert not conservation.endswith("FAILED")
         # A family's check row is the last row of the table, after its summary.
         assert out.splitlines()[-1].strip().startswith(CHECK_LABELS[name])
 
@@ -220,6 +224,20 @@ class TestGenericRun:
         row = next(line for line in capsys.readouterr().out.splitlines()
                    if line.strip().startswith(label))
         assert row.endswith("FAILED")
+
+    def test_broken_accounting_fails_the_conservation_row(self, monkeypatch, capsys):
+        real_run = runtime.run
+
+        def miscounting_run(*args, **kwargs):
+            rep = real_run(*args, **kwargs)
+            rep.metrics.messages += 1  # a message no machine sent
+            return rep
+
+        monkeypatch.setattr(runtime, "run", miscounting_run)
+        assert main(["run", "sorting", "--n", "200", "--k", "4"]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith("conservation"))
+        assert "sent message totals do not match" in row and row.endswith("FAILED")
 
     def test_run_with_engine_and_set_param(self, capsys):
         rc = main(
@@ -405,7 +423,7 @@ class TestDataCommands:
 
 #: ``python -m repro run pagerank --n 200 --k 4 --set c=2`` as printed
 #: before the package surfaces became lazy, minus the two wall-clock rows,
-#: plus the family check's row (the last).
+#: plus the conservation row and the family check's row (the last).
 RUN_PAGERANK_OUTPUT = [
     'PageRank (Algorithm 1)                                                                                  value',
     '----------------------  -------------------------------------------------------------------------------------',
@@ -423,6 +441,7 @@ RUN_PAGERANK_OUTPUT = [
     '            iterations                                                                                     61',
     '          token rounds                                                                                     72',
     '         tokens/vertex                                                                                     16',
+    '          conservation                                                             totals match the phase log',
     ' L1 error vs reference                                                                                0.07994',
 ]
 _WALL_CLOCK_ROWS = ("first superstep", "total wall")

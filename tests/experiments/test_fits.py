@@ -23,12 +23,6 @@ class TestFitPowerLaw:
         assert fit.exponent == pytest.approx(1.5, abs=0.1)
         assert fit.r_squared > 0.98
 
-    def test_predict_consistency(self):
-        x = np.array([1.0, 2.0, 4.0])
-        y = 5.0 * x**0.5
-        fit = fit_power_law(x, y)
-        assert np.allclose(fit.predict(x), y)
-
     def test_constant_data(self):
         fit = fit_power_law([1, 2, 4], [7, 7, 7])
         assert fit.exponent == pytest.approx(0.0, abs=1e-12)

@@ -7,6 +7,7 @@ import repro
 from repro.errors import GraphError
 from repro.graphs.lowerbound import pagerank_lowerbound_graph
 from repro.kmachine.partition import random_vertex_partition
+from oracles import has_edge, out_neighbors
 
 
 class TestConstruction:
@@ -25,9 +26,9 @@ class TestConstruction:
         inst = pagerank_lowerbound_graph(q=6, seed=2)
         g = inst.graph
         for i in range(6):
-            assert g.has_edge(inst.u_ids[i], inst.t_ids[i])
-            assert g.has_edge(inst.t_ids[i], inst.v_ids[i])
-            assert g.has_edge(inst.v_ids[i], inst.w_id)
+            assert has_edge(g, inst.u_ids[i], inst.t_ids[i])
+            assert has_edge(g, inst.t_ids[i], inst.v_ids[i])
+            assert has_edge(g, inst.v_ids[i], inst.w_id)
 
     def test_b_controls_first_edge_direction(self):
         inst = pagerank_lowerbound_graph(q=6, seed=3)
@@ -35,9 +36,9 @@ class TestConstruction:
         for i in range(6):
             x, u = inst.x_ids[i], inst.u_ids[i]
             if inst.b[i] == 0:
-                assert g.has_edge(u, x) and not g.has_edge(x, u)
+                assert has_edge(g, u, x) and not has_edge(g, x, u)
             else:
-                assert g.has_edge(x, u) and not g.has_edge(u, x)
+                assert has_edge(g, x, u) and not has_edge(g, u, x)
 
     def test_explicit_b_vector(self):
         b = np.array([0, 1, 0, 1, 1])
@@ -50,7 +51,7 @@ class TestConstruction:
 
     def test_sink_has_no_out_edges(self):
         inst = pagerank_lowerbound_graph(q=5, seed=5)
-        assert inst.graph.out_neighbors(inst.w_id).size == 0
+        assert out_neighbors(inst.graph, inst.w_id).size == 0
 
     def test_randomized_ids_differ_from_structural(self):
         inst = pagerank_lowerbound_graph(q=50, seed=6, randomize_ids=True)

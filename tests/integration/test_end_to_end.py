@@ -93,9 +93,9 @@ class TestCrossAlgorithmMetrics:
 
         cluster = Cluster(k=8, n=g.n, seed=15)
         repro.distributed_pagerank(g, k=8, cluster=cluster, c=5)
-        rounds_after_pr = cluster.rounds
+        rounds_after_pr = cluster.metrics.rounds
         r2 = repro.enumerate_triangles_distributed(g, k=8, cluster=cluster)
-        assert cluster.rounds > rounds_after_pr
+        assert cluster.metrics.rounds > rounds_after_pr
         assert r2.metrics is cluster.metrics
 
     def test_quickstart_example_flow(self):

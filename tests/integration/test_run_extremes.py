@@ -8,6 +8,7 @@ one bit and of 10^9 bits per round.
 import numpy as np
 
 import repro
+from oracles import cycle_graph
 
 
 class TestSkipLocalEnumeration:
@@ -42,7 +43,7 @@ class TestAdversarialPartitions:
     def test_pagerank_single_machine_partition(self):
         from repro.kmachine.partition import VertexPartition
 
-        g = repro.cycle_graph(30)
+        g = cycle_graph(30)
         p = VertexPartition(home=np.zeros(30, dtype=np.int64), k=3)
         res = repro.distributed_pagerank(g, k=3, seed=10, c=10, partition=p)
         ref = repro.pagerank_walk_series(g, eps=res.eps)

@@ -47,7 +47,7 @@ class TestClusterOperations:
     def test_exchange_accounts_rounds(self):
         c = Cluster(k=3, bandwidth=8, seed=0)
         c.exchange_batches([MessageBatch("x", src=[0], dst=[1], bits=[16])])
-        assert c.rounds == 2
+        assert c.metrics.rounds == 2
         assert c.metrics.phases == 1 and c.metrics.messages == 1
 
     def test_broadcast_reaches_everyone_else(self):
@@ -65,7 +65,7 @@ class TestClusterOperations:
     def test_broadcast_costs_one_round_when_it_fits(self):
         c = Cluster(k=5, bandwidth=64, seed=0)
         c.broadcast(0, bits=64)
-        assert c.rounds == 1
+        assert c.metrics.rounds == 1
 
     def test_broadcast_rounds_grow_with_the_copy_size(self):
         c = Cluster(k=3, bandwidth=8, seed=0)
@@ -83,9 +83,3 @@ class TestClusterOperations:
         bits[0, 1] = 9
         msgs[0, 1] = 1
         assert c.account_phase(bits, msgs) == 2
-
-    def test_reset_metrics(self):
-        c = Cluster(k=3, bandwidth=8, seed=0)
-        c.broadcast(0, bits=4)
-        c.reset_metrics()
-        assert c.rounds == 0

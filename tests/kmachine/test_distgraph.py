@@ -13,8 +13,9 @@ from repro.kmachine.distgraph import (
     clear_distgraph_cache,
     group_neighbors_by_home,
 )
-from repro.kmachine.parallel import SharedGraphStore
+from repro.kmachine.parallel import SharedGraphStore, SharedGraphView
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
+from oracles import machine_items, out_neighbors
 
 
 def make_dg(n=12, k=3, seed=7, p=0.4):
@@ -68,29 +69,6 @@ class TestCachedViews:
         assert eh0.size == 0 and eh1.size == 0
 
 
-class TestPerVertexViews:
-    def test_neighbors_and_homes(self):
-        g, part, dg = make_dg()
-        for v in range(g.n):
-            nbrs = g.out_neighbors(v)
-            assert np.array_equal(dg.neighbors(v), nbrs)
-            assert np.array_equal(dg.neighbor_homes(v), part.home[nbrs])
-
-    def test_local_neighbors_matches_mask(self):
-        g, part, dg = make_dg()
-        for v in range(g.n):
-            nbrs = g.out_neighbors(v)
-            for i in range(dg.k):
-                expected = nbrs[part.home[nbrs] == i]
-                assert np.array_equal(dg.local_neighbors(v, i), expected)
-
-    @pytest.mark.parametrize("machine", [-1, 3])
-    def test_local_neighbors_rejects_bad_machine(self, machine):
-        _, _, dg = make_dg(k=3)
-        with pytest.raises(PartitionError):
-            dg.local_neighbors(0, machine)
-
-
 def _assert_groups_match_mask(ctx, g, home, k):
     """``ctx.home_groups`` slices equal the masked CSR rows for every ``(u, j)``."""
     start, nbrs = ctx.home_groups
@@ -101,7 +79,6 @@ def _assert_groups_match_mask(ctx, g, home, k):
         for j in range(k):
             expected = row[home[row] == j]
             assert np.array_equal(nbrs[start[u * k + j] : start[u * k + j + 1]], expected)
-            assert np.array_equal(ctx.local_neighbors(u, j), expected)
 
 
 class TestHomeGroups:
@@ -123,7 +100,7 @@ class TestHomeGroups:
         _assert_groups_match_mask(dg, g, home, k)
         store = SharedGraphStore(dg)
         try:
-            view = store.view()
+            view = SharedGraphView.attach(store.meta())
             try:
                 _assert_groups_match_mask(view, g, home, k)
             finally:
@@ -176,7 +153,7 @@ class TestLocalIndex:
         assert dg.local_index.tolist() == expected
         store = SharedGraphStore(dg)
         try:
-            view = store.view()
+            view = SharedGraphView.attach(store.meta())
             try:
                 assert np.array_equal(view.local_index, dg.local_index)
             finally:
@@ -285,10 +262,11 @@ class TestShards:
         for i in range(dg.k):
             sh = dg.shard(i)
             assert sh.machine == i
-            assert np.array_equal(sh.vertices, part.machine_vertices(i))
+            assert np.array_equal(sh.vertices, machine_items(part, i))
             seen.extend(sh.vertices.tolist())
             for row, v in enumerate(sh.vertices):
-                assert np.array_equal(sh.neighbors(row), g.out_neighbors(v))
+                assert np.array_equal(sh.indices[sh.indptr[row] : sh.indptr[row + 1]],
+                                      out_neighbors(g, v))
             assert np.array_equal(sh.degrees, g.out_degrees()[sh.vertices])
             assert np.array_equal(sh.nbr_home, part.home[sh.indices])
         assert sorted(seen) == list(range(g.n))

@@ -24,7 +24,7 @@ class TestMessageConstruction:
         c.exchange_batches([MessageBatch(kind="x", src=[2, 2], dst=[2, 3], bits=[40, 8])])
         assert c.metrics.local_messages == 1
         assert c.metrics.messages == 1 and c.metrics.bits == 8
-        assert c.rounds == 1
+        assert c.metrics.rounds == 1
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ModelError, match="'x': message sizes must be positive"):
@@ -57,5 +57,5 @@ class TestMessageConstruction:
         c = Cluster(k=2, bandwidth=8, seed=0)
         (delivered,) = c.exchange_batches([m])
         assert delivered.for_machine(1)["u"].tolist() == list(range(10))
-        assert c.rounds == 13  # ceil(100 / 8)
+        assert c.metrics.rounds == 13  # ceil(100 / 8)
         assert c.metrics.messages == 10 and c.metrics.bits == 100

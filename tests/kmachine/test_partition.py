@@ -13,38 +13,39 @@ from repro.kmachine.partition import (
     rep_to_rvp,
 )
 import repro
+from oracles import balance_ratio, is_balanced, loads, machine_items
 
 
 class TestVertexPartition:
     def test_random_partition_covers_all_vertices(self):
         p = random_vertex_partition(100, 5, seed=0)
         assert p.n == 100 and p.k == 5
-        assert sum(p.machine_vertices(i).size for i in range(5)) == 100
+        assert sum(machine_items(p, i).size for i in range(5)) == 100
 
     def test_machine_vertices_disjoint_and_sorted(self):
         p = random_vertex_partition(50, 4, seed=1)
-        seen = np.concatenate([p.machine_vertices(i) for i in range(4)])
+        seen = np.concatenate([machine_items(p, i) for i in range(4)])
         assert np.unique(seen).size == 50
         for i in range(4):
-            mv = p.machine_vertices(i)
+            mv = machine_items(p, i)
             assert np.all(np.diff(mv) > 0)
 
     def test_vertices_by_machine_matches_machine_vertices(self):
         p = random_vertex_partition(80, 6, seed=2)
         parts = p.vertices_by_machine()
         for i in range(6):
-            assert np.array_equal(parts[i], p.machine_vertices(i))
+            assert np.array_equal(parts[i], machine_items(p, i))
 
     def test_counts_sum_to_n(self):
         p = random_vertex_partition(123, 7, seed=3)
-        assert p.counts().sum() == 123
+        assert loads(p).sum() == 123
 
     def test_rvp_is_balanced_whp(self):
         # Θ̃(n/k) per machine: with n=2000, k=10 the max load should be
         # well within the log-slack bound.
         p = random_vertex_partition(2000, 10, seed=4)
-        assert p.is_balanced()
-        assert p.balance_ratio() < 2.0
+        assert is_balanced(p)
+        assert balance_ratio(p) < 2.0
 
     def test_deterministic_given_seed(self):
         a = random_vertex_partition(100, 5, seed=9)
@@ -58,7 +59,7 @@ class TestVertexPartition:
     def test_rejects_bad_machine_query(self):
         p = random_vertex_partition(10, 3, seed=0)
         with pytest.raises(PartitionError):
-            p.machine_vertices(3)
+            machine_items(p, 3)
 
     def test_rejects_2d_home(self):
         with pytest.raises(PartitionError):
@@ -69,12 +70,12 @@ class TestEdgePartition:
     def test_random_edge_partition(self):
         p = random_edge_partition(40, 4, seed=0)
         assert p.m == 40
-        assert p.counts().sum() == 40
+        assert loads(p).sum() == 40
 
     def test_machine_edges(self):
         p = EdgePartition(home=np.array([0, 1, 0, 2]), k=3)
-        assert p.machine_edges(0).tolist() == [0, 2]
-        assert p.machine_edges(1).tolist() == [1]
+        assert machine_items(p, 0).tolist() == [0, 2]
+        assert machine_items(p, 1).tolist() == [1]
 
     def test_zero_edges_allowed(self):
         p = random_edge_partition(0, 3, seed=0)

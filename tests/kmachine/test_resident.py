@@ -26,6 +26,7 @@ from repro.kmachine.distgraph import DistributedGraph
 from repro.kmachine.parallel import shutdown_worker_pools
 from repro.kmachine.parallel import pool as ppool
 from repro.kmachine.partition import random_vertex_partition
+from oracles import pool_running
 
 K = 4
 
@@ -259,7 +260,7 @@ class TestCrashInvalidation:
         with pytest.raises(ModelError, match="died"):
             cluster.map_machines(_crash_holder, distgraph, [0] * K,
                                  resident=handle)
-        assert not cluster.engine.running
+        assert not pool_running(cluster.engine)
         with pytest.raises(ModelError):
             cluster.pull_resident(handle)
         cluster.close()

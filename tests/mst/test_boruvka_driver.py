@@ -27,6 +27,7 @@ Regenerate (only for an intentional change to the accounted program)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -40,6 +41,7 @@ from repro.core.connectivity import connected_components_distributed
 from repro.core.mst import distributed_mst
 from repro.core.mst.distributed import boruvka_forest
 from repro.kmachine.metrics import Metrics
+from oracles import empty_graph, path_graph
 
 ORACLE_PATH = Path(__file__).resolve().parent / "boruvka_driver_oracle.json"
 REGEN_ENV = "REPRO_REGEN_GOLDEN"
@@ -57,8 +59,8 @@ def _cases() -> dict[str, dict]:
     blobs = _two_blobs()
     sparse = repro.gnp_random_graph(150, 0.02, seed=41)
     return {
-        "pair": dict(graph=repro.path_graph(2), weights=np.array([1.5]), k=2, seed=1),
-        "chain": dict(graph=repro.path_graph(24), weights=np.arange(23, dtype=float), k=4, seed=2),
+        "pair": dict(graph=path_graph(2), weights=np.array([1.5]), k=2, seed=1),
+        "chain": dict(graph=path_graph(24), weights=np.arange(23, dtype=float), k=4, seed=2),
         "star": dict(graph=repro.star_graph(9, center=8),
                      weights=np.array([4.0, 7.0, 1.0, 3.0, 8.0, 2.0, 6.0, 5.0]), k=3, seed=3),
         "isolated": dict(graph=repro.Graph(n=9, edges=[(0, 1), (1, 2), (4, 5)]),
@@ -70,7 +72,7 @@ def _cases() -> dict[str, dict]:
                        seed=9),
         "cutoff": dict(graph=gnp, weights=np.random.default_rng(9).random(gnp.m), k=4, seed=7,
                        max_phases=1),
-        "empty": dict(graph=repro.empty_graph(5), weights=np.zeros(0), k=4, seed=8),
+        "empty": dict(graph=empty_graph(5), weights=np.zeros(0), k=4, seed=8),
     }
 
 
@@ -87,7 +89,7 @@ def _run_logged(monkeypatch, fn, *args, **kwargs):
         patch.setattr(Metrics, "record_phase", spy)
         result = fn(*args, **kwargs)
     log = [
-        {**stats.as_dict(), "local_messages": local}
+        {**dataclasses.asdict(stats), "local_messages": local}
         for stats, local in zip(result.metrics.phase_log, locals_seen, strict=True)
     ]
     return result, log

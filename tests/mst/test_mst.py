@@ -10,6 +10,7 @@ from repro.core.connectivity import connected_components_distributed
 from repro.core.lowerbounds.extensions import mst_round_lower_bound
 from repro.core.mst import distributed_mst, kruskal_mst
 from repro.errors import AlgorithmError
+from oracles import cycle_graph, empty_graph, path_graph, same_component, to_networkx
 
 
 def nx_mst_weight(graph, weights):
@@ -30,7 +31,7 @@ def nx_mst_weight(graph, weights):
 def test_non_finite_weight_is_rejected_naming_the_first_edge(entry, bad):
     # The (weight, index) order still sorts NaN and inf; the run used to
     # return a "forest" with total_weight nan/inf.
-    g = repro.cycle_graph(6)
+    g = cycle_graph(6)
     w = np.arange(6, dtype=float)
     w[[2, 4]] = bad
     with pytest.raises(AlgorithmError, match=r"finite.*edge index 2\b"):
@@ -45,13 +46,13 @@ def test_max_phases_must_be_an_int_of_at_least_one(monkeypatch, bad):
         raise AssertionError("a cluster was built before max_phases was checked")
 
     monkeypatch.setattr("repro.core.mst.distributed.Cluster", no_cluster)
-    g = repro.cycle_graph(6)
+    g = cycle_graph(6)
     with pytest.raises(AlgorithmError, match=r"max_phases must be an int >= 1"):
         distributed_mst(g, np.arange(6, dtype=float), k=4, seed=0, max_phases=bad)
 
 
 def test_max_phases_accepts_numpy_ints():
-    g = repro.cycle_graph(6)
+    g = cycle_graph(6)
     w = np.arange(6, dtype=float)
     one = distributed_mst(g, w, k=4, seed=0, max_phases=np.int64(1))
     assert one.phases == 1
@@ -60,14 +61,14 @@ def test_max_phases_accepts_numpy_ints():
 
 class TestKruskal:
     def test_path_graph_takes_all_edges(self):
-        g = repro.path_graph(5)
+        g = path_graph(5)
         w = np.arange(4, dtype=float)
         edges, total = kruskal_mst(g, w)
         assert edges.shape[0] == 4
         assert total == 6.0
 
     def test_cycle_drops_heaviest(self):
-        g = repro.cycle_graph(4)
+        g = cycle_graph(4)
         w = np.array([1.0, 2.0, 3.0, 10.0])
         edges, total = kruskal_mst(g, w)
         assert edges.shape[0] == 3
@@ -87,12 +88,12 @@ class TestKruskal:
         assert edges.shape[0] == 3  # spanning forest keeps everything
 
     def test_rejects_bad_weights(self):
-        g = repro.cycle_graph(4)
+        g = cycle_graph(4)
         with pytest.raises(AlgorithmError):
             kruskal_mst(g, np.ones(3))
 
     def test_rejects_directed(self):
-        g = repro.path_graph(4, directed=True)
+        g = path_graph(4, directed=True)
         with pytest.raises(AlgorithmError):
             kruskal_mst(g, np.ones(3))
 
@@ -175,12 +176,12 @@ class TestDistributedMST:
         res.metrics.check_conservation()
 
     def test_rejects_mismatched_weights(self):
-        g = repro.cycle_graph(5)
+        g = cycle_graph(5)
         with pytest.raises(AlgorithmError):
             distributed_mst(g, np.ones(4), k=4)
 
     def test_empty_graph(self):
-        g = repro.empty_graph(5)
+        g = empty_graph(5)
         res = distributed_mst(g, np.zeros(0), k=4, seed=0)
         assert res.edges.shape[0] == 0
         assert res.num_components == 5
@@ -190,7 +191,7 @@ class TestConnectivity:
     def test_components_match_networkx(self):
         g = repro.Graph(n=12, edges=[(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)])
         res = connected_components_distributed(g, k=4, seed=0)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert res.num_components == nx.number_connected_components(nxg)
         for comp in nx.connected_components(nxg):
             labels = {int(res.labels[v]) for v in comp}
@@ -200,12 +201,12 @@ class TestConnectivity:
     def test_connected_random_graph(self):
         g = repro.gnp_random_graph(100, 0.1, seed=1)
         res = connected_components_distributed(g, k=8, seed=2)
-        assert res.num_components == nx.number_connected_components(g.to_networkx())
+        assert res.num_components == nx.number_connected_components(to_networkx(g))
         assert res.spanning_forest.shape[0] == g.n - res.num_components
 
     def test_same_component_queries(self):
         g = repro.Graph(n=5, edges=[(0, 1), (2, 3)])
         res = connected_components_distributed(g, k=2, seed=3)
-        assert res.same_component(0, 1)
-        assert not res.same_component(1, 2)
+        assert same_component(res, 0, 1)
+        assert not same_component(res, 1, 2)
         assert not res.is_connected()

@@ -54,7 +54,6 @@ class TestObsRegistry:
         del comp
         gc.collect()
         assert reg.collect() == {}
-        assert reg.sources() == ()
 
     def test_failing_source_is_isolated(self):
         reg = ObsRegistry()
@@ -76,12 +75,12 @@ class TestObsRegistry:
 
         store = ResultStore(tmp_path / "r.sqlite")
         try:
-            assert "result_store" in " ".join(obs_registry().sources())
+            assert "result_store" in " ".join(obs_registry().collect())
         finally:
             store.close()
         from repro.workloads.cache import cache_stats
 
-        assert "graph_cache" in obs_registry().sources()
+        assert "graph_cache" in obs_registry().collect()
         assert set(cache_stats()) >= {"hits", "misses", "builds", "stores",
                                       "evictions"}
 

@@ -32,9 +32,7 @@ class TestNullTracer:
         # The no-op path must stay allocation-free: no instance dict,
         # no per-call state.
         assert NullTracer.__slots__ == ()
-        assert NULL_TRACER.emit({"event": "phase"}) is None
-        assert NULL_TRACER.phase("exchange", "x", 0.1, segments={}) is None
-        assert NULL_TRACER.close() is None
+        assert NULL_TRACER.mark() is None
 
     def test_engines_default_to_the_shared_singleton(self):
         for engine in ("message", "vector"):

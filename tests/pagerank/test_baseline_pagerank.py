@@ -8,6 +8,7 @@ import repro
 from repro.errors import AlgorithmError, PartitionError
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.partition import random_vertex_partition
+from oracles import cycle_graph, linf_relative_error, path_graph
 
 
 def token_phases(res):
@@ -20,13 +21,13 @@ class TestBaselineCorrectness:
         g = repro.gnp_random_graph(100, 0.08, seed=1)
         ref = repro.pagerank_walk_series(g, eps=0.25)
         res = repro.baseline_pagerank(g, k=6, eps=0.25, seed=2, c=80)
-        assert res.linf_relative_error(ref) < 0.25
+        assert linf_relative_error(res, ref) < 0.25
 
     def test_handles_dangling(self):
         inst = repro.pagerank_lowerbound_graph(q=30, seed=3)
         ref = inst.analytic_pagerank(0.25)
         res = repro.baseline_pagerank(inst.graph, k=4, eps=0.25, seed=4, c=80)
-        assert res.linf_relative_error(ref) < 0.3
+        assert linf_relative_error(res, ref) < 0.3
 
     def test_deterministic_given_seed(self):
         g = repro.gnp_random_graph(60, 0.1, seed=5)
@@ -97,26 +98,26 @@ class TestBaselineValidation:
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_rejects_eps_outside_the_open_unit_interval(self, eps):
         with pytest.raises(AlgorithmError, match="eps"):
-            repro.baseline_pagerank(repro.cycle_graph(10), k=4, eps=eps)
+            repro.baseline_pagerank(cycle_graph(10), k=4, eps=eps)
 
     def test_rejects_the_empty_graph(self):
         with pytest.raises(AlgorithmError, match="empty graph"):
             repro.baseline_pagerank(repro.Graph(n=0, edges=[]), k=4)
 
     def test_rejects_a_cluster_of_another_k(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="cluster has k=5"):
             repro.baseline_pagerank(g, k=4, cluster=Cluster(k=5, n=g.n, seed=0))
 
     def test_rejects_a_partition_of_another_graph(self):
         p = random_vertex_partition(11, 4, seed=18)
         with pytest.raises(PartitionError):
-            repro.baseline_pagerank(repro.cycle_graph(10), k=4, partition=p)
+            repro.baseline_pagerank(cycle_graph(10), k=4, partition=p)
 
     def test_rejects_a_partition_of_another_k(self):
         p = random_vertex_partition(10, 5, seed=19)
         with pytest.raises(PartitionError):
-            repro.baseline_pagerank(repro.cycle_graph(10), k=4, partition=p)
+            repro.baseline_pagerank(cycle_graph(10), k=4, partition=p)
 
 
 class TestBaselineTermination:
@@ -128,14 +129,14 @@ class TestBaselineTermination:
         assert len(token_phases(res)) == res.iterations
 
     def test_loop_stops_once_every_token_has_died(self):
-        g = repro.cycle_graph(40)
+        g = cycle_graph(40)
         res = repro.baseline_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=500)
         assert res.iterations < 500
         assert res.iteration_stats[-1].live_tokens == 0
         assert all(s.live_tokens > 0 for s in res.iteration_stats[:-1])
 
     def test_exhausted_iteration_budget_returns_partial_state(self):
-        g = repro.cycle_graph(40)
+        g = cycle_graph(40)
         res = repro.baseline_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=2)
         assert res.iterations == 2
         assert res.iteration_stats[-1].live_tokens > 0
@@ -168,7 +169,7 @@ class TestBaselineCongestGranularity:
     def test_directed_graph_moves_tokens_along_its_orientation(self):
         # Vertex 0 of a directed path has no in-edge, so it never receives
         # a token and keeps exactly its own t0 visits.
-        g = repro.path_graph(30, directed=True)
+        g = path_graph(30, directed=True)
         res = repro.baseline_pagerank(g, k=4, eps=0.3, seed=2, c=4)
         assert res.estimates[0] == pytest.approx(0.3 / g.n)
         assert np.all(res.estimates[1:] > res.estimates[0])
@@ -185,7 +186,7 @@ class TestBaselineCongestGranularity:
     @given(st.integers(10, 40), st.integers(2, 8), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_cycles_conserve_and_respect_edge_granularity(self, n, k, seed):
-        g = repro.cycle_graph(n)
+        g = cycle_graph(n)
         res = repro.baseline_pagerank(g, k=k, seed=seed, c=4)
         res.metrics.check_conservation()
         assert all(p.messages <= 2 * g.m for p in token_phases(res))

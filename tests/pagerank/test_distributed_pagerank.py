@@ -9,6 +9,7 @@ from repro.errors import AlgorithmError, PartitionError
 from repro.kmachine.cluster import Cluster
 from repro.kmachine.partition import random_vertex_partition
 from repro.workloads.generators import rmat_graph
+from oracles import cycle_graph, linf_relative_error, path_graph
 
 
 class TestCorrectness:
@@ -16,7 +17,7 @@ class TestCorrectness:
         "maker",
         [
             lambda: repro.gnp_random_graph(120, 0.08, seed=1),
-            lambda: repro.cycle_graph(100),
+            lambda: cycle_graph(100),
             lambda: repro.star_graph(100),
         ],
         ids=["gnp", "cycle", "star"],
@@ -26,13 +27,13 @@ class TestCorrectness:
         ref = repro.pagerank_walk_series(g, eps=0.25)
         res = repro.distributed_pagerank(g, k=6, eps=0.25, seed=2, c=80)
         # Monte-Carlo estimator: generous delta on small graphs.
-        assert res.linf_relative_error(ref) < 0.25
+        assert linf_relative_error(res, ref) < 0.25
 
     def test_directed_graph_with_dangling(self):
         inst = repro.pagerank_lowerbound_graph(q=40, seed=3)
         ref = inst.analytic_pagerank(0.25)
         res = repro.distributed_pagerank(inst.graph, k=4, eps=0.25, seed=4, c=80)
-        assert res.linf_relative_error(ref) < 0.3
+        assert linf_relative_error(res, ref) < 0.3
 
     def test_estimates_close_in_l1(self):
         g = repro.gnp_random_graph(150, 0.06, seed=5)
@@ -79,13 +80,13 @@ class TestDeterminismAndValidation:
         assert not np.array_equal(a.estimates, b.estimates)
 
     def test_rejects_bad_eps(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError):
             repro.distributed_pagerank(g, k=4, eps=1.5)
 
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_rejects_non_positive_max_iterations(self, max_iterations):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="max_iterations"):
             repro.distributed_pagerank(g, k=4, seed=1, max_iterations=max_iterations)
 
@@ -95,13 +96,13 @@ class TestDeterminismAndValidation:
         ids=["float", "str", "nan", "bool", "one", "zero"],
     )
     def test_rejects_bad_heavy_threshold(self, heavy_threshold):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="heavy threshold"):
             repro.distributed_pagerank(g, k=4, seed=1, heavy_threshold=heavy_threshold)
 
     def test_rejects_k_one_default_heavy_threshold(self):
         # The threshold defaults to k, and one machine makes it 1.
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="heavy threshold"):
             repro.distributed_pagerank(g, k=1, seed=1)
 
@@ -112,35 +113,35 @@ class TestDeterminismAndValidation:
         assert np.array_equal(a.estimates, b.estimates)
 
     def test_rejects_nan_c(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="c must be"):
             repro.distributed_pagerank(g, k=4, seed=1, c=float("nan"))
 
     @pytest.mark.parametrize("c", [0.0, -2.0])
     def test_rejects_non_positive_c(self, c):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="c must be"):
             repro.distributed_pagerank(g, k=4, seed=1, c=c)
 
     def test_rejects_non_integral_sources(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(AlgorithmError, match="integral"):
             repro.distributed_pagerank(g, k=4, seed=1, sources=[1.5, 2.0])
 
     def test_accepts_integral_float_sources(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         a = repro.distributed_pagerank(g, k=4, seed=1, c=5, sources=[1.0, 2.0])
         b = repro.distributed_pagerank(g, k=4, seed=1, c=5, sources=[1, 2])
         assert np.array_equal(a.estimates, b.estimates)
 
     def test_rejects_mismatched_partition(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         p = random_vertex_partition(11, 4, seed=0)
         with pytest.raises(PartitionError):
             repro.distributed_pagerank(g, k=4, partition=p)
 
     def test_accepts_explicit_partition(self):
-        g = repro.cycle_graph(30)
+        g = cycle_graph(30)
         p = random_vertex_partition(30, 4, seed=1)
         res = repro.distributed_pagerank(g, k=4, partition=p, seed=2, c=10)
         assert res.estimates.shape == (30,)
@@ -153,19 +154,19 @@ class TestDeterminismAndValidation:
         assert res.iterations == len(res.iteration_stats)
 
     def test_tokens_eventually_die(self):
-        g = repro.cycle_graph(40)
+        g = cycle_graph(40)
         res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10)
         assert res.iteration_stats[-1].live_tokens == 0
 
     def test_loop_stops_once_every_token_has_died(self):
-        g = repro.cycle_graph(40)
+        g = cycle_graph(40)
         res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=500)
         assert res.iterations < 500
         assert res.iteration_stats[-1].live_tokens == 0
         assert all(s.live_tokens > 0 for s in res.iteration_stats[:-1])
 
     def test_exhausted_iteration_budget_returns_partial_state(self):
-        g = repro.cycle_graph(40)
+        g = cycle_graph(40)
         res = repro.distributed_pagerank(g, k=4, eps=0.3, seed=17, c=10, max_iterations=2)
         assert res.iterations == 2
         assert res.iteration_stats[-1].live_tokens > 0
@@ -212,7 +213,7 @@ class TestCommunicationBehaviour:
             assert stats.max_machine_sent <= bound
 
     def test_control_phases_labelled(self):
-        g = repro.cycle_graph(30)
+        g = cycle_graph(30)
         res = repro.distributed_pagerank(g, k=4, seed=23, c=4)
         labels = {p.label for p in res.metrics.phase_log}
         assert any(lbl.startswith("pagerank/control") for lbl in labels)
@@ -220,7 +221,7 @@ class TestCommunicationBehaviour:
         assert res.token_rounds() <= res.rounds
 
     def test_estimator_normalization_uses_t0(self):
-        g = repro.cycle_graph(20)
+        g = cycle_graph(20)
         res = repro.distributed_pagerank(g, k=4, seed=24, c=10)
         # psi >= t0 everywhere, so every estimate is >= eps * t0/(n t0).
         assert np.all(res.estimates >= res.eps / g.n - 1e-12)
@@ -324,21 +325,21 @@ class TestPersonalizedPageRank:
         assert err.max() < 0.4
 
     def test_mass_concentrates_near_sources(self):
-        g = repro.path_graph(60)
+        g = path_graph(60)
         res = repro.distributed_pagerank(
             g, k=4, eps=0.3, seed=22, c=60, sources=np.array([0])
         )
         assert res.estimates[:5].sum() > res.estimates[30:].sum()
 
     def test_rejects_bad_sources(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         with pytest.raises(Exception):
             repro.distributed_pagerank(g, k=4, sources=np.array([10]))
         with pytest.raises(Exception):
             repro.distributed_pagerank(g, k=4, sources=np.array([1, 1]))
 
     def test_reference_personalized_sums(self):
-        g = repro.cycle_graph(20, directed=True)
+        g = cycle_graph(20, directed=True)
         pr = repro.pagerank_walk_series(g, eps=0.2, sources=np.array([3]))
         assert pr.sum() == pytest.approx(1.0)
         assert pr[3] == pr.max()

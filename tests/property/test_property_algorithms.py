@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.graphs.graph import Graph
 from repro.graphs.triangles_ref import enumerate_triangles
+from oracles import cycle_graph
 
 
 @st.composite
@@ -55,7 +56,7 @@ class TestPageRankProperties:
     @given(st.integers(5, 30), st.integers(2, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_estimates_nonnegative_and_bounded(self, n, k, seed):
-        g = repro.cycle_graph(n)
+        g = cycle_graph(n)
         res = repro.distributed_pagerank(g, k=k, seed=seed, c=5, eps=0.3)
         assert np.all(res.estimates >= 0)
         assert res.estimates.sum() <= 1.5  # Monte-Carlo noise around 1

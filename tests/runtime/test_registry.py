@@ -142,7 +142,7 @@ class TestRunReport:
 
     def test_lower_bound_evaluates_cookbook(self):
         rep = runtime.run("sorting", FIXED_VALUES, K, seed=SEED)
-        lb = rep.lower_bound()
+        lb = rep.bound_report.lower_bound_rounds
         assert lb is not None and lb > 0
         expected = repro.sorting_round_lower_bound(
             FIXED_VALUES.size, K, rep.bandwidth
@@ -151,7 +151,7 @@ class TestRunReport:
 
     def test_lower_bound_none_when_spec_has_none(self):
         rep = runtime.run("subgraphs", FIXED_GRAPH, 16, seed=SEED)
-        assert rep.lower_bound() is None
+        assert rep.bound_report.lower_bound_rounds is None
 
     def test_triangle_lower_bound_uses_measured_t(self):
         # Theorem 3's bound needs the output count; the spec threads it
@@ -161,8 +161,8 @@ class TestRunReport:
         expected = repro.triangle_round_lower_bound(
             g.n, K, rep.bandwidth, t=max(1, rep.result.count)
         )
-        assert rep.lower_bound() == expected
-        assert rep.lower_bound() <= rep.rounds
+        assert rep.bound_report.lower_bound_rounds == expected
+        assert rep.bound_report.lower_bound_rounds <= rep.rounds
 
     def test_params_merge_defaults_and_overrides(self):
         rep = runtime.run("subgraphs", FIXED_GRAPH, 16, seed=SEED, pattern="c4")
@@ -193,9 +193,11 @@ class TestRegistryAPI:
             runtime.run("nope", FIXED_GRAPH, K)
 
     def test_duplicate_register_rejected(self):
+        from repro.runtime.registry import register_builder
+
         spec = runtime.get_spec("pagerank")
         with pytest.raises(AlgorithmError, match="already registered"):
-            runtime.register(spec)
+            register_builder(spec.name, lambda: spec)
 
     def test_spec_validates_input_kind(self):
         with pytest.raises(AlgorithmError):
@@ -210,7 +212,7 @@ class TestRegistryAPI:
             )
 
     def test_specs_metadata_complete(self):
-        for spec in runtime.specs():
+        for spec in map(runtime.get_spec, runtime.available()):
             assert spec.title and spec.bounds
             assert spec.input_kind in ("graph", "values")
             assert isinstance(spec.result_type, type)

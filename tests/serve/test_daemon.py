@@ -15,6 +15,7 @@ import repro
 from repro.core.mst.distributed import boruvka_forest
 from repro.errors import ServeError
 from repro.serve import ReproServer, ServeClient
+from oracles import path_graph
 
 DATASET = "gnp:n=150,avg_deg=5,seed=3"
 
@@ -324,7 +325,7 @@ class TestRunRequests:
 
     def test_resident_is_not_a_parameter(self, daemon):
         """Each family has one driver: nothing accepts a switch between two."""
-        graph = repro.path_graph(4)
+        graph = path_graph(4)
         entry_points = [
             (repro.distributed_pagerank, (graph,)),
             (repro.enumerate_triangles_distributed, (graph,)),

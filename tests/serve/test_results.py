@@ -135,13 +135,12 @@ class TestResultStore:
             result, _, _ = reader.get(key)
             assert result == {"pi": [0.1, 0.9]}
 
-    def test_clear_and_len(self, tmp_path):
+    def test_len(self, tmp_path):
         with ResultStore(tmp_path / "r.sqlite") as store:
+            assert len(store) == 0
             _put(store, "a" * 32)
             _put(store, "b" * 32)
             assert len(store) == 2
-            assert store.clear() == 2
-            assert len(store) == 0
 
     def test_bad_max_entries_rejected(self, tmp_path):
         with pytest.raises(ServeError, match="positive"):
@@ -315,7 +314,8 @@ class TestDecodedRows:
             clock["now"] += 1
             _put(second, "a" * 32, result={"v": 2})  # replaced elsewhere
             assert first.get("a" * 32)[0] == {"v": 2}, "re-read, not the decoded copy"
-            assert second.clear() == 1
+            with sqlite3.connect(path) as other:  # another process drops the row
+                assert other.execute("DELETE FROM results").rowcount == 1
             assert first.get("a" * 32) is None
             assert first._decoded == {} and first._pending == {}
 

@@ -76,7 +76,20 @@ class TestRequestPath:
         with Session(result_cache=store if with_store else None) as session:
             with pytest.raises(AlgorithmError, match="unknown algorithm"):
                 session.run("no-such-algo", dataset=spec, k=4)
-            assert session.resident_datasets() == ()
+            assert session.stats()["resident_datasets"] == 0
+        assert not workloads.default_cache().has(spec)
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    @pytest.mark.parametrize("bad, match", [({"nope": 1}, "no parameter 'nope'"),
+                                            ({"seed": -1}, "seed")])
+    def test_bad_parameter_or_seed_builds_no_dataset(self, store, with_store, bad, match):
+        from repro import workloads
+
+        spec = "gnp:n=70,avg_deg=3,seed=11"  # never built in this test
+        with Session(result_cache=store if with_store else None) as session:
+            with pytest.raises(AlgorithmError, match=match):
+                session.run("pagerank", dataset=spec, k=4, **{"seed": 1, **bad})
+            assert session.stats()["resident_datasets"] == 0
         assert not workloads.default_cache().has(spec)
 
     def test_closed_session_rejects(self, store):
@@ -124,7 +137,7 @@ class TestHitsNeverLoadTheDataset:
         with Session(result_cache=store, max_datasets=1) as session:
             for spec in self.SPECS:  # each load evicts the one before
                 session.run("connectivity", dataset=spec, k=4, seed=1)
-            assert len(session.resident_datasets()) == 1
+            assert session.stats()["resident_datasets"] == 1
 
             def no_loads(*args, **kwargs):
                 raise AssertionError("a hit must not load the dataset")
@@ -146,7 +159,7 @@ class TestHitsNeverLoadTheDataset:
             second = session.run("mst", dataset="gnp:seed=5,avg_deg=4.0,n=90", k=4, seed=1)
             assert second.cached and second.n == first.n == 90
             assert second.result.total_weight == first.result.total_weight
-            assert session.resident_datasets() == ()
+            assert session.stats()["resident_datasets"] == 0
 
     def test_no_sidecar_falls_through_to_the_miss_path(self, store):
         from repro import workloads
@@ -161,7 +174,7 @@ class TestHitsNeverLoadTheDataset:
             # the stored row.
             assert report.cached
             assert session.stats()["cache_hits"] == 0
-            assert len(session.resident_datasets()) == 1
+            assert session.stats()["resident_datasets"] == 1
             assert session.run("mst", dataset=spec, k=4, seed=1).cached
             assert session.stats()["cache_hits"] == 1
 
@@ -305,16 +318,16 @@ class TestDatasetResidency:
             g1 = session.materialize(DATASET)
             g2 = session.materialize("gnp:avg_deg=5.0,n=1.5e2,seed=3")
             assert g1 is g2, "equivalent spellings share one resident graph"
-            assert len(session.resident_datasets()) == 1
+            assert session.stats()["resident_datasets"] == 1
 
     def test_lru_bound(self, store):
         with Session(result_cache=store, max_datasets=2) as session:
             for seed in (1, 2, 3):
                 session.materialize(f"gnp:n=100,avg_deg=4,seed={seed}")
-            assert len(session.resident_datasets()) == 2
+            assert session.stats()["resident_datasets"] == 2
 
     def test_close_drops_residency(self, store):
         session = Session(result_cache=store)
         session.materialize(DATASET)
         session.close()
-        assert session.resident_datasets() == ()
+        assert session.stats()["resident_datasets"] == 0

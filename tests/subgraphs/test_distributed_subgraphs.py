@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.core.subgraphs.local import enumerate_c4_edges, enumerate_k4_edges
 from repro.errors import AlgorithmError
+from oracles import cycle_graph, empty_graph, path_graph
 
 
 class TestDistributedEnumeration:
@@ -63,17 +64,17 @@ class TestDistributedEnumeration:
         assert res.per_machine_output.sum() == res.count
 
     def test_empty_graph(self):
-        g = repro.empty_graph(10)
+        g = empty_graph(10)
         res = repro.enumerate_subgraphs_distributed(g, k=16, pattern="k4", seed=14)
         assert res.count == 0
 
     def test_rejects_bad_pattern(self):
-        g = repro.cycle_graph(5)
+        g = cycle_graph(5)
         with pytest.raises(AlgorithmError, match="pattern"):
             repro.enumerate_subgraphs_distributed(g, k=16, pattern="k5")
 
     def test_rejects_directed(self):
-        g = repro.path_graph(5, directed=True)
+        g = path_graph(5, directed=True)
         with pytest.raises(AlgorithmError):
             repro.enumerate_subgraphs_distributed(g, k=16, pattern="k4")
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.triangles import colors as col
 from repro.errors import AlgorithmError
+from oracles import machine_for_tuple, machines_needing_edge, sorted_tuples, tuple_for_machine
 
 R = pytest.mark.parametrize("r", [3, 4])
 
@@ -54,25 +55,25 @@ class TestTupleIndexing:
         q = 3
         ids = set()
         for colors in itertools.product(range(q), repeat=r):
-            mid = col.machine_for_tuple(colors, q)
-            assert col.tuple_for_machine(mid, q, r) == colors
+            mid = machine_for_tuple(colors, q)
+            assert tuple_for_machine(mid, q, r) == colors
             ids.add(mid)
         assert ids == set(range(q**r))
 
     @R
     def test_rejects_out_of_range_color(self, r):
         with pytest.raises(AlgorithmError):
-            col.machine_for_tuple((0, 3) + (0,) * (r - 2), 3)
+            machine_for_tuple((0, 3) + (0,) * (r - 2), 3)
 
     @R
     def test_rejects_bad_machine(self, r):
         with pytest.raises(AlgorithmError):
-            col.tuple_for_machine(3**r, 3, r)
+            tuple_for_machine(3**r, 3, r)
 
     @R
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_sorted_tuples(self, r, q):
-        tuples = col.sorted_tuples(q, r)
+        tuples = sorted_tuples(q, r)
         assert len(tuples) == math.comb(q + r - 1, r)
         assert all(list(t) == sorted(t) for t in tuples)
 
@@ -85,7 +86,7 @@ class TestTupleIndexing:
             st.lists(st.lists(st.integers(0, q - 1), min_size=r, max_size=r), max_size=20)
         )
         keys = col.owner_keys(np.array(rows, dtype=np.int64).reshape(-1, r), q)
-        assert keys.tolist() == [col.machine_for_tuple(sorted(row), q) for row in rows]
+        assert keys.tolist() == [machine_for_tuple(sorted(row), q) for row in rows]
 
 
 class TestMachinesNeedingEdge:
@@ -93,11 +94,11 @@ class TestMachinesNeedingEdge:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_count_distinct_and_contain_the_colors(self, r, q):
         for cu, cv in itertools.product(range(q), repeat=2):
-            ids = col.machines_needing_edge(cu, cv, q, r)
+            ids = machines_needing_edge(cu, cv, q, r)
             assert ids.size == math.comb(q + r - 3, r - 2)
             assert np.unique(ids).size == ids.size
             for mid in ids:
-                multiset = list(col.tuple_for_machine(int(mid), q, r))
+                multiset = list(tuple_for_machine(int(mid), q, r))
                 for needed in (cu, cv):
                     multiset.remove(needed)
 
@@ -105,10 +106,10 @@ class TestMachinesNeedingEdge:
     def test_every_sorted_tuple_covered_by_its_pairs(self, r):
         # Otherwise an owner would miss an edge of an occurrence it owns.
         q = 3
-        for tup in col.sorted_tuples(q, r):
-            mid = col.machine_for_tuple(tup, q)
+        for tup in sorted_tuples(q, r):
+            mid = machine_for_tuple(tup, q)
             for x, y in itertools.combinations(tup, 2):
-                assert mid in col.machines_needing_edge(x, y, q, r)
+                assert mid in machines_needing_edge(x, y, q, r)
 
     @R
     @given(data=st.data())
@@ -123,4 +124,4 @@ class TestMachinesNeedingEdge:
         vec = col.machines_needing_edge_array(cu, cv, q, r)
         assert vec.shape == (len(pairs), math.comb(q + r - 3, r - 2))
         for row, (u, v) in zip(vec, pairs):
-            assert row.tolist() == col.machines_needing_edge(u, v, q, r).tolist()
+            assert row.tolist() == machines_needing_edge(u, v, q, r).tolist()

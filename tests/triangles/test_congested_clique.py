@@ -7,6 +7,7 @@ import repro
 from repro.core.lowerbounds.triangles import congested_clique_lower_bound
 from repro.errors import AlgorithmError
 from repro.graphs.triangles_ref import enumerate_triangles
+from oracles import path_graph
 
 
 class TestExactness:
@@ -29,7 +30,7 @@ class TestExactness:
         assert res.count == 1140  # C(20, 3)
 
     def test_rejects_directed(self):
-        g = repro.path_graph(5, directed=True)
+        g = path_graph(5, directed=True)
         with pytest.raises(AlgorithmError):
             repro.enumerate_triangles_congested_clique(g)
 

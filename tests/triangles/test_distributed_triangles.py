@@ -5,8 +5,9 @@ import pytest
 
 import repro
 from repro.errors import AlgorithmError, PartitionError
-from repro.graphs.triangles_ref import enumerate_open_triads, enumerate_triangles
+from repro.graphs.triangles_ref import enumerate_triangles
 from repro.kmachine.partition import random_vertex_partition
+from oracles import count_open_triads, cycle_graph, empty_graph, enumerate_open_triads, path_graph
 
 
 def assert_exact_enumeration(graph, result):
@@ -36,7 +37,7 @@ class TestExactness:
         assert res.count == 455
 
     def test_triangle_free(self):
-        g = repro.cycle_graph(30)
+        g = cycle_graph(30)
         res = repro.enumerate_triangles_distributed(g, k=8, seed=4)
         assert res.count == 0
 
@@ -56,7 +57,7 @@ class TestExactness:
         assert_exact_enumeration(g, res)
 
     def test_empty_edge_set(self):
-        g = repro.empty_graph(20)
+        g = empty_graph(20)
         res = repro.enumerate_triangles_distributed(g, k=8, seed=10)
         assert res.count == 0
 
@@ -104,12 +105,12 @@ class TestOutputStructure:
         res.metrics.check_conservation()
 
     def test_rejects_directed(self):
-        g = repro.path_graph(5, directed=True)
+        g = path_graph(5, directed=True)
         with pytest.raises(AlgorithmError):
             repro.enumerate_triangles_distributed(g, k=8)
 
     def test_rejects_mismatched_partition(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         p = random_vertex_partition(9, 8, seed=0)
         with pytest.raises(PartitionError):
             repro.enumerate_triangles_distributed(g, k=8, partition=p)
@@ -175,11 +176,11 @@ class TestOpenTriads:
         assert canon(got) == canon(expected)
 
     def test_triads_none_when_not_requested(self):
-        g = repro.cycle_graph(10)
+        g = cycle_graph(10)
         res = repro.enumerate_triangles_distributed(g, k=8, seed=34)
         assert res.open_triads is None
 
     def test_triad_count_matches_closed_form(self):
         g = repro.gnp_random_graph(35, 0.25, seed=35)
         res = repro.enumerate_triangles_distributed(g, k=8, seed=36, enumerate_triads=True)
-        assert res.open_triads.shape[0] == repro.count_open_triads(g)
+        assert res.open_triads.shape[0] == count_open_triads(g)

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.errors import AlgorithmError
 from repro.graphs.triangles_ref import enumerate_triangles
+from oracles import empty_graph, path_graph
 
 
 class TestConversionBaseline:
@@ -23,7 +24,7 @@ class TestConversionBaseline:
         assert np.array_equal(res.triangles, enumerate_triangles(g))
 
     def test_empty_graph(self):
-        g = repro.empty_graph(10)
+        g = empty_graph(10)
         res = repro.enumerate_triangles_conversion(g, k=4, seed=5)
         assert res.count == 0
 
@@ -43,7 +44,7 @@ class TestConversionBaseline:
         assert total == g.m * q
 
     def test_rejects_directed(self):
-        g = repro.path_graph(5, directed=True)
+        g = path_graph(5, directed=True)
         with pytest.raises(AlgorithmError):
             repro.enumerate_triangles_conversion(g, k=4)
 

@@ -1,4 +1,4 @@
-"""Tests for the edge-list/METIS readers and the npz CSR snapshot format."""
+"""Tests for the edge-list reader and the npz CSR snapshot format."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from repro.errors import WorkloadError
 from repro.workloads import (
     build_dataset,
     read_edge_list,
-    read_metis,
     read_npz,
     write_npz,
 )
+from oracles import cycle_graph, in_neighbors, path_graph
 
 
 def write_edge_list(path, graph):
@@ -68,7 +68,7 @@ class TestEdgeList:
 
     def test_edgelist_workload_family(self, tmp_path):
         path = tmp_path / "g.tsv"
-        write_edge_list(path, repro.cycle_graph(5))
+        write_edge_list(path, cycle_graph(5))
         g = build_dataset(f"edgelist:path={path}")
         assert g.n == 5 and g.m == 5
         # File-backed graphs get NO content key: the spec hash covers the
@@ -83,7 +83,7 @@ class TestEdgeList:
         write_edge_list(path, repro.star_graph(6))
         spec = f"edgelist:path={path}"
         r1 = runtime.run("pagerank", dataset=spec, k=2, seed=3, c=2.0)
-        write_edge_list(path, repro.path_graph(6))  # same n, same m
+        write_edge_list(path, path_graph(6))  # same n, same m
         r2 = runtime.run("pagerank", dataset=spec, k=2, seed=3, c=2.0)
         assert r1.distgraph is not r2.distgraph
         assert not np.array_equal(r1.result.estimates, r2.result.estimates)
@@ -276,48 +276,6 @@ class TestReaderModes:
             build_dataset(f"edgelist:path={path},relabel={value}")
 
 
-class TestMetis:
-    def test_small_graph(self, tmp_path):
-        # Triangle plus a pendant: 0-1, 0-2, 1-2, 2-3 (1-indexed file).
-        path = tmp_path / "g.graph"
-        path.write_text("% comment\n4 4\n2 3\n1 3\n1 2 4\n3\n")
-        g = read_metis(path)
-        assert g.n == 4 and g.m == 4
-        assert repro.count_triangles(g) == 1
-
-    def test_isolated_vertex(self, tmp_path):
-        path = tmp_path / "g.graph"
-        path.write_text("3 1\n2\n1\n\n")
-        # The blank line for the isolated vertex is stripped by the
-        # line filter, so the adjacency-count check fires.
-        with pytest.raises(WorkloadError, match="adjacency lines"):
-            read_metis(path)
-
-    def test_header_mismatch(self, tmp_path):
-        path = tmp_path / "g.graph"
-        path.write_text("2 5\n2\n1\n")
-        with pytest.raises(WorkloadError, match="m=5"):
-            read_metis(path)
-
-    def test_weighted_rejected(self, tmp_path):
-        path = tmp_path / "g.graph"
-        path.write_text("2 1 1\n2 3\n1 3\n")
-        with pytest.raises(WorkloadError, match="weighted"):
-            read_metis(path)
-
-    def test_out_of_range_neighbor(self, tmp_path):
-        path = tmp_path / "g.graph"
-        path.write_text("2 1\n3\n1\n")
-        with pytest.raises(WorkloadError, match="out of range"):
-            read_metis(path)
-
-    def test_metis_workload_family(self, tmp_path):
-        path = tmp_path / "g.graph"
-        path.write_text("3 3\n2 3\n1 3\n1 2\n")
-        g = build_dataset(f"metis:path={path}")
-        assert g.n == 3 and g.m == 3
-
-
 class TestSnapshot:
     @pytest.mark.parametrize("directed", [False, True])
     def test_round_trip_bit_identical(self, tmp_path, directed):
@@ -336,7 +294,7 @@ class TestSnapshot:
         path = tmp_path / "g.npz"
         write_npz(path, g)
         g2 = read_npz(path)
-        assert np.array_equal(g2.in_neighbors(3), g.in_neighbors(3))
+        assert np.array_equal(in_neighbors(g2, 3), in_neighbors(g, 3))
 
     def test_missing_and_corrupt(self, tmp_path):
         with pytest.raises(WorkloadError, match="not found"):
@@ -347,7 +305,7 @@ class TestSnapshot:
             read_npz(bad)
 
     def test_future_version_rejected(self, tmp_path):
-        g = repro.cycle_graph(4)
+        g = cycle_graph(4)
         path = tmp_path / "g.npz"
         np.savez(
             path, version=np.int64(99), n=np.int64(g.n),

@@ -22,13 +22,12 @@ from repro.workloads import DATA_DIR_ENV, materialize
 ENGINES = ("message", "vector", "process")
 SPEC = "rmat:n=5000,avg_deg=8,seed=7"
 SEED = 17
-#: One small spec per scalable family, run next to ``SPEC``.
+#: One small spec per generated family, run next to ``SPEC``.
 FAMILY_SPECS = (
     "rmat:n=400,avg_deg=8,seed=1",
-    "sbm:n=400,blocks=16,avg_deg=8,seed=1",
-    "geometric:n=400,avg_deg=8,seed=1",
-    "smallworld:n=400,nbrs=8,seed=1",
     "gnp:n=400,avg_deg=8,seed=1",
+    "chung-lu:n=400,avg_deg=8,seed=1",
+    "planted-triangles:n=400,triangles=40,noise_p=0.02,seed=1",
 )
 ALGOS = ("triangles", "pagerank", "mst")
 

@@ -33,9 +33,6 @@ REGEN_ENV = "REPRO_REGEN_GOLDEN"
 #: One fixed spec per generated family (file-backed families excluded).
 GOLDEN_SPECS = [
     "rmat:n=2000,avg_deg=8,seed=7",
-    "sbm:n=2000,blocks=4,avg_deg=8,mix=0.2,seed=7",
-    "geometric:n=2000,avg_deg=8,seed=7",
-    "smallworld:n=2000,nbrs=6,rewire=0.1,seed=7",
     "gnp:n=2000,avg_deg=6,seed=7",
     "gnp:n=30000,avg_deg=4,seed=7",  # sparse sampler above the quadratic limit
     "chung-lu:n=1000,exponent=2.5,avg_deg=8,seed=7",
@@ -116,31 +113,6 @@ def test_rmat_invariants(n, avg, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.integers(8, 400), blocks=st.integers(1, 8),
-       mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
-def test_sbm_invariants(n, blocks, mix, seed):
-    _check_invariants(
-        build_dataset(f"sbm:n={n},blocks={min(blocks, n)},mix={mix},seed={seed}")
-    )
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(8, 400), avg=st.floats(0.5, 12.0), seed=st.integers(0, 2**31))
-def test_geometric_invariants(n, avg, seed):
-    _check_invariants(build_dataset(f"geometric:n={n},avg_deg={avg},seed={seed}"))
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(8, 400), half=st.integers(1, 5),
-       rewire=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
-def test_smallworld_invariants(n, half, rewire, seed):
-    nbrs = min(2 * half, ((n - 1) // 2) * 2)
-    _check_invariants(
-        build_dataset(f"smallworld:n={n},nbrs={nbrs},rewire={rewire},seed={seed}")
-    )
-
-
-@settings(max_examples=15, deadline=None)
 @given(n=st.integers(8, 400), avg=st.floats(0.0, 12.0), seed=st.integers(0, 2**31))
 def test_gnp_invariants(n, avg, seed):
     _check_invariants(build_dataset(f"gnp:n={n},avg_deg={avg},seed={seed}"))
@@ -164,45 +136,6 @@ def test_rmat_skew_is_heavy_tailed():
     d = np.sort(g.degrees())[::-1]
     # Top 1% of vertices hold far more than 1% of the volume.
     assert d[: len(d) // 100].sum() > 3 * (d.sum() // 100)
-
-
-def test_sbm_mix_controls_cross_block_edges():
-    lo = build_dataset("sbm:n=3000,blocks=3,avg_deg=10,mix=0.02,seed=5")
-    hi = build_dataset("sbm:n=3000,blocks=3,avg_deg=10,mix=0.9,seed=5")
-
-    def cross_fraction(g):
-        block = np.minimum(np.arange(g.n) // 1000, 2)
-        e = g.edges
-        return float(np.mean(block[e[:, 0]] != block[e[:, 1]]))
-
-    assert cross_fraction(lo) < 0.1 < 0.5 < cross_fraction(hi)
-
-
-def test_geometric_edges_respect_radius():
-    # Rebuild the point set from the same stream prefix and verify every
-    # edge is within the connection radius.
-    import math
-
-    from repro._util import as_rng
-
-    n, avg = 500, 8.0
-    g = build_dataset(f"geometric:n={n},avg_deg={avg},seed=9")
-    pts = as_rng(9).random((n, 2))
-    r2 = avg / (math.pi * n)
-    d = pts[g.edges[:, 0]] - pts[g.edges[:, 1]]
-    assert np.all((d * d).sum(axis=1) <= r2 * (1 + 1e-12))
-    # And completeness: the brute-force pair set matches exactly.
-    diff = pts[:, None, :] - pts[None, :, :]
-    close = (diff * diff).sum(axis=2) <= r2
-    iu = np.triu_indices(n, k=1)
-    expected = int(close[iu].sum())
-    assert g.m == expected
-
-
-def test_smallworld_zero_rewire_is_ring_lattice():
-    g = build_dataset("smallworld:n=100,nbrs=4,rewire=0.0,seed=1")
-    assert g.m == 100 * 4 // 2
-    assert np.all(g.degrees() == 4)
 
 
 def test_quadratic_families_refuse_large_n():
@@ -278,7 +211,7 @@ def test_no_jobs_parameter_or_flag_is_left():
 def test_build_jobs_env_is_not_read(monkeypatch):
     from repro.kmachine.parallel import active_pools, shutdown_worker_pools
 
-    spec = "geometric:n=8000,avg_deg=6,seed=2"
+    spec = "rmat:n=8000,avg_deg=6,seed=2"
     shutdown_worker_pools()
     monkeypatch.delenv("REPRO_BUILD_JOBS", raising=False)
     unset = _csr_hash(build_dataset(spec))
