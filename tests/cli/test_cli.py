@@ -239,6 +239,26 @@ class TestGenericRun:
                    if line.strip().startswith("conservation"))
         assert "sent message totals do not match" in row and row.endswith("FAILED")
 
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda m: m.sent_bits.__setitem__(0, m.sent_bits[0] + 1), "bit totals do not match"),
+        (lambda m: setattr(m, "rounds", m.rounds + 1), "round total does not match"),
+        (lambda m: m.phase_log.pop(), "phase count does not match"),
+    ], ids=["bits", "rounds", "dropped-phase"])
+    def test_each_accounting_fault_is_named_in_the_conservation_row(
+            self, corrupt, reason, monkeypatch, capsys):
+        real_run = runtime.run
+
+        def miscounting_run(*args, **kwargs):
+            rep = real_run(*args, **kwargs)
+            corrupt(rep.metrics)
+            return rep
+
+        monkeypatch.setattr(runtime, "run", miscounting_run)
+        assert main(["run", "pagerank", "--n", "60", "--k", "4"]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith("conservation"))
+        assert reason in row and row.endswith("FAILED")
+
     def test_run_with_engine_and_set_param(self, capsys):
         rc = main(
             ["run", "subgraphs", "--n", "40", "--k", "16", "--graph", "dense",

@@ -1,5 +1,7 @@
 """Unit tests for round/message/bit accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,34 @@ class TestConsistency:
         met.record_phase(bits, msgs)
         met.received_bits[1] = -4
         with pytest.raises(AssertionError, match="negative"):
+            met.check_conservation()
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda m: setattr(m, "received_bits", m.received_bits[:2]),
+         r"received_bits must have shape \(3,\)"),
+        (lambda m: m.sent_messages.__setitem__(2, -1), "sent_messages has negative"),
+        (lambda m: m.sent_messages.__setitem__(0, m.sent_messages[0] + 1),
+         "sent message totals"),
+        (lambda m: m.received_messages.__setitem__(1, m.received_messages[1] + 1),
+         "received message totals"),
+        (lambda m: m.sent_bits.__setitem__(0, m.sent_bits[0] + 8), "bit totals"),
+        (lambda m: m.received_bits.__setitem__(2, m.received_bits[2] + 8), "bit totals"),
+        (lambda m: setattr(m, "phases", m.phases + 1), "phase count"),
+        (lambda m: setattr(m, "rounds", m.rounds + 1), "round total"),
+        (lambda m: m.phase_log.__setitem__(0, dataclasses.replace(
+            m.phase_log[0], messages=m.phase_log[0].messages + 1)), "message total"),
+        (lambda m: m.phase_log.__setitem__(1, dataclasses.replace(
+            m.phase_log[1], bits=m.phase_log[1].bits - 8)), "bit total does not match"),
+    ], ids=["shape", "negative", "sent-messages", "received-messages", "sent-bits",
+            "received-bits", "phase-count", "round-total", "phase-log-messages",
+            "phase-log-bits"])
+    def test_check_conservation_names_each_fault(self, corrupt, match):
+        met = Metrics(k=3, bandwidth=8)
+        met.record_phase(*mats(3, {(0, 1): (16, 2), (1, 2): (8, 1)}))
+        met.record_phase(*mats(3, {(2, 0): (24, 3)}))
+        met.check_conservation()
+        corrupt(met)
+        with pytest.raises(AssertionError, match=match):
             met.check_conservation()
 
     def test_rejects_bad_construction(self):

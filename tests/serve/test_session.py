@@ -81,7 +81,9 @@ class TestRequestPath:
 
     @pytest.mark.parametrize("with_store", [True, False])
     @pytest.mark.parametrize("bad, match", [({"nope": 1}, "no parameter 'nope'"),
-                                            ({"seed": -1}, "seed")])
+                                            ({"seed": -1}, "seed"),
+                                            ({"seed": 1.5}, "seed"),
+                                            ({"seed": "7"}, "seed")])
     def test_bad_parameter_or_seed_builds_no_dataset(self, store, with_store, bad, match):
         from repro import workloads
 

@@ -86,6 +86,18 @@ class TestParse:
         assert parse_spec(s) is s
         assert isinstance(s, DatasetSpec)
 
+    @pytest.mark.parametrize("family", GENERATED)
+    def test_spellings_share_one_hash_in_every_family(self, family):
+        extra = REQUIRED_EXTRA.get(family, "")
+        variants = [f"{family}:n=1000,seed=7{extra}",
+                    f"{family}:seed=7{extra},n=1e3",
+                    f"{family}: n = 1_000 , seed = 7 {extra}"]
+        specs = [parse_spec(v) for v in variants]
+        assert specs[0].params["n"] == 1000 and type(specs[0].params["n"]) is int
+        assert len({s.content_hash() for s in specs}) == 1
+        assert parse_spec(f"{family}:n=1000,seed=8{extra}").content_hash() != (
+            specs[0].content_hash())
+
     def test_int_param_coerces_scientific(self):
         assert parse_spec("rmat:n=1e6").params["n"] == 10**6
 
@@ -131,6 +143,16 @@ class TestParseErrors:
     def test_negative_seed_rejected(self, family):
         with pytest.raises(WorkloadError, match="'seed' must be >= 0, got -1"):
             parse_spec(f"{family}:n=10,seed=-1{REQUIRED_EXTRA.get(family, '')}")
+
+    @pytest.mark.parametrize("family", GENERATED)
+    def test_unknown_parameter_rejected(self, family):
+        with pytest.raises(WorkloadError, match="zzz"):
+            parse_spec(f"{family}:n=10,zzz=3{REQUIRED_EXTRA.get(family, '')}")
+
+    @pytest.mark.parametrize("family", GENERATED)
+    def test_fractional_vertex_count_rejected(self, family):
+        with pytest.raises(WorkloadError, match="'n' must be an int"):
+            parse_spec(f"{family}:n=1.5{REQUIRED_EXTRA.get(family, '')}")
 
     def test_non_string_rejected(self):
         with pytest.raises(WorkloadError):

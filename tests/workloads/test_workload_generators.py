@@ -118,6 +118,33 @@ def test_gnp_invariants(n, avg, seed):
     _check_invariants(build_dataset(f"gnp:n={n},avg_deg={avg},seed={seed}"))
 
 
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(8, 300), exponent=st.floats(1.5, 4.0), avg=st.floats(0.5, 12.0),
+       seed=st.integers(0, 2**31))
+def test_chung_lu_invariants(n, exponent, avg, seed):
+    _check_invariants(build_dataset(
+        f"chung-lu:n={n},exponent={exponent},avg_deg={avg},seed={seed}"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(8, 300), frac=st.floats(0.0, 1.0), noise=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2**31))
+def test_planted_triangles_invariants(n, frac, noise, seed):
+    t = int(frac * (n // 3))
+    g = build_dataset(f"planted-triangles:n={n},triangles={t},noise_p={noise},seed={seed}")
+    _check_invariants(g)
+    assert g.m >= 3 * t
+
+
+def test_planted_triangles_without_noise_are_disjoint_triangles():
+    g = build_dataset("planted-triangles:n=100,triangles=20,seed=4")
+    assert g.n == 100 and g.m == 60
+    deg = g.degrees()
+    assert np.all(deg[:60] == 2) and np.all(deg[60:] == 0)
+    # Every edge joins two vertices of the same planted triple.
+    assert np.array_equal(g.edges[:, 0] // 3, g.edges[:, 1] // 3)
+
+
 def test_gnp_sparse_sampler_reaches_large_n():
     g = build_dataset("gnp:n=100000,avg_deg=4,seed=1")
     assert g.n == 100_000
