@@ -181,27 +181,6 @@ def main() -> None:
     print(f"  triangles on the dataset: {wrep.result.count} "
           f"({wrep.rounds} rounds; rerun reused cached shards)")
 
-    # --- Cold-start tour: shard snapshots --------------------------------
-    # A fresh process on a cached dataset still pays partition + shard
-    # materialization before its first superstep.  PR 7 removes that tax:
-    # the materialized DistributedGraph shards persist as mmap-friendly
-    # sidecars next to the CSR blob, so the next cold start maps them
-    # back read-only instead of rebuilding.
-    # RunReport.first_superstep_seconds is the cold-start clock: process
-    # entry to the first superstep's first activity.
-    from repro.kmachine.distgraph import clear_distgraph_cache
-
-    clear_distgraph_cache()  # simulate a fresh process (no resident shards)
-    cold_run = runtime.run("pagerank", dataset=dataset, k=8, seed=seed,
-                           engine="vector", max_iterations=2, c=0.5)
-    clear_distgraph_cache()
-    warm_run = runtime.run("pagerank", dataset=dataset, k=8, seed=seed,
-                           engine="vector", max_iterations=2, c=0.5)
-    assert (warm_run.result.estimates == cold_run.result.estimates).all()
-    print("\nCold start (shard snapshots; python -m repro serve --prewarm)")
-    print(f"  first superstep after shard build: "
-          f"{cold_run.first_superstep_seconds:.3f}s   "
-          f"after mmap'd snapshot: {warm_run.first_superstep_seconds:.3f}s")
     workloads.default_cache().evict(dataset)  # leave no quickstart residue
 
     # --- Serve tour: a persistent analytics daemon + result cache -------

@@ -37,9 +37,10 @@ independent axes:
 2. **Runtime layer** (:mod:`repro.kmachine.distgraph`,
    :mod:`repro.runtime`) — *what state a run shares*.
    :class:`~repro.kmachine.DistributedGraph` materializes each machine's
-   RVP-local view (hosted vertices, CSR shards, cached home-of-neighbor
-   arrays) once per ``(graph, partition)``; ``runtime.run()`` owns
-   cluster construction, placement sampling, and metrics collection.
+   RVP-local view (hosted vertices, cached home-of-neighbor arrays,
+   Borůvka's incidence tables) once per ``(graph, partition)``;
+   ``runtime.run()`` owns cluster construction, placement sampling, and
+   metrics collection.
 3. **Algorithm registry** (:mod:`repro.runtime.registry`) — *which
    algorithms exist*.  Every family (PageRank, triangles, subgraphs,
    sorting, MST, connectivity) registers an

@@ -564,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--prewarm", action="append", metavar="SPEC", default=None,
-        help="dataset spec to materialize before accepting traffic "
-        "(repeatable)",
+        help="dataset spec to materialize and keep resident before "
+        "accepting traffic (repeatable; shards are built per request)",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -42,7 +42,7 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
   superstep kernels dispatched via :meth:`Cluster.map_machines` — runs
   in a pool of ``W`` worker processes.  A
   :class:`~repro.kmachine.parallel.store.SharedGraphStore` publishes the
-  :class:`DistributedGraph` CSR shards and partition arrays into one
+  graph's CSR and the :class:`DistributedGraph` partition arrays into one
   :mod:`multiprocessing.shared_memory` segment per ``(graph,
   partition)``, so workers attach the full local state zero-copy;
   per-superstep payloads and kernel results travel through per-shipment
@@ -248,7 +248,6 @@ _EXPORTS = {
     "ResidentHandle": "repro.kmachine.engine",
     "make_engine": "repro.kmachine.engine",
     "DistributedGraph": "repro.kmachine.distgraph",
-    "MachineShard": "repro.kmachine.distgraph",
     "cached_distgraph": "repro.kmachine.distgraph",
     "clear_distgraph_cache": "repro.kmachine.distgraph",
     "resolve_distgraph": "repro.kmachine.distgraph",

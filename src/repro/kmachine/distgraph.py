@@ -25,11 +25,6 @@ superstep loops, per-machine boolean masks over the edge list).
 * :attr:`incidence` — per machine, one ``(edge, own)`` row per edge and
   hosted endpoint (the Borůvka MWOE scans' tables), so MST,
   connectivity and every later run at the placement share one build,
-* :meth:`shard` — a per-machine CSR slice (hosted vertices, local
-  ``indptr``/``indices``, neighbor homes, degrees), built lazily on
-  first access; the current drivers consume the cached global views
-  above, and shards are the extension point for per-machine parallel
-  execution (see ROADMAP open items),
 * batch-building helpers (:meth:`group_by_machine`,
   :meth:`edges_by_shipper`) for the common "group work by owning
   machine" pattern.
@@ -53,57 +48,11 @@ from repro.kmachine.partition import VertexPartition, random_vertex_partition
 
 __all__ = [
     "DistributedGraph",
-    "MachineShard",
     "group_neighbors_by_home",
     "resolve_distgraph",
     "cached_distgraph",
     "clear_distgraph_cache",
-    "warm_shard_snapshots",
 ]
-
-
-class MachineShard:
-    """One machine's materialized slice of a :class:`DistributedGraph`.
-
-    Attributes
-    ----------
-    machine:
-        The machine index.
-    vertices:
-        Hosted vertex ids (sorted).
-    indptr:
-        ``(len(vertices) + 1,)`` local CSR offsets into :attr:`indices`;
-        row ``r`` is the adjacency of ``vertices[r]``.
-    indices:
-        Global neighbor ids, concatenated in hosted-vertex order.
-    nbr_home:
-        Home machine of each entry of :attr:`indices`.
-    degrees:
-        Out-degree of each hosted vertex (``indptr`` row lengths).
-    """
-
-    __slots__ = ("machine", "vertices", "indptr", "indices", "nbr_home", "degrees")
-
-    def __init__(
-        self,
-        machine: int,
-        vertices: np.ndarray,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        nbr_home: np.ndarray,
-    ) -> None:
-        self.machine = machine
-        self.vertices = vertices
-        self.indptr = indptr
-        self.indices = indices
-        self.nbr_home = nbr_home
-        self.degrees = np.diff(indptr)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<MachineShard machine={self.machine} vertices={self.vertices.size}"
-            f" edges={self.indices.size}>"
-        )
 
 
 def group_neighbors_by_home(
@@ -162,7 +111,7 @@ class HomeGroupedNeighbors:
 
 
 class DistributedGraph(HomeGroupedNeighbors):
-    """A graph plus a vertex partition, with cached per-machine shards.
+    """A graph plus a vertex partition, with cached per-machine views.
 
     Parameters
     ----------
@@ -186,7 +135,6 @@ class DistributedGraph(HomeGroupedNeighbors):
         "_degrees",
         "_edge_homes",
         "_incidence",
-        "_shards",
     )
 
     def __init__(self, graph: Graph, partition: VertexPartition) -> None:
@@ -206,7 +154,6 @@ class DistributedGraph(HomeGroupedNeighbors):
         self._degrees: np.ndarray | None = None
         self._edge_homes: tuple[np.ndarray, np.ndarray] | None = None
         self._incidence: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._shards: list[MachineShard | None] = [None] * self.k
 
     # -- cached global views -------------------------------------------
     @property
@@ -271,41 +218,6 @@ class DistributedGraph(HomeGroupedNeighbors):
             own.flags.writeable = edge.flags.writeable = False
             self._incidence = list(zip(np.split(edge, bounds), np.split(own, bounds)))
         return self._incidence
-
-    # -- per-vertex views ----------------------------------------------
-
-    # -- per-machine shards --------------------------------------------
-    def shard(self, machine: int) -> MachineShard:
-        """The materialized CSR slice for one machine (built lazily, cached)."""
-        if not (0 <= machine < self.k):
-            raise PartitionError(f"machine index {machine} out of range [0, {self.k})")
-        cached = self._shards[machine]
-        if cached is not None:
-            return cached
-        g = self.graph
-        verts = self.parts[machine]
-        counts = g.indptr[verts + 1] - g.indptr[verts] if verts.size else np.zeros(0, dtype=np.int64)
-        indptr = np.zeros(verts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        if verts.size and total:
-            # Gather each hosted vertex's adjacency slice in one shot: a
-            # grouped arange (position within row) added to repeated row
-            # starts — no Python loop over vertices.
-            within_row = np.arange(total) - np.repeat(indptr[:-1], counts)
-            take = np.repeat(g.indptr[verts], counts) + within_row
-            indices = g.indices[take]
-            nbr_home = self.nbr_home[take]
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-            nbr_home = np.zeros(0, dtype=np.int64)
-        shard = MachineShard(machine, verts, indptr, indices, nbr_home)
-        self._shards[machine] = shard
-        return shard
-
-    def shards(self) -> list[MachineShard]:
-        """All ``k`` shards (materializing any not yet built)."""
-        return [self.shard(i) for i in range(self.k)]
 
     # -- batch-building helpers ----------------------------------------
     def group_by_machine(self, assignment: np.ndarray) -> list[np.ndarray]:
@@ -380,162 +292,6 @@ def _home_digest(home: np.ndarray) -> bytes:
     ).digest()
 
 
-def _graph_cache_module():
-    """The workload cache, imported lazily (workloads imports kmachine)."""
-    from repro.workloads import cache as _cache
-
-    return _cache
-
-
-def _snapshot_sections(dg: DistributedGraph) -> tuple[dict, dict]:
-    """Disassemble a distgraph into flat int64 sections + identity meta.
-
-    Forces materialization of every derived view the snapshot covers
-    (hosted-vertex lists, the global ``nbr_home`` column, all ``k``
-    shards) — a cold run pays the build once so every later warm start
-    can mmap it.
-    """
-    shards = dg.shards()
-    parts = dg.parts
-    parts_offsets = np.zeros(dg.k + 1, dtype=np.int64)
-    np.cumsum([p.size for p in parts], out=parts_offsets[1:])
-    indices_offsets = np.zeros(dg.k + 1, dtype=np.int64)
-    np.cumsum([s.indices.size for s in shards], out=indices_offsets[1:])
-    empty = np.zeros(0, dtype=np.int64)
-    sections = {
-        "home": dg.home,
-        "parts_flat": np.concatenate(parts) if dg.n else empty,
-        "parts_offsets": parts_offsets,
-        "nbr_home": dg.nbr_home,
-        "shards_indptr": np.concatenate([s.indptr for s in shards]),
-        "shards_indices": (
-            np.concatenate([s.indices for s in shards])
-            if int(indices_offsets[-1]) else empty
-        ),
-        "shards_nbr_home": (
-            np.concatenate([s.nbr_home for s in shards])
-            if int(indices_offsets[-1]) else empty
-        ),
-        "shards_indices_offsets": indices_offsets,
-    }
-    meta = {
-        "content_key": dg.graph.content_key,
-        "k": dg.k,
-        "n": dg.n,
-        "m": dg.graph.m,
-        "directed": dg.graph.directed,
-        "home_digest": _home_digest(dg.home).hex(),
-        "indices_size": int(dg.graph.indices.size),
-    }
-    return sections, meta
-
-
-def _distgraph_from_snapshot(
-    graph: Graph,
-    partition: VertexPartition,
-    views: dict,
-    manifest: dict,
-) -> DistributedGraph | None:
-    """Assemble a distgraph from mmap'd snapshot sections, or ``None``.
-
-    Every identity field is verified against the live graph/partition —
-    including an exact ``home`` comparison — before any view is adopted;
-    any mismatch (or structurally impossible section table) is treated
-    as a miss, never an error: the caller rebuilds from the CSR.
-
-    The adopted arrays are stripped to plain ``ndarray`` views of the
-    mapping (``np.asarray``): they stay read-only and page-fault lazily
-    through the same mmap (kept alive via ``.base``), but slicing them
-    in per-vertex hot loops skips the ``np.memmap`` subclass dispatch,
-    which profiles as real per-superstep overhead.
-    """
-    try:
-        views = {name: np.asarray(arr) for name, arr in views.items()}
-        if (
-            manifest["content_key"] != getattr(graph, "content_key", None)
-            or int(manifest["k"]) != partition.k
-            or int(manifest["n"]) != graph.n
-            or int(manifest["m"]) != graph.m
-            or bool(manifest["directed"]) != graph.directed
-            or int(manifest["indices_size"]) != int(graph.indices.size)
-        ):
-            return None
-        home = views["home"]
-        if home.size != partition.n or not np.array_equal(home, partition.home):
-            return None
-        k, n = partition.k, graph.n
-        parts_offsets = views["parts_offsets"]
-        indices_offsets = views["shards_indices_offsets"]
-        parts_flat = views["parts_flat"]
-        nbr_home = views["nbr_home"]
-        shards_indptr = views["shards_indptr"]
-        shards_indices = views["shards_indices"]
-        shards_nbr_home = views["shards_nbr_home"]
-        if (
-            parts_offsets.size != k + 1
-            or indices_offsets.size != k + 1
-            or int(parts_offsets[-1]) != n
-            or parts_flat.size != n
-            or nbr_home.size != graph.indices.size
-            or shards_indptr.size != n + k
-            or shards_indices.size != int(indices_offsets[-1])
-            or shards_nbr_home.size != shards_indices.size
-        ):
-            return None
-        dg = DistributedGraph(graph, partition)
-        dg._parts = [
-            parts_flat[parts_offsets[i]:parts_offsets[i + 1]] for i in range(k)
-        ]
-        dg._nbr_home = nbr_home
-        shards: list[MachineShard | None] = []
-        for i in range(k):
-            verts = dg._parts[i]
-            ip_lo = int(parts_offsets[i]) + i
-            ix_lo, ix_hi = int(indices_offsets[i]), int(indices_offsets[i + 1])
-            shards.append(MachineShard(
-                i,
-                verts,
-                shards_indptr[ip_lo:ip_lo + verts.size + 1],
-                shards_indices[ix_lo:ix_hi],
-                shards_nbr_home[ix_lo:ix_hi],
-            ))
-        dg._shards = shards
-        return dg
-    except (KeyError, ValueError, TypeError, IndexError):
-        return None
-
-
-def _load_snapshot_distgraph(
-    graph: Graph, partition: VertexPartition, digest: bytes
-) -> DistributedGraph | None:
-    """Try the on-disk shard snapshot for ``(graph, partition)``."""
-    from repro.errors import WorkloadError
-
-    cache = _graph_cache_module().default_cache()
-    try:
-        loaded = cache.load_shards(
-            graph.content_key, partition.k, digest.hex()[:12]
-        )
-    except WorkloadError:
-        return None  # corrupt sidecar: rebuild (the re-store overwrites it)
-    if loaded is None:
-        return None
-    views, manifest = loaded
-    return _distgraph_from_snapshot(graph, partition, views, manifest)
-
-
-def _store_snapshot_distgraph(dg: DistributedGraph, digest: bytes) -> None:
-    """Write-through a freshly built distgraph; failures never fail the run."""
-    cache = _graph_cache_module().default_cache()
-    sections, meta = _snapshot_sections(dg)
-    try:
-        cache.store_shards(
-            dg.graph.content_key, dg.k, digest.hex()[:12], sections, meta
-        )
-    except OSError:
-        pass  # read-only or full disk: the in-memory distgraph is fine
-
-
 def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGraph:
     """A :class:`DistributedGraph` for ``(graph, partition)``, shared via LRU.
 
@@ -549,19 +305,16 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     reuse, so a digest collision can never alias two placements.
     Distgraphs are immutable after construction (the lazy views are pure
     functions of graph + partition), which makes sharing semantics-free.
-    An entry costs its shards (~32 B per edge) plus whatever lazy views
-    its runs built; Borůvka's :attr:`~DistributedGraph.incidence` adds
-    ~16 B per edge with ``uint32`` columns (two rows per edge, two
-    columns of 4 B).
+    An entry costs whatever lazy views its runs built: ``nbr_home`` is
+    8 B per adjacency entry, and Borůvka's
+    :attr:`~DistributedGraph.incidence` ~16 B per edge with ``uint32``
+    columns (two rows per edge, two columns of 4 B).
 
-    Content-addressed graphs additionally persist their materialized
-    shards as an mmap-friendly sidecar next to the CSR snapshot (see
-    :mod:`repro.workloads.io`): an in-memory miss first tries
-    ``np.load(mmap_mode="r")`` on the sidecar — a warm start skips shard
-    materialization entirely and faults pages in lazily, shared across
-    processes — and a genuine cold build writes the sidecar through for
-    the next process.  A corrupt, vanished or version-mismatched sidecar
-    is a miss: rebuild, then write through.
+    This LRU is the only shard cache: nothing derived from a placement
+    is written to disk.  Each seed draws a fresh random vertex
+    partition, so a persisted placement is rarely asked for again, and
+    a miss builds nothing up front — the distgraph's views materialize
+    lazily from the CSR, each on its first use.
     """
     digest = _home_digest(partition.home)
     key = (_graph_cache_key(graph), partition.k, digest)
@@ -576,60 +329,11 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     ):
         _DISTGRAPH_CACHE.move_to_end(key)
         return dg
-    dg = None
-    snapshot = getattr(graph, "content_key", None) is not None
-    if snapshot:
-        dg = _load_snapshot_distgraph(graph, partition, digest)
-    if dg is None:
-        dg = DistributedGraph(graph, partition)
-        if snapshot:
-            _store_snapshot_distgraph(dg, digest)
+    dg = DistributedGraph(graph, partition)
     _DISTGRAPH_CACHE[key] = dg
     while len(_DISTGRAPH_CACHE) > _DISTGRAPH_CACHE_SIZE:
         _DISTGRAPH_CACHE.popitem(last=False)
     return dg
-
-
-def warm_shard_snapshots(graph: Graph, limit: int | None = None) -> int:
-    """Preload every on-disk shard snapshot of ``graph`` into the LRU.
-
-    A restarted daemon (``repro serve --prewarm``) calls this after
-    materializing a dataset: each ``(k, partition)`` sidecar left by
-    earlier processes is mapped read-only and registered under its exact
-    LRU key — the partitions are reconstructed from the snapshot's own
-    ``home`` section — so the first request that resolves the same
-    placement starts computing without touching the CSR.  Returns the
-    number of snapshots loaded (0 when the graph has no content key).
-    """
-    ck = getattr(graph, "content_key", None)
-    if ck is None:
-        return 0
-    cache = _graph_cache_module().default_cache()
-    count = 0
-    for k, digest12 in cache.list_shards(ck):
-        if limit is not None and count >= limit:
-            break
-        try:
-            loaded = cache.load_shards(ck, k, digest12)
-        except Exception:
-            continue
-        if loaded is None:
-            continue
-        views, manifest = loaded
-        try:
-            partition = VertexPartition(home=views["home"], k=int(manifest["k"]))
-        except Exception:
-            continue
-        dg = _distgraph_from_snapshot(graph, partition, views, manifest)
-        if dg is None:
-            continue
-        key = (_graph_cache_key(graph), partition.k, _home_digest(partition.home))
-        _DISTGRAPH_CACHE[key] = dg
-        _DISTGRAPH_CACHE.move_to_end(key)
-        while len(_DISTGRAPH_CACHE) > _DISTGRAPH_CACHE_SIZE:
-            _DISTGRAPH_CACHE.popitem(last=False)
-        count += 1
-    return count
 
 
 def resolve_distgraph(

@@ -186,8 +186,9 @@ class ProcessEngine(VectorEngine):
         """
         pool = self.pool
         proc = pool._procs[worker] if pool is not None else None
-        if pool is not None and pending:
-            for w in pending:
+        drain = pending if pool is not None and pending else ()
+        try:
+            for w in drain:
                 if w == worker:
                     continue
                 try:
@@ -195,11 +196,14 @@ class ProcessEngine(VectorEngine):
                         status, value = pool.recv(w)
                         if status == "ok":
                             shipping.discard(value)
-                except Exception:  # pragma: no cover - best-effort drain
+                except (EOFError, OSError):  # that worker's pipe broke too
                     pass
-        for wire in (in_flight or {}).values():
-            shipping.discard(wire)
-        self._release(discard=True)  # joins workers, populating the exit code
+        finally:
+            # A bug in the drain surfaces, but only after the pool and
+            # the shipments in flight are released.
+            for wire in (in_flight or {}).values():
+                shipping.discard(wire)
+            self._release(discard=True)  # joins workers, populating the exit code
         code = proc.exitcode if proc is not None else None
         raise ModelError(
             f"process engine worker {worker} died (exit code {code}); the pool "

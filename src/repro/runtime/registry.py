@@ -256,7 +256,7 @@ class RunReport:
     cached: bool = False
     #: Seconds from :func:`run` entry to the engine's first phase
     #: activity — the cold-start cost (dataset materialization,
-    #: placement sampling, shard construction or mmap'd snapshot load)
+    #: placement sampling and shard construction)
     #: paid before the algorithm's first superstep.  ``None`` when the
     #: run never touched the engine (cached reports) or the runner
     #: finished without a phase.

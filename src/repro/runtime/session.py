@@ -191,24 +191,15 @@ class Session:
                     self._datasets.popitem(last=False)
             return graph
 
-    def prewarm(self, dataset) -> int:
-        """Materialize a dataset and preload its on-disk shard snapshots.
+    def prewarm(self, dataset) -> None:
+        """Materialize a dataset ahead of its first request.
 
-        Beyond :meth:`materialize`, this loads every mmap'd shard
-        snapshot the graph cache holds for the dataset (one per
-        ``(k, partition)`` pair previously run) into the in-memory
-        distgraph LRU via
-        :func:`repro.kmachine.distgraph.warm_shard_snapshots`, so the
-        first request at a warmed ``k`` pays neither the graph load nor
-        the shard construction (on the substrate thread, like every
-        load).  Returns the number of snapshots loaded (0 when none
-        exist on disk).
+        The graph is loaded (or built and stored) on the substrate
+        thread, like every load, and kept resident.  Shards are not
+        prebuilt: each request draws its own placement, whose shards
+        its run builds and the in-memory distgraph LRU keeps.
         """
-        from repro.kmachine.distgraph import warm_shard_snapshots
-
-        return self._substrate.submit(
-            lambda: warm_shard_snapshots(self.materialize(dataset))
-        ).result()
+        self._substrate.submit(lambda: self.materialize(dataset)).result()
 
     def _probe_input(self, dataset):
         """What a result-cache probe needs of ``dataset``, without loading it.

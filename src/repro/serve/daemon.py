@@ -137,10 +137,9 @@ class ReproServer:
     result_cache / queue_limit / timeout / max_datasets:
         Forwarded to the owned :class:`Session`.
     prewarm:
-        Dataset specs to materialize before accepting traffic — and
-        whose on-disk shard snapshots are preloaded into the distgraph
-        LRU (:meth:`Session.prewarm`) — so the first request pays
-        neither the build/load nor the shard construction.
+        Dataset specs to materialize and keep resident before
+        accepting traffic (:meth:`Session.prewarm`), so the first
+        request on each pays no build or load.
     """
 
     def __init__(

@@ -49,21 +49,23 @@ limit).  Adapters over the legacy exact generators: ``chung-lu``,
 (chunked edge-text reader, SNAP downloads included; ``relabel=true``
 renumbers sparse ids densely).
 
-Cold start: shard snapshots
----------------------------
-* **Shard snapshots.**  Running an algorithm at machine count ``k``
-  materializes a :class:`~repro.kmachine.distgraph.DistributedGraph` —
-  per-machine CSR shards, partition arrays, neighbor-home maps.  That
-  work is deterministic given ``(dataset, k, partition)``, so
-  :func:`~repro.kmachine.distgraph.cached_distgraph` persists it as a
-  versioned sidecar next to the dataset's npz (one flat int64 blob +
-  JSON manifest, atomic tmp+rename, bytes counted toward the LRU cap)
-  and later processes load it back **mmap'd read-only**
-  (``np.load(mmap_mode="r")``) — pages fault in on demand, nothing is
-  parsed or copied, and a warm ``runtime.run`` reaches its first
-  superstep in well under a second where rebuilding shards took
-  seconds.  ``repro serve --prewarm SPEC`` preloads snapshots at
-  daemon start.
+Cold start
+----------
+* **Shards stay in memory.**  Running an algorithm at machine count
+  ``k`` wraps the graph and its partition in a
+  :class:`~repro.kmachine.distgraph.DistributedGraph` whose per-machine
+  views (hosted vertices, neighbor homes, home-grouped adjacency,
+  incidence tables) are built lazily from the CSR and shared only
+  through the in-memory :func:`~repro.kmachine.distgraph.cached_distgraph`
+  LRU; the npz and its metadata are all a run writes.  Earlier versions
+  also persisted each placement's shards as an mmap'd sidecar, but every
+  seed draws a fresh random vertex partition, so nearly every sidecar
+  was written and never read.  On ``rmat:n=1e6,avg_deg=16`` at ``k=8``
+  (2-CPU host) the run that wrote one paid 0.75 s to its first
+  superstep, +210 MiB peak RSS and 408 MB of disk (3x the CSR), while a
+  later process that found it reached its first superstep only ~0.07 s
+  sooner (0.14-0.16 s against 0.21-0.24 s).  ``repro serve --prewarm
+  SPEC`` materializes a dataset at daemon start.
 
 * **One builder per family.**  The sharded second copy of the builders
   and of SNAP parsing ran at 0.90-0.96x of serial on 2
@@ -98,7 +100,6 @@ from repro.workloads.spec import (
 )
 from repro.workloads.generators import register_builtin_workloads, rmat_graph
 from repro.workloads.io import (
-    SHARD_SNAPSHOT_VERSION,
     SnapshotMissingError,
     read_edge_list,
     read_npz,
@@ -135,7 +136,6 @@ __all__ = [
     "read_edge_list",
     "read_npz",
     "SnapshotMissingError",
-    "SHARD_SNAPSHOT_VERSION",
     "write_npz",
     "register_io_workloads",
     # cache

@@ -7,18 +7,15 @@ once::
 
     ~/.cache/repro/graphs/<hash>.npz    CSR snapshot (io.write_npz)
     ~/.cache/repro/graphs/<hash>.json   metadata sidecar (spec, n, m, ...)
-    ~/.cache/repro/graphs/<hash>.shards-k<k>-<digest>.npy   shard snapshot blob
-    ~/.cache/repro/graphs/<hash>.shards-k<k>-<digest>.json  shard manifest
 
-The ``.shards-*`` sidecars persist *derived* artifacts: the
-per-machine :class:`~repro.kmachine.DistributedGraph` arrays for one
-``(content key, k, partition)`` triple, in the flat mmap-friendly
-format of :func:`repro.workloads.io.write_shard_blob`.  A warm start
-maps them read-only instead of re-materializing shards from the CSR.
-They ride the parent entry's lifecycle: their bytes count toward the
-LRU cap under the parent's key, eviction removes them with the parent,
-and orphans (parent evicted by an older version of this code, or a
-crashed mid-commit writer) are swept by :meth:`GraphCache.enforce_cap`.
+Nothing derived from a placement is stored: per-machine shards live
+only in the in-memory LRU of
+:func:`repro.kmachine.distgraph.cached_distgraph`.  Earlier versions
+wrote ``<hash>.shards-k<k>-<digest>.{npy,json}`` shard-snapshot files
+here; they are never listed as entries, and the full pass of
+:meth:`GraphCache.enforce_cap`, :meth:`GraphCache.evict` and
+:meth:`GraphCache.clear` delete any they find, so no byte on disk
+escapes the cap for long.
 
 The root directory is ``$REPRO_DATA_DIR`` when set (the knob CI uses to
 persist the cache across runs), else ``$XDG_CACHE_HOME/repro``, else
@@ -43,7 +40,7 @@ Guarantees:
   (default 4 GiB); when a store pushes past the cap, least-recently-used
   entries are evicted (recency = snapshot mtime, bumped on every load).
   A store charges the bytes it wrote to a per-root running total; the
-  full pass (:meth:`GraphCache.enforce_cap`: both sweeps and the
+  full pass (:meth:`GraphCache.enforce_cap`: the sweep and the
   eviction scan) runs on a process's first store to a root, on the
   store that takes the total past the cap, and once
   :data:`RESCAN_SECONDS` have passed since the last one.  The directory
@@ -96,8 +93,7 @@ class _CacheCounters:
     make metrics polling O(cache size).
     """
 
-    __slots__ = ("hits", "misses", "builds", "stores", "evictions",
-                 "shard_hits", "shard_misses")
+    __slots__ = ("hits", "misses", "builds", "stores", "evictions")
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -121,9 +117,9 @@ DATA_DIR_ENV = "REPRO_DATA_DIR"
 CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 4 * 1024**3
 
-#: Filename infix marking a shard-snapshot sidecar of a cached graph:
-#: ``<key>.shards-k<k>-<digest>.{npy,json}``.
-SHARD_SIDECAR_MARK = ".shards-"
+#: Filename infix of the shard-snapshot files earlier versions wrote
+#: beside an entry (``<key>.shards-k<k>-<digest>.{npy,json}``).
+_LEGACY_SHARD_MARK = ".shards-"
 
 #: Seconds after which a store runs the full cap pass even though this
 #: process's total is under the cap (other processes write here too).
@@ -198,10 +194,6 @@ class GraphCache:
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.graphs_dir / f"{key}.npz", self.graphs_dir / f"{key}.json"
 
-    def _shard_paths(self, key: str, k: int, digest: str) -> tuple[Path, Path]:
-        stem = f"{key}{SHARD_SIDECAR_MARK}k{k}-{digest}"
-        return self.graphs_dir / f"{stem}.npy", self.graphs_dir / f"{stem}.json"
-
     # -- key resolution -------------------------------------------------
     def resolve_key(self, ref: "str | DatasetSpec") -> "str | None":
         """Resolve a spec or an abbreviated hash to a full content hash.
@@ -244,7 +236,7 @@ class GraphCache:
         except (OSError, ValueError):
             return None  # absent, half-written, or evicted mid-read
 
-    def _entry(self, key: str, shard_bytes: int) -> CacheEntry | None:
+    def _entry(self, key: str) -> CacheEntry | None:
         """``key``'s committed entry from its own two files, or ``None``."""
         npz, meta_path = self._paths(key)
         meta = self.read_meta(key)
@@ -257,7 +249,7 @@ class GraphCache:
                 n=int(meta["n"]),
                 m=int(meta["m"]),
                 directed=bool(meta["directed"]),
-                nbytes=stat.st_size + meta_path.stat().st_size + shard_bytes,
+                nbytes=stat.st_size + meta_path.stat().st_size,
                 last_used=stat.st_mtime,
                 path=npz,
             )
@@ -277,32 +269,24 @@ class GraphCache:
     def entries(self) -> list[CacheEntry]:
         """All committed entries, most recently used first.
 
-        ``nbytes`` is the entry's full footprint — snapshot, metadata
-        sidecar, *and* any shard-snapshot sidecars — so
-        :meth:`enforce_cap` bounds what the cache actually occupies on
-        disk.  One directory pass, whatever the number of sidecars.
-        Entries a concurrent process removes mid-scan are skipped,
-        never raised.
+        ``nbytes`` is the entry's full footprint — snapshot and
+        metadata sidecar — so :meth:`enforce_cap` bounds what the cache
+        actually occupies on disk.  Entries a concurrent process
+        removes mid-scan are skipped, never raised.
         """
         return self._entries(self._scan())
 
     def _entries(self, scan: "list[os.DirEntry]", only: str = "") -> list[CacheEntry]:
         """The entries a directory pass lists (just those named ``only...``)."""
         keys: list[str] = []
-        shard_bytes: dict[str, int] = {}
         for item in scan:
             if item.name.startswith(".") or not item.name.startswith(only):
                 continue  # a writer's temp file, or not the entry asked for
-            key, mark, _ = item.name.partition(SHARD_SIDECAR_MARK)
-            if mark:  # shard sidecars ride their parent entry
-                try:
-                    size = item.stat().st_size
-                except OSError:
-                    continue  # vanished mid-scan
-                shard_bytes[key] = shard_bytes.get(key, 0) + size
-            elif item.name.endswith(".json"):
+            if item.name.endswith(".json"):
+                # An earlier version's shard manifest has no npz beside
+                # it, so _entry skips it.
                 keys.append(item.name[:-len(".json")])
-        found = (self._entry(key, shard_bytes.get(key, 0)) for key in keys)
+        found = (self._entry(key) for key in keys)
         out = [entry for entry in found if entry is not None]
         out.sort(key=lambda e: e.last_used, reverse=True)
         return out
@@ -381,91 +365,6 @@ class GraphCache:
         self._charge(key, npz, meta)
         return npz
 
-    # -- shard snapshot sidecars ----------------------------------------
-    def store_shards(
-        self,
-        key: str,
-        k: int,
-        digest: str,
-        sections: dict,
-        meta: dict,
-    ) -> Path | None:
-        """Persist a shard snapshot sidecar for a *committed* entry.
-
-        Writes the flat blob + manifest atomically (blob replaced first;
-        the manifest is the commit marker, so a reader that sees the
-        manifest sees a complete blob).  Returns ``None`` without
-        writing when ``key`` has no committed parent entry — sidecars
-        never outlive (or predate) the graph they derive from.
-        """
-        _, graph_meta = self._paths(key)
-        if not graph_meta.exists():
-            return None
-        npy, manifest = self._shard_paths(key, k, digest)
-        self.graphs_dir.mkdir(parents=True, exist_ok=True)
-        writer = f"{os.getpid()}.{threading.get_ident()}"
-        tmp_npy = npy.with_name(f".{npy.name}.{writer}.tmp")
-        tmp_json = manifest.with_name(f".{manifest.name}.{writer}.tmp")
-        try:
-            _io.write_shard_blob(tmp_npy, tmp_json, sections, meta)
-            os.replace(tmp_npy, npy)
-            os.replace(tmp_json, manifest)
-        except FileNotFoundError:
-            # A concurrent stale-tmp sweep beat us to the rename.  The
-            # snapshot is best-effort; losing one write is a benign miss.
-            return None
-        finally:
-            tmp_npy.unlink(missing_ok=True)
-            tmp_json.unlink(missing_ok=True)
-        self._charge(key, npy, manifest)
-        return npy
-
-    def load_shards(self, key: str, k: int, digest: str):
-        """Map a committed shard sidecar read-only, or ``None`` on miss.
-
-        Returns ``(views, manifest)`` where ``views`` are the mmap'd
-        int64 section arrays.  Any vanished file (concurrent eviction)
-        or format-version mismatch is a plain miss; the caller
-        re-materializes shards from the CSR and re-stores.  A hit bumps
-        both the sidecar's and the parent snapshot's mtime so hot
-        entries stay at the front of the LRU.
-        """
-        npy, manifest_path = self._shard_paths(key, k, digest)
-        try:
-            manifest = _io.read_shard_manifest(manifest_path)
-            views = _io.map_shard_blob(npy, manifest)
-        except FileNotFoundError:
-            # SnapshotMissingError included: missing file, stale format
-            # version, or an eviction racing this load — all misses.
-            _COUNTERS.shard_misses += 1
-            return None
-        _COUNTERS.shard_hits += 1
-        for path in (npy, self._paths(key)[0]):
-            try:
-                os.utime(path, None)
-            except OSError:
-                pass
-        return views, manifest
-
-    def list_shards(self, key: str) -> list[tuple[int, str]]:
-        """Committed shard sidecars for ``key`` as ``(k, digest)`` pairs.
-
-        Parsed from manifest filenames only — no file is opened, so this
-        is safe to call while other processes store/evict concurrently.
-        """
-        out: list[tuple[int, str]] = []
-        pattern = f"{key}{SHARD_SIDECAR_MARK}*.json"
-        for manifest in sorted(self.graphs_dir.glob(pattern)):
-            stem = manifest.name.split(SHARD_SIDECAR_MARK, 1)[1][:-len(".json")]
-            if not stem.startswith("k") or "-" not in stem:
-                continue
-            k_text, digest = stem[1:].split("-", 1)
-            try:
-                out.append((int(k_text), digest))
-            except ValueError:
-                continue
-        return out
-
     #: Age (seconds) after which an orphaned temp file from a crashed
     #: writer is swept by :meth:`enforce_cap`.  Live writers finish (and
     #: unlink) their temp files in well under this.
@@ -496,17 +395,15 @@ class GraphCache:
         ``protect`` names a key never evicted (the entry just stored —
         a single dataset larger than the whole cap must still persist).
         Accounting covers each entry's full footprint (snapshot +
-        sidecar), and temp files abandoned by crashed writers are swept
-        once they are older than :attr:`STALE_TMP_SECONDS` — so nothing
-        the cache writes is invisible to the cap.  Entries a concurrent
+        sidecar), and what no entry owns is swept (:meth:`_sweep`) — so
+        nothing on disk is invisible to the cap.  Entries a concurrent
         process removes mid-pass are simply skipped.  Stores run this
         full pass only when due (:meth:`_charge`); it restarts the root's
         running total from what is on disk.  Returns the evicted keys.
         """
         with _FOOTPRINTS_LOCK:
-            scan = self._scan()  # one directory pass feeds both sweeps and the entries
-            self._sweep_stale_tmp(scan)
-            self._sweep_orphan_shards(scan)
+            scan = self._scan()  # one directory pass feeds the sweep and the entries
+            self._sweep(scan)
             entries = self._entries(scan)
             total = sum(e.nbytes for e in entries)
             evicted: list[str] = []
@@ -522,74 +419,51 @@ class GraphCache:
             _FOOTPRINTS[str(self.root)] = [total, _clock()]
         return evicted
 
-    def _sweep_stale_tmp(self, scan: "list[os.DirEntry]") -> None:
-        """Delete temp files old enough that their writer must be dead."""
+    def _sweep(self, scan: "list[os.DirEntry]") -> None:
+        """Delete the files no entry owns: temp files old enough that their
+        writer must be dead, and the shard-snapshot files earlier versions
+        wrote (a live writer's temp file is left to age)."""
         cutoff = time.time() - self.STALE_TMP_SECONDS
         for item in scan:
-            if item.name.startswith(".") and item.name.endswith(".tmp"):
-                try:
-                    if item.stat().st_mtime < cutoff:
-                        os.unlink(item.path)
-                except OSError:
-                    continue  # vanished mid-sweep (another process's sweep)
-
-    def _sweep_orphan_shards(self, scan: "list[os.DirEntry]") -> None:
-        """Delete shard sidecars whose parent entry (or commit) is gone.
-
-        Two flavors of orphan: a sidecar for an entry some other process
-        already evicted (its bytes would otherwise be invisible to the
-        cap), and a blob whose manifest never landed because its writer
-        crashed between the two commit renames — the latter only once it
-        is old enough that the writer must be dead.  A file the scan did
-        not list is looked for once more: it may have landed meanwhile.
-        """
-        cutoff = time.time() - self.STALE_TMP_SECONDS
-        names = {item.name for item in scan}
-
-        def missing(name: str) -> bool:
-            return name not in names and not (self.graphs_dir / name).exists()
-
-        for item in scan:
-            key, mark, _ = item.name.partition(SHARD_SIDECAR_MARK)
-            if not mark or item.name.startswith("."):
-                # Not a sidecar, or a live writer's tmp file (its name
-                # embeds the sidecar name); _sweep_stale_tmp owns those —
-                # deleting one here would race the commit rename.
-                continue
             try:
-                if missing(f"{key}.json") or (
-                        item.name.endswith(".npy")
-                        and missing(item.name[:-len(".npy")] + ".json")
-                        and item.stat().st_mtime < cutoff):
+                if item.name.startswith("."):
+                    if item.name.endswith(".tmp") and item.stat().st_mtime < cutoff:
+                        os.unlink(item.path)
+                elif _LEGACY_SHARD_MARK in item.name:
                     os.unlink(item.path)
             except OSError:
-                continue  # vanished mid-sweep
+                continue  # vanished mid-sweep (another process's sweep)
 
     # -- removal --------------------------------------------------------
     def _remove(self, key: str) -> None:
         npz, meta = self._paths(key)
         meta.unlink(missing_ok=True)  # sidecar first: no orphaned "commit"
-        for sidecar in self.graphs_dir.glob(f"{key}{SHARD_SIDECAR_MARK}*.json"):
-            sidecar.unlink(missing_ok=True)  # manifests first, same reason
-        for sidecar in self.graphs_dir.glob(f"{key}{SHARD_SIDECAR_MARK}*"):
-            sidecar.unlink(missing_ok=True)
         npz.unlink(missing_ok=True)
 
     def evict(self, ref: "str | DatasetSpec") -> bool:
-        """Remove one entry; returns whether anything was deleted."""
+        """Remove one entry (and any shard-snapshot files an earlier
+        version wrote beside it); returns whether the entry existed."""
         key = self.resolve_key(ref)
         if key is None:
             return False
         npz, meta = self._paths(key)
         existed = npz.exists() or meta.exists()
         self._remove(key)
+        for legacy in self.graphs_dir.glob(f"{key}{_LEGACY_SHARD_MARK}*"):
+            legacy.unlink(missing_ok=True)
         return existed
 
     def clear(self) -> int:
-        """Remove every entry; returns the number of entries deleted."""
-        entries = self.entries()
+        """Remove every entry; returns the number of entries deleted.
+
+        Earlier versions' shard-snapshot files go too, whether or not
+        their entry is still here.
+        """
+        scan = self._scan()
+        entries = self._entries(scan)
         for entry in entries:
             self._remove(entry.key)
+        self._sweep(scan)
         return len(entries)
 
     # -- the cached build path ------------------------------------------

@@ -18,15 +18,10 @@ fit, int64 otherwise — never a silent wrap) and are versioned; readers
 reject snapshots written by an incompatible future format instead of
 misinterpreting them.
 
-This module also owns the **shard snapshot** wire format: the derived
-per-machine :class:`~repro.kmachine.distgraph.DistributedGraph` arrays
-are flattened into one int64 ``.npy`` blob plus a JSON manifest naming
-each section's ``[offset, length]`` slice (:func:`write_shard_blob`,
-:func:`read_shard_manifest`, :func:`map_shard_blob`).  A flat ``.npy``
-(unlike npz members) can be mapped with ``np.load(mmap_mode="r")``, so
-warm starts fault pages in lazily and share them across processes
-through the OS page cache.  The cache layer owns paths and atomicity;
-this module owns only the bytes.
+The CSR snapshot is the only on-disk format: the per-machine shards of
+a :class:`~repro.kmachine.distgraph.DistributedGraph` are derived from
+it in memory, per placement, and never written.  The cache layer owns
+paths and atomicity; this module owns only the bytes.
 
 The edge-list reader is registered as the ``edgelist`` workload family
 (``edgelist:path=graph.tsv``, or
@@ -37,7 +32,6 @@ by an external file, so it rebuilds on every materialization.
 
 from __future__ import annotations
 
-import json
 import warnings
 from pathlib import Path
 
@@ -55,22 +49,12 @@ __all__ = [
     "read_edge_list",
     "read_npz",
     "write_npz",
-    "write_shard_blob",
-    "read_shard_manifest",
-    "map_shard_blob",
     "SNAPSHOT_VERSION",
-    "SHARD_SNAPSHOT_VERSION",
     "SnapshotMissingError",
 ]
 
 #: npz snapshot format version (see module docstring).
 SNAPSHOT_VERSION = 1
-
-#: Shard (DistributedGraph) snapshot format version.  Bump whenever the
-#: section layout or manifest schema changes; readers treat any other
-#: version as a miss-or-error, so stale sidecars are rebuilt, never
-#: misread.
-SHARD_SNAPSHOT_VERSION = 1
 
 
 class SnapshotMissingError(WorkloadError, FileNotFoundError):
@@ -242,116 +226,6 @@ def read_npz(path: "str | Path") -> Graph:
         raise SnapshotMissingError(f"snapshot not found: {path}") from exc
     except Exception as exc:
         raise WorkloadError(f"corrupt snapshot {path}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Shard snapshot wire format: one flat int64 .npy blob + JSON manifest.
-
-def write_shard_blob(
-    data_path: "str | Path",
-    manifest_path: "str | Path",
-    sections: "dict[str, np.ndarray]",
-    meta: dict,
-) -> int:
-    """Write named int64 sections as one flat ``.npy`` plus a manifest.
-
-    The blob is a single 1-D int64 ``.npy`` written incrementally
-    (header first, then each section's bytes — no concatenated copy of
-    a multi-hundred-MB snapshot).  The manifest records the format
-    version, a ``sections`` table of ``name -> [offset, length]``
-    slices into the blob, and the caller's ``meta`` identity fields.
-    Returns the total number of int64 words written.  Callers own
-    atomicity (tmp + rename) and path layout.
-    """
-    flats: list[tuple[str, np.ndarray]] = []
-    offset = 0
-    table: dict[str, list[int]] = {}
-    for name, arr in sections.items():
-        flat = np.ascontiguousarray(arr, dtype=np.int64).ravel()
-        table[name] = [offset, int(flat.size)]
-        offset += int(flat.size)
-        flats.append((name, flat))
-    header = {"descr": "<i8", "fortran_order": False, "shape": (offset,)}
-    with open(data_path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for _, flat in flats:
-            flat.tofile(fh)
-        fh.flush()
-    manifest = {
-        "version": SHARD_SNAPSHOT_VERSION,
-        "sections": table,
-        "words": offset,
-        **meta,
-    }
-    Path(manifest_path).write_text(json.dumps(manifest, sort_keys=True) + "\n")
-    return offset
-
-
-def read_shard_manifest(manifest_path: "str | Path") -> dict:
-    """Read and version-check a shard snapshot manifest.
-
-    Missing file -> :class:`SnapshotMissingError` (a plain cache miss —
-    a concurrent eviction may delete sidecars at any time).  A manifest
-    written by a *different* format version is also a miss, not an
-    error: the caller rebuilds and re-stores at the current version.
-    Corrupt JSON raises :class:`WorkloadError`.
-    """
-    manifest_path = Path(manifest_path)
-    try:
-        raw = manifest_path.read_text()
-    except FileNotFoundError as exc:
-        raise SnapshotMissingError(
-            f"shard manifest not found: {manifest_path}"
-        ) from exc
-    try:
-        manifest = json.loads(raw)
-        version = int(manifest["version"])
-        sections = manifest["sections"]
-        assert isinstance(sections, dict)
-    except Exception as exc:
-        raise WorkloadError(
-            f"corrupt shard manifest {manifest_path}: {exc}"
-        ) from exc
-    if version != SHARD_SNAPSHOT_VERSION:
-        raise SnapshotMissingError(
-            f"{manifest_path}: shard snapshot format v{version} != "
-            f"v{SHARD_SNAPSHOT_VERSION}; treating as a miss"
-        )
-    return manifest
-
-
-def map_shard_blob(
-    data_path: "str | Path", manifest: dict
-) -> "dict[str, np.ndarray]":
-    """Map a shard blob read-only; return per-section mmap'd views.
-
-    The views alias one ``np.load(mmap_mode="r")`` mapping: pages fault
-    in lazily on first touch, the OS page cache shares them across
-    processes, and writes raise (the arrays are genuinely read-only).
-    Missing blob -> :class:`SnapshotMissingError`; a blob whose shape
-    or dtype disagrees with the manifest -> :class:`WorkloadError`.
-    """
-    data_path = Path(data_path)
-    try:
-        blob = np.load(data_path, mmap_mode="r")
-    except FileNotFoundError as exc:
-        raise SnapshotMissingError(f"shard blob not found: {data_path}") from exc
-    except Exception as exc:
-        raise WorkloadError(f"corrupt shard blob {data_path}: {exc}") from exc
-    words = int(manifest.get("words", -1))
-    if blob.ndim != 1 or blob.dtype != np.int64 or blob.size != words:
-        raise WorkloadError(
-            f"corrupt shard blob {data_path}: expected {words} int64 words, "
-            f"got shape {blob.shape} dtype {blob.dtype}"
-        )
-    views: dict[str, np.ndarray] = {}
-    for name, (offset, length) in manifest["sections"].items():
-        if offset < 0 or length < 0 or offset + length > blob.size:
-            raise WorkloadError(
-                f"corrupt shard manifest section {name!r} for {data_path}"
-            )
-        views[name] = blob[offset:offset + length]
-    return views
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the DistributedGraph shard layer."""
+"""Unit tests for the DistributedGraph per-machine views."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.kmachine.distgraph import (
 )
 from repro.kmachine.parallel import SharedGraphStore, SharedGraphView
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
-from oracles import machine_items, out_neighbors
 
 
 def make_dg(n=12, k=3, seed=7, p=0.4):
@@ -253,43 +252,6 @@ class TestIncidence:
         finally:
             clear_distgraph_cache()
         assert len(seen) == 2 and seen[0] is seen[1]
-
-
-class TestShards:
-    def test_shard_covers_hosted_vertices(self):
-        g, part, dg = make_dg()
-        seen = []
-        for i in range(dg.k):
-            sh = dg.shard(i)
-            assert sh.machine == i
-            assert np.array_equal(sh.vertices, machine_items(part, i))
-            seen.extend(sh.vertices.tolist())
-            for row, v in enumerate(sh.vertices):
-                assert np.array_equal(sh.indices[sh.indptr[row] : sh.indptr[row + 1]],
-                                      out_neighbors(g, v))
-            assert np.array_equal(sh.degrees, g.out_degrees()[sh.vertices])
-            assert np.array_equal(sh.nbr_home, part.home[sh.indices])
-        assert sorted(seen) == list(range(g.n))
-
-    def test_shard_cached(self):
-        _, _, dg = make_dg()
-        assert dg.shard(0) is dg.shard(0)
-
-    def test_shard_rejects_bad_machine(self):
-        _, _, dg = make_dg()
-        with pytest.raises(PartitionError):
-            dg.shard(dg.k)
-
-    def test_shards_builds_all(self):
-        _, _, dg = make_dg()
-        assert len(dg.shards()) == dg.k
-
-    def test_empty_machine_shard(self):
-        g = Graph(n=3, edges=[(0, 1)])
-        part = VertexPartition(home=np.array([0, 0, 0]), k=2)
-        dg = DistributedGraph(g, part)
-        sh = dg.shard(1)
-        assert sh.vertices.size == 0 and sh.indices.size == 0
 
 
 class TestBatchHelpers:

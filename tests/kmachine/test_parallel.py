@@ -273,6 +273,25 @@ class TestWorkerCrashCleanup:
         shutdown_worker_pools()
         assert set(glob.glob("/dev/shm/psm_*")) - before == set()
 
+    def test_crash_drain_bug_surfaces_after_cleanup(self, distgraph, monkeypatch):
+        # The crash handler drains the surviving workers' replies; only a
+        # broken pipe may be swallowed there, never a programming error.
+        def broken_poll(pool, worker, timeout=0.0):
+            raise AttributeError("poll is broken")
+
+        cluster = _cluster(workers=2)
+        engine = cluster.engine
+        cluster.map_machines(_sum_local_degrees, distgraph, [0] * K)
+        segment = engine.pool.ensure_store(distgraph).key
+        monkeypatch.setattr(ppool.WorkerPool, "poll", broken_poll)
+        # Machine 0 lives on worker 0, so worker 1's reply is still pending.
+        with pytest.raises(AttributeError, match="poll is broken"):
+            cluster.map_machines(_crash_one, distgraph, [0] * K)
+        assert not pool_running(engine)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segment)
+        cluster.close()
+
 
 class TestEngineSelection:
     def test_cluster_process_engine_and_worker_cap(self):

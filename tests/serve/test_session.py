@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.runtime import Session
 from repro.serve import ResultStore
+from repro.workloads import parse_spec
 
 DATASET = "gnp:n=150,avg_deg=5,seed=3"
 
@@ -327,6 +328,19 @@ class TestDatasetResidency:
             for seed in (1, 2, 3):
                 session.materialize(f"gnp:n=100,avg_deg=4,seed={seed}")
             assert session.stats()["resident_datasets"] == 2
+
+    def test_session_prewarm_only_materializes(self, store, tmp_path):
+        from repro.kmachine import distgraph
+
+        distgraph.clear_distgraph_cache()
+        with Session(result_cache=store) as session:
+            assert session.prewarm(DATASET) is None
+            stats = session.stats()
+        assert stats["resident_datasets"] == 1 and stats["executed"] == 0
+        assert not distgraph._DISTGRAPH_CACHE, "no placement was built"
+        key = parse_spec(DATASET).content_hash()
+        stored = sorted(p.name for p in (tmp_path / "data" / "graphs").iterdir())
+        assert stored == [f"{key}.json", f"{key}.npz"]
 
     def test_close_drops_residency(self, store):
         session = Session(result_cache=store)

@@ -62,8 +62,6 @@ ALLOWLIST = {
                                                     "shipments in flight",
     "repro/obs/bounds.py::LedgerEntry.as_dict": "a /run reply for a run with over-budget "
                                                 "phases lists them",
-    "repro/workloads/cache.py::GraphCache._sweep_orphan_shards.<locals>.missing":
-        "a due cache sweep that finds a shard sidecar on disk",
     "repro/serve/results.py::ResultStore.close": "`repro serve --result-db PATH` closes its "
                                                  "own store at shutdown",
     # What only the benchmark harness and the long example call.
@@ -71,7 +69,7 @@ ALLOWLIST = {
     "repro/kmachine/metrics.py::Metrics.max_link_bits": "benchmarks/e2e/e2elib/ops.py::"
                                                         "sim_counts",
     "repro/kmachine/distgraph.py::clear_distgraph_cache": "benchmarks/e2e/e2elib/ops.py::"
-                                                          "distgraph_s, examples/quickstart.py",
+                                                          "distgraph_s",
     "repro/serve/results.py::ResultStore.rows": "benchmarks/e2e/e2elib/serve_mix.py",
     "repro/kmachine/parallel/pool.py::active_pools": "examples/quickstart.py (warm pools)",
     "repro/kmachine/parallel/pool.py::WorkerPool.pids": "examples/quickstart.py (warm pools)",
@@ -142,7 +140,7 @@ _SCAN = textwrap.dedent("""
         run_cli("run", "triangles", "--n", "60", "--trace", "trace.jsonl")
         run_cli("trace", "summarize", "trace.jsonl")
         run_cli("trace", "export", "trace.jsonl")
-        # Leaves a shard snapshot on disk for the daemon's prewarm to load.
+        # Leaves the dataset in the graph cache for the daemon's prewarm to load.
         run_cli("run", "triangles", "--dataset", dataset, "--k", "4", "--seed", "9")
         for spec in ("rmat:n=500,avg_deg=4,seed=1", "gnp:n=20001,avg_deg=1,seed=1",
                      "chung-lu:n=200,seed=1", "planted-triangles:n=60,triangles=5,noise_p=0.1",

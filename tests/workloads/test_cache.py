@@ -198,10 +198,6 @@ class TestFullPassOnlyWhenDue:
         cache = GraphCache(root=tmp_path)
         graphs = [cache.materialize(spec) for spec in self.SPECS[:3]]
         assert calls == [graphs[0].content_key], "only the root's first store"
-        for k in (2, 3, 4):
-            assert cache.store_shards(graphs[0].content_key, k, "feedfacef00d",
-                                      {"a": np.arange(8)}, {"k": k})
-        assert len(calls) == 1
         on_disk = sum(p.stat().st_size for p in cache.graphs_dir.iterdir())
         assert cache_mod._FOOTPRINTS[str(cache.root)][0] == on_disk
         # Another instance on the same root (default_cache() builds one
@@ -268,6 +264,24 @@ class TestFullPassOnlyWhenDue:
         assert cache.read_meta(key)["n"] == 500
         assert opened == [f"{key}.json"] * 2
         assert cache.read_meta("0" * 32) is None
+
+
+class TestEarlierVersionsShardFiles:
+    """Shard-snapshot files an earlier version wrote beside an entry."""
+
+    @pytest.mark.parametrize("remove", ["enforce_cap", "evict", "clear"])
+    def test_never_listed_and_removed(self, cache, remove):
+        key = cache.materialize(SPEC).content_key
+        planted = [cache.graphs_dir / f"{key}.shards-k4-deadbeef0123.{ext}"
+                   for ext in ("npy", "json")]
+        for path in planted:
+            path.write_text("{}")
+        (entry,) = cache.entries()
+        npz, meta = cache._paths(key)
+        assert entry.key == key
+        assert entry.nbytes == npz.stat().st_size + meta.stat().st_size
+        getattr(cache, remove)(*((SPEC,) if remove == "evict" else ()))
+        assert not any(path.exists() for path in planted)
 
 
 class TestAtomicity:

@@ -11,7 +11,6 @@ is bit-identical to a fresh build of its spec.
 import hashlib
 import multiprocessing as mp
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -162,84 +161,3 @@ def test_sidecar_bytes_count_toward_the_cap(tmp_path):
     sidecar_bytes = entry.path.with_suffix(".json").stat().st_size
     assert sidecar_bytes > 0
     assert entry.nbytes == npz_bytes + sidecar_bytes
-
-
-def test_shard_load_survives_eviction_mid_read(tmp_path, monkeypatch):
-    """A shard blob deleted between the manifest read and the mmap is a
-    miss (``load_shards`` returns None), never a FileNotFoundError."""
-    import repro.workloads.cache as cache_mod
-
-    cache = GraphCache(root=tmp_path / "cache")
-    graph = cache.materialize(SPECS[0])
-    sections = {"a": np.arange(5, dtype=np.int64)}
-    key = graph.content_key
-    assert cache.store_shards(key, 4, "deadbeef0123", sections, {"k": 4})
-    npy, _manifest = cache._shard_paths(key, 4, "deadbeef0123")
-
-    real_map = cache_mod._io.map_shard_blob
-    deleted = []
-
-    def vanishing_map(path, manifest):
-        if not deleted:
-            deleted.append(path)
-            Path(path).unlink()  # a concurrent enforce_cap got there first
-        return real_map(path, manifest)
-
-    monkeypatch.setattr(cache_mod._io, "map_shard_blob", vanishing_map)
-    assert cache.load_shards(key, 4, "deadbeef0123") is None
-    monkeypatch.undo()
-    # Re-store and load normally: the blob maps back bit-identical.
-    assert cache.store_shards(key, 4, "deadbeef0123", sections, {"k": 4})
-    views, manifest = cache.load_shards(key, 4, "deadbeef0123")
-    assert manifest["k"] == 4
-    assert np.array_equal(views["a"], sections["a"])
-
-
-def _shard_stress_worker(root, worker_id, iterations, queue):
-    """Churn shard sidecars on one root; report loads or the crash."""
-    try:
-        cache = GraphCache(root=root, max_bytes=200_000)
-        graph = cache.materialize(SPECS[0])
-        key = graph.content_key
-        sections = {"payload": np.arange(64, dtype=np.int64) * worker_id}
-        loads = 0
-        for i in range(iterations):
-            digest = f"d{(worker_id + i) % 3:011d}"
-            payload = np.arange(64, dtype=np.int64) * ((worker_id + i) % 3)
-            cache.store_shards(key, 4, digest, {"payload": payload},
-                               {"k": 4, "tag": (worker_id + i) % 3})
-            loaded = cache.load_shards(key, 4, digest)
-            if loaded is not None:
-                views, manifest = loaded
-                expect = np.arange(64, dtype=np.int64) * int(manifest["tag"])
-                assert np.array_equal(views["payload"], expect), "torn read"
-                loads += 1
-            if i % 3 == worker_id % 3:
-                cache.enforce_cap()
-            if i % 5 == worker_id % 5:
-                cache.evict(SPECS[0])
-                cache.materialize(SPECS[0])
-        queue.put(("ok", worker_id, loads))
-    except BaseException as exc:  # noqa: BLE001 - the assertion subject
-        queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-
-
-def test_concurrent_shard_sidecars_share_one_root(tmp_path):
-    """N processes store/load/evict shard sidecars concurrently: no crash
-    escapes and every successful load is internally consistent (the
-    manifest-is-commit-marker protocol forbids torn blob/manifest pairs)."""
-    root = str(tmp_path / "cache")
-    queue = mp.Queue()
-    workers = [
-        mp.Process(target=_shard_stress_worker, args=(root, wid, 10, queue))
-        for wid in range(4)
-    ]
-    for p in workers:
-        p.start()
-    results = [queue.get(timeout=120) for _ in workers]
-    for p in workers:
-        p.join(timeout=30)
-        assert p.exitcode == 0
-    failures = [r for r in results if r[0] == "error"]
-    assert failures == [], f"workers crashed: {failures}"
-    assert sum(r[2] for r in results) > 0, "no worker ever loaded a sidecar"

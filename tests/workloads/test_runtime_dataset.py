@@ -128,6 +128,12 @@ class TestCacheIntegration:
         other = random_vertex_partition(g1.n, 4, seed=4)
         assert cached_distgraph(g2, other) is not dg1
 
+    def test_a_miss_builds_no_view_up_front(self):
+        graph = materialize(SPEC)
+        dg = cached_distgraph(graph, random_vertex_partition(graph.n, 4, seed=3))
+        assert dg._parts is None and dg._nbr_home is None
+        assert dg._home_groups is None and dg._incidence is None
+
     def test_adhoc_graphs_still_key_on_identity(self):
         import repro
 
@@ -135,3 +141,28 @@ class TestCacheIntegration:
         twin = repro.gnp_random_graph(60, 0.1, seed=7)
         part = random_vertex_partition(60, 4, seed=3)
         assert cached_distgraph(g, part) is not cached_distgraph(twin, part)
+
+
+class TestOnlyTheCsrIsStored:
+    """A placement's shards stay in memory: a run writes the npz and its
+    metadata, nothing else."""
+
+    @staticmethod
+    def _stored(tmp_path) -> list[str]:
+        return sorted(p.name for p in (tmp_path / "data" / "graphs").iterdir())
+
+    def test_registry_run(self, tmp_path):
+        runtime.run("pagerank", dataset=SPEC, k=4, seed=SEED, engine="vector",
+                    result_cache=False)
+        key = spec_mod.parse_spec(SPEC).content_hash()
+        assert self._stored(tmp_path) == [f"{key}.json", f"{key}.npz"]
+
+    def test_session_miss(self, tmp_path):
+        from repro.runtime import Session
+
+        spec = FAMILY_SPECS[1]
+        with Session(result_cache=False) as session:
+            report = session.run("triangles", dataset=spec, k=4, seed=SEED)
+        assert not report.cached and report.distgraph is not None
+        key = spec_mod.parse_spec(spec).content_hash()
+        assert self._stored(tmp_path) == [f"{key}.json", f"{key}.npz"]
