@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro import runtime
 from repro.errors import PartitionError
 from repro.graphs.graph import Graph
+from repro.kmachine import distgraph as dg_mod
 from repro.kmachine.distgraph import (
     DistributedGraph,
     cached_distgraph,
     clear_distgraph_cache,
     group_neighbors_by_home,
+    resolve_distgraph,
 )
 from repro.kmachine.parallel import SharedGraphStore, SharedGraphView
 from repro.kmachine.partition import VertexPartition, random_vertex_partition
@@ -36,6 +38,14 @@ class TestConstruction:
         g, part, dg = make_dg()
         assert dg.n == g.n and dg.k == part.k
         assert dg.home is part.home
+
+    def test_machine_hosting_nothing_has_empty_views(self):
+        g = Graph(n=3, edges=[(0, 1)])
+        dg = DistributedGraph(g, VertexPartition(home=np.array([0, 0, 0]), k=2))
+        assert dg.parts[1].size == 0
+        assert [(e.size, o.size) for e, o in dg.incidence] == [(2, 2), (0, 0)]
+        assert [idx.size for idx in dg.edges_by_shipper()] == [1, 0]
+        assert dg.local_index.tolist() == [0, 1, 2]
 
 
 class TestCachedViews:
@@ -282,3 +292,87 @@ class TestBatchHelpers:
         groups = dg.edges_by_shipper(shipper)
         assert groups[0].size == g.m
         assert all(groups[i].size == 0 for i in range(1, dg.k))
+
+
+class TestResolveDistgraph:
+    @pytest.fixture(autouse=True)
+    def _clean_lru(self):
+        clear_distgraph_cache()
+        yield
+        clear_distgraph_cache()
+
+    def test_explicit_distgraph_wins_over_the_lru(self):
+        g, part, dg = make_dg()
+        cached = cached_distgraph(g, part)
+        assert cached is not dg
+        assert resolve_distgraph(g, part.k, None, distgraph=dg) is dg
+        assert resolve_distgraph(g, part.k, None, partition=part, distgraph=dg) is dg
+
+    def test_wrapped_partition_goes_through_the_lru(self):
+        g, part, _ = make_dg()
+        dg = resolve_distgraph(g, part.k, None, partition=part)
+        assert dg is cached_distgraph(g, part)
+        assert resolve_distgraph(g, part.k, None, partition=part) is dg
+
+    def test_sampled_placement_is_the_shared_rng_draw(self):
+        g, _, _ = make_dg(k=4)
+        dg = resolve_distgraph(g, 4, np.random.default_rng(9))
+        expected = random_vertex_partition(g.n, 4, seed=np.random.default_rng(9))
+        assert np.array_equal(dg.home, expected.home)
+
+    def test_distgraph_of_another_graph_rejected(self):
+        _, part, dg = make_dg()
+        other, _, _ = make_dg(seed=8)
+        with pytest.raises(PartitionError, match="different graph"):
+            resolve_distgraph(other, part.k, None, distgraph=dg)
+
+    def test_conflicting_partition_and_distgraph_rejected(self):
+        g, part, dg = make_dg()
+        twin = VertexPartition(home=part.home.copy(), k=part.k)
+        with pytest.raises(PartitionError, match="conflicting"):
+            resolve_distgraph(g, part.k, None, partition=twin, distgraph=dg)
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (13, 3)])
+    def test_partition_not_matching_graph_or_cluster_rejected(self, n, k):
+        g, _, _ = make_dg(n=12, k=3)
+        part = random_vertex_partition(n, k, seed=1)
+        with pytest.raises(PartitionError):
+            resolve_distgraph(g, 3, None, partition=part)
+
+
+class TestDistgraphLru:
+    @pytest.fixture(autouse=True)
+    def _clean_lru(self):
+        clear_distgraph_cache()
+        yield
+        clear_distgraph_cache()
+
+    @staticmethod
+    def _placements(g, count):
+        return [random_vertex_partition(g.n, 3, seed=s) for s in range(count)]
+
+    def test_holds_at_most_the_cap_dropping_the_oldest(self):
+        g, _, _ = make_dg()
+        cap = dg_mod._DISTGRAPH_CACHE_SIZE
+        parts = self._placements(g, cap + 1)
+        built = [cached_distgraph(g, p) for p in parts]
+        assert len(dg_mod._DISTGRAPH_CACHE) == cap
+        assert cached_distgraph(g, parts[-1]) is built[-1]
+        assert cached_distgraph(g, parts[0]) is not built[0]
+
+    def test_a_hit_refreshes_recency(self):
+        g, _, _ = make_dg()
+        cap = dg_mod._DISTGRAPH_CACHE_SIZE
+        parts = self._placements(g, cap + 1)
+        built = [cached_distgraph(g, p) for p in parts[:cap]]
+        assert cached_distgraph(g, parts[0]) is built[0]  # now most recent
+        cached_distgraph(g, parts[cap])
+        assert cached_distgraph(g, parts[0]) is built[0]
+        assert cached_distgraph(g, parts[1]) is not built[1]
+
+    def test_clear_drops_every_entry(self):
+        g, part, _ = make_dg()
+        dg = cached_distgraph(g, part)
+        clear_distgraph_cache()
+        assert not dg_mod._DISTGRAPH_CACHE
+        assert cached_distgraph(g, part) is not dg

@@ -134,6 +134,24 @@ class TestCacheIntegration:
         assert dg._parts is None and dg._nbr_home is None
         assert dg._home_groups is None and dg._incidence is None
 
+    def test_runs_on_a_shared_distgraph_match_a_fresh_build(self):
+        # The second run reuses the first run's distgraph, views built;
+        # after a clear the third builds its own.  A run that wrote into
+        # the shared views would make the reruns drift.
+        def run():
+            return runtime.run("pagerank", dataset=SPEC, k=4, seed=SEED,
+                               engine="vector", result_cache=False)
+
+        first, shared = run(), run()
+        assert shared.distgraph is first.distgraph
+        clear_distgraph_cache()
+        fresh = run()
+        assert fresh.distgraph is not first.distgraph
+        for other in (shared, fresh):
+            assert np.array_equal(other.result.estimates, first.result.estimates)
+            assert other.metrics.rounds == first.metrics.rounds
+            assert other.metrics.bits == first.metrics.bits
+
     def test_adhoc_graphs_still_key_on_identity(self):
         import repro
 
