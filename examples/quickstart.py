@@ -226,10 +226,10 @@ def main() -> None:
                 f"http://{handle.host}:{handle.port}/metrics"
             ) as reply:
                 metrics_text = reply.read().decode()
-            # The registry suffixes name collisions (session-2, ...), so
-            # match any session source rather than pinning the bare name.
+            # Sessions alive together share one series name, told apart
+            # by an instance="N" label.
             assert re.search(
-                r"^repro_session(_\d+)?_executed 1$", metrics_text, re.M
+                r'^repro_session_executed(\{instance="\d+"\})? 1$', metrics_text, re.M
             ), metrics_text
         print(f"\nServe daemon on 127.0.0.1:{handle.port} ({serve_dataset})")
         print(f"  first request (executes): {miss_s:.3f}s   "
@@ -309,8 +309,10 @@ def main() -> None:
                 with contextlib.suppress(ServeError):
                     client.run("no-such-algo", dataset=serve_dataset, k=8)
             with urllib.request.urlopen(f"http://{handle.host}:{handle.port}/metrics") as reply:
-                errors = re.findall(r"^repro_\w+_errors \S+$", reply.read().decode(), re.M)
-    assert re.search(r"^repro_session(_\d+)?_errors 4$", "\n".join(errors), re.M), errors
+                errors = re.findall(r"^repro_\w+_errors(?:\{[^}]*\})? \S+$",
+                                    reply.read().decode(), re.M)
+    session_errors = r'^repro_session_errors(\{instance="\d+"\})? 4$'
+    assert re.search(session_errors, "\n".join(errors), re.M), errors
     print("\nError storm on /metrics: " + ", ".join(errors))
 
 

@@ -24,9 +24,9 @@ sources and/or hash-random destinations, so Lemma 13 prices them at
    ``minimum`` scatter over edge ranks, which the driver maps back to
    edges.  MST gathers each row's rank in the (weight, index) order onto
    its machine once per run; the order needs no stable sort:
-   :func:`_rank_order` takes NumPy's default (unstable) sort and then
-   re-sorts by edge index only the positions that sit in runs of equal
-   weights, which gives the stable order exactly.  Connectivity passes
+   :func:`_rank_order` sorts one array of weight bit patterns with the
+   edge index packed into their low bits, then re-sorts only the few
+   positions whose weights differ below that cut.  Connectivity passes
    no weights: its unit weights make an edge's rank its id, so it sorts
    and gathers nothing.
 3. **Pointer jumping** — the merge forest ``c -> parent(c)`` (the other
@@ -75,33 +75,42 @@ from repro.core.mst.result import MSTResult
 __all__ = ["distributed_mst", "MSTResult"]
 
 _WEIGHT_BITS = 32
+#: Share of tied positions above which :func:`_rank_order` uses the stable argsort.
+_TIED_FALLBACK = 1 / 16
 
 
 def _rank_order(weights: np.ndarray) -> np.ndarray:
     """Edge ids in (weight, index) order: ``np.argsort(weights, kind="stable")``.
 
-    NumPy's default sort is several times faster than its stable one on
-    floats but orders equal weights arbitrarily.  Those ties sit in
-    contiguous runs of the sorted order; each run gets an id and the
-    tied positions alone are re-sorted by ``run * m + index``, which puts
-    every run back in index order without moving it.  ``-0.0`` and
-    ``0.0`` compare equal, so they form one run, as in the stable sort.
+    One in-place sort of ``uint64`` keys: each weight's order-preserving
+    bit pattern (``-0.0`` made ``0.0``; negatives with all bits flipped,
+    the rest with the top bit set) whose low ``(m - 1).bit_length()``
+    bits are replaced by the edge index.  Runs of equal truncated
+    patterns (equal weights, or weights that differ only in the cut-off
+    bits) are re-sorted by ``(weight, index)`` with one ``lexsort``;
+    past :data:`_TIED_FALLBACK` of ``m`` the stable argsort is no slower.
     """
-    order = np.argsort(weights)
-    m = order.size
-    ranked = weights[order]
-    tied = ranked[1:] == ranked[:-1]  # tied[i]: positions i and i+1 share a weight
+    m = weights.size
+    low = np.uint64((1 << (m - 1).bit_length()) - 1)
+    key = (weights + 0.0).view(np.uint64)
+    flip = -(key >> np.uint64(63))  # all ones for negatives, else zero
+    key ^= flip | np.uint64(1 << 63)
+    key &= ~low
+    key |= np.arange(m, dtype=np.uint64)
+    key.sort()
+    order = (key & low).view(np.intp)
+    key |= low
+    tied = key[1:] == key[:-1]  # tied[i]: positions i and i+1 share a pattern
     if not tied.any():
         return order
     in_run = np.zeros(m, dtype=bool)
     in_run[1:] = tied
     in_run[:-1] |= tied
     pos = np.flatnonzero(in_run)
-    starts = np.ones(pos.size, dtype=bool)
-    starts[1:] = ~tied[pos[1:] - 1]
-    key = (np.cumsum(starts) - 1) * m + order[pos]
-    key.sort()
-    order[pos] = key % m
+    if pos.size > _TIED_FALLBACK * m:
+        return np.argsort(weights, kind="stable")
+    ids = order[pos]
+    order[pos] = ids[np.lexsort((ids, weights[ids]))]
     return order
 
 
@@ -162,11 +171,6 @@ def _account(cluster: Cluster, src: np.ndarray, dst: np.ndarray, bits_per: int, 
     """
     msgs, local = unit_load_matrix(src, dst, cluster.k)
     cluster.account_phase(msgs * bits_per, msgs, label=label, local_messages=local)
-
-
-def _proxies(comp: np.ndarray, k: int) -> np.ndarray:
-    """The proxy machine ``hash(label) % k`` of each component label."""
-    return (stable_hash64_array(comp, salt=9) % np.uint64(k)).astype(np.int64)
 
 
 def _machine_labels(parts: list[np.ndarray], labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +234,8 @@ def boruvka_forest(
     vid = encoding.vertex_id_bits(max(2, n))
     edges = graph.edges
     labels = np.arange(n, dtype=np.int64)
+    # Labels are vertex ids: every flow gathers its proxies from one table.
+    proxy_of = (stable_hash64_array(labels, salt=9) % np.uint64(k)).astype(np.int64)
     chosen = np.zeros(m, dtype=bool)
     phases = 0
     handle = None
@@ -274,7 +280,7 @@ def boruvka_forest(
             _account(
                 cluster,
                 cand_machine,
-                _proxies(cand_comp, k),
+                proxy_of[cand_comp],
                 2 * vid + vid + _WEIGHT_BITS,
                 f"mst/candidates/{phases}",
             )
@@ -299,12 +305,12 @@ def boruvka_forest(
             pointer[comps] = par
             # Jump until fixpoint; each jump is a query+reply between the
             # proxies of c and parent(c).
-            proxies = _proxies(comps, k)
+            proxies = proxy_of[comps]
             while True:
                 parents_of_parents = pointer[par]
                 if np.array_equal(parents_of_parents, par):
                     break
-                parent_proxies = _proxies(par, k)
+                parent_proxies = proxy_of[par]
                 _account(cluster, proxies, parent_proxies, vid, f"mst/jump-query/{phases}")
                 _account(cluster, parent_proxies, proxies, vid, f"mst/jump-reply/{phases}")
                 par = parents_of_parents
@@ -312,7 +318,7 @@ def boruvka_forest(
 
             # ---- Flow 4: label refresh per (machine, component) pair. ----
             q_machine, q_comp = _machine_labels(dg.parts, labels)
-            q_proxy = _proxies(q_comp, k)
+            q_proxy = proxy_of[q_comp]
             _account(cluster, q_machine, q_proxy, vid, f"mst/label-query/{phases}")
             _account(cluster, q_proxy, q_machine, 2 * vid, f"mst/label-reply/{phases}")
 

@@ -39,6 +39,7 @@ class Graph:
         "indptr",
         "indices",
         "content_key",
+        "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable | np.ndarray = (), directed: bool = False) -> None:

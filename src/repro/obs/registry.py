@@ -7,7 +7,8 @@ stats callable under a short name at construction time; the daemon's
 ``GET /metrics`` endpoint collects them all and renders Prometheus text
 without the daemon knowing which components exist.  Sources are held by
 weak reference so registration never extends a component's lifetime —
-dead sources are pruned on every collect, and their names are recycled.
+dead sources are pruned on every collect.  Live sources sharing a name
+(two ``Session`` objects) export one series, labelled ``instance="N"``.
 
 :class:`MinuteRing` is the serve daemon's request time series: a bounded
 ring of per-minute buckets (requests by outcome plus latency quantiles
@@ -16,6 +17,7 @@ over a bounded reservoir of samples) served behind ``/status?history=1``.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import time
@@ -35,21 +37,22 @@ class ObsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: name -> weakref whose referent is a zero-arg callable
-        #: returning a flat-ish dict of stats.
-        self._sources: dict[str, weakref.ref] = {}
+        #: token -> (name, weakref whose referent is a zero-arg callable
+        #: returning a flat-ish dict of stats).
+        self._sources: dict[int, tuple[str, weakref.ref]] = {}
+        self._tokens = itertools.count()
 
     def _prune_locked(self) -> None:
-        dead = [name for name, ref in self._sources.items() if ref() is None]
-        for name in dead:
-            del self._sources[name]
+        dead = [token for token, (_, ref) in self._sources.items() if ref() is None]
+        for token in dead:
+            del self._sources[token]
 
-    def register(self, name: str, source: Callable[[], dict]) -> str:
-        """Register ``source`` under ``name`` (suffixed if taken).
+    def register(self, name: str, source: Callable[[], dict]) -> int:
+        """Register ``source`` under ``name`` (which other sources may share).
 
-        Returns the token (the actual name used) for :meth:`unregister`.
-        Bound methods are held via :class:`weakref.WeakMethod` so the
-        owning object stays collectable.
+        Returns the token for :meth:`unregister`.  Bound methods are held
+        via :class:`weakref.WeakMethod` so the owning object stays
+        collectable.
         """
         ref: weakref.ref
         if hasattr(source, "__self__"):
@@ -58,38 +61,37 @@ class ObsRegistry:
             ref = weakref.ref(source)
         with self._lock:
             self._prune_locked()
-            token = name
-            suffix = 2
-            while token in self._sources:
-                token = f"{name}-{suffix}"
-                suffix += 1
-            self._sources[token] = ref
+            token = next(self._tokens)
+            self._sources[token] = (name, ref)
         return token
 
-    def unregister(self, token: str) -> None:
+    def unregister(self, token: int) -> None:
         """Remove a source by its registration token (missing is a no-op)."""
         with self._lock:
             self._sources.pop(token, None)
 
-    def collect(self) -> dict[str, dict]:
+    def collect(self) -> "dict[str, dict | list[dict]]":
         """``{name: stats_dict}`` from every live source.
 
-        A source that raises contributes ``{"error": repr}`` instead of
-        poisoning the whole collection (metrics endpoints must not 500
-        because one component is mid-teardown).
+        A name live sources share maps to their stats in registration
+        order.  A source that raises contributes ``{"error": repr}``
+        instead of poisoning the whole collection (metrics endpoints must
+        not 500 because one component is mid-teardown).
         """
         with self._lock:
             self._prune_locked()
-            live = [(name, ref()) for name, ref in self._sources.items()]
-        out: dict[str, dict] = {}
+            live = [(name, ref()) for name, ref in self._sources.values()]
+        grouped: dict[str, list[dict]] = {}
         for name, source in live:
             if source is None:
                 continue
             try:
-                out[name] = dict(source())
+                stats = dict(source())
             except Exception as exc:  # pragma: no cover - teardown races
-                out[name] = {"error": repr(exc)}
-        return out
+                stats = {"error": repr(exc)}
+            grouped.setdefault(name, []).append(stats)
+        return {name: each[0] if len(each) == 1 else each
+                for name, each in grouped.items()}
 
 
 _GLOBAL = ObsRegistry()
@@ -107,27 +109,31 @@ def _metric_name(*parts: str) -> str:
     return _NAME_RE.sub("_", "_".join(p for p in parts if p))
 
 
-def render_prometheus(stats: dict[str, dict], prefix: str = "repro") -> str:
+def render_prometheus(stats: "dict[str, dict | list[dict]]", prefix: str = "repro") -> str:
     """Render nested stats dicts as Prometheus text exposition (v0.0.4).
 
     Numeric and boolean leaves become ``<prefix>_<source>_<path> value``
     lines; strings and other non-numeric leaves are skipped (Prometheus
-    samples are numbers).  Nesting flattens with ``_``.
+    samples are numbers).  Nesting flattens with ``_``.  A list of stats
+    dicts (instances, see :meth:`ObsRegistry.collect`) labels each sample
+    ``{instance="N"}`` from 1; a series' lines stay together.
     """
-    lines: list[str] = []
+    series: dict[str, list[str]] = {}
 
-    def walk(name: str, value: Any) -> None:
+    def walk(name: str, value: Any, label: str) -> None:
         if isinstance(value, bool):
-            lines.append(f"{name} {int(value)}")
-        elif isinstance(value, (int, float)):
-            lines.append(f"{name} {value}")
+            value = int(value)
+        if isinstance(value, (int, float)):
+            series.setdefault(name, []).append(f"{name}{label} {value}")
         elif isinstance(value, dict):
             for key in sorted(value, key=str):
-                walk(_metric_name(name, str(key)), value[key])
+                walk(_metric_name(name, str(key)), value[key], label)
 
     for source in sorted(stats):
-        walk(_metric_name(prefix, source), stats[source])
-    return "\n".join(lines) + "\n"
+        many = isinstance(stats[source], list)
+        for number, instance in enumerate(stats[source] if many else [stats[source]], 1):
+            walk(_metric_name(prefix, source), instance, f'{{instance="{number}"}}' if many else "")
+    return "\n".join(line for lines in series.values() for line in lines) + "\n"
 
 
 _RING_KINDS = ("hits", "executed", "errors", "rejected", "timeouts")

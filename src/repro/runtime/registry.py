@@ -378,8 +378,9 @@ def run(
         ``"rmat:n=1e6,avg_deg=16,seed=7"`` — resolved through the
         workload subsystem's content-addressed on-disk cache
         (:func:`repro.workloads.materialize`), so repeated runs load the
-        built CSR snapshot instead of regenerating, and the graph's
-        content key lets :func:`~repro.kmachine.distgraph.cached_distgraph`
+        built CSR snapshot instead of regenerating (or, while the
+        distgraph LRU holds the graph, get that object without a read),
+        and the graph's content key lets :func:`~repro.kmachine.distgraph.cached_distgraph`
         reuse materialized shards across reloads.  Graph families only.
     engine / workers / seed / bandwidth:
         Cluster construction knobs.  ``engine`` is a registered name

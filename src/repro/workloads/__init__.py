@@ -67,6 +67,11 @@ Cold start
   sooner (0.14-0.16 s against 0.21-0.24 s).  ``repro serve --prewarm
   SPEC`` materializes a dataset at daemon start.
 
+* **Resident graphs.**  A load of a dataset the process still holds (a
+  distgraph in that LRU, a ``Session``, the caller) returns that graph,
+  read-only, instead of re-reading the npz: ~7 ms of a ~95 ms mst +
+  connectivity pass on ``rmat:n=60000,avg_deg=16``.
+
 * **One builder per family.**  The sharded second copy of the builders
   and of SNAP parsing ran at 0.90-0.96x of serial on 2
   CPUs (0.67x on 1, ``benchmarks/results/C2_coldstart.txt``) and went in

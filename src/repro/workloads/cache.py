@@ -50,7 +50,11 @@ Guarantees:
   the spec hash in ``Graph.content_key``, which the in-memory shard LRU
   (:func:`repro.kmachine.distgraph.cached_distgraph`) uses to share
   materialized :class:`~repro.kmachine.DistributedGraph` shards across
-  reloads of the same dataset.
+  reloads of the same dataset;
+* **resident graphs** — while anything (that LRU, a ``Session``, the
+  caller) holds the graph a load or build-and-store handed out, a load
+  of its still-stored key returns it instead of re-reading the npz.  The
+  map holds graphs weakly; a shared graph's arrays are read-only.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +137,18 @@ RESCAN_SECONDS = 60.0
 _FOOTPRINTS: dict[str, list] = {}
 _FOOTPRINTS_LOCK = threading.RLock()
 _clock = time.monotonic
+
+#: content key -> the graph last handed out, while anything holds it.
+_RESIDENT: "weakref.WeakValueDictionary[str, Graph]" = weakref.WeakValueDictionary()
+
+
+def _make_resident(key: str, graph: Graph) -> Graph:
+    """Stamp ``graph`` with ``key``, freeze its arrays and register it."""
+    for array in (graph.indptr, graph.indices, graph.edges):
+        array.flags.writeable = False
+    graph.content_key = key
+    _RESIDENT[key] = graph
+    return graph
 
 
 def _default_root() -> Path:
@@ -313,19 +330,20 @@ class GraphCache:
         if not (npz.exists() and meta.exists()):
             _COUNTERS.misses += 1
             return None
-        try:
-            graph = _io.read_npz(npz)
-        except FileNotFoundError:
-            # A concurrent enforce_cap/evict deleted the snapshot between
-            # the existence check and the read: a plain miss, not an
-            # error — the caller rebuilds (and re-stores).
-            _COUNTERS.misses += 1
-            return None
+        graph = _RESIDENT.get(key)
+        if graph is None:
+            try:
+                graph = _make_resident(key, _io.read_npz(npz))
+            except FileNotFoundError:
+                # A concurrent enforce_cap/evict deleted the snapshot between
+                # the existence check and the read: a plain miss, not an
+                # error — the caller rebuilds (and re-stores).
+                _COUNTERS.misses += 1
+                return None
         try:
             os.utime(npz, None)  # bump LRU recency
         except OSError:
-            pass  # entry evicted after the read; the loaded graph is fine
-        graph.content_key = key
+            pass  # entry evicted after the check; the graph is fine
         _COUNTERS.hits += 1
         return graph
 
@@ -337,6 +355,7 @@ class GraphCache:
                 f"family {spec.family!r} is file-backed and not cacheable"
             )
         key = spec.content_hash()
+        _RESIDENT.pop(key, None)  # a later load returns what is stored here
         npz, meta = self._paths(key)
         self.graphs_dir.mkdir(parents=True, exist_ok=True)
         # Temp names are per-process *and* per-thread: two concurrent
@@ -487,6 +506,7 @@ class GraphCache:
         _COUNTERS.builds += 1
         if use_cache and spec.cacheable:
             self.store(spec, graph)
+            _make_resident(graph.content_key, graph)
         return graph
 
 

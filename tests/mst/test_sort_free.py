@@ -32,12 +32,50 @@ def _assert_stable_order(weights: np.ndarray) -> None:
     assert np.array_equal(got, np.argsort(weights, kind="stable"))
 
 
+def _float_chain(start: float, count: int) -> np.ndarray:
+    """``count`` neighbouring floats from ``start`` up: the chain that
+    repeated ``np.nextafter(w, np.inf)`` walks for a positive ``start``."""
+    return (np.array(start).view(np.int64) + np.arange(count)).view(np.float64)
+
+
+def _mixed_magnitudes(rng, m: int, special_share: float) -> np.ndarray:
+    """Signed weights over 600 decades, some replaced by zeros of both
+    signs, subnormals and the extremes."""
+    weights = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+    special = np.array([-1e300, -5e-324, -1e-310, -0.0, 0.0, 5e-324, 1e-310, 1e300])
+    swap = rng.random(m) < special_share
+    weights[swap] = rng.choice(special, int(swap.sum()))
+    return weights
+
+
 @st.composite
 def generated_weights(draw):
-    """Arrays long enough that NumPy's default sort really is unstable."""
-    m = draw(st.integers(0, 5000))
+    """Arrays long enough that NumPy's default sort really is unstable.
+
+    Sizes include ``2**j`` and ``2**j + 1``, where the index bits packed
+    into :func:`_rank_order`'s keys change width.  The ``below-cut`` and
+    ``one-bucket`` kinds hold weights that differ only in the bits the
+    packing cuts off, which the tie re-sort or the stable fallback must
+    order; ``mixed`` spans signs, both zeros, subnormals and extremes.
+    """
+    j = draw(st.integers(0, 12))
+    m = draw(st.sampled_from([2**j, 2**j + 1, draw(st.integers(0, 5000))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["three", "equal", "zeros", "random", "runs"]))
+    kind = draw(st.sampled_from(["three", "equal", "zeros", "random", "runs",
+                                 "below-cut", "one-bucket", "mixed"]))
+    if kind == "below-cut":
+        # Mostly distinct weights, a few of them next to another one.
+        start = draw(st.sampled_from([1.0, 1e-300]))
+        weights = rng.choice(_float_chain(start, 64 * m + 1), size=m, replace=False)
+        near = np.flatnonzero(rng.random(m) < 0.02)
+        weights[near] = np.nextafter(weights[near - 1], np.inf)
+        return weights
+    if kind == "one-bucket":
+        # Distinct neighbours sharing one truncated pattern: every
+        # position ties, so the stable fallback orders them.
+        return rng.permutation(_float_chain(1.0, m))
+    if kind == "mixed":
+        return _mixed_magnitudes(rng, m, draw(st.sampled_from([0.02, 0.5])))
     if kind == "three":
         return rng.choice([0.5, 1.0, 2.0], size=m)
     if kind == "equal":
@@ -76,6 +114,23 @@ def test_rank_order_on_arbitrary_floats(weights):
 @given(weights=generated_weights())
 @settings(max_examples=60, deadline=None)
 def test_rank_order_on_long_arrays(weights):
+    _assert_stable_order(weights)
+
+
+@pytest.mark.parametrize("fallback", [0.0, 1.0], ids=["stable-argsort", "tie-re-sort"])
+@pytest.mark.parametrize("kind", ["below-cut", "one-bucket", "mixed"])
+def test_rank_order_branches_agree(monkeypatch, fallback, kind):
+    # Force each way of ordering tied positions on inputs that tie.
+    monkeypatch.setattr(distributed, "_TIED_FALLBACK", fallback)
+    rng = np.random.default_rng(5)
+    if kind == "below-cut":
+        weights = np.concatenate([_float_chain(1.0, 300), _float_chain(1e-300, 300),
+                                  np.full(40, 1.0)])
+        weights = rng.permutation(weights)
+    elif kind == "one-bucket":
+        weights = rng.permutation(_float_chain(1.0, 1024))
+    else:
+        weights = _mixed_magnitudes(rng, 4097, 0.3)
     _assert_stable_order(weights)
 
 

@@ -23,12 +23,11 @@ class TestObsRegistry:
             return {"hits": 3}
 
         token = reg.register("store", stats)
-        assert token == "store"
         assert reg.collect() == {"store": {"hits": 3}}
         reg.unregister(token)
         assert reg.collect() == {}
 
-    def test_name_collision_gets_suffixed(self):
+    def test_shared_name_collects_every_instance(self):
         reg = ObsRegistry()
 
         def a():
@@ -37,9 +36,31 @@ class TestObsRegistry:
         def b():
             return {"x": 2}
 
-        assert reg.register("s", a) == "s"
-        assert reg.register("s", b) == "s-2"
-        assert reg.collect() == {"s": {"x": 1}, "s-2": {"x": 2}}
+        token_a = reg.register("s", a)
+        token_b = reg.register("s", b)
+        assert token_a != token_b
+        assert reg.collect() == {"s": [{"x": 1}, {"x": 2}]}
+        reg.unregister(token_a)
+        assert reg.collect() == {"s": {"x": 2}}
+
+    def test_two_live_sessions_share_one_series_name(self):
+        from repro.graphs import gnp_random_graph
+        from repro.runtime import Session
+
+        with Session(result_cache=None) as first, Session(result_cache=None) as second:
+            first.run("connectivity", gnp_random_graph(30, 0.2, seed=1), k=4, seed=1)
+            text = render_prometheus(obs_registry().collect())
+        assert "repro_session_2_" not in text
+        executed = [line for line in text.splitlines()
+                    if line.startswith("repro_session_executed")]
+        labels = [line.split()[0].removeprefix("repro_session_executed")
+                  for line in executed]
+        assert len(executed) >= 2 and len(set(labels)) == len(labels)
+        assert all(label.startswith('{instance="') for label in labels)
+        # The run shows under one instance; series lines stay together.
+        assert sorted(line.split()[1] for line in executed)[-1] == "1"
+        first_at = text.splitlines().index(executed[0])
+        assert text.splitlines()[first_at:first_at + len(executed)] == executed
 
     def test_sources_are_weak(self):
         reg = ObsRegistry()
@@ -96,6 +117,13 @@ class TestRenderPrometheus:
         assert "repro_store_closed 0" in text
         assert "/tmp/x" not in text
         assert text.endswith("\n")
+
+    def test_instances_are_labelled(self):
+        text = render_prometheus({"session": [{"errors": 4}, {"errors": 0}],
+                                  "store": {"hits": 1}})
+        assert text == ('repro_session_errors{instance="1"} 4\n'
+                        'repro_session_errors{instance="2"} 0\n'
+                        "repro_store_hits 1\n")
 
     def test_sanitizes_names(self):
         text = render_prometheus({"result-store": {"latency p50.s": 1}})

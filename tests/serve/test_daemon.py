@@ -496,11 +496,20 @@ class TestLifecycle:
 
 
 def _metrics(client) -> dict[str, float]:
-    """``GET /metrics`` parsed into ``{series: value}``."""
+    """``GET /metrics`` parsed into ``{series: value}``.
+
+    Sources alive together under one name (a store another test has not
+    released yet) are ``instance``-labelled samples of one series: they
+    are summed, since only this daemon's counters move.
+    """
     url = f"http://{client.host}:{client.port}/metrics"
     with urllib.request.urlopen(url, timeout=30) as reply:
         lines = reply.read().decode().splitlines()
-    return {name: float(value) for name, value in (line.split() for line in lines)}
+    out: dict[str, float] = {}
+    for sample, value in (line.split() for line in lines):
+        name = sample.partition("{")[0]
+        out[name] = out.get(name, 0.0) + float(value)
+    return out
 
 
 class TestMetricsSurface:

@@ -84,7 +84,7 @@ THEORY_MODULES = ("repro/info/", "repro/core/lowerbounds/")
 EXAMPLES = ("lower_bound_cookbook.py", "network_infrastructure.py", "social_triangles.py")
 
 _SCAN = textwrap.dedent("""
-    import contextlib, importlib.util, io, json, os, runpy, sys, threading, urllib.request
+    import contextlib, gc, importlib.util, io, json, os, runpy, sys, threading, urllib.request
 
     seen = set()
 
@@ -116,6 +116,7 @@ _SCAN = textwrap.dedent("""
 
     from repro import runtime
     from repro.cli import main as cli
+    from repro.kmachine.distgraph import clear_distgraph_cache
     from repro.serve import ReproServer, ServeClient
 
     src, out, repo = sys.argv[1:4]
@@ -151,6 +152,10 @@ _SCAN = textwrap.dedent("""
         run_cli("data", "info", dataset)
         run_cli("lowerbounds", "--n", "1000", "--k", "8")
 
+        # A daemon starts in a process of its own: release the graphs the
+        # runs above still hold, so its prewarm reads the cached npz.
+        clear_distgraph_cache()
+        gc.collect()
         server = ReproServer(port=0, prewarm=[dataset])
         with server.start_in_thread() as daemon, ServeClient(daemon.host, daemon.port) as client:
             client.wait_until_ready()

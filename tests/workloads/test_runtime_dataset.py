@@ -9,15 +9,20 @@ time at full size are the harness's ``workloads.build_s`` /
 ``workloads.load_s`` in ``benchmarks/e2e``).
 """
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
+import repro.workloads.io as io_mod
 import repro.workloads.spec as spec_mod
 from repro import runtime
 from repro.errors import AlgorithmError
 from repro.kmachine.distgraph import cached_distgraph, clear_distgraph_cache
 from repro.kmachine.partition import random_vertex_partition
-from repro.workloads import DATA_DIR_ENV, materialize
+from repro.workloads import DATA_DIR_ENV, default_cache, materialize
+from repro.workloads.cache import cache_stats
 
 ENGINES = ("message", "vector", "process")
 SPEC = "rmat:n=5000,avg_deg=8,seed=7"
@@ -110,8 +115,8 @@ class TestCacheIntegration:
         assert r1.metrics.bits == r2.metrics.bits
 
     def test_reloaded_dataset_reuses_materialized_shards(self):
-        # Two runs, two distinct Graph objects (second is loaded from
-        # disk) — but one shared DistributedGraph, keyed by content hash.
+        # Two runs of one dataset share one DistributedGraph, keyed by
+        # content hash.
         r1 = runtime.run("triangles", dataset=SPEC, k=4, seed=SEED, engine="vector")
         r2 = runtime.run("triangles", dataset=SPEC, k=4, seed=SEED, engine="vector")
         assert r1.distgraph is not None
@@ -119,7 +124,7 @@ class TestCacheIntegration:
 
     def test_content_key_shard_reuse_is_placement_exact(self):
         g1 = materialize(SPEC)
-        g2 = materialize(SPEC)
+        g2 = materialize(SPEC, use_cache=False)  # a second object, same content
         assert g1 is not g2 and g1.content_key == g2.content_key
         part = random_vertex_partition(g1.n, 4, seed=3)
         dg1 = cached_distgraph(g1, part)
@@ -184,3 +189,99 @@ class TestOnlyTheCsrIsStored:
         assert not report.cached and report.distgraph is not None
         key = spec_mod.parse_spec(spec).content_hash()
         assert self._stored(tmp_path) == [f"{key}.json", f"{key}.npz"]
+
+
+def _release_graphs() -> None:
+    """Drop what the process holds of earlier loads (the distgraph LRU)."""
+    clear_distgraph_cache()
+    gc.collect()
+
+
+@pytest.fixture
+def reads(monkeypatch) -> list:
+    """The npz paths the graph cache reads, in order."""
+    calls = []
+    real = io_mod.read_npz
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(io_mod, "read_npz", counted)
+    return calls
+
+
+class TestResidentGraphs:
+    """A dataset graph the process still holds is handed out again
+    instead of being re-read from its npz."""
+
+    def test_two_runs_read_the_npz_once(self, reads):
+        materialize(SPEC)  # build and store; nothing holds the graph after
+        _release_graphs()
+        first = runtime.run("mst", dataset=SPEC, k=4, seed=SEED, result_cache=False)
+        second = runtime.run("mst", dataset=SPEC, k=4, seed=SEED + 1, result_cache=False)
+        assert len(reads) == 1
+        assert second.distgraph.graph is first.distgraph.graph
+        assert first.distgraph is not second.distgraph  # other seed, other placement
+
+    def test_a_released_graph_is_read_again(self, reads):
+        built = materialize(SPEC)
+        assert materialize(SPEC) is built and not reads
+        del built
+        _release_graphs()
+        reloaded = materialize(SPEC)
+        assert len(reads) == 1 and reloaded.content_key is not None
+
+    @pytest.mark.parametrize("remove", ["evict", "clear"])
+    def test_a_removed_entry_is_a_miss_and_rebuilds(self, reads, monkeypatch, remove):
+        held = materialize(SPEC)
+        cache = default_cache()
+        cache.evict(SPEC) if remove == "evict" else cache.clear()
+        builds = []
+        real = spec_mod.build_dataset
+        monkeypatch.setattr(spec_mod, "build_dataset",
+                            lambda spec: builds.append(spec) or real(spec))
+        assert cache.load(SPEC) is None
+        rebuilt = materialize(SPEC)
+        assert len(builds) == 1 and rebuilt is not held and cache.has(SPEC)
+        assert materialize(SPEC) is rebuilt and not reads
+        assert np.array_equal(rebuilt.edges, held.edges)
+
+    def test_a_memory_hit_bumps_recency_and_counts(self, reads):
+        graph = materialize(SPEC)
+        npz = default_cache().info(SPEC).path
+        os.utime(npz, (1, 1))
+        hits = cache_stats()["hits"]
+        assert materialize(SPEC) is graph and not reads
+        assert npz.stat().st_mtime > 1
+        assert cache_stats()["hits"] == hits + 1
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_handed_out_arrays_are_read_only(self, reads, source):
+        graph = materialize(SPEC)
+        if source == "loaded":
+            del graph
+            _release_graphs()
+            graph = materialize(SPEC)
+            assert len(reads) == 1
+        for array in (graph.indptr, graph.indices, graph.edges):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_an_uncached_build_stays_writable(self):
+        graph = materialize(SPEC, use_cache=False)
+        graph.indices[0] = graph.indices[0]
+
+    @pytest.mark.parametrize("algo", [
+        name for name in runtime.available()
+        if runtime.registry.get_spec(name).input_kind == "graph"
+    ])
+    def test_every_family_runs_on_a_loaded_graph(self, reads, algo):
+        spec = "gnp:n=60,avg_deg=6,seed=2"
+        materialize(spec)
+        _release_graphs()
+        graph = materialize(spec)
+        assert len(reads) == 1 and not graph.indices.flags.writeable
+        report = runtime.run(algo, dataset=spec, k=4, seed=SEED, result_cache=False)
+        checks = runtime.registry.get_spec(algo).check(graph, report)
+        assert checks and all(ok for _, _, ok in checks), checks
