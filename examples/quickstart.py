@@ -226,10 +226,10 @@ def main() -> None:
                 f"http://{handle.host}:{handle.port}/metrics"
             ) as reply:
                 metrics_text = reply.read().decode()
-            # Sessions alive together share one series name, told apart
-            # by an instance="N" label.
+            # Every registered source labels its samples with its own
+            # token, so sessions alive together share one series name.
             assert re.search(
-                r'^repro_session_executed(\{instance="\d+"\})? 1$', metrics_text, re.M
+                r'^repro_session_executed\{source="\d+"\} 1$', metrics_text, re.M
             ), metrics_text
         print(f"\nServe daemon on 127.0.0.1:{handle.port} ({serve_dataset})")
         print(f"  first request (executes): {miss_s:.3f}s   "
@@ -311,7 +311,7 @@ def main() -> None:
             with urllib.request.urlopen(f"http://{handle.host}:{handle.port}/metrics") as reply:
                 errors = re.findall(r"^repro_\w+_errors(?:\{[^}]*\})? \S+$",
                                     reply.read().decode(), re.M)
-    session_errors = r'^repro_session_errors(\{instance="\d+"\})? 4$'
+    session_errors = r'^repro_session_errors\{source="\d+"\} 4$'
     assert re.search(session_errors, "\n".join(errors), re.M), errors
     print("\nError storm on /metrics: " + ", ".join(errors))
 

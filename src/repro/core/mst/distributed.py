@@ -75,8 +75,6 @@ from repro.core.mst.result import MSTResult
 __all__ = ["distributed_mst", "MSTResult"]
 
 _WEIGHT_BITS = 32
-#: Share of tied positions above which :func:`_rank_order` uses the stable argsort.
-_TIED_FALLBACK = 1 / 16
 
 
 def _rank_order(weights: np.ndarray) -> np.ndarray:
@@ -87,8 +85,9 @@ def _rank_order(weights: np.ndarray) -> np.ndarray:
     the rest with the top bit set) whose low ``(m - 1).bit_length()``
     bits are replaced by the edge index.  Runs of equal truncated
     patterns (equal weights, or weights that differ only in the cut-off
-    bits) are re-sorted by ``(weight, index)`` with one ``lexsort``;
-    past :data:`_TIED_FALLBACK` of ``m`` the stable argsort is no slower.
+    bits) come out in index order; one stable argsort of their weights,
+    which are sorted already unless they differ below the cut, puts the
+    runs in ``(weight, index)`` order.
     """
     m = weights.size
     low = np.uint64((1 << (m - 1).bit_length()) - 1)
@@ -107,10 +106,8 @@ def _rank_order(weights: np.ndarray) -> np.ndarray:
     in_run[1:] = tied
     in_run[:-1] |= tied
     pos = np.flatnonzero(in_run)
-    if pos.size > _TIED_FALLBACK * m:
-        return np.argsort(weights, kind="stable")
     ids = order[pos]
-    order[pos] = ids[np.lexsort((ids, weights[ids]))]
+    order[pos] = ids[np.argsort(weights[ids], kind="stable")]
     return order
 
 

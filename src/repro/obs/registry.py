@@ -7,8 +7,10 @@ stats callable under a short name at construction time; the daemon's
 ``GET /metrics`` endpoint collects them all and renders Prometheus text
 without the daemon knowing which components exist.  Sources are held by
 weak reference so registration never extends a component's lifetime —
-dead sources are pruned on every collect.  Live sources sharing a name
-(two ``Session`` objects) export one series, labelled ``instance="N"``.
+dead sources are pruned on every collect.  Each source's samples carry
+its registration token as a ``source`` label, so sources sharing a name
+(two ``Session`` objects) export one series whose members keep their
+labels for as long as they live.
 
 :class:`MinuteRing` is the serve daemon's request time series: a bounded
 ring of per-minute buckets (requests by outcome plus latency quantiles
@@ -40,7 +42,7 @@ class ObsRegistry:
         #: token -> (name, weakref whose referent is a zero-arg callable
         #: returning a flat-ish dict of stats).
         self._sources: dict[int, tuple[str, weakref.ref]] = {}
-        self._tokens = itertools.count()
+        self._tokens = itertools.count(1)
 
     def _prune_locked(self) -> None:
         dead = [token for token, (_, ref) in self._sources.items() if ref() is None]
@@ -70,28 +72,26 @@ class ObsRegistry:
         with self._lock:
             self._sources.pop(token, None)
 
-    def collect(self) -> "dict[str, dict | list[dict]]":
-        """``{name: stats_dict}`` from every live source.
+    def collect(self) -> dict[str, dict[int, dict]]:
+        """``{name: {token: stats_dict}}`` from every live source.
 
-        A name live sources share maps to their stats in registration
-        order.  A source that raises contributes ``{"error": repr}``
-        instead of poisoning the whole collection (metrics endpoints must
-        not 500 because one component is mid-teardown).
+        A source that raises contributes ``{"error": repr}`` instead of
+        poisoning the whole collection (metrics endpoints must not 500
+        because one component is mid-teardown).
         """
         with self._lock:
             self._prune_locked()
-            live = [(name, ref()) for name, ref in self._sources.values()]
-        grouped: dict[str, list[dict]] = {}
-        for name, source in live:
+            live = [(token, name, ref()) for token, (name, ref) in self._sources.items()]
+        out: dict[str, dict[int, dict]] = {}
+        for token, name, source in live:
             if source is None:
                 continue
             try:
                 stats = dict(source())
             except Exception as exc:  # pragma: no cover - teardown races
                 stats = {"error": repr(exc)}
-            grouped.setdefault(name, []).append(stats)
-        return {name: each[0] if len(each) == 1 else each
-                for name, each in grouped.items()}
+            out.setdefault(name, {})[token] = stats
+        return out
 
 
 _GLOBAL = ObsRegistry()
@@ -109,14 +109,15 @@ def _metric_name(*parts: str) -> str:
     return _NAME_RE.sub("_", "_".join(p for p in parts if p))
 
 
-def render_prometheus(stats: "dict[str, dict | list[dict]]", prefix: str = "repro") -> str:
+def render_prometheus(stats: dict[str, dict], prefix: str = "repro",
+                      sources: dict[str, dict[int, dict]] | None = None) -> str:
     """Render nested stats dicts as Prometheus text exposition (v0.0.4).
 
-    Numeric and boolean leaves become ``<prefix>_<source>_<path> value``
+    Numeric and boolean leaves become ``<prefix>_<name>_<path> value``
     lines; strings and other non-numeric leaves are skipped (Prometheus
-    samples are numbers).  Nesting flattens with ``_``.  A list of stats
-    dicts (instances, see :meth:`ObsRegistry.collect`) labels each sample
-    ``{instance="N"}`` from 1; a series' lines stay together.
+    samples are numbers).  Nesting flattens with ``_``.  ``sources``
+    (:meth:`ObsRegistry.collect`) render the same way with each sample
+    labelled ``{source="<token>"}``; a series' lines stay together.
     """
     series: dict[str, list[str]] = {}
 
@@ -129,10 +130,11 @@ def render_prometheus(stats: "dict[str, dict | list[dict]]", prefix: str = "repr
             for key in sorted(value, key=str):
                 walk(_metric_name(name, str(key)), value[key], label)
 
-    for source in sorted(stats):
-        many = isinstance(stats[source], list)
-        for number, instance in enumerate(stats[source] if many else [stats[source]], 1):
-            walk(_metric_name(prefix, source), instance, f'{{instance="{number}"}}' if many else "")
+    entries = [(name, "", value) for name, value in stats.items()]
+    for name, by_token in (sources or {}).items():
+        entries += [(name, f'{{source="{token}"}}', by_token[token]) for token in sorted(by_token)]
+    for name, label, value in sorted(entries, key=lambda entry: entry[0]):
+        walk(_metric_name(prefix, name), value, label)
     return "\n".join(line for lines in series.values() for line in lines) + "\n"
 
 

@@ -28,7 +28,7 @@ that merely stays connected.
     Prometheus text exposition: server counters, the current minute's
     telemetry bucket, and every source registered with the process-wide
     :func:`repro.obs.registry.obs_registry` (session, result store,
-    graph cache).
+    graph cache), labelled ``{source="N"}`` by registration token.
 ``POST /run``
     Body: ``{"algo": "pagerank", "dataset": "rmat:n=1e6,avg_deg=16,seed=7",
     "k": 8, "seed": 1, "engine": "vector", "params": {"c": 2}}``
@@ -317,8 +317,7 @@ class ReproServer:
                            "uptime_s": time.time() - self.started},
                 "serve_minute": self.ring.current(),
             }
-            stats.update(obs_registry().collect())
-            return 200, render_prometheus(stats)
+            return 200, render_prometheus(stats, sources=obs_registry().collect())
         if path == "/shutdown":
             self._shutdown_requested = True  # applied after the response
             return 200, {"ok": True, "stopping": True}

@@ -55,8 +55,8 @@ def generated_weights(draw):
     Sizes include ``2**j`` and ``2**j + 1``, where the index bits packed
     into :func:`_rank_order`'s keys change width.  The ``below-cut`` and
     ``one-bucket`` kinds hold weights that differ only in the bits the
-    packing cuts off, which the tie re-sort or the stable fallback must
-    order; ``mixed`` spans signs, both zeros, subnormals and extremes.
+    packing cuts off, which the tie re-sort must order; ``mixed`` spans
+    signs, both zeros, subnormals and extremes.
     """
     j = draw(st.integers(0, 12))
     m = draw(st.sampled_from([2**j, 2**j + 1, draw(st.integers(0, 5000))]))
@@ -72,7 +72,7 @@ def generated_weights(draw):
         return weights
     if kind == "one-bucket":
         # Distinct neighbours sharing one truncated pattern: every
-        # position ties, so the stable fallback orders them.
+        # position ties, so the re-sort orders them all.
         return rng.permutation(_float_chain(1.0, m))
     if kind == "mixed":
         return _mixed_magnitudes(rng, m, draw(st.sampled_from([0.02, 0.5])))
@@ -117,11 +117,10 @@ def test_rank_order_on_long_arrays(weights):
     _assert_stable_order(weights)
 
 
-@pytest.mark.parametrize("fallback", [0.0, 1.0], ids=["stable-argsort", "tie-re-sort"])
-@pytest.mark.parametrize("kind", ["below-cut", "one-bucket", "mixed"])
-def test_rank_order_branches_agree(monkeypatch, fallback, kind):
-    # Force each way of ordering tied positions on inputs that tie.
-    monkeypatch.setattr(distributed, "_TIED_FALLBACK", fallback)
+@pytest.mark.parametrize("kind", ["below-cut", "one-bucket", "mixed", "integers"])
+def test_rank_order_on_tie_heavy_weights(kind):
+    # Runs of exact ties and runs that tie only below the cut, alone
+    # and side by side.
     rng = np.random.default_rng(5)
     if kind == "below-cut":
         weights = np.concatenate([_float_chain(1.0, 300), _float_chain(1e-300, 300),
@@ -129,8 +128,12 @@ def test_rank_order_branches_agree(monkeypatch, fallback, kind):
         weights = rng.permutation(weights)
     elif kind == "one-bucket":
         weights = rng.permutation(_float_chain(1.0, 1024))
-    else:
+    elif kind == "mixed":
         weights = _mixed_magnitudes(rng, 4097, 0.3)
+    else:
+        weights = rng.integers(1, 20, 4097).astype(np.float64)
+        near = np.flatnonzero(rng.random(weights.size) < 0.05)
+        weights[near] = np.nextafter(weights[near], np.inf)
     _assert_stable_order(weights)
 
 

@@ -23,7 +23,7 @@ class TestObsRegistry:
             return {"hits": 3}
 
         token = reg.register("store", stats)
-        assert reg.collect() == {"store": {"hits": 3}}
+        assert reg.collect() == {"store": {token: {"hits": 3}}}
         reg.unregister(token)
         assert reg.collect() == {}
 
@@ -39,9 +39,26 @@ class TestObsRegistry:
         token_a = reg.register("s", a)
         token_b = reg.register("s", b)
         assert token_a != token_b
-        assert reg.collect() == {"s": [{"x": 1}, {"x": 2}]}
+        assert reg.collect() == {"s": {token_a: {"x": 1}, token_b: {"x": 2}}}
         reg.unregister(token_a)
-        assert reg.collect() == {"s": {"x": 2}}
+        assert reg.collect() == {"s": {token_b: {"x": 2}}}
+
+    def test_a_source_keeps_its_label_when_an_earlier_one_goes(self):
+        reg = ObsRegistry()
+
+        def a():
+            return {"x": 1}
+
+        def b():
+            return {"x": 2}
+
+        token_a = reg.register("s", a)
+        token_b = reg.register("s", b)
+        line_b = f'repro_s_x{{source="{token_b}"}} 2'
+        assert render_prometheus({}, sources=reg.collect()) == (
+            f'repro_s_x{{source="{token_a}"}} 1\n{line_b}\n')
+        reg.unregister(token_a)
+        assert render_prometheus({}, sources=reg.collect()) == line_b + "\n"
 
     def test_two_live_sessions_share_one_series_name(self):
         from repro.graphs import gnp_random_graph
@@ -49,16 +66,15 @@ class TestObsRegistry:
 
         with Session(result_cache=None) as first, Session(result_cache=None) as second:
             first.run("connectivity", gnp_random_graph(30, 0.2, seed=1), k=4, seed=1)
-            text = render_prometheus(obs_registry().collect())
+            text = render_prometheus({}, sources=obs_registry().collect())
         assert "repro_session_2_" not in text
         executed = [line for line in text.splitlines()
                     if line.startswith("repro_session_executed")]
-        labels = [line.split()[0].removeprefix("repro_session_executed")
-                  for line in executed]
-        assert len(executed) >= 2 and len(set(labels)) == len(labels)
-        assert all(label.startswith('{instance="') for label in labels)
-        # The run shows under one instance; series lines stay together.
-        assert sorted(line.split()[1] for line in executed)[-1] == "1"
+        # Each session's samples carry its own token; the run shows under
+        # the first, and the series' lines stay together.
+        assert f'repro_session_executed{{source="{first._obs_token}"}} 1' in executed
+        assert f'repro_session_executed{{source="{second._obs_token}"}} 0' in executed
+        assert all(line.startswith('repro_session_executed{source="') for line in executed)
         first_at = text.splitlines().index(executed[0])
         assert text.splitlines()[first_at:first_at + len(executed)] == executed
 
@@ -70,8 +86,8 @@ class TestObsRegistry:
                 return {"alive": True}
 
         comp = Component()
-        reg.register("comp", comp.stats)
-        assert reg.collect() == {"comp": {"alive": True}}
+        token = reg.register("comp", comp.stats)
+        assert reg.collect() == {"comp": {token: {"alive": True}}}
         del comp
         gc.collect()
         assert reg.collect() == {}
@@ -85,11 +101,11 @@ class TestObsRegistry:
         def good():
             return {"ok": 1}
 
-        reg.register("bad", bad)
-        reg.register("good", good)
+        bad_token = reg.register("bad", bad)
+        good_token = reg.register("good", good)
         out = reg.collect()
-        assert out["good"] == {"ok": 1}
-        assert "error" in out["bad"]
+        assert out["good"] == {good_token: {"ok": 1}}
+        assert "error" in out["bad"][bad_token]
 
     def test_components_register_into_the_global_registry(self, tmp_path):
         from repro.serve.results import ResultStore
@@ -118,11 +134,11 @@ class TestRenderPrometheus:
         assert "/tmp/x" not in text
         assert text.endswith("\n")
 
-    def test_instances_are_labelled(self):
-        text = render_prometheus({"session": [{"errors": 4}, {"errors": 0}],
-                                  "store": {"hits": 1}})
-        assert text == ('repro_session_errors{instance="1"} 4\n'
-                        'repro_session_errors{instance="2"} 0\n'
+    def test_sources_are_labelled_by_token(self):
+        text = render_prometheus({"store": {"hits": 1}},
+                                 sources={"session": {12: {"errors": 4}, 3: {"errors": 0}}})
+        assert text == ('repro_session_errors{source="3"} 0\n'
+                        'repro_session_errors{source="12"} 4\n'
                         "repro_store_hits 1\n")
 
     def test_sanitizes_names(self):
@@ -324,7 +340,8 @@ class TestDaemonTelemetry:
         assert content_type.startswith("text/plain")
         text = body.decode()
         assert "repro_server_served 1" in text
-        assert "repro_session_executed 1" in text
+        token = server.session._obs_token
+        assert f'repro_session_executed{{source="{token}"}} 1' in text
         assert "repro_serve_minute_requests 1" in text
 
     def test_status_history_returns_the_ring(self, daemon):

@@ -498,9 +498,9 @@ class TestLifecycle:
 def _metrics(client) -> dict[str, float]:
     """``GET /metrics`` parsed into ``{series: value}``.
 
-    Sources alive together under one name (a store another test has not
-    released yet) are ``instance``-labelled samples of one series: they
-    are summed, since only this daemon's counters move.
+    Registered sources label their samples ``{source="N"}``; samples of
+    one series (a store another test has not released yet beside this
+    daemon's) are summed, since only this daemon's counters move.
     """
     url = f"http://{client.host}:{client.port}/metrics"
     with urllib.request.urlopen(url, timeout=30) as reply:
