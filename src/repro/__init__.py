@@ -52,7 +52,8 @@ independent axes:
    build million-node graphs through vectorized samplers or file
    loaders, persisted as CSR snapshots in a content-addressed on-disk
    cache; ``runtime.run(name, dataset=...)`` and ``python -m repro data``
-   consume them, and reloaded datasets reuse materialized shards.
+   consume them, and runs of a dataset the process still holds share
+   its one graph object and its materialized shards.
 
 Imports follow the run, not the package tree.  ``import repro`` loads
 only ``__version__``; every other public name here and in

@@ -25,7 +25,7 @@ Commands
                  cache: ``data build <spec>``, ``data ls``, ``data info
                  <spec|hash>``, ``data rm <spec|hash|--all>``.
 ``serve``        run the persistent analytics daemon: warm pools,
-                 resident datasets, and the sqlite result cache stay
+                 held dataset graphs, and the sqlite result cache stay
                  live across requests (``python -m repro serve --port
                  8642 --prewarm "rmat:n=1e6,avg_deg=16,seed=7"``).
 ``client``       talk to a running daemon: ``client run <algo> --dataset
@@ -318,7 +318,6 @@ def cmd_serve(args) -> int:
         result_cache=result_cache,
         queue_limit=args.queue_limit,
         timeout=args.timeout,
-        max_datasets=args.max_datasets,
         prewarm=args.prewarm or (),
     )
     store = server.session.store
@@ -559,13 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
         "<cache root>/results.sqlite; 'none' disables result caching)",
     )
     p.add_argument(
-        "--max-datasets", type=int, default=4,
-        help="materialized dataset graphs kept resident (LRU)",
-    )
-    p.add_argument(
         "--prewarm", action="append", metavar="SPEC", default=None,
-        help="dataset spec to materialize and keep resident before "
-        "accepting traffic (repeatable; shards are built per request)",
+        help="dataset spec to materialize before accepting traffic and "
+        "hold until shutdown, so no request reads it again (repeatable; "
+        "shards are built per request)",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -69,9 +69,8 @@ class Graph:
         self._edges = edges
         self.indptr, self.indices = self._build_csr(edges)
         #: Optional content-address of this graph (set by the workload layer
-        #: for dataset-spec-built graphs); lets caches key on content instead
-        #: of object identity, so a reloaded snapshot reuses materialized
-        #: shards.  ``None`` for ad-hoc graphs.
+        #: for dataset-spec-built graphs): the graph cache's and the result
+        #: cache's key.  ``None`` for ad-hoc graphs.
         self.content_key: str | None = None
 
     # ------------------------------------------------------------------
@@ -115,7 +114,7 @@ class Graph:
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         g._edges = edges
         if directed or edges.size == 0:
-            g.indptr, g.indices = g._build_csr(edges, out=True)
+            g.indptr, g.indices = g._build_csr(edges)
         else:
             lo, hi = edges[:, 0], edges[:, 1]
             counts_fwd = np.bincount(lo, minlength=g.n)

@@ -247,10 +247,11 @@ class DistributedGraph(HomeGroupedNeighbors):
         return self.group_by_machine(shipper)
 
 
-#: LRU of recently materialized distgraphs, keyed by graph identity (or,
-#: for workload-built graphs, by content address) plus partition contents.
-#: Entries hold their graph alive, which is what makes ``id(graph)``
-#: collision-free while an entry lives.
+#: LRU of recently materialized distgraphs, keyed by graph identity plus
+#: partition contents.  Entries hold their graph alive, which is what makes
+#: ``id(graph)`` collision-free while an entry lives.  A dataset's runs
+#: share entries because :mod:`repro.workloads.cache` hands every load of a
+#: held dataset the same graph object.
 _DISTGRAPH_CACHE: "OrderedDict[tuple, DistributedGraph]" = OrderedDict()
 _DISTGRAPH_CACHE_SIZE = 8
 
@@ -258,32 +259,6 @@ _DISTGRAPH_CACHE_SIZE = 8
 def clear_distgraph_cache() -> None:
     """Drop all cached :class:`DistributedGraph` instances."""
     _DISTGRAPH_CACHE.clear()
-
-
-def _graph_cache_key(graph: Graph):
-    """The graph component of the distgraph LRU key.
-
-    Graphs built by the workload subsystem carry a ``content_key`` (the
-    dataset spec's content hash); keying on it means a dataset reloaded
-    from the on-disk cache — a *different object* with identical content —
-    still reuses materialized shards.  Ad-hoc graphs key on identity.
-    """
-    ck = getattr(graph, "content_key", None)
-    return ("content", ck, graph.directed) if ck else ("id", id(graph))
-
-
-def _same_graph(cached: Graph, graph: Graph) -> bool:
-    """Whether a cache hit's graph may stand in for ``graph``."""
-    if cached is graph:
-        return True
-    ck = getattr(graph, "content_key", None)
-    return (
-        ck is not None
-        and getattr(cached, "content_key", None) == ck
-        and cached.n == graph.n
-        and cached.m == graph.m
-        and cached.directed == graph.directed
-    )
 
 
 def _home_digest(home: np.ndarray) -> bytes:
@@ -299,10 +274,12 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     partition across a k-sweep's repetitions, registry runs at a fixed
     ``(seed, k)``, benchmark engine comparisons — used to re-materialize
     identical per-machine shards every time.  The cache keys on the graph
-    (its workload content address when present, else object identity; see
-    :func:`_graph_cache_key`) plus the partition's ``(k, home-contents
-    digest)``; a hit is verified with an exact ``home`` comparison before
-    reuse, so a digest collision can never alias two placements.
+    object's identity plus the partition's ``(k, home-contents digest)``;
+    a hit is verified with an exact ``home`` comparison before reuse, so a
+    digest collision can never alias two placements.  Two graph objects
+    never share an entry, whatever their content: dataset runs share one
+    because the graph cache hands them one object (see
+    :mod:`repro.workloads.cache`).
     Distgraphs are immutable after construction (the lazy views are pure
     functions of graph + partition), which makes sharing semantics-free.
     An entry costs whatever lazy views its runs built: ``nbr_home`` is
@@ -317,11 +294,11 @@ def cached_distgraph(graph: Graph, partition: VertexPartition) -> DistributedGra
     lazily from the CSR, each on its first use.
     """
     digest = _home_digest(partition.home)
-    key = (_graph_cache_key(graph), partition.k, digest)
+    key = (id(graph), partition.k, digest)
     dg = _DISTGRAPH_CACHE.get(key)
     if (
         dg is not None
-        and _same_graph(dg.graph, graph)
+        and dg.graph is graph
         and (
             dg.partition is partition
             or np.array_equal(dg.partition.home, partition.home)
@@ -354,7 +331,7 @@ def resolve_distgraph(
     placement share one set of materialized shards.
     """
     if distgraph is not None:
-        if not _same_graph(distgraph.graph, graph):
+        if distgraph.graph is not graph:
             raise PartitionError("distgraph was built for a different graph")
         if partition is not None and partition is not distgraph.partition:
             raise PartitionError(

@@ -378,10 +378,13 @@ def run(
         ``"rmat:n=1e6,avg_deg=16,seed=7"`` — resolved through the
         workload subsystem's content-addressed on-disk cache
         (:func:`repro.workloads.materialize`), so repeated runs load the
-        built CSR snapshot instead of regenerating (or, while the
-        distgraph LRU holds the graph, get that object without a read),
-        and the graph's content key lets :func:`~repro.kmachine.distgraph.cached_distgraph`
-        reuse materialized shards across reloads.  Graph families only.
+        built CSR snapshot instead of regenerating, or, while anything
+        holds the graph (the distgraph LRU after a run), get that same
+        object without a read — and with it the shards
+        :func:`~repro.kmachine.distgraph.cached_distgraph` keeps for
+        it.  The family, its parameters and the seed are checked
+        first, so a rejected request builds no dataset.  Graph
+        families only.
     engine / workers / seed / bandwidth:
         Cluster construction knobs.  ``engine`` is a registered name
         or an :class:`~repro.kmachine.engine.Engine` subclass and

@@ -16,8 +16,8 @@ concurrency safe:
 * **result-cache hits never reach it** — a hit is answered on the
   caller's thread, concurrently with whatever is executing, and reads
   neither the dataset nor the payload: the probe is keyed from the
-  resident graph or the graph cache's metadata sidecar, and an
-  unchanged row comes from the result store's decoded copy;
+  graph cache's metadata sidecar, and an unchanged row comes from the
+  result store's decoded copy;
 * **admission control** bounds the requests in flight: beyond
   ``queue_limit`` a submit raises
   :class:`~repro.errors.SessionSaturated`, and a run that waits longer
@@ -28,9 +28,11 @@ concurrency safe:
   the counters, and re-raises to *its* caller only; the session keeps
   serving (run-owned clusters are closed by ``runtime.run`` itself, and
   a crashed process-engine pool is discarded by the engine layer);
-* **dataset residency** — materialized dataset graphs are kept in a
-  small LRU keyed by content hash, so repeated misses skip the
-  on-disk npz read as well as the build.
+* **no dataset layer of its own** — a miss is one ``runtime.run`` call
+  with the request's ``dataset=``; which graph object stands for a
+  dataset is :mod:`repro.workloads.cache`'s decision (it hands out the
+  graph the distgraph LRU still holds without re-reading the npz), and
+  :meth:`Session.prewarm` only holds a graph there until ``close()``.
 
 The serve daemon (:mod:`repro.serve.daemon`) multiplexes every network
 request through one session; embedding processes can use one directly::
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from types import SimpleNamespace
 
 from repro.errors import AlgorithmError, ServeError, SessionSaturated, SessionTimeout
@@ -79,8 +80,6 @@ class Session:
         Default seconds a miss may wait for the substrate before
         :class:`SessionTimeout` (``None`` = wait forever); per-run
         override via ``run(..., timeout=...)``.
-    max_datasets:
-        Materialized dataset graphs kept resident (LRU by content hash).
     """
 
     def __init__(
@@ -89,15 +88,11 @@ class Session:
         result_cache=True,
         queue_limit: int = 16,
         timeout: float | None = None,
-        max_datasets: int = 4,
     ) -> None:
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {queue_limit}")
-        if max_datasets < 1:
-            raise ServeError(f"max_datasets must be >= 1, got {max_datasets}")
         self.queue_limit = int(queue_limit)
         self.timeout = timeout
-        self.max_datasets = int(max_datasets)
         self._owns_store = False
         if result_cache is None or result_cache is False:
             self.store = None
@@ -122,9 +117,8 @@ class Session:
         self._admit = threading.Lock()
         self._inflight = 0
         self._queued = 0  # runs handed to the substrate and not finished
-        self._datasets: "OrderedDict[str, object]" = OrderedDict()
+        self._prewarmed: list = []  # graphs held resident until close()
         self._shapes: dict[str, SimpleNamespace] = {}  # see _probe_input
-        self._dataset_lock = threading.Lock()
         self._closed = False
         self.started = time.time()
         # Traffic counters (all guarded by _admit; stats() snapshots them).
@@ -153,8 +147,7 @@ class Session:
             self._closed = True
         obs_registry().unregister(self._obs_token)
         self._substrate.shutdown(wait=True)
-        with self._dataset_lock:
-            self._datasets.clear()
+        self._prewarmed.clear()
         if self._owns_store and self.store is not None:
             self.store.close()
         if shutdown_pools:
@@ -168,47 +161,30 @@ class Session:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- dataset residency ----------------------------------------------
-    def materialize(self, dataset):
-        """The dataset's graph, from the session LRU / disk cache / build.
-
-        Serialized under one lock: two concurrent requests for the same
-        not-yet-resident dataset build it once, not twice.
-        """
-        from repro import workloads
-
-        spec = workloads.parse_spec(dataset)
-        key = spec.content_hash()
-        with self._dataset_lock:
-            graph = self._datasets.get(key)
-            if graph is not None:
-                self._datasets.move_to_end(key)
-                return graph
-            graph = workloads.materialize(spec)
-            if spec.cacheable:
-                self._datasets[key] = graph
-                while len(self._datasets) > self.max_datasets:
-                    self._datasets.popitem(last=False)
-            return graph
-
+    # -- datasets -------------------------------------------------------
     def prewarm(self, dataset) -> None:
         """Materialize a dataset ahead of its first request.
 
         The graph is loaded (or built and stored) on the substrate
-        thread, like every load, and kept resident.  Shards are not
-        prebuilt: each request draws its own placement, whose shards
-        its run builds and the in-memory distgraph LRU keeps.
+        thread, like every load, and the session holds it until
+        :meth:`close`, so the graph cache hands the same object to every
+        run of the dataset meanwhile.  Shards are not prebuilt: each
+        request draws its own placement, whose shards its run builds and
+        the in-memory distgraph LRU keeps.
         """
-        self._substrate.submit(lambda: self.materialize(dataset)).result()
+        from repro import workloads
+
+        graph = self._substrate.submit(workloads.materialize, dataset).result()
+        self._prewarmed.append(graph)
 
     def _probe_input(self, dataset):
         """What a result-cache probe needs of ``dataset``, without loading it.
 
         A stand-in with the graph's ``content_key``, ``n``, ``m`` and
-        ``directed`` — from the resident graph, else the graph cache's
-        metadata sidecar — remembered per spec string (they are functions
-        of the spec).  ``None`` when there is neither (never built,
-        evicted from disk, file-backed): the miss path then materializes.
+        ``directed`` from the graph cache's metadata sidecar, remembered
+        per spec string (they are functions of the spec).  ``None`` when
+        there is no sidecar (never built, evicted from disk, file-backed):
+        the miss path then materializes.
         """
         from repro import workloads
 
@@ -216,14 +192,9 @@ class Session:
         if shape is not None:
             return shape
         key = workloads.parse_spec(dataset).content_hash()
-        with self._dataset_lock:
-            graph = self._datasets.get(key)
+        meta = workloads.default_cache().read_meta(key)
         try:
-            if graph is not None:
-                n, m, directed = graph.n, graph.m, graph.directed
-            else:
-                meta = workloads.default_cache().read_meta(key)
-                n, m, directed = int(meta["n"]), int(meta["m"]), bool(meta["directed"])
+            n, m, directed = int(meta["n"]), int(meta["m"]), bool(meta["directed"])
         except (TypeError, KeyError, ValueError):
             return None  # no sidecar, or not one of ours
         shape = SimpleNamespace(content_key=key, n=n, m=m, directed=directed)
@@ -234,24 +205,13 @@ class Session:
         return shape
 
     def _execute(self, name, data, k, dataset, kwargs):
-        """A miss, on the substrate thread: load the dataset, then run.
+        """A miss, on the substrate thread: one ``runtime.run``.
 
-        The family, its parameters and the seed are checked before the
-        dataset loads, so a request that ``run`` would reject fails
-        without building (and caching) the dataset.
+        ``run`` checks the family, its parameters and the seed before it
+        materializes ``dataset``, so a request it rejects builds nothing.
         """
-        if dataset is not None:
-            import inspect
-
-            from repro._util import check_seed
-            from repro.runtime.registry import get_spec, run
-
-            run_args = inspect.signature(run).parameters
-            get_spec(name).check_params(
-                {key: value for key, value in kwargs.items() if key not in run_args})
-            check_seed(kwargs.get("seed"))
-            data = self.materialize(dataset)
-        return _registry_run(name, data, k, result_cache=self.store, **kwargs)
+        return _registry_run(name, data, k, dataset=dataset,
+                             result_cache=self.store, **kwargs)
 
     def _on_substrate(self, wait, name, *args):
         """Queue :meth:`_execute` and see it through; ``wait`` bounds the queueing only."""
@@ -331,7 +291,7 @@ class Session:
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
-        """Traffic counters plus substrate residency (JSON-ready)."""
+        """Traffic counters plus the process's resident dataset graphs (JSON-ready)."""
         with self._admit:
             out = {
                 "uptime_s": time.time() - self.started,
@@ -345,8 +305,9 @@ class Session:
                 "queue_limit": self.queue_limit,
                 "closed": self._closed,
             }
-        with self._dataset_lock:
-            out["resident_datasets"] = len(self._datasets)
+        from repro.workloads.cache import resident_count
+
+        out["resident_datasets"] = resident_count()
         if self.store is not None:
             out["result_store"] = self.store.stats()
         return out

@@ -6,8 +6,8 @@ Layers (bottom-up):
   deterministic runs keyed by ``(dataset content_key, algo, canonical
   params, seed, engine)``, safe across threads and processes;
 * :class:`repro.runtime.Session` — the scheduler that owns the resident
-  execution substrate (warm pools, distgraph LRU, materialized
-  datasets) and serializes misses over it with admission control;
+  execution substrate (warm pools, distgraph LRU, prewarmed datasets)
+  and serializes misses over it with admission control;
 * :mod:`repro.serve.daemon` — :class:`ReproServer`, the asyncio
   HTTP-JSON front end multiplexing concurrent requests over one
   session (``python -m repro serve``);

@@ -2,9 +2,10 @@
 
 ``python -m repro serve`` turns the runtime into a long-lived service:
 the warm worker pools, the shared-memory graph stores, the distgraph
-LRU, the materialized datasets, and the sqlite result cache all stay
-resident across requests, and an asyncio socket front end multiplexes
-any number of concurrent clients over them.  Request execution follows
+LRU (and the dataset graphs its shards use), the prewarmed datasets,
+and the sqlite result cache all stay resident across requests, and an
+asyncio socket front end multiplexes any number of concurrent clients
+over them.  Request execution follows
 the :class:`~repro.runtime.Session` contract — misses serialize over
 the substrate, result-cache hits are answered concurrently — and a
 failed run poisons only its own request.
@@ -21,7 +22,8 @@ that merely stays connected.
 ``GET /health``
     ``{"ok": true, "uptime_s": ...}`` — liveness.
 ``GET /status``
-    Session traffic counters, result-store stats, resident datasets.
+    Session traffic counters, result-store stats, and the number of
+    dataset graphs the process holds (``resident_datasets``).
     ``?history=1`` adds the per-minute telemetry ring (requests,
     outcome counts, latency quantiles for up to the last 3 hours).
 ``GET /metrics``
@@ -134,12 +136,13 @@ class ReproServer:
         An existing :class:`Session` to serve over, or ``None`` to own a
         fresh one built from the remaining knobs (closed — including
         warm-pool teardown — when the daemon stops).
-    result_cache / queue_limit / timeout / max_datasets:
+    result_cache / queue_limit / timeout:
         Forwarded to the owned :class:`Session`.
     prewarm:
-        Dataset specs to materialize and keep resident before
-        accepting traffic (:meth:`Session.prewarm`), so the first
-        request on each pays no build or load.
+        Dataset specs to materialize before accepting traffic; the
+        session holds each graph until it closes
+        (:meth:`Session.prewarm`), so no request on it pays a build or
+        an npz read.
     """
 
     def __init__(
@@ -151,15 +154,13 @@ class ReproServer:
         result_cache=True,
         queue_limit: int = 16,
         timeout: float | None = None,
-        max_datasets: int = 4,
         prewarm=(),
     ) -> None:
         self.host = host
         self.port = port
         self._own_session = session is None
         self.session = session if session is not None else Session(
-            result_cache=result_cache, queue_limit=queue_limit,
-            timeout=timeout, max_datasets=max_datasets,
+            result_cache=result_cache, queue_limit=queue_limit, timeout=timeout,
         )
         self.prewarm = tuple(prewarm)
         # Executor threads mostly wait (on the substrate lock or sqlite),

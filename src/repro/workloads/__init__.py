@@ -34,9 +34,9 @@ coerced — so every spelling of the same dataset has one canonical string
 (:meth:`DatasetSpec.canonical`) and one 32-hex content hash
 (:meth:`DatasetSpec.content_hash`).  That hash keys the on-disk cache
 (``$REPRO_DATA_DIR`` or ``~/.cache/repro``; npz CSR snapshots with
-atomic writes and an LRU size cap via ``$REPRO_CACHE_BYTES``) *and* the
-in-memory :func:`~repro.kmachine.distgraph.cached_distgraph` shard LRU,
-so a dataset reloaded from disk still reuses materialized shards.
+atomic writes and an LRU size cap via ``$REPRO_CACHE_BYTES``) and the
+result cache's rows; loads hand out at most one live graph object per
+hash (see *Resident graphs* below).
 
 Built-in families
 -----------------
@@ -65,12 +65,14 @@ Cold start
   superstep, +210 MiB peak RSS and 408 MB of disk (3x the CSR), while a
   later process that found it reached its first superstep only ~0.07 s
   sooner (0.14-0.16 s against 0.21-0.24 s).  ``repro serve --prewarm
-  SPEC`` materializes a dataset at daemon start.
+  SPEC`` materializes a dataset at daemon start and holds it.
 
 * **Resident graphs.**  A load of a dataset the process still holds (a
-  distgraph in that LRU, a ``Session``, the caller) returns that graph,
-  read-only, instead of re-reading the npz: ~7 ms of a ~95 ms mst +
-  connectivity pass on ``rmat:n=60000,avg_deg=16``.
+  distgraph in that LRU, a ``Session``'s prewarm list, the caller)
+  returns that graph, read-only, instead of re-reading the npz: ~7 ms of
+  a ~95 ms mst + connectivity pass on ``rmat:n=60000,avg_deg=16``.  The
+  graph cache is the only layer that decides this, so the distgraph LRU
+  keys on graph identity and a dataset's runs share its shards.
 
 * **One builder per family.**  The sharded second copy of the builders
   and of SNAP parsing ran at 0.90-0.96x of serial on 2

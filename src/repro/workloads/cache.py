@@ -47,14 +47,16 @@ Guarantees:
   can therefore exceed the cap only by what *other* processes stored
   since this process's last full pass, at most that many seconds ago;
 * **content keys** — every graph returned by :func:`materialize` carries
-  the spec hash in ``Graph.content_key``, which the in-memory shard LRU
-  (:func:`repro.kmachine.distgraph.cached_distgraph`) uses to share
-  materialized :class:`~repro.kmachine.DistributedGraph` shards across
-  reloads of the same dataset;
-* **resident graphs** — while anything (that LRU, a ``Session``, the
-  caller) holds the graph a load or build-and-store handed out, a load
-  of its still-stored key returns it instead of re-reading the npz.  The
-  map holds graphs weakly; a shared graph's arrays are read-only.
+  the spec hash in ``Graph.content_key``, which keys result-cache rows
+  (:mod:`repro.serve.results`) to the dataset's content;
+* **resident graphs** — this module alone decides which graph object
+  stands for a dataset: while anything (the distgraph LRU, a
+  ``Session``'s prewarm list, the caller) holds the graph a load or
+  build-and-store handed out, a load of its still-stored key returns
+  it instead of re-reading the npz.  The map holds graphs weakly
+  (:func:`resident_count` is its size); a shared graph's arrays are
+  read-only.  Since one key maps to one live object, the distgraph LRU
+  keys on graph identity and still shares shards across runs.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ __all__ = [
     "cache_stats",
     "default_cache",
     "materialize",
+    "resident_count",
 ]
 
 
@@ -140,6 +143,11 @@ _clock = time.monotonic
 
 #: content key -> the graph last handed out, while anything holds it.
 _RESIDENT: "weakref.WeakValueDictionary[str, Graph]" = weakref.WeakValueDictionary()
+
+
+def resident_count() -> int:
+    """Dataset graphs the process holds that a load would hand out again."""
+    return len(_RESIDENT)
 
 
 def _make_resident(key: str, graph: Graph) -> Graph:

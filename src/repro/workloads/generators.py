@@ -193,6 +193,8 @@ def _gnp_builder(n: int, avg_deg: float, seed: int) -> Graph:
 
 def _chung_lu_builder(n: int, exponent: float, avg_deg: float, seed: int) -> Graph:
     _check_quadratic(n, "chung-lu")
+    if avg_deg <= 0:  # the expected-degree weights would sum to zero
+        raise WorkloadError(f"avg_deg must be positive, got {avg_deg}")
     return _legacy.chung_lu_graph(n, exponent=exponent, avg_degree=avg_deg, seed=seed)
 
 

@@ -13,8 +13,7 @@ declared parameter names; values are coerced to the declared type
 the spec — defaults are filled in, keys are sorted — so every spelling of
 the same dataset has one canonical string and therefore one content hash,
 which is the key of the on-disk graph cache (:mod:`repro.workloads.cache`)
-and of the in-memory shard LRU
-(:func:`repro.kmachine.distgraph.cached_distgraph`).
+and of the result cache.
 """
 
 from __future__ import annotations
@@ -302,8 +301,7 @@ def build_dataset(spec: "str | DatasetSpec"):
     it regardless of which build produced it.  File-backed families
     (``edgelist``) get **no** content key: their spec hash
     only covers the path string, not the file's bytes, so stamping it
-    would let shard caches serve stale data after the file changes —
-    those graphs key on object identity like any ad-hoc graph.
+    would let the result cache serve stale rows after the file changes.
     """
     spec = parse_spec(spec)
     family = get_workload(spec.family)

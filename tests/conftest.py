@@ -40,3 +40,19 @@ def star():
 def lb_instance():
     """A Figure-1 instance with q = 25 chains (n = 101)."""
     return repro.pagerank_lowerbound_graph(q=25, seed=3)
+
+
+@pytest.fixture
+def reads(monkeypatch) -> list:
+    """The npz paths the graph cache reads, in order."""
+    import repro.workloads.io as io_mod
+
+    calls = []
+    real = io_mod.read_npz
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(io_mod, "read_npz", counted)
+    return calls

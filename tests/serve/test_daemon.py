@@ -487,12 +487,23 @@ class TestLifecycle:
         with pytest.raises(ServeError, match="no daemon"):
             client.health()
 
-    def test_prewarm_materializes_before_traffic(self):
+    def test_prewarm_materializes_before_traffic(self, reads):
+        import gc
+
+        from repro import workloads
+        from repro.kmachine.distgraph import clear_distgraph_cache
+        from repro.workloads.cache import cache_stats
+
         server = ReproServer(port=0, prewarm=(DATASET,))
         with server.start_in_thread() as handle, \
                 ServeClient(handle.host, handle.port) as client:
             client.wait_until_ready()
-            assert client.status()["session"]["resident_datasets"] == 1
+            assert client.status()["session"]["resident_datasets"] >= 1
+            clear_distgraph_cache()
+            gc.collect()  # only the daemon's session holds the graph now
+            builds = cache_stats()["builds"]
+            assert workloads.materialize(DATASET) is not None
+            assert not reads and cache_stats()["builds"] == builds
 
 
 def _metrics(client) -> dict[str, float]:

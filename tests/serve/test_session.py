@@ -1,5 +1,6 @@
 """Tests for the Session scheduler (concurrency, admission, residency)."""
 
+import gc
 import threading
 
 import pytest
@@ -13,7 +14,9 @@ from repro.errors import (
 )
 from repro.runtime import Session
 from repro.serve import ResultStore
+from repro.kmachine.distgraph import clear_distgraph_cache
 from repro.workloads import parse_spec
+from repro.workloads.cache import cache_stats
 
 DATASET = "gnp:n=150,avg_deg=5,seed=3"
 
@@ -74,10 +77,11 @@ class TestRequestPath:
         from repro import workloads
 
         spec = "gnp:n=70,avg_deg=3,seed=11"  # never built in this test
+        builds = cache_stats()["builds"]
         with Session(result_cache=store if with_store else None) as session:
             with pytest.raises(AlgorithmError, match="unknown algorithm"):
                 session.run("no-such-algo", dataset=spec, k=4)
-            assert session.stats()["resident_datasets"] == 0
+        assert cache_stats()["builds"] == builds
         assert not workloads.default_cache().has(spec)
 
     @pytest.mark.parametrize("with_store", [True, False])
@@ -89,10 +93,11 @@ class TestRequestPath:
         from repro import workloads
 
         spec = "gnp:n=70,avg_deg=3,seed=11"  # never built in this test
+        builds = cache_stats()["builds"]
         with Session(result_cache=store if with_store else None) as session:
             with pytest.raises(AlgorithmError, match=match):
                 session.run("pagerank", dataset=spec, k=4, **{"seed": 1, **bad})
-            assert session.stats()["resident_datasets"] == 0
+        assert cache_stats()["builds"] == builds
         assert not workloads.default_cache().has(spec)
 
     def test_closed_session_rejects(self, store):
@@ -130,17 +135,18 @@ class TestRequestPath:
 
 
 class TestHitsNeverLoadTheDataset:
-    """A hit is keyed from the resident graph or the cache's sidecar."""
+    """A hit is keyed from the graph cache's metadata sidecar."""
 
     SPECS = [f"gnp:n={n},avg_deg=4,seed=5" for n in (90, 100, 110)]
 
-    def test_hit_on_an_evicted_dataset_does_not_materialize(self, store, monkeypatch):
+    def test_hit_on_a_released_dataset_does_not_materialize(self, store, monkeypatch):
         from repro import workloads
 
-        with Session(result_cache=store, max_datasets=1) as session:
-            for spec in self.SPECS:  # each load evicts the one before
+        with Session(result_cache=store) as session:
+            for spec in self.SPECS:
                 session.run("connectivity", dataset=spec, k=4, seed=1)
-            assert session.stats()["resident_datasets"] == 1
+            clear_distgraph_cache()  # nothing holds the three graphs now
+            gc.collect()
 
             def no_loads(*args, **kwargs):
                 raise AssertionError("a hit must not load the dataset")
@@ -162,7 +168,7 @@ class TestHitsNeverLoadTheDataset:
             second = session.run("mst", dataset="gnp:seed=5,avg_deg=4.0,n=90", k=4, seed=1)
             assert second.cached and second.n == first.n == 90
             assert second.result.total_weight == first.result.total_weight
-            assert session.stats()["resident_datasets"] == 0
+            assert session.stats()["cache_hits"] == 1
 
     def test_no_sidecar_falls_through_to_the_miss_path(self, store):
         from repro import workloads
@@ -171,13 +177,15 @@ class TestHitsNeverLoadTheDataset:
         with Session(result_cache=store) as session:
             session.run("mst", dataset=spec, k=4, seed=1)
         workloads.default_cache().evict(spec)
+        builds = cache_stats()["builds"]
         with Session(result_cache=store) as session:
             report = session.run("mst", dataset=spec, k=4, seed=1)
             # Rebuilt on the substrate thread; the run itself then finds
             # the stored row.
             assert report.cached
             assert session.stats()["cache_hits"] == 0
-            assert session.stats()["resident_datasets"] == 1
+            assert cache_stats()["builds"] == builds + 1
+            assert workloads.default_cache().has(spec)
             assert session.run("mst", dataset=spec, k=4, seed=1).cached
             assert session.stats()["cache_hits"] == 1
 
@@ -311,39 +319,73 @@ class TestAdmissionControl:
     def test_bad_limits_rejected(self):
         with pytest.raises(ServeError, match="queue_limit"):
             Session(queue_limit=0)
-        with pytest.raises(ServeError, match="max_datasets"):
-            Session(max_datasets=0)
+        with pytest.raises(TypeError, match="max_datasets"):
+            Session(max_datasets=4)  # the graph cache alone decides residency
+
+
+def _release_graphs() -> None:
+    """Drop what the process holds of earlier loads (the distgraph LRU)."""
+    clear_distgraph_cache()
+    gc.collect()
 
 
 class TestDatasetResidency:
+    """The graph cache decides which graph stands for a dataset; a
+    session adds no layer of its own beyond holding what it prewarmed."""
+
     def test_repeat_requests_reuse_the_resident_graph(self, store):
         with Session(result_cache=store) as session:
-            g1 = session.materialize(DATASET)
-            g2 = session.materialize("gnp:avg_deg=5.0,n=1.5e2,seed=3")
-            assert g1 is g2, "equivalent spellings share one resident graph"
-            assert session.stats()["resident_datasets"] == 1
+            first = session.run("pagerank", dataset=DATASET, k=4, seed=1)
+            second = session.run("pagerank", dataset="gnp:avg_deg=5.0,n=1.5e2,seed=3",
+                                 k=4, seed=2)
+        assert not second.cached
+        assert second.distgraph.graph is first.distgraph.graph, (
+            "equivalent spellings share one resident graph")
 
-    def test_lru_bound(self, store):
-        with Session(result_cache=store, max_datasets=2) as session:
-            for seed in (1, 2, 3):
-                session.materialize(f"gnp:n=100,avg_deg=4,seed={seed}")
-            assert session.stats()["resident_datasets"] == 2
+    def test_resident_count_is_the_graph_caches(self, store):
+        from repro.workloads.cache import resident_count
 
-    def test_session_prewarm_only_materializes(self, store, tmp_path):
+        with Session(result_cache=store) as session:
+            session.prewarm(DATASET)
+            assert session.stats()["resident_datasets"] == resident_count() >= 1
+
+    def test_a_miss_reads_no_npz_while_the_lru_holds_the_graph(self, reads):
+        from repro import workloads
+
+        workloads.materialize(DATASET)  # build and store; released below
+        _release_graphs()
+        with Session(result_cache=None) as session:
+            first = session.run("triangles", dataset=DATASET, k=4, seed=1)
+            second = session.run("triangles", dataset=DATASET, k=4, seed=2)
+        assert len(reads) == 1, "the second miss reads the npz again"
+        assert second.distgraph.graph is first.distgraph.graph
+
+    def test_session_prewarm_only_materializes(self, store, tmp_path, reads):
+        from repro import workloads
         from repro.kmachine import distgraph
 
         distgraph.clear_distgraph_cache()
         with Session(result_cache=store) as session:
             assert session.prewarm(DATASET) is None
+            builds = cache_stats()["builds"]
+            assert workloads.materialize(DATASET) is not None
+            assert cache_stats()["builds"] == builds and not reads
             stats = session.stats()
-        assert stats["resident_datasets"] == 1 and stats["executed"] == 0
+        assert stats["executed"] == 0
         assert not distgraph._DISTGRAPH_CACHE, "no placement was built"
         key = parse_spec(DATASET).content_hash()
         stored = sorted(p.name for p in (tmp_path / "data" / "graphs").iterdir())
         assert stored == [f"{key}.json", f"{key}.npz"]
 
-    def test_close_drops_residency(self, store):
+    def test_a_prewarmed_graph_stays_resident_until_close(self, store, reads):
+        from repro import workloads
+
+        workloads.materialize(DATASET)  # build and store; released below
+        _release_graphs()
         session = Session(result_cache=store)
-        session.materialize(DATASET)
+        session.prewarm(DATASET)
+        _release_graphs()
+        assert workloads.materialize(DATASET) is not None and len(reads) == 1
         session.close()
-        assert session.stats()["resident_datasets"] == 0
+        _release_graphs()
+        assert workloads.materialize(DATASET) is not None and len(reads) == 2

@@ -3,8 +3,8 @@
 The acceptance contract of the workload subsystem: a dataset spec
 resolves through the on-disk cache, runs bit-identically on all three
 execution engines, a second invocation does not regenerate the dataset,
-and reloaded datasets reuse materialized :class:`DistributedGraph`
-shards via their content key (at suite-friendly sizes; build and load
+and runs of a held dataset share its one graph object and with it the
+materialized :class:`DistributedGraph` shards (at suite-friendly sizes; build and load
 time at full size are the harness's ``workloads.build_s`` /
 ``workloads.load_s`` in ``benchmarks/e2e``).
 """
@@ -15,11 +15,14 @@ import os
 import numpy as np
 import pytest
 
-import repro.workloads.io as io_mod
 import repro.workloads.spec as spec_mod
 from repro import runtime
-from repro.errors import AlgorithmError
-from repro.kmachine.distgraph import cached_distgraph, clear_distgraph_cache
+from repro.errors import AlgorithmError, PartitionError
+from repro.kmachine.distgraph import (
+    cached_distgraph,
+    clear_distgraph_cache,
+    resolve_distgraph,
+)
 from repro.kmachine.partition import random_vertex_partition
 from repro.workloads import DATA_DIR_ENV, default_cache, materialize
 from repro.workloads.cache import cache_stats
@@ -115,23 +118,30 @@ class TestCacheIntegration:
         assert r1.metrics.bits == r2.metrics.bits
 
     def test_reloaded_dataset_reuses_materialized_shards(self):
-        # Two runs of one dataset share one DistributedGraph, keyed by
-        # content hash.
+        # Two runs of one dataset get one graph object from the graph
+        # cache, so they share one DistributedGraph.
         r1 = runtime.run("triangles", dataset=SPEC, k=4, seed=SEED, engine="vector")
         r2 = runtime.run("triangles", dataset=SPEC, k=4, seed=SEED, engine="vector")
         assert r1.distgraph is not None
         assert r1.distgraph is r2.distgraph
 
-    def test_content_key_shard_reuse_is_placement_exact(self):
+    def test_shards_are_shared_by_graph_object_not_content(self):
         g1 = materialize(SPEC)
         g2 = materialize(SPEC, use_cache=False)  # a second object, same content
         assert g1 is not g2 and g1.content_key == g2.content_key
         part = random_vertex_partition(g1.n, 4, seed=3)
         dg1 = cached_distgraph(g1, part)
-        dg2 = cached_distgraph(g2, part)
-        assert dg1 is dg2
-        other = random_vertex_partition(g1.n, 4, seed=4)
-        assert cached_distgraph(g2, other) is not dg1
+        assert cached_distgraph(g2, part) is not dg1
+        assert cached_distgraph(g1, random_vertex_partition(g1.n, 4, seed=3)) is dg1
+        assert cached_distgraph(g1, random_vertex_partition(g1.n, 4, seed=4)) is not dg1
+
+    def test_a_distgraph_of_an_equal_content_graph_is_rejected(self):
+        g1 = materialize(SPEC)
+        g2 = materialize(SPEC, use_cache=False)
+        dg = cached_distgraph(g1, random_vertex_partition(g1.n, 4, seed=3))
+        with pytest.raises(PartitionError, match="different graph"):
+            resolve_distgraph(g2, 4, None, distgraph=dg)
+        assert resolve_distgraph(g1, 4, None, distgraph=dg) is dg
 
     def test_a_miss_builds_no_view_up_front(self):
         graph = materialize(SPEC)
@@ -195,20 +205,6 @@ def _release_graphs() -> None:
     """Drop what the process holds of earlier loads (the distgraph LRU)."""
     clear_distgraph_cache()
     gc.collect()
-
-
-@pytest.fixture
-def reads(monkeypatch) -> list:
-    """The npz paths the graph cache reads, in order."""
-    calls = []
-    real = io_mod.read_npz
-
-    def counted(path):
-        calls.append(path)
-        return real(path)
-
-    monkeypatch.setattr(io_mod, "read_npz", counted)
-    return calls
 
 
 class TestResidentGraphs:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,38 @@ def test_quadratic_families_refuse_large_n():
     # Noise-free planted triangles are linear and allowed at any n.
     g = build_dataset("planted-triangles:n=50000,triangles=10,seed=1")
     assert g.m == 30
+
+
+@pytest.mark.parametrize("spec, edges", [
+    ("rmat:n=5,avg_deg=0,seed=1", None),
+    ("chung-lu:n=5,avg_deg=0,seed=1", None),
+    ("gnp:n=5,avg_deg=0,seed=1", 0),  # p = 0: the empty G(n, p)
+])
+def test_avg_deg_zero(spec, edges):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero weight total
+        if edges is None:
+            with pytest.raises(WorkloadError, match="avg_deg must be positive"):
+                build_dataset(spec)
+        else:
+            assert build_dataset(spec).m == edges
+
+
+def test_a_target_that_rounds_to_no_edges_builds_an_empty_graph():
+    g = build_dataset("rmat:n=4,avg_deg=0.1,seed=1")  # round(4 * 0.1 / 2) = 0
+    assert g.n == 4 and g.m == 0 and g.edges.shape == (0, 2)
+    assert np.array_equal(g.indptr, np.zeros(5, dtype=np.int64)) and g.indices.size == 0
+
+
+@pytest.mark.parametrize("edges", [[[0, 2], [1, 0], [1, 3], [3, 2]], []],
+                         ids=["directed", "directed-empty"])
+def test_directed_canonical_edges_match_the_validating_constructor(edges):
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)  # in (u, v) key order
+    g = Graph.from_canonical_edges(4, edges, directed=True)
+    ref = Graph(n=4, edges=edges, directed=True)
+    assert g.directed and g.m == ref.m
+    for got, want in ((g.edges, ref.edges), (g.indptr, ref.indptr), (g.indices, ref.indices)):
+        assert np.array_equal(got, want)
 
 
 def test_adapters_match_legacy_generators():
