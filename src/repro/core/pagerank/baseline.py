@@ -31,7 +31,6 @@ from repro.kmachine.distgraph import DistributedGraph, resolve_distgraph
 from repro.kmachine.engine import DEFAULT_ENGINE, MessageBatch
 from repro.kmachine.partition import VertexPartition
 from repro.core.pagerank.result import IterationStats, PageRankResult, close_iteration
-from repro.core.pagerank.tokens import terminate_tokens
 
 __all__ = ["baseline_pagerank"]
 
@@ -84,7 +83,7 @@ def baseline_pagerank(
             active = verts[tokens[verts] > 0]
             if active.size == 0:
                 continue
-            tokens[active] = terminate_tokens(tokens[active], eps, rng)
+            tokens[active] -= rng.binomial(tokens[active], eps)
             active = active[tokens[active] > 0]
             if active.size == 0:
                 continue

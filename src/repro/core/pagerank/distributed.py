@@ -227,6 +227,8 @@ def distributed_pagerank(
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_OUTBOX = ("light_src", "light_dst", "light_v", "light_c",
+           "heavy_src", "heavy_dst", "heavy_v", "heavy_c")
 
 
 def _install_token_states(dg: DistributedGraph, tokens: np.ndarray,
@@ -234,167 +236,196 @@ def _install_token_states(dg: DistributedGraph, tokens: np.ndarray,
     """Per-machine resident state for :class:`_PageRankDriver`.
 
     ``tokens``/``psi`` hold the machine's hosted slice (local index =
-    position in the sorted ``parts[i]``, read off ``ctx.local_index``);
-    ``active`` is the invariant ``flatnonzero(tokens > 0)``, kept so the
-    move reads only the live slots.  A superstep costs ``O(live)`` plus
-    one ``O(n_i)`` segment-sum over the machine's slots in the apply.
-    ``pending_*`` (free local light deliveries, local indices) and
-    ``local_heavy_*`` (same-machine β rows, emission order) buffer
-    intra-iteration carry-over between a move and the apply that
-    follows it.
+    position in the sorted ``parts[i]``, read off ``ctx.local_index``).
+    The first superstep's group kernel turns them into views of its
+    group's slot buffers (:func:`_adopt_group`).
     """
-    return [
-        {
-            "tokens": tokens[verts],
-            "psi": psi[verts],
-            "active": np.flatnonzero(tokens[verts] > 0),
-            "pending_v": _EMPTY, "pending_c": _EMPTY,
-            "local_heavy_v": _EMPTY, "local_heavy_c": _EMPTY,
-        }
-        for verts in dg.parts
-    ]
+    return [{"tokens": tokens[verts], "psi": psi[verts]} for verts in dg.parts]
 
 
-def _step_tokens_task(
-    ctx, machine: int, rng, payload, state, *, eps: float,
-    heavy_threshold: int, enable_heavy_path: bool,
-) -> dict:
-    """Superstep kernel: fused apply+move, one dispatch per iteration.
+def _adopt_group(ctx, machines: list, states: list) -> dict:
+    """Gather a group's token and ψ tables into one slot buffer each.
 
-    ``ctx`` is the machine's graph context — the
+    Slots are machine-major: machine ``machines[i]``'s local index ``l``
+    is slot ``base[machines[i]] + l``.  Each member's ``tokens``/``psi``
+    become views of its slice, so the driver reads them as before.  The
+    returned scratch (also left in every member's state under
+    ``"group"``) holds, between supersteps:
+
+    * ``active`` — the invariant ``flatnonzero(tok > 0)``, so the move
+      reads only live slots (a superstep costs ``O(live)`` plus one
+      segment-sum over the group's slots in the apply);
+    * ``pending_*`` — free local light deliveries (slots) and
+      ``local_heavy_*`` — same-machine β rows (machine-major, emission
+      order), carried from a move to the apply that follows it.
+    """
+    sizes = [ctx.parts[m].size for m in machines]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    tok = np.concatenate([st["tokens"] for st in states])
+    psi = np.concatenate([st["psi"] for st in states])
+    base = np.zeros(ctx.k, dtype=np.int64)
+    base[machines] = bounds[:-1]
+    for st, lo, hi in zip(states, bounds[:-1].tolist(), bounds[1:].tolist()):
+        st["tokens"], st["psi"] = tok[lo:hi], psi[lo:hi]
+    group = {
+        "machines": np.asarray(machines, dtype=np.int64),
+        "base": base,
+        "verts": np.concatenate([ctx.parts[m] for m in machines]).astype(np.int64),
+        "slot_machine": np.repeat(np.asarray(machines, dtype=np.int64), sizes),
+        "tok": tok, "psi": psi,
+        "active": np.flatnonzero(tok > 0),
+        "pending_slot": _EMPTY, "pending_c": _EMPTY,
+        "local_heavy_m": _EMPTY, "local_heavy_v": _EMPTY, "local_heavy_c": _EMPTY,
+    }
+    for st in states:
+        st["group"] = group
+    return group
+
+
+def _token_superstep(
+    ctx, machines: list, rngs: list, payloads: list, states: list, *,
+    eps: float, heavy_threshold: int, enable_heavy_path: bool, move: bool = True,
+) -> "dict | None":
+    """Superstep group kernel: fused apply+move over a group of machines.
+
+    ``ctx`` is the graph context — the
     :class:`~repro.kmachine.distgraph.DistributedGraph` on the inline
     engines, a shared-memory
     :class:`~repro.kmachine.parallel.store.SharedGraphView` in a process
-    worker — and ``state`` its tables from :func:`_install_token_states`.
+    worker — and ``states`` the members' tables from
+    :func:`_install_token_states`, adopted into one slot buffer on the
+    first call (:func:`_adopt_group`).
 
-    ``payload`` is the *previous* iteration's deliveries (``None`` on the
-    first superstep): folding them in here instead of in a trailing
-    dispatch halves the per-iteration kernel round-trips, and apply(it)
-    draws still precede move(it+1) draws on each machine's private
-    stream.  The move (Algorithm 1, lines 5-23) then consumes every live
-    count — terminated, absorbed, or emitted — drawing termination,
-    light picks, then one batched heavy multinomial.  Only the *remote*
-    rows are returned, in emission order: light α rows (``light_*``,
-    with ``light_dst`` resolved here so the parent never touches per-row
-    data) and heavy β rows (``heavy_*``).  Free local light deliveries
-    land in ``state["pending_*"]`` and same-machine β rows in
-    ``state["local_heavy_*"]`` for :func:`_apply_tokens_task`.
+    ``payloads[i]`` is machine ``machines[i]``'s deliveries from the
+    *previous* iteration (``None`` on the first superstep): folding them
+    in here instead of in a trailing dispatch halves the per-iteration
+    kernel round-trips, and apply(it) draws still precede move(it+1)
+    draws on each machine's private stream.  The group's work runs over
+    machine-major arrays, each RNG call on one machine's rows with that
+    machine's generator (:mod:`repro.core.pagerank.tokens`), so every
+    machine draws what it would alone.  ``move=False`` only applies, and
+    ends the run: the scratch leaves the states, which keep their views.
 
-    ``local_live`` reports the tokens this move parked machine-locally;
-    because the heavy re-sampling in
-    :func:`~repro.core.pagerank.tokens.receive_heavy_tokens` conserves
-    counts, the parent recovers each machine's post-apply live total as
-    ``local_live + delivered light + delivered heavy`` without waiting
-    for the apply.
+    Returns the group's *remote* rows in emission order per machine —
+    light α rows (``light_*``) and heavy β rows (``heavy_*``), sender in
+    ``*_src`` — and ``local_live``, the tokens this move parked in the
+    group.  Because the heavy re-sampling conserves counts, the parent
+    recovers the post-apply live total as ``local_live`` plus the
+    delivered counts without waiting for the apply.
     """
-    if payload is not None:
-        _apply_tokens_task(ctx, machine, rng, payload, state)
-    verts = ctx.parts[machine]
+    group = states[0].get("group") or _adopt_group(ctx, machines, states)
+    by_machine = dict(zip(machines, rngs))
+    if payloads[0] is not None:
+        _apply_deliveries(ctx, group, payloads, by_machine)
+    if not move:
+        for st in states:
+            del st["group"]
+        return None
+    return _move_tokens(ctx, group, by_machine, eps, heavy_threshold, enable_heavy_path)
+
+
+def _move_tokens(ctx, group: dict, rngs: dict, eps: float, heavy_threshold: int,
+                 enable_heavy_path: bool) -> dict:
+    """Algorithm 1, lines 5-23, for every live slot of a group.
+
+    Consumes every live count — terminated, absorbed, or emitted —
+    drawing termination, light picks, then one batched heavy multinomial
+    per machine.  Free local light deliveries land in
+    ``group["pending_*"]`` and same-machine β rows in
+    ``group["local_heavy_*"]`` for the next apply.
+    """
     indptr, indices = ctx.graph.indptr, ctx.graph.indices
-    tok = state["tokens"]
-    act = state["active"]  # invariant: flatnonzero(tok > 0)
-    vertices = verts[act]
+    tok = group["tok"]
+    act = group["active"]  # invariant: flatnonzero(tok > 0)
+    vertices = group["verts"][act]
+    machine = group["slot_machine"][act]
     # Lines 5-6: terminate each token with probability eps.
-    counts = terminate_tokens(tok[act], eps, rng)
+    counts = terminate_tokens(tok[act], eps, machine, rngs)
     # Out-degree-0 vertices absorb their tokens.
     keep = (counts > 0) & (indptr[vertices + 1] > indptr[vertices])
-    vertices, counts = vertices[keep], counts[keep]
+    vertices, counts, machine = vertices[keep], counts[keep], machine[keep]
     if enable_heavy_path:
         is_heavy = counts >= heavy_threshold
     else:
         is_heavy = np.zeros(vertices.size, dtype=bool)
-    dv, dc = move_light_tokens(
-        vertices[~is_heavy], counts[~is_heavy], indptr, indices, rng
+    light = ~is_heavy
+    lm, lv, lc = move_light_tokens(
+        vertices[light], counts[light], machine[light], indptr, indices, rngs
     )
     # ctx.home_groups is built on first read, so a run with no heavy
     # vertex never builds it (an empty batch draws nothing either way).
-    hv = hdst = hc = _EMPTY
+    hm = hv = hdst = hc = _EMPTY
     if is_heavy.any():
-        hv, hdst, hc = move_heavy_tokens(
-            vertices[is_heavy], counts[is_heavy], ctx.home_groups, ctx.k, rng
+        hm, hv, hdst, hc = move_heavy_tokens(
+            vertices[is_heavy], counts[is_heavy], machine[is_heavy],
+            ctx.home_groups, ctx.k, rngs,
         )
     tok[act] = 0  # every live count was consumed above
-    state["active"] = _EMPTY
+    group["active"] = _EMPTY
     # Local deliveries are free; remote ones form the α / β rows.
-    homes = ctx.home[dv]
-    local = homes == machine
-    local_heavy = hdst == machine
-    state["pending_v"] = ctx.local_index[dv[local]]
-    state["pending_c"] = dc[local]
-    state["local_heavy_v"] = hv[local_heavy]
-    state["local_heavy_c"] = hc[local_heavy]
+    homes = ctx.home[lv]
+    local = homes == lm
+    local_heavy = hdst == hm
+    group["pending_slot"] = group["base"][lm[local]] + ctx.local_index[lv[local]]
+    group["pending_c"] = lc[local]
+    group["local_heavy_m"] = hm[local_heavy]
+    group["local_heavy_v"] = hv[local_heavy]
+    group["local_heavy_c"] = hc[local_heavy]
     return {
-        "light_dst": homes[~local], "light_v": dv[~local], "light_c": dc[~local],
-        "heavy_dst": hdst[~local_heavy],
+        "light_src": lm[~local], "light_dst": homes[~local],
+        "light_v": lv[~local], "light_c": lc[~local],
+        "heavy_src": hm[~local_heavy], "heavy_dst": hdst[~local_heavy],
         "heavy_v": hv[~local_heavy], "heavy_c": hc[~local_heavy],
-        "local_live": int(state["pending_c"].sum() + state["local_heavy_c"].sum()),
+        "local_live": int(group["pending_c"].sum() + group["local_heavy_c"].sum()),
     }
 
 
-def _assemble_token_outbox(machines, results) -> dict:
-    """Pack one group's move fragments into a columnar outbox.
+def _apply_deliveries(ctx, group: dict, payloads: list, rngs: dict) -> None:
+    """Apply one iteration's deliveries to a group (lines 31-36).
 
-    Runs worker-side on the process engine (one aggregate per worker)
-    and inline otherwise (one aggregate covering all machines).  Rows
-    keep per-machine emission order within the group, which is all the
-    canonical delivery order needs.  ``live_m``/``live_c`` carry each
-    member machine's ``local_live`` count back alongside the outbox.
+    ``payloads[i]`` carries machine ``i``'s delivered light rows and
+    heavy β rows, each in canonical order.  Each machine re-samples its
+    heavy rows into concrete neighbors with its own stream — delivered
+    rows first, then its buffered same-machine rows in emission order.
+    All contributions are positive, so the new ``active`` set is just
+    the touched slots.
     """
-    cols: dict[str, list[np.ndarray]] = {
-        "light_src": [], "light_dst": [], "light_v": [], "light_c": [],
-        "heavy_src": [], "heavy_dst": [], "heavy_v": [], "heavy_c": [],
-    }
-    for m, res in zip(machines, results):
-        if res["light_v"].size:
-            cols["light_src"].append(np.full(res["light_v"].size, m, dtype=np.int64))
-            for name in ("light_dst", "light_v", "light_c"):
-                cols[name].append(res[name])
-        if res["heavy_v"].size:
-            cols["heavy_src"].append(np.full(res["heavy_v"].size, m, dtype=np.int64))
-            for name in ("heavy_dst", "heavy_v", "heavy_c"):
-                cols[name].append(res[name])
-    out = {
-        name: (np.concatenate(parts) if parts else _EMPTY)
-        for name, parts in cols.items()
-    }
-    out["live_m"] = np.asarray(list(machines), dtype=np.int64)
-    out["live_c"] = np.array([r["local_live"] for r in results], dtype=np.int64)
-    return out
-
-
-def _apply_tokens_task(ctx, machine: int, rng, payload, state) -> int:
-    """Superstep kernel: apply one iteration's deliveries (lines 31-36).
-
-    ``payload`` carries the machine's delivered light rows (canonical
-    order) and delivered heavy β rows (canonical order); the heavy rows
-    are re-sampled into concrete neighbors with this machine's stream —
-    delivered rows first, then the buffered same-machine rows in
-    emission order.  All contributions are positive, so the new
-    ``active`` set is just the touched slots.  Returns the number of
-    tokens applied.
-    """
-    tok, psi = state["tokens"], state["psi"]
-    rows = np.concatenate([payload["hvertex"], state["local_heavy_v"]])
-    dv = dc = _EMPTY
-    if rows.size:  # as in _step_tokens_task: no heavy row, no table build
-        dv, dc = receive_heavy_tokens(
-            rows, np.concatenate([payload["hcount"], state["local_heavy_c"]]),
-            machine, ctx.home_groups, ctx.k, rng,
+    machines = group["machines"]
+    light_v = np.concatenate([p["vertex"] for p in payloads])
+    light_c = np.concatenate([p["count"] for p in payloads])
+    light_m = np.repeat(machines, [p["vertex"].size for p in payloads])
+    heavy_m = np.concatenate([
+        np.repeat(machines, [p["hvertex"].size for p in payloads]), group["local_heavy_m"],
+    ])
+    dm = dv = dc = _EMPTY
+    if heavy_m.size:  # as in _move_tokens: no heavy row, no table build
+        # Machine-major, each machine's delivered rows before its own
+        # (a radix sort on the narrow machine ids).
+        order = np.argsort(heavy_m.astype(np.min_scalar_type(ctx.k - 1)), kind="stable")
+        heavy_v = np.concatenate([p["hvertex"] for p in payloads] + [group["local_heavy_v"]])
+        heavy_c = np.concatenate([p["hcount"] for p in payloads] + [group["local_heavy_c"]])
+        dm, dv, dc = receive_heavy_tokens(
+            heavy_v[order], heavy_c[order], heavy_m[order],
+            ctx.home_groups, ctx.k, rngs,
         )
-    delivered = ctx.local_index[np.concatenate([payload["vertex"], dv])]
-    idx = np.concatenate([state["pending_v"], delivered])
-    cnt = np.concatenate([state["pending_c"], payload["count"], dc])
-    state["pending_v"] = state["pending_c"] = _EMPTY
-    state["local_heavy_v"] = state["local_heavy_c"] = _EMPTY
-    # One segment-sum over the machine's slots feeds both tables; it is
+    base, local_index = group["base"], ctx.local_index
+    idx = np.concatenate([
+        group["pending_slot"],
+        base[light_m] + local_index[light_v],
+        base[dm] + local_index[dv],
+    ])
+    cnt = np.concatenate([group["pending_c"], light_c, dc])
+    group["pending_slot"] = group["pending_c"] = _EMPTY
+    group["local_heavy_m"] = group["local_heavy_v"] = group["local_heavy_c"] = _EMPTY
+    # One segment-sum over the group's slots feeds both tables; it is
     # integer-exact because every slot's total is a token count, far
     # below 2**53.
+    tok, psi = group["tok"], group["psi"]
     added = np.bincount(idx, weights=cnt, minlength=tok.size).astype(np.int64)
     active = np.flatnonzero(added)
     tok[active] += added[active]
     psi[active] += added[active]
-    state["active"] = active
-    return int(cnt.sum())
+    group["active"] = active
 
 
 class _PageRankDriver:
@@ -402,12 +433,12 @@ class _PageRankDriver:
 
     The per-machine token and ψ tables are installed once as resident
     state (:func:`_install_token_states`) and every iteration is one
-    :meth:`Cluster.map_machines` dispatch of :func:`_step_tokens_task` —
-    serial on the inline engines, fanned out to shard workers on the
-    process backend, with identical per-machine draw order either way —
-    carrying the previous deliveries in and the remote α/β rows out, so
-    per-iteration work is proportional to live tokens rather than ``n``.
-    The rows, assembled group-side (:func:`_assemble_token_outbox`),
+    :meth:`Cluster.map_groups` dispatch of the group kernel
+    :func:`_token_superstep` — all machines in one call on the inline
+    engines, one call per worker on the process backend, with identical
+    per-machine draws either way — carrying the previous deliveries in
+    and each group's remote α/β rows out, so per-iteration work is
+    proportional to live tokens rather than ``n``.  The groups' rows
     form two columnar streams — ``pr-light`` (``<α[v], dest: v>``) and
     ``pr-heavy`` (``<β[j], src: u>``) count messages — exchanged in a
     single communication phase, so every execution backend charges the
@@ -416,10 +447,10 @@ class _PageRankDriver:
     :func:`~repro.core.pagerank.result.close_iteration`.
 
     Live counts (the termination signal) are recovered parent-side from
-    ``local_live`` plus delivered counts (token moves conserve counts),
-    and :meth:`finish` issues one trailing apply so the pulled tables
-    always include the last deliveries.  The apply is draw-neutral when
-    it has no heavy rows.
+    the groups' ``local_live`` plus delivered counts (token moves
+    conserve counts), and :meth:`finish` issues one trailing apply-only
+    dispatch so the pulled tables always include the last deliveries.
+    The apply is draw-neutral when it has no heavy rows.
     """
 
     def __init__(
@@ -435,10 +466,12 @@ class _PageRankDriver:
     ) -> None:
         self.dg = distgraph
         self.psi = psi
-        self.eps = eps
-        self.heavy_threshold = heavy_threshold
-        self.enable_heavy_path = enable_heavy_path
         self.vid_bits = vid_bits
+        self.common = {
+            "eps": eps,
+            "heavy_threshold": heavy_threshold,
+            "enable_heavy_path": enable_heavy_path,
+        }
         self.iteration = 0
         self.stats: list[IterationStats] = []
         self.handle = cluster.install_resident(
@@ -451,8 +484,9 @@ class _PageRankDriver:
         if self._carry is not None:
             # Fold the final iteration's deliveries in (a draw-free
             # no-op when the run terminated with zero live tokens).
-            cluster.map_machines(
-                _apply_tokens_task, self.dg, self._carry, resident=self.handle,
+            cluster.map_groups(
+                _token_superstep, self.dg, self._carry,
+                common={**self.common, "move": False}, resident=self.handle,
             )
             self._carry = None
         states = cluster.pull_resident(self.handle)
@@ -465,46 +499,31 @@ class _PageRankDriver:
         self.iteration += 1
         k = cluster.k
 
-        groups = cluster.map_machines(
-            _step_tokens_task,
+        groups = cluster.map_groups(
+            _token_superstep,
             self.dg,
             self._carry if self._carry is not None else [None] * k,
-            common={
-                "eps": self.eps,
-                "heavy_threshold": self.heavy_threshold,
-                "enable_heavy_path": self.enable_heavy_path,
-            },
+            common=self.common,
             resident=self.handle,
-            assemble=_assemble_token_outbox,
         )
-        local_live = np.zeros(k, dtype=np.int64)
-        for g in groups:
-            local_live[g["live_m"]] = g["live_c"]
         merged = {
-            name: (
-                np.concatenate([g[name] for g in groups])
-                if len(groups) > 1 else groups[0][name]
-            )
-            for name in groups[0]
-            if not name.startswith("live_")
+            name: np.concatenate([g[name] for g in groups]) if len(groups) > 1
+            else groups[0][name]
+            for name in _OUTBOX
         }
         light_in, heavy_in = self._exchange_tokens(cluster, it, merged)
 
-        payloads = []
-        lives = []
-        for j in range(k):
-            rows = light_in.for_machine(j)
-            hrows = heavy_in.for_machine(j)
-            payloads.append({
-                "vertex": rows["vertex"], "count": rows["count"],
-                "hvertex": hrows["vertex"], "hcount": hrows["count"],
-            })
-            # Moves conserve counts, so the post-apply live total is
-            # known before the apply runs (it rides the next dispatch).
-            lives.append(int(local_live[j] + rows["count"].sum()
-                             + hrows["count"].sum()))
-        self._carry = payloads
-        live = sum(lives)
+        lv, lc = light_in.columns["vertex"], light_in.columns["count"]
+        hv, hc = heavy_in.columns["vertex"], heavy_in.columns["count"]
+        lo, ho = light_in.offsets.tolist(), heavy_in.offsets.tolist()
+        self._carry = [
+            {"vertex": lv[lo[j]:lo[j + 1]], "count": lc[lo[j]:lo[j + 1]],
+             "hvertex": hv[ho[j]:ho[j + 1]], "hcount": hc[ho[j]:ho[j + 1]]}
+            for j in range(k)
+        ]
+        # Moves conserve counts, so the post-apply live total is known
+        # before the apply runs (it rides the next dispatch).
+        live = sum(g["local_live"] for g in groups) + int(lc.sum()) + int(hc.sum())
         self.stats.append(close_iteration(
             cluster, it, live, "pagerank/control/report", "pagerank/control/verdict"))
         return live > 0

@@ -12,7 +12,7 @@ instead of deterministic — the whp guarantees match the model's).
 Because the family delegates to
 :func:`~repro.core.triangles.distributed.enumerate_triangles_distributed`,
 its per-machine compute — the proxy draws and the Phase-3 local
-enumeration — runs through the same ``map_machines`` superstep kernels
+enumeration — runs through the same superstep kernels
 on every execution backend (one worker task per clique node's machine
 on the process engine).
 """

@@ -30,10 +30,11 @@ same function run with color 4-tuples by
 :func:`~repro.core.subgraphs.distributed.enumerate_subgraphs_distributed`.
 :data:`PATTERNS` names each pattern's tuple size and sequential
 enumerator.  The proxy draws and the Phase-3 enumeration are superstep
-kernels (:func:`_draw_edge_proxies_task`, :func:`_enumerate_tuples_task`)
-dispatched through :meth:`Cluster.map_machines`: serial on the inline
-engines, fanned out across shard workers on the process backend,
-draw-for-draw and bit-for-bit identical either way.  This module keeps
+kernels (:func:`_draw_edge_proxies_task` through
+:meth:`Cluster.map_machines`, the group kernel
+:func:`_enumerate_tuples_task` through :meth:`Cluster.map_groups`):
+serial on the inline engines, fanned out across shard workers on the
+process backend, draw-for-draw and bit-for-bit identical either way.  This module keeps
 the triangle-only parts: Phase 0's designation requests, the coin-based
 shipper rule and open triads.
 
@@ -92,18 +93,15 @@ def _draw_edge_proxies_task(ctx, machine: int, rng, count: int) -> np.ndarray:
     return rng.integers(0, ctx.k, size=count)
 
 
-def _enumerate_tuples_task(
-    ctx, machine: int, rng, local_edges, colors: np.ndarray, q: int,
-    pattern: str, enumerate_triads: bool,
-):
-    """Superstep kernel: Phase-3 local enumeration on one tuple owner.
+def _enumerate_tuples(ctx, machine: int, local_edges, colors: np.ndarray, q: int,
+                      pattern: str, enumerate_triads: bool):
+    """Phase-3 local enumeration on one tuple owner.
 
     ``local_edges`` is the machine's received edge set (``None`` when it
     received nothing or owns no tuple); ``colors`` is the shared hash.
     Returns ``(rows, open_triads)`` restricted to the machine's color
     multiset (triads only when asked for) — pure local compute, no RNG
-    draws, so engines agree bit for bit and the process backend can fan
-    the (dominant) enumeration cost out across shard workers.
+    draws.
     """
     r, enumerate_rows = PATTERNS[pattern]
     if local_edges is None:
@@ -116,13 +114,29 @@ def _enumerate_tuples_task(
     return rows[owner_keys(colors[rows], q) == machine], triads
 
 
+def _enumerate_tuples_task(
+    ctx, machines: list, rngs, payloads: list, states, *, colors: np.ndarray,
+    q: int, pattern: str, enumerate_triads: bool,
+) -> dict:
+    """Superstep group kernel: Phase 3 on each of a group's tuple owners.
+
+    Draws nothing, so engines agree bit for bit and the process backend
+    fans the (dominant) enumeration cost out across shard workers; each
+    group ships one aggregate (:func:`_assemble_enumeration`) instead of
+    one (possibly huge) row array per machine.
+    """
+    return _assemble_enumeration(machines, [
+        _enumerate_tuples(ctx, m, local_edges, colors, q, pattern, enumerate_triads)
+        for m, local_edges in zip(machines, payloads)
+    ])
+
+
 def _assemble_enumeration(machines, results) -> dict:
     """Pack one group's Phase-3 outputs into a single columnar shipment.
 
     Concatenated occurrence/triad rows plus per-machine row counts, so the
     driver can credit each machine and put the triads back in machine
-    order.  On the process engine this runs worker-side — one shipment
-    per worker instead of one (possibly huge) row array per machine.
+    order.
     """
     rows, triads = zip(*results)
     return {
@@ -242,14 +256,11 @@ def enumerate_color_tuples(
     payloads = [e if j < owners and e.size else None for j, e in enumerate(per_owner)]
     common = {"colors": colors, "q": q, "pattern": pattern,
               "enumerate_triads": enumerate_triads}
-    # Group-assembled shipping: one aggregate per worker (process) or
-    # for the whole superstep (inline); groups hold disjoint machines.
-    # Rows are re-sorted globally below, so group order is free to differ
-    # from machine order; triads are put back machine-ascending.
-    groups = cluster.map_machines(
-        _enumerate_tuples_task, dg, payloads, common=common,
-        assemble=_assemble_enumeration,
-    )
+    # One aggregate per group: per worker (process) or for the whole
+    # superstep (inline); groups hold disjoint machines.  Rows are
+    # re-sorted globally below, so group order is free to differ from
+    # machine order; triads are put back machine-ascending.
+    groups = cluster.map_groups(_enumerate_tuples_task, dg, payloads, common=common)
     machines = np.concatenate([agg["machines"] for agg in groups])
     per_machine[machines] = np.concatenate([agg["row_counts"] for agg in groups])
     occ = np.concatenate([agg["rows"] for agg in groups])

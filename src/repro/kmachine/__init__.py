@@ -29,7 +29,9 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
   flags, broadcasts, scatters the receivers rebuild locally) passes only
   its ``(k, k)`` link loads (:meth:`Cluster.account_phase`, and
   :meth:`Cluster.broadcast` built on it); per-machine compute runs as
-  superstep kernels (:meth:`Cluster.map_machines`).
+  superstep kernels, one call per group of machines
+  (:meth:`Cluster.map_groups`) or per machine (:meth:`Cluster.map_machines`,
+  a thin adapter over it).
 * ``Cluster(..., engine="vector")`` — the default, named once as
   :data:`~repro.kmachine.engine.DEFAULT_ENGINE` — executes batches
   through :class:`~repro.kmachine.engine.VectorEngine`: per-link loads
@@ -39,8 +41,8 @@ pluggable execution-engine layer (:mod:`repro.kmachine.engine`):
 * ``Cluster(..., engine="process", workers=W)`` executes them through
   :class:`~repro.kmachine.parallel.engine.ProcessEngine`: the vectorized
   exchange layer is inherited unchanged, and per-machine *compute* —
-  superstep kernels dispatched via :meth:`Cluster.map_machines` — runs
-  in a pool of ``W`` worker processes.  A
+  superstep kernels dispatched via :meth:`Cluster.map_groups` — runs
+  in a pool of ``W`` worker processes, one group of machines each.  A
   :class:`~repro.kmachine.parallel.store.SharedGraphStore` publishes the
   graph's CSR and the :class:`DistributedGraph` partition arrays into one
   :mod:`multiprocessing.shared_memory` segment per ``(graph,
@@ -76,7 +78,7 @@ kernels and everything else stays engine-agnostic.
 Authoring superstep kernels
 ---------------------------
 Every registered algorithm family routes its per-machine compute
-through :meth:`Cluster.map_machines` kernels — PageRank's token moves
+through superstep kernels — PageRank's token moves
 and heavy re-sampling, the proxy draws and Phase-3 local enumeration of
 the one color-tuple pipeline that triangles, the congested clique and
 K4/C4 share
@@ -84,11 +86,13 @@ K4/C4 share
 conversion-theorem baseline's per-node enumeration, MST's local Borůvka component scans
 (inherited by connectivity), and sorting's Bernoulli sampling and local
 block sort.  A kernel is a **module-level** callable (workers resolve
-it by reference)::
+it by reference), either per machine, dispatched by
+:meth:`Cluster.map_machines`::
 
     def my_kernel(ctx, machine, rng, payload, **common) -> result
 
-and must obey three contracts for the backends to stay bit-identical:
+or per scheduling group (contract 5), and must obey three contracts for
+the backends to stay bit-identical:
 
 1. **RNG order.**  All randomness comes from ``rng`` — machine
    ``machine``'s private stream — and the kernel must make *exactly*
@@ -118,7 +122,10 @@ and must obey three contracts for the backends to stay bit-identical:
    whole batch at once instead of calling ``ctx.local_neighbors`` row
    by row.  The groups keep CSR order, which decides which neighbor
    each multinomial entry maps to, so the draws are those of the
-   per-row masks.
+   per-row masks.  A group kernel batches its machines' deterministic
+   work but makes each RNG call on one machine's contiguous rows with
+   that machine's stream: PageRank sends with one broadcast call per
+   machine and receives in blocks that never span two machines.
 2. **Payload contract.**  ``payloads[i]`` must be machine ``i``'s
    complete per-superstep input: a picklable structure of plain NumPy
    arrays / scalars / ``None`` (large arrays ship through shared
@@ -133,8 +140,8 @@ and must obey three contracts for the backends to stay bit-identical:
    first read in whichever process reads it) and ``local_index`` (each vertex's
    position in its home machine's ``parts`` entry, built likewise).
    Kernels must not mutate ``ctx`` or rely on any other parent state.
-3. **Result contract.**  Results are returned per machine (the
-   scheduler yields them in machine order); parent-side merges must be
+3. **Result contract.**  Results are returned per machine (in machine
+   order) or per group (in group order); parent-side merges must be
    order-insensitive exact operations (concatenation in machine order,
    integer scatter-adds) so that fan-out cannot change outcomes.
    Returning columnar outbox fragments and assembling one
@@ -184,21 +191,28 @@ driver on every engine:
    bundle to that graph's published store, so store eviction drops it.
    Inline engines honor the same API with the states kept parent-side,
    so drivers stay engine-agnostic and bit-identical across backends.
-5. **Outbox assembly.**  ``map_machines(..., assemble=fn)`` moves the
-   per-group merge worker-side: ``fn(machines, results)`` — a
-   module-level callable — folds one scheduling group's ordered kernel
-   results into a single aggregate (typically concatenated columnar
-   outbox fragments), and the call returns a list of *group aggregates*
-   (one group covering all machines inline; one group per worker, its
-   machines ascending, on the process backend) instead of ``k``
-   results.  Only the aggregate ships back, so reply traffic stops
-   scaling with ``k``.  Aggregates must be order-insensitive to
+5. **Group kernels.**  :meth:`Cluster.map_groups` calls a
+   module-level ``task(ctx, machines, rngs, payloads, states, **common)``
+   once per scheduling group — all ``k`` machines on the inline
+   engines, each worker's machines ``w, w + W, ...`` (ascending, not
+   necessarily contiguous) on the process backend — where ``rngs[i]``,
+   ``payloads[i]`` and ``states[i]`` (``None`` without ``resident=``)
+   belong to ``machines[i]``, and returns one result per group.  The
+   kernel vectorises its machines' bookkeeping over machine-major arrays
+   and returns one aggregate, so per-superstep Python work and reply
+   traffic stop scaling with ``k``.  Its draws must follow contract 1
+   per machine, which makes any grouping draw-for-draw identical;
+   :meth:`Cluster.map_machines` is the per-machine adapter over it.
+   Aggregates from different groups must be order-insensitive to
    concatenate — columnar ``MessageBatch`` fragments are, because
    canonical delivery re-sorts rows by ``(dst, src, emission)`` and
-   per-machine rows stay contiguous and emission-ordered within any
-   group; order-sensitive outputs must carry per-machine counts so the
-   parent can restore machine order (see the color-tuple pipeline's
-   Phase-3 kernel and its ``_assemble_enumeration``).
+   each machine's rows stay emission-ordered inside its group;
+   order-sensitive outputs must carry per-machine counts so the parent
+   can restore machine order.  PageRank's
+   :func:`~repro.core.pagerank.distributed._token_superstep` (one slot
+   buffer per group, adopted from the members' resident tables) and
+   the color-tuple pipeline's Phase-3 kernel with its
+   ``_assemble_enumeration`` are the worked examples.
 
 Tracing contract
 ----------------
@@ -210,8 +224,9 @@ one ``phase`` event per communication phase or kernel dispatch with its
 wall-clock and sub-spans (``pack_s`` / ``account_s`` / ``deliver_s`` on
 the vector backend, ``ship_s`` / ``kernel_s`` / ``pool_wait_s`` /
 ``unpack_s`` on the process backend, where ``kernel_s`` is summed
-worker-side wall-clock, plus ``assemble_s`` — worker-side outbox
-assembly time — on group-assembled supersteps).  Backends must guard **every** tracing site
+worker-side wall-clock; ``kernel_s`` alone on the inline backends).  A
+group dispatch is traced as op ``map_machines``, labelled with its
+kernel's name.  Backends must guard **every** tracing site
 with ``if self.tracer.enabled:`` — the untraced path pays one attribute
 load and one branch per phase, never a clock read or an allocation —
 and must read phase statistics from ``self.metrics.phase_log[-1]``

@@ -13,8 +13,9 @@ machine's outgoing traffic from that machine's local state only, then
 charge it through one of three phase primitives —
 :meth:`Cluster.exchange_batches` (columnar traffic that is delivered),
 :meth:`Cluster.account_phase` (aggregate-only phases: the ``(k, k)``
-link loads alone, nothing delivered) and :meth:`Cluster.map_machines`
-(per-machine superstep kernels).  This is the BSP-style structure the
+link loads alone, nothing delivered) and :meth:`Cluster.map_groups`
+(superstep kernels, one call per machine group; :meth:`Cluster.map_machines`
+is its per-machine form).  This is the BSP-style structure the
 paper itself notes the k-machine model simplifies.
 
 *How* a phase executes is delegated to a pluggable execution engine
@@ -23,7 +24,7 @@ multiprocessing shard workers — see :mod:`repro.kmachine.engine` and
 :mod:`repro.kmachine.parallel`); both produce identical results and
 identical round/message/bit accounting, which the test suite checks
 against a per-object oracle engine (``tests/message_engine.py``).  The
-process backend parallelizes :meth:`Cluster.map_machines`.
+process backend runs :meth:`Cluster.map_groups` kernels in its workers.
 """
 
 from __future__ import annotations
@@ -128,34 +129,46 @@ class Cluster:
         """
         return self.engine.exchange_batches(batches, label=label)
 
+    def map_groups(self, task, distgraph, payloads, common: dict | None = None,
+                   resident=None) -> list:
+        """Run a group kernel once per scheduling group; results in group order.
+
+        ``task(ctx, machines, rngs, payloads, states, **common)`` gets a
+        group's machines (ascending) with their RNG streams, payloads and
+        resident states (``None`` without ``resident``, a handle from
+        :meth:`install_resident`).  The inline backends run all ``k``
+        machines as one group; the process backend runs one group per
+        worker, machines ``w, w + W, ...``, in the worker that holds
+        their streams — so a cluster whose driver dispatches kernels must
+        route *all* machine-RNG draws through them.  Each machine's draws
+        must come from its own stream in its own order (see
+        :meth:`Engine.map_groups`).
+        """
+        return self.engine.map_groups(
+            task, distgraph, payloads, self.machine_rngs, common=common,
+            resident=resident,
+        )
+
     def map_machines(self, task, distgraph, payloads, common: dict | None = None,
-                     resident=None, assemble=None) -> list:
-        """Run a per-machine superstep kernel via the engine.
+                     resident=None) -> list:
+        """Run a per-machine superstep kernel; results in machine order.
 
-        ``task(ctx, machine, rng, payload, **common)`` runs once per
-        machine against this cluster's per-machine RNG streams (see
-        :meth:`Engine.map_machines`).  Inline backends execute the
-        kernels serially; the process backend fans them out to shard
-        workers, which then hold and advance the machine streams — so a
-        cluster whose driver uses ``map_machines`` must route *all*
-        machine-RNG draws through it.
-
-        With ``resident`` (a handle from :meth:`install_resident`) each
-        kernel also receives its machine's persistent state as a fifth
-        positional argument; with ``assemble`` the return value is a
-        list of per-group aggregates instead of per-machine results
-        (see :meth:`Engine.map_machines`).
+        ``task(ctx, machine, rng, payload, **common)`` — with the
+        machine's resident state inserted after ``payload`` when
+        ``resident`` is given — runs once per machine, by a group kernel
+        that :meth:`map_groups` dispatches and that loops over its
+        group's machines.
         """
         return self.engine.map_machines(
             task, distgraph, payloads, self.machine_rngs, common=common,
-            resident=resident, assemble=assemble,
+            resident=resident,
         )
 
     def install_resident(self, states, distgraph=None):
         """Install per-machine driver state that persists across supersteps.
 
         Returns a :class:`~repro.kmachine.engine.ResidentHandle` to pass
-        as ``map_machines(..., resident=handle)``.  Inline engines keep
+        as ``map_groups(..., resident=handle)`` (or ``map_machines``).  Inline engines keep
         the states in-process; the process engine ships each machine's
         state to its owning worker once, after which only deltas travel
         per superstep.  Pull final state with :meth:`pull_resident`

@@ -112,20 +112,22 @@ class Metrics:
                 f"load matrices must have shape ({self.k}, {self.k}), "
                 f"got {bits_matrix.shape} and {messages_matrix.shape}"
             )
-        if np.any(np.diagonal(bits_matrix)) or np.any(np.diagonal(messages_matrix)):
+        if np.diagonal(bits_matrix).any() or np.diagonal(messages_matrix).any():
             raise ValueError("diagonal (local) link loads must be zero")
-        if np.any(bits_matrix < 0) or np.any(messages_matrix < 0):
+        if bits_matrix.min(initial=0) < 0 or messages_matrix.min(initial=0) < 0:
             raise ValueError("link loads must be non-negative")
 
+        sent, received = messages_matrix.sum(axis=1), messages_matrix.sum(axis=0)
+        sent_bits, received_bits = bits_matrix.sum(axis=1), bits_matrix.sum(axis=0)
         max_link = int(bits_matrix.max(initial=0))
         rounds = -(-max_link // self.bandwidth)  # ceil
         stats = PhaseStats(
             rounds=int(rounds),
-            messages=int(messages_matrix.sum()),
-            bits=int(bits_matrix.sum()),
+            messages=int(sent.sum()),
+            bits=int(sent_bits.sum()),
             max_link_bits=max_link,
-            max_machine_sent=int(messages_matrix.sum(axis=1).max(initial=0)),
-            max_machine_received=int(messages_matrix.sum(axis=0).max(initial=0)),
+            max_machine_sent=int(sent.max(initial=0)),
+            max_machine_received=int(received.max(initial=0)),
             label=label,
         )
         self.rounds += stats.rounds
@@ -133,10 +135,10 @@ class Metrics:
         self.messages += stats.messages
         self.bits += stats.bits
         self.local_messages += int(local_messages)
-        self.sent_messages += messages_matrix.sum(axis=1)
-        self.received_messages += messages_matrix.sum(axis=0)
-        self.sent_bits += bits_matrix.sum(axis=1)
-        self.received_bits += bits_matrix.sum(axis=0)
+        self.sent_messages += sent
+        self.received_messages += received
+        self.sent_bits += sent_bits
+        self.received_bits += received_bits
         self.phase_log.append(stats)
         return stats
 

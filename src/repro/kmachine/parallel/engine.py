@@ -8,15 +8,15 @@ delivery order, identical round accounting — so anything a
 driver routes through :meth:`exchange` / :meth:`exchange_batches` is
 bit-identical by construction.  What this engine adds is a parallel
 implementation of the *superstep scheduler*
-(:meth:`~repro.kmachine.engine.Engine.map_machines`): per-machine
-compute kernels run in a pool of worker processes instead of a serial
-loop.
+(:meth:`~repro.kmachine.engine.Engine.map_groups`): each worker runs
+the group kernel on its own machines, instead of one call for all
+machines in the parent.
 
 Design notes
 ------------
 * **Warm pools.**  The engine does not own its worker processes; it
   *holds* a :class:`~repro.kmachine.parallel.pool.WorkerPool` acquired
-  from the process-wide registry on the first ``map_machines`` call and
+  from the process-wide registry on the first ``map_groups`` call and
   released warm on :meth:`close`.  Consecutive runs with the same
   worker count reuse the same processes (and any still-published graph
   stores) with no respawn.
@@ -26,22 +26,22 @@ Design notes
   order is exactly the inline engines' — which is all bit-identity
   requires, because the streams are independent (results are merged
   with exact integer scatter-adds, which commute).
-* **Zero-copy graph state.**  The first ``map_machines`` call for a
+* **Zero-copy graph state.**  The first ``map_groups`` call for a
   given :class:`~repro.kmachine.distgraph.DistributedGraph` publishes
   its CSR shards and partition arrays into the pool's
   :class:`~repro.kmachine.parallel.store.SharedGraphStore`; workers
   attach views once and reuse them every superstep (and across runs,
   while the pool stays warm).  Kernels that need no graph state run
   with ``distgraph=None`` and a ``None`` context.
-* **Shared-memory batch delivery.**  Per-superstep payloads and kernel
-  results — the columnar outbox fragments the scheduler assembles into
-  :class:`~repro.kmachine.engine.MessageBatch` streams — travel through
-  per-shipment shared-memory segments once they are large
-  (:mod:`repro.kmachine.parallel.shipping`); small phases stay on the
-  pipes.  Either way the scheduler concatenates fragments in machine
-  order — the exact emission order of the serial loop — so the merged
-  ``(k, k)`` load matrices and round counts are byte-equal to the
-  inline engines'.
+* **Shared-memory batch delivery.**  Per-superstep payloads and group
+  results — typically one columnar outbox per worker, which the driver
+  concatenates into :class:`~repro.kmachine.engine.MessageBatch`
+  streams — travel through per-shipment shared-memory segments once
+  they are large (:mod:`repro.kmachine.parallel.shipping`); small phases
+  stay on the pipes.  Canonical delivery re-sorts rows by ``(dst, src,
+  emission)`` and each machine's rows stay in emission order inside its
+  group, so the merged ``(k, k)`` load matrices and round counts are
+  byte-equal to the inline engines'.
 * **Failure containment.**  A kernel exception is caught in the worker
   and re-raised here as :class:`~repro.errors.ModelError` with the
   worker traceback; the engine is poisoned (its cluster's RNG streams
@@ -80,7 +80,7 @@ __all__ = ["ProcessEngine", "MAX_STORES"]
 class _DelegatedRNG:
     """Placeholder left in ``cluster.machine_rngs`` once a stream ships.
 
-    After the first :meth:`ProcessEngine.map_machines` call the
+    After the first :meth:`ProcessEngine.map_groups` call the
     authoritative Generator state lives in the owning worker; any
     parent-side draw from the stale parent copy would silently diverge
     from the inline engines.  This sentinel turns that misuse into an
@@ -120,7 +120,7 @@ class ProcessEngine(VectorEngine):
         Worker-process count; defaults to the available CPU count,
         capped at ``k`` (one worker per machine is the maximum useful
         parallelism).  The pool is acquired lazily on the first
-        :meth:`map_machines` call — warm from the registry when one
+        :meth:`map_groups` call — warm from the registry when one
         with this count is idle, freshly spawned otherwise — so
         clusters that never run a parallel superstep touch no
         processes.
@@ -235,26 +235,23 @@ class ProcessEngine(VectorEngine):
         self._rngs_shipped = True
 
     # ------------------------------------------------------------------
-    def map_machines(self, task, distgraph, payloads: Sequence, rngs,
-                     common: dict | None = None, resident: ResidentHandle | None = None,
-                     assemble=None) -> list:
-        """Run a per-machine superstep task across the worker pool.
+    def machine_groups(self) -> list[list[int]]:
+        """One group per worker: its machines ``w, w + W, ...`` ascending."""
+        return [list(self._machines_of(w)) for w in range(self.workers)]
 
-        See :meth:`Engine.map_machines` for the contract.  On the first
+    def map_groups(self, task, distgraph, payloads: Sequence, rngs,
+                   common: dict | None = None,
+                   resident: ResidentHandle | None = None) -> list:
+        """Run a group kernel once per worker, on that worker's machines.
+
+        See :meth:`Engine.map_groups` for the contract.  On the first
         call the current per-machine Generators are shipped to their
         owning workers, which hold and advance them from then on.  A
         ``None`` ``distgraph`` skips store publication and hands kernels
-        a ``None`` context.
-
-        With ``resident`` the kernels additionally receive their
-        machine's worker-held state (installed via
-        :meth:`install_resident`) — nothing state-sized crosses the
-        pipes.  With ``assemble`` each worker packs its machines'
-        results into one aggregate before replying, and the returned
-        list holds one aggregate per worker (workers ``0..W-1``, each
-        covering its machines in ascending order) instead of one entry
-        per machine; the worker-side pack time is traced as
-        ``assemble_s``.
+        a ``None`` context.  With ``resident`` the kernels receive their
+        machines' worker-held states (installed via
+        :meth:`install_resident`), so nothing state-sized crosses the
+        pipes.  Each worker replies with its kernel's one result.
         """
         self._mark_activity()
         k = self.k
@@ -283,8 +280,7 @@ class ProcessEngine(VectorEngine):
         t0 = time.perf_counter() if trace else 0.0
         in_flight: dict[int, tuple] = {}  # payload wires, for crash cleanup
         pending: set[int] = set()
-        for w in range(pool.workers):
-            machines = list(self._machines_of(w))
+        for w, machines in enumerate(self.machine_groups()):
             key = meta = None
             if store is not None:
                 key = store.key
@@ -292,15 +288,14 @@ class ProcessEngine(VectorEngine):
             wire = shipping.ship(([payloads[i] for i in machines], common))
             in_flight[w] = wire
             try:
-                pool.send(w, ("map", task, key, meta, machines, wire, token, assemble))
+                pool.send(w, ("map", task, key, meta, machines, wire, token))
             except (BrokenPipeError, OSError) as exc:
                 self._crash(w, exc, in_flight=in_flight, pending=pending)
             pending.add(w)
         t_shipped = time.perf_counter() if trace else 0.0
-        results: list = [None] * (pool.workers if assemble is not None else k)
+        results: list = [None] * pool.workers
         failure: str | None = None
         kernel_s = 0.0  # summed worker-side kernel wall-clock
-        assemble_s = 0.0  # summed worker-side outbox-assembly wall-clock
         wait_s = 0.0  # parent blocked on replies
         unpack_s = 0.0  # decoding result wires
         for w in range(pool.workers):
@@ -313,16 +308,10 @@ class ProcessEngine(VectorEngine):
             pending.discard(w)
             if status == "ok":
                 # An ok reply proves the worker consumed (and unlinked)
-                # its payload segment before running the kernels.
+                # its payload segment before running the kernel.
                 in_flight.pop(w, None)
-                worker_results, worker_kernel_s, worker_assemble_s = shipping.receive(value)
+                results[w], worker_kernel_s = shipping.receive(value)
                 kernel_s += worker_kernel_s
-                assemble_s += worker_assemble_s
-                if assemble is not None:
-                    results[w] = worker_results
-                else:
-                    for machine, result in worker_results.items():
-                        results[machine] = result
                 if trace:
                     wait_s += t_recv - t_wait
                     unpack_s += time.perf_counter() - t_recv
@@ -346,19 +335,16 @@ class ProcessEngine(VectorEngine):
             )
         if trace:
             t_end = time.perf_counter()
-            segments = {
-                "ship_s": t_shipped - t0,
-                "kernel_s": kernel_s,
-                "pool_wait_s": max(0.0, wait_s - kernel_s - assemble_s),
-                "unpack_s": unpack_s,
-            }
-            if assemble is not None:
-                segments["assemble_s"] = assemble_s
             self.tracer.phase(
                 "map_machines",
                 getattr(task, "__name__", str(task)),
                 t_end - t0,
-                segments=segments,
+                segments={
+                    "ship_s": t_shipped - t0,
+                    "kernel_s": kernel_s,
+                    "pool_wait_s": max(0.0, wait_s - kernel_s),
+                    "unpack_s": unpack_s,
+                },
             )
         return results
 
@@ -367,7 +353,7 @@ class ProcessEngine(VectorEngine):
         """Install per-machine driver state into the owning workers.
 
         ``states[i]`` ships once to machine ``i``'s worker and stays
-        there; subsequent :meth:`map_machines` calls with the returned
+        there; subsequent :meth:`map_groups` calls with the returned
         handle pass only deltas.  The RNG streams must ship first (the
         shipment is the worker-side holder marker that clears previous
         residents), so ``rngs`` — the cluster's ``machine_rngs`` — is

@@ -18,24 +18,20 @@ Protocol (parent -> worker over one duplex pipe, processed in order):
 ``("rngs", {machine: Generator})``
     Install / replace the worker's machine RNG streams.  Marks a new
     holder: all resident states of the previous holder are dropped.
-``("map", task, store_key_or_None, meta_or_None, machines, wire[, resident_token, assemble])``
+``("map", task, store_key_or_None, meta_or_None, machines, wire, resident_token_or_None)``
     ``wire`` is a :func:`~repro.kmachine.parallel.shipping.ship` tuple
     decoding to ``(payloads, common)``; large payloads arrive through a
     per-superstep shared-memory segment, small ones inline on the pipe.
-    Run ``task(view, machine, rng, payload, **common)`` for each owned
-    machine — with the machine's resident state inserted before
-    ``**common`` when ``resident_token`` names an installed state — and
-    reply ``("ok", wire)``.  The reply wire decodes to ``(results,
-    kernel_seconds, assemble_seconds)``: ``results`` is the per-machine
-    dict, or — when ``assemble`` (a module-level callable) is given —
-    the single per-worker aggregate ``assemble(machines, ordered
-    results)``, so one worker ships one aggregated outbox instead of
-    per-machine fragments and :func:`shipping.ship` decides SHM vs pipe
-    on the aggregate.  ``kernel_seconds`` / ``assemble_seconds`` are the
-    worker-side wall-clocks the tracer attributes as ``kernel_s`` /
-    ``assemble_s`` — or ``("err", traceback)``.  ``meta`` is included
-    the first time the parent references a store; a ``None`` store key
-    runs the task with ``view=None``.
+    Run the group kernel once, ``task(view, machines, rngs, payloads,
+    states, **common)``, over the owned ``machines`` (their streams in
+    ``rngs``, their resident states in ``states`` when
+    ``resident_token`` names an installed bundle, else ``None``) and
+    reply ``("ok", wire)`` with the wire decoding to ``(result,
+    kernel_seconds)`` — the one result :func:`shipping.ship` puts on the
+    pipe or in shared memory, and the worker-side wall-clock the tracer
+    attributes as ``kernel_s`` — or ``("err", traceback)``.  ``meta`` is
+    included the first time the parent references a store; a ``None``
+    store key runs the task with ``view=None``.
 ``("install-state", token, store_key_or_None, wire)``
     ``wire`` decodes to ``{machine: state}``; install it as the resident
     state bundle named ``token``.  A non-``None`` ``store_key`` binds
@@ -127,9 +123,7 @@ def worker_main(conn) -> None:
                 resident_store.pop(msg[1], None)
                 continue
             if cmd == "map":
-                _, task, key, meta, machines, wire, *rest = msg
-                token = rest[0] if len(rest) > 0 else None
-                assemble = rest[1] if len(rest) > 1 else None
+                _, task, key, meta, machines, wire, token = msg
                 try:
                     payloads, common = shipping.receive(wire)
                     if key is None:
@@ -138,36 +132,20 @@ def worker_main(conn) -> None:
                         if key not in views:
                             views[key] = SharedGraphView.attach(meta)
                         view = views[key]
-                    if token is not None and token not in residents:
-                        raise RuntimeError(
-                            f"resident state {token!r} is not installed in this "
-                            f"worker (invalidated by a holder change, store "
-                            f"eviction, or drop)"
-                        )
-                    t0 = time.perf_counter()
-                    if token is None:
-                        results = {
-                            machine: task(view, machine, rngs[machine], payload, **common)
-                            for machine, payload in zip(machines, payloads)
-                        }
-                    else:
-                        states = residents[token]
-                        results = {
-                            machine: task(
-                                view, machine, rngs[machine], payload,
-                                states[machine], **common,
+                    states = None
+                    if token is not None:
+                        if token not in residents:
+                            raise RuntimeError(
+                                f"resident state {token!r} is not installed in this "
+                                f"worker (invalidated by a holder change, store "
+                                f"eviction, or drop)"
                             )
-                            for machine, payload in zip(machines, payloads)
-                        }
+                        states = [residents[token][m] for m in machines]
+                    t0 = time.perf_counter()
+                    result = task(view, machines, [rngs[m] for m in machines],
+                                  payloads, states, **common)
                     kernel_s = time.perf_counter() - t0
-                    if assemble is not None:
-                        t1 = time.perf_counter()
-                        reply = assemble(list(machines), [results[m] for m in machines])
-                        assemble_s = time.perf_counter() - t1
-                    else:
-                        reply = results
-                        assemble_s = 0.0
-                    conn.send(("ok", shipping.ship((reply, kernel_s, assemble_s))))
+                    conn.send(("ok", shipping.ship((result, kernel_s))))
                 except BaseException:
                     conn.send(("err", traceback.format_exc()))
                 continue

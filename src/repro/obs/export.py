@@ -5,7 +5,7 @@
 timeline viewers open directly — ``chrome://tracing``, Perfetto, and
 https://www.speedscope.app (which imports the Chrome format) — so
 phase streams, driver gaps, and engine sub-spans (``ship_s`` /
-``kernel_s`` / ``assemble_s`` / resident installs) become an
+``kernel_s`` / resident installs) become an
 inspectable flame chart instead of a JSONL file.
 
 Layout: each ``run_start``/``run_end`` pair becomes one named track

@@ -38,8 +38,8 @@ def summarize_trace(events: list[dict]) -> dict[str, Any]:
     without a ``run_end`` event).
 
     Grouping is generic over ``op``, so every span the engines emit —
-    communication phases, ``map_machines`` kernels with their
-    ``kernel_s`` / ``assemble_s`` segments, and the ``resident``
+    communication phases, ``map_machines`` kernels (per machine or per
+    group) with their ``kernel_s`` segments, and the ``resident``
     install/pull spans of worker-resident driver state — folds into the
     rollup and counts toward ``coverage``.
     """

@@ -24,8 +24,9 @@ version ``1``):
     ``{"event", "seq", "at", "op", "label", "wall_s", "driver_s",
     "segments", "rounds", "messages", "bits", "max_link_bits",
     "top_links"}`` — ``op`` is the engine entry point
-    (``exchange_batches``, ``account_phase``, ``map_machines``, or
-    ``resident`` for installing and pulling per-machine state),
+    (``exchange_batches``, ``account_phase``, ``map_machines`` for any
+    superstep kernel dispatch, or ``resident`` for installing and
+    pulling per-machine state),
     ``segments`` a dict of wall-clock sub-spans in seconds (e.g.
     ``pack_s`` / ``account_s`` / ``deliver_s`` on the vector backend,
     ``ship_s`` / ``kernel_s`` / ``pool_wait_s`` / ``unpack_s`` on the

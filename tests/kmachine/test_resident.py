@@ -1,7 +1,7 @@
-"""Lifecycle tests for worker-resident driver state and outbox assembly.
+"""Lifecycle tests for worker-resident driver state and group kernels.
 
 The resident contract (``Engine.install_resident`` / ``pull_resident``
-/ ``drop_resident`` + ``map_machines(..., resident=, assemble=)``) keeps
+/ ``drop_resident`` + ``map_groups`` / ``map_machines(..., resident=)``) keeps
 per-machine driver state inside the owning shard workers between
 supersteps.  That state must be *holder-scoped*: a warm pool handed from
 one cluster to the next must never serve the previous holder's states,
@@ -59,18 +59,12 @@ def _crash_holder(ctx, machine, rng, payload, state):
     return state["count"]
 
 
-def _emit_rows(ctx, machine, rng, payload, state):
-    state["count"] += 1
-    return {"src": np.full(payload, machine, dtype=np.int64),
-            "val": np.arange(payload, dtype=np.int64)}
-
-
-def _concat_rows(machines, results):
-    return {
-        "src": np.concatenate([r["src"] for r in results]),
-        "val": np.concatenate([r["val"] for r in results]),
-        "machines": list(machines),
-    }
+def _emit_group(ctx, machines, rngs, payloads, states):
+    for state in states:
+        state["count"] += 1
+    return {"machines": list(machines),
+            "src": np.repeat(np.asarray(machines, dtype=np.int64), payloads),
+            "draws": [float(rng.random()) for rng in rngs]}
 
 
 def _fresh_states():
@@ -94,25 +88,25 @@ class TestResidentRoundTrip:
                 cluster.map_machines(_read_count, distgraph, [None] * K,
                                      resident=handle)
 
-    @pytest.mark.parametrize("engine", ["vector", "process"])
-    def test_assemble_groups_cover_all_machines(self, engine, distgraph):
-        with _cluster(engine=engine) as cluster:
+    @pytest.mark.parametrize("engine", ["message", "vector", "process"])
+    def test_groups_cover_all_machines(self, engine, distgraph):
+        # Three workers at K = 4: groups {0, 3}, {1} and {2}.
+        with _cluster(engine=engine, workers=3) as cluster:
             handle = cluster.install_resident(_fresh_states(), distgraph=distgraph)
-            groups = cluster.map_machines(
-                _emit_rows, distgraph, [3] * K, resident=handle,
-                assemble=_concat_rows,
-            )
-            covered = sorted(m for g in groups for m in g["machines"])
-            assert covered == list(range(K))
-            # Within a group machines are ascending and rows contiguous.
-            for g in groups:
-                assert g["machines"] == sorted(g["machines"])
-                assert np.array_equal(
-                    g["src"], np.repeat(np.asarray(g["machines"]), 3))
+            groups = cluster.map_groups(_emit_group, distgraph, [3] * K, resident=handle)
+            members = [g["machines"] for g in groups]
+            assert sorted(m for g in members for m in g) == list(range(K))
+            assert members == cluster.engine.machine_groups()
             if engine == "process":
-                assert len(groups) == cluster.engine.workers
+                assert members == [[0, 3], [1], [2]]  # machine % workers
             else:
-                assert len(groups) == 1
+                assert members == [list(range(K))]
+            for g in groups:  # each machine's payload and stream, in group order
+                assert np.array_equal(g["src"], np.repeat(g["machines"], 3))
+            fresh = _cluster(engine="vector").machine_rngs
+            assert {m: d for g in groups for m, d in zip(g["machines"], g["draws"])} == {
+                m: float(fresh[m].random()) for m in range(K)}
+            assert [s["count"] for s in cluster.pull_resident(handle)] == [1] * K
 
     def test_install_before_first_superstep_ships_rngs(self, distgraph):
         # install_resident as the very first pool interaction must not

@@ -230,12 +230,11 @@ class TestTracedRuns:
                 and "ship_s" in (e.get("segments") or {})]
         assert maps, "process engine emitted no shipped map_machines phases"
         for event in maps:
-            # assemble_s appears only on group-assembled supersteps.
-            assert set(event["segments"]) - {"assemble_s"} == {
+            assert set(event["segments"]) == {
                 "ship_s", "kernel_s", "pool_wait_s", "unpack_s"}
             assert all(v >= 0 for v in event["segments"].values())
-        assert any("assemble_s" in e["segments"] for e in maps), (
-            "pagerank emitted no worker-assembled supersteps")
+        assert any(e["label"] == "_token_superstep" for e in maps), (
+            "pagerank emitted no group-kernel supersteps")
 
     def test_shared_tracer_spans_multiple_runs(self, graph):
         tracer = Tracer()

@@ -16,8 +16,8 @@ The surviving drivers must reproduce every entry, on every engine:
   the last iteration's deliveries are folded in after the loop;
 * ``sinks`` — a directed graph whose out-degree-0 vertices absorb tokens;
 * ``triads`` — ``enumerate_triads=True``: the triangles, the open triads
-  (machine-ascending, so group-assembled shipping must restore machine
-  order) and the per-machine output counts.
+  (machine-ascending, so the driver must restore machine order from the
+  per-group aggregates) and the per-machine output counts.
 
 Regenerate (only for an intentional change to the draws or the accounted
 program)::
@@ -42,7 +42,9 @@ from repro.workloads.generators import rmat_graph
 
 ORACLE_PATH = Path(__file__).resolve().parent / "pagerank_driver_oracle.json"
 REGEN_ENV = "REPRO_REGEN_GOLDEN"
-ENGINES = ["message", "vector", "process"]
+# ``process`` runs two workers; ``process-w3`` three, whose groups at k = 4
+# are {0, 3}, {1} and {2}: a non-contiguous group beside single-machine ones.
+ENGINES = ["message", "vector", "process", "process-w3"]
 
 
 def _star_with_chords() -> repro.Graph:
@@ -81,8 +83,10 @@ def _triangle_case() -> dict:
 
 def _cluster(graph: repro.Graph, k: int, seed: int, engine: str) -> Cluster:
     """The cluster the entry point would build, with the worker count fixed."""
-    workers = {"workers": 2} if engine == "process" else {}
-    return Cluster(k=k, n=graph.n, seed=seed, engine=engine, **workers)
+    engine, _, workers = engine.partition("-w")
+    if engine == "process":
+        return Cluster(k=k, n=graph.n, seed=seed, engine=engine, workers=int(workers or 2))
+    return Cluster(k=k, n=graph.n, seed=seed, engine=engine)
 
 
 def _accounting(metrics) -> dict:
